@@ -101,8 +101,6 @@ class ExperimentConfig:
             raise ValueError("eps ladder needs at least 3 values")
         if any(not (0 < e < 1) for e in eps):
             raise ValueError(f"eps values must lie in (0, 1): {eps}")
-        if any(b <= a for a, b in zip(eps[1:], eps[:1] + eps[:-1])):
-            pass
         if not all(eps[i] > eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError(f"eps ladder must be strictly decreasing: {eps}")
         if self.functional not in FUNCTIONALS:

@@ -34,7 +34,6 @@ class SpectralPropagator:
     eigenvectors: np.ndarray = field(repr=False)
     eps: float
     tag: str
-    source: DenseHamiltonian = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -46,14 +45,19 @@ class SpectralPropagator:
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
-        """e^{-iHt/eps} vec without forming the dense unitary."""
-        c = self.eigenvectors.conj().T @ vec
-        c *= np.exp(-1j * self.eigenvalues * t / self.eps)
+        """e^{-iHt/eps} vec without forming the dense unitary.
+
+        vec may be one vector (N,) or a block of columns (N, k).
+        """
+        # V^dag vec as conj(V^T conj(vec)): no dim^2 conjugate copy of V
+        c = (self.eigenvectors.T @ vec.conj()).conj()
+        phases = np.exp(-1j * self.eigenvalues * t / self.eps)
+        c *= np.expand_dims(phases, tuple(range(1, c.ndim)))
         return self.eigenvectors @ c
 
     def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
-        """Project vec onto total energies <= cutoff."""
-        c = self.eigenvectors.conj().T @ vec
+        """Project vec, (N,) or (N, k), onto total energies <= cutoff."""
+        c = (self.eigenvectors.T @ vec.conj()).conj()
         c[self.eigenvalues > cutoff] = 0.0
         return self.eigenvectors @ c
 
@@ -73,7 +77,7 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
         unit = np.abs(v.conj().T @ v - np.eye(H.dim)).max()
         if unit > 1e-11 * H.dim:
             raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
-    return SpectralPropagator(eigenvalues=w, eigenvectors=v, eps=H.eps, tag=H.tag, source=H)
+    return SpectralPropagator(eigenvalues=w, eigenvectors=v, eps=H.eps, tag=H.tag)
 
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):

@@ -81,6 +81,21 @@ def test_energy_conservation(setup):
         assert abs(energy(evolve(prop, psi, t)) - e0) <= 1e-10
 
 
+def test_apply_block_matches_columns_and_unitary(setup):
+    grid, model, band, H, prop = setup
+    rng = np.random.default_rng(0)
+    block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
+    t = 0.7
+    out = prop.apply(block, t)
+    columns = np.column_stack([prop.apply(block[:, j], t) for j in range(3)])
+    assert np.abs(out - columns).max() <= 1e-12
+    assert np.abs(out - prop.unitary(t) @ block).max() <= 1e-12
+    cutoff = float(np.median(prop.eigenvalues))
+    cut = prop.energy_cutoff_apply(block, cutoff)
+    columns = np.column_stack([prop.energy_cutoff_apply(block[:, j], cutoff) for j in range(3)])
+    assert np.abs(cut - columns).max() <= 1e-12
+
+
 def test_evolve_dimension_mismatch(setup):
     grid, model, band, H, prop = setup
     small = make_grid(-8, 8, 64)

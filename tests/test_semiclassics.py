@@ -9,6 +9,7 @@ from adiband.models import get_model
 from adiband.propagation import diagonalize
 from adiband.semiclassics import (
     ClassicalDensity,
+    _first_exit,
     Symbol,
     band_energy_interpolant,
     boundary_leakage,
@@ -184,6 +185,69 @@ def test_hitting_time_free_motion_oracle():
     resol = 2 * (0.05 / 4 * (2 / 1.1**2) + dt)
     assert abs(t_plus - 2 / 1.1) <= resol
     assert abs(-t_minus - 2 / 1.1) <= resol
+
+
+def _first_exit_full_horizon(energy_grad, q0, p0, lo, hi, dt, horizon):
+    """Per-point exit times, every point flowed until it leaves or the horizon."""
+    q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
+    p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
+    times = np.full(q.shape, horizon)
+    alive = np.ones(q.shape, dtype=bool)
+    t = 0.0
+    while t < horizon and alive.any():
+        q_prev, p_prev = q[alive].copy(), p[alive].copy()
+        p[alive] -= 0.5 * dt * np.asarray(energy_grad(q[alive]), dtype=float)
+        q[alive] += dt * p[alive]
+        p[alive] -= 0.5 * dt * np.asarray(energy_grad(q[alive]), dtype=float)
+        t += dt
+        sub = ~((q[alive] > lo) & (q[alive] < hi))
+        if sub.any():
+            frac_lo = np.zeros(sub.sum())
+            frac_hi = np.ones(sub.sum())
+            qp, pp = q_prev[sub], p_prev[sub]
+            for _ in range(6):
+                mid = (frac_lo + frac_hi) / 2
+                h = dt * mid
+                pm = pp - 0.5 * h * np.asarray(energy_grad(qp), dtype=float)
+                qm = qp + h * pm
+                inside = (qm > lo) & (qm < hi)
+                frac_lo = np.where(inside, mid, frac_lo)
+                frac_hi = np.where(inside, frac_hi, mid)
+            exit_ids = np.nonzero(alive)[0][sub]
+            times[exit_ids] = t - dt + dt * frac_hi
+            keep = np.nonzero(alive)[0][~sub]
+            alive[:] = False
+            alive[keep] = True
+    return times
+
+
+def test_first_exit_early_stop_matches_full_horizon_bitwise():
+    # harmonic well: orbits of radius sqrt(q^2 + p^2) > 1.6 leave (-1.6, 1.6)
+    # at times spread over many steps; the smaller ones stay trapped
+    dE = lambda q: np.asarray(q)  # noqa: E731
+    cloud = PhaseSpaceRegion([(-0.5, 0.5, 0.8, 2.0)]).sample_cloud(0.05)
+    q, p = cloud[:, 0], cloud[:, 1]
+    lo, hi, dt, horizon = -1.6, 1.6, 1e-3, 8.0
+    for sign in (1.0, -1.0):
+        full = _first_exit_full_horizon(dE, q, sign * p, lo, hi, dt, horizon)
+        exited = full[full < horizon]
+        assert 0 < len(exited) < len(full)
+        assert len(np.unique(np.ceil(exited / dt))) >= 10
+        assert _first_exit(dE, q, sign * p, lo, hi, dt, horizon) == float(full.min())
+
+
+def test_hitting_times_stop_at_first_exit():
+    calls = []
+
+    def dE(q):
+        calls.append(1)
+        return 0.0 * np.asarray(q)
+
+    region = PhaseSpaceRegion([(0.0, 0.0, 0.9, 1.1)])
+    dt = 1e-3
+    hitting_times(region, window=(-2.4, 2.4), delta=0.4, energy_grad=dE, alpha=0.05, dt=dt)
+    steps = int(np.ceil((2 / 1.1) / dt))
+    assert len(calls) <= 2 * (2 * steps + 2 + 6)
 
 
 def test_hitting_time_stationary_point_capped():
