@@ -218,12 +218,7 @@ def band_decompose(
     if max(band_indices) >= m:
         raise ValueError(f"band indices {band_indices} out of range for fiber dim {m}")
 
-    evals = np.zeros((n, m))
-    evecs = np.zeros((n, m, m), dtype=complex)
-    for i, X in enumerate(grid.x):
-        w, v = np.linalg.eigh(model.h(X))
-        evals[i] = w
-        evecs[i] = v
+    evals, evecs = np.linalg.eigh(model.h_batch(grid.x))
 
     if window is None:
         mask = np.ones(n, dtype=bool)

@@ -5,6 +5,15 @@ Matrices act on value vectors; molecular vectors are grid-major, entry
 nuclear kinetic energy is assembled exactly in Fourier space, so the only
 approximation anywhere is the spatial discretization itself.
 
+Operators are stored real (float64) when their data is real: the kinetic
+term without an external vector potential, a model whose H_e(X_i) have
+exactly zero imaginary part, and a band projection with real fiber
+blocks.  Real storage sends `eigh` to the real-symmetric solver, which
+returns real eigenvectors.  Complex data (complex fibers, an external
+vector potential) keeps complex128, as does the phase-dressed effective
+Hamiltonian of `assemble_bo`.  This module is the only place that decides
+the storage type; every later step follows the dtype of its input.
+
 Band functions (energy, geometric vector potential, eigenvector frame)
 defined on an isolation window are extended to the whole periodic box
 before entering an operator: value and first derivative are matched at the
@@ -86,10 +95,15 @@ class ProjectionOperator:
 
 
 def kinetic_matrix(grid: Grid1D, eps: float, a_ext=None) -> np.ndarray:
-    """Nuclear kinetic operator (eps*(-i d/dX) + eps*A_ext(X))^2 / 2, dense."""
+    """Nuclear kinetic operator (eps*(-i d/dX) + eps*A_ext(X))^2 / 2, dense.
+
+    Without A_ext the operator is real: the symbol (eps k)^2/2 is even on
+    the lattice (the Nyquist mode pairs with itself), so the imaginary part
+    of the Fourier product is rounding and is dropped.
+    """
     F = fourier_matrix(grid)
     if a_ext is None:
-        return F.conj().T @ ((eps * grid.k[:, None]) ** 2 / 2 * F)
+        return (F.conj().T @ ((eps * grid.k[:, None]) ** 2 / 2 * F)).real.copy()
     a_vals = np.asarray([a_ext(X) for X in grid.x], dtype=float)
     seam = abs(a_ext(grid.x_min) - a_ext(grid.x_max))
     if seam > 1e-6 * (1 + np.abs(a_vals).max()):
@@ -105,38 +119,48 @@ def assemble_full(
     eps: float,
     a_ext=None,
 ) -> DenseHamiltonian:
-    """Molecular Hamiltonian: kinetic term tensor identity plus fiberwise H_e(X_i)."""
-    m = model.fiber_dim
+    """Molecular Hamiltonian: kinetic term tensor identity plus fiberwise H_e(X_i).
+
+    Stored real when T is real and every H_e(X_i) has zero imaginary part.
+    """
+    n, m = grid.n_points, model.fiber_dim
     T = kinetic_matrix(grid, eps, a_ext)
-    H = np.kron(T, np.eye(m)).astype(complex)
-    idx = np.arange(m)
-    for i, X in enumerate(grid.x):
-        H[np.ix_(i * m + idx, i * m + idx)] += model.h(X)
+    fibers = model.h_batch(grid.x)
+    if np.isrealobj(T) and not np.any(fibers.imag):
+        fibers = fibers.real
+    H = np.kron(T, np.eye(m)).astype(fibers.dtype)
+    diag = np.arange(n)
+    H.reshape(n, m, n, m)[diag, :, diag, :] += fibers
     H = (H + H.conj().T) / 2
     return DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=m)
 
 
-def assemble_diag(H: DenseHamiltonian, P: ProjectionOperator, mode: str = "split") -> DenseHamiltonian:
-    """Band-preserving reference Hamiltonian.
+def _fiber_sandwich(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(B H) B for B = blockdiag(B_1 ... B_n) with m x m blocks, as batched products."""
+    n, m, _ = B.shape
+    N = n * m
+    BH = np.matmul(B, H.reshape(n, m, N)).reshape(N, N)
+    BHB = np.matmul(BH.reshape(N, n, m).transpose(1, 0, 2), B)
+    return BHB.transpose(1, 0, 2).reshape(N, N)
 
-    mode='split':      P H P + (1-P) H (1-P)   (isolated band set)
-    mode='hierarchy':  P H P                    (smoothed window projection,
-                       used when the band set is isolated only locally)
+
+def assemble_diag(H: DenseHamiltonian, P: ProjectionOperator) -> DenseHamiltonian:
+    """Band-preserving reference Hamiltonian P H P + (1-P) H (1-P).
+
+    P must be fiber-block-diagonal (nonzero only in the m x m blocks at
+    each grid point), so both products cost O(N^2 m) instead of O(N^3).
     """
     if P.dim != H.dim:
         raise ValueError(f"dimension mismatch: H is {H.dim}, P is {P.dim}")
-    M = P.matrix
-    if mode == "split":
-        Mp = np.eye(P.dim) - M
-        Hd = M @ H.matrix @ M + Mp @ H.matrix @ Mp
-        tag = "diag"
-    elif mode == "hierarchy":
-        Hd = M @ H.matrix @ M
-        tag = "diag-windowed"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    m = H.fiber_dim
+    n = H.dim // m
+    diag = np.arange(n)
+    B = P.matrix.reshape(n, m, n, m)[diag, :, diag, :]
+    if np.count_nonzero(P.matrix) != np.count_nonzero(B):
+        raise ValueError(f"{P.tag}: projection has entries off its {m}x{m} fiber blocks")
+    Hd = _fiber_sandwich(H.matrix, B) + _fiber_sandwich(H.matrix, np.eye(m) - B)
     Hd = (Hd + Hd.conj().T) / 2
-    return DenseHamiltonian(matrix=Hd, eps=H.eps, tag=tag, grid=H.grid, fiber_dim=H.fiber_dim)
+    return DenseHamiltonian(matrix=Hd, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
 
 
 def clamp_field(
@@ -233,13 +257,15 @@ def assemble_bo(
 
 
 def full_projection(band: BandData) -> ProjectionOperator:
-    """Block-diagonal projection onto the band set over the window."""
+    """Block-diagonal projection onto the band set over the window.
+
+    Stored real when the fiber projections have zero imaginary part.
+    """
     n, m = band.grid.n_points, band.fiber_dim
-    P = np.zeros((n * m, n * m), dtype=complex)
-    idx = np.arange(m)
-    for i in range(n):
-        if band.mask[i]:
-            P[np.ix_(i * m + idx, i * m + idx)] = band.proj[i]
+    proj = band.proj if np.any(band.proj.imag) else band.proj.real
+    P = np.zeros((n * m, n * m), dtype=proj.dtype)
+    inside = np.nonzero(band.mask)[0]
+    P.reshape(n, m, n, m)[inside, :, inside, :] = proj[inside]
     return ProjectionOperator(P, tag="P_star")
 
 

@@ -135,6 +135,10 @@ def phase_space_projection(
     U* 1_{window, delta} (smoothed region indicator)^Weyl U P_band, acting
     on molecular vectors.  Hermitian and idempotent up to O(eps); its range
     is bounded in the scaled second Sobolev norm uniformly in eps.
+
+    U and P_band are fiber-block-diagonal, so the product is the outer
+    product chi[j, c] lambda_j W[j, i] r[i, b] with r_i = chi_i^dag P_i
+    (zero outside the band window): O(N^2), no dense matrix product.
     """
     if band.window is not None:
         a, b = band.window
@@ -149,10 +153,11 @@ def phase_space_projection(
         lam_ind = np.ones(band.grid.n_points)
     ind = smooth_indicator(region, alpha)
     W = weyl_quantize(lambda q, p: ind(q, p), band.grid, eps)
-    U = u_matrix(band, delta)
-    P = full_projection(band)
-    M = U.conj().T @ (lam_ind[:, None] * (W @ (U @ P.matrix)))
-    return ProjectionOperator(M, tag="P_Gamma")
+    chi = band.chi_clamped(delta / 2)
+    r = np.einsum("ia,iab->ib", chi.conj(), band.proj) * band.mask[:, None]
+    M = chi[:, :, None, None] * (lam_ind[:, None, None, None] * (W[:, None, :, None] * r[None, None]))
+    n, m = chi.shape
+    return ProjectionOperator(M.reshape(n * m, n * m), tag="P_Gamma")
 
 
 # ---------------------------------------------------------------------------

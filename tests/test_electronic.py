@@ -26,6 +26,17 @@ def band_ac(grid256):
     return band_decompose(get_model("two_band_complex"), grid256, 0)
 
 
+@pytest.mark.parametrize("tag", ["two_band_complex", "crossing_trio", "rotated_pair"])
+def test_band_decompose_stacked_eigh_equals_pointwise(tag):
+    g = make_grid(-4, 4, 64)
+    model = get_model(tag)
+    band = band_decompose(model, g, 0, gauge=None)
+    for i, X in enumerate(g.x):
+        w, v = np.linalg.eigh(model.h(X))
+        assert np.array_equal(band.evals[i], w)
+        assert np.array_equal(band.evecs[i], v)
+
+
 def test_fd_derivative_polynomial_exact():
     g = make_grid(-8, 8, 256)
     f = np.sin(g.x) * np.exp(-g.x**2 / 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adiband.electronic import band_decompose, berry_connection, fd_derivative
-from adiband.grids import NuclearWave, make_grid, norm
+from adiband.grids import NuclearWave, fourier_matrix, make_grid, norm
 from adiband.hamiltonians import (
     assemble_bo,
     assemble_diag,
@@ -17,6 +17,7 @@ from adiband.hamiltonians import (
     u_star_map,
 )
 from adiband.models import get_model
+from adiband.propagation import diagonalize
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +87,48 @@ def test_offdiagonal_split_identity(ac_setup):
     assert np.abs((H.matrix - Hd.matrix) - off).max() <= 1e-11
 
 
-def test_hierarchy_mode(ac_setup):
+def test_diag_rejects_projection_off_fiber_blocks(ac_setup):
     grid, model, band, H, P = ac_setup
-    Hd = assemble_diag(H, P, mode="hierarchy")
-    assert np.abs(Hd.matrix - P.matrix @ H.matrix @ P.matrix).max() <= 1e-12
+    from adiband.hamiltonians import ProjectionOperator
+
+    M = P.matrix.copy()
+    m = band.fiber_dim
+    M[0, m] = M[m, 0] = 1e-3  # couples grid points 0 and 1
+    with pytest.raises(ValueError, match="fiber blocks"):
+        assemble_diag(H, ProjectionOperator(M, tag="coupled"))
+
+
+@pytest.mark.parametrize(
+    "tag, bands, window, a_ext, real_data",
+    [
+        ("crossing_trio", (0, 1), None, None, True),
+        ("rotated_pair", (0,), (-2, 2), None, True),
+        ("two_band_complex", (0,), None, None, False),
+        ("rotated_pair", (0,), (-2, 2), lambda X: 0.3 * np.sin(np.pi * X / 4), False),
+    ],
+)
+def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
+    grid = make_grid(-4, 4, 32)
+    model = get_model(tag)
+    band = band_decompose(model, grid, bands, window=window, gauge=None if len(bands) > 1 else "component")
+    H = assemble_full(model, grid, eps=0.2, a_ext=a_ext)
+    P = full_projection(band)
+    Hd = assemble_diag(H, P)
+    # the projection depends on the fibers only, not on A_ext
+    assert P.matrix.dtype == (np.complex128 if tag == "two_band_complex" else np.float64)
+    expected = np.float64 if real_data else np.complex128
+    for M in (H.matrix, Hd.matrix, diagonalize(H).eigenvectors, diagonalize(Hd).eigenvectors):
+        assert M.dtype == expected
+
+
+def test_kinetic_real_part_is_the_operator():
+    grid = make_grid(-8, 8, 64)
+    F = fourier_matrix(grid)
+    dense = F.conj().T @ ((0.3 * grid.k[:, None]) ** 2 / 2 * F)
+    T = kinetic_matrix(grid, 0.3)
+    assert np.isrealobj(T)
+    assert np.array_equal(T, dense.real)
+    assert np.abs(dense.imag).max() <= 1e-14 * np.abs(T).max()
 
 
 def test_bo_free_band_is_kinetic():

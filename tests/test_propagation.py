@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,23 @@ from adiband.hamiltonians import assemble_diag, assemble_full, full_projection
 from adiband.models import get_model
 from adiband.propagation import decoupling_error, diagonalize, evolve
 
+# one model stored real (real fibers, real frame) and one stored complex
+MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
 
-@pytest.fixture(scope="module")
-def setup():
+
+def _build(tag, window):
     grid = make_grid(-8, 8, 128)
-    model = get_model("two_band_complex")
-    band = band_decompose(model, grid, 0)
+    model = get_model(tag)
+    band = band_decompose(model, grid, 0, window=window)
     H = assemble_full(model, grid, eps=0.1)
     prop = diagonalize(H, validate=True)
     return grid, model, band, H, prop
+
+
+@pytest.fixture(scope="module")
+def setups():
+    """Both storage types: every check below runs on each."""
+    return [_build(*MODELS[kind]) for kind in ("complex", "real")]
 
 
 def _gaussian_state(grid, band, eps, q0=0.0, p0=0.5):
@@ -36,72 +46,98 @@ def test_diagonalize_diagonal_input():
     assert np.abs(np.abs(prop.eigenvectors).max(axis=0) - 1).max() <= 1e-12
 
 
-def test_reconstruction_and_real_eigenvalues(setup):
-    *_, H, prop = setup
-    recon = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
-    assert np.abs(recon - H.matrix).max() <= 1e-10
-    assert np.isrealobj(prop.eigenvalues)
+def test_reconstruction_and_real_eigenvalues(setups):
+    for *_, H, prop in setups:
+        recon = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
+        assert np.abs(recon - H.matrix).max() <= 1e-10
+        assert np.isrealobj(prop.eigenvalues)
 
 
-def test_evolve_t0_identity(setup):
-    grid, model, band, H, prop = setup
-    psi = _gaussian_state(grid, band, 0.1)
-    out = evolve(prop, psi, 0.0)
-    assert np.abs(out.values - psi.values).max() <= 1e-12
+def test_evolve_t0_identity(setups):
+    for grid, model, band, H, prop in setups:
+        psi = _gaussian_state(grid, band, 0.1)
+        out = evolve(prop, psi, 0.0)
+        assert np.abs(out.values - psi.values).max() <= 1e-12
 
 
-def test_evolve_eigenvector_phase(setup):
-    grid, model, band, H, prop = setup
-    k = 17
-    v = prop.eigenvectors[:, k]
-    psi = MolecularWave(grid, v.reshape(grid.n_points, 2), eps=0.1)
-    out = evolve(prop, psi, 0.7)
-    expected = np.exp(-1j * prop.eigenvalues[k] * 0.7 / 0.1) * v
-    assert np.abs(out.flat() - expected).max() <= 1e-10
+def test_evolve_eigenvector_phase(setups):
+    for grid, model, band, H, prop in setups:
+        k = 17
+        v = prop.eigenvectors[:, k]
+        psi = MolecularWave(grid, v.reshape(grid.n_points, 2), eps=0.1)
+        out = evolve(prop, psi, 0.7)
+        expected = np.exp(-1j * prop.eigenvalues[k] * 0.7 / 0.1) * v
+        assert np.abs(out.flat() - expected).max() <= 1e-10
 
 
-def test_evolve_norm_and_group_law(setup):
-    grid, model, band, H, prop = setup
-    psi = _gaussian_state(grid, band, 0.1)
-    n0 = norm(psi)
-    for t in (0.5, 1.5, 5.0):
-        assert abs(norm(evolve(prop, psi, t)) - n0) <= 1e-11
-    ab = evolve(prop, evolve(prop, psi, 0.6), 0.9)
-    once = evolve(prop, psi, 1.5)
-    assert np.abs(ab.values - once.values).max() <= 1e-10
+def test_evolve_norm_and_group_law(setups):
+    for grid, model, band, H, prop in setups:
+        psi = _gaussian_state(grid, band, 0.1)
+        n0 = norm(psi)
+        for t in (0.5, 1.5, 5.0):
+            assert abs(norm(evolve(prop, psi, t)) - n0) <= 1e-11
+        ab = evolve(prop, evolve(prop, psi, 0.6), 0.9)
+        once = evolve(prop, psi, 1.5)
+        assert np.abs(ab.values - once.values).max() <= 1e-10
 
 
-def test_energy_conservation(setup):
-    grid, model, band, H, prop = setup
-    psi = _gaussian_state(grid, band, 0.1)
-    def energy(w):
-        return np.real(np.vdot(w.flat(), H.matrix @ w.flat())) * grid.dx
-    e0 = energy(psi)
-    for t in (0.3, 1.1, 4.0):
-        assert abs(energy(evolve(prop, psi, t)) - e0) <= 1e-10
+def test_energy_conservation(setups):
+    for grid, model, band, H, prop in setups:
+        psi = _gaussian_state(grid, band, 0.1)
+        def energy(w):
+            return np.real(np.vdot(w.flat(), H.matrix @ w.flat())) * grid.dx
+        e0 = energy(psi)
+        for t in (0.3, 1.1, 4.0):
+            assert abs(energy(evolve(prop, psi, t)) - e0) <= 1e-10
 
 
-def test_apply_block_matches_columns_and_unitary(setup):
-    grid, model, band, H, prop = setup
-    rng = np.random.default_rng(0)
-    block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
-    t = 0.7
-    out = prop.apply(block, t)
-    columns = np.column_stack([prop.apply(block[:, j], t) for j in range(3)])
-    assert np.abs(out - columns).max() <= 1e-12
-    assert np.abs(out - prop.unitary(t) @ block).max() <= 1e-12
-    cutoff = float(np.median(prop.eigenvalues))
-    cut = prop.energy_cutoff_apply(block, cutoff)
-    columns = np.column_stack([prop.energy_cutoff_apply(block[:, j], cutoff) for j in range(3)])
-    assert np.abs(cut - columns).max() <= 1e-12
+def test_apply_block_matches_columns_and_unitary(setups):
+    for grid, model, band, H, prop in setups:
+        rng = np.random.default_rng(0)
+        block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
+        t = 0.7
+        out = prop.apply(block, t)
+        columns = np.column_stack([prop.apply(block[:, j], t) for j in range(3)])
+        assert np.abs(out - columns).max() <= 1e-12
+        assert np.abs(out - prop.unitary(t) @ block).max() <= 1e-12
+        cutoff = float(np.median(prop.eigenvalues))
+        cut = prop.energy_cutoff_apply(block, cutoff)
+        columns = np.column_stack([prop.energy_cutoff_apply(block[:, j], cutoff) for j in range(3)])
+        assert np.abs(cut - columns).max() <= 1e-12
 
 
-def test_evolve_dimension_mismatch(setup):
-    grid, model, band, H, prop = setup
-    small = make_grid(-8, 8, 64)
-    psi = MolecularWave(small, np.ones((64, 2)), eps=0.1)
-    with pytest.raises(ValueError):
-        evolve(prop, psi, 1.0)
+def test_real_storage_matches_complex_solver():
+    grid, model, band, H, prop = _build(*MODELS["real"])
+    assert np.isrealobj(prop.eigenvectors)
+    ref = diagonalize(dataclasses.replace(H, matrix=H.matrix.astype(complex)))
+    assert np.iscomplexobj(ref.eigenvectors)
+    assert np.abs(prop.eigenvalues - ref.eigenvalues).max() <= 1e-12
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
+    block /= np.linalg.norm(block, axis=0)
+
+    def gap(a, b):  # largest column 2-norm of the difference, unit columns in
+        return np.linalg.norm(a - b, axis=0).max()
+
+    # the two solvers' eigenvalues differ by ~1e-13 (max|H| ~ 50), a phase
+    # error that grows like t/eps: 4e-12 at t = 3
+    for t in (0.0, 0.3, 0.7):
+        assert gap(prop.apply(block, t), ref.apply(block, t)) <= 1e-12
+        assert gap(prop.apply(block[:, :1], t), ref.apply(block[:, :1], t)) <= 1e-12
+        assert np.linalg.norm(prop.unitary(t) - ref.unitary(t), 2) <= 1e-12
+    # a cutoff inside a spectral gap, so that no degenerate pair is split
+    w = prop.eigenvalues
+    i = int(np.argmax(np.diff(w[: prop.dim // 2])))
+    cutoff = 0.5 * (w[i] + w[i + 1])
+    assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
+
+
+def test_evolve_dimension_mismatch(setups):
+    for grid, model, band, H, prop in setups:
+        small = make_grid(-8, 8, 64)
+        psi = MolecularWave(small, np.ones((64, 2)), eps=0.1)
+        with pytest.raises(ValueError):
+            evolve(prop, psi, 1.0)
 
 
 def test_decoupling_error_zero_for_commuting_fixture():
@@ -117,23 +153,23 @@ def test_decoupling_error_zero_for_commuting_fixture():
     assert decoupling_error(pf, pd, psi, t=1.0) <= 1e-10
 
 
-def test_decoupling_error_eigenvector_input(setup):
-    grid, model, band, H, prop = setup
-    P = full_projection(band)
-    Hd = assemble_diag(H, P)
-    pd = diagonalize(Hd)
-    # an eigenvector of H that also lies in Ran P evolves identically under
-    # both generators only if it is a common eigenvector; use the commuting
-    # constant-fiber case above for the exact statement. Here: error bounded.
-    psi = _gaussian_state(grid, band, 0.1)
-    e = decoupling_error(prop, pd, psi, t=1.0)
-    assert 0 <= e <= 2.0
+def test_decoupling_error_eigenvector_input(setups):
+    for grid, model, band, H, prop in setups:
+        P = full_projection(band)
+        Hd = assemble_diag(H, P)
+        pd = diagonalize(Hd)
+        # an eigenvector of H that also lies in Ran P evolves identically under
+        # both generators only if it is a common eigenvector; use the commuting
+        # constant-fiber case above for the exact statement. Here: error bounded.
+        psi = _gaussian_state(grid, band, 0.1)
+        e = decoupling_error(prop, pd, psi, t=1.0)
+        assert 0 <= e <= 2.0
 
 
-def test_decoupling_error_rejects_zero_state(setup):
-    grid, model, band, H, prop = setup
-    P = full_projection(band)
-    pd = diagonalize(assemble_diag(H, P))
-    zero = MolecularWave(grid, np.zeros((grid.n_points, 2)), eps=0.1)
-    with pytest.raises(ValueError):
-        decoupling_error(prop, pd, zero, t=1.0)
+def test_decoupling_error_rejects_zero_state(setups):
+    for grid, model, band, H, prop in setups:
+        P = full_projection(band)
+        pd = diagonalize(assemble_diag(H, P))
+        zero = MolecularWave(grid, np.zeros((grid.n_points, 2)), eps=0.1)
+        with pytest.raises(ValueError):
+            decoupling_error(prop, pd, zero, t=1.0)

@@ -369,6 +369,23 @@ def test_phase_space_projection_annihilates_complement():
     assert np.abs(PG.matrix @ perp).max() <= 1e-12
 
 
+@pytest.mark.parametrize("tag, window", [("rotated_pair", (-2, 2)), ("two_band_complex", (-5, 5))])
+def test_phase_space_projection_equals_dense_formula(tag, window):
+    from adiband.hamiltonians import full_projection, u_matrix
+    from adiband.indicators import interval_indicator
+
+    grid = make_grid(-6.4, 6.4, 128)
+    band = band_decompose(get_model(tag), grid, 0, window=window)
+    region = PhaseSpaceRegion([(-0.8, 0.8, -0.8, 0.8)])
+    delta, eps = 0.4, 0.1
+    PG = phase_space_projection(band, region, alpha=0.3, eps=eps, delta=delta)
+    lam = interval_indicator(grid.x, [window], margin=delta)
+    W = weyl_quantize(smooth_indicator(region, 0.3), grid, eps)
+    U = u_matrix(band, delta)
+    dense = U.conj().T @ (lam[:, None] * (W @ (U @ full_projection(band).matrix)))
+    assert np.abs(PG.matrix - dense).max() <= 1e-14
+
+
 def test_phase_space_projection_region_must_fit():
     grid = make_grid(-6.4, 6.4, 128)
     band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
