@@ -218,7 +218,12 @@ def band_decompose(
     if max(band_indices) >= m:
         raise ValueError(f"band indices {band_indices} out of range for fiber dim {m}")
 
-    evals, evecs = np.linalg.eigh(model.h_batch(grid.x))
+    fibers = model.h_batch(grid.x)
+    if not np.any(fibers.imag):
+        # real data: the real solver returns frames with exactly zero imaginary part
+        fibers = fibers.real
+    evals, evecs = np.linalg.eigh(fibers)
+    evecs = evecs.astype(complex, copy=False)
 
     if window is None:
         mask = np.ones(n, dtype=bool)

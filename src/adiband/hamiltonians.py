@@ -8,11 +8,12 @@ approximation anywhere is the spatial discretization itself.
 Operators are stored real (float64) when their data is real: the kinetic
 term without an external vector potential, a model whose H_e(X_i) have
 exactly zero imaginary part, and a band projection with real fiber
-blocks.  Real storage sends `eigh` to the real-symmetric solver, which
-returns real eigenvectors.  Complex data (complex fibers, an external
-vector potential) keeps complex128, as does the phase-dressed effective
-Hamiltonian of `assemble_bo`.  This module is the only place that decides
-the storage type; every later step follows the dtype of its input.
+blocks.  Real storage sends `eigh` to the real-symmetric solver, several
+times faster than the complex one.  Complex data (complex fibers, an
+external vector potential) keeps complex128, as does the phase-dressed
+effective Hamiltonian of `assemble_bo`.  This module is the only place
+that decides the storage type of an operator; `assemble_diag` follows the
+dtype of its inputs.
 
 Band functions (energy, geometric vector potential, eigenvector frame)
 defined on an isolation window are extended to the whole periodic box

@@ -5,12 +5,6 @@ Time stepping is exact: e^{-iHt/eps} is applied through the spectral
 decomposition of the assembled operator, so every error measured here is
 an adiabatic or semiclassical error of the model, never a time-integration
 artifact.
-
-A real-stored operator has real eigenvectors V.  The propagator then maps
-complex vectors through a float64 view: the real and imaginary parts of
-all columns become the rows of one real block that multiplies V (or V^T)
-from the left, so one real GEMM reads V once for the whole block.
-Complex eigenvectors take complex products.
 """
 
 from __future__ import annotations
@@ -50,55 +44,32 @@ class SpectralPropagator:
         phases = np.exp(-1j * self.eigenvalues * t / self.eps)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
-    def _coefficients(self, vec: np.ndarray) -> np.ndarray:
-        """V^dag vec."""
-        V = self.eigenvectors
-        if np.isrealobj(V):
-            return _real_left_product(V, vec)
-        # V^dag vec as conj(V^T conj(vec)): no dim^2 conjugate copy of V
-        return (V.T @ vec.conj()).conj()
-
-    def _synthesize(self, c: np.ndarray) -> np.ndarray:
-        """V c."""
-        V = self.eigenvectors
-        if np.isrealobj(V):
-            return _real_left_product(V.T, c)
-        return V @ c
-
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
 
         vec may be one vector (N,) or a block of columns (N, k).
         """
-        c = self._coefficients(vec)
+        # V^dag vec as conj(V^T conj(vec)): no dim^2 conjugate copy of V
+        c = (self.eigenvectors.T @ vec.conj()).conj()
         phases = np.exp(-1j * self.eigenvalues * t / self.eps)
         c *= np.expand_dims(phases, tuple(range(1, c.ndim)))
-        return self._synthesize(c)
+        return self.eigenvectors @ c
 
     def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
         """Project vec, (N,) or (N, k), onto total energies <= cutoff."""
-        c = self._coefficients(vec)
+        c = (self.eigenvectors.T @ vec.conj()).conj()
         c[self.eigenvalues > cutoff] = 0.0
-        return self._synthesize(c)
-
-
-def _real_left_product(A: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """A^T vec for real A and complex vec (N,) or (N, k), computed as (vec^T A)^T.
-
-    The float64 view of vec holds the real and imaginary parts of each
-    column side by side; transposed, they are the 2k rows of the left factor.
-    """
-    x = np.ascontiguousarray(vec, dtype=complex)
-    rows = x.view(np.float64).reshape(len(x), -1).T
-    return np.ascontiguousarray((rows @ A).T).view(complex).reshape(x.shape)
+        return self.eigenvectors @ c
 
 
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:
     """Eigendecompose an assembled operator.
 
-    A real-stored operator runs the real-symmetric solver and gives real
-    eigenvectors.  With validate=True the reconstruction U diag(w) U^dag is
-    checked against H to 1e-10 (costs two extra dense products).
+    A real-stored operator runs the real-symmetric solver; its real
+    eigenvectors are stored complex, so the propagator has one product
+    path for every model.  With validate=True the reconstruction
+    U diag(w) U^dag is checked against H to 1e-10 (costs two extra dense
+    products).
     """
     w, v = np.linalg.eigh(H.matrix)
     if validate:
@@ -109,7 +80,9 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
         unit = np.abs(v.conj().T @ v - np.eye(H.dim)).max()
         if unit > 1e-11 * H.dim:
             raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
-    return SpectralPropagator(eigenvalues=w, eigenvectors=v, eps=H.eps, tag=H.tag)
+    return SpectralPropagator(
+        eigenvalues=w, eigenvectors=v.astype(complex, copy=False), eps=H.eps, tag=H.tag
+    )
 
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):

@@ -117,8 +117,11 @@ def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
     # the projection depends on the fibers only, not on A_ext
     assert P.matrix.dtype == (np.complex128 if tag == "two_band_complex" else np.float64)
     expected = np.float64 if real_data else np.complex128
-    for M in (H.matrix, Hd.matrix, diagonalize(H).eigenvectors, diagonalize(Hd).eigenvectors):
-        assert M.dtype == expected
+    assert H.matrix.dtype == Hd.matrix.dtype == expected
+    # eigenvectors are stored complex; real storage gives them zero imaginary part
+    for V in (diagonalize(H).eigenvectors, diagonalize(Hd).eigenvectors):
+        assert V.dtype == np.complex128
+        assert np.any(V.imag) != real_data
 
 
 def test_kinetic_real_part_is_the_operator():
