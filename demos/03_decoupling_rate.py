@@ -16,7 +16,6 @@ from adiband import (
     coherent_state,
     decoupling_error,
     diagonalize,
-    full_projection,
     get_model,
     lift_to_band,
     make_grid,
@@ -26,7 +25,6 @@ grid = make_grid(-8, 8, 256)
 model = get_model("crossing_trio")
 pair = band_decompose(model, grid, (0, 1), gauge=None)  # the crossing pair
 lower = band_decompose(model, grid, 0)                  # tracked lift target
-P = full_projection(pair)
 
 ladder = [0.2, 0.1, 0.05, 0.025]
 t = 1.0
@@ -35,7 +33,7 @@ errs = []
 for eps in ladder:
     H = assemble_full(model, grid, eps)
     prop_full = diagonalize(H)
-    prop_diag = diagonalize(assemble_diag(H, P))
+    prop_diag = diagonalize(assemble_diag(H, pair))
     wave, _ = coherent_state(grid, eps, -0.9, 0.2)
     psi = lift_to_band(wave, lower)
     err = decoupling_error(prop_full, prop_diag, psi, t)

@@ -21,13 +21,9 @@ from .electronic import (
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm
 from .hamiltonians import (
     DenseHamiltonian,
-    ProjectionOperator,
     assemble_bo,
     assemble_diag,
     assemble_full,
-    energy_cutoff,
-    full_projection,
-    smoothed_projection_family,
     u_map,
     u_star_map,
 )

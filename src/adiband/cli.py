@@ -17,7 +17,6 @@ import sys
 from .harness import (
     SUITE_NAMES,
     ExperimentConfig,
-    PropagatorCache,
     emit_report,
     eps_scan,
     load_result,

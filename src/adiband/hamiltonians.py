@@ -15,6 +15,13 @@ effective Hamiltonian of `assemble_bo`.  This module is the only place
 that decides the storage type of an operator; `assemble_diag` follows the
 dtype of its inputs.
 
+The band projection P and the identification U act pointwise in X, so the
+package carries them as the band's fiber data: `assemble_diag` takes the
+`BandData` and works on the m x m fiber blocks of P, and `u_map` /
+`u_star_map` apply U fiberwise.  `full_projection` and `u_matrix` build
+the dense N x N and n x N matrices; they are the oracles the tests compare
+against.
+
 Band functions (energy, geometric vector potential, eigenvector frame)
 defined on an isolation window are extended to the whole periodic box
 before entering an operator: value and first derivative are matched at the
@@ -32,18 +39,15 @@ import numpy as np
 
 from .electronic import BandData, fd_derivative
 from .grids import Grid1D, MolecularWave, NuclearWave, fourier_matrix
-from .indicators import interval_indicator, ramp_to_constant, smooth_step
+from .indicators import ramp_to_constant, smooth_step
 from .models import ElectronicModel
 
 __all__ = [
     "DenseHamiltonian",
-    "ProjectionOperator",
     "assemble_full",
     "assemble_diag",
     "assemble_bo",
     "full_projection",
-    "smoothed_projection_family",
-    "energy_cutoff",
     "u_matrix",
     "u_map",
     "u_star_map",
@@ -73,26 +77,6 @@ class DenseHamiltonian:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class ProjectionOperator:
-    """Dense Hermitian (near-)projection with a provenance tag.
-
-    Spectral projections are idempotent to 1e-10; smoothed window
-    projections take values in [0, 1] in their transition zone and are not
-    idempotent there.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    tag: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def complement(self) -> "ProjectionOperator":
-        return ProjectionOperator(np.eye(self.dim) - self.matrix, tag=f"1-{self.tag}")
 
 
 def kinetic_matrix(grid: Grid1D, eps: float, a_ext=None) -> np.ndarray:
@@ -145,20 +129,27 @@ def _fiber_sandwich(H: np.ndarray, B: np.ndarray) -> np.ndarray:
     return BHB.transpose(1, 0, 2).reshape(N, N)
 
 
-def assemble_diag(H: DenseHamiltonian, P: ProjectionOperator) -> DenseHamiltonian:
+def _fiber_blocks(band: BandData) -> np.ndarray:
+    """The (n, m, m) fiber blocks of P: band.proj on the window, zero outside.
+
+    Real when the fiber projections have zero imaginary part.
+    """
+    proj = band.proj if np.any(band.proj.imag) else band.proj.real
+    return np.where(band.mask[:, None, None], proj, 0)
+
+
+def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
     """Band-preserving reference Hamiltonian P H P + (1-P) H (1-P).
 
-    P must be fiber-block-diagonal (nonzero only in the m x m blocks at
-    each grid point), so both products cost O(N^2 m) instead of O(N^3).
+    P is the band projection, block-diagonal in X with the m x m fiber
+    blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
     """
-    if P.dim != H.dim:
-        raise ValueError(f"dimension mismatch: H is {H.dim}, P is {P.dim}")
-    m = H.fiber_dim
-    n = H.dim // m
-    diag = np.arange(n)
-    B = P.matrix.reshape(n, m, n, m)[diag, :, diag, :]
-    if np.count_nonzero(P.matrix) != np.count_nonzero(B):
-        raise ValueError(f"{P.tag}: projection has entries off its {m}x{m} fiber blocks")
+    n, m = band.grid.n_points, band.fiber_dim
+    if (H.dim, H.fiber_dim) != (n * m, m):
+        raise ValueError(
+            f"dimension mismatch: H is {H.dim} with fiber {H.fiber_dim}, band is {n} x {m}"
+        )
+    B = _fiber_blocks(band)
     Hd = _fiber_sandwich(H.matrix, B) + _fiber_sandwich(H.matrix, np.eye(m) - B)
     Hd = (Hd + Hd.conj().T) / 2
     return DenseHamiltonian(matrix=Hd, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
@@ -257,51 +248,17 @@ def assemble_bo(
     return DenseHamiltonian(matrix=H, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 
 
-def full_projection(band: BandData) -> ProjectionOperator:
-    """Block-diagonal projection onto the band set over the window.
+def full_projection(band: BandData) -> np.ndarray:
+    """Dense block-diagonal projection onto the band set over the window.
 
     Stored real when the fiber projections have zero imaginary part.
     """
     n, m = band.grid.n_points, band.fiber_dim
-    proj = band.proj if np.any(band.proj.imag) else band.proj.real
-    P = np.zeros((n * m, n * m), dtype=proj.dtype)
-    inside = np.nonzero(band.mask)[0]
-    P.reshape(n, m, n, m)[inside, :, inside, :] = proj[inside]
-    return ProjectionOperator(P, tag="P_star")
-
-
-def smoothed_projection_family(band: BandData, delta: float) -> list[ProjectionOperator]:
-    """Nested smoothed window projections P_0 ... P_3.
-
-    P_i multiplies the fiber projection by the mollified indicator of the
-    window shrunk by (4-i)*delta/5, with ramp width delta/5.  The nesting
-    P_i P_j = P_j P_i = P_i holds exactly for i < j because each indicator's
-    support lies inside the next one's plateau.
-    """
-    if band.window is None:
-        raise ValueError("smoothed projections require a finite window")
-    a, b = band.window
-    if b - a <= 2 * delta:
-        raise ValueError(f"window {band.window} too thin for delta={delta}")
-    n, m = band.grid.n_points, band.fiber_dim
-    idx = np.arange(m)
-    out = []
-    for i in range(4):
-        s = (4 - i) * delta / 5
-        w = interval_indicator(band.grid.x, [(a + s, b - s)], margin=delta / 5)
-        P = np.zeros((n * m, n * m), dtype=complex)
-        for j in range(n):
-            if w[j] > 0:
-                P[np.ix_(j * m + idx, j * m + idx)] = w[j] * band.proj[j]
-        out.append(ProjectionOperator(P, tag=f"P_{i}"))
-    return out
-
-
-def energy_cutoff(eigenvalues: np.ndarray, eigenvectors: np.ndarray, cutoff: float) -> ProjectionOperator:
-    """Spectral projection onto total energies <= cutoff."""
-    sel = eigenvalues <= cutoff
-    V = eigenvectors[:, sel]
-    return ProjectionOperator(V @ V.conj().T, tag="energy_cutoff")
+    B = _fiber_blocks(band)
+    P = np.zeros((n * m, n * m), dtype=B.dtype)
+    diag = np.arange(n)
+    P.reshape(n, m, n, m)[diag, :, diag, :] = B
+    return P
 
 
 def u_matrix(band: BandData, delta: float) -> np.ndarray:

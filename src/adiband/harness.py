@@ -2,7 +2,8 @@
 machine-readable reports.
 
 A single JSON document configures a scan (see ExperimentConfig); the named
-acceptance suites below carry frozen configurations whose geometry
+acceptance suites below load frozen configurations, `configs/<suite>.json`
+next to this module, whose geometry
 (windows, phase-space regions, launch points, times) was chosen so that
 each measured quantity sits in its asymptotic regime on the standard
 ladder eps = 0.2 ... 0.025 at desk-scale grids.
@@ -19,26 +20,18 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .electronic import BandData, ContourSpec, band_decompose, berry_connection, fd_derivative, gap_check, grad_projection, riesz_projection
+from .electronic import BandData, ContourSpec, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm
-from .hamiltonians import (
-    assemble_bo,
-    assemble_diag,
-    assemble_full,
-    full_projection,
-    u_map,
-    u_matrix,
-    u_star_map,
-)
+from .hamiltonians import assemble_bo, assemble_diag, assemble_full, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
-from .models import ElectronicModel, get_model, list_models
+from .models import ElectronicModel, get_model
 from .propagation import SpectralPropagator, decoupling_error, diagonalize, effective_dynamics_error, evolve
 from .semiclassics import (
-    ClassicalDensity,
     Symbol,
     band_energy_interpolant,
     boundary_leakage,
@@ -69,6 +62,16 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _wkb_wave(grid, eps, center, width, amp, k):
+    """WKB packet with Gaussian amplitude (center, width) and phase amp*sin(k X)."""
+    return wkb_state(
+        grid, eps,
+        lambda X: np.exp(-((X - center) ** 2) / (2 * width**2)),
+        lambda X: amp * np.sin(k * np.asarray(X)),
+        dS=lambda X: amp * k * np.cos(k * np.asarray(X)),
+    )
 
 
 @dataclass
@@ -171,11 +174,8 @@ class ExperimentConfig:
             wave, rho = sharp_momentum_state(grid, eps, p["p0"], profile=prof,
                                              center=p.get("center", 0.0), width=p.get("width", 1.0))
         elif fam == "wkb":
-            c, w0, amp, kk = p.get("center", 0.0), p.get("width", 0.7), p.get("amp", 0.4), p.get("k", np.pi / 8)
-            f = lambda X: np.exp(-((X - c) ** 2) / (2 * w0**2))  # noqa: E731
-            S = lambda X: amp * np.sin(kk * np.asarray(X))  # noqa: E731
-            dS = lambda X: amp * kk * np.cos(kk * np.asarray(X))  # noqa: E731
-            wave, rho = wkb_state(grid, eps, f, S, dS=dS)
+            wave, rho = _wkb_wave(grid, eps, p.get("center", 0.0), p.get("width", 0.7),
+                                  p.get("amp", 0.4), p.get("k", np.pi / 8))
         else:
             raise ValueError(f"unknown state family {fam!r}")
         return lift_to_band(wave, band, self.delta), wave, rho
@@ -330,7 +330,7 @@ class PropagatorCache:
 
         def build():
             H = assemble_full(model, grid, eps)
-            return diagonalize(assemble_diag(H, full_projection(band)))
+            return diagonalize(assemble_diag(H, band))
 
         return self.get(key, build)
 
@@ -352,18 +352,16 @@ _OBSERVABLE_SET = (
 )
 
 
+_SYMBOLS = {sym.name: sym for sym in _OBSERVABLE_SET}
+_SYMBOLS["windowed_p^2"] = Symbol(
+    lambda q, p: np.asarray(p) ** 2 * np.exp(-np.asarray(p) ** 2 / 8) + 0 * q, "windowed_p^2"
+)
+
+
 def _named_symbol(name: str) -> Symbol:
-    table = {
-        "1": _OBSERVABLE_SET[0],
-        "q": _OBSERVABLE_SET[1],
-        "p": _OBSERVABLE_SET[2],
-        "q^2": _OBSERVABLE_SET[3],
-        "p^2": _OBSERVABLE_SET[4],
-        "windowed_p^2": Symbol(lambda q, p: np.asarray(p) ** 2 * np.exp(-np.asarray(p) ** 2 / 8) + 0 * q, "windowed_p^2"),
-    }
-    if name not in table:
-        raise ValueError(f"unknown symbol {name!r}; available: {sorted(table)}")
-    return table[name]
+    if name not in _SYMBOLS:
+        raise ValueError(f"unknown symbol {name!r}; available: {sorted(_SYMBOLS)}")
+    return _SYMBOLS[name]
 
 
 def standard_state_family(grid, band, eps, q_centers, p_centers, wkb_params, delta=0.5):
@@ -376,13 +374,7 @@ def standard_state_family(grid, band, eps, q_centers, p_centers, wkb_params, del
         for p0 in p_centers:
             wave, _ = coherent_state(grid, eps, q0, p0)
             out.append(lift_to_band(wave, band, delta))
-    c, w0, amp, kk = wkb_params
-    wave, _ = wkb_state(
-        grid, eps,
-        lambda X: np.exp(-((X - c) ** 2) / (2 * w0**2)),
-        lambda X: amp * np.sin(kk * np.asarray(X)),
-        dS=lambda X: amp * kk * np.cos(kk * np.asarray(X)),
-    )
+    wave, _ = _wkb_wave(grid, eps, *wkb_params)
     out.append(lift_to_band(wave, band, delta))
     normalized = []
     for psi in out:
@@ -542,91 +534,15 @@ def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> Sca
 # ---------------------------------------------------------------------------
 # acceptance suites
 
-STANDARD_LADDER = [0.2, 0.1, 0.05, 0.025]
-
-ACCEPTANCE_CONFIGS = {
-    "decoupling": dict(
-        model={"tag": "crossing_trio", "params": {}},
-        grid={"x_min": -8.0, "x_max": 8.0, "n_points": 512},
-        band_indices=[0, 1],
-        lift_band_index=0,
-        eps_ladder=STANDARD_LADDER,
-        times=[1.0],
-        functional="decoupling",
-        state={"family": "coherent", "params": {"q0": -0.9, "p0": 0.2}},
-    ),
-    "effective": dict(
-        model={"tag": "rotated_pair", "params": {}},
-        grid={"x_min": -6.4, "x_max": 6.4, "n_points": 512},
-        band_indices=[0],
-        window=[-2.0, 2.0],
-        delta=0.4,
-        region=[[-0.9, 1.5, -1.05, 0.45]],
-        alpha=0.45,
-        eps_ladder=STANDARD_LADDER,
-        times=[1.0],
-        functional="effective_dynamics",
-        state={"family": "coherent", "params": {"q0": 0.3, "p0": -0.35}},
-    ),
-    "berry": dict(
-        model={"tag": "two_band_complex", "params": {}},
-        grid={"x_min": -6.4, "x_max": 6.4, "n_points": 512},
-        band_indices=[0],
-        window=[-5.0, 5.0],
-        delta=0.5,
-        region=[[-1.0, 2.6, 0.1, 2.1]],
-        alpha=0.45,
-        eps_ladder=STANDARD_LADDER,
-        times=[0.8],
-        functional="effective_dynamics",
-        state={"family": "coherent", "params": {"q0": 0.3, "p0": 1.1}},
-    ),
-    "leakage": dict(
-        model={"tag": "rotated_pair", "params": {}},
-        grid={"x_min": -6.4, "x_max": 6.4, "n_points": 512},
-        band_indices=[0],
-        window=[-2.0, 2.0],
-        delta=0.4,
-        region=[[0.1, 1.55, -1.6, -0.1]],
-        alpha=0.3,
-        eps_ladder=STANDARD_LADDER,
-        times=[1.0],  # replaced by 0.8 * T_plus at run time
-        functional="boundary_leakage",
-        state={"family": "coherent", "params": {"q0": 0.85, "p0": -0.85}},
-        fit_residual_threshold=1.5,
-    ),
-    "observables": dict(
-        model={"tag": "two_band_complex", "params": {}},
-        grid={"x_min": -8.0, "x_max": 8.0, "n_points": 256},
-        band_indices=[0],
-        window=[-5.0, 5.0],
-        delta=0.5,
-        eps_ladder=STANDARD_LADDER,
-        times=[0.0],
-        functional="observable_pairing",
-        symbol="p",
-        state={"params": {"centers": [[-0.5, 0.4], [0.6, -0.3], [1.2, 0.35]]}},
-    ),
-    "state_rates": dict(
-        model={"tag": "rotated_pair", "params": {}},
-        grid={"x_min": -6.4, "x_max": 6.4, "n_points": 512},
-        band_indices=[0],
-        window=[-2.0, 2.0],
-        delta=0.4,
-        eps_ladder=STANDARD_LADDER,
-        times=[0.6],
-        functional="state_observables",
-        state={"family": "coherent",
-               "params": {"q0": 0.3, "p0": 0.4, "profile": "gaussian_skew"}},
-    ),
-}
+_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 
 def _config(name, **overrides) -> ExperimentConfig:
-    base = {k: (dict(v) if isinstance(v, dict) else list(v) if isinstance(v, list) else v)
-            for k, v in ACCEPTANCE_CONFIGS[name].items()}
-    base.update(overrides)
-    return ExperimentConfig(**base).validate()
+    """The acceptance configuration `configs/<name>.json` with fields overridden."""
+    data = json.loads((_CONFIG_DIR / f"{name}.json").read_text())
+    data.pop("schema_version", None)
+    data.update(overrides)
+    return ExperimentConfig(**data).validate()
 
 
 @dataclass

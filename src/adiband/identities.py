@@ -20,19 +20,17 @@ states, with an O(eps^2) remainder.  offdiag_scaling measures both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .electronic import BandData, fd_derivative, grad_projection
-from .grids import MolecularWave, sobolev_norm
-from .hamiltonians import assemble_diag, assemble_full, full_projection
+from .grids import sobolev_norm, spectral_derivative_matrix
+from .hamiltonians import assemble_diag, assemble_full
 from .models import ElectronicModel
 
 __all__ = [
-    "CouplingField",
     "commutator_inverse",
-    "commutator_inverse_field",
     "commutator_inverse_residual",
     "offdiag_scaling",
     "OffdiagScaling",
@@ -107,25 +105,6 @@ def commutator_inverse(
     return B * (radius / nodes)
 
 
-@dataclass(frozen=True)
-class CouplingField:
-    """B(X_i) sampled over the grid, with its construction tag."""
-
-    values: np.ndarray = field(repr=False)
-    tag: str
-
-
-def commutator_inverse_field(
-    model: ElectronicModel, band: BandData, method: str = "spectral"
-) -> CouplingField:
-    """B(X) on every window grid point (zero blocks elsewhere)."""
-    n, m = band.grid.n_points, band.fiber_dim
-    out = np.zeros((n, m, m), dtype=complex)
-    for i in np.nonzero(band.mask)[0]:
-        out[i] = commutator_inverse(model, band, band.grid.x[i], method=method)
-    return CouplingField(values=out, tag=method)
-
-
 def commutator_inverse_residual(model: ElectronicModel, band: BandData, X: float) -> float:
     """max-norm of [H_e, B] + P_perp (dP) P at X, with dP from grid samples.
 
@@ -175,25 +154,18 @@ def offdiag_scaling(
     """
     grid = band.grid
     n, m = grid.n_points, band.fiber_dim
-    P = full_projection(band)
     dP_an = grad_projection(band, "analytic")
     # block-diagonal field of P_perp (dP) P over the grid
     offblock = np.zeros((n * m, n * m), dtype=complex)
-    idx = np.arange(m)
-    for i in range(n):
-        Pi = band.proj[i]
-        blk = (np.eye(m) - Pi) @ dP_an[i] @ Pi
-        offblock[np.ix_(i * m + idx, i * m + idx)] = blk
-    from .grids import spectral_derivative_matrix
-
-    D = spectral_derivative_matrix(grid)
-    Dm = np.kron(D, np.eye(m))
+    diag = np.arange(n)
+    offblock.reshape(n, m, n, m)[diag, :, diag, :] = (np.eye(m) - band.proj) @ dP_an @ band.proj
+    Dm = np.kron(spectral_derivative_matrix(grid), np.eye(m))
 
     eps_ladder = tuple(float(e) for e in eps_ladder)
     off_norms, rem_norms = [], []
     for eps in eps_ladder:
         H = assemble_full(model, grid, eps)
-        Hd = assemble_diag(H, P)
+        Hd = assemble_diag(H, band)
         offdiag = H.matrix - Hd.matrix
         lead = -1j * eps * eps * (offblock @ Dm)
         lead = lead + lead.conj().T

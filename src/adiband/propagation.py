@@ -15,7 +15,7 @@ import numpy as np
 
 from .electronic import BandData
 from .grids import MolecularWave, NuclearWave, norm, sobolev_norm
-from .hamiltonians import DenseHamiltonian, ProjectionOperator, u_matrix
+from .hamiltonians import DenseHamiltonian, u_map, u_star_map
 
 __all__ = [
     "SpectralPropagator",
@@ -131,7 +131,7 @@ def effective_dynamics_error(
     prop_full: SpectralPropagator,
     prop_bo: SpectralPropagator,
     band: BandData,
-    P_state: ProjectionOperator | np.ndarray,
+    P_state: np.ndarray,
     psi0: MolecularWave,
     t: float,
     delta: float = 0.5,
@@ -152,13 +152,12 @@ def effective_dynamics_error(
             raise ValueError(
                 f"t={t} outside the hitting-time window [{t_minus:.4f}, {t_plus:.4f}]"
             )
-    Pm = P_state.matrix if isinstance(P_state, ProjectionOperator) else P_state
-    vec = Pm @ psi0.flat()
+    vec = P_state @ psi0.flat()
     dx = psi0.grid.dx
     nP = float(np.sqrt(np.sum(np.abs(vec) ** 2) * dx))
     if nP < 1e-12:
         raise ValueError("projected initial state vanishes; state and region are disjoint")
-    U = u_matrix(band, delta)
-    reduced = prop_bo.apply(U @ vec, t)
-    d = prop_full.apply(vec, t) - U.conj().T @ reduced
+    projected = MolecularWave(grid=psi0.grid, values=vec.reshape(psi0.values.shape), eps=psi0.eps)
+    reduced = evolve(prop_bo, u_map(projected, band, delta), t)
+    d = prop_full.apply(vec, t) - u_star_map(reduced, band, delta).flat()
     return float(np.sqrt(np.sum(np.abs(d) ** 2) * dx) / nP)

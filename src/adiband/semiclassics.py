@@ -29,7 +29,7 @@ from scipy.interpolate import CubicSpline
 
 from .electronic import BandData
 from .grids import Grid1D, MolecularWave, NuclearWave
-from .hamiltonians import ProjectionOperator, clamp_field, full_projection, u_matrix
+from .hamiltonians import clamp_field, u_map, u_star_map
 from .indicators import PhaseSpaceRegion, SmoothIndicator, interval_indicator, smooth_indicator
 from .propagation import SpectralPropagator
 
@@ -129,7 +129,7 @@ def phase_space_projection(
     alpha: float,
     eps: float,
     delta: float = 0.5,
-) -> ProjectionOperator:
+) -> np.ndarray:
     """Approximate projection onto phase-space support in the region.
 
     U* 1_{window, delta} (smoothed region indicator)^Weyl U P_band, acting
@@ -157,7 +157,7 @@ def phase_space_projection(
     r = np.einsum("ia,iab->ib", chi.conj(), band.proj) * band.mask[:, None]
     M = chi[:, :, None, None] * (lam_ind[:, None, None, None] * (W[:, None, :, None] * r[None, None]))
     n, m = chi.shape
-    return ProjectionOperator(M.reshape(n * m, n * m), tag="P_Gamma")
+    return M.reshape(n * m, n * m)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,6 @@ def reduced_observable_residual(
     delta: float,
     eps: float,
     states: list,
-    P_star: ProjectionOperator | None = None,
     check_f2: bool = True,
 ) -> float:
     """Worst-case defect of moving an observable through the band identification.
@@ -455,20 +454,18 @@ def reduced_observable_residual(
                 f"(tail fraction {rep.tail_fraction:.2f})"
             )
     A = weyl_quantize(symbol, grid, eps)
-    U = u_matrix(band, delta)
-    P = P_star if P_star is not None else full_projection(band)
     if band.window is not None:
         a, b = band.window
         sharp = ((grid.x > a + delta) & (grid.x < b - delta)).astype(float)
     else:
         sharp = np.ones(grid.n_points)
+    cut = (sharp * band.mask)[:, None]
     worst = 0.0
     for psi in states:
-        y = (P.matrix @ psi.flat()).reshape(grid.n_points, band.fiber_dim)
-        y = sharp[:, None] * y
-        direct = A @ y
-        through = U.conj().T @ (A @ (U @ y.reshape(-1)))
-        d = direct.reshape(-1) - through
+        y = MolecularWave(grid, cut * np.einsum("iab,ib->ia", band.proj, psi.values), eps=eps)
+        reduced = u_map(y, band, delta)
+        through = u_star_map(NuclearWave(grid, A @ reduced.values, eps=eps), band, delta)
+        d = A @ y.values - through.values
         nrm = float(np.sqrt(np.sum(np.abs(psi.values) ** 2) * grid.dx))
         worst = max(worst, float(np.sqrt(np.sum(np.abs(d) ** 2) * grid.dx) / nrm))
     return worst

@@ -8,10 +8,8 @@ from adiband.hamiltonians import (
     assemble_diag,
     assemble_full,
     clamp_field,
-    energy_cutoff,
     full_projection,
     kinetic_matrix,
-    smoothed_projection_family,
     u_map,
     u_matrix,
     u_star_map,
@@ -62,40 +60,35 @@ def test_a_ext_seam_validation():
 
 def test_diag_trivial_projections(ac_setup):
     grid, model, band, H, P = ac_setup
-    from adiband.hamiltonians import ProjectionOperator
+    # a band set covering the whole fiber has P = 1, so H_diag = H; the
+    # formula is symmetric under P <-> 1 - P, which covers P = 0 as well
+    whole = band_decompose(model, grid, (0, 1), gauge=None)
+    assert np.abs(full_projection(whole) - np.eye(H.dim)).max() <= 1e-12
+    assert np.abs(assemble_diag(H, whole).matrix - H.matrix).max() <= 1e-12
 
-    eye = ProjectionOperator(np.eye(H.dim, dtype=complex), tag="id")
-    zero = ProjectionOperator(np.zeros((H.dim, H.dim), dtype=complex), tag="zero")
-    assert np.abs(assemble_diag(H, eye).matrix - H.matrix).max() <= 1e-12
-    assert np.abs(assemble_diag(H, zero).matrix - H.matrix).max() <= 1e-12
+
+def test_diag_rejects_band_of_other_dimension(ac_setup):
+    grid, model, band, H, P = ac_setup
+    coarse = band_decompose(model, make_grid(-8, 8, 64), 0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        assemble_diag(H, coarse)
 
 
 def test_diag_commutes_while_full_does_not(ac_setup):
     grid, model, band, H, P = ac_setup
-    Hd = assemble_diag(H, P)
-    comm_d = Hd.matrix @ P.matrix - P.matrix @ Hd.matrix
-    comm_f = H.matrix @ P.matrix - P.matrix @ H.matrix
+    Hd = assemble_diag(H, band)
+    comm_d = Hd.matrix @ P - P @ Hd.matrix
+    comm_f = H.matrix @ P - P @ H.matrix
     assert np.abs(comm_d).max() <= 1e-10
     assert np.abs(comm_f).max() >= 1e-4  # off-diagonal coupling of order eps
 
 
 def test_offdiagonal_split_identity(ac_setup):
     grid, model, band, H, P = ac_setup
-    Hd = assemble_diag(H, P)
-    Pp = np.eye(H.dim) - P.matrix
-    off = Pp @ H.matrix @ P.matrix + P.matrix @ H.matrix @ Pp
+    Hd = assemble_diag(H, band)
+    Pp = np.eye(H.dim) - P
+    off = Pp @ H.matrix @ P + P @ H.matrix @ Pp
     assert np.abs((H.matrix - Hd.matrix) - off).max() <= 1e-11
-
-
-def test_diag_rejects_projection_off_fiber_blocks(ac_setup):
-    grid, model, band, H, P = ac_setup
-    from adiband.hamiltonians import ProjectionOperator
-
-    M = P.matrix.copy()
-    m = band.fiber_dim
-    M[0, m] = M[m, 0] = 1e-3  # couples grid points 0 and 1
-    with pytest.raises(ValueError, match="fiber blocks"):
-        assemble_diag(H, ProjectionOperator(M, tag="coupled"))
 
 
 @pytest.mark.parametrize(
@@ -113,9 +106,9 @@ def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
     band = band_decompose(model, grid, bands, window=window, gauge=None if len(bands) > 1 else "component")
     H = assemble_full(model, grid, eps=0.2, a_ext=a_ext)
     P = full_projection(band)
-    Hd = assemble_diag(H, P)
+    Hd = assemble_diag(H, band)
     # the projection depends on the fibers only, not on A_ext
-    assert P.matrix.dtype == (np.complex128 if tag == "two_band_complex" else np.float64)
+    assert P.dtype == (np.complex128 if tag == "two_band_complex" else np.float64)
     expected = np.float64 if real_data else np.complex128
     assert H.matrix.dtype == Hd.matrix.dtype == expected
     # eigenvectors are stored complex; real storage gives them zero imaginary part
@@ -166,20 +159,20 @@ def test_bo_gauge_conjugation_covariance():
 
 def test_full_projection_rank_and_action(ac_setup):
     grid, model, band, H, P = ac_setup
-    rank = int(round(np.real(np.trace(P.matrix))))
+    rank = int(round(np.real(np.trace(P))))
     assert rank == grid.n_points  # one band, whole box
     # lifted in-window state is fixed by P
     phi = np.exp(-grid.x**2)
     psi = (phi[:, None] * band.chi).reshape(-1)
-    assert np.abs(P.matrix @ psi - psi).max() <= 1e-12
-    assert np.abs(P.matrix @ P.matrix - P.matrix).max() <= 1e-10
+    assert np.abs(P @ psi - psi).max() <= 1e-12
+    assert np.abs(P @ P - P).max() <= 1e-10
 
 
 def test_full_projection_windowed_rank():
     grid = make_grid(-8, 8, 128)
     band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
     P = full_projection(band)
-    assert int(round(np.real(np.trace(P.matrix)))) == int(band.mask.sum())
+    assert int(round(np.real(np.trace(P)))) == int(band.mask.sum())
 
 
 def test_trio_pair_projection_smooth_across_crossing():
@@ -191,50 +184,6 @@ def test_trio_pair_projection_smooth_across_crossing():
         for i in range(i0 - 4, i0 + 4)
     ]
     assert max(jumps) <= 5 * grid.dx  # bounded difference quotient through X=0
-
-
-def test_smoothed_family_hierarchy():
-    grid = make_grid(-6.4, 6.4, 256)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    Ps = smoothed_projection_family(band, delta=0.5)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            prod = Ps[i].matrix @ Ps[j].matrix
-            assert np.abs(prod - Ps[i].matrix).max() <= 1e-10
-            assert np.abs(Ps[j].matrix @ Ps[i].matrix - Ps[i].matrix).max() <= 1e-10
-    # deep inside the window P_0 equals the band projection
-    P_star = full_projection(band)
-    core = np.abs(grid.x) < 2 - 0.5  # window shrunk by delta
-    m = band.fiber_dim
-    for idx in np.nonzero(core)[0][::16]:
-        blk = slice(idx * m, (idx + 1) * m)
-        assert np.abs(Ps[0].matrix[blk, blk] - P_star.matrix[blk, blk]).max() <= 1e-12
-    # outside the window everything vanishes
-    out = np.abs(grid.x) > 2
-    for idx in np.nonzero(out)[0][::16]:
-        blk = slice(idx * m, (idx + 1) * m)
-        for Pi in Ps:
-            assert np.abs(Pi.matrix[blk, blk]).max() == 0.0
-
-
-def test_smoothed_family_delta_too_large():
-    grid = make_grid(-6.4, 6.4, 128)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    with pytest.raises(ValueError):
-        smoothed_projection_family(band, delta=2.5)
-
-
-def test_energy_cutoff_limits_and_rank():
-    grid = make_grid(-8, 8, 64)
-    H = assemble_full(get_model("two_band_complex"), grid, eps=0.2)
-    w, v = np.linalg.eigh(H.matrix)
-    assert np.abs(energy_cutoff(w, v, w[0] - 1.0).matrix).max() == 0.0
-    assert np.abs(energy_cutoff(w, v, w[-1] + 1.0).matrix - np.eye(H.dim)).max() <= 1e-10
-    E0 = np.median(w)
-    P = energy_cutoff(w, v, E0)
-    assert int(round(np.real(np.trace(P.matrix)))) == int((w <= E0).sum())
-    comm = P.matrix @ H.matrix - H.matrix @ P.matrix
-    assert np.abs(comm).max() <= 1e-11
 
 
 def test_u_maps_isometry_and_projection(ac_setup):
@@ -254,20 +203,20 @@ def test_u_star_u_is_band_projection(ac_setup):
     U = u_matrix(band, delta=0.5)
     UU = U @ U.conj().T
     assert np.abs(UU - np.eye(grid.n_points)).max() <= 1e-12
-    # U* U acts as P_star on the band range
+    # U* U acts as the band projection on its range
     rng = np.random.default_rng(1)
-    psi = rng.standard_normal(P.dim) + 1j * rng.standard_normal(P.dim)
-    psiP = P.matrix @ psi
+    psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    psiP = P @ psi
     assert np.abs(U.conj().T @ (U @ psiP) - psiP).max() <= 1e-12
 
 
 def test_u_map_kills_orthogonal_complement(ac_setup):
     grid, model, band, H, P = ac_setup
     rng = np.random.default_rng(2)
-    psi = rng.standard_normal(P.dim) + 1j * rng.standard_normal(P.dim)
-    perp = psi - P.matrix @ psi
+    psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    perp = psi - P @ psi
     U = u_matrix(band, delta=0.5)
-    assert np.abs(U @ (P.matrix @ perp)).max() <= 1e-12
+    assert np.abs(U @ (P @ perp)).max() <= 1e-12
 
 
 def test_clamp_field_matching_and_flat_tails():

@@ -237,3 +237,23 @@ def test_standard_family_size_and_normalization():
     assert len(fam) == 10
     for psi in fam:
         assert sobolev_norm(psi, 2) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_acceptance_configs_are_canonical():
+    from adiband.harness import _CONFIG_DIR, _config
+
+    names = sorted(p.stem for p in _CONFIG_DIR.glob("*.json"))
+    assert names == ["berry", "decoupling", "effective", "leakage", "observables", "state_rates"]
+    for name in names:
+        assert _config(name).to_json() + "\n" == (_CONFIG_DIR / f"{name}.json").read_text()
+    assert _config("decoupling", energy_cutoff=2.0).energy_cutoff == 2.0
+    assert _config("decoupling").energy_cutoff is None
+
+
+def test_named_symbols_are_built_once():
+    from adiband.harness import _OBSERVABLE_SET, _named_symbol
+
+    assert [_named_symbol(s.name) for s in _OBSERVABLE_SET] == list(_OBSERVABLE_SET)
+    assert _named_symbol("windowed_p^2") is _named_symbol("windowed_p^2")
+    with pytest.raises(ValueError, match="available"):
+        _named_symbol("p^3")

@@ -5,7 +5,6 @@ from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, make_grid
 from adiband.identities import (
     commutator_inverse,
-    commutator_inverse_field,
     commutator_inverse_residual,
     offdiag_scaling,
 )
@@ -88,15 +87,6 @@ def test_gap_floor_raises():
     band = band_decompose(model, grid, 0, window=(-2, 2))
     with pytest.raises(ValueError):
         commutator_inverse(model, band, 2.0, min_gap=1e-6)  # exact crossing
-
-
-def test_field_zero_outside_window():
-    grid = make_grid(-6.4, 6.4, 128)
-    model = get_model("rotated_pair")
-    band = band_decompose(model, grid, 0, window=(-1.5, 1.5))
-    fld = commutator_inverse_field(model, band)
-    assert np.abs(fld.values[~band.mask]).max() == 0.0
-    assert fld.values[band.mask].__abs__().max() > 0
 
 
 def _coherent_family(grid, band):

@@ -7,7 +7,7 @@ from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, make_grid, norm
 from adiband.hamiltonians import assemble_diag, assemble_full, full_projection
 from adiband.models import get_model
-from adiband.propagation import decoupling_error, diagonalize, evolve
+from adiband.propagation import decoupling_error, diagonalize, effective_dynamics_error, evolve
 
 # one model stored real (real fibers, real frame) and one stored complex
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
@@ -146,8 +146,7 @@ def test_decoupling_error_zero_for_commuting_fixture():
     model = get_model("constant_fiber", levels=(0.0, 2.0))
     band = band_decompose(model, grid, 0)
     H = assemble_full(model, grid, eps=0.1)
-    P = full_projection(band)
-    Hd = assemble_diag(H, P)
+    Hd = assemble_diag(H, band)
     pf, pd = diagonalize(H), diagonalize(Hd)
     psi = _gaussian_state(grid, band, 0.1)
     assert decoupling_error(pf, pd, psi, t=1.0) <= 1e-10
@@ -155,8 +154,7 @@ def test_decoupling_error_zero_for_commuting_fixture():
 
 def test_decoupling_error_eigenvector_input(setups):
     for grid, model, band, H, prop in setups:
-        P = full_projection(band)
-        Hd = assemble_diag(H, P)
+        Hd = assemble_diag(H, band)
         pd = diagonalize(Hd)
         # an eigenvector of H that also lies in Ran P evolves identically under
         # both generators only if it is a common eigenvector; use the commuting
@@ -168,8 +166,31 @@ def test_decoupling_error_eigenvector_input(setups):
 
 def test_decoupling_error_rejects_zero_state(setups):
     for grid, model, band, H, prop in setups:
-        P = full_projection(band)
-        pd = diagonalize(assemble_diag(H, P))
+        pd = diagonalize(assemble_diag(H, band))
         zero = MolecularWave(grid, np.zeros((grid.n_points, 2)), eps=0.1)
         with pytest.raises(ValueError):
             decoupling_error(prop, pd, zero, t=1.0)
+
+
+@pytest.mark.parametrize("tag", ["rotated_pair", "two_band_complex"])
+def test_effective_dynamics_error_equals_dense_formula(tag):
+    from adiband.hamiltonians import assemble_bo, u_matrix
+    from adiband.states import coherent_state, lift_to_band
+
+    grid = make_grid(-6.4, 6.4, 128)
+    model = get_model(tag)
+    band = band_decompose(model, grid, 0, window=(-2, 2))
+    delta, eps, t = 0.4, 0.1, 0.5
+    pf = diagonalize(assemble_full(model, grid, eps))
+    pb = diagonalize(assemble_bo(band, eps, delta=delta))
+    # launched near the window edge, so the clamped frame matters
+    psi = lift_to_band(coherent_state(grid, eps, 1.2, 0.3)[0], band, delta)
+    P = full_projection(band)
+    got = effective_dynamics_error(pf, pb, band, P, psi, t, delta=delta)
+    # dense oracle: U as a matrix
+    U = u_matrix(band, delta)
+    vec = P @ psi.flat()
+    d = pf.apply(vec, t) - U.conj().T @ pb.apply(U @ vec, t)
+    want = np.linalg.norm(d) / np.linalg.norm(vec)
+    assert want > 1e-4
+    assert got == pytest.approx(want, rel=1e-14)

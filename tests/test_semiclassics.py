@@ -16,6 +16,7 @@ from adiband.semiclassics import (
     classical_flow,
     hitting_times,
     phase_space_projection,
+    reduced_observable_residual,
     weyl_quantize,
     wigner_marginal,
     write_wigner_csv,
@@ -364,9 +365,9 @@ def test_phase_space_projection_annihilates_complement():
 
     P = full_projection(band)
     rng = np.random.default_rng(0)
-    psi = rng.standard_normal(P.dim) + 1j * rng.standard_normal(P.dim)
-    perp = psi - P.matrix @ psi
-    assert np.abs(PG.matrix @ perp).max() <= 1e-12
+    psi = rng.standard_normal(len(P)) + 1j * rng.standard_normal(len(P))
+    perp = psi - P @ psi
+    assert np.abs(PG @ perp).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tag, window", [("rotated_pair", (-2, 2)), ("two_band_complex", (-5, 5))])
@@ -382,8 +383,8 @@ def test_phase_space_projection_equals_dense_formula(tag, window):
     lam = interval_indicator(grid.x, [window], margin=delta)
     W = weyl_quantize(smooth_indicator(region, 0.3), grid, eps)
     U = u_matrix(band, delta)
-    dense = U.conj().T @ (lam[:, None] * (W @ (U @ full_projection(band).matrix)))
-    assert np.abs(PG.matrix - dense).max() <= 1e-14
+    dense = U.conj().T @ (lam[:, None] * (W @ (U @ full_projection(band))))
+    assert np.abs(PG - dense).max() <= 1e-14
 
 
 def test_phase_space_projection_region_must_fit():
@@ -392,6 +393,32 @@ def test_phase_space_projection_region_must_fit():
     region = PhaseSpaceRegion([(-1.9, 1.9, -0.5, 0.5)])
     with pytest.raises(ValueError):
         phase_space_projection(band, region, alpha=0.3, eps=0.1, delta=0.4)
+
+
+@pytest.mark.parametrize("tag, window", [("rotated_pair", (-2, 2)), ("two_band_complex", (-5, 5))])
+def test_reduced_observable_residual_equals_dense_formula(tag, window):
+    from adiband.hamiltonians import full_projection, u_matrix
+    from adiband.states import coherent_state, lift_to_band
+
+    grid = make_grid(-6.4, 6.4, 128)
+    band = band_decompose(get_model(tag), grid, 0, window=window)
+    delta, eps = 0.4, 0.1
+    sym = Symbol(lambda q, p: p + 0 * q, "p")
+    states = [lift_to_band(coherent_state(grid, eps, q0, p0)[0], band, delta)
+              for q0, p0 in ((-0.5, 0.4), (0.6, -0.3))]
+    got = reduced_observable_residual(sym, band, delta, eps, states)
+    # dense oracle: U and P as matrices
+    A = weyl_quantize(sym, grid, eps)
+    a, b = window
+    sharp = np.repeat(((grid.x > a + delta) & (grid.x < b - delta)).astype(float), band.fiber_dim)
+    U = u_matrix(band, delta)
+    want = 0.0
+    for psi in states:
+        y = sharp * (full_projection(band) @ psi.flat())
+        d = np.kron(A, np.eye(band.fiber_dim)) @ y - U.conj().T @ (A @ (U @ y))
+        want = max(want, np.linalg.norm(d) / np.linalg.norm(psi.flat()))
+    assert want > 1e-4
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_boundary_leakage_small_when_far_from_edge():

@@ -129,7 +129,7 @@ def test_lift_isometry_and_inverse(grid):
     psi = lift_to_band(phi, band)
     assert abs(norm(psi) - norm(phi)) <= 1e-12
     P = full_projection(band)
-    assert np.abs(P.matrix @ psi.flat() - psi.flat()).max() <= 1e-12
+    assert np.abs(P @ psi.flat() - psi.flat()).max() <= 1e-12
     back = u_map(psi, band)
     assert np.abs(back.values - phi.values).max() <= 1e-12
 
