@@ -12,6 +12,7 @@ import numpy as np
 
 from adiband import (
     PhaseSpaceRegion,
+    apply_phase_space_projection,
     assemble_bo,
     assemble_full,
     band_decompose,
@@ -22,7 +23,6 @@ from adiband import (
     get_model,
     lift_to_band,
     make_grid,
-    phase_space_projection,
 )
 
 grid = make_grid(-6.4, 6.4, 512)
@@ -38,13 +38,12 @@ print(f"packet ({q0}, {p0}), t = {t}\n")
 
 for eps in (0.2, 0.1, 0.05, 0.025):
     prop_full = diagonalize(assemble_full(model, grid, eps))
-    PG = phase_space_projection(band, region, alpha=0.45, eps=eps)
     wave, _ = coherent_state(grid, eps, q0, p0)
-    psi = lift_to_band(wave, band)
+    projected = apply_phase_space_projection(lift_to_band(wave, band), band, region, alpha=0.45, eps=eps)
     row = [f"eps = {eps:<6g}"]
     for flag, label in ((True, "with A_geo"), (False, "without")):
         prop_bo = diagonalize(assemble_bo(band, eps, include_a_geo=flag))
-        err = effective_dynamics_error(prop_full, prop_bo, band, PG, psi, t)
+        err = effective_dynamics_error(prop_full, prop_bo, band, projected, t)
         row.append(f"{label}: {err:.4e}")
     print("  ".join(row))
 

@@ -41,11 +41,11 @@ from .propagation import (
 from .semiclassics import (
     ClassicalDensity,
     Symbol,
+    apply_phase_space_projection,
     boundary_leakage,
     classical_flow,
     egorov_residual,
     hitting_times,
-    phase_space_projection,
     reduced_observable_residual,
     weyl_quantize,
     wigner_marginal,

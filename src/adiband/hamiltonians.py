@@ -7,13 +7,15 @@ approximation anywhere is the spatial discretization itself.
 
 Operators are stored real (float64) when their data is real: the kinetic
 term without an external vector potential, a model whose H_e(X_i) have
-exactly zero imaginary part, and a band projection with real fiber
-blocks.  Real storage sends `eigh` to the real-symmetric solver, several
-times faster than the complex one.  Complex data (complex fibers, an
-external vector potential) keeps complex128, as does the phase-dressed
-effective Hamiltonian of `assemble_bo`.  This module is the only place
-that decides the storage type of an operator; `assemble_diag` follows the
-dtype of its inputs.
+exactly zero imaginary part, a band projection with real fiber blocks,
+and the effective Hamiltonian of `assemble_bo` when its gauge field
+(A_ext plus the clamped A_geo) is zero on the grid, as it is for a band
+with a real frame or with the connection dropped.  Real storage sends
+`eigh` to the real-symmetric solver, several times faster than the
+complex one.  Complex data (complex fibers, an external vector potential,
+a nonzero gauge field in `assemble_bo`) keeps complex128.  This module is
+the only place that decides the storage type of an operator;
+`assemble_diag` follows the dtype of its inputs.
 
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: `assemble_diag` takes the
@@ -214,7 +216,8 @@ def assemble_bo(
     energy and the geometric vector potential clamped outside the window
     shrunk by delta/5.  `berry` overrides the connection samples (used by
     gauge-covariance checks); with include_a_geo=False the connection is
-    dropped entirely.
+    dropped entirely.  Stored real when the total gauge field is zero on
+    the grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")
@@ -229,21 +232,26 @@ def assemble_bo(
 
             berry = berry_connection(band)
         a_vals += clamp_field(berry, grid, band.window, delta / 5)
-    F = fourier_matrix(grid)
-    D = F.conj().T @ (grid.k[:, None] * F)
-    # covariant derivative by phase dressing: with Theta' = A - mean(A), the
-    # matrix exp(-i Theta) D exp(i Theta) + mean(A) equals -i d/dX + A(X) to
-    # spectral accuracy on resolved states, and a periodic gauge shift
-    # theta conjugates it exactly (the antiderivative map is linear and
-    # lattice-exact on band-limited fields)
-    a_bar = float(a_vals.mean())
-    ft = np.fft.fft(a_vals - a_bar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
-    theta_tilde = np.fft.ifft(ft_theta).real
-    phase = np.exp(1j * theta_tilde)
-    M = eps * (phase.conj()[:, None] * D * phase[None, :] + a_bar * np.eye(grid.n_points))
-    H = (M @ M) / 2 + np.diag(E_ext)
+    if np.any(a_vals):
+        F = fourier_matrix(grid)
+        D = F.conj().T @ (grid.k[:, None] * F)
+        # covariant derivative by phase dressing: with Theta' = A - mean(A), the
+        # matrix exp(-i Theta) D exp(i Theta) + mean(A) equals -i d/dX + A(X) to
+        # spectral accuracy on resolved states, and a periodic gauge shift
+        # theta conjugates it exactly (the antiderivative map is linear and
+        # lattice-exact on band-limited fields)
+        a_bar = float(a_vals.mean())
+        ft = np.fft.fft(a_vals - a_bar)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
+        theta_tilde = np.fft.ifft(ft_theta).real
+        phase = np.exp(1j * theta_tilde)
+        M = eps * (phase.conj()[:, None] * D * phase[None, :] + a_bar * np.eye(grid.n_points))
+        H = (M @ M) / 2 + np.diag(E_ext)
+    else:
+        # zero field: the dressing is the identity, and (eps D)^2 / 2 is the
+        # real kinetic operator
+        H = kinetic_matrix(grid, eps) + np.diag(E_ext)
     H = (H + H.conj().T) / 2
     return DenseHamiltonian(matrix=H, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 

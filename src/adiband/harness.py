@@ -33,12 +33,12 @@ from .models import ElectronicModel, get_model
 from .propagation import SpectralPropagator, decoupling_error, diagonalize, effective_dynamics_error, evolve
 from .semiclassics import (
     Symbol,
+    apply_phase_space_projection,
     band_energy_interpolant,
     boundary_leakage,
     classical_flow,
     egorov_residual,
     hitting_times,
-    phase_space_projection,
     reduced_observable_residual,
     weyl_quantize,
     wigner_marginal,
@@ -98,7 +98,20 @@ class ExperimentConfig:
     fit_residual_threshold: float = 0.5
     flow_dt: float = 1e-3
 
+    # to_json() of the content validate() last passed; not a dataclass field
+    _validated_json = None
+
     def validate(self):
+        """Check the configuration and return it.
+
+        A configuration is checked once: validate() returns at once while
+        the content (compared by `to_json()`) is what it last passed, so the
+        hitting window of an effective-dynamics config is not recomputed by
+        every scan of it.
+        """
+        text = self.to_json()
+        if text == self._validated_json:
+            return self
         eps = list(self.eps_ladder)
         if len(eps) < 3:
             raise ValueError("eps ladder needs at least 3 values")
@@ -127,6 +140,7 @@ class ExperimentConfig:
                     f"times {bad} outside the hitting-time window "
                     f"[{t_minus:.4f}, {t_plus:.4f}] computed for this region"
                 )
+        self._validated_json = text
         return self
 
     # -- builders ---------------------------------------------------------
@@ -413,10 +427,10 @@ def _scan_effective(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t
     flag = cfg.include_a_geo if include_a_geo is None else include_a_geo
     pf = cache.full(cfg, model, grid, eps)
     pb = cache.bo(cfg, band, eps, include_a_geo=flag)
-    PG = phase_space_projection(band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
     psi0, _, _ = cfg.make_state(grid, band, eps)
+    projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
     return effective_dynamics_error(
-        pf, pb, band, PG, psi0, t, delta=cfg.delta, allow_outside_window=allow_outside,
+        pf, pb, band, projected, t, delta=cfg.delta, allow_outside_window=allow_outside,
     )
 
 

@@ -131,8 +131,7 @@ def effective_dynamics_error(
     prop_full: SpectralPropagator,
     prop_bo: SpectralPropagator,
     band: BandData,
-    P_state: np.ndarray,
-    psi0: MolecularWave,
+    projected: MolecularWave,
     t: float,
     delta: float = 0.5,
     window_times: tuple | None = None,
@@ -141,10 +140,11 @@ def effective_dynamics_error(
     """Full evolution versus the band-identified effective evolution.
 
     Measures ||(e^{-iHt/eps} - U* e^{-iH_bo t/eps} U) P psi0|| / ||P psi0||
-    where P is the approximate phase-space projection and U the band
-    identification.  If `window_times` (T-, T+) is given, times outside the
-    window raise unless explicitly allowed (the bound is not asserted
-    there; callers may still log the value).
+    on the projected initial state P psi0, where P is the approximate
+    phase-space projection (`semiclassics.apply_phase_space_projection`)
+    and U the band identification.  If `window_times` (T-, T+) is given,
+    times outside the window raise unless explicitly allowed (the bound is
+    not asserted there; callers may still log the value).
     """
     if window_times is not None and not allow_outside_window:
         t_minus, t_plus = window_times
@@ -152,12 +152,9 @@ def effective_dynamics_error(
             raise ValueError(
                 f"t={t} outside the hitting-time window [{t_minus:.4f}, {t_plus:.4f}]"
             )
-    vec = P_state @ psi0.flat()
-    dx = psi0.grid.dx
-    nP = float(np.sqrt(np.sum(np.abs(vec) ** 2) * dx))
+    nP = norm(projected)
     if nP < 1e-12:
         raise ValueError("projected initial state vanishes; state and region are disjoint")
-    projected = MolecularWave(grid=psi0.grid, values=vec.reshape(psi0.values.shape), eps=psi0.eps)
     reduced = evolve(prop_bo, u_map(projected, band, delta), t)
-    d = prop_full.apply(vec, t) - u_star_map(reduced, band, delta).flat()
-    return float(np.sqrt(np.sum(np.abs(d) ** 2) * dx) / nP)
+    d = prop_full.apply(projected.flat(), t) - u_star_map(reduced, band, delta).flat()
+    return float(np.sqrt(np.sum(np.abs(d) ** 2) * projected.grid.dx) / nP)

@@ -42,6 +42,7 @@ __all__ = [
     "smooth_indicator",
     "weyl_quantize",
     "phase_space_projection",
+    "apply_phase_space_projection",
     "band_energy_interpolant",
     "classical_flow",
     "hitting_times",
@@ -123,22 +124,12 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     return A * (grid.dx * grid.dk / (2 * np.pi))
 
 
-def phase_space_projection(
-    band: BandData,
-    region: PhaseSpaceRegion,
-    alpha: float,
-    eps: float,
-    delta: float = 0.5,
-) -> np.ndarray:
-    """Approximate projection onto phase-space support in the region.
+def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float, eps: float, delta: float):
+    """The factors of P_Gamma = U* lambda W U P_band, as fiber data.
 
-    U* 1_{window, delta} (smoothed region indicator)^Weyl U P_band, acting
-    on molecular vectors.  Hermitian and idempotent up to O(eps); its range
-    is bounded in the scaled second Sobolev norm uniformly in eps.
-
-    U and P_band are fiber-block-diagonal, so the product is the outer
-    product chi[j, c] lambda_j W[j, i] r[i, b] with r_i = chi_i^dag P_i
-    (zero outside the band window): O(N^2), no dense matrix product.
+    Returns (chi, lam_ind, W, r): the clamped frame, the window indicator,
+    the Weyl-quantized region indicator (n x n) and r_i = chi_i^dag P_i
+    (zero outside the band window).
     """
     if band.window is not None:
         a, b = band.window
@@ -155,9 +146,44 @@ def phase_space_projection(
     W = weyl_quantize(lambda q, p: ind(q, p), band.grid, eps)
     chi = band.chi_clamped(delta / 2)
     r = np.einsum("ia,iab->ib", chi.conj(), band.proj) * band.mask[:, None]
+    return chi, lam_ind, W, r
+
+
+def phase_space_projection(
+    band: BandData,
+    region: PhaseSpaceRegion,
+    alpha: float,
+    eps: float,
+    delta: float = 0.5,
+) -> np.ndarray:
+    """Approximate projection onto phase-space support in the region, dense.
+
+    U* 1_{window, delta} (smoothed region indicator)^Weyl U P_band, acting
+    on molecular vectors.  Hermitian and idempotent up to O(eps); its range
+    is bounded in the scaled second Sobolev norm uniformly in eps.
+
+    The N x N matrix is the outer product chi[j, c] lambda_j W[j, i] r[i, b];
+    it is the oracle for `apply_phase_space_projection`, which applies the
+    same factors to one state in O(n^2) without it.
+    """
+    chi, lam_ind, W, r = _phase_space_factors(band, region, alpha, eps, delta)
     M = chi[:, :, None, None] * (lam_ind[:, None, None, None] * (W[:, None, :, None] * r[None, None]))
     n, m = chi.shape
     return M.reshape(n * m, n * m)
+
+
+def apply_phase_space_projection(
+    psi: MolecularWave,
+    band: BandData,
+    region: PhaseSpaceRegion,
+    alpha: float,
+    eps: float,
+    delta: float = 0.5,
+) -> MolecularWave:
+    """P_Gamma psi by fibers: r_i . psi_i, the Weyl matvec, lambda, the chi lift."""
+    chi, lam_ind, W, r = _phase_space_factors(band, region, alpha, eps, delta)
+    reduced = lam_ind * (W @ np.einsum("ib,ib->i", r, psi.values))
+    return MolecularWave(grid=psi.grid, values=chi * reduced[:, None], eps=psi.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,32 @@ def test_bo_free_band_is_kinetic():
     assert np.abs(H.matrix - kinetic_matrix(grid, 0.3)).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "tag, window, a_ext, include_a_geo, real",
+    [
+        ("rotated_pair", (-2, 2), None, True, True),  # real frame: A_geo = 0
+        ("crossing_trio", None, None, True, True),  # the decoupling lift band
+        ("two_band_complex", None, None, False, True),  # connection dropped
+        ("two_band_complex", None, None, True, False),  # A_geo != 0
+        ("rotated_pair", (-2, 2), lambda X: 0.3, True, False),  # constant A_ext
+    ],
+)
+def test_bo_storage_dtype_follows_gauge_field(tag, window, a_ext, include_a_geo, real):
+    grid = make_grid(-4, 4, 64)
+    band = band_decompose(get_model(tag), grid, 0, window=window, gauge="component")
+    eps, delta = 0.2, 0.4
+    H = assemble_bo(band, eps, a_ext=a_ext, include_a_geo=include_a_geo, delta=delta)
+    assert H.matrix.dtype == (np.float64 if real else np.complex128)
+    assert np.any(H.matrix.imag) != real
+    if real:
+        # the zero-field phase dressing: phase = 1, mean(A) = 0, M = eps D
+        F = fourier_matrix(grid)
+        M = eps * (F.conj().T @ (grid.k[:, None] * F))
+        E = clamp_field(band.band_energy, grid, band.window, delta / 5)
+        dressed = (M @ M) / 2 + np.diag(E)
+        assert np.abs(H.matrix - dressed).max() <= 1e-12 * np.abs(dressed).max()
+
+
 def test_bo_ground_state_localized_at_well_bottom():
     grid = make_grid(-6.4, 6.4, 256)
     band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))

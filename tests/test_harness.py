@@ -114,6 +114,33 @@ def test_config_rejects_times_outside_hitting_window():
     assert "hitting-time window" in msg and "[" in msg  # quotes computed T+-
 
 
+def test_hitting_window_computed_once_per_config(monkeypatch):
+    from adiband import harness
+
+    calls, real = [], harness.hitting_times
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hitting_times", counted)
+    text = harness._config(
+        "effective", grid={"x_min": -6.4, "x_max": 6.4, "n_points": 128}, eps_ladder=[0.2, 0.1, 0.05]
+    ).to_json()
+    calls.clear()
+    cfg = ExperimentConfig.from_json(text)
+    assert len(calls) == 1
+    res = eps_scan(cfg, PropagatorCache())
+    assert all(p["status"] == "ok" for p in res.points)
+    assert len(calls) == 1  # the scan does not validate the unchanged config again
+    cfg.hitting_window()
+    assert len(calls) == 2  # a direct call always computes
+    cfg.times[0] = 50.0  # changed in place: the scan checks it again and refuses it
+    with pytest.raises(ValueError, match="hitting-time window"):
+        eps_scan(cfg, PropagatorCache())
+    assert len(calls) == 3
+
+
 def test_unknown_functional():
     with pytest.raises(ValueError):
         small_config(functional="nope")

@@ -107,29 +107,35 @@ def test_apply_block_matches_columns_and_unitary(setups):
 
 
 def test_real_storage_matches_complex_solver():
-    grid, model, band, H, prop = _build(*MODELS["real"])
-    # the real solver ran: real eigenvectors, stored complex
-    assert not np.any(prop.eigenvectors.imag)
-    ref = diagonalize(dataclasses.replace(H, matrix=H.matrix.astype(complex)))
-    assert np.abs(prop.eigenvalues - ref.eigenvalues).max() <= 1e-12
-    rng = np.random.default_rng(3)
-    block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
-    block /= np.linalg.norm(block, axis=0)
+    from adiband.hamiltonians import assemble_bo
 
-    def gap(a, b):  # largest column 2-norm of the difference, unit columns in
-        return np.linalg.norm(a - b, axis=0).max()
+    grid, model, band, H_full, _ = _build(*MODELS["real"])
+    # the full H and the Born-Oppenheimer H of the real frame (zero gauge field)
+    for H in (H_full, assemble_bo(band, H_full.eps, delta=0.4)):
+        assert H.matrix.dtype == np.float64
+        prop = diagonalize(H)
+        # the real solver ran: real eigenvectors, stored complex
+        assert not np.any(prop.eigenvectors.imag)
+        ref = diagonalize(dataclasses.replace(H, matrix=H.matrix.astype(complex)))
+        assert np.abs(prop.eigenvalues - ref.eigenvalues).max() <= 1e-12
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
+        block /= np.linalg.norm(block, axis=0)
 
-    # the two solvers' eigenvalues differ by ~1e-13 (max|H| ~ 50), a phase
-    # error that grows like t/eps: 4e-12 at t = 3
-    for t in (0.0, 0.3, 0.7):
-        assert gap(prop.apply(block, t), ref.apply(block, t)) <= 1e-12
-        assert gap(prop.apply(block[:, :1], t), ref.apply(block[:, :1], t)) <= 1e-12
-        assert np.linalg.norm(prop.unitary(t) - ref.unitary(t), 2) <= 1e-12
-    # a cutoff inside a spectral gap, so that no degenerate pair is split
-    w = prop.eigenvalues
-    i = int(np.argmax(np.diff(w[: prop.dim // 2])))
-    cutoff = 0.5 * (w[i] + w[i + 1])
-    assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
+        def gap(a, b):  # largest column 2-norm of the difference, unit columns in
+            return np.linalg.norm(a - b, axis=0).max()
+
+        # the two solvers' eigenvalues differ by ~1e-13 (max|H| ~ 50), a phase
+        # error that grows like t/eps: 4e-12 at t = 3
+        for t in (0.0, 0.3, 0.7):
+            assert gap(prop.apply(block, t), ref.apply(block, t)) <= 1e-12
+            assert gap(prop.apply(block[:, :1], t), ref.apply(block[:, :1], t)) <= 1e-12
+            assert np.linalg.norm(prop.unitary(t) - ref.unitary(t), 2) <= 1e-12
+        # a cutoff inside a spectral gap, so that no degenerate pair is split
+        w = prop.eigenvalues
+        i = int(np.argmax(np.diff(w[: prop.dim // 2])))
+        cutoff = 0.5 * (w[i] + w[i + 1])
+        assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
 
 
 def test_evolve_dimension_mismatch(setups):
@@ -185,11 +191,11 @@ def test_effective_dynamics_error_equals_dense_formula(tag):
     pb = diagonalize(assemble_bo(band, eps, delta=delta))
     # launched near the window edge, so the clamped frame matters
     psi = lift_to_band(coherent_state(grid, eps, 1.2, 0.3)[0], band, delta)
-    P = full_projection(band)
-    got = effective_dynamics_error(pf, pb, band, P, psi, t, delta=delta)
+    vec = full_projection(band) @ psi.flat()
+    projected = MolecularWave(grid, vec.reshape(psi.values.shape), eps=eps)
+    got = effective_dynamics_error(pf, pb, band, projected, t, delta=delta)
     # dense oracle: U as a matrix
     U = u_matrix(band, delta)
-    vec = P @ psi.flat()
     d = pf.apply(vec, t) - U.conj().T @ pb.apply(U @ vec, t)
     want = np.linalg.norm(d) / np.linalg.norm(vec)
     assert want > 1e-4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adiband.electronic import band_decompose
-from adiband.grids import NuclearWave, make_grid, norm, spectral_derivative_matrix
+from adiband.grids import MolecularWave, NuclearWave, make_grid, norm, spectral_derivative_matrix
 from adiband.hamiltonians import assemble_bo
 from adiband.indicators import PhaseSpaceRegion, smooth_indicator, smooth_step
 from adiband.models import get_model
@@ -11,6 +11,7 @@ from adiband.semiclassics import (
     ClassicalDensity,
     _first_exit,
     Symbol,
+    apply_phase_space_projection,
     band_energy_interpolant,
     boundary_leakage,
     classical_flow,
@@ -385,6 +386,27 @@ def test_phase_space_projection_equals_dense_formula(tag, window):
     U = u_matrix(band, delta)
     dense = U.conj().T @ (lam[:, None] * (W @ (U @ full_projection(band))))
     assert np.abs(PG - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tag", ["rotated_pair", "two_band_complex"])
+def test_apply_phase_space_projection_equals_dense(tag):
+    from adiband.states import coherent_state, lift_to_band
+
+    grid = make_grid(-6.4, 6.4, 128)
+    band = band_decompose(get_model(tag), grid, 0, window=(-2, 2))
+    # the region reaches the shrunk window's edge, so P_Gamma has range
+    # where the frame is clamped (|X| > 1.8) and lambda is still nonzero
+    region = PhaseSpaceRegion([(0.3, 1.5, -0.8, 0.8)])
+    delta, eps, alpha = 0.4, 0.1, 0.3
+    PG = phase_space_projection(band, region, alpha=alpha, eps=eps, delta=delta)
+    rng = np.random.default_rng(1)
+    edge = lift_to_band(coherent_state(grid, eps, 1.6, 0.3)[0], band, delta)
+    noise = rng.standard_normal(edge.values.shape) + 1j * rng.standard_normal(edge.values.shape)
+    for values in (edge.values, noise):
+        psi = MolecularWave(grid, values, eps=eps)
+        got = apply_phase_space_projection(psi, band, region, alpha, eps, delta=delta)
+        want = PG @ psi.flat()
+        assert np.linalg.norm(got.flat() - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_phase_space_projection_region_must_fit():
