@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .electronic import BandData, fd_derivative
-from .grids import Grid1D, MolecularWave, NuclearWave, fourier_matrix
+from .grids import Grid1D, MolecularWave, NuclearWave, fourier_matrix, spectral_derivative_matrix
 from .indicators import ramp_to_constant, smooth_step
 from .models import ElectronicModel
 
@@ -60,7 +60,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DenseHamiltonian:
-    """An assembled Hermitian operator with its discretization metadata."""
+    """An assembled Hermitian operator with its discretization metadata.
+
+    The raw assembly is checked for Hermiticity to 1e-12 relative; the
+    stored matrix is its Hermitian part (M + M^dag) / 2, exactly Hermitian.
+    """
 
     matrix: np.ndarray = field(repr=False)
     eps: float
@@ -69,12 +73,14 @@ class DenseHamiltonian:
     fiber_dim: int
 
     def __post_init__(self):
-        herm = np.abs(self.matrix - self.matrix.conj().T).max()
-        scale = max(1.0, np.abs(self.matrix).max())
+        M = self.matrix
+        herm = np.abs(M - M.conj().T).max()
+        scale = max(1.0, np.abs(M).max())
         if herm > 1e-12 * scale:
             raise AssertionError(f"{self.tag}: non-Hermitian assembly ({herm:.2e})")
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.all(np.isfinite(M)):
             raise AssertionError(f"{self.tag}: non-finite entries")
+        object.__setattr__(self, "matrix", (M + M.conj().T) / 2)
 
     @property
     def dim(self) -> int:
@@ -88,15 +94,14 @@ def kinetic_matrix(grid: Grid1D, eps: float, a_ext=None) -> np.ndarray:
     the lattice (the Nyquist mode pairs with itself), so the imaginary part
     of the Fourier product is rounding and is dropped.
     """
-    F = fourier_matrix(grid)
     if a_ext is None:
+        F = fourier_matrix(grid)
         return (F.conj().T @ ((eps * grid.k[:, None]) ** 2 / 2 * F)).real.copy()
     a_vals = np.asarray([a_ext(X) for X in grid.x], dtype=float)
     seam = abs(a_ext(grid.x_min) - a_ext(grid.x_max))
     if seam > 1e-6 * (1 + np.abs(a_vals).max()):
         raise ValueError(f"external vector potential jumps by {seam:.3e} at the box seam")
-    D = F.conj().T @ (grid.k[:, None] * F)
-    M = eps * D + eps * np.diag(a_vals)
+    M = eps * spectral_derivative_matrix(grid) + eps * np.diag(a_vals)
     return (M @ M) / 2
 
 
@@ -118,7 +123,6 @@ def assemble_full(
     H = np.kron(T, np.eye(m)).astype(fibers.dtype)
     diag = np.arange(n)
     H.reshape(n, m, n, m)[diag, :, diag, :] += fibers
-    H = (H + H.conj().T) / 2
     return DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=m)
 
 
@@ -153,7 +157,6 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
         )
     B = _fiber_blocks(band)
     Hd = _fiber_sandwich(H.matrix, B) + _fiber_sandwich(H.matrix, np.eye(m) - B)
-    Hd = (Hd + Hd.conj().T) / 2
     return DenseHamiltonian(matrix=Hd, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
 
 
@@ -233,8 +236,7 @@ def assemble_bo(
             berry = berry_connection(band)
         a_vals += clamp_field(berry, grid, band.window, delta / 5)
     if np.any(a_vals):
-        F = fourier_matrix(grid)
-        D = F.conj().T @ (grid.k[:, None] * F)
+        D = spectral_derivative_matrix(grid)
         # covariant derivative by phase dressing: with Theta' = A - mean(A), the
         # matrix exp(-i Theta) D exp(i Theta) + mean(A) equals -i d/dX + A(X) to
         # spectral accuracy on resolved states, and a periodic gauge shift
@@ -252,7 +254,6 @@ def assemble_bo(
         # zero field: the dressing is the identity, and (eps D)^2 / 2 is the
         # real kinetic operator
         H = kinetic_matrix(grid, eps) + np.diag(E_ext)
-    H = (H + H.conj().T) / 2
     return DenseHamiltonian(matrix=H, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 
 

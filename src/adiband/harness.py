@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +92,6 @@ class ExperimentConfig:
     symbol: str | None = None
     include_a_geo: bool = True
     energy_cutoff: float | None = None
-    seed: int = 0
-    workers: int = 1
     fit_residual_threshold: float = 0.5
     flow_dt: float = 1e-3
 
@@ -123,6 +120,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
             )
+        self._check_state()
         if self.region is not None and self.window is not None:
             a, b = self.window
             reg = PhaseSpaceRegion(self.region)
@@ -142,6 +140,23 @@ class ExperimentConfig:
                 )
         self._validated_json = text
         return self
+
+    def _check_state(self):
+        """Refuse a state key that the functional does not read."""
+        keys, nested = _STATE_KEYS.get(self.functional, ({"family", "params"}, None))
+        if set(self.state) != keys:
+            raise ValueError(
+                f"{self.functional} reads state keys {sorted(keys)}, got {sorted(self.state)}"
+            )
+        if nested is not None:
+            name, sub = nested
+            if set(self.state[name]) != sub:
+                raise ValueError(
+                    f"{self.functional} reads state.{name} keys {sorted(sub)}, "
+                    f"got {sorted(self.state[name])}"
+                )
+        if self.functional == "decoupling" and self.state["family"] != "coherent":
+            raise ValueError(f"decoupling needs the coherent state family, got {self.state['family']!r}")
 
     # -- builders ---------------------------------------------------------
 
@@ -204,6 +219,9 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
         data.pop("schema_version", None)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config fields {unknown}")
         return cls(**data).validate()
 
     @classmethod
@@ -348,12 +366,12 @@ class PropagatorCache:
 
         return self.get(key, build)
 
-    def bo(self, cfg, band, eps, include_a_geo=True) -> SpectralPropagator:
+    def bo(self, cfg, band, eps) -> SpectralPropagator:
         key = ("bo", self._model_key(cfg), self._grid_key(cfg), tuple(band.band_indices),
-               band.window, eps, include_a_geo, cfg.delta)
+               band.window, eps, cfg.include_a_geo, cfg.delta)
         return self.get(
             key,
-            lambda: diagonalize(assemble_bo(band, eps, include_a_geo=include_a_geo, delta=cfg.delta)),
+            lambda: diagonalize(assemble_bo(band, eps, include_a_geo=cfg.include_a_geo, delta=cfg.delta)),
         )
 
 
@@ -407,31 +425,23 @@ def _scan_decoupling(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, 
     lift = cfg.build_band(cfg.lift_band())
     pf = cache.full(cfg, model, grid, eps)
     pd = cache.diag(cfg, model, grid, band_set, eps)
-    fam = cfg.state.get("family_params", {})
+    fam = cfg.state["family_params"]
     states = standard_state_family(
-        grid, lift, eps,
-        fam.get("q_centers", (-1.4, -0.9, -0.4)),
-        fam.get("p_centers", (-0.6, 0.2, 0.8)),
-        fam.get("wkb", (-0.9, 0.6, 0.3, np.pi / 8)),
-        delta=cfg.delta,
+        grid, lift, eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=cfg.delta
     )
     return max(
         decoupling_error(pf, pd, psi, t, energy_cutoff=cfg.energy_cutoff) for psi in states
     )
 
 
-def _scan_effective(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float,
-                    include_a_geo=None, allow_outside=False) -> float:
+def _scan_effective(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
     model, grid = cfg.build_model(), cfg.build_grid()
     band = cfg.build_band(cfg.lift_band())
-    flag = cfg.include_a_geo if include_a_geo is None else include_a_geo
     pf = cache.full(cfg, model, grid, eps)
-    pb = cache.bo(cfg, band, eps, include_a_geo=flag)
+    pb = cache.bo(cfg, band, eps)
     psi0, _, _ = cfg.make_state(grid, band, eps)
     projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
-    return effective_dynamics_error(
-        pf, pb, band, projected, t, delta=cfg.delta, allow_outside_window=allow_outside,
-    )
+    return effective_dynamics_error(pf, pb, band, projected, t, delta=cfg.delta)
 
 
 def _scan_leakage(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
@@ -448,7 +458,7 @@ def _scan_observable_pairing(cfg: ExperimentConfig, cache: PropagatorCache, eps:
     grid = band.grid
     sym = _named_symbol(cfg.symbol or "p")
     states = []
-    for q0, p0 in cfg.state.get("params", {}).get("centers", [(-0.5, 0.4), (0.6, -0.3), (1.2, 0.35)]):
+    for q0, p0 in cfg.state["params"]["centers"]:
         wave, _ = coherent_state(grid, eps, q0, p0)
         states.append(lift_to_band(wave, band, cfg.delta))
     return reduced_observable_residual(sym, band, cfg.delta, eps, states)
@@ -489,38 +499,36 @@ FUNCTIONALS = {
     "egorov": _scan_egorov,
 }
 
+# the `state` keys a functional reads, and the keys of the one nested dict it
+# reads; every other functional reads `family` and `params` (make_state)
+_STATE_KEYS = {
+    "decoupling": ({"family", "family_params"}, ("family_params", {"q_centers", "p_centers", "wkb"})),
+    "observable_pairing": ({"params"}, ("params", {"centers"})),
+}
+
 
 def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> ScanResult:
     """Run the configured functional over the (eps, t) lattice and fit the slope.
 
+    Points run serially in order of decreasing eps, then increasing t.
     Per-point failures are recorded in the result without aborting the
-    scan.  Points are computed on a worker pool and sorted by (eps, t)
-    before assembly, so the result does not depend on scheduling.
+    scan.
     """
     cfg.validate()
     cache = cache or PropagatorCache()
     fn = FUNCTIONALS[cfg.functional]
-    tasks = [(eps, t) for eps in cfg.eps_ladder for t in cfg.times]
-
-    def run_one(task):
-        eps, t = task
+    tasks = sorted(
+        ((eps, t) for eps in cfg.eps_ladder for t in cfg.times), key=lambda task: (-task[0], task[1])
+    )
+    points, clocks = [], []
+    for eps, t in tasks:
         t0 = time.perf_counter()
         try:
-            val = fn(cfg, cache, eps, t)
-            return {"eps": eps, "t": t, "error": float(val), "status": "ok"}, time.perf_counter() - t0
+            points.append({"eps": eps, "t": t, "error": float(fn(cfg, cache, eps, t)), "status": "ok"})
         except Exception as exc:  # recorded, not raised
-            return {"eps": eps, "t": t, "error": None, "status": "error",
-                    "message": f"{type(exc).__name__}: {exc}"}, time.perf_counter() - t0
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    else:
-        outcomes = [run_one(task) for task in tasks]
-
-    order = sorted(range(len(tasks)), key=lambda i: (-tasks[i][0], tasks[i][1]))
-    points = [outcomes[i][0] for i in order]
-    clocks = [round(outcomes[i][1], 6) for i in order]
+            points.append({"eps": eps, "t": t, "error": None, "status": "error",
+                           "message": f"{type(exc).__name__}: {exc}"})
+        clocks.append(round(time.perf_counter() - t0, 6))
 
     ok = [p for p in points if p["status"] == "ok"]
     by_eps = {}
@@ -611,24 +619,19 @@ def _crit(cid, passed, **detail):
     return CriterionReport(cid=cid, passed=bool(passed), detail=clean)
 
 
+def _rate_crit(cid, res, lo, hi=None, **extra):
+    """Pass when the fitted slope of `res` lies in [lo, hi] (hi=None: no upper bound)."""
+    ok = res.slope is not None and lo <= res.slope and (hi is None or res.slope <= hi)
+    return _crit(cid, ok, slope=res.slope, **extra, errors=[p["error"] for p in res.points])
+
+
 def _suite_decoupling(seed, cache):
     cfg = _config("decoupling")
-    res = eps_scan(cfg, cache)
     crits = [
-        _crit(
-            "decoupling-rate", res.slope is not None and 0.75 <= res.slope <= 1.25,
-            slope=res.slope, errors=[p["error"] for p in res.points],
-        )
+        _rate_crit("decoupling-rate", eps_scan(cfg, cache), 0.75, 1.25),
+        _rate_crit("decoupling-rate-with-cutoff",
+                   eps_scan(_config("decoupling", energy_cutoff=2.0, times=[1.0]), cache), 0.75),
     ]
-    cfg_cut = _config("decoupling", energy_cutoff=2.0, times=[1.0])
-    res_cut = eps_scan(cfg_cut, cache)
-    crits.append(
-        _crit(
-            "decoupling-rate-with-cutoff",
-            res_cut.slope is not None and res_cut.slope >= 0.75,
-            slope=res_cut.slope, errors=[p["error"] for p in res_cut.points],
-        )
-    )
     e1 = _scan_decoupling(
         _config("decoupling", energy_cutoff=2.0), cache, 0.05, 1.0
     )
@@ -644,17 +647,13 @@ def _suite_decoupling(seed, cache):
 def _suite_effective(seed, cache):
     cfg = _config("effective")
     t_minus, t_plus = cfg.hitting_window()
-    crits = [_crit("effective-hitting-window", t_plus >= 1.5, t_plus=t_plus, t_minus=t_minus)]
-    res = eps_scan(cfg, cache)
-    crits.append(
-        _crit(
-            "effective-rate", res.slope is not None and 0.75 <= res.slope <= 1.25,
-            slope=res.slope, errors=[p["error"] for p in res.points],
-        )
-    )
+    crits = [
+        _crit("effective-hitting-window", t_plus >= 1.5, t_plus=t_plus, t_minus=t_minus),
+        _rate_crit("effective-rate", eps_scan(cfg, cache), 0.75, 1.25),
+    ]
     # beyond the window the bound is not asserted; the value is only logged
     t_out = 1.2 * t_plus
-    logged = _scan_effective(cfg, cache, 0.05, t_out, allow_outside=True)
+    logged = _scan_effective(cfg, cache, 0.05, t_out)
     crits.append(
         _crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)
     )
@@ -664,15 +663,10 @@ def _suite_effective(seed, cache):
 def _suite_berry(seed, cache):
     cfg_on = _config("berry")
     res_on = eps_scan(cfg_on, cache)
-    errs_off = [
-        _scan_effective(cfg_on, cache, eps, cfg_on.times[0], include_a_geo=False)
-        for eps in cfg_on.eps_ladder
-    ]
+    cfg_off = replace(cfg_on, include_a_geo=False)
+    errs_off = [_scan_effective(cfg_off, cache, eps, cfg_off.times[0]) for eps in cfg_off.eps_ladder]
     return [
-        _crit(
-            "berry-on-rate", res_on.slope is not None and res_on.slope >= 0.75,
-            slope=res_on.slope, errors=[p["error"] for p in res_on.points],
-        ),
+        _rate_crit("berry-on-rate", res_on, 0.75),
         _crit(
             "berry-off-floor", min(errs_off) >= 0.05,
             infimum=min(errs_off), errors=errs_off,
@@ -684,27 +678,14 @@ def _suite_leakage(seed, cache):
     cfg = _config("leakage")
     _, t_plus = cfg.hitting_window()
     cfg = _config("leakage", times=[round(0.8 * t_plus, 6)])
-    res = eps_scan(cfg, cache)
-    return [
-        _crit(
-            "leakage-rate", res.slope is not None and res.slope >= 0.75,
-            slope=res.slope, t=cfg.times[0], t_plus=t_plus,
-            errors=[p["error"] for p in res.points],
-        )
-    ]
+    return [_rate_crit("leakage-rate", eps_scan(cfg, cache), 0.75, t=cfg.times[0], t_plus=t_plus)]
 
 
 def _suite_observables(seed, cache):
-    crits = []
-    for name, floor in (("p", 0.75), ("windowed_p^2", 0.75)):
-        res = eps_scan(_config("observables", symbol=name), cache)
-        crits.append(
-            _crit(
-                f"observable-{name}-rate",
-                res.slope is not None and res.slope >= floor,
-                slope=res.slope, errors=[p["error"] for p in res.points],
-            )
-        )
+    crits = [
+        _rate_crit(f"observable-{name}-rate", eps_scan(_config("observables", symbol=name), cache), 0.75)
+        for name in ("p", "windowed_p^2")
+    ]
     res_q = eps_scan(_config("observables", symbol="q"), cache)
     errs = [p["error"] for p in res_q.points]
     crits.append(_crit("observable-q-exact", max(errs) <= 1e-9, worst=max(errs)))
@@ -712,39 +693,20 @@ def _suite_observables(seed, cache):
 
 
 def _suite_state_rates(seed, cache):
-    crits = []
-    res = eps_scan(_config("state_rates"), cache)
-    crits.append(
-        _crit(
-            "packet-rate", res.slope is not None and 0.35 <= res.slope <= 0.75,
-            slope=res.slope, errors=[p["error"] for p in res.points],
-        )
-    )
+    crits = [_rate_crit("packet-rate", eps_scan(_config("state_rates"), cache), 0.35, 0.75)]
     cfg_sharp = _config(
         "state_rates",
         state={"family": "sharp_momentum",
                "params": {"p0": 0.45, "center": 0.2, "width": 0.8, "boost": 1.0}},
     )
-    res = eps_scan(cfg_sharp, cache)
-    crits.append(
-        _crit(
-            "sharp-momentum-rate", res.slope is not None and 0.75 <= res.slope <= 1.25,
-            slope=res.slope, errors=[p["error"] for p in res.points],
-        )
-    )
+    crits.append(_rate_crit("sharp-momentum-rate", eps_scan(cfg_sharp, cache), 0.75, 1.25))
     cfg_wkb = _config(
         "state_rates",
         state={"family": "wkb",
                "params": {"center": 0.2, "width": 0.7, "amp": 0.4,
                           "k": float(2 * np.pi / 12.8)}},  # box-periodic phase
     )
-    res = eps_scan(cfg_wkb, cache)
-    crits.append(
-        _crit(
-            "wkb-rate", res.slope is not None and res.slope >= 0.35,
-            slope=res.slope, errors=[p["error"] for p in res.points],
-        )
-    )
+    crits.append(_rate_crit("wkb-rate", eps_scan(cfg_wkb, cache), 0.35))
     return crits
 
 
@@ -859,7 +821,6 @@ def _suite_determinism(seed, cache):
         "observables",
         grid={"x_min": -8.0, "x_max": 8.0, "n_points": 256},
         eps_ladder=[0.2, 0.1, 0.05],
-        seed=seed,
     )
     a = eps_scan(cfg, PropagatorCache())
     b = eps_scan(cfg, PropagatorCache())

@@ -134,24 +134,16 @@ def effective_dynamics_error(
     projected: MolecularWave,
     t: float,
     delta: float = 0.5,
-    window_times: tuple | None = None,
-    allow_outside_window: bool = False,
 ) -> float:
     """Full evolution versus the band-identified effective evolution.
 
     Measures ||(e^{-iHt/eps} - U* e^{-iH_bo t/eps} U) P psi0|| / ||P psi0||
     on the projected initial state P psi0, where P is the approximate
     phase-space projection (`semiclassics.apply_phase_space_projection`)
-    and U the band identification.  If `window_times` (T-, T+) is given,
-    times outside the window raise unless explicitly allowed (the bound is
-    not asserted there; callers may still log the value).
+    and U the band identification.  The bound holds only for t inside the
+    hitting-time window; `ExperimentConfig.validate()` refuses scan times
+    outside it.
     """
-    if window_times is not None and not allow_outside_window:
-        t_minus, t_plus = window_times
-        if not (t_minus <= t <= t_plus):
-            raise ValueError(
-                f"t={t} outside the hitting-time window [{t_minus:.4f}, {t_plus:.4f}]"
-            )
     nP = norm(projected)
     if nP < 1e-12:
         raise ValueError("projected initial state vanishes; state and region are disjoint")

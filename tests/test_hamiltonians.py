@@ -14,7 +14,7 @@ from adiband.hamiltonians import (
     u_matrix,
     u_star_map,
 )
-from adiband.models import get_model
+from adiband.models import ElectronicModel, get_model
 from adiband.propagation import diagonalize
 
 
@@ -34,6 +34,14 @@ def test_free_particle_spectrum():
     w = np.linalg.eigvalsh(H.matrix)
     expected = np.sort((0.5 * grid.k) ** 2 / 2)
     assert np.abs(w - expected).max() <= 1e-10
+
+
+def test_non_hermitian_fiber_refused():
+    # the check sees the raw assembly, before the stored matrix is symmetrized
+    skew = np.array([[0.0, 1e-6], [0.0, 1.0]])
+    model = ElectronicModel(tag="skew", fiber_dim=2, params={}, _h=lambda X: skew, _dh=lambda X: 0 * skew)
+    with pytest.raises(AssertionError, match="non-Hermitian"):
+        assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
 
 
 def test_small_eps_ground_energy():

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adiband.harness import (
+    FUNCTIONALS,
     ExperimentConfig,
     PropagatorCache,
     ScanResult,
@@ -14,6 +16,9 @@ from adiband.harness import (
     run_suite,
     standard_state_family,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(**over):
@@ -146,6 +151,44 @@ def test_unknown_functional():
         small_config(functional="nope")
 
 
+def test_from_json_names_unknown_fields():
+    data = json.loads(small_config().to_json())
+    data.update(workers=4, seed=11)
+    with pytest.raises(ValueError, match=r"unknown config fields \['seed', 'workers'\]"):
+        ExperimentConfig.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "functional, state, message",
+    [
+        # the decoupling family is a coherent lattice plus one WKB state, all from family_params
+        ("decoupling", {"family": "coherent", "params": {"q0": -0.9, "p0": 0.2}}, "state keys"),
+        ("decoupling", {"family": "wkb", "family_params": {"q_centers": [0.0], "p_centers": [0.0],
+                                                           "wkb": [0.0, 0.6, 0.3, 0.4]}}, "coherent"),
+        ("decoupling", {"family": "coherent", "family_params": {"q_centers": [0.0], "p_centers": [0.0]}},
+         "state.family_params keys"),
+        ("observable_pairing", {"family": "coherent", "params": {"centers": [[0.0, 0.4]]}}, "state keys"),
+        ("observable_pairing", {"params": {"centers": [[0.0, 0.4]], "q0": 0.0}}, "state.params keys"),
+        ("state_observables", {"family": "coherent", "params": {"q0": 0.0, "p0": 0.4}, "seed": 1},
+         "state keys"),
+    ],
+)
+def test_config_rejects_unread_state_keys(functional, state, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(functional=functional, band_indices=[0, 1], lift_band_index=0, state=state)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(ROOT.glob("perfbench/configs/*.json")) + sorted(ROOT.glob("src/adiband/configs/*.json")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_shipped_configs_load(path):
+    # the benchmark and the acceptance suites parse these files; a stricter
+    # config must not refuse them
+    assert ExperimentConfig.from_json(path.read_text()).functional in FUNCTIONALS
+
+
 # ------------------------------------------------------------- scans/reports
 
 
@@ -174,14 +217,27 @@ def test_scan_synthetic_error_recorded():
     assert res.slope is None
 
 
-def test_worker_pool_matches_serial():
-    cfg_serial = small_config()
-    cfg_pool = small_config(workers=4)
-    a = eps_scan(cfg_serial, PropagatorCache())
-    b = eps_scan(cfg_pool, PropagatorCache())
-    pa = [(p["eps"], p["error"]) for p in a.points]
-    pb = [(p["eps"], p["error"]) for p in b.points]
-    assert pa == pb
+def _berry_config(**over):
+    from adiband.harness import _config
+
+    return _config("berry", grid={"x_min": -6.4, "x_max": 6.4, "n_points": 256},
+                   eps_ladder=[0.2, 0.1, 0.05], **over)
+
+
+@pytest.mark.parametrize("symbol", ["q", "p"])
+def test_egorov_scan_first_order(symbol):
+    res = eps_scan(_berry_config(functional="egorov", symbol=symbol), PropagatorCache())
+    assert all(p["status"] == "ok" for p in res.points)
+    assert 0.75 <= res.slope <= 1.25
+
+
+def test_leakage_scan_honours_include_a_geo():
+    from adiband.harness import _scan_leakage
+
+    cache = PropagatorCache()
+    on = _scan_leakage(_berry_config(functional="boundary_leakage"), cache, 0.1, 0.8)
+    off = _scan_leakage(_berry_config(functional="boundary_leakage", include_a_geo=False), cache, 0.1, 0.8)
+    assert abs(on - off) > 1e-3 * on
 
 
 def test_emit_json_roundtrip(tmp_path, scan_result):
@@ -192,7 +248,7 @@ def test_emit_json_roundtrip(tmp_path, scan_result):
 
 
 def test_emit_json_byte_identical(tmp_path):
-    cfg = small_config(seed=11)
+    cfg = small_config()
     r1 = eps_scan(cfg, PropagatorCache())
     r2 = eps_scan(cfg, PropagatorCache())
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
