@@ -42,6 +42,8 @@ __all__ = [
     "berry_connection",
     "riesz_projection",
     "grad_projection",
+    "offdiag_spectral_sum",
+    "resolvent_quadrature",
     "fd_derivative",
 ]
 
@@ -83,8 +85,6 @@ class BandData:
     proj: np.ndarray = field(repr=False)
     band_energy: np.ndarray | None = field(repr=False, default=None)
     chi: np.ndarray | None = field(repr=False, default=None)
-    gauge: str | None = None
-    anchor_index: int = 0
     ref_component: int = 0
 
     @property
@@ -106,8 +106,7 @@ class BandData:
         return BandData(
             grid=self.grid, model=self.model, band_indices=self.band_indices,
             window=self.window, mask=self.mask, evals=self.evals, evecs=self.evecs,
-            proj=self.proj, band_energy=self.band_energy, chi=chi,
-            gauge="shifted", anchor_index=self.anchor_index, ref_component=self.ref_component,
+            proj=self.proj, band_energy=self.band_energy, chi=chi, ref_component=self.ref_component,
         )
 
     def chi_clamped(self, shrink: float) -> np.ndarray:
@@ -258,9 +257,7 @@ def band_decompose(
     return BandData(
         grid=grid, model=model, band_indices=band_indices, window=window,
         mask=mask, evals=evals, evecs=evecs, proj=proj,
-        band_energy=band_energy, chi=chi,
-        gauge=gauge if chi is not None else None,
-        anchor_index=anchor, ref_component=ref,
+        band_energy=band_energy, chi=chi, ref_component=ref,
     )
 
 
@@ -327,25 +324,30 @@ def berry_connection(band: BandData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circular complex contour around the selected spectrum at each X.
+    """Circle |lambda - center| = radius around the selected spectrum.
 
-    center/radius may be floats or callables of X.  Quadrature is the
-    trapezoid rule on the circle, spectrally accurate for the analytic
-    resolvent integrand.
+    Quadrature is the trapezoid rule on the circle, spectrally accurate for
+    the analytic resolvent integrand.
     """
 
-    center: object
-    radius: object
+    center: float
+    radius: float
     nodes: int = 128
 
     def __post_init__(self):
         if self.nodes < 64:
             raise ValueError("contour quadrature needs at least 64 nodes")
 
-    def at(self, X: float):
-        c = self.center(X) if callable(self.center) else self.center
-        r = self.radius(X) if callable(self.radius) else self.radius
-        return complex(c), float(r)
+
+def resolvent_quadrature(H: np.ndarray, center: float, radius: float, nodes: int, integrand) -> np.ndarray:
+    """Trapezoid rule on `nodes` points for -(1/2 pi i) oint integrand(R) dlambda,
+    R = (H - lambda)^-1, counterclockwise on |lambda - center| = radius."""
+    m = H.shape[0]
+    out = np.zeros((m, m), dtype=complex)
+    for th in 2 * np.pi * np.arange(nodes) / nodes:
+        lam = center + radius * np.exp(1j * th)
+        out -= np.exp(1j * th) * integrand(np.linalg.inv(H - lam * np.eye(m)))
+    return out * (radius / nodes)
 
 
 def riesz_projection(
@@ -360,7 +362,7 @@ def riesz_projection(
     contour circle (default: 1e-6 of the radius).
     """
     H = model.h(X)
-    c, r = contour.at(X)
+    c, r = contour.center, contour.radius
     evals = np.linalg.eigvalsh(H)
     clearance = np.abs(np.abs(evals - c) - r).min()
     floor = (1e-6 * r) if min_clearance is None else min_clearance
@@ -369,14 +371,7 @@ def riesz_projection(
             f"eigenvalue within {clearance:.3e} of the contour at X={X}; "
             f"required clearance {floor:.3e}"
         )
-    m = H.shape[0]
-    theta = 2 * np.pi * np.arange(contour.nodes) / contour.nodes
-    P = np.zeros((m, m), dtype=complex)
-    eye = np.eye(m)
-    for th in theta:
-        lam = c + r * np.exp(1j * th)
-        P -= np.exp(1j * th) * np.linalg.inv(H - lam * eye)
-    return P * (r / contour.nodes)
+    return resolvent_quadrature(H, c, r, contour.nodes, lambda R: R)
 
 
 def grad_projection(band: BandData, method: str = "fd") -> np.ndarray:
@@ -398,14 +393,18 @@ def grad_projection(band: BandData, method: str = "fd") -> np.ndarray:
     if not others:
         return out
     for i, X in enumerate(band.grid.x):
-        dH = band.model.dh(X)
-        v = band.evecs[i]
-        w = band.evals[i]
-        block = np.zeros((m, m), dtype=complex)
-        for a in others:
-            for b in cols:
-                denom = w[b] - w[a]
-                coupling = v[:, a].conj() @ dH @ v[:, b]
-                block += np.outer(v[:, a], v[:, b].conj()) * (coupling / denom)
+        block = offdiag_spectral_sum(band.evals[i], band.evecs[i], band.model.dh(X), others, cols,
+                                     lambda wa, wb: wb - wa)
         out[i] = block + block.conj().T
+    return out
+
+
+def offdiag_spectral_sum(w, v, dH, others, cols, denom) -> np.ndarray:
+    """sum over a in others, b in cols of |a><a|dH|b><b| / denom(w_a, w_b), for eigenpairs (w, v)."""
+    m = len(w)
+    out = np.zeros((m, m), dtype=complex)
+    for a in others:
+        for b in cols:
+            coupling = v[:, a].conj() @ dH @ v[:, b]
+            out += np.outer(v[:, a], v[:, b].conj()) * (coupling / denom(w[a], w[b]))
     return out

@@ -22,6 +22,7 @@ __all__ = [
     "MolecularWave",
     "make_grid",
     "norm",
+    "l2_norm",
     "sobolev_norm",
     "spectral_derivative_matrix",
     "fourier_matrix",
@@ -117,9 +118,14 @@ class MolecularWave:
         return self.values.reshape(-1)
 
 
+def l2_norm(values: np.ndarray, dx: float) -> float:
+    """sqrt(sum |values|^2 dx): the L^2 norm of grid samples of any shape."""
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
+
+
 def norm(w: NuclearWave | MolecularWave) -> float:
     """L^2 norm with the quadrature weight dx (fiber components summed)."""
-    return float(np.sqrt(np.sum(np.abs(w.values) ** 2) * w.grid.dx))
+    return l2_norm(w.values, w.grid.dx)
 
 
 def _momentum_weights(w, order: int) -> float:
@@ -127,7 +133,7 @@ def _momentum_weights(w, order: int) -> float:
     vals = w.values if w.values.ndim == 2 else w.values[:, None]
     ft = np.fft.fft(vals, axis=0) / np.sqrt(w.grid.n_points)
     weight = (w.eps * np.abs(w.grid.k)) ** order
-    return float(np.sqrt(np.sum((weight[:, None] * np.abs(ft)) ** 2) * w.grid.dx))
+    return l2_norm(weight[:, None] * np.abs(ft), w.grid.dx)
 
 
 def sobolev_norm(w: NuclearWave | MolecularWave, order: int) -> float:

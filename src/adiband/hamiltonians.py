@@ -6,16 +6,15 @@ nuclear kinetic energy is assembled exactly in Fourier space, so the only
 approximation anywhere is the spatial discretization itself.
 
 Operators are stored real (float64) when their data is real: the kinetic
-term without an external vector potential, a model whose H_e(X_i) have
-exactly zero imaginary part, a band projection with real fiber blocks,
-and the effective Hamiltonian of `assemble_bo` when its gauge field
-(A_ext plus the clamped A_geo) is zero on the grid, as it is for a band
-with a real frame or with the connection dropped.  Real storage sends
-`eigh` to the real-symmetric solver, several times faster than the
-complex one.  Complex data (complex fibers, an external vector potential,
-a nonzero gauge field in `assemble_bo`) keeps complex128.  This module is
-the only place that decides the storage type of an operator;
-`assemble_diag` follows the dtype of its inputs.
+term at zero vector potential, a model whose H_e(X_i) have exactly zero
+imaginary part, a band projection with real fiber blocks, and the
+effective Hamiltonian of `assemble_bo` when its gauge field (A_ext plus
+the clamped A_geo) is zero on the grid, as it is for a band with a real
+frame or with the connection dropped.  Real storage sends `eigh` to the
+real-symmetric solver, several times faster than the complex one.
+Complex data (complex fibers, a nonzero vector potential) keeps
+complex128.  This module is the only place that decides the storage type
+of an operator; `assemble_diag` follows the dtype of its inputs.
 
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: `assemble_diag` takes the
@@ -24,13 +23,15 @@ package carries them as the band's fiber data: `assemble_diag` takes the
 the dense N x N and n x N matrices; they are the oracles the tests compare
 against.
 
-Band functions (energy, geometric vector potential, eigenvector frame)
-defined on an isolation window are extended to the whole periodic box
-before entering an operator: value and first derivative are matched at the
-clamp boundary, the field is constant beyond a short ramp, and the two
-constants are blended across the periodic seam.  States in all experiments
-stay far from both the window edge and the seam, so the extension policy
-only has to keep operators bounded and smooth.
+Band functions defined on an isolation window are extended to the whole
+periodic box before entering an operator.  The band energy and the
+geometric vector potential (`clamp_field`, window shrunk by delta/5) keep
+value and first derivative at the clamp boundary, turn constant beyond a
+short ramp, and have the two constants blended across the periodic seam.
+The eigenvector frame (`BandData.chi_clamped`, window shrunk by delta/2)
+holds its boundary value: it is constant beyond each boundary point.
+States in all experiments stay far from both the window edge and the seam,
+so the extension policy only has to keep operators bounded and smooth.
 """
 
 from __future__ import annotations
@@ -87,22 +88,42 @@ class DenseHamiltonian:
         return self.matrix.shape[0]
 
 
-def kinetic_matrix(grid: Grid1D, eps: float, a_ext=None) -> np.ndarray:
-    """Nuclear kinetic operator (eps*(-i d/dX) + eps*A_ext(X))^2 / 2, dense.
+def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -> np.ndarray:
+    """Covariant kinetic operator (eps*(-i d/dX) + eps*A(X))^2 / 2, dense.
 
-    Without A_ext the operator is real: the symbol (eps k)^2/2 is even on
-    the lattice (the Nyquist mode pairs with itself), so the imaginary part
-    of the Fourier product is rounding and is dropped.
+    `a_vals` holds the vector potential A sampled on the grid.  At zero
+    field (None or all zero) the operator is real: the symbol (eps k)^2/2 is
+    even on the lattice (the Nyquist mode pairs with itself), so the
+    imaginary part of the Fourier product is rounding and is dropped.
+
+    Otherwise the covariant derivative is built by phase dressing: with
+    Theta' = A - mean(A), the matrix exp(-i Theta) D exp(i Theta) + mean(A)
+    equals -i d/dX + A(X) to spectral accuracy on resolved states, and a
+    periodic gauge shift theta conjugates it exactly (the antiderivative
+    map is linear and lattice-exact on band-limited fields).
     """
-    if a_ext is None:
+    if a_vals is None or not np.any(a_vals):
         F = fourier_matrix(grid)
         return (F.conj().T @ ((eps * grid.k[:, None]) ** 2 / 2 * F)).real.copy()
+    a_bar = float(a_vals.mean())
+    ft = np.fft.fft(a_vals - a_bar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
+    phase = np.exp(1j * np.fft.ifft(ft_theta).real)
+    D = spectral_derivative_matrix(grid)
+    M = eps * (phase.conj()[:, None] * D * phase[None, :] + a_bar * np.eye(grid.n_points))
+    return (M @ M) / 2
+
+
+def _sample_a_ext(a_ext, grid: Grid1D) -> np.ndarray:
+    """A_ext(X_i) on the grid (zero for None); refuses a field that jumps at the seam."""
+    if a_ext is None:
+        return np.zeros(grid.n_points)
     a_vals = np.asarray([a_ext(X) for X in grid.x], dtype=float)
     seam = abs(a_ext(grid.x_min) - a_ext(grid.x_max))
     if seam > 1e-6 * (1 + np.abs(a_vals).max()):
         raise ValueError(f"external vector potential jumps by {seam:.3e} at the box seam")
-    M = eps * spectral_derivative_matrix(grid) + eps * np.diag(a_vals)
-    return (M @ M) / 2
+    return a_vals
 
 
 def assemble_full(
@@ -116,7 +137,7 @@ def assemble_full(
     Stored real when T is real and every H_e(X_i) has zero imaginary part.
     """
     n, m = grid.n_points, model.fiber_dim
-    T = kinetic_matrix(grid, eps, a_ext)
+    T = kinetic_matrix(grid, eps, _sample_a_ext(a_ext, grid))
     fibers = model.h_batch(grid.x)
     if np.isrealobj(T) and not np.any(fibers.imag):
         fibers = fibers.real
@@ -215,45 +236,26 @@ def assemble_bo(
 ) -> DenseHamiltonian:
     """Effective nuclear Hamiltonian of the tracked band.
 
-    (eps*(-i d/dX) + eps*A_ext + eps*A_geo)^2 / 2 + E(X), with the band
-    energy and the geometric vector potential clamped outside the window
-    shrunk by delta/5.  `berry` overrides the connection samples (used by
-    gauge-covariance checks); with include_a_geo=False the connection is
-    dropped entirely.  Stored real when the total gauge field is zero on
-    the grid.
+    (eps*(-i d/dX) + eps*A_ext + eps*A_geo)^2 / 2 + E(X): `kinetic_matrix`
+    of the summed field, A_ext sampled and seam-checked as in `assemble_full`,
+    with the band energy and the geometric vector potential clamped outside
+    the window shrunk by delta/5.  `berry` overrides the connection samples
+    (used by gauge-covariance checks); with include_a_geo=False the
+    connection is dropped entirely.  Stored real when the total gauge field
+    is zero on the grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")
     grid = band.grid
     E_ext = clamp_field(band.band_energy, grid, band.window, delta / 5)
-    a_vals = np.zeros(grid.n_points)
-    if a_ext is not None:
-        a_vals += np.asarray([a_ext(X) for X in grid.x], dtype=float)
+    a_vals = _sample_a_ext(a_ext, grid)
     if include_a_geo:
         if berry is None:
             from .electronic import berry_connection
 
             berry = berry_connection(band)
         a_vals += clamp_field(berry, grid, band.window, delta / 5)
-    if np.any(a_vals):
-        D = spectral_derivative_matrix(grid)
-        # covariant derivative by phase dressing: with Theta' = A - mean(A), the
-        # matrix exp(-i Theta) D exp(i Theta) + mean(A) equals -i d/dX + A(X) to
-        # spectral accuracy on resolved states, and a periodic gauge shift
-        # theta conjugates it exactly (the antiderivative map is linear and
-        # lattice-exact on band-limited fields)
-        a_bar = float(a_vals.mean())
-        ft = np.fft.fft(a_vals - a_bar)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
-        theta_tilde = np.fft.ifft(ft_theta).real
-        phase = np.exp(1j * theta_tilde)
-        M = eps * (phase.conj()[:, None] * D * phase[None, :] + a_bar * np.eye(grid.n_points))
-        H = (M @ M) / 2 + np.diag(E_ext)
-    else:
-        # zero field: the dressing is the identity, and (eps D)^2 / 2 is the
-        # real kinetic operator
-        H = kinetic_matrix(grid, eps) + np.diag(E_ext)
+    H = kinetic_matrix(grid, eps, a_vals) + np.diag(E_ext)
     return DenseHamiltonian(matrix=H, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 
 

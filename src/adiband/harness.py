@@ -16,9 +16,10 @@ out of the canonical payload.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,25 @@ def _wkb_wave(grid, eps, center, width, amp, k):
     )
 
 
+# the constructor of each state family; `state.params` are its keyword arguments
+_STATE_FAMILIES = {"coherent": coherent_state, "sharp_momentum": sharp_momentum_state, "wkb": _wkb_wave}
+
+# the config fields every scan reads
+_READ_BY_ALL = {"model", "grid", "eps_ladder", "functional", "times", "band_indices", "lift_band_index",
+                "window", "delta", "fit_residual_threshold", "state"}
+
+# what each functional reads: the other config fields, the `state` keys, and the
+# keys of the last state key's dict (None: the family constructor's keyword arguments)
+_READS = {
+    "decoupling": ({"energy_cutoff"}, ("family", "family_params"), {"q_centers", "p_centers", "wkb"}),
+    "effective_dynamics": ({"region", "alpha", "include_a_geo", "flow_dt"}, ("family", "params"), None),
+    "boundary_leakage": ({"region", "alpha", "include_a_geo"}, ("family", "params"), None),
+    "observable_pairing": ({"symbol"}, ("params",), {"centers"}),
+    "state_observables": ({"flow_dt"}, ("family", "params"), None),
+    "egorov": ({"symbol", "include_a_geo", "flow_dt"}, ("family", "params"), None),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One scan: a model system, a ladder of eps values, and a functional."""
@@ -120,16 +140,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
             )
-        self._check_state()
+        self._check_reads()
         if self.region is not None and self.window is not None:
-            a, b = self.window
-            reg = PhaseSpaceRegion(self.region)
-            q1, q2 = reg.q_bounds
-            if q1 <= a + self.delta or q2 >= b - self.delta:
-                raise ValueError(
-                    f"region q-extent ({q1}, {q2}) must lie inside the shrunk window "
-                    f"({a + self.delta}, {b - self.delta})"
-                )
+            PhaseSpaceRegion(self.region).check_inside(self.window, self.delta)
         if self.functional == "effective_dynamics":
             t_minus, t_plus = self.hitting_window()
             bad = [t for t in self.times if not (t_minus <= t <= t_plus)]
@@ -141,20 +154,26 @@ class ExperimentConfig:
         self._validated_json = text
         return self
 
-    def _check_state(self):
-        """Refuse a state key that the functional does not read."""
-        keys, nested = _STATE_KEYS.get(self.functional, ({"family", "params"}, None))
-        if set(self.state) != keys:
-            raise ValueError(
-                f"{self.functional} reads state keys {sorted(keys)}, got {sorted(self.state)}"
-            )
-        if nested is not None:
-            name, sub = nested
-            if set(self.state[name]) != sub:
-                raise ValueError(
-                    f"{self.functional} reads state.{name} keys {sorted(sub)}, "
-                    f"got {sorted(self.state[name])}"
-                )
+    def _check_reads(self):
+        """Refuse a field off its default, a state key or a state parameter the functional does not read."""
+        reads, keys, sub = _READS[self.functional]
+        defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(self)}
+        unread = [name for name, d in defaults.items() if name not in _READ_BY_ALL | reads and getattr(self, name) != d]
+        if unread:
+            raise ValueError(f"{self.functional} does not read {unread}; leave them at their defaults")
+        if set(self.state) != set(keys):
+            raise ValueError(f"{self.functional} reads state keys {sorted(keys)}, got {sorted(self.state)}")
+        nested = self.state[keys[-1]]
+        if sub is None:
+            family = self.state["family"]
+            if family not in _STATE_FAMILIES:
+                raise ValueError(f"unknown state family {family!r}; available: {sorted(_STATE_FAMILIES)}")
+            try:
+                inspect.signature(_STATE_FAMILIES[family]).bind(None, None, **nested)
+            except TypeError as exc:
+                raise ValueError(f"state.{keys[-1]} do not fit the {family} constructor: {exc}") from None
+        elif set(nested) != sub:
+            raise ValueError(f"{self.functional} reads state.{keys[-1]} keys {sorted(sub)}, got {sorted(nested)}")
         if self.functional == "decoupling" and self.state["family"] != "coherent":
             raise ValueError(f"decoupling needs the coherent state family, got {self.state['family']!r}")
 
@@ -189,24 +208,8 @@ class ExperimentConfig:
         return [self.lift_band_index] if self.lift_band_index is not None else self.band_indices
 
     def make_state(self, grid, band, eps):
-        fam = self.state["family"]
-        p = self.state.get("params", {})
-        if fam == "coherent":
-            wave, rho = coherent_state(grid, eps, p["q0"], p["p0"],
-                                       profile=p.get("profile", "gaussian"),
-                                       **p.get("profile_params", {}))
-        elif fam == "sharp_momentum":
-            prof = None
-            if p.get("boost"):
-                b, c, w0 = p["boost"], p.get("center", 0.0), p.get("width", 1.0)
-                prof = lambda X: np.exp(1j * b * X) * np.exp(-((X - c) ** 2) / (2 * w0**2))  # noqa: E731
-            wave, rho = sharp_momentum_state(grid, eps, p["p0"], profile=prof,
-                                             center=p.get("center", 0.0), width=p.get("width", 1.0))
-        elif fam == "wkb":
-            wave, rho = _wkb_wave(grid, eps, p.get("center", 0.0), p.get("width", 0.7),
-                                  p.get("amp", 0.4), p.get("k", np.pi / 8))
-        else:
-            raise ValueError(f"unknown state family {fam!r}")
+        """(lifted molecular wave, nuclear wave, classical density) of the configured family."""
+        wave, rho = _STATE_FAMILIES[self.state["family"]](grid, eps, **self.state["params"])
         return lift_to_band(wave, band, self.delta), wave, rho
 
     # -- (de)serialization --------------------------------------------------
@@ -469,16 +472,8 @@ def _scan_state_observables(cfg: ExperimentConfig, cache: PropagatorCache, eps: 
     band = cfg.build_band(cfg.lift_band())
     pf = cache.full(cfg, model, grid, eps)
     psi0, _, rho = cfg.make_state(grid, band, eps)
-    psit = evolve(pf, psi0, t)
     _, dE = band_energy_interpolant(band, cfg.delta)
-    flowed = rho.flowed(dE, t, cfg.flow_dt)
-    worst = 0.0
-    for sym in _OBSERVABLE_SET:
-        A = weyl_quantize(sym, grid, eps)
-        vals = psit.values
-        qm = float(np.real(np.einsum("ia,ij,ja->", vals.conj(), A, vals)) * grid.dx)
-        worst = max(worst, abs(qm - flowed.expectation(sym)))
-    return worst
+    return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, t, dE, dt=cfg.flow_dt)
 
 
 def _scan_egorov(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
@@ -487,7 +482,7 @@ def _scan_egorov(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: f
     _, phi0, rho = cfg.make_state(band.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
     sym = _named_symbol(cfg.symbol or "q")
-    return egorov_residual(pb, sym, phi0, rho, t, dE, dt=cfg.flow_dt)
+    return egorov_residual(pb, [sym], phi0, rho, t, dE, dt=cfg.flow_dt)
 
 
 FUNCTIONALS = {
@@ -497,13 +492,6 @@ FUNCTIONALS = {
     "observable_pairing": _scan_observable_pairing,
     "state_observables": _scan_state_observables,
     "egorov": _scan_egorov,
-}
-
-# the `state` keys a functional reads, and the keys of the one nested dict it
-# reads; every other functional reads `family` and `params` (make_state)
-_STATE_KEYS = {
-    "decoupling": ({"family", "family_params"}, ("family_params", {"q_centers", "p_centers", "wkb"})),
-    "observable_pairing": ({"params"}, ("params", {"centers"})),
 }
 
 
@@ -562,9 +550,8 @@ _CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 def _config(name, **overrides) -> ExperimentConfig:
     """The acceptance configuration `configs/<name>.json` with fields overridden."""
     data = json.loads((_CONFIG_DIR / f"{name}.json").read_text())
-    data.pop("schema_version", None)
     data.update(overrides)
-    return ExperimentConfig(**data).validate()
+    return ExperimentConfig.from_json(json.dumps(data))
 
 
 @dataclass
@@ -626,18 +613,13 @@ def _rate_crit(cid, res, lo, hi=None, **extra):
 
 
 def _suite_decoupling(seed, cache):
-    cfg = _config("decoupling")
+    cutoff = _config("decoupling", energy_cutoff=2.0)
     crits = [
-        _rate_crit("decoupling-rate", eps_scan(cfg, cache), 0.75, 1.25),
-        _rate_crit("decoupling-rate-with-cutoff",
-                   eps_scan(_config("decoupling", energy_cutoff=2.0, times=[1.0]), cache), 0.75),
+        _rate_crit("decoupling-rate", eps_scan(_config("decoupling"), cache), 0.75, 1.25),
+        _rate_crit("decoupling-rate-with-cutoff", eps_scan(cutoff, cache), 0.75),
     ]
-    e1 = _scan_decoupling(
-        _config("decoupling", energy_cutoff=2.0), cache, 0.05, 1.0
-    )
-    e2 = _scan_decoupling(
-        _config("decoupling", energy_cutoff=2.0), cache, 0.05, 2.0
-    )
+    e1 = _scan_decoupling(cutoff, cache, 0.05, 1.0)
+    e2 = _scan_decoupling(cutoff, cache, 0.05, 2.0)
     crits.append(
         _crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)
     )

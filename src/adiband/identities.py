@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electronic import BandData, fd_derivative, grad_projection
-from .grids import sobolev_norm, spectral_derivative_matrix
+from .electronic import BandData, fd_derivative, grad_projection, offdiag_spectral_sum, resolvent_quadrature
+from .grids import l2_norm, sobolev_norm, spectral_derivative_matrix
 from .hamiltonians import assemble_diag, assemble_full
 from .models import ElectronicModel
 
@@ -80,29 +80,16 @@ def commutator_inverse(
     if gap < min_gap:
         raise ValueError(f"gap {gap:.3e} at X={X} below the safe floor {min_gap:.1e}")
     dH = model.dh(X)
-    m = len(w)
     if method == "spectral":
-        B = np.zeros((m, m), dtype=complex)
-        for a in others:
-            for b in cols:
-                B += np.outer(v[:, a], v[:, b].conj()) * (
-                    (v[:, a].conj() @ dH @ v[:, b]) / (w[a] - w[b]) ** 2
-                )
-        return B
+        return offdiag_spectral_sum(w, v, dH, others, cols, lambda wa, wb: (wa - wb) ** 2)
     if method != "contour":
         raise ValueError(f"unknown method {method!r}")
     sel = w[cols]
     center = (sel.min() + sel.max()) / 2
     radius = (sel.max() - sel.min()) / 2 + gap / 2
     Psel = v[:, cols] @ v[:, cols].conj().T
-    Pperp = np.eye(m) - Psel
-    H = model.h(X)
-    B = np.zeros((m, m), dtype=complex)
-    for th in 2 * np.pi * np.arange(nodes) / nodes:
-        lam = center + radius * np.exp(1j * th)
-        R = np.linalg.inv(H - lam * np.eye(m))
-        B -= np.exp(1j * th) * (R @ R @ Pperp @ dH @ R @ Psel)
-    return B * (radius / nodes)
+    Pperp = np.eye(len(w)) - Psel
+    return resolvent_quadrature(model.h(X), center, radius, nodes, lambda R: R @ R @ Pperp @ dH @ R @ Psel)
 
 
 def commutator_inverse_residual(model: ElectronicModel, band: BandData, X: float) -> float:
@@ -175,8 +162,8 @@ def offdiag_scaling(
             vec = psi.flat()
             o = offdiag @ vec
             r = o - lead @ vec
-            worst_off = max(worst_off, np.sqrt(np.sum(np.abs(o) ** 2) * grid.dx) / den)
-            worst_rem = max(worst_rem, np.sqrt(np.sum(np.abs(r) ** 2) * grid.dx) / den)
+            worst_off = max(worst_off, l2_norm(o, grid.dx) / den)
+            worst_rem = max(worst_rem, l2_norm(r, grid.dx) / den)
         off_norms.append(worst_off)
         rem_norms.append(worst_rem)
     le = np.log(eps_ladder)

@@ -82,6 +82,12 @@ class PhaseSpaceRegion:
     def p_bounds(self):
         return (min(r[2] for r in self.rects), max(r[3] for r in self.rects))
 
+    def check_inside(self, window, delta: float):
+        """Raise ValueError unless the q-extent lies inside the window shrunk by delta."""
+        lo, hi = window[0] + delta, window[1] - delta
+        if not (lo < self.q_bounds[0] and self.q_bounds[1] < hi):
+            raise ValueError(f"region q-extent {self.q_bounds} not inside the shrunk window ({lo}, {hi})")
+
     def erode(self, alpha: float) -> "PhaseSpaceRegion":
         """Per-axis erosion by alpha (the inner core of each rectangle)."""
         inner = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .electronic import BandData
-from .grids import MolecularWave, NuclearWave, norm, sobolev_norm
+from .grids import MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
 from .hamiltonians import DenseHamiltonian, u_map, u_star_map
 
 __all__ = [
@@ -118,13 +118,13 @@ def decoupling_error(
     vec = psi0.flat()
     if energy_cutoff is not None:
         vec = prop_full.energy_cutoff_apply(vec, energy_cutoff)
-        denom = float(np.sqrt(np.sum(np.abs(vec) ** 2) * psi0.grid.dx))
+        denom = l2_norm(vec, psi0.grid.dx)
         if denom == 0.0:
             raise ValueError("energy cutoff annihilated the state")
     else:
         denom = sobolev_norm(psi0, 2)
     d = prop_full.apply(vec, t) - prop_diag.apply(vec, t)
-    return float(np.sqrt(np.sum(np.abs(d) ** 2) * psi0.grid.dx) / denom)
+    return l2_norm(d, psi0.grid.dx) / denom
 
 
 def effective_dynamics_error(
@@ -149,4 +149,4 @@ def effective_dynamics_error(
         raise ValueError("projected initial state vanishes; state and region are disjoint")
     reduced = evolve(prop_bo, u_map(projected, band, delta), t)
     d = prop_full.apply(projected.flat(), t) - u_star_map(reduced, band, delta).flat()
-    return float(np.sqrt(np.sum(np.abs(d) ** 2) * projected.grid.dx) / nP)
+    return l2_norm(d, projected.grid.dx) / nP

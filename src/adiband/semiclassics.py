@@ -28,10 +28,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .electronic import BandData
-from .grids import Grid1D, MolecularWave, NuclearWave
+from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm
 from .hamiltonians import clamp_field, u_map, u_star_map
 from .indicators import PhaseSpaceRegion, SmoothIndicator, interval_indicator, smooth_indicator
-from .propagation import SpectralPropagator
+from .propagation import SpectralPropagator, evolve
 
 __all__ = [
     "Symbol",
@@ -107,9 +107,9 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     """Dense midpoint quantization of a(q, p) with eps-scaled momentum.
 
     Linear in the symbol; real symbols give Hermitian matrices; the
-    operator norm is bounded by sup|a| up to O(eps) corrections.
+    operator norm is bounded by sup|a| up to O(eps) corrections.  `symbol`
+    is any callable a(q, p), a `Symbol` among them.
     """
-    fun = symbol.fun if isinstance(symbol, Symbol) else symbol
     n = grid.n_points
     x = grid.x
     # midpoints (X_i + X_l)/2 take only 2n-1 distinct values, and the phase
@@ -117,7 +117,7 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     # (exact including wrapped modes, since X_i - X_l is a lattice multiple
     # of dx and n*dk*dx = 2*pi): tabulate the symbol once and FFT over k.
     mids = x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
-    table = np.asarray(fun(mids[:, None], eps * grid.k[None, :]), dtype=complex)
+    table = np.asarray(symbol(mids[:, None], eps * grid.k[None, :]), dtype=complex)
     G = np.fft.ifft(table, axis=1) * n
     I, L = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     A = G[I + L, (I - L) % n]
@@ -132,18 +132,11 @@ def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float,
     (zero outside the band window).
     """
     if band.window is not None:
-        a, b = band.window
-        q1, q2 = region.q_bounds
-        if q1 <= a + delta or q2 >= b - delta:
-            raise ValueError(
-                f"region q-extent ({q1}, {q2}) not inside the shrunk window "
-                f"({a + delta}, {b - delta})"
-            )
-        lam_ind = interval_indicator(band.grid.x, [(a, b)], margin=delta)
+        region.check_inside(band.window, delta)
+        lam_ind = interval_indicator(band.grid.x, [band.window], margin=delta)
     else:
         lam_ind = np.ones(band.grid.n_points)
-    ind = smooth_indicator(region, alpha)
-    W = weyl_quantize(lambda q, p: ind(q, p), band.grid, eps)
+    W = weyl_quantize(smooth_indicator(region, alpha), band.grid, eps)
     chi = band.chi_clamped(delta / 2)
     r = np.einsum("ia,iab->ib", chi.conj(), band.proj) * band.mask[:, None]
     return chi, lam_ind, W, r
@@ -214,6 +207,18 @@ def band_energy_interpolant(band: BandData, delta: float = 0.5):
     return E, dE
 
 
+def _kick(energy_grad, q, p, h):
+    """The Verlet half kick p - (h/2) dE(q); h is a step, or one step per point."""
+    return p - 0.5 * h * np.asarray(energy_grad(q), dtype=float)
+
+
+def _verlet_step(energy_grad, q, p, h):
+    """One kick-drift-kick step of size h; returns the new (q, p)."""
+    p = _kick(energy_grad, q, p, h)
+    q = q + h * p
+    return q, _kick(energy_grad, q, p, h)
+
+
 def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3, q_bounds=None):
     """Flow (q, p) -> (q(t), p(t)) with qdot = p, pdot = -dE(q), Verlet steps.
 
@@ -221,15 +226,13 @@ def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3, q_bounds=None):
     step (the final partial step is shortened to land exactly on t).
     Energy drift is O(dt^2) per unit time; the map is time-reversible.
     """
-    z = np.atleast_2d(np.asarray(z0, dtype=float)).copy()
+    z = np.atleast_2d(np.asarray(z0, dtype=float))
     q, p = z[:, 0], z[:, 1]
     remaining = float(t)
     sgn = 1.0 if remaining >= 0 else -1.0
     while abs(remaining) > 1e-15:
         h = sgn * min(dt, abs(remaining))
-        p -= 0.5 * h * np.asarray(energy_grad(q), dtype=float)
-        q += h * p
-        p -= 0.5 * h * np.asarray(energy_grad(q), dtype=float)
+        q, p = _verlet_step(energy_grad, q, p, h)
         remaining -= h
         if q_bounds is not None and (np.any(q <= q_bounds[0]) or np.any(q >= q_bounds[1])):
             raise RuntimeError(f"trajectory left the window {q_bounds} at t={t - remaining:.4f}")
@@ -246,26 +249,24 @@ def _first_exit(energy_grad, q0, p0, lo, hi, dt, horizon) -> float:
     bisection to dt/64.  A cloud that stays inside (or leaves only in the
     step that overshoots the horizon) gives exactly the horizon.
     """
-    q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
-    p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
+    q = np.atleast_1d(np.asarray(q0, dtype=float))
+    p = np.atleast_1d(np.asarray(p0, dtype=float))
     t = 0.0
     while t < horizon:
-        q_prev, p_prev = q.copy(), p.copy()
-        p -= 0.5 * dt * np.asarray(energy_grad(q), dtype=float)
-        q += dt * p
-        p -= 0.5 * dt * np.asarray(energy_grad(q), dtype=float)
+        q_prev, p_prev = q, p
+        q, p = _verlet_step(energy_grad, q, p, dt)
         t += dt
         out = ~((q > lo) & (q < hi))
         if out.any():
-            # bisection refinement inside the last step, to dt/64
+            # bisection refinement inside the last step, to dt/64 (a partial
+            # step's position needs only its first kick)
             frac_lo = np.zeros(out.sum())
             frac_hi = np.ones(out.sum())
             qp, pp = q_prev[out], p_prev[out]
             for _ in range(6):
                 mid = (frac_lo + frac_hi) / 2
                 h = dt * mid
-                pm = pp - 0.5 * h * np.asarray(energy_grad(qp), dtype=float)
-                qm = qp + h * pm
+                qm = qp + h * _kick(energy_grad, qp, pp, h)
                 inside = (qm > lo) & (qm < hi)
                 frac_lo = np.where(inside, mid, frac_lo)
                 frac_hi = np.where(inside, frac_hi, mid)
@@ -280,27 +281,24 @@ def hitting_times(
     energy_grad,
     alpha: float = 0.2,
     dt: float = 1e-3,
-    resolution: float | None = None,
     horizon: float = 50.0,
 ):
     """First times at which the flowed region's position support leaves the
     shrunk window, forward (T+) and backward (T-).
 
-    The region is sampled on an inclusive uniform lattice (spacing
-    resolution, default alpha/4); the reported T+ is the earliest exit over
-    the cloud, a conservative under-approximation, capped at the horizon.
+    The region is sampled on an inclusive uniform lattice (spacing alpha/4);
+    the reported T+ is the earliest exit over the cloud, a conservative
+    under-approximation, capped at the horizon.
     Each direction's flow stops at the first Verlet step in which any
     point leaves, so the cost scales with T+ and |T-|, not the horizon.
     Enlarging the region can only decrease T+.
     """
+    region.check_inside(window, delta)
     a, b = window
     lo, hi = a + delta, b - delta
-    cloud = region.sample_cloud(resolution if resolution is not None else alpha / 4)
+    cloud = region.sample_cloud(alpha / 4)
     if cloud.size == 0:
         raise ValueError("empty sampling cloud")
-    q1, q2 = region.q_bounds
-    if q1 <= lo or q2 >= hi:
-        raise ValueError(f"region q-extent ({q1}, {q2}) not inside ({lo}, {hi})")
     t_plus = _first_exit(energy_grad, cloud[:, 0], cloud[:, 1], lo, hi, dt, horizon)
     # backward flow = forward flow with reflected momentum
     t_minus = _first_exit(energy_grad, cloud[:, 0], -cloud[:, 1], lo, hi, dt, horizon)
@@ -332,8 +330,7 @@ class ClassicalDensity:
         object.__setattr__(self, "weights", w)
 
     def expectation(self, symbol) -> float:
-        fun = symbol.fun if isinstance(symbol, Symbol) else symbol
-        return float(np.sum(self.weights * fun(self.points[:, 0], self.points[:, 1])))
+        return float(np.sum(self.weights * symbol(self.points[:, 0], self.points[:, 1])))
 
     def flowed(self, energy_grad, t: float, dt: float = 1e-3) -> "ClassicalDensity":
         pts = classical_flow(energy_grad, self.points, t, dt)
@@ -415,24 +412,30 @@ def write_wigner_csv(wd: WignerData, path, grid_label: str = "", t: float | None
 
 
 def egorov_residual(
-    prop_bo: SpectralPropagator,
-    symbol,
-    phi0: NuclearWave,
+    prop: SpectralPropagator,
+    symbols,
+    psi0: NuclearWave | MolecularWave,
     rho: ClassicalDensity,
     t: float,
     energy_grad,
     dt: float = 1e-3,
 ) -> float:
-    """|<phi_t, a^W phi_t> - int (a o flow_t) d rho|.
+    """Egorov defect max_a |<psi_t, a^W psi_t> - int (a o flow_t) d rho| over the symbols a.
 
-    phi0 must realize rho in the semiclassical-distribution sense (the
-    state constructors return matched pairs).
+    psi0 is a nuclear wave under a Born-Oppenheimer propagator, or a molecular
+    wave under the full one (a^W acting on each fiber component); it must
+    realize rho in the semiclassical-distribution sense (the state
+    constructors return matched pairs).  rho is flowed once.
     """
-    A = weyl_quantize(symbol, phi0.grid, phi0.eps)
-    v = prop_bo.apply(phi0.values, t)
-    qm = float(np.real(np.vdot(v, A @ v)) * phi0.grid.dx)
-    cl = rho.flowed(energy_grad, t, dt).expectation(symbol)
-    return abs(qm - cl)
+    vals = evolve(prop, psi0, t).values
+    v = vals if vals.ndim == 2 else vals[:, None]
+    flowed = rho.flowed(energy_grad, t, dt)
+    worst = 0.0
+    for sym in symbols:
+        A = weyl_quantize(sym, psi0.grid, psi0.eps)
+        qm = float(np.real(np.einsum("ia,ij,ja->", v.conj(), A, v)) * psi0.grid.dx)
+        worst = max(worst, abs(qm - flowed.expectation(sym)))
+    return worst
 
 
 def boundary_leakage(
@@ -449,21 +452,19 @@ def boundary_leakage(
     ||(1 - 1_{window - delta}) e^{-iH_bo t/eps} (region indicator)^W phi0||.
     """
     grid = phi0.grid
-    ind = smooth_indicator(region, alpha)
-    W = weyl_quantize(lambda q, p: ind(q, p), grid, phi0.eps)
+    W = weyl_quantize(smooth_indicator(region, alpha), grid, phi0.eps)
     v = prop_bo.apply(W @ phi0.values, t)
     a, b = window
     outside = (grid.x <= a + delta) | (grid.x >= b - delta)
-    return float(np.sqrt(np.sum(np.abs(v[outside]) ** 2) * grid.dx))
+    return l2_norm(v[outside], grid.dx)
 
 
 def reduced_observable_residual(
-    symbol,
+    symbol: Symbol,
     band: BandData,
     delta: float,
     eps: float,
     states: list,
-    check_f2: bool = True,
 ) -> float:
     """Worst-case defect of moving an observable through the band identification.
 
@@ -471,27 +472,19 @@ def reduced_observable_residual(
     Symbols failing the p-smoothness estimate are rejected.
     """
     grid = band.grid
-    if check_f2:
-        sym = symbol if isinstance(symbol, Symbol) else Symbol(symbol)
-        rep = sym.f2_estimate(grid, eps)
-        if not rep.ok:
-            raise ValueError(
-                f"symbol {sym.name!r} fails the p-integrability estimate "
-                f"(tail fraction {rep.tail_fraction:.2f})"
-            )
+    rep = symbol.f2_estimate(grid, eps)
+    if not rep.ok:
+        raise ValueError(
+            f"symbol {symbol.name!r} fails the p-integrability estimate "
+            f"(tail fraction {rep.tail_fraction:.2f})"
+        )
     A = weyl_quantize(symbol, grid, eps)
-    if band.window is not None:
-        a, b = band.window
-        sharp = ((grid.x > a + delta) & (grid.x < b - delta)).astype(float)
-    else:
-        sharp = np.ones(grid.n_points)
-    cut = (sharp * band.mask)[:, None]
+    cut = (band.window_slice(delta) & band.mask)[:, None]
     worst = 0.0
     for psi in states:
         y = MolecularWave(grid, cut * np.einsum("iab,ib->ia", band.proj, psi.values), eps=eps)
         reduced = u_map(y, band, delta)
         through = u_star_map(NuclearWave(grid, A @ reduced.values, eps=eps), band, delta)
         d = A @ y.values - through.values
-        nrm = float(np.sqrt(np.sum(np.abs(psi.values) ** 2) * grid.dx))
-        worst = max(worst, float(np.sqrt(np.sum(np.abs(d) ** 2) * grid.dx) / nrm))
+        worst = max(worst, l2_norm(d, grid.dx) / norm(psi))
     return worst

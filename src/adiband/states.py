@@ -6,8 +6,8 @@ eps -> 0.  The families converge at different rates:
 
 * localized wave packets (coherent_state): sqrt(eps) in general; symmetric
   envelopes hide the sqrt(eps) moment term, the skewed preset exposes it;
-* sharp momentum / sharp position: eps (the boosted preset makes the
-  first-order term visible in the momentum moments);
+* sharp momentum / sharp position: eps (a boosted sharp-momentum envelope
+  makes the first-order term visible in the momentum moments);
 * WKB states f e^{iS/eps}: at least sqrt(eps) (the standard polynomial
   observables converge faster).
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .electronic import BandData
-from .grids import Grid1D, MolecularWave, NuclearWave
+from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm
 from .hamiltonians import u_star_map
 from .semiclassics import ClassicalDensity
 
@@ -36,28 +36,22 @@ __all__ = [
 ]
 
 
-def envelope(name: str = "gaussian", **params):
+def envelope(name: str = "gaussian", skew: float = 0.5):
     """Schwartz-class envelope presets on the rescaled coordinate u.
 
     'gaussian':       exp(-u^2/2)
-    'gaussian_skew':  (1 + skew*u) exp(-u^2/2), skew default 0.5 (nonzero
-                      first moment: exposes the sqrt(eps) packet rate)
-    'boosted_gaussian': exp(i*boost*u) exp(-u^2/2) (nonzero momentum-frame
-                      mean: exposes the eps rate of the sharp families)
+    'gaussian_skew':  (1 + skew*u) exp(-u^2/2) (nonzero first moment:
+                      exposes the sqrt(eps) packet rate)
     """
     if name == "gaussian":
         return lambda u: np.exp(-(u**2) / 2)
     if name == "gaussian_skew":
-        c = params.get("skew", 0.5)
-        return lambda u: (1 + c * u) * np.exp(-(u**2) / 2)
-    if name == "boosted_gaussian":
-        b = params.get("boost", 1.0)
-        return lambda u: np.exp(1j * b * u) * np.exp(-(u**2) / 2)
+        return lambda u: (1 + skew * u) * np.exp(-(u**2) / 2)
     raise KeyError(f"unknown envelope {name!r}")
 
 
 def _normalized(grid, values, eps):
-    nrm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
+    nrm = l2_norm(values, grid.dx)
     if nrm == 0:
         raise ValueError("zero state")
     return NuclearWave(grid, values / nrm, eps=eps)
@@ -77,21 +71,22 @@ def coherent_state(
     q0: float,
     p0: float,
     profile="gaussian",
-    **profile_params,
+    skew: float = 0.5,
 ):
     """Wave packet tracking the classical point (q0, p0).
 
     phi(X) = eps^{-1/4} e^{i p0 (X-q0)/eps} profile((X-q0)/sqrt(eps)),
-    normalized.  The matched classical density is the point mass at
-    (q0, p0).  Raises if the packet (5*sqrt(eps) halo) does not fit in the
-    position or momentum window.
+    normalized, with `profile` an `envelope` name (`skew` is the
+    'gaussian_skew' weight) or a callable of u.  The matched classical
+    density is the point mass at (q0, p0).  Raises if the packet
+    (5*sqrt(eps) halo) does not fit in the position or momentum window.
     """
     halo = 5 * np.sqrt(eps)
     _check_position_clearance(grid, q0, halo)
     p_max = eps * np.abs(grid.k).max()
     if abs(p0) + halo > p_max:
         raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
-    prof = envelope(profile, **profile_params) if isinstance(profile, str) else profile
+    prof = envelope(profile, skew) if isinstance(profile, str) else profile
     u = (grid.x - q0) / np.sqrt(eps)
     vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
     wave = _normalized(grid, vals, eps)
@@ -99,15 +94,17 @@ def coherent_state(
     return wave, rho
 
 
-def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, center=0.0, width=1.0):
+def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, center=0.0, width=1.0, boost=0.0):
     """Plane-wave-modulated envelope: sharp momentum, eps-independent density.
 
     phi(X) = e^{i p0 X / eps} g(X), classical density
     delta(p - p0) |g(q)|^2 dq dp.  The modulus of the state does not depend
-    on eps; the scaled momentum concentrates at p0 at rate eps.
+    on eps; the scaled momentum concentrates at p0 at rate eps.  Without a
+    `profile` callable, g(X) = e^{i boost X} exp(-(X - center)^2 / (2 width^2));
+    a nonzero boost (frame momentum) makes the first-order term visible.
     """
     if profile is None:
-        g = np.exp(-((grid.x - center) ** 2) / (2 * width**2)).astype(complex)
+        g = np.exp(1j * boost * grid.x) * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
     else:
         g = np.asarray(profile(grid.x), dtype=complex)
     p_max = eps * np.abs(grid.k).max()

@@ -1,9 +1,11 @@
-"""Every adiband name the benchmark's tracer hooks must still exist, with the same kind.
+"""Every adiband name the benchmark's tracer hooks must still exist, with the same kind,
+and every adiband call in the benchmark's workloads must still bind to its signature.
 
-perfbench/run.py imports perfbench/tracer.py on every run, and the tracer
-resolves its hooks by name (span names come from `fn.__module__` and
-`fn.__name__`), so a rename or move breaks every benchmark run.  The tracer
-is parsed with `ast`, not imported.
+perfbench/run.py imports perfbench/tracer.py and perfbench/workloads.py on
+every run.  The tracer resolves its hooks by name (span names come from
+`fn.__module__` and `fn.__name__`), and the workloads call the package's
+API directly, so a rename, a move or a changed signature breaks every
+benchmark run.  Both files are parsed with `ast`, not imported.
 """
 
 import ast
@@ -13,7 +15,23 @@ from pathlib import Path
 
 import pytest
 
+from adiband import harness
+from adiband.harness import ExperimentConfig, PropagatorCache
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
+
+# the adiband callables perfbench/workloads.py calls, by attribute name, and
+# whether the call goes through an instance (so `self` is bound implicitly)
+WORKLOAD_CALLS = {
+    "full": (PropagatorCache.full, True),
+    "diag": (PropagatorCache.diag, True),
+    "from_json": (ExperimentConfig.from_json, False),
+    "build_model": (ExperimentConfig.build_model, True),
+    "build_grid": (ExperimentConfig.build_grid, True),
+    "build_band": (ExperimentConfig.build_band, True),
+    "eps_scan": (harness.eps_scan, False),
+}
 
 # the kind of each class attribute the tracer replaces
 METHOD_KINDS = {
@@ -95,3 +113,22 @@ def test_traced_method_exists_with_its_kind(cls_node, attr):
     assert attr in vars(cls), f"{name}.{attr} is not defined on the class"
     assert (name, attr) in METHOD_KINDS, f"{name}.{attr}: state its kind in METHOD_KINDS"
     assert _kind(vars(cls)[attr]) == METHOD_KINDS[name, attr]
+
+
+def _workload_calls():
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in WORKLOAD_CALLS]
+
+
+def test_workload_calls_found():
+    assert {call.func.attr for call in _workload_calls()} == set(WORKLOAD_CALLS)
+
+
+@pytest.mark.parametrize("call", _workload_calls(), ids=lambda call: f"line{call.lineno}-{call.func.attr}")
+def test_workload_call_binds_to_current_signature(call):
+    fn, via_instance = WORKLOAD_CALLS[call.func.attr]
+    assert not any(isinstance(a, ast.Starred) for a in call.args) and all(k.arg for k in call.keywords)
+    args = [None] * (len(call.args) + via_instance)
+    inspect.signature(fn).bind(*args, **{k.arg: None for k in call.keywords})

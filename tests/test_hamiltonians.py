@@ -59,11 +59,30 @@ def test_full_is_hermitian(ac_setup):
 
 
 def test_a_ext_seam_validation():
+    # both assemblers sample A_ext through one seam check
     grid = make_grid(-8, 8, 64)
-    with pytest.raises(ValueError):
-        kinetic_matrix(grid, 0.1, a_ext=lambda X: X)  # jumps at the seam
-    # periodic vector potential is accepted
-    kinetic_matrix(grid, 0.1, a_ext=lambda X: 0.3 * np.sin(np.pi * X / 4))
+    model = get_model("free")
+    band = band_decompose(model, grid, 0)
+    for assemble in (lambda a: assemble_full(model, grid, 0.1, a_ext=a),
+                     lambda a: assemble_bo(band, 0.1, a_ext=a, include_a_geo=False)):
+        with pytest.raises(ValueError, match="seam"):
+            assemble(lambda X: X)  # jumps at the seam
+        # periodic vector potential is accepted
+        assemble(lambda X: 0.3 * np.sin(np.pi * X / 4))
+
+
+@pytest.mark.parametrize(
+    "a_ext", [lambda X: 0.3 * np.sin(np.pi * X / 4), lambda X: 0.2 + 0.1 * np.cos(np.pi * X / 8)], ids=["sine", "shifted"]
+)
+def test_full_and_bo_share_the_covariant_kinetic_term(a_ext):
+    # the free model has H_e = 0 and E = 0, so both operators are the kinetic term
+    grid = make_grid(-8, 8, 64)
+    model = get_model("free")
+    band = band_decompose(model, grid, 0)
+    H_full = assemble_full(model, grid, 0.1, a_ext=a_ext).matrix
+    H_bo = assemble_bo(band, 0.1, a_ext=a_ext, include_a_geo=False).matrix
+    assert np.abs(H_full).max() > 0.1
+    assert np.abs(H_full - H_bo).max() <= 1e-13
 
 
 def test_diag_trivial_projections(ac_setup):

@@ -31,7 +31,6 @@ def small_config(**over):
         eps_ladder=[0.2, 0.1, 0.05],
         times=[0.0],
         functional="observable_pairing",
-        symbol="p",
         state={"params": {"centers": [[-0.5, 0.4], [0.6, -0.3]]}},
     )
     base.update(over)
@@ -171,11 +170,32 @@ def test_from_json_names_unknown_fields():
         ("observable_pairing", {"params": {"centers": [[0.0, 0.4]], "q0": 0.0}}, "state.params keys"),
         ("state_observables", {"family": "coherent", "params": {"q0": 0.0, "p0": 0.4}, "seed": 1},
          "state keys"),
+        # state.params are the keyword arguments of the family constructor, with no hidden defaults
+        ("state_observables", {"family": "coherent", "params": {"q0": 0.3, "p0": 0.4, "profile": "gaussian_skew",
+                                                                "widht": 2.0}}, "widht"),
+        ("state_observables", {"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4}}, "'k'"),
+        ("egorov", {"family": "sharp_momentum", "params": {"p0": 0.45, "bost": 1.0}}, "bost"),
+        ("effective_dynamics", {"family": "squeezed", "params": {}}, "unknown state family"),
     ],
 )
 def test_config_rejects_unread_state_keys(functional, state, message):
     with pytest.raises(ValueError, match=message):
         small_config(functional=functional, band_indices=[0, 1], lift_band_index=0, state=state)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"energy_cutoff": 2.0}, {"include_a_geo": False}, {"flow_dt": 0.5}, {"alpha": 0.2},
+     {"region": [[-1.0, 1.0, -0.5, 0.5]]}],
+)
+def test_config_rejects_fields_the_functional_does_not_read(override):
+    # observable_pairing reads none of these; at their defaults they pass
+    with pytest.raises(ValueError, match=rf"does not read \['{next(iter(override))}'\]"):
+        small_config(**override)
+    small_config(energy_cutoff=None, include_a_geo=True, flow_dt=1e-3, alpha=0.3, region=None)
+    with pytest.raises(ValueError, match=r"does not read \['symbol'\]"):
+        small_config(functional="state_observables", symbol="q",
+                     state={"family": "coherent", "params": {"q0": 0.0, "p0": 0.4}})
 
 
 @pytest.mark.parametrize(
@@ -226,7 +246,9 @@ def _berry_config(**over):
 
 @pytest.mark.parametrize("symbol", ["q", "p"])
 def test_egorov_scan_first_order(symbol):
-    res = eps_scan(_berry_config(functional="egorov", symbol=symbol), PropagatorCache())
+    # egorov reads no phase-space region: its region and alpha stay at their defaults
+    cfg = _berry_config(functional="egorov", symbol=symbol, region=None, alpha=0.3)
+    res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
     assert 0.75 <= res.slope <= 1.25
 

@@ -179,3 +179,13 @@ def test_sharp_momentum_boosted_rate(grid):
         errs.append(abs(pm - 0.5))
     slope = np.polyfit(np.log(ladder), np.log(errs), 1)[0]
     assert abs(slope - 1.0) <= 0.1
+
+
+def test_sharp_momentum_boost_is_the_boosted_gaussian_profile(grid):
+    eps, center, width = 0.1, 0.2, 0.8
+    w1, r1 = sharp_momentum_state(grid, eps, 0.45, center=center, width=width, boost=1.0)
+    w2, r2 = sharp_momentum_state(
+        grid, eps, 0.45, profile=lambda X: np.exp(1j * X) * np.exp(-((X - center) ** 2) / (2 * width**2))
+    )
+    assert np.array_equal(w1.values, w2.values)
+    assert np.array_equal(r1.points, r2.points) and np.array_equal(r1.weights, r2.weights)
