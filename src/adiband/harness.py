@@ -20,6 +20,7 @@ import inspect
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,14 @@ from .hamiltonians import assemble_bo, assemble_diag, assemble_full, u_map, u_st
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
 from .models import ElectronicModel, get_model
-from .propagation import SpectralPropagator, decoupling_error, diagonalize, effective_dynamics_error, evolve
+from .propagation import (
+    SpectralPropagator,
+    StateBlock,
+    decoupling_error,
+    diagonalize,
+    effective_dynamics_error,
+    evolve,
+)
 from .semiclassics import (
     Symbol,
     apply_phase_space_projection,
@@ -43,7 +51,7 @@ from .semiclassics import (
     weyl_quantize,
     wigner_marginal,
 )
-from .states import coherent_state, lift_to_band, sharp_momentum_state, wkb_state
+from .states import coherent_state, envelope, lift_to_band, sharp_momentum_state, wkb_state
 
 __all__ = [
     "ExperimentConfig",
@@ -77,6 +85,23 @@ def _wkb_wave(grid, eps, center, width, amp, k):
 # the constructor of each state family; `state.params` are its keyword arguments
 _STATE_FAMILIES = {"coherent": coherent_state, "sharp_momentum": sharp_momentum_state, "wkb": _wkb_wave}
 
+
+def _param_kind_error(family, key, value):
+    """What `state.params[key]` of `family` must be, or None when `value` is that.
+
+    Every parameter is a number, except the coherent `profile`, an `envelope` name.
+    """
+    if (family, key) == ("coherent", "profile"):
+        try:
+            envelope(value)
+        except KeyError:
+            return "an envelope name"
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "a number"
+    return None
+
+
 # the config fields every scan reads
 _READ_BY_ALL = {"model", "grid", "eps_ladder", "functional", "times", "band_indices", "lift_band_index",
                 "window", "delta", "fit_residual_threshold", "state"}
@@ -86,7 +111,7 @@ _READ_BY_ALL = {"model", "grid", "eps_ladder", "functional", "times", "band_indi
 _READS = {
     "decoupling": ({"energy_cutoff"}, ("family", "family_params"), {"q_centers", "p_centers", "wkb"}),
     "effective_dynamics": ({"region", "alpha", "include_a_geo", "flow_dt"}, ("family", "params"), None),
-    "boundary_leakage": ({"region", "alpha", "include_a_geo"}, ("family", "params"), None),
+    "boundary_leakage": ({"region", "alpha", "include_a_geo", "flow_dt"}, ("family", "params"), None),
     "observable_pairing": ({"symbol"}, ("params",), {"centers"}),
     "state_observables": ({"flow_dt"}, ("family", "params"), None),
     "egorov": ({"symbol", "include_a_geo", "flow_dt"}, ("family", "params"), None),
@@ -172,6 +197,10 @@ class ExperimentConfig:
                 inspect.signature(_STATE_FAMILIES[family]).bind(None, None, **nested)
             except TypeError as exc:
                 raise ValueError(f"state.{keys[-1]} do not fit the {family} constructor: {exc}") from None
+            for key, value in nested.items():
+                kind = _param_kind_error(family, key, value)
+                if kind:
+                    raise ValueError(f"state.{keys[-1]}[{key!r}] of the {family} family must be {kind}, got {value!r}")
         elif set(nested) != sub:
             raise ValueError(f"{self.functional} reads state.{keys[-1]} keys {sorted(sub)}, got {sorted(nested)}")
         if self.functional == "decoupling" and self.state["family"] != "coherent":
@@ -185,11 +214,14 @@ class ExperimentConfig:
     def build_model(self) -> ElectronicModel:
         return get_model(self.model["tag"], **self.model.get("params", {}))
 
-    def build_band(self, indices=None) -> BandData:
-        idx = self.band_indices if indices is None else indices
+    def build_band(self, indices=None, model=None, grid=None) -> BandData:
+        """The band set `indices` (default `band_indices`), on `model` and `grid` when given."""
+        idx = tuple(np.atleast_1d(self.band_indices if indices is None else indices))
         window = tuple(self.window) if self.window is not None else None
-        gauge = "component" if len(list(np.atleast_1d(idx))) == 1 else None
-        return band_decompose(self.build_model(), self.build_grid(), tuple(np.atleast_1d(idx)), window=window, gauge=gauge)
+        gauge = "component" if len(idx) == 1 else None
+        model = self.build_model() if model is None else model
+        grid = self.build_grid() if grid is None else grid
+        return band_decompose(model, grid, idx, window=window, gauge=gauge)
 
     def build_region(self) -> PhaseSpaceRegion:
         if self.region is None:
@@ -422,33 +454,74 @@ def standard_state_family(grid, band, eps, q_centers, p_centers, wkb_params, del
 # scan functionals
 
 
-def _scan_decoupling(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
-    model, grid = cfg.build_model(), cfg.build_grid()
-    band_set = cfg.build_band()
-    lift = cfg.build_band(cfg.lift_band())
-    pf = cache.full(cfg, model, grid, eps)
-    pd = cache.diag(cfg, model, grid, band_set, eps)
-    fam = cfg.state["family_params"]
-    states = standard_state_family(
-        grid, lift, eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=cfg.delta
-    )
-    return max(
-        decoupling_error(pf, pd, psi, t, energy_cutoff=cfg.energy_cutoff) for psi in states
-    )
+class _ScanInputs:
+    """What a scan builds once for all its (eps, t) points.
+
+    The model, the grid and each band set are built on first use and kept;
+    a build that raises is tried again by the next point, so it fails
+    every point that needs it.  The decoupling family is kept per eps.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self._bands = {}
+        self._families = {}
+
+    @cached_property
+    def model(self) -> ElectronicModel:
+        return self.cfg.build_model()
+
+    @cached_property
+    def grid(self) -> Grid1D:
+        return self.cfg.build_grid()
+
+    def band(self, indices=None) -> BandData:
+        """The band set `indices`; by default the lift band."""
+        key = tuple(np.atleast_1d(self.cfg.lift_band() if indices is None else indices))
+        if key not in self._bands:
+            self._bands[key] = self.cfg.build_band(key, self.model, self.grid)
+        return self._bands[key]
+
+    def family(self, eps) -> StateBlock:
+        """The ten-state decoupling family at eps, lifted to the lift band."""
+        if eps not in self._families:
+            fam = self.cfg.state["family_params"]
+            states = standard_state_family(
+                self.grid, self.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=self.cfg.delta
+            )
+            self._families[eps] = StateBlock.stack(states)
+        return self._families[eps]
 
 
-def _scan_effective(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
-    model, grid = cfg.build_model(), cfg.build_grid()
-    band = cfg.build_band(cfg.lift_band())
-    pf = cache.full(cfg, model, grid, eps)
+# Each functional maps (cfg, cache, eps, t) to one error.  eps_scan hands
+# every point the scan's inputs; a direct call builds its own.
+
+
+def _scan_decoupling(
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+) -> float:
+    inputs = inputs or _ScanInputs(cfg)
+    pf = cache.full(cfg, inputs.model, inputs.grid, eps)
+    pd = cache.diag(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
+    return float(decoupling_error(pf, pd, inputs.family(eps), t, energy_cutoff=cfg.energy_cutoff).max())
+
+
+def _scan_effective(
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+) -> float:
+    inputs = inputs or _ScanInputs(cfg)
+    band = inputs.band()
+    pf = cache.full(cfg, inputs.model, inputs.grid, eps)
     pb = cache.bo(cfg, band, eps)
-    psi0, _, _ = cfg.make_state(grid, band, eps)
+    psi0, _, _ = cfg.make_state(inputs.grid, band, eps)
     projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
     return effective_dynamics_error(pf, pb, band, projected, t, delta=cfg.delta)
 
 
-def _scan_leakage(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
-    band = cfg.build_band(cfg.lift_band())
+def _scan_leakage(
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+) -> float:
+    band = (inputs or _ScanInputs(cfg)).band()
     pb = cache.bo(cfg, band, eps)
     _, phi0, _ = cfg.make_state(band.grid, band, eps)
     return boundary_leakage(
@@ -456,8 +529,10 @@ def _scan_leakage(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: 
     )
 
 
-def _scan_observable_pairing(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
-    band = cfg.build_band(cfg.lift_band())
+def _scan_observable_pairing(
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+) -> float:
+    band = (inputs or _ScanInputs(cfg)).band()
     grid = band.grid
     sym = _named_symbol(cfg.symbol or "p")
     states = []
@@ -467,17 +542,21 @@ def _scan_observable_pairing(cfg: ExperimentConfig, cache: PropagatorCache, eps:
     return reduced_observable_residual(sym, band, cfg.delta, eps, states)
 
 
-def _scan_state_observables(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
-    model, grid = cfg.build_model(), cfg.build_grid()
-    band = cfg.build_band(cfg.lift_band())
-    pf = cache.full(cfg, model, grid, eps)
-    psi0, _, rho = cfg.make_state(grid, band, eps)
+def _scan_state_observables(
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+) -> float:
+    inputs = inputs or _ScanInputs(cfg)
+    band = inputs.band()
+    pf = cache.full(cfg, inputs.model, inputs.grid, eps)
+    psi0, _, rho = cfg.make_state(inputs.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
     return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, t, dE, dt=cfg.flow_dt)
 
 
-def _scan_egorov(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float) -> float:
-    band = cfg.build_band(cfg.lift_band())
+def _scan_egorov(
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+) -> float:
+    band = (inputs or _ScanInputs(cfg)).band()
     pb = cache.bo(cfg, band, eps)
     _, phi0, rho = cfg.make_state(band.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
@@ -499,12 +578,14 @@ def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> Sca
     """Run the configured functional over the (eps, t) lattice and fit the slope.
 
     Points run serially in order of decreasing eps, then increasing t.
+    The model, grid and bands are built once for the scan (`_ScanInputs`).
     Per-point failures are recorded in the result without aborting the
     scan.
     """
     cfg.validate()
     cache = cache or PropagatorCache()
     fn = FUNCTIONALS[cfg.functional]
+    inputs = _ScanInputs(cfg)
     tasks = sorted(
         ((eps, t) for eps in cfg.eps_ladder for t in cfg.times), key=lambda task: (-task[0], task[1])
     )
@@ -512,7 +593,7 @@ def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> Sca
     for eps, t in tasks:
         t0 = time.perf_counter()
         try:
-            points.append({"eps": eps, "t": t, "error": float(fn(cfg, cache, eps, t)), "status": "ok"})
+            points.append({"eps": eps, "t": t, "error": float(fn(cfg, cache, eps, t, inputs)), "status": "ok"})
         except Exception as exc:  # recorded, not raised
             points.append({"eps": eps, "t": t, "error": None, "status": "error",
                            "message": f"{type(exc).__name__}: {exc}"})
@@ -618,8 +699,9 @@ def _suite_decoupling(seed, cache):
         _rate_crit("decoupling-rate", eps_scan(_config("decoupling"), cache), 0.75, 1.25),
         _rate_crit("decoupling-rate-with-cutoff", eps_scan(cutoff, cache), 0.75),
     ]
-    e1 = _scan_decoupling(cutoff, cache, 0.05, 1.0)
-    e2 = _scan_decoupling(cutoff, cache, 0.05, 2.0)
+    inputs = _ScanInputs(cutoff)
+    e1 = _scan_decoupling(cutoff, cache, 0.05, 1.0, inputs)
+    e2 = _scan_decoupling(cutoff, cache, 0.05, 2.0, inputs)
     crits.append(
         _crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)
     )
@@ -646,7 +728,8 @@ def _suite_berry(seed, cache):
     cfg_on = _config("berry")
     res_on = eps_scan(cfg_on, cache)
     cfg_off = replace(cfg_on, include_a_geo=False)
-    errs_off = [_scan_effective(cfg_off, cache, eps, cfg_off.times[0]) for eps in cfg_off.eps_ladder]
+    inputs = _ScanInputs(cfg_off)
+    errs_off = [_scan_effective(cfg_off, cache, eps, cfg_off.times[0], inputs) for eps in cfg_off.eps_ladder]
     return [
         _rate_crit("berry-on-rate", res_on, 0.75),
         _crit(

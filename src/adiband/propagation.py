@@ -5,6 +5,14 @@ Time stepping is exact: e^{-iHt/eps} is applied through the spectral
 decomposition of the assembled operator, so every error measured here is
 an adiabatic or semiclassical error of the model, never a time-integration
 artifact.
+
+A real-stored operator keeps its real eigenvectors as float64.  Its
+propagator applies a vector or a block of k vectors as real products on
+the block's float64 view, an (N, 2k) array of interleaved real and
+imaginary parts, so one real GEMM does the work of a complex one at half
+the storage.  A complex-stored operator takes the complex products.
+Both storage types go through the same two products for every input
+shape; the error functionals pass whole state families as one block.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .electronic import BandData
-from .grids import MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
+from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
 from .hamiltonians import DenseHamiltonian, u_map, u_star_map
 
 __all__ = [
     "SpectralPropagator",
+    "StateBlock",
     "diagonalize",
     "evolve",
     "decoupling_error",
@@ -26,9 +35,18 @@ __all__ = [
 ]
 
 
+def _real_times(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """R @ Z for real R and a complex (N, k) block Z, as one real product on Z's float64 view."""
+    return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
+
+
 @dataclass(frozen=True)
 class SpectralPropagator:
-    """Eigendecomposition of a DenseHamiltonian, reusable for any time."""
+    """Eigendecomposition of a DenseHamiltonian, reusable for any time.
+
+    `eigenvectors` are float64 when the operator is stored real, complex128
+    otherwise.
+    """
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
@@ -39,37 +57,50 @@ class SpectralPropagator:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    def _coefficients(self, block: np.ndarray) -> np.ndarray:
+        """V^dag block for a complex (N, k) block."""
+        V = self.eigenvectors
+        if V.dtype == np.float64:
+            return _real_times(V.T, block)
+        # V^dag block as conj(V^T conj(block)): no dim^2 conjugate copy of V
+        return (V.T @ block.conj()).conj()
+
+    def _synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """V coeffs for complex (N, k) coefficients."""
+        V = self.eigenvectors
+        return _real_times(V, coeffs) if V.dtype == np.float64 else V @ coeffs
+
+    def _phases(self, t: float) -> np.ndarray:
+        return np.exp(-1j * self.eigenvalues * t / self.eps)
+
     def unitary(self, t: float) -> np.ndarray:
         """Dense e^{-iHt/eps}."""
-        phases = np.exp(-1j * self.eigenvalues * t / self.eps)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        return self._synthesize(self._phases(t)[:, None] * self.eigenvectors.conj().T)
 
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
 
-        vec may be one vector (N,) or a block of columns (N, k).
+        vec may be one vector (N,) or a block of columns (N, k); the result
+        has its shape.
         """
-        # V^dag vec as conj(V^T conj(vec)): no dim^2 conjugate copy of V
-        c = (self.eigenvectors.T @ vec.conj()).conj()
-        phases = np.exp(-1j * self.eigenvalues * t / self.eps)
-        c *= np.expand_dims(phases, tuple(range(1, c.ndim)))
-        return self.eigenvectors @ c
+        c = self._coefficients(np.asarray(vec, dtype=complex).reshape(self.dim, -1))
+        c *= self._phases(t)[:, None]
+        return self._synthesize(c).reshape(np.shape(vec))
 
     def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
         """Project vec, (N,) or (N, k), onto total energies <= cutoff."""
-        c = (self.eigenvectors.T @ vec.conj()).conj()
+        c = self._coefficients(np.asarray(vec, dtype=complex).reshape(self.dim, -1))
         c[self.eigenvalues > cutoff] = 0.0
-        return self.eigenvectors @ c
+        return self._synthesize(c).reshape(np.shape(vec))
 
 
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:
     """Eigendecompose an assembled operator.
 
-    A real-stored operator runs the real-symmetric solver; its real
-    eigenvectors are stored complex, so the propagator has one product
-    path for every model.  With validate=True the reconstruction
-    U diag(w) U^dag is checked against H to 1e-10 (costs two extra dense
-    products).
+    A real-stored operator runs the real-symmetric solver and keeps its
+    eigenvectors float64; a complex-stored one runs the Hermitian solver.
+    With validate=True the reconstruction U diag(w) U^dag is checked
+    against H to 1e-10 (costs two extra dense products).
     """
     w, v = np.linalg.eigh(H.matrix)
     if validate:
@@ -80,9 +111,7 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
         unit = np.abs(v.conj().T @ v - np.eye(H.dim)).max()
         if unit > 1e-11 * H.dim:
             raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
-    return SpectralPropagator(
-        eigenvalues=w, eigenvectors=v.astype(complex, copy=False), eps=H.eps, tag=H.tag
-    )
+    return SpectralPropagator(eigenvalues=w, eigenvectors=v, eps=H.eps, tag=H.tag)
 
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):
@@ -98,33 +127,63 @@ def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float
     return NuclearWave(grid=wave.grid, values=prop.apply(wave.values, t), eps=wave.eps)
 
 
+@dataclass(frozen=True)
+class StateBlock:
+    """Molecular waves on one grid as the columns of an (N, k) array.
+
+    Keeps each column's scaled second Sobolev norm, so a family applied at
+    many times has its norms computed once.
+    """
+
+    grid: Grid1D
+    columns: np.ndarray = field(repr=False)
+    sobolev: np.ndarray = field(repr=False)
+
+    @classmethod
+    def stack(cls, waves) -> "StateBlock":
+        return cls(
+            grid=waves[0].grid,
+            columns=np.column_stack([w.flat() for w in waves]),
+            sobolev=np.array([sobolev_norm(w, 2) for w in waves]),
+        )
+
+
+def _column_l2(block: np.ndarray, dx: float) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(block) ** 2, axis=0) * dx)
+
+
 def decoupling_error(
     prop_full: SpectralPropagator,
     prop_diag: SpectralPropagator,
-    psi0: MolecularWave,
+    psi0: StateBlock | MolecularWave,
     t: float,
     energy_cutoff: float | None = None,
-) -> float:
-    """Distance between the full and the band-preserving evolution on one state.
+):
+    """Distance between the full and the band-preserving evolution, per state.
 
-    Without a cutoff the difference is normalized by the scaled second
-    Sobolev norm of the initial state (applied-state proxy for the operator
-    norm on W^{2,eps}).  With a cutoff, the state is first projected onto
-    total energies <= cutoff and the difference is measured relative to its
-    plain L^2 norm.
+    psi0 is a StateBlock of k states, applied as one (N, k) block, and the
+    result holds one error per column; a single MolecularWave gives one
+    float.  Without a cutoff each difference is normalized by the scaled
+    second Sobolev norm of its initial state (applied-state proxy for the
+    operator norm on W^{2,eps}).  With a cutoff, the states are first
+    projected onto total energies <= cutoff and each difference is measured
+    relative to the plain L^2 norm of its projected state.
     """
-    if norm(psi0) == 0.0:
+    block = psi0 if isinstance(psi0, StateBlock) else StateBlock.stack([psi0])
+    if np.any(block.sobolev == 0.0):
         raise ValueError("zero initial state")
-    vec = psi0.flat()
+    dx = block.grid.dx
+    vecs = block.columns
     if energy_cutoff is not None:
-        vec = prop_full.energy_cutoff_apply(vec, energy_cutoff)
-        denom = l2_norm(vec, psi0.grid.dx)
-        if denom == 0.0:
+        vecs = prop_full.energy_cutoff_apply(vecs, energy_cutoff)
+        denom = _column_l2(vecs, dx)
+        if np.any(denom == 0.0):
             raise ValueError("energy cutoff annihilated the state")
     else:
-        denom = sobolev_norm(psi0, 2)
-    d = prop_full.apply(vec, t) - prop_diag.apply(vec, t)
-    return l2_norm(d, psi0.grid.dx) / denom
+        denom = block.sobolev
+    d = prop_full.apply(vecs, t) - prop_diag.apply(vecs, t)
+    errors = _column_l2(d, dx) / denom
+    return errors if isinstance(psi0, StateBlock) else float(errors[0])
 
 
 def effective_dynamics_error(

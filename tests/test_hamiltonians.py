@@ -138,9 +138,10 @@ def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
     assert P.dtype == (np.complex128 if tag == "two_band_complex" else np.float64)
     expected = np.float64 if real_data else np.complex128
     assert H.matrix.dtype == Hd.matrix.dtype == expected
-    # eigenvectors are stored complex; real storage gives them zero imaginary part
+    # eigenvectors follow the storage: float64 for real data, complex with a
+    # nonzero imaginary part otherwise
     for V in (diagonalize(H).eigenvectors, diagonalize(Hd).eigenvectors):
-        assert V.dtype == np.complex128
+        assert V.dtype == expected
         assert np.any(V.imag) != real_data
 
 

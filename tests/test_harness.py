@@ -184,6 +184,62 @@ def test_config_rejects_unread_state_keys(functional, state, message):
 
 
 @pytest.mark.parametrize(
+    "state, key",
+    [
+        # a JSON string cannot be the sharp-momentum envelope callable
+        ({"family": "sharp_momentum", "params": {"p0": 0.45, "profile": "gaussian"}}, "profile"),
+        ({"family": "coherent", "params": {"q0": 0.3, "p0": 0.4, "profile": "lorentzian"}}, "profile"),
+        ({"family": "coherent", "params": {"q0": "0.3", "p0": 0.4}}, "q0"),
+        ({"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": True, "k": 0.5}}, "amp"),
+    ],
+)
+def test_config_refuses_state_params_of_the_wrong_type(state, key):
+    from adiband.harness import _config
+
+    with pytest.raises(ValueError, match=rf"state.params\['{key}'\]"):
+        _config("state_rates", state=state)
+
+
+def test_leakage_window_reads_flow_dt():
+    from adiband.harness import _config
+    from adiband.semiclassics import band_energy_interpolant, hitting_times
+
+    cfg = _config("leakage", flow_dt=5e-4)
+    _, dE = band_energy_interpolant(cfg.build_band(), cfg.delta)
+    direct = hitting_times(cfg.build_region(), tuple(cfg.window), cfg.delta, dE, alpha=cfg.alpha, dt=5e-4)
+    assert cfg.hitting_window() == direct
+    assert direct != _config("leakage").hitting_window()
+
+
+@pytest.mark.parametrize(
+    "name, overrides, band_sets",
+    [
+        # the decoupling band pair and the lift band
+        ("decoupling", {"grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 256}}, 2),
+        ("effective", {"grid": {"x_min": -6.4, "x_max": 6.4, "n_points": 128}}, 1),
+    ],
+)
+def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
+    from adiband import harness
+
+    few = harness._config(name, eps_ladder=[0.2, 0.1, 0.05], times=[1.0], **overrides)
+    many = harness._config(name, eps_ladder=[0.25, 0.2, 0.1, 0.05], times=[0.5, 1.0, 1.5], **overrides)
+    calls, real = [], harness.band_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "band_decompose", counted)
+    cache = PropagatorCache()
+    for cfg in (few, many):
+        calls.clear()
+        res = eps_scan(cfg, cache)
+        assert all(p["status"] == "ok" for p in res.points)
+        assert len(calls) == band_sets
+
+
+@pytest.mark.parametrize(
     "override",
     [{"energy_cutoff": 2.0}, {"include_a_geo": False}, {"flow_dt": 0.5}, {"alpha": 0.2},
      {"region": [[-1.0, 1.0, -0.5, 0.5]]}],

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from adiband.electronic import band_decompose
-from adiband.grids import MolecularWave, make_grid, norm
+from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
 from adiband.hamiltonians import assemble_diag, assemble_full, full_projection
 from adiband.models import get_model
-from adiband.propagation import decoupling_error, diagonalize, effective_dynamics_error, evolve
+from adiband.propagation import StateBlock, decoupling_error, diagonalize, effective_dynamics_error, evolve
 
 # one model stored real (real fibers, real frame) and one stored complex
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
@@ -136,6 +136,66 @@ def test_real_storage_matches_complex_solver():
         i = int(np.argmax(np.diff(w[: prop.dim // 2])))
         cutoff = 0.5 * (w[i] + w[i + 1])
         assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
+
+
+def _complex_stored(prop):
+    return dataclasses.replace(prop, eigenvectors=prop.eigenvectors.astype(complex))
+
+
+def test_float64_storage_equals_complex_storage():
+    *_, prop = _build(*MODELS["real"])
+    assert prop.eigenvectors.dtype == np.float64
+    # the same eigenpairs stored complex take the complex products
+    ref = _complex_stored(prop)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
+    block /= np.linalg.norm(block, axis=0)
+    cutoff = float(np.median(prop.eigenvalues))
+    for vec in (block, block[:, 0]):
+        for t in (0.0, 0.7, 3.0):
+            out = prop.apply(vec, t)
+            assert out.shape == vec.shape
+            assert np.abs(out - ref.apply(vec, t)).max() <= 1e-13
+        out = prop.energy_cutoff_apply(vec, cutoff)
+        assert out.shape == vec.shape
+        assert np.abs(out - ref.energy_cutoff_apply(vec, cutoff)).max() <= 1e-13
+    for t in (0.7, 3.0):
+        assert np.abs(prop.unitary(t) - ref.unitary(t)).max() <= 1e-13
+
+
+def _per_state_error(pf, pd, psi, t, cutoff):
+    """The single-state formula: one vector at a time through complex-stored eigenvectors."""
+    pf, pd = _complex_stored(pf), _complex_stored(pd)
+    vec = psi.flat()
+    if cutoff is not None:
+        vec = pf.energy_cutoff_apply(vec, cutoff)
+        denom = l2_norm(vec, psi.grid.dx)
+    else:
+        denom = sobolev_norm(psi, 2)
+    return l2_norm(pf.apply(vec, t) - pd.apply(vec, t), psi.grid.dx) / denom
+
+
+def test_block_decoupling_error_matches_per_state_formula(setups):
+    for grid, model, band, H, prop in setups:
+        pd = diagonalize(assemble_diag(H, band))
+        states = [_gaussian_state(grid, band, 0.1, q0, p0) for q0, p0 in ((-1.0, 0.3), (0.0, 0.5), (0.8, -0.4))]
+        # unnormalized on purpose: each column has its own Sobolev norm
+        states[1] = MolecularWave(grid, 2.5 * states[1].values, eps=0.1)
+        block = StateBlock.stack(states)
+        # at the mean energy of the first state: the cutoff keeps part of every state
+        v = states[0].flat()
+        cutoff = float(np.real(np.vdot(v, H.matrix @ v))) * grid.dx
+        for energy_cutoff in (None, cutoff):
+            for t in (0.5, 2.0):
+                got = decoupling_error(prop, pd, block, t, energy_cutoff=energy_cutoff)
+                want = np.array([_per_state_error(prop, pd, psi, t, energy_cutoff) for psi in states])
+                assert got.shape == (len(states),)
+                assert np.all(want > 1e-6)
+                assert np.abs(got / want - 1).max() <= 1e-12
+                # one wave in, one float out: the column of the block
+                single = decoupling_error(prop, pd, states[2], t, energy_cutoff=energy_cutoff)
+                assert isinstance(single, float)
+                assert single == pytest.approx(got[2], rel=1e-12)
 
 
 def test_evolve_dimension_mismatch(setups):
