@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record one BENCH_<n>.json at the repository root.
 
-    python3 scripts/record_bench.py [--out BENCH_1.json] [--seconds 20]
+    python3 scripts/record_bench.py
 
-Runs, one after another and each in a fresh process:
-- perfbench/run.py on every workload of BENCHMARK.json at seed 0, with
-  --trace 0 (end-to-end metrics, peak RSS) and --trace 1 (per-layer split);
+Writes the next free BENCH_<n>.json.  Runs, one after another and each in a fresh process:
+- perfbench/run.py on every workload of BENCHMARK.json at seed 0 for its
+  run_seconds, with --trace 0 (end-to-end metrics, peak RSS) and --trace 1 (per-layer split);
 - the tier-1 tests (`python -m pytest -q --continue-on-collection-errors`);
 - each acceptance suite (`python -m adiband.cli suite <name>`).
 
@@ -17,7 +17,6 @@ files differ from it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -72,12 +71,7 @@ def bench_workload(name, seconds):
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=None, help="output file (default: the next free BENCH_<n>.json)")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    args = ap.parse_args()
-    out = Path(args.out) if args.out else next(
-        ROOT / f"BENCH_{n}.json" for n in range(1, 1000) if not (ROOT / f"BENCH_{n}.json").exists())
+    out = next(ROOT / f"BENCH_{n}.json" for n in range(1, 1000) if not (ROOT / f"BENCH_{n}.json").exists())
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     record = {
@@ -89,7 +83,7 @@ def main() -> int:
         "workloads": {},
     }
     for wl in spec["workloads"]:
-        record["workloads"][wl["name"]] = bench_workload(wl["name"], args.seconds)
+        record["workloads"][wl["name"]] = bench_workload(wl["name"], spec["run_seconds"])
     record["blas_threads_benchmark"] = next(iter(record["workloads"].values()))["env"]["blas_threads"]
 
     wall, code, rss, text = timed([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",

@@ -118,9 +118,14 @@ class MolecularWave:
         return self.values.reshape(-1)
 
 
-def l2_norm(values: np.ndarray, dx: float) -> float:
-    """sqrt(sum |values|^2 dx): the L^2 norm of grid samples of any shape."""
-    return float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
+def l2_norm(values: np.ndarray, dx: float, axis: int | None = None):
+    """sqrt(sum |values|^2 dx): the L^2 norm of grid samples of any shape.
+
+    With axis=None the sum runs over every entry and a float is returned;
+    with an axis it runs along that axis only, one norm per remaining index.
+    """
+    norms = np.sqrt(np.sum(np.abs(values) ** 2, axis=axis) * dx)
+    return float(norms) if axis is None else norms
 
 
 def norm(w: NuclearWave | MolecularWave) -> float:

@@ -493,23 +493,21 @@ class _ScanInputs:
         return self._families[eps]
 
 
-# Each functional maps (cfg, cache, eps, t) to one error.  eps_scan hands
-# every point the scan's inputs; a direct call builds its own.
+# Each functional maps (cfg, cache, eps, t, inputs) to one error; `inputs`
+# is the scan's _ScanInputs for cfg.
 
 
 def _scan_decoupling(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    inputs = inputs or _ScanInputs(cfg)
     pf = cache.full(cfg, inputs.model, inputs.grid, eps)
     pd = cache.diag(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
     return float(decoupling_error(pf, pd, inputs.family(eps), t, energy_cutoff=cfg.energy_cutoff).max())
 
 
 def _scan_effective(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    inputs = inputs or _ScanInputs(cfg)
     band = inputs.band()
     pf = cache.full(cfg, inputs.model, inputs.grid, eps)
     pb = cache.bo(cfg, band, eps)
@@ -519,9 +517,9 @@ def _scan_effective(
 
 
 def _scan_leakage(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    band = (inputs or _ScanInputs(cfg)).band()
+    band = inputs.band()
     pb = cache.bo(cfg, band, eps)
     _, phi0, _ = cfg.make_state(band.grid, band, eps)
     return boundary_leakage(
@@ -530,9 +528,9 @@ def _scan_leakage(
 
 
 def _scan_observable_pairing(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    band = (inputs or _ScanInputs(cfg)).band()
+    band = inputs.band()
     grid = band.grid
     sym = _named_symbol(cfg.symbol or "p")
     states = []
@@ -543,9 +541,8 @@ def _scan_observable_pairing(
 
 
 def _scan_state_observables(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    inputs = inputs or _ScanInputs(cfg)
     band = inputs.band()
     pf = cache.full(cfg, inputs.model, inputs.grid, eps)
     psi0, _, rho = cfg.make_state(inputs.grid, band, eps)
@@ -554,9 +551,9 @@ def _scan_state_observables(
 
 
 def _scan_egorov(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs | None = None
+    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    band = (inputs or _ScanInputs(cfg)).band()
+    band = inputs.band()
     pb = cache.bo(cfg, band, eps)
     _, phi0, rho = cfg.make_state(band.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
@@ -717,7 +714,7 @@ def _suite_effective(seed, cache):
     ]
     # beyond the window the bound is not asserted; the value is only logged
     t_out = 1.2 * t_plus
-    logged = _scan_effective(cfg, cache, 0.05, t_out)
+    logged = _scan_effective(cfg, cache, 0.05, t_out, _ScanInputs(cfg))
     crits.append(
         _crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)
     )

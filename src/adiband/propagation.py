@@ -40,6 +40,15 @@ def _real_times(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
 
 
+def _as_block(vec) -> np.ndarray:
+    """vec, (N,) or (N, k), as a complex (N, k) block.
+
+    The rows stay the input's own, so a wrong-length input fails the
+    product with the eigenvectors instead of being folded into columns.
+    """
+    return np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
+
+
 @dataclass(frozen=True)
 class SpectralPropagator:
     """Eigendecomposition of a DenseHamiltonian, reusable for any time.
@@ -83,13 +92,13 @@ class SpectralPropagator:
         vec may be one vector (N,) or a block of columns (N, k); the result
         has its shape.
         """
-        c = self._coefficients(np.asarray(vec, dtype=complex).reshape(self.dim, -1))
+        c = self._coefficients(_as_block(vec))
         c *= self._phases(t)[:, None]
         return self._synthesize(c).reshape(np.shape(vec))
 
     def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
         """Project vec, (N,) or (N, k), onto total energies <= cutoff."""
-        c = self._coefficients(np.asarray(vec, dtype=complex).reshape(self.dim, -1))
+        c = self._coefficients(_as_block(vec))
         c[self.eigenvalues > cutoff] = 0.0
         return self._synthesize(c).reshape(np.shape(vec))
 
@@ -148,10 +157,6 @@ class StateBlock:
         )
 
 
-def _column_l2(block: np.ndarray, dx: float) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(block) ** 2, axis=0) * dx)
-
-
 def decoupling_error(
     prop_full: SpectralPropagator,
     prop_diag: SpectralPropagator,
@@ -176,13 +181,13 @@ def decoupling_error(
     vecs = block.columns
     if energy_cutoff is not None:
         vecs = prop_full.energy_cutoff_apply(vecs, energy_cutoff)
-        denom = _column_l2(vecs, dx)
+        denom = l2_norm(vecs, dx, axis=0)
         if np.any(denom == 0.0):
             raise ValueError("energy cutoff annihilated the state")
     else:
         denom = block.sobolev
     d = prop_full.apply(vecs, t) - prop_diag.apply(vecs, t)
-    errors = _column_l2(d, dx) / denom
+    errors = l2_norm(d, dx, axis=0) / denom
     return errors if isinstance(psi0, StateBlock) else float(errors[0])
 
 

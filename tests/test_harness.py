@@ -310,11 +310,13 @@ def test_egorov_scan_first_order(symbol):
 
 
 def test_leakage_scan_honours_include_a_geo():
-    from adiband.harness import _scan_leakage
+    from adiband.harness import _scan_leakage, _ScanInputs
 
     cache = PropagatorCache()
-    on = _scan_leakage(_berry_config(functional="boundary_leakage"), cache, 0.1, 0.8)
-    off = _scan_leakage(_berry_config(functional="boundary_leakage", include_a_geo=False), cache, 0.1, 0.8)
+    cfg_on = _berry_config(functional="boundary_leakage")
+    cfg_off = _berry_config(functional="boundary_leakage", include_a_geo=False)
+    on = _scan_leakage(cfg_on, cache, 0.1, 0.8, _ScanInputs(cfg_on))
+    off = _scan_leakage(cfg_off, cache, 0.1, 0.8, _ScanInputs(cfg_off))
     assert abs(on - off) > 1e-3 * on
 
 

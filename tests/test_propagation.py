@@ -206,6 +206,23 @@ def test_evolve_dimension_mismatch(setups):
             evolve(prop, psi, 1.0)
 
 
+def test_apply_rejects_wrong_row_count(setups):
+    # a length k*dim vector must not be folded into a (dim, k) block
+    for grid, model, band, H, prop in setups:
+        for shape in ((2 * prop.dim,), (2 * prop.dim, 3), (prop.dim // 2, 4)):
+            vec = np.ones(shape, dtype=complex)
+            with pytest.raises(ValueError):
+                prop.apply(vec, 1.0)
+            with pytest.raises(ValueError):
+                prop.energy_cutoff_apply(vec, 0.0)
+        # a family on a finer grid than the propagators'
+        pd = diagonalize(assemble_diag(H, band))
+        fine = make_grid(-8, 8, 256)
+        wave = MolecularWave(fine, np.ones((256, 2)), eps=0.1)
+        with pytest.raises(ValueError):
+            decoupling_error(prop, pd, StateBlock.stack([wave, wave]), 1.0)
+
+
 def test_decoupling_error_zero_for_commuting_fixture():
     # X-independent fibers: [H, P] = 0 and the two evolutions coincide
     grid = make_grid(-8, 8, 64)
