@@ -10,12 +10,12 @@ selected pair is harmless: the pair subspace is protected at first order.
 import numpy as np
 
 from adiband import (
-    assemble_diag,
     assemble_full,
     band_decompose,
     coherent_state,
     decoupling_error,
     diagonalize,
+    diagonalize_band_preserving,
     get_model,
     lift_to_band,
     make_grid,
@@ -33,7 +33,7 @@ errs = []
 for eps in ladder:
     H = assemble_full(model, grid, eps)
     prop_full = diagonalize(H)
-    prop_diag = diagonalize(assemble_diag(H, pair))
+    prop_diag = diagonalize_band_preserving(H, pair)
     wave, _ = coherent_state(grid, eps, -0.9, 0.2)
     psi = lift_to_band(wave, lower)
     err = decoupling_error(prop_full, prop_diag, psi, t)

@@ -35,6 +35,7 @@ from .propagation import (
     SpectralPropagator,
     decoupling_error,
     diagonalize,
+    diagonalize_band_preserving,
     effective_dynamics_error,
     evolve,
 )

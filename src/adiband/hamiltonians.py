@@ -14,14 +14,19 @@ frame or with the connection dropped.  Real storage sends `eigh` to the
 real-symmetric solver, several times faster than the complex one.
 Complex data (complex fibers, a nonzero vector potential) keeps
 complex128.  This module is the only place that decides the storage type
-of an operator; `assemble_diag` follows the dtype of its inputs.
+of an operator; `assemble_diag` and `split_band_preserving` follow the
+dtype of their inputs.
 
 The band projection P and the identification U act pointwise in X, so the
-package carries them as the band's fiber data: `assemble_diag` takes the
-`BandData` and works on the m x m fiber blocks of P, and `u_map` /
-`u_star_map` apply U fiberwise.  `full_projection` and `u_matrix` build
-the dense N x N and n x N matrices; they are the oracles the tests compare
-against.
+package carries them as the band's fiber data: the m x m fiber blocks of
+P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
+`split_band_preserving` writes the full H in those frames and cuts out
+the ran P and ran Q blocks of the band-preserving H_diag = P H P + Q H Q,
+from which the scans build its propagator.  `assemble_diag` forms H_diag
+densely; it serves `identities.offdiag_scaling`, which needs H - H_diag,
+and is the tests' oracle.  `u_map` / `u_star_map` apply U fiberwise.
+`full_projection` and `u_matrix` build the dense N x N and n x N
+matrices; they are the oracles the tests compare against.
 
 Band functions defined on an isolation window are extended to the whole
 periodic box before entering an operator.  The band energy and the
@@ -49,6 +54,7 @@ __all__ = [
     "DenseHamiltonian",
     "assemble_full",
     "assemble_diag",
+    "split_band_preserving",
     "assemble_bo",
     "full_projection",
     "u_matrix",
@@ -147,13 +153,13 @@ def assemble_full(
     return DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=m)
 
 
-def _fiber_sandwich(H: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(B H) B for B = blockdiag(B_1 ... B_n) with m x m blocks, as batched products."""
-    n, m, _ = B.shape
+def _fiber_sandwich(H: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """blockdiag(left_i) H blockdiag(right_i) for (n, m, m) blocks, as batched products."""
+    n, m, _ = left.shape
     N = n * m
-    BH = np.matmul(B, H.reshape(n, m, N)).reshape(N, N)
-    BHB = np.matmul(BH.reshape(N, n, m).transpose(1, 0, 2), B)
-    return BHB.transpose(1, 0, 2).reshape(N, N)
+    LH = np.matmul(left, H.reshape(n, m, N)).reshape(N, N)
+    LHR = np.matmul(LH.reshape(N, n, m).transpose(1, 0, 2), right)
+    return LHR.transpose(1, 0, 2).reshape(N, N)
 
 
 def _fiber_blocks(band: BandData) -> np.ndarray:
@@ -165,19 +171,74 @@ def _fiber_blocks(band: BandData) -> np.ndarray:
     return np.where(band.mask[:, None, None], proj, 0)
 
 
-def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
-    """Band-preserving reference Hamiltonian P H P + (1-P) H (1-P).
-
-    P is the band projection, block-diagonal in X with the m x m fiber
-    blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
-    """
+def _check_dims(H: DenseHamiltonian, band: BandData):
     n, m = band.grid.n_points, band.fiber_dim
     if (H.dim, H.fiber_dim) != (n * m, m):
         raise ValueError(
             f"dimension mismatch: H is {H.dim} with fiber {H.fiber_dim}, band is {n} x {m}"
         )
+
+
+def _fiber_frame(band: BandData) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frames of the fiber blocks of P, split into ran P_i and ran Q_i.
+
+    Returns (F, in_p).  F[i] is the m x m unitary of eigenvectors of the
+    block P_i (`_fiber_blocks`), real for real blocks; in_p (n, m) marks the
+    columns with eigenvalue 1, which span ran P_i; the others span ran Q_i.
+    The rank of P_i may vary with i (zero outside the window).  Refuses
+    (ValueError) blocks that are not Hermitian or have an eigenvalue more
+    than 1e-10 from both 0 and 1: they are not orthogonal projections.
+    """
     B = _fiber_blocks(band)
-    Hd = _fiber_sandwich(H.matrix, B) + _fiber_sandwich(H.matrix, np.eye(m) - B)
+    herm = np.abs(B - B.conj().transpose(0, 2, 1)).max()
+    lam, F = np.linalg.eigh(B)
+    in_p = lam > 0.5
+    dev = max(herm, np.abs(lam - in_p).max())
+    if dev > 1e-10:
+        raise ValueError(f"fiber blocks of P are not orthogonal projections (off by {dev:.2e})")
+    return F, in_p
+
+
+def split_band_preserving(H: DenseHamiltonian, band: BandData):
+    """H_diag = P H P + Q H Q in the fiber frame of P, as its ran P and ran Q blocks.
+
+    With W = blockdiag(F_i) from `_fiber_frame`, W^dag H_diag W is block
+    diagonal: the columns of W that span ran P couple only among
+    themselves, and so do those that span ran Q.  W^dag H W is formed by
+    batched fiber products, O(N^2 m), and cut into those two blocks, so
+    H_diag itself is never formed.  Returns (F, parts): each part is
+    (columns, block), the indices of its columns of W and the
+    DenseHamiltonian W_c^dag H W_c.  An empty part (P = 0 or P = 1
+    everywhere) is left out.
+    """
+    _check_dims(H, band)
+    F, in_p = _fiber_frame(band)
+    G = _fiber_sandwich(H.matrix, F.conj().transpose(0, 2, 1), F)
+    in_p = in_p.ravel()
+    parts = []
+    for tag, cols in (("diag:P", np.flatnonzero(in_p)), ("diag:Q", np.flatnonzero(~in_p))):
+        if cols.size:
+            block = G[np.ix_(cols, cols)]
+            parts.append((cols, DenseHamiltonian(matrix=block, eps=H.eps, tag=tag, grid=H.grid,
+                                                 fiber_dim=H.fiber_dim)))
+    return F, parts
+
+
+def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
+    """Band-preserving reference Hamiltonian P H P + (1-P) H (1-P), dense.
+
+    P is the band projection, block-diagonal in X with the m x m fiber
+    blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
+    The scans do not form it: `propagation.diagonalize_band_preserving`
+    solves its two blocks from `split_band_preserving`.  It serves
+    `identities.offdiag_scaling`, which needs H - H_diag, and the tests as
+    the oracle of that split solve.
+    """
+    _check_dims(H, band)
+    m = band.fiber_dim
+    B = _fiber_blocks(band)
+    C = np.eye(m) - B
+    Hd = _fiber_sandwich(H.matrix, B, B) + _fiber_sandwich(H.matrix, C, C)
     return DenseHamiltonian(matrix=Hd, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
 
 

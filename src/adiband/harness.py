@@ -16,6 +16,7 @@ out of the canonical payload.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import time
@@ -27,7 +28,7 @@ import numpy as np
 
 from .electronic import BandData, ContourSpec, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm
-from .hamiltonians import assemble_bo, assemble_diag, assemble_full, u_map, u_star_map
+from .hamiltonians import assemble_bo, assemble_full, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
 from .models import ElectronicModel, get_model
@@ -36,6 +37,7 @@ from .propagation import (
     StateBlock,
     decoupling_error,
     diagonalize,
+    diagonalize_band_preserving,
     effective_dynamics_error,
     evolve,
 )
@@ -369,7 +371,14 @@ def load_result(path) -> ScanResult:
 
 
 class PropagatorCache:
-    """Memoizes eigendecompositions keyed by (model, grid, eps, kind)."""
+    """Memoizes eigendecompositions keyed by (kind, model, grid, ..., eps).
+
+    The full propagator and the band-preserving one of an eps are built
+    from one assembled full H: `decoupling_pair` assembles it on its first
+    miss and drops it when it returns, so no assembled H outlives the call
+    that builds from it.  `full` and `diag` each build one propagator from
+    their own assembly.
+    """
 
     def __init__(self):
         self._store = {}
@@ -383,23 +392,33 @@ class PropagatorCache:
         g = cfg.grid
         return (g["x_min"], g["x_max"], g["n_points"])
 
+    def _full_key(self, cfg, eps):
+        return ("full", self._model_key(cfg), self._grid_key(cfg), eps)
+
+    def _diag_key(self, cfg, band, eps):
+        return ("diag", self._model_key(cfg), self._grid_key(cfg), tuple(band.band_indices), band.window, eps)
+
     def get(self, key, builder):
         if key not in self._store:
             self._store[key] = builder()
         return self._store[key]
 
     def full(self, cfg, model, grid, eps) -> SpectralPropagator:
-        key = ("full", self._model_key(cfg), self._grid_key(cfg), eps)
-        return self.get(key, lambda: diagonalize(assemble_full(model, grid, eps)))
+        return self.get(self._full_key(cfg, eps), lambda: diagonalize(assemble_full(model, grid, eps)))
 
     def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
-        key = ("diag", self._model_key(cfg), self._grid_key(cfg), tuple(band.band_indices), band.window, eps)
+        return self.get(
+            self._diag_key(cfg, band, eps),
+            lambda: diagonalize_band_preserving(assemble_full(model, grid, eps), band),
+        )
 
-        def build():
-            H = assemble_full(model, grid, eps)
-            return diagonalize(assemble_diag(H, band))
-
-        return self.get(key, build)
+    def decoupling_pair(self, cfg, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
+        """(full, band-preserving) propagators at eps, from at most one assembled H."""
+        H = functools.cache(lambda: assemble_full(model, grid, eps))
+        return (
+            self.get(self._full_key(cfg, eps), lambda: diagonalize(H())),
+            self.get(self._diag_key(cfg, band, eps), lambda: diagonalize_band_preserving(H(), band)),
+        )
 
     def bo(self, cfg, band, eps) -> SpectralPropagator:
         key = ("bo", self._model_key(cfg), self._grid_key(cfg), tuple(band.band_indices),
@@ -500,8 +519,7 @@ class _ScanInputs:
 def _scan_decoupling(
     cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
 ) -> float:
-    pf = cache.full(cfg, inputs.model, inputs.grid, eps)
-    pd = cache.diag(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
+    pf, pd = cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
     return float(decoupling_error(pf, pd, inputs.family(eps), t, energy_cutoff=cfg.energy_cutoff).max())
 
 

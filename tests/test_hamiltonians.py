@@ -10,6 +10,7 @@ from adiband.hamiltonians import (
     clamp_field,
     full_projection,
     kinetic_matrix,
+    split_band_preserving,
     u_map,
     u_matrix,
     u_star_map,
@@ -97,8 +98,9 @@ def test_diag_trivial_projections(ac_setup):
 def test_diag_rejects_band_of_other_dimension(ac_setup):
     grid, model, band, H, P = ac_setup
     coarse = band_decompose(model, make_grid(-8, 8, 64), 0)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        assemble_diag(H, coarse)
+    for build in (assemble_diag, split_band_preserving):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            build(H, coarse)
 
 
 def test_diag_commutes_while_full_does_not(ac_setup):

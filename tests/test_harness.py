@@ -239,6 +239,37 @@ def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
         assert len(calls) == band_sets
 
 
+def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
+    # the full and the band-preserving propagator of an eps share one assembly;
+    # the band-preserving one is solved as its ran P (dim 256) and ran Q (128) blocks
+    from adiband import hamiltonians, harness, propagation
+
+    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
+                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    calls = {"assemble_full": 0, "assemble_diag": 0}
+    dims = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def diagonalize(H, *args, **kwargs):
+        dims.append(H.dim)
+        return real_diagonalize(H, *args, **kwargs)
+
+    real_diagonalize = propagation.diagonalize
+    monkeypatch.setattr(harness, "assemble_full", counted("assemble_full", harness.assemble_full))
+    monkeypatch.setattr(hamiltonians, "assemble_diag", counted("assemble_diag", hamiltonians.assemble_diag))
+    monkeypatch.setattr(harness, "diagonalize", diagonalize)
+    monkeypatch.setattr(propagation, "diagonalize", diagonalize)
+    res = eps_scan(cfg, PropagatorCache())
+    assert all(p["status"] == "ok" for p in res.points)
+    assert calls == {"assemble_full": 3, "assemble_diag": 0}
+    assert sorted(dims) == sorted([384, 256, 128] * 3)
+
+
 @pytest.mark.parametrize(
     "override",
     [{"energy_cutoff": 2.0}, {"include_a_geo": False}, {"flow_dt": 0.5}, {"alpha": 0.2},

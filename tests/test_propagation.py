@@ -5,9 +5,16 @@ import pytest
 
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
-from adiband.hamiltonians import assemble_diag, assemble_full, full_projection
+from adiband.hamiltonians import assemble_diag, assemble_full, full_projection, split_band_preserving
 from adiband.models import get_model
-from adiband.propagation import StateBlock, decoupling_error, diagonalize, effective_dynamics_error, evolve
+from adiband.propagation import (
+    StateBlock,
+    decoupling_error,
+    diagonalize,
+    diagonalize_band_preserving,
+    effective_dynamics_error,
+    evolve,
+)
 
 # one model stored real (real fibers, real frame) and one stored complex
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
@@ -277,3 +284,59 @@ def test_effective_dynamics_error_equals_dense_formula(tag):
     want = np.linalg.norm(d) / np.linalg.norm(vec)
     assert want > 1e-4
     assert got == pytest.approx(want, rel=1e-14)
+
+
+# the band-preserving split solve against the dense oracle diagonalize(assemble_diag(H, band))
+SPLIT_CASES = {
+    # real data, P of rank 2 in a fiber of 3
+    "crossing_trio-pair": ("crossing_trio", (0, 1), None, None, np.float64),
+    # complex fibers, so complex frames
+    "two_band_complex": ("two_band_complex", (0,), None, "component", np.complex128),
+    # P vanishes outside the window: the fiber rank is 1 inside and 0 outside
+    "rotated_pair-windowed": ("rotated_pair", (0,), (-2, 2), "component", np.float64),
+}
+
+
+def _split_setup(tag, bands, window, gauge):
+    grid = make_grid(-8, 8, 128)
+    model = get_model(tag)
+    band = band_decompose(model, grid, bands, window=window, gauge=gauge)
+    H = assemble_full(model, grid, eps=0.1)
+    return grid, band, H
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_band_preserving_split_matches_dense_oracle(case):
+    tag, bands, window, gauge, dtype = SPLIT_CASES[case]
+    grid, band, H = _split_setup(tag, bands, window, gauge)
+    got = diagonalize_band_preserving(H, band)
+    want = diagonalize(assemble_diag(H, band))
+    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
+    r = len(bands) * int(band.mask.sum())
+    assert [block.dim for _, block in split_band_preserving(H, band)[1]] == [r, H.dim - r]
+    assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
+
+    assert got.dim == H.dim and got.tag == "diag"
+    assert np.all(np.diff(got.eigenvalues) >= 0)
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * np.abs(H.matrix).max()
+    assert got.eigenvectors.dtype == want.eigenvectors.dtype == dtype
+
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((H.dim, 4)) + 1j * rng.standard_normal((H.dim, 4))
+    # a cutoff in the widest gap of the lower half, away from every eigenvalue
+    w = want.eigenvalues[: H.dim // 2]
+    i = int(np.argmax(np.diff(w)))
+    cutoff = 0.5 * (w[i] + w[i + 1])
+    for vec in (block[:, 0], block):
+        for a, b in ((got.apply(vec, 0.7), want.apply(vec, 0.7)),
+                     (got.apply(vec, 3.0), want.apply(vec, 3.0)),
+                     (got.energy_cutoff_apply(vec, cutoff), want.energy_cutoff_apply(vec, cutoff))):
+            assert a.shape == vec.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_band_preserving_split_refuses_non_projections():
+    grid, band, H = _split_setup("rotated_pair", (0,), (-2, 2), "component")
+    scaled = dataclasses.replace(band, proj=0.9 * band.proj)
+    with pytest.raises(ValueError, match="not orthogonal projections"):
+        diagonalize_band_preserving(H, scaled)
