@@ -8,6 +8,10 @@ Momentum convention: the lattice is ``k_j = 2*pi*j/L`` in standard FFT
 ordering ``{0, 1, ..., n/2-1, -n/2, ..., -1}`` (times ``2*pi/L``), plane
 waves are ``exp(+i*k*X)``, and the momentum operator is ``eps*(-i d/dX)``
 with eigenvalue ``eps*k`` on ``exp(+i*k*X)``.
+
+A Fourier multiplier F^dag diag(s) F commutes with translations, so its
+dense matrix is the circulant of ifft(s) (`fourier_multiplier_matrix`):
+one FFT and an O(n^2) gather, no dense DFT product.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import circulant
 
 __all__ = [
     "Grid1D",
@@ -24,8 +29,8 @@ __all__ = [
     "norm",
     "l2_norm",
     "sobolev_norm",
+    "fourier_multiplier_matrix",
     "spectral_derivative_matrix",
-    "fourier_matrix",
 ]
 
 
@@ -151,16 +156,20 @@ def sobolev_norm(w: NuclearWave | MolecularWave, order: int) -> float:
     return _momentum_weights(w, order) + norm(w)
 
 
-def fourier_matrix(grid: Grid1D) -> np.ndarray:
-    """Unitary DFT matrix F with (F psi)_k = sum_x e^{-i k x} psi(x)/sqrt(n)."""
-    return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n_points)
+def fourier_multiplier_matrix(symbol: np.ndarray) -> np.ndarray:
+    """Dense matrix of the Fourier multiplier F^dag diag(symbol) F, complex.
+
+    `symbol` holds s(k) on a grid's momentum lattice in FFT ordering.
+    Entry (i, j) is sum_k s(k) e^{i k (X_i - X_j)} / n = ifft(s)[(i - j) mod n],
+    so the matrix is the circulant with first column ifft(s).
+    """
+    return circulant(np.fft.ifft(symbol))
 
 
 def spectral_derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Dense matrix of -i d/dX on the periodic grid: F^dag diag(k) F.
+    """Dense matrix of -i d/dX on the periodic grid: the multiplier of k.
 
     Hermitian, annihilates constants, and maps exp(i*k0*X) to k0*exp(i*k0*X)
     for every lattice mode k0.
     """
-    F = fourier_matrix(grid)
-    return F.conj().T @ (grid.k[:, None] * F)
+    return fourier_multiplier_matrix(grid.k)

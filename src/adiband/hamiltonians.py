@@ -2,8 +2,8 @@
 
 Matrices act on value vectors; molecular vectors are grid-major, entry
 ``i*m + a`` holding fiber component ``a`` at grid point ``X_i``.  The
-nuclear kinetic energy is assembled exactly in Fourier space, so the only
-approximation anywhere is the spatial discretization itself.
+nuclear kinetic energy is assembled exactly, as the circulant of its
+symbol, so the only approximation anywhere is the spatial discretization.
 
 Operators are stored real (float64) when their data is real: the kinetic
 term at zero vector potential, a model whose H_e(X_i) have exactly zero
@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData, fd_derivative
-from .grids import Grid1D, MolecularWave, NuclearWave, fourier_matrix, spectral_derivative_matrix
+from .electronic import BandData, berry_connection, fd_derivative
+from .grids import Grid1D, MolecularWave, NuclearWave, fourier_multiplier_matrix
 from .indicators import ramp_to_constant, smooth_step
 from .models import ElectronicModel
 
@@ -97,28 +97,27 @@ class DenseHamiltonian:
 def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -> np.ndarray:
     """Covariant kinetic operator (eps*(-i d/dX) + eps*A(X))^2 / 2, dense.
 
-    `a_vals` holds the vector potential A sampled on the grid.  At zero
-    field (None or all zero) the operator is real: the symbol (eps k)^2/2 is
-    even on the lattice (the Nyquist mode pairs with itself), so the
-    imaginary part of the Fourier product is rounding and is dropped.
-
-    Otherwise the covariant derivative is built by phase dressing: with
-    Theta' = A - mean(A), the matrix exp(-i Theta) D exp(i Theta) + mean(A)
-    equals -i d/dX + A(X) to spectral accuracy on resolved states, and a
-    periodic gauge shift theta conjugates it exactly (the antiderivative
-    map is linear and lattice-exact on band-limited fields).
+    `a_vals` holds the vector potential A sampled on the grid (None: zero).
+    With Phi = exp(i Theta), Theta' = A - mean(A), the phase-dressed
+    derivative M = Phi^* D Phi + mean(A) equals -i d/dX + A(X) to spectral
+    accuracy on resolved states, and a periodic gauge shift theta conjugates
+    it exactly (the antiderivative map is linear and lattice-exact on
+    band-limited fields).  Since |Phi| = 1, M^2 = Phi^* (D + mean(A))^2 Phi,
+    and (D + mean(A))^2 is the Fourier multiplier of (k + mean(A))^2, so one
+    construction serves every field: Phi^* C Phi, with C the circulant of
+    the symbol (eps (k + mean(A)))^2 / 2.  At zero field Phi = 1 and the
+    symbol is even on the lattice (the Nyquist mode pairs with itself), so
+    C is real up to rounding and is stored real.
     """
-    if a_vals is None or not np.any(a_vals):
-        F = fourier_matrix(grid)
-        return (F.conj().T @ ((eps * grid.k[:, None]) ** 2 / 2 * F)).real.copy()
+    a_vals = np.zeros(grid.n_points) if a_vals is None else a_vals
     a_bar = float(a_vals.mean())
     ft = np.fft.fft(a_vals - a_bar)
     with np.errstate(divide="ignore", invalid="ignore"):
         ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
     phase = np.exp(1j * np.fft.ifft(ft_theta).real)
-    D = spectral_derivative_matrix(grid)
-    M = eps * (phase.conj()[:, None] * D * phase[None, :] + a_bar * np.eye(grid.n_points))
-    return (M @ M) / 2
+    C = fourier_multiplier_matrix((eps * (grid.k + a_bar)) ** 2 / 2)
+    T = phase.conj()[:, None] * C * phase[None, :]
+    return T if np.any(a_vals) else T.real.copy()
 
 
 def _sample_a_ext(a_ext, grid: Grid1D) -> np.ndarray:
@@ -312,8 +311,6 @@ def assemble_bo(
     a_vals = _sample_a_ext(a_ext, grid)
     if include_a_geo:
         if berry is None:
-            from .electronic import berry_connection
-
             berry = berry_connection(band)
         a_vals += clamp_field(berry, grid, band.window, delta / 5)
     H = kinetic_matrix(grid, eps, a_vals) + np.diag(E_ext)

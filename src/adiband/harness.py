@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .electronic import BandData, ContourSpec, band_decompose, berry_connection, grad_projection, riesz_projection
-from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm
+from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
@@ -385,7 +385,7 @@ class PropagatorCache:
 
     @staticmethod
     def _model_key(cfg: ExperimentConfig):
-        return (cfg.model["tag"], tuple(sorted(cfg.model.get("params", {}).items())))
+        return (cfg.model["tag"], json.dumps(cfg.model.get("params", {}), sort_keys=True))
 
     @staticmethod
     def _grid_key(cfg: ExperimentConfig):
@@ -691,7 +691,9 @@ class SuiteReport:
 def _crit(cid, passed, **detail):
     clean = {}
     for k, v in detail.items():
-        if isinstance(v, (np.floating, float)):
+        if isinstance(v, (bool, np.bool_)):
+            clean[k] = bool(v)
+        elif isinstance(v, (np.floating, float)):
             clean[k] = float(v)
         elif isinstance(v, (np.integer, int)):
             clean[k] = int(v)
@@ -829,7 +831,7 @@ def _suite_identities(seed, cache):
     H1 = assemble_bo(band, 0.1, berry=A + dtheta)
     H0 = assemble_bo(band, 0.1, berry=A)
     ph = np.exp(1j * theta)
-    cov = np.abs(H1.matrix - np.diag(ph.conj()) @ H0.matrix @ np.diag(ph)).max()
+    cov = np.abs(H1.matrix - ph.conj()[:, None] * H0.matrix * ph[None, :]).max()
     crits.append(_crit("bo-gauge-covariance", cov <= 1e-9, worst=cov))
 
     rng = np.random.default_rng(seed)
@@ -862,8 +864,6 @@ def _suite_identities(seed, cache):
 def _suite_semiclassics(seed, cache):
     crits = []
     grid = make_grid(-8, 8, 128)
-    from .grids import spectral_derivative_matrix
-
     eps = 0.1
     w1 = np.abs(weyl_quantize(lambda q, p: np.ones_like(q + p), grid, eps) - np.eye(128)).max()
     wq = np.abs(weyl_quantize(lambda q, p: q + 0 * p, grid, eps) - np.diag(grid.x)).max()

@@ -140,13 +140,12 @@ def offdiag_scaling(
         Test family, re-instantiated per eps (widths scale with eps).
     """
     grid = band.grid
-    n, m = grid.n_points, band.fiber_dim
+    N = grid.n_points * band.fiber_dim
     dP_an = grad_projection(band, "analytic")
-    # block-diagonal field of P_perp (dP) P over the grid
-    offblock = np.zeros((n * m, n * m), dtype=complex)
-    diag = np.arange(n)
-    offblock.reshape(n, m, n, m)[diag, :, diag, :] = (np.eye(m) - band.proj) @ dP_an @ band.proj
-    Dm = np.kron(spectral_derivative_matrix(grid), np.eye(m))
+    # blockdiag(B_i) (D x 1) for the fiber field B_i = P_perp (dP) P: entry
+    # (i*m + a, j*m + c) is B_i[a, c] D[i, j]
+    B = (np.eye(band.fiber_dim) - band.proj) @ dP_an @ band.proj
+    BD = (B[:, :, None, :] * spectral_derivative_matrix(grid)[:, None, :, None]).reshape(N, N)
 
     eps_ladder = tuple(float(e) for e in eps_ladder)
     off_norms, rem_norms = [], []
@@ -154,7 +153,7 @@ def offdiag_scaling(
         H = assemble_full(model, grid, eps)
         Hd = assemble_diag(H, band)
         offdiag = H.matrix - Hd.matrix
-        lead = -1j * eps * eps * (offblock @ Dm)
+        lead = -1j * eps * eps * BD
         lead = lead + lead.conj().T
         worst_off, worst_rem = 0.0, 0.0
         for psi in states(eps):

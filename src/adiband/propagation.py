@@ -86,13 +86,6 @@ class SpectralPropagator:
         V = self.eigenvectors
         return _real_times(V, coeffs) if V.dtype == np.float64 else V @ coeffs
 
-    def _phases(self, t: float) -> np.ndarray:
-        return np.exp(-1j * self.eigenvalues * t / self.eps)
-
-    def unitary(self, t: float) -> np.ndarray:
-        """Dense e^{-iHt/eps}."""
-        return self._synthesize(self._phases(t)[:, None] * self.eigenvectors.conj().T)
-
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
 
@@ -100,7 +93,7 @@ class SpectralPropagator:
         has its shape.
         """
         c = self._coefficients(_as_block(vec))
-        c *= self._phases(t)[:, None]
+        c *= np.exp(-1j * self.eigenvalues * t / self.eps)[:, None]
         return self._synthesize(c).reshape(np.shape(vec))
 
     def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
@@ -159,15 +152,11 @@ def diagonalize_band_preserving(H: DenseHamiltonian, band: BandData) -> Spectral
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):
     """Propagate a wave for time t; norm-preserving and a one-parameter group."""
-    if isinstance(wave, MolecularWave):
-        flat = wave.flat()
-        if len(flat) != prop.dim:
-            raise ValueError(f"dimension mismatch: wave {len(flat)}, operator {prop.dim}")
-        out = prop.apply(flat, t).reshape(wave.values.shape)
-        return MolecularWave(grid=wave.grid, values=out, eps=wave.eps)
-    if len(wave.values) != prop.dim:
-        raise ValueError(f"dimension mismatch: wave {len(wave.values)}, operator {prop.dim}")
-    return NuclearWave(grid=wave.grid, values=prop.apply(wave.values, t), eps=wave.eps)
+    flat = wave.values.reshape(-1)
+    if len(flat) != prop.dim:
+        raise ValueError(f"dimension mismatch: wave {len(flat)}, operator {prop.dim}")
+    out = prop.apply(flat, t).reshape(wave.values.shape)
+    return type(wave)(grid=wave.grid, values=out, eps=wave.eps)
 
 
 @dataclass(frozen=True)

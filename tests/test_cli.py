@@ -95,3 +95,12 @@ def test_suite_determinism_byte_identical(tmp_path):
     main(["suite", "semiclassics", "--output", str(a)])
     main(["suite", "semiclassics", "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_suite_determinism_report_keeps_booleans(tmp_path):
+    # a boolean detail value stays a JSON boolean, not an integer
+    path = tmp_path / "determinism.json"
+    assert main(["suite", "determinism", "--output", str(path)]) == 0
+    (crit,) = json.loads(path.read_text())["criteria"]
+    assert crit["detail"]["points_ok"] is True
+    assert type(crit["detail"]["bytes"]) is int

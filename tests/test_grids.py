@@ -4,12 +4,13 @@ import pytest
 from adiband.grids import (
     MolecularWave,
     NuclearWave,
-    fourier_matrix,
+    fourier_multiplier_matrix,
     make_grid,
     norm,
     sobolev_norm,
     spectral_derivative_matrix,
 )
+from oracles import fourier_matrix
 
 
 def test_make_grid_spacing():
@@ -128,6 +129,18 @@ def test_spectral_derivative_diagonalized_by_dft():
     assert np.abs(F @ F.conj().T - np.eye(32)).max() <= 1e-12
     Dk = F @ D @ F.conj().T
     assert np.abs(Dk - np.diag(g.k)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("x_min, x_max, n", [(-8, 8, 64), (-3, 5, 128)])
+def test_fourier_multiplier_matches_dft_product(x_min, x_max, n):
+    # a symbol that is not even on the lattice, so the matrix is complex
+    g = make_grid(x_min, x_max, n)
+    symbol = (g.k + 0.3) ** 2
+    F = fourier_matrix(g)
+    dense = F.conj().T @ (symbol[:, None] * F)
+    C = fourier_multiplier_matrix(symbol)
+    assert np.abs(dense.imag).max() > 1e-3
+    assert np.abs(C - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def test_wave_shape_validation():

@@ -270,6 +270,20 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     assert sorted(dims) == sorted([384, 256, 128] * 3)
 
 
+def test_list_valued_model_parameter_scans():
+    # the cache keys on the model's parameters; a list value must not make
+    # the key unhashable.  A constant fiber commutes with the kinetic term,
+    # so the band set decouples exactly and every error is rounding.
+    from adiband import harness
+
+    cfg = harness._config("decoupling", eps_ladder=[0.2, 0.1, 0.05],
+                          model={"tag": "constant_fiber", "params": {"levels": [1.0, 2.0, 4.0]}},
+                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 256})
+    res = eps_scan(cfg, PropagatorCache())
+    assert [p["status"] for p in res.points] == ["ok"] * 3
+    assert max(p["error"] for p in res.points) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "override",
     [{"energy_cutoff": 2.0}, {"include_a_geo": False}, {"flow_dt": 0.5}, {"alpha": 0.2},
