@@ -146,9 +146,12 @@ def assemble_full(
     fibers = model.h_batch(grid.x)
     if np.isrealobj(T) and not np.any(fibers.imag):
         fibers = fibers.real
-    H = np.kron(T, np.eye(m)).astype(fibers.dtype)
+    H = np.zeros((n * m, n * m), dtype=fibers.dtype)
+    blocks = H.reshape(n, m, n, m)
+    for a in range(m):
+        blocks[:, a, :, a] = T
     diag = np.arange(n)
-    H.reshape(n, m, n, m)[diag, :, diag, :] += fibers
+    blocks[diag, :, diag, :] += fibers
     return DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=m)
 
 

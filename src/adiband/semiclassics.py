@@ -381,16 +381,12 @@ def wigner_marginal(wave: NuclearWave | MolecularWave) -> WignerData:
     vals = wave.values if wave.values.ndim == 2 else wave.values[:, None]
     grid, eps = wave.grid, wave.eps
     n = grid.n_points
-    idx = np.arange(n)
-    offsets = np.arange(n) - n // 2
-    C = np.zeros((n, n), dtype=complex)
-    for jm, mm in enumerate(offsets):
-        ip = (idx + mm) % n
-        im = (idx - mm) % n
-        C[:, jm] = np.sum(vals[ip].conj() * vals[im], axis=1)
+    # C[i, r] = <psi(q_i + r), psi(q_i - r)> for every offset r mod n, in one gather
+    i, r = np.arange(n)[:, None], np.arange(n)
+    C = np.einsum("ira,ira->ir", vals[(i + r) % n].conj(), vals[(i - r) % n])
+    # sum_r C[i, r] e^{2 pi i r j / n} for j = -n/2 .. n/2 - 1: an unscaled inverse FFT, shifted
+    W = np.fft.fftshift(np.fft.ifft(C, axis=1, norm="forward"), axes=1) * (2 * grid.dx / eps) / (2 * np.pi)
     j = np.arange(n) - n // 2
-    phase = np.exp(2j * np.pi * np.outer(offsets, j) / n)
-    W = (C @ phase) * (2 * grid.dx / eps) / (2 * np.pi)
     p = j * eps * grid.dk / 2
     return WignerData(values=W.real, q=grid.x.copy(), p=p, eps=eps)
 

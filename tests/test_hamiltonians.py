@@ -17,7 +17,7 @@ from adiband.hamiltonians import (
 )
 from adiband.models import ElectronicModel, get_model
 from adiband.propagation import diagonalize
-from oracles import fourier_matrix
+from oracles import fourier_matrix, kron_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,23 @@ def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
     for V in (diagonalize(H).eigenvectors, diagonalize(Hd).eigenvectors):
         assert V.dtype == expected
         assert np.any(V.imag) != real_data
+
+
+@pytest.mark.parametrize(
+    "tag, a_ext, dtype",
+    [
+        ("crossing_trio", None, np.float64),
+        ("two_band_complex", None, np.complex128),
+        ("rotated_pair", lambda X: 0.3 * np.sin(np.pi * X / 4), np.complex128),
+    ],
+    ids=["real", "complex-fibers", "a-ext"],
+)
+def test_full_equals_kron_construction(tag, a_ext, dtype):
+    grid = make_grid(-4, 4, 32)
+    model = get_model(tag)
+    H = assemble_full(model, grid, eps=0.2, a_ext=a_ext).matrix
+    assert H.dtype == dtype
+    assert np.array_equal(H, kron_hamiltonian(model, grid, 0.2, a_ext))
 
 
 def test_kinetic_real_part_is_the_operator():

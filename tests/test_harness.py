@@ -16,6 +16,7 @@ from adiband.harness import (
     run_suite,
     standard_state_family,
 )
+from adiband.propagation import decoupling_error
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -268,6 +269,62 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     assert all(p["status"] == "ok" for p in res.points)
     assert calls == {"assemble_full": 3, "assemble_diag": 0}
     assert sorted(dims) == sorted([384, 256, 128] * 3)
+
+
+@pytest.mark.parametrize("energy_cutoff", [None, 2.0])
+def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutoff):
+    # the four times of an eps come from one decoupling_error call: one apply
+    # per propagator and, with a cutoff, one projection
+    from adiband import harness
+    from adiband.propagation import SpectralPropagator
+
+    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1], times=[0.5, 1.0, 1.5, 2.0],
+                          energy_cutoff=energy_cutoff, grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    cache = PropagatorCache()
+    calls = {"apply": [], "energy_cutoff_apply": []}
+
+    def counted(name):
+        real = getattr(SpectralPropagator, name)
+
+        def wrapper(prop, *args):
+            calls[name].append(prop.eps)
+            return real(prop, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SpectralPropagator, name, counted(name))
+    res = eps_scan(cfg, cache)
+    assert [p["status"] for p in res.points] == ["ok"] * 12
+    assert sorted(calls["apply"]) == sorted([0.4, 0.2, 0.1] * 2)
+    assert sorted(calls["energy_cutoff_apply"]) == ([] if energy_cutoff is None else [0.1, 0.2, 0.4])
+    # each point is the family's largest error at its own time, as one call per time gives it
+    inputs = harness._ScanInputs(cfg)
+    for p in res.points:
+        pf, pd = cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), p["eps"])
+        one = decoupling_error(pf, pd, inputs.family(p["eps"]), p["t"], energy_cutoff=energy_cutoff)
+        assert p["error"] == float(one.max())
+
+
+def test_decoupling_row_that_raises_fails_every_point_of_its_eps(monkeypatch):
+    from adiband import harness
+
+    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1], times=[0.5, 1.0, 1.5],
+                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    real, calls = harness.decoupling_error, []
+
+    def failing_at_02(prop_full, *args, **kwargs):
+        calls.append(prop_full.eps)
+        if prop_full.eps == 0.2:
+            raise RuntimeError("row failed")
+        return real(prop_full, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "decoupling_error", failing_at_02)
+    res = eps_scan(cfg, PropagatorCache())
+    for p in res.points:
+        assert p["status"] == ("error" if p["eps"] == 0.2 else "ok")
+    assert all(p["message"] == "RuntimeError: row failed" for p in res.points if p["eps"] == 0.2)
+    # a row that raised is tried again by the next point of its eps
+    assert calls == [0.4, 0.2, 0.2, 0.2, 0.1]
 
 
 def test_list_valued_model_parameter_scans():

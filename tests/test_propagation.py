@@ -146,6 +146,27 @@ def test_real_storage_matches_complex_solver():
         assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
 
 
+def test_apply_at_a_row_of_times_equals_stacked_scalar_calls(setups):
+    # The batch makes the same products on the same data, but the BLAS picks its
+    # kernel by the total column count: zgemm and the small dgemm path (dim 256
+    # here) round T k columns differently from k.  So the match is to rounding
+    # here; at the scans' sizes (dgemm, dim >= 384, ten states) it is bitwise,
+    # see tests/test_harness.py::test_decoupling_scan_evaluates_each_eps_as_one_row.
+    times = np.array([0.0, 0.3, 1.1, 4.0])
+    # complex128 storage (two_band_complex), then float64 storage (rotated_pair)
+    assert [prop.eigenvectors.dtype for *_, prop in setups] == [np.complex128, np.float64]
+    for *_, prop in setups:
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
+        for vec in (block, block[:, 0]):
+            out = prop.apply(vec, times)
+            stacked = np.stack([prop.apply(vec, t) for t in times])
+            assert out.shape == stacked.shape == (len(times),) + vec.shape
+            assert np.abs(out - stacked).max() <= 1e-14 * np.abs(stacked).max()
+        with pytest.raises(ValueError):
+            prop.apply(block, times[None, :])
+
+
 def _complex_stored(prop):
     return dataclasses.replace(prop, eigenvectors=prop.eigenvectors.astype(complex))
 
@@ -204,6 +225,25 @@ def test_block_decoupling_error_matches_per_state_formula(setups):
                 single = decoupling_error(prop, pd, states[2], t, energy_cutoff=energy_cutoff)
                 assert isinstance(single, float)
                 assert single == pytest.approx(got[2], rel=1e-12)
+
+
+def test_decoupling_error_over_times_equals_per_time_calls(setups):
+    times = [0.5, 1.0, 2.0]
+    for grid, model, band, H, prop in setups:
+        pd = diagonalize(assemble_diag(H, band))
+        states = [_gaussian_state(grid, band, 0.1, q0, p0) for q0, p0 in ((-1.0, 0.3), (0.8, -0.4))]
+        block = StateBlock.stack(states)
+        cutoff = float(np.median(prop.eigenvalues))
+        for energy_cutoff in (None, cutoff):
+            row = decoupling_error(prop, pd, block, times, energy_cutoff=energy_cutoff)
+            per_time = np.array([decoupling_error(prop, pd, block, t, energy_cutoff=energy_cutoff) for t in times])
+            assert row.shape == per_time.shape == (len(times), len(states))
+            assert np.all(per_time > 1e-6)
+            assert np.abs(row / per_time - 1).max() <= 1e-12
+            # one wave in: one error per time
+            single = decoupling_error(prop, pd, states[1], times, energy_cutoff=energy_cutoff)
+            assert single.shape == (len(times),)
+            assert np.abs(single / per_time[:, 1] - 1).max() <= 1e-12
 
 
 def test_evolve_dimension_mismatch(setups):

@@ -22,6 +22,7 @@ from adiband.semiclassics import (
     wigner_marginal,
     write_wigner_csv,
 )
+from oracles import wigner_values
 
 
 def coherent(grid, eps, q0, p0):
@@ -298,6 +299,17 @@ def test_wigner_normalization_and_marginal():
         assert abs(wd.mass() - norm(w) ** 2) <= 1e-8
         dens = np.abs(w.values) ** 2
         assert np.abs(wd.q_marginal() - dens).max() <= 1e-8
+
+
+def test_wigner_fft_matches_dense_sums():
+    # a nuclear wave and molecular waves of two and three components
+    for n, m in ((64, 1), (32, 2), (128, 3)):
+        grid = make_grid(-4, 4, n)
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        wave = NuclearWave(grid, vals[:, 0], eps=0.1) if m == 1 else MolecularWave(grid, vals, eps=0.1)
+        want = wigner_values(wave)
+        assert np.abs(wigner_marginal(wave).values - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_wigner_plane_wave_concentrates_on_momentum_line():
