@@ -6,6 +6,8 @@
 Writes the next free BENCH_<n>.json.  Runs, one after another and each in a fresh process:
 - perfbench/run.py on every workload of BENCHMARK.json at seed 0 for its
   run_seconds, with --trace 0 (end-to-end metrics, peak RSS) and --trace 1 (per-layer split);
+- IMPORT_PROBES fresh interpreters that only `import adiband`, under the
+  benchmark's BLAS cap (median wall time, peak RSS);
 - the tier-1 tests (`python -m pytest -q --continue-on-collection-errors`);
 - each acceptance suite (`python -m adiband.cli suite <name>`).
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -30,6 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from adiband.harness import SUITE_NAMES  # noqa: E402
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+IMPORT_PROBES = 5
 
 
 def timed(cmd, env=None):
@@ -85,6 +89,16 @@ def main() -> int:
     for wl in spec["workloads"]:
         record["workloads"][wl["name"]] = bench_workload(wl["name"], spec["run_seconds"])
     record["blas_threads_benchmark"] = next(iter(record["workloads"].values()))["env"]["blas_threads"]
+
+    cmd = [sys.executable, "-c", "import adiband"]
+    probes = [timed(cmd, dict(env, **record["blas_threads_benchmark"])) for _ in range(IMPORT_PROBES)]
+    for _, code, _, text in probes:
+        if code != 0:
+            raise RuntimeError(f"{' '.join(cmd)} exited {code}:\n{text}")
+    walls = [wall for wall, _, _, _ in probes]
+    record["import"] = {"command": cmd[1:], "wall_s": statistics.median(walls), "wall_s_samples": walls,
+                        "peak_rss_mb": max(rss for _, _, rss, _ in probes)}
+    print(f"import adiband: {record['import']['wall_s']:.3f} s, {record['import']['peak_rss_mb']:.1f} MB", flush=True)
 
     wall, code, rss, text = timed([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                                    "-p", "no:cacheprovider"], env)

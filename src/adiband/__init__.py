@@ -6,6 +6,8 @@ H = (eps^2/2)(-i d/dX + A(X))^2 + H_e(X) on a periodic grid with a small
 matrix fiber, evolves it exactly through dense eigendecompositions, and
 measures how fast band-preserving and effective single-band dynamics
 converge to the full dynamics as eps decreases.
+
+numpy is the only runtime dependency; SciPy serves the tests as an oracle.
 """
 
 from .electronic import (

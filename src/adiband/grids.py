@@ -11,7 +11,7 @@ with eigenvalue ``eps*k`` on ``exp(+i*k*X)``.
 
 A Fourier multiplier F^dag diag(s) F commutes with translations, so its
 dense matrix is the circulant of ifft(s) (`fourier_multiplier_matrix`):
-one FFT and an O(n^2) gather, no dense DFT product.
+one FFT and an O(n^2) index gather c[(i - j) mod n], no dense DFT product.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant
 
 __all__ = [
     "Grid1D",
@@ -161,9 +160,11 @@ def fourier_multiplier_matrix(symbol: np.ndarray) -> np.ndarray:
 
     `symbol` holds s(k) on a grid's momentum lattice in FFT ordering.
     Entry (i, j) is sum_k s(k) e^{i k (X_i - X_j)} / n = ifft(s)[(i - j) mod n],
-    so the matrix is the circulant with first column ifft(s).
+    so the matrix is the circulant with first column ifft(s), gathered by index.
     """
-    return circulant(np.fft.ifft(symbol))
+    c = np.fft.ifft(symbol)
+    j = np.arange(c.size)
+    return c[(j[:, None] - j[None, :]) % c.size]
 
 
 def spectral_derivative_matrix(grid: Grid1D) -> np.ndarray:

@@ -25,7 +25,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .electronic import BandData
 from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm
@@ -186,23 +185,42 @@ def apply_phase_space_projection(
 def band_energy_interpolant(band: BandData, delta: float = 0.5):
     """Periodic cubic-spline interpolant of the clamped band energy.
 
+    The knots are the grid points, uniform with spacing h and periodic over
+    the box.  The second-derivative moments M solve the circulant system
+    (M[i-1] + 4 M[i] + M[i+1]) h^2/6 = y[i+1] - 2 y[i] + y[i-1], diagonalized
+    by one FFT.  A query q is wrapped into the box by `np.mod`, located by
+    its interval index, and evaluated in Horner form on that interval.
+
     Returns (E, dE) callables; the force used by the flow is -dE.
     """
     if band.band_energy is None:
         raise ValueError("band energy interpolant requires a tracked single band")
     grid = band.grid
-    vals = clamp_field(band.band_energy, grid, band.window, delta / 5)
-    xs = np.concatenate([grid.x, [grid.x_min + grid.length]])
-    ys = np.concatenate([vals, [vals[0]]])
-    spline = CubicSpline(xs, ys, bc_type="periodic")
-    L = grid.length
-    x0 = grid.x_min
+    y = clamp_field(band.band_energy, grid, band.window, delta / 5)
+    n, h, x0, L = grid.n_points, grid.dx, grid.x_min, grid.length
+    y_next = np.roll(y, -1)
+    circulant_eigs = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    M = np.fft.irfft(np.fft.rfft(y_next - 2.0 * y + np.roll(y, 1)) / circulant_eigs, n) * (6.0 / h**2)
+    M_next = np.roll(M, -1)
+    # S(x_i + s) = y + s (b + s (c + s d)) on interval i, 0 <= s <= h;
+    # S' = b + s (c2 + s d3) with c2 = 2c, d3 = 3d
+    b = (y_next - y) / h - h * (2.0 * M + M_next) / 6.0
+    c2, d3 = M, (M_next - M) / (2.0 * h)
+    c, d = c2 / 2.0, d3 / 3.0
+
+    def locate(q):
+        u = np.mod(np.asarray(q, dtype=float) - x0, L)
+        # u may round up to L itself for q just below x0: that is the end of the last interval
+        i = np.minimum((u / h).astype(np.intp), n - 1)
+        return i, u - i * h
 
     def E(q):
-        return spline(x0 + np.mod(np.asarray(q) - x0, L))
+        i, s = locate(q)
+        return y[i] + s * (b[i] + s * (c[i] + s * d[i]))
 
     def dE(q):
-        return spline(x0 + np.mod(np.asarray(q) - x0, L), 1)
+        i, s = locate(q)
+        return b[i] + s * (c2[i] + s * d3[i])
 
     return E, dE
 

@@ -1,10 +1,13 @@
-"""Dense reference constructions that the tests compare the package against.
+"""Reference constructions that the tests compare the package against.
 
-They build by the textbook formula, not by the package's fast path, and
-nothing in the package calls them.
+They build by the textbook formula or by SciPy, not by the package's fast
+path, and nothing in the package calls them.  SciPy is a test dependency
+only: the package itself imports numpy alone.
 """
 
 import numpy as np
+from scipy.interpolate import CubicSpline
+from scipy.linalg import circulant
 
 
 def fourier_matrix(grid) -> np.ndarray:
@@ -52,3 +55,19 @@ def wigner_values(wave) -> np.ndarray:
         C[:, jm] = np.sum(vals[(idx + mm) % n].conj() * vals[(idx - mm) % n], axis=1)
     phase = np.exp(2j * np.pi * np.outer(offsets, offsets) / n)
     return ((C @ phase) * (2 * grid.dx / eps) / (2 * np.pi)).real
+
+
+def circulant_multiplier(symbol) -> np.ndarray:
+    """Dense F^dag diag(symbol) F as SciPy's circulant of ifft(symbol)."""
+    return circulant(np.fft.ifft(symbol))
+
+
+def periodic_spline(grid, values):
+    """(E, dE) of SciPy's periodic cubic spline through values on the grid, q wrapped into the box."""
+    xs = np.concatenate([grid.x, [grid.x_min + grid.length]])
+    spline = CubicSpline(xs, np.concatenate([values, [values[0]]]), bc_type="periodic")
+
+    def wrap(q):
+        return grid.x_min + np.mod(np.asarray(q, dtype=float) - grid.x_min, grid.length)
+
+    return (lambda q: spline(wrap(q))), (lambda q: spline(wrap(q), 1))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +108,12 @@ def test_suite_determinism_report_keeps_booleans(tmp_path):
     (crit,) = json.loads(path.read_text())["criteria"]
     assert crit["detail"]["points_ok"] is True
     assert type(crit["detail"]["bytes"]) is int
+
+
+def test_import_loads_numpy_but_no_scipy():
+    # a fresh interpreter: the package's runtime dependency is numpy alone
+    code = ("import sys, adiband, adiband.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ from adiband.grids import (
     sobolev_norm,
     spectral_derivative_matrix,
 )
-from oracles import fourier_matrix
+from oracles import circulant_multiplier, fourier_matrix
 
 
 def test_make_grid_spacing():
@@ -141,6 +141,8 @@ def test_fourier_multiplier_matches_dft_product(x_min, x_max, n):
     C = fourier_multiplier_matrix(symbol)
     assert np.abs(dense.imag).max() > 1e-3
     assert np.abs(C - dense).max() <= 1e-13 * np.abs(dense).max()
+    # the index gather only copies entries of ifft(s): bitwise equal to SciPy's circulant
+    assert np.array_equal(C, circulant_multiplier(symbol))
 
 
 def test_wave_shape_validation():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, NuclearWave, make_grid, norm, spectral_derivative_matrix
-from adiband.hamiltonians import assemble_bo
+from adiband.hamiltonians import assemble_bo, clamp_field
 from adiband.indicators import PhaseSpaceRegion, smooth_indicator, smooth_step
 from adiband.models import get_model
 from adiband.propagation import diagonalize
@@ -22,7 +24,7 @@ from adiband.semiclassics import (
     wigner_marginal,
     write_wigner_csv,
 )
-from oracles import wigner_values
+from oracles import periodic_spline, wigner_values
 
 
 def coherent(grid, eps, q0, p0):
@@ -172,6 +174,66 @@ def test_band_energy_interpolant_matches_band():
     qs = np.linspace(-1.5, 1.5, 40)
     assert np.abs(E(qs) - (qs**2 - 4)).max() <= 1e-6
     assert np.abs(dE(qs) - 2 * qs).max() <= 1e-4
+
+
+def _rotated_pair_spline_data():
+    grid = make_grid(-6.4, 6.4, 512)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
+    return band, clamp_field(band.band_energy, grid, band.window, 0.4 / 5)
+
+
+def _random_periodic_spline_data():
+    # a smooth periodic sample on an off-centre box; no window, so the samples are the knot values
+    grid = make_grid(-3.0, 5.0, 256)
+    rng = np.random.default_rng(7)
+    phase = 2 * np.pi * (grid.x - grid.x_min) / grid.length
+    k = np.arange(1, 6)
+    vals = 0.5 + np.cos(np.outer(phase, k)) @ rng.normal(size=5) + np.sin(np.outer(phase, k)) @ rng.normal(size=5)
+    band = band_decompose(get_model("rotated_pair"), grid, 0)
+    return dataclasses.replace(band, band_energy=vals), vals
+
+
+@pytest.mark.parametrize("data", [_rotated_pair_spline_data, _random_periodic_spline_data],
+                         ids=["rotated_pair", "random_periodic"])
+def test_band_energy_interpolant_matches_scipy_periodic_spline(data):
+    band, vals = data()
+    grid = band.grid
+    E, dE = band_energy_interpolant(band, delta=0.4)
+    E_ref, dE_ref = periodic_spline(grid, vals)
+    L = grid.length
+    qs = np.concatenate([np.linspace(grid.x_min - 2 * L, grid.x_min + 3 * L, 5003), grid.x])
+    for f, ref in ((E, E_ref), (dE, dE_ref)):
+        assert np.abs(f(qs) - ref(qs)).max() <= 1e-12 * np.abs(ref(qs)).max()
+
+
+@pytest.mark.parametrize("data", [_rotated_pair_spline_data, _random_periodic_spline_data],
+                         ids=["rotated_pair", "random_periodic"])
+def test_band_energy_interpolant_continuous_across_seam(data):
+    band, _ = data()
+    grid = band.grid
+    E, dE = band_energy_interpolant(band, delta=0.4)
+    end = np.nextafter(grid.x_min + grid.length, -np.inf)  # end of the last interval
+    for f in (E, dE):
+        scale = np.abs(f(grid.x)).max()
+        assert abs(f(end) - f(grid.x_min)) <= 1e-12 * scale
+
+
+def test_band_energy_interpolant_wraps_queries_into_the_box():
+    band, vals = _random_periodic_spline_data()
+    grid = band.grid
+    x0, L = grid.x_min, grid.length
+    E, dE = band_energy_interpolant(band, delta=0.4)
+    assert E(x0) == vals[0] and E(x0 + L) == E(x0) and dE(x0 + L) == dE(x0)
+    q = x0 + 0.37
+    far = q + L * np.array([-5.0, -3.0, 2.0, 4.0])
+    for f in (E, dE):
+        assert np.abs(f(far) - f(q)).max() <= 1e-12 * np.abs(f(grid.x)).max()
+    # just below x0, np.mod rounds q - x0 up to L itself: the end of the last interval, not past it
+    below = np.nextafter(x0, -np.inf)
+    assert np.mod(below - x0, L) == L
+    for f in (E, dE):
+        assert abs(f(below) - f(x0)) <= 1e-12 * np.abs(f(grid.x)).max()
+        assert f(np.array([below, q]))[0] == f(below)
 
 
 # ---------------------------------------------------------------- hitting times
