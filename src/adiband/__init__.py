@@ -57,7 +57,6 @@ from .states import (
     coherent_state,
     lift_to_band,
     sharp_momentum_state,
-    sharp_position_state,
     wkb_state,
 )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .harness import (
     SUITE_NAMES,
@@ -73,8 +74,11 @@ def _cmd_hitting_times(args):
 
 
 def _cmd_report(args):
-    result = load_result(args.result)
     out = args.output or (args.result.rsplit(".", 1)[0] + "." + args.format)
+    if Path(out).resolve() == Path(args.result).resolve():
+        print(f"output {out} is the input result; pass another --output", file=sys.stderr)
+        return 2
+    result = load_result(args.result)
     emit_report(result, out, fmt=args.format)
     print(f"report written to {out}")
     return 0

@@ -168,7 +168,10 @@ class ExperimentConfig:
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
             )
         self._check_reads()
-        if self.region is not None and self.window is not None:
+        if self.functional in ("effective_dynamics", "boundary_leakage"):
+            missing = [name for name in ("window", "region") if getattr(self, name) is None]
+            if missing:
+                raise ValueError(f"{self.functional} needs {missing}; got null")
             PhaseSpaceRegion(self.region).check_inside(self.window, self.delta)
         if self.functional == "effective_dynamics":
             t_minus, t_plus = self.hitting_window()
@@ -277,12 +280,12 @@ def fit_loglog(eps_values, errors, residual_threshold=0.5):
     Returns (slope, intercept, residual, dropped) where `dropped` records
     whether the largest-eps point was excluded as preasymptotic (done once,
     when the full-ladder fit residual exceeds the threshold).  Slope is
-    None when errors are nonpositive or the refit residual still exceeds
-    the threshold.
+    None when there are fewer than 3 points, when errors are nonpositive,
+    or when the refit residual still exceeds the threshold.
     """
     e = np.asarray(eps_values, dtype=float)
     r = np.asarray(errors, dtype=float)
-    if np.any(~np.isfinite(r)) or np.any(r <= 0):
+    if len(e) < 3 or np.any(~np.isfinite(r)) or np.any(r <= 0):
         return None, None, None, False
 
     def _fit(x, y):
@@ -474,19 +477,19 @@ def standard_state_family(grid, band, eps, q_centers, p_centers, wkb_params, del
 
 
 class _ScanInputs:
-    """What a scan builds once for all its (eps, t) points.
+    """What a scan builds once for all its eps rows, with the propagator cache it reads.
 
-    The model, the grid and each band set are built on first use and kept;
-    a build that raises is tried again by the next point, so it fails
-    every point that needs it.  The decoupling family is kept per eps, and
-    so is `rows[eps]`, the decoupling scan's errors over `cfg.times`.
+    Every functional takes the scan's _ScanInputs, so a suite that calls a
+    functional directly passes one built from its config and cache, as a
+    scan does.  The model, the grid and each band set are built on first
+    use and kept; a build that raises is tried again by the next row, so it
+    fails every row that needs it.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, cache: PropagatorCache | None = None):
         self.cfg = cfg
+        self.cache = PropagatorCache() if cache is None else cache
         self._bands = {}
-        self._families = {}
-        self.rows = {}
 
     @cached_property
     def model(self) -> ElectronicModel:
@@ -503,89 +506,64 @@ class _ScanInputs:
             self._bands[key] = self.cfg.build_band(key, self.model, self.grid)
         return self._bands[key]
 
-    def family(self, eps) -> StateBlock:
-        """The ten-state decoupling family at eps, lifted to the lift band."""
-        if eps not in self._families:
-            fam = self.cfg.state["family_params"]
-            states = standard_state_family(
-                self.grid, self.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=self.cfg.delta
-            )
-            self._families[eps] = StateBlock.stack(states)
-        return self._families[eps]
+
+# Each functional maps (inputs, eps, times) to one error per time: `inputs` is
+# the scan's _ScanInputs, `times` a sequence of times, and whatever does not
+# depend on t is built once for the row.
 
 
-# Each functional maps (cfg, cache, eps, t, inputs) to one error; `inputs`
-# is the scan's _ScanInputs for cfg.
-
-
-def _decoupling_row(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times, inputs: _ScanInputs):
+def _scan_decoupling(inputs: _ScanInputs, eps: float, times):
     """The family's largest decoupling error at each of `times`, from one `decoupling_error` call."""
-    pf, pd = cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
-    return decoupling_error(pf, pd, inputs.family(eps), times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
+    cfg = inputs.cfg
+    pf, pd = inputs.cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
+    fam = cfg.state["family_params"]
+    family = standard_state_family(
+        inputs.grid, inputs.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=cfg.delta
+    )
+    return decoupling_error(pf, pd, StateBlock.stack(family), times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
 
 
-def _scan_decoupling(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
-) -> float:
-    if eps not in inputs.rows:  # a row that raises is not kept; the next point tries again
-        inputs.rows[eps] = _decoupling_row(cfg, cache, eps, cfg.times, inputs)
-    return float(inputs.rows[eps][cfg.times.index(t)])
-
-
-def _scan_effective(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
-) -> float:
-    band = inputs.band()
-    pf = cache.full(cfg, inputs.model, inputs.grid, eps)
-    pb = cache.bo(cfg, band, eps)
+def _scan_effective(inputs: _ScanInputs, eps: float, times):
+    cfg, band = inputs.cfg, inputs.band()
+    pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
+    pb = inputs.cache.bo(cfg, band, eps)
     psi0, _, _ = cfg.make_state(inputs.grid, band, eps)
     projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
-    return effective_dynamics_error(pf, pb, band, projected, t, delta=cfg.delta)
+    return [effective_dynamics_error(pf, pb, band, projected, t, delta=cfg.delta) for t in times]
 
 
-def _scan_leakage(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
-) -> float:
-    band = inputs.band()
-    pb = cache.bo(cfg, band, eps)
+def _scan_leakage(inputs: _ScanInputs, eps: float, times):
+    cfg, band = inputs.cfg, inputs.band()
+    pb = inputs.cache.bo(cfg, band, eps)
     _, phi0, _ = cfg.make_state(band.grid, band, eps)
-    return boundary_leakage(
-        pb, tuple(cfg.window), cfg.delta, cfg.build_region(), cfg.alpha, phi0, t
-    )
+    region = cfg.build_region()
+    return [boundary_leakage(pb, tuple(cfg.window), cfg.delta, region, cfg.alpha, phi0, t) for t in times]
 
 
-def _scan_observable_pairing(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
-) -> float:
-    band = inputs.band()
-    grid = band.grid
+def _scan_observable_pairing(inputs: _ScanInputs, eps: float, times):
+    """The reduced-observable residual at eps; it does not depend on t."""
+    cfg, band = inputs.cfg, inputs.band()
     sym = _named_symbol(cfg.symbol or "p")
-    states = []
-    for q0, p0 in cfg.state["params"]["centers"]:
-        wave, _ = coherent_state(grid, eps, q0, p0)
-        states.append(lift_to_band(wave, band, cfg.delta))
-    return reduced_observable_residual(sym, band, cfg.delta, eps, states)
+    states = [lift_to_band(coherent_state(band.grid, eps, q0, p0)[0], band, cfg.delta)
+              for q0, p0 in cfg.state["params"]["centers"]]
+    return [reduced_observable_residual(sym, band, cfg.delta, eps, states)] * len(times)
 
 
-def _scan_state_observables(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
-) -> float:
-    band = inputs.band()
-    pf = cache.full(cfg, inputs.model, inputs.grid, eps)
+def _scan_state_observables(inputs: _ScanInputs, eps: float, times):
+    cfg, band = inputs.cfg, inputs.band()
+    pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
     psi0, _, rho = cfg.make_state(inputs.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
-    return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, t, dE, dt=cfg.flow_dt)
+    return [egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, t, dE, dt=cfg.flow_dt) for t in times]
 
 
-def _scan_egorov(
-    cfg: ExperimentConfig, cache: PropagatorCache, eps: float, t: float, inputs: _ScanInputs
-) -> float:
-    band = inputs.band()
-    pb = cache.bo(cfg, band, eps)
+def _scan_egorov(inputs: _ScanInputs, eps: float, times):
+    cfg, band = inputs.cfg, inputs.band()
+    pb = inputs.cache.bo(cfg, band, eps)
     _, phi0, rho = cfg.make_state(band.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
     sym = _named_symbol(cfg.symbol or "q")
-    return egorov_residual(pb, [sym], phi0, rho, t, dE, dt=cfg.flow_dt)
+    return [egorov_residual(pb, [sym], phi0, rho, t, dE, dt=cfg.flow_dt) for t in times]
 
 
 FUNCTIONALS = {
@@ -599,43 +577,34 @@ FUNCTIONALS = {
 
 
 def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> ScanResult:
-    """Run the configured functional over the (eps, t) lattice and fit the slope.
+    """Run the configured functional over the eps ladder and fit the slope.
 
-    Points run serially in order of decreasing eps, then increasing t.
-    The model, grid and bands are built once for the scan (`_ScanInputs`).
-    A decoupling scan evaluates the whole row `cfg.times` of an eps at its
-    first point, so that point's wall clock carries the row and the later
-    points of the eps only read their entries.  Per-point failures are
-    recorded in the result without aborting the scan.
+    The eps row is the unit of a scan: the functional maps the scan's
+    `_ScanInputs`, one eps and the sorted times to one error per time.
+    Rows run serially in order of decreasing eps, and a row gives its
+    points in order of increasing t.  A row's wall clock goes on its first
+    point and 0.0 on the rest.  A row that raises is recorded as an error
+    at each of its points, without aborting the scan.  The slope is fitted
+    to the largest error of each row that did not raise.
     """
     cfg.validate()
-    cache = cache or PropagatorCache()
     fn = FUNCTIONALS[cfg.functional]
-    inputs = _ScanInputs(cfg)
-    tasks = sorted(
-        ((eps, t) for eps in cfg.eps_ladder for t in cfg.times), key=lambda task: (-task[0], task[1])
-    )
-    points, clocks = [], []
-    for eps, t in tasks:
+    inputs = _ScanInputs(cfg, cache)
+    times = sorted(cfg.times)
+    points, clocks, largest = [], [], {}
+    for eps in cfg.eps_ladder:
         t0 = time.perf_counter()
         try:
-            points.append({"eps": eps, "t": t, "error": float(fn(cfg, cache, eps, t, inputs)), "status": "ok"})
+            errors = [float(e) for e in fn(inputs, eps, times)]
         except Exception as exc:  # recorded, not raised
-            points.append({"eps": eps, "t": t, "error": None, "status": "error",
-                           "message": f"{type(exc).__name__}: {exc}"})
-        clocks.append(round(time.perf_counter() - t0, 6))
+            message = f"{type(exc).__name__}: {exc}"
+            points += [{"eps": eps, "t": t, "error": None, "status": "error", "message": message} for t in times]
+        else:
+            points += [{"eps": eps, "t": t, "error": e, "status": "ok"} for t, e in zip(times, errors)]
+            largest[eps] = max(errors)
+        clocks += [round(time.perf_counter() - t0, 6)] + [0.0] * (len(times) - 1)
 
-    ok = [p for p in points if p["status"] == "ok"]
-    by_eps = {}
-    for p in ok:
-        by_eps.setdefault(p["eps"], []).append(p["error"])
-    eps_sorted = sorted(by_eps, reverse=True)
-    errs = [max(by_eps[e]) for e in eps_sorted]
-    if len(eps_sorted) >= 3:
-        slope, intercept, resid, dropped = fit_loglog(eps_sorted, errs, cfg.fit_residual_threshold)
-    else:
-        slope = intercept = resid = None
-        dropped = False
+    slope, intercept, resid, dropped = fit_loglog(list(largest), list(largest.values()), cfg.fit_residual_threshold)
     return ScanResult(
         functional=cfg.functional,
         points=points,
@@ -727,7 +696,7 @@ def _suite_decoupling(seed, cache):
         _rate_crit("decoupling-rate", eps_scan(_config("decoupling"), cache), 0.75, 1.25),
         _rate_crit("decoupling-rate-with-cutoff", eps_scan(cutoff, cache), 0.75),
     ]
-    e1, e2 = _decoupling_row(cutoff, cache, 0.05, (1.0, 2.0), _ScanInputs(cutoff))
+    e1, e2 = _scan_decoupling(_ScanInputs(cutoff, cache), 0.05, (1.0, 2.0))
     crits.append(
         _crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)
     )
@@ -743,7 +712,7 @@ def _suite_effective(seed, cache):
     ]
     # beyond the window the bound is not asserted; the value is only logged
     t_out = 1.2 * t_plus
-    logged = _scan_effective(cfg, cache, 0.05, t_out, _ScanInputs(cfg))
+    (logged,) = _scan_effective(_ScanInputs(cfg, cache), 0.05, [t_out])
     crits.append(
         _crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)
     )
@@ -754,8 +723,8 @@ def _suite_berry(seed, cache):
     cfg_on = _config("berry")
     res_on = eps_scan(cfg_on, cache)
     cfg_off = replace(cfg_on, include_a_geo=False)
-    inputs = _ScanInputs(cfg_off)
-    errs_off = [_scan_effective(cfg_off, cache, eps, cfg_off.times[0], inputs) for eps in cfg_off.eps_ladder]
+    inputs = _ScanInputs(cfg_off, cache)
+    errs_off = [_scan_effective(inputs, eps, cfg_off.times[:1])[0] for eps in cfg_off.eps_ladder]
     return [
         _rate_crit("berry-on-rate", res_on, 0.75),
         _crit(

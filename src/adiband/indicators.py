@@ -78,10 +78,6 @@ class PhaseSpaceRegion:
     def q_bounds(self):
         return (min(r[0] for r in self.rects), max(r[1] for r in self.rects))
 
-    @property
-    def p_bounds(self):
-        return (min(r[2] for r in self.rects), max(r[3] for r in self.rects))
-
     def check_inside(self, window, delta: float):
         """Raise ValueError unless the q-extent lies inside the window shrunk by delta."""
         lo, hi = window[0] + delta, window[1] - delta

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ElectronicModel", "eval_He", "get_model", "list_models", "MODEL_TAGS"]
+__all__ = ["ElectronicModel", "get_model", "list_models", "MODEL_TAGS"]
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,6 @@ class ElectronicModel:
     def h_batch(self, xs: np.ndarray) -> np.ndarray:
         """Stack of H_e over a vector of positions: shape (len(xs), m, m)."""
         return np.stack([self.h(X) for X in np.asarray(xs, dtype=float)])
-
-
-def eval_He(model: ElectronicModel, X: float) -> np.ndarray:
-    """Evaluate the fiber Hamiltonian at a single nuclear position."""
-    H = model.h(X)
-    herm = np.abs(H - H.conj().T).max()
-    if herm > 1e-13:
-        raise AssertionError(f"model {model.tag} returned non-Hermitian matrix ({herm:.2e})")
-    return H
 
 
 def _two_band_complex(g_re=0.5, g_im=0.2):

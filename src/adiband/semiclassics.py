@@ -379,9 +379,6 @@ class WignerData:
     def mass(self) -> float:
         return float(self.values.sum() * self.dq * self.dp)
 
-    def q_marginal(self) -> np.ndarray:
-        return self.values.sum(axis=1) * self.dp
-
     def mass_in_ball(self, q0: float, p0: float, radius: float) -> float:
         Q, P = np.meshgrid(self.q, self.p, indexing="ij")
         ball = (Q - q0) ** 2 + (P - p0) ** 2 <= radius**2

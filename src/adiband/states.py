@@ -6,8 +6,8 @@ eps -> 0.  The families converge at different rates:
 
 * localized wave packets (coherent_state): sqrt(eps) in general; symmetric
   envelopes hide the sqrt(eps) moment term, the skewed preset exposes it;
-* sharp momentum / sharp position: eps (a boosted sharp-momentum envelope
-  makes the first-order term visible in the momentum moments);
+* sharp momentum: eps (a boosted envelope makes the first-order term
+  visible in the momentum moments);
 * WKB states f e^{iS/eps}: at least sqrt(eps) (the standard polynomial
   observables converge faster).
 
@@ -28,11 +28,8 @@ __all__ = [
     "envelope",
     "coherent_state",
     "sharp_momentum_state",
-    "sharp_position_state",
     "wkb_state",
     "lift_to_band",
-    "position_moments",
-    "momentum_moments",
 ]
 
 
@@ -118,29 +115,6 @@ def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, cent
     return wave, rho
 
 
-def sharp_position_state(grid: Grid1D, eps: float, q0: float, width=1.0, n_cloud=129):
-    """Position concentrating at rate eps with an eps-independent momentum density.
-
-    phi(X) = eps^{-1/2} g((X-q0)/eps) with Gaussian g; classical density
-    delta(q - q0) |g-hat(p)|^2 dp.  Requires the eps-thin feature to stay
-    resolved by the grid.
-    """
-    if eps * width < 4 * grid.dx:
-        raise ValueError(
-            f"feature width {eps * width:.4f} under-resolved by the grid spacing {grid.dx}"
-        )
-    _check_position_clearance(grid, q0, 10 * eps * width)
-    u = (grid.x - q0) / eps
-    vals = eps**-0.5 * np.exp(-(u**2) / (2 * width**2))
-    wave = _normalized(grid, vals.astype(complex), eps)
-    # Fourier transform of the Gaussian envelope: width 1/width in p
-    ps = np.linspace(-5 / width, 5 / width, n_cloud)
-    w = np.exp(-(ps**2) * width**2)
-    pts = np.column_stack([np.full(n_cloud, q0), ps])
-    rho = ClassicalDensity(pts, w / w.sum())
-    return wave, rho
-
-
 def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
     """Oscillatory state f(X) e^{i S(X)/eps} on the Lagrangian graph p = S'(q).
 
@@ -171,27 +145,3 @@ def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
 def lift_to_band(phi: NuclearWave, band: BandData, delta: float = 0.5) -> MolecularWave:
     """Embed a nuclear wave onto the tracked electronic band frame."""
     return u_star_map(phi, band, delta)
-
-
-def position_moments(wave: NuclearWave | MolecularWave):
-    """(mean, variance) of the position density."""
-    dens = np.abs(wave.values) ** 2
-    if dens.ndim == 2:
-        dens = dens.sum(axis=1)
-    dens = dens * wave.grid.dx
-    dens = dens / dens.sum()
-    mean = float(np.sum(wave.grid.x * dens))
-    var = float(np.sum((wave.grid.x - mean) ** 2 * dens))
-    return mean, var
-
-
-def momentum_moments(wave: NuclearWave | MolecularWave):
-    """(mean, variance) of the eps-scaled momentum density."""
-    vals = wave.values if wave.values.ndim == 2 else wave.values[:, None]
-    ft = np.fft.fft(vals, axis=0)
-    dens = (np.abs(ft) ** 2).sum(axis=1)
-    dens = dens / dens.sum()
-    p = wave.eps * wave.grid.k
-    mean = float(np.sum(p * dens))
-    var = float(np.sum((p - mean) ** 2 * dens))
-    return mean, var

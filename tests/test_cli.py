@@ -58,6 +58,18 @@ def test_report_roundtrip(tmp_path, config_file):
     assert out.read_text().startswith("epsilon,")
 
 
+def test_report_refuses_to_overwrite_its_input(tmp_path, config_file, capsys):
+    res = tmp_path / "r.json"
+    assert main(["run", str(config_file), "--output", str(res), "--timing"]) == 0
+    before = res.read_text()
+    # the default output of --format json is <stem>.json, the input itself
+    assert main(["report", str(res), "--format", "json"]) == 2
+    assert main(["report", str(res), "--format", "csv", "--output", str(tmp_path / "." / "r.json")]) == 2
+    assert "is the input result" in capsys.readouterr().err
+    assert res.read_text() == before
+    assert "wall_clock" in json.loads(before)
+
+
 def test_suite_pass_exit_code(tmp_path, capsys):
     out = tmp_path / "suite.json"
     assert main(["suite", "semiclassics", "--output", str(out)]) == 0

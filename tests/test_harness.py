@@ -16,7 +16,7 @@ from adiband.harness import (
     run_suite,
     standard_state_family,
 )
-from adiband.propagation import decoupling_error
+from adiband.propagation import StateBlock, decoupling_error
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +66,7 @@ def test_fit_drops_preasymptotic_point():
 def test_fit_rejects_nonpositive():
     slope, _, _, _ = fit_loglog([0.2, 0.1, 0.05], [0.1, 0.0, 0.01])
     assert slope is None
+    assert fit_loglog([0.2, 0.1], [0.2, 0.1]) == (None, None, None, False)
 
 
 # ------------------------------------------------------------- configuration
@@ -98,6 +99,16 @@ def test_config_rejects_region_outside_window():
             state={"family": "coherent", "params": {"q0": 1.2, "p0": 0.2}},
         )
     assert "region" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["effective", "leakage"])
+@pytest.mark.parametrize("missing", ["window", "region"])
+def test_config_refuses_effective_and_leakage_without_window_or_region(name, missing):
+    # both functionals read the window and the phase-space region at every point
+    from adiband.harness import _config
+
+    with pytest.raises(ValueError, match=rf"needs \['{missing}'\]"):
+        _config(name, **{missing: None})
 
 
 def test_config_rejects_times_outside_hitting_window():
@@ -298,10 +309,12 @@ def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutof
     assert sorted(calls["apply"]) == sorted([0.4, 0.2, 0.1] * 2)
     assert sorted(calls["energy_cutoff_apply"]) == ([] if energy_cutoff is None else [0.1, 0.2, 0.4])
     # each point is the family's largest error at its own time, as one call per time gives it
-    inputs = harness._ScanInputs(cfg)
+    inputs, fam = harness._ScanInputs(cfg, cache), cfg.state["family_params"]
     for p in res.points:
         pf, pd = cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), p["eps"])
-        one = decoupling_error(pf, pd, inputs.family(p["eps"]), p["t"], energy_cutoff=energy_cutoff)
+        family = standard_state_family(inputs.grid, inputs.band(), p["eps"], fam["q_centers"], fam["p_centers"],
+                                       fam["wkb"], delta=cfg.delta)
+        one = decoupling_error(pf, pd, StateBlock.stack(family), p["t"], energy_cutoff=energy_cutoff)
         assert p["error"] == float(one.max())
 
 
@@ -323,8 +336,36 @@ def test_decoupling_row_that_raises_fails_every_point_of_its_eps(monkeypatch):
     for p in res.points:
         assert p["status"] == ("error" if p["eps"] == 0.2 else "ok")
     assert all(p["message"] == "RuntimeError: row failed" for p in res.points if p["eps"] == 0.2)
-    # a row that raised is tried again by the next point of its eps
-    assert calls == [0.4, 0.2, 0.2, 0.2, 0.1]
+    # the row is the unit of the scan: each eps is computed once, whether it fails or not
+    assert calls == [0.4, 0.2, 0.1]
+    # the row's wall clock goes on its first point
+    assert [c == 0.0 for c in res.wall_clock] == [False, True, True] * 3
+    assert res.slope is None
+
+
+def test_effective_scan_projects_each_eps_once(monkeypatch):
+    # two times inside the hitting window: one phase-space projection per eps,
+    # and each point equal to the single-time evaluation of its (eps, t)
+    from adiband import harness
+
+    cfg = harness._config("effective", eps_ladder=[0.2, 0.1, 0.05], times=[0.6, 1.2],
+                          grid={"x_min": -6.4, "x_max": 6.4, "n_points": 128})
+    real, calls = harness.apply_phase_space_projection, []
+
+    def counted(psi, band, region, alpha, eps, **kwargs):
+        calls.append(eps)
+        return real(psi, band, region, alpha, eps, **kwargs)
+
+    monkeypatch.setattr(harness, "apply_phase_space_projection", counted)
+    cache = PropagatorCache()
+    res = eps_scan(cfg, cache)
+    assert [(p["eps"], p["t"], p["status"]) for p in res.points] == [
+        (eps, t, "ok") for eps in (0.2, 0.1, 0.05) for t in (0.6, 1.2)
+    ]
+    assert calls == [0.2, 0.1, 0.05]
+    inputs = harness._ScanInputs(cfg, cache)
+    for p in res.points:
+        assert p["error"] == harness._scan_effective(inputs, p["eps"], [p["t"]])[0]
 
 
 def test_list_valued_model_parameter_scans():
@@ -417,8 +458,8 @@ def test_leakage_scan_honours_include_a_geo():
     cache = PropagatorCache()
     cfg_on = _berry_config(functional="boundary_leakage")
     cfg_off = _berry_config(functional="boundary_leakage", include_a_geo=False)
-    on = _scan_leakage(cfg_on, cache, 0.1, 0.8, _ScanInputs(cfg_on))
-    off = _scan_leakage(cfg_off, cache, 0.1, 0.8, _ScanInputs(cfg_off))
+    (on,) = _scan_leakage(_ScanInputs(cfg_on, cache), 0.1, [0.8])
+    (off,) = _scan_leakage(_ScanInputs(cfg_off, cache), 0.1, [0.8])
     assert abs(on - off) > 1e-3 * on
 
 

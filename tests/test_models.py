@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from adiband.models import eval_He, get_model, list_models
+from adiband.models import get_model, list_models
 
 
 def test_two_band_complex_at_zero():
     m = get_model("two_band_complex")
-    H = eval_He(m, 0.0)
+    H = m.h(0.0)
     expected = np.array([[0.0, 0.5 + 0.2j], [0.5 - 0.2j, 0.0]])
     assert np.abs(H - expected).max() <= 1e-14
 

@@ -360,7 +360,7 @@ def test_wigner_normalization_and_marginal():
         wd = wigner_marginal(w)
         assert abs(wd.mass() - norm(w) ** 2) <= 1e-8
         dens = np.abs(w.values) ** 2
-        assert np.abs(wd.q_marginal() - dens).max() <= 1e-8
+        assert np.abs(wd.values.sum(axis=1) * wd.dp - dens).max() <= 1e-8
 
 
 def test_wigner_fft_matches_dense_sums():
