@@ -66,6 +66,56 @@ def fd_derivative(samples: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
     return out
 
 
+def _coupled_components(pattern: np.ndarray) -> list:
+    """Index sets of the connected components of a square boolean coupling pattern.
+
+    Entry (a, b) or (b, a) couples a and b.  Components come in order of
+    their smallest index, each as ascending indices.  Each step reads the
+    frontier's rows, and its columns only when the rows do not already
+    reach every index, so a one-component pattern costs a few row reads.
+    """
+    unseen = np.ones(len(pattern), dtype=bool)
+    components = []
+    while unseen.any():
+        comp = np.zeros_like(unseen)
+        comp[np.argmax(unseen)] = True
+        frontier = comp.copy()
+        while frontier.any() and not comp.all():
+            reach = pattern[frontier].any(axis=0)
+            if not (reach | comp).all():
+                reach |= pattern[:, frontier].any(axis=1)
+            frontier = reach & ~comp
+            comp |= reach
+        unseen &= ~comp
+        components.append(np.flatnonzero(comp))
+    return components
+
+
+def eigh_by_blocks(M: np.ndarray):
+    """`np.linalg.eigh` of a Hermitian matrix or (n, m, m) stack, one exactly decoupled block at a time.
+
+    The blocks are the connected components of the exact-zero pattern of
+    M (for a stack, of the union over the stack).  Each is solved by
+    `np.linalg.eigh`; the eigenvalues are merged in ascending order (a
+    stable sort, per matrix of a stack) and each block's eigenvectors are
+    scattered into its rows, zero elsewhere.  With one block the call is
+    `np.linalg.eigh(M)` on M itself, so its result is bit-for-bit the
+    dense solver's.
+    """
+    blocks = _coupled_components((M != 0).any(axis=tuple(range(M.ndim - 2))))
+    if len(blocks) == 1:
+        return np.linalg.eigh(M)
+    w = np.empty(M.shape[:-1])
+    V = np.zeros(M.shape, dtype=np.result_type(M, 1.0))
+    start = 0
+    for idx in blocks:
+        cols = slice(start, start + len(idx))
+        w[..., cols], V[..., idx, cols] = np.linalg.eigh(M[..., idx[:, None], idx])
+        start += len(idx)
+    order = np.argsort(w, axis=-1, kind="stable")
+    return np.take_along_axis(w, order, axis=-1), np.take_along_axis(V, order[..., None, :], axis=-1)
+
+
 @dataclass(frozen=True)
 class BandData:
     """Per-grid-point eigendecomposition of a model with band tracking.
@@ -198,6 +248,11 @@ def band_decompose(
 ) -> BandData:
     """Diagonalize the fiber Hamiltonian on the grid and select a band set.
 
+    The fibers are solved as one stack by `eigh_by_blocks`: components
+    that no H_e(X_i) couples (the -X level of `crossing_trio`) are solved
+    apart, so their eigenvectors, and the projections built from them,
+    are exactly zero off their components.
+
     Parameters
     ----------
     band_indices : int or sequence of ints
@@ -221,7 +276,7 @@ def band_decompose(
     if not np.any(fibers.imag):
         # real data: the real solver returns frames with exactly zero imaginary part
         fibers = fibers.real
-    evals, evecs = np.linalg.eigh(fibers)
+    evals, evecs = eigh_by_blocks(fibers)
     evecs = evecs.astype(complex, copy=False)
 
     if window is None:

@@ -20,9 +20,10 @@ dtype of their inputs.
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
 P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
-`split_band_preserving` writes the full H in those frames and cuts out
-the ran P and ran Q blocks of the band-preserving H_diag = P H P + Q H Q,
-from which the scans build its propagator.  `assemble_diag` forms H_diag
+`split_band_preserving` writes the full H in those frames and zeroes the
+entries between ran P and ran Q, which gives the band-preserving
+H_diag = P H P + Q H Q in that frame; the scans build its propagator from
+it.  `assemble_diag` forms H_diag
 densely; it serves `identities.offdiag_scaling`, which needs H - H_diag,
 and is the tests' oracle.  `u_map` / `u_star_map` apply U fiberwise.
 `full_projection` and `u_matrix` build the dense N x N and n x N
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData, berry_connection, fd_derivative
+from .electronic import BandData, berry_connection, eigh_by_blocks, fd_derivative
 from .grids import Grid1D, MolecularWave, NuclearWave, fourier_multiplier_matrix
 from .indicators import ramp_to_constant, smooth_step
 from .models import ElectronicModel
@@ -185,15 +186,17 @@ def _fiber_frame(band: BandData) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal frames of the fiber blocks of P, split into ran P_i and ran Q_i.
 
     Returns (F, in_p).  F[i] is the m x m unitary of eigenvectors of the
-    block P_i (`_fiber_blocks`), real for real blocks; in_p (n, m) marks the
-    columns with eigenvalue 1, which span ran P_i; the others span ran Q_i.
-    The rank of P_i may vary with i (zero outside the window).  Refuses
+    block P_i (`_fiber_blocks`), real for real blocks, solved by
+    `eigh_by_blocks`, so a fiber component that P never couples to the
+    others keeps frame columns of its own; in_p (n, m) marks the columns
+    with eigenvalue 1, which span ran P_i; the others span ran Q_i.  The
+    rank of P_i may vary with i (zero outside the window).  Refuses
     (ValueError) blocks that are not Hermitian or have an eigenvalue more
     than 1e-10 from both 0 and 1: they are not orthogonal projections.
     """
     B = _fiber_blocks(band)
     herm = np.abs(B - B.conj().transpose(0, 2, 1)).max()
-    lam, F = np.linalg.eigh(B)
+    lam, F = eigh_by_blocks(B)
     in_p = lam > 0.5
     dev = max(herm, np.abs(lam - in_p).max())
     if dev > 1e-10:
@@ -202,28 +205,23 @@ def _fiber_frame(band: BandData) -> tuple[np.ndarray, np.ndarray]:
 
 
 def split_band_preserving(H: DenseHamiltonian, band: BandData):
-    """H_diag = P H P + Q H Q in the fiber frame of P, as its ran P and ran Q blocks.
+    """H_diag = P H P + Q H Q written in the fiber frame of P.
 
-    With W = blockdiag(F_i) from `_fiber_frame`, W^dag H_diag W is block
-    diagonal: the columns of W that span ran P couple only among
-    themselves, and so do those that span ran Q.  W^dag H W is formed by
-    batched fiber products, O(N^2 m), and cut into those two blocks, so
-    H_diag itself is never formed.  Returns (F, parts): each part is
-    (columns, block), the indices of its columns of W and the
-    DenseHamiltonian W_c^dag H W_c.  An empty part (P = 0 or P = 1
-    everywhere) is left out.
+    With W = blockdiag(F_i) from `_fiber_frame`, W^dag H_diag W is W^dag H W
+    with its ran P x ran Q and ran Q x ran P entries set to zero: the
+    columns of W that span ran P couple only among themselves, and so do
+    those that span ran Q.  W^dag H W is formed by batched fiber products,
+    O(N^2 m), so H_diag itself is never formed.  Returns (F, G), G the
+    DenseHamiltonian W^dag H_diag W (tag "diag").  Its exact zeros separate
+    ran P from ran Q, and any finer blocks that H and the frames leave
+    uncoupled, for `eigh_by_blocks`.
     """
     _check_dims(H, band)
     F, in_p = _fiber_frame(band)
     G = _fiber_sandwich(H.matrix, F.conj().transpose(0, 2, 1), F)
     in_p = in_p.ravel()
-    parts = []
-    for tag, cols in (("diag:P", np.flatnonzero(in_p)), ("diag:Q", np.flatnonzero(~in_p))):
-        if cols.size:
-            block = G[np.ix_(cols, cols)]
-            parts.append((cols, DenseHamiltonian(matrix=block, eps=H.eps, tag=tag, grid=H.grid,
-                                                 fiber_dim=H.fiber_dim)))
-    return F, parts
+    G[in_p[:, None] != in_p[None, :]] = 0
+    return F, DenseHamiltonian(matrix=G, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
 
 
 def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
@@ -232,7 +230,7 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
     P is the band projection, block-diagonal in X with the m x m fiber
     blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
     The scans do not form it: `propagation.diagonalize_band_preserving`
-    solves its two blocks from `split_band_preserving`.  It serves
+    solves H_diag in the fiber frame from `split_band_preserving`.  It serves
     `identities.offdiag_scaling`, which needs H - H_diag, and the tests as
     the oracle of that split solve.
     """

@@ -374,7 +374,14 @@ def load_result(path) -> ScanResult:
 
 
 class PropagatorCache:
-    """Memoizes eigendecompositions keyed by (kind, model, grid, ..., eps).
+    """Memoizes eigendecompositions keyed by what their builders use.
+
+    A key holds the kind, the model's tag and parameters, the grid's bounds
+    and size, eps and, where a band enters, its indices and window; a `bo`
+    key also holds the `include_a_geo` and `delta` values passed to
+    `assemble_bo`.  Every key is read from the objects the builder is given,
+    so two models or grids passed under one cfg never share an entry; the
+    `cfg` argument supplies only `bo`'s two values.
 
     The full propagator and the band-preserving one of an eps are built
     from one assembled full H: `decoupling_pair` assembles it on its first
@@ -387,19 +394,14 @@ class PropagatorCache:
         self._store = {}
 
     @staticmethod
-    def _model_key(cfg: ExperimentConfig):
-        return (cfg.model["tag"], json.dumps(cfg.model.get("params", {}), sort_keys=True))
+    def _system_key(model: ElectronicModel, grid: Grid1D):
+        return (model.tag, json.dumps(model.params, sort_keys=True), grid.x_min, grid.x_max, grid.n_points)
 
-    @staticmethod
-    def _grid_key(cfg: ExperimentConfig):
-        g = cfg.grid
-        return (g["x_min"], g["x_max"], g["n_points"])
+    def _full_key(self, model, grid, eps):
+        return ("full", self._system_key(model, grid), eps)
 
-    def _full_key(self, cfg, eps):
-        return ("full", self._model_key(cfg), self._grid_key(cfg), eps)
-
-    def _diag_key(self, cfg, band, eps):
-        return ("diag", self._model_key(cfg), self._grid_key(cfg), tuple(band.band_indices), band.window, eps)
+    def _diag_key(self, model, grid, band, eps):
+        return ("diag", self._system_key(model, grid), band.band_indices, band.window, eps)
 
     def get(self, key, builder):
         if key not in self._store:
@@ -407,11 +409,11 @@ class PropagatorCache:
         return self._store[key]
 
     def full(self, cfg, model, grid, eps) -> SpectralPropagator:
-        return self.get(self._full_key(cfg, eps), lambda: diagonalize(assemble_full(model, grid, eps)))
+        return self.get(self._full_key(model, grid, eps), lambda: diagonalize(assemble_full(model, grid, eps)))
 
     def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
         return self.get(
-            self._diag_key(cfg, band, eps),
+            self._diag_key(model, grid, band, eps),
             lambda: diagonalize_band_preserving(assemble_full(model, grid, eps), band),
         )
 
@@ -419,13 +421,13 @@ class PropagatorCache:
         """(full, band-preserving) propagators at eps, from at most one assembled H."""
         H = functools.cache(lambda: assemble_full(model, grid, eps))
         return (
-            self.get(self._full_key(cfg, eps), lambda: diagonalize(H())),
-            self.get(self._diag_key(cfg, band, eps), lambda: diagonalize_band_preserving(H(), band)),
+            self.get(self._full_key(model, grid, eps), lambda: diagonalize(H())),
+            self.get(self._diag_key(model, grid, band, eps), lambda: diagonalize_band_preserving(H(), band)),
         )
 
     def bo(self, cfg, band, eps) -> SpectralPropagator:
-        key = ("bo", self._model_key(cfg), self._grid_key(cfg), tuple(band.band_indices),
-               band.window, eps, cfg.include_a_geo, cfg.delta)
+        key = ("bo", self._system_key(band.model, band.grid), band.band_indices, band.window, eps,
+               cfg.include_a_geo, cfg.delta)
         return self.get(
             key,
             lambda: diagonalize(assemble_bo(band, eps, include_a_geo=cfg.include_a_geo, delta=cfg.delta)),
@@ -537,7 +539,7 @@ def _scan_leakage(inputs: _ScanInputs, eps: float, times):
     pb = inputs.cache.bo(cfg, band, eps)
     _, phi0, _ = cfg.make_state(band.grid, band, eps)
     region = cfg.build_region()
-    return [boundary_leakage(pb, tuple(cfg.window), cfg.delta, region, cfg.alpha, phi0, t) for t in times]
+    return boundary_leakage(pb, tuple(cfg.window), cfg.delta, region, cfg.alpha, phi0, times)
 
 
 def _scan_observable_pairing(inputs: _ScanInputs, eps: float, times):
@@ -554,7 +556,7 @@ def _scan_state_observables(inputs: _ScanInputs, eps: float, times):
     pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
     psi0, _, rho = cfg.make_state(inputs.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
-    return [egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, t, dE, dt=cfg.flow_dt) for t in times]
+    return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, times, dE, dt=cfg.flow_dt)
 
 
 def _scan_egorov(inputs: _ScanInputs, eps: float, times):
@@ -563,7 +565,7 @@ def _scan_egorov(inputs: _ScanInputs, eps: float, times):
     _, phi0, rho = cfg.make_state(band.grid, band, eps)
     _, dE = band_energy_interpolant(band, cfg.delta)
     sym = _named_symbol(cfg.symbol or "q")
-    return [egorov_residual(pb, [sym], phi0, rho, t, dE, dt=cfg.flow_dt) for t in times]
+    return egorov_residual(pb, [sym], phi0, rho, times, dE, dt=cfg.flow_dt)
 
 
 FUNCTIONALS = {

@@ -16,7 +16,11 @@ Registry tags
     3x3: levels +X and -X crossing exactly at X = 0, plus a spectator
     level 3 + 0.2X^2 coupled to the first level by c(X) = g0*X*exp(-X^2/2).
     The pair {1,2} is globally isolated from the spectator (min distance
-    ~1.75) while containing a genuine band crossing.
+    ~1.75) while containing a genuine band crossing.  The -X level couples
+    to neither other component, which is what lets it cross +X, so the
+    fibers, the band projection of the pair and the molecular H all split
+    into exactly decoupled blocks (H: one of 2n, one of n), which
+    `electronic.eigh_by_blocks` solves apart.
 ``rotated_pair``
     2x2: R(theta) diag(X^2-4, 4-X^2) R(theta)^T with theta = 0.3 tanh X.
     Real symmetric; bands cross at X = +-2, so the lower band is isolated

@@ -21,11 +21,17 @@ synthesis product; the batch takes N k T 16 bytes.  `decoupling_error`
 passes its times through, so a scan of many times makes two such applies
 per eps.
 
-The band-preserving generator H_diag = P H P + Q H Q commutes with P, so
-`diagonalize_band_preserving` solves it as two smaller problems, one on
-ran P (dimension r) and one on ran Q (N - r), in the fiber frame of P:
-the dense cost falls from N^3 to r^3 + (N - r)^3, and the result is one
-ordinary SpectralPropagator.
+`diagonalize` solves each exactly decoupled block of an operator on its
+own (`electronic.eigh_by_blocks`): a dense solve of a block of dimension
+d costs d^3, so the blocks together cost far less than N^3, and an
+operator of one block goes to the dense solver unchanged.  The
+band-preserving generator H_diag = P H P + Q H Q commutes with P, so in
+the fiber frame of P it has no entry between ran P and ran Q, and
+`diagonalize_band_preserving` solves it there: at least as two blocks,
+ran P (dimension r) and ran Q (N - r), and as finer ones where the model
+leaves fiber components uncoupled.  `crossing_trio`'s full H splits into
+blocks of 2n and n, and its H_diag for bands (0, 1) into three of n.
+Either way the result is one ordinary SpectralPropagator.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData
+from .electronic import BandData, eigh_by_blocks
 from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
 from .hamiltonians import DenseHamiltonian, split_band_preserving, u_map, u_star_map
 
@@ -121,14 +127,17 @@ class SpectralPropagator:
 
 
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:
-    """Eigendecompose an assembled operator.
+    """Eigendecompose an assembled operator, one exactly decoupled block at a time.
 
-    A real-stored operator runs the real-symmetric solver and keeps its
+    `eigh_by_blocks` solves each connected component of the operator's
+    exact-zero pattern on its own and merges the eigenvalues in ascending
+    order; an operator of one component is solved as one dense matrix.  A
+    real-stored operator runs the real-symmetric solver and keeps its
     eigenvectors float64; a complex-stored one runs the Hermitian solver.
     With validate=True the reconstruction U diag(w) U^dag is checked
     against H to 1e-10 (costs two extra dense products).
     """
-    w, v = np.linalg.eigh(H.matrix)
+    w, v = eigh_by_blocks(H.matrix)
     if validate:
         recon = (v * w) @ v.conj().T
         err = np.abs(recon - H.matrix).max()
@@ -143,28 +152,18 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
 def diagonalize_band_preserving(H: DenseHamiltonian, band: BandData) -> SpectralPropagator:
     """Eigendecompose H_diag = P H P + Q H Q for the full H and the band's P.
 
-    `split_band_preserving` gives the ran P and ran Q blocks of H_diag in
-    the fiber frame W = blockdiag(F_i); each block is solved by
-    `diagonalize`, at cost r^3 + (N - r)^3 instead of N^3, and the
-    eigenvectors are lifted back as W blockdiag(V_P, V_Q) by fiber
-    products, O(N^2 m).  Eigenvalues come out ascending; eigenvectors are
-    float64 when H and the frames are real, complex128 otherwise.
+    `split_band_preserving` gives G = W^dag H_diag W in the fiber frame
+    W = blockdiag(F_i), where ran P and ran Q share no entry; `diagonalize`
+    solves G block by block, at cost r^3 + (N - r)^3 or less instead of
+    N^3, and its eigenvectors are lifted back as W V by fiber products,
+    O(N^2 m).  Eigenvalues come out ascending; eigenvectors are float64
+    when H and the frames are real, complex128 otherwise.
     """
-    F, parts = split_band_preserving(H, band)
-    solved = [(cols, diagonalize(block)) for cols, block in parts]
-    w = np.concatenate([prop.eigenvalues for _, prop in solved])
-    order = np.argsort(w, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(H.dim)
-    # the block eigenvectors in the frame basis, columns in ascending order of energy
-    Y = np.zeros((H.dim, H.dim), dtype=np.result_type(F, *(prop.eigenvectors for _, prop in solved)))
-    start = 0
-    for cols, prop in solved:
-        Y[np.ix_(cols, position[start:start + prop.dim])] = prop.eigenvectors
-        start += prop.dim
+    F, G = split_band_preserving(H, band)
+    prop = diagonalize(G)
     n, m, _ = F.shape
-    V = np.matmul(F, Y.reshape(n, m, H.dim)).reshape(H.dim, H.dim)
-    return SpectralPropagator(eigenvalues=w[order], eigenvectors=V, eps=H.eps, tag="diag")
+    V = np.matmul(F, prop.eigenvectors.reshape(n, m, H.dim)).reshape(H.dim, H.dim)
+    return SpectralPropagator(eigenvalues=prop.eigenvalues, eigenvectors=V, eps=H.eps, tag="diag")
 
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):

@@ -427,26 +427,32 @@ def egorov_residual(
     symbols,
     psi0: NuclearWave | MolecularWave,
     rho: ClassicalDensity,
-    t: float,
+    t,
     energy_grad,
     dt: float = 1e-3,
-) -> float:
+):
     """Egorov defect max_a |<psi_t, a^W psi_t> - int (a o flow_t) d rho| over the symbols a.
 
     psi0 is a nuclear wave under a Born-Oppenheimer propagator, or a molecular
     wave under the full one (a^W acting on each fiber component); it must
     realize rho in the semiclassical-distribution sense (the state
-    constructors return matched pairs).  rho is flowed once.
+    constructors return matched pairs).  t is a scalar, which gives one
+    float, or a sequence of times, which gives a list with one defect per
+    time.  Per time, the state is evolved once and rho is flowed once from
+    time 0; each symbol is then quantized once and paired with every time.
     """
-    vals = evolve(prop, psi0, t).values
-    v = vals if vals.ndim == 2 else vals[:, None]
-    flowed = rho.flowed(energy_grad, t, dt)
-    worst = 0.0
+    times = [t] if np.ndim(t) == 0 else t
+    states = []
+    for s in times:
+        vals = evolve(prop, psi0, s).values
+        states.append((vals if vals.ndim == 2 else vals[:, None], rho.flowed(energy_grad, s, dt)))
+    defects = [0.0] * len(states)
     for sym in symbols:
         A = weyl_quantize(sym, psi0.grid, psi0.eps)
-        qm = float(np.real(np.einsum("ia,ij,ja->", v.conj(), A, v)) * psi0.grid.dx)
-        worst = max(worst, abs(qm - flowed.expectation(sym)))
-    return worst
+        for k, (v, flowed) in enumerate(states):
+            qm = float(np.real(np.einsum("ia,ij,ja->", v.conj(), A, v)) * psi0.grid.dx)
+            defects[k] = max(defects[k], abs(qm - flowed.expectation(sym)))
+    return defects[0] if np.ndim(t) == 0 else defects
 
 
 def boundary_leakage(
@@ -456,18 +462,22 @@ def boundary_leakage(
     region: PhaseSpaceRegion,
     alpha: float,
     phi0: NuclearWave,
-    t: float,
-) -> float:
+    t,
+):
     """Mass outside the shrunk window after evolving the region-cut state.
 
     ||(1 - 1_{window - delta}) e^{-iH_bo t/eps} (region indicator)^W phi0||.
+    t is a scalar, which gives one float, or a sequence of times, which
+    gives a list with one mass per time.  The cut state is formed once, by
+    one quantization of the indicator, and evolved by one `apply` per time.
     """
     grid = phi0.grid
-    W = weyl_quantize(smooth_indicator(region, alpha), grid, phi0.eps)
-    v = prop_bo.apply(W @ phi0.values, t)
+    cut = weyl_quantize(smooth_indicator(region, alpha), grid, phi0.eps) @ phi0.values
     a, b = window
     outside = (grid.x <= a + delta) | (grid.x >= b - delta)
-    return l2_norm(v[outside], grid.dx)
+    times = [t] if np.ndim(t) == 0 else t
+    masses = [l2_norm(prop_bo.apply(cut, s)[outside], grid.dx) for s in times]
+    return masses[0] if np.ndim(t) == 0 else masses
 
 
 def reduced_observable_residual(

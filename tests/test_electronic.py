@@ -3,8 +3,10 @@ import pytest
 
 from adiband.electronic import (
     ContourSpec,
+    _coupled_components,
     band_decompose,
     berry_connection,
+    eigh_by_blocks,
     fd_derivative,
     gap_check,
     grad_projection,
@@ -26,6 +28,22 @@ def band_ac(grid256):
     return band_decompose(get_model("two_band_complex"), grid256, 0)
 
 
+# the fiber components no H_e(X) couples to each other: crossing_trio's -X level stands alone
+FIBER_COMPONENTS = {"two_band_complex": [[0, 1]], "crossing_trio": [[0, 2], [1]], "rotated_pair": [[0, 1]]}
+
+
+def _pointwise_by_components(h, components):
+    """eigh of each fiber component of h, merged ascending (stable) and scattered: the loop reference."""
+    m = len(h)
+    w, V, start = np.empty(m), np.zeros((m, m), dtype=h.dtype), 0
+    for comp in components:
+        cols = slice(start, start + len(comp))
+        w[cols], V[np.ix_(comp, range(start, start + len(comp)))] = np.linalg.eigh(h[np.ix_(comp, comp)])
+        start += len(comp)
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
 @pytest.mark.parametrize("tag", ["two_band_complex", "crossing_trio", "rotated_pair"])
 def test_band_decompose_stacked_eigh_equals_pointwise(tag):
     g = make_grid(-4, 4, 64)
@@ -33,11 +51,86 @@ def test_band_decompose_stacked_eigh_equals_pointwise(tag):
     band = band_decompose(model, g, 0, gauge=None)
     for i, X in enumerate(g.x):
         h = model.h(X)
-        w, v = np.linalg.eigh(h if np.any(h.imag) else h.real)
+        h = h if np.any(h.imag) else h.real
+        # bitwise the pointwise solve of each decoupled component (for one component, of h itself)
+        w, v = _pointwise_by_components(h, FIBER_COMPONENTS[tag])
         assert np.array_equal(band.evals[i], w)
         assert np.array_equal(band.evecs[i], v)
+        # and the full pointwise solve to rounding
+        w_full, v_full = np.linalg.eigh(h)
+        scale = np.abs(h).max()
+        assert np.abs(band.evals[i] - w_full).max() <= 1e-14 * scale
+        recon = (band.evecs[i] * band.evals[i]) @ band.evecs[i].conj().T
+        assert np.abs(recon - (v_full * w_full) @ v_full.conj().T).max() <= 1e-14 * scale
     # real fibers go to the real solver: frames with exactly zero imaginary part
     assert np.any(band.evecs.imag) == (tag == "two_band_complex")
+
+
+def _permuted_blocks(rng, sizes, dtype, shared=0.7):
+    """A Hermitian block-diagonal matrix with its rows and columns randomly permuted.
+
+    Every block has the eigenvalue `shared`, so one eigenvalue repeats across blocks.
+    """
+    m = sum(sizes)
+    M = np.zeros((m, m), dtype=dtype)
+    start = 0
+    for k in sizes:
+        A = rng.standard_normal((k, k))
+        if dtype == complex:
+            A = A + 1j * rng.standard_normal((k, k))
+        Q, _ = np.linalg.qr(A)
+        lam = np.concatenate([[shared], rng.uniform(-3, 3, k - 1)])
+        M[start:start + k, start:start + k] = (Q * lam) @ Q.conj().T
+        start += k
+    M = (M + M.conj().T) / 2
+    perm = rng.permutation(m)
+    return M[np.ix_(perm, perm)]
+
+
+def _check_eigenpairs(M, w, V):
+    """Eigenvalues as np.linalg.eigh's to 1e-13 relative; V unitary and V diag(w) V^dag = M to 1e-12."""
+    scale = np.abs(M).max()
+    assert np.all(np.diff(w, axis=-1) >= 0)
+    assert np.abs(w - np.linalg.eigh(M)[0]).max() <= 1e-13 * scale
+    eye = np.eye(M.shape[-1])
+    assert np.abs(np.swapaxes(V.conj(), -1, -2) @ V - eye).max() <= 1e-12
+    assert np.abs((V * w[..., None, :]) @ np.swapaxes(V.conj(), -1, -2) - M).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigh_by_blocks_matches_dense_solver_on_permuted_blocks(dtype):
+    M = _permuted_blocks(np.random.default_rng(11), [5, 1, 3, 7], dtype)
+    w, V = eigh_by_blocks(M)
+    assert V.dtype == np.linalg.eigh(M)[1].dtype
+    _check_eigenpairs(M, w, V)
+    # the shared eigenvalue appears once per block
+    assert np.sum(np.abs(w - 0.7) < 1e-12) == 4
+    # each eigenvector is zero off its own block
+    assert sorted(np.count_nonzero(V, axis=0)) == sorted([5] * 5 + [1] + [3] * 3 + [7] * 7)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigh_by_blocks_stack_reorders_per_point(dtype):
+    base = _permuted_blocks(np.random.default_rng(5), [2, 3], dtype)
+    # shift the block holding index 0 along the stack, so its levels pass those of the other block
+    first = base[0] != 0
+    stack = np.stack([base + s * np.diag(first.astype(float)) for s in np.linspace(-4, 4, 9)])
+    w, V = eigh_by_blocks(stack)
+    orders = set()
+    for i in range(len(stack)):
+        _check_eigenpairs(stack[i], w[i], V[i])
+        # which block each ascending eigenvalue comes from
+        orders.add(tuple(np.any(V[i][first] != 0, axis=0)))
+    assert len(orders) > 1
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_coupled_components_read_both_triangles(side):
+    # a coupling stored on one side only still joins its two indices
+    pattern = np.eye(5, dtype=bool)
+    pattern[(3, 1) if side == "lower" else (1, 3)] = True
+    pattern[4, 0] = pattern[0, 4] = True
+    assert [list(c) for c in _coupled_components(pattern)] == [[0, 4], [1, 3], [2]]
 
 
 def test_fd_derivative_polynomial_exact():

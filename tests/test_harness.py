@@ -253,13 +253,20 @@ def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     # the full and the band-preserving propagator of an eps share one assembly;
-    # the band-preserving one is solved as its ran P (dim 256) and ran Q (128) blocks
+    # each is one diagonalize call of dim 384, solved by blocks: the full H as
+    # 256 + 128 (crossing_trio's -X level is uncoupled), H_diag in the fiber
+    # frame as ran P (two blocks of 128) and ran Q (128)
     from adiband import hamiltonians, harness, propagation
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
     calls = {"assemble_full": 0, "assemble_diag": 0}
-    dims = []
+    dims, blocks, real_eigh = [], [], np.linalg.eigh
+
+    def eigh(M):
+        if M.ndim == 2:
+            blocks.append(len(M))
+        return real_eigh(M)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -276,10 +283,12 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     monkeypatch.setattr(hamiltonians, "assemble_diag", counted("assemble_diag", hamiltonians.assemble_diag))
     monkeypatch.setattr(harness, "diagonalize", diagonalize)
     monkeypatch.setattr(propagation, "diagonalize", diagonalize)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
     assert calls == {"assemble_full": 3, "assemble_diag": 0}
-    assert sorted(dims) == sorted([384, 256, 128] * 3)
+    assert dims == [384, 384] * 3
+    assert blocks == [256, 128, 128, 128, 128] * 3
 
 
 @pytest.mark.parametrize("energy_cutoff", [None, 2.0])
@@ -461,6 +470,65 @@ def test_leakage_scan_honours_include_a_geo():
     (on,) = _scan_leakage(_ScanInputs(cfg_on, cache), 0.1, [0.8])
     (off,) = _scan_leakage(_ScanInputs(cfg_off, cache), 0.1, [0.8])
     assert abs(on - off) > 1e-3 * on
+
+
+@pytest.mark.parametrize(
+    "functional, overrides, per_row",
+    [
+        # one region indicator; the five standard observables; one named symbol
+        ("boundary_leakage", {}, 1),
+        ("state_observables", {"region": None, "alpha": 0.3}, 5),
+        ("egorov", {"symbol": "q", "region": None, "alpha": 0.3}, 1),
+    ],
+)
+def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overrides, per_row):
+    # the Weyl quantizations do not depend on t: a row of three times builds each
+    # matrix once, and gives what three one-time rows give, bit for bit
+    from adiband import harness, semiclassics
+
+    cfg = _berry_config(functional=functional, times=[0.3, 0.55, 0.8], **overrides)
+    inputs = harness._ScanInputs(cfg)
+    fn = harness.FUNCTIONALS[functional]
+    counted, real = [], semiclassics.weyl_quantize
+
+    def weyl_quantize(*args, **kwargs):
+        counted.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semiclassics, "weyl_quantize", weyl_quantize)
+    row = fn(inputs, 0.1, cfg.times)
+    assert len(counted) == per_row
+    assert list(row) == [fn(inputs, 0.1, [t])[0] for t in cfg.times]
+    counted.clear()
+    res = eps_scan(cfg, inputs.cache)
+    assert all(p["status"] == "ok" for p in res.points)
+    assert len(counted) == per_row * len(cfg.eps_ladder)
+
+
+def test_cache_entries_are_keyed_by_the_objects_passed():
+    # one cfg, two models (same tag, other parameters): no propagator is shared
+    from adiband.electronic import band_decompose
+    from adiband.grids import make_grid
+    from adiband.models import get_model
+
+    cfg = small_config()
+    grid = make_grid(-8, 8, 64)
+    models = (get_model("two_band_complex"), get_model("two_band_complex", g_im=0.3))
+    bands = [band_decompose(model, grid, 0) for model in models]
+    cache = PropagatorCache()
+    built = [
+        [cache.full(cfg, model, grid, 0.1), *cache.decoupling_pair(cfg, model, grid, band, 0.1),
+         cache.diag(cfg, model, grid, band, 0.1), cache.bo(cfg, band, 0.1)]
+        for model, band in zip(models, bands)
+    ]
+    for a, b in zip(*built):
+        assert a is not b and not np.array_equal(a.eigenvalues, b.eigenvalues)
+    # the same objects hit: full and the pair's full share an entry, and so do diag and the pair's diag
+    for props in built:
+        assert props[0] is props[1] and props[2] is props[3]
+    assert len(cache._store) == 6
+    # another grid is another entry as well
+    assert cache.full(cfg, models[0], make_grid(-8, 8, 32), 0.1).dim == 64
 
 
 def test_emit_json_roundtrip(tmp_path, scan_result):

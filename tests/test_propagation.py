@@ -5,7 +5,14 @@ import pytest
 
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
-from adiband.hamiltonians import assemble_diag, assemble_full, full_projection, split_band_preserving
+from adiband.hamiltonians import (
+    _fiber_frame,
+    assemble_bo,
+    assemble_diag,
+    assemble_full,
+    full_projection,
+    split_band_preserving,
+)
 from adiband.models import get_model
 from adiband.propagation import (
     StateBlock,
@@ -352,9 +359,13 @@ def test_band_preserving_split_matches_dense_oracle(case):
     grid, band, H = _split_setup(tag, bands, window, gauge)
     got = diagonalize_band_preserving(H, band)
     want = diagonalize(assemble_diag(H, band))
-    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
+    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside;
+    # in the fiber frame, H_diag has no entry between ran P and ran Q
     r = len(bands) * int(band.mask.sum())
-    assert [block.dim for _, block in split_band_preserving(H, band)[1]] == [r, H.dim - r]
+    in_p = _fiber_frame(band)[1].ravel()
+    G = split_band_preserving(H, band)[1]
+    assert G.dim == H.dim and in_p.sum() == r
+    assert not np.any(G.matrix[np.ix_(in_p, ~in_p)])
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
 
     assert got.dim == H.dim and got.tag == "diag"
@@ -381,3 +392,37 @@ def test_band_preserving_split_refuses_non_projections():
     scaled = dataclasses.replace(band, proj=0.9 * band.proj)
     with pytest.raises(ValueError, match="not orthogonal projections"):
         diagonalize_band_preserving(H, scaled)
+
+
+def test_single_block_operators_take_the_dense_solver_unchanged():
+    # rotated_pair's full H and its BO H are one block each: diagonalize is np.linalg.eigh itself
+    grid = make_grid(-8, 8, 128)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
+    for H in (assemble_full(band.model, grid, eps=0.1), assemble_bo(band, 0.1)):
+        w, v = np.linalg.eigh(H.matrix)
+        prop = diagonalize(H)
+        assert np.array_equal(prop.eigenvalues, w) and np.array_equal(prop.eigenvectors, v)
+
+
+def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
+    # the -X level couples to nothing: H splits into 2n + n, H_diag of bands (0, 1) into n + n + n
+    n = 128
+    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
+    sizes, real_eigh = [], np.linalg.eigh
+
+    def eigh(M):
+        if M.ndim == 2:
+            sizes.append(len(M))
+        return real_eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    prop = diagonalize(H)
+    assert sizes == [2 * n, n]
+    sizes.clear()
+    prop_diag = diagonalize_band_preserving(H, band)
+    assert sizes == [n, n, n]
+    monkeypatch.undo()
+    # the oracles: the dense solve of H and of the dense H_diag
+    scale = np.abs(H.matrix).max()
+    assert np.abs(prop.eigenvalues - np.linalg.eigh(H.matrix)[0]).max() <= 1e-12 * scale
+    assert np.abs(prop_diag.eigenvalues - diagonalize(assemble_diag(H, band)).eigenvalues).max() <= 1e-12 * scale

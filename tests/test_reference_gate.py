@@ -1,0 +1,37 @@
+"""The benchmark's decoupling-ladder config, scanned as the benchmark scans it, stays
+inside the reference gate of perfbench/checks.py at every point.
+
+perfbench/reference.json holds the seed-0 errors of each workload, and the
+benchmark counts a point as failed when its error leaves REL_TOL (relative)
+of the recorded one.  The benchmark files are read, not imported as a
+package, and not changed.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from adiband.harness import ExperimentConfig, PropagatorCache, eps_scan
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_decoupling_ladder_stays_inside_the_reference_gate():
+    checks = _checks()
+    entry = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]["decoupling-ladder"]
+    reference = checks.reference_map(entry)
+    cfg = ExperimentConfig.from_json((PERFBENCH / "configs" / "decoupling.json").read_text())
+    res = eps_scan(cfg, PropagatorCache())
+    assert sorted((p["eps"], p["t"]) for p in res.points) == sorted(reference)
+    for p in res.points:
+        ref = reference[p["eps"], p["t"]]
+        assert p["status"] == "ok", p
+        assert abs(p["error"] - ref) <= checks.REL_TOL * abs(ref), (p, ref)
+    assert checks.failed_points(res.points, res.slope, reference) == 0
