@@ -72,6 +72,9 @@ class DenseHamiltonian:
 
     The raw assembly is checked for Hermiticity to 1e-12 relative; the
     stored matrix is its Hermitian part (M + M^dag) / 2, exactly Hermitian.
+    A non-finite entry makes its entry of M - M^dag non-finite (inf - inf
+    is nan), so the residual refuses it too.  The residual and then the
+    Hermitian part are formed in one buffer of M's size.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -82,13 +85,19 @@ class DenseHamiltonian:
 
     def __post_init__(self):
         M = self.matrix
-        herm = np.abs(M - M.conj().T).max()
-        scale = max(1.0, np.abs(M).max())
-        if herm > 1e-12 * scale:
-            raise AssertionError(f"{self.tag}: non-Hermitian assembly ({herm:.2e})")
-        if not np.all(np.isfinite(M)):
+        S = np.empty_like(M)
+        with np.errstate(invalid="ignore"):
+            np.subtract(M, np.conjugate(M.T, out=S), out=S)
+            # the largest modulus of real data without a |M - M^dag| temporary
+            herm = np.abs(S).max() if np.iscomplexobj(S) else max(S.max(), -S.min())
+        if not np.isfinite(herm):
             raise AssertionError(f"{self.tag}: non-finite entries")
-        object.__setattr__(self, "matrix", (M + M.conj().T) / 2)
+        # the scale is at least 1, so a residual under 1e-12 passes without it
+        if herm > 1e-12 and herm > 1e-12 * np.abs(M).max():
+            raise AssertionError(f"{self.tag}: non-Hermitian assembly ({herm:.2e})")
+        np.add(M, np.conjugate(M.T, out=S), out=S)
+        S *= 0.5
+        object.__setattr__(self, "matrix", S)
 
     @property
     def dim(self) -> int:
@@ -160,8 +169,8 @@ def _fiber_sandwich(H: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     """blockdiag(left_i) H blockdiag(right_i) for (n, m, m) blocks, as batched products."""
     n, m, _ = left.shape
     N = n * m
-    LH = np.matmul(left, H.reshape(n, m, N)).reshape(N, N)
-    LHR = np.matmul(LH.reshape(N, n, m).transpose(1, 0, 2), right)
+    # left H is dropped once the right product has used it: two N x N arrays at a time, not three
+    LHR = np.matmul(np.matmul(left, H.reshape(n, m, N)).reshape(N, n, m).transpose(1, 0, 2), right)
     return LHR.transpose(1, 0, 2).reshape(N, N)
 
 
@@ -214,7 +223,7 @@ def split_band_preserving(H: DenseHamiltonian, band: BandData):
     O(N^2 m), so H_diag itself is never formed.  Returns (F, G), G the
     DenseHamiltonian W^dag H_diag W (tag "diag").  Its exact zeros separate
     ran P from ran Q, and any finer blocks that H and the frames leave
-    uncoupled, for `eigh_by_blocks`.
+    uncoupled, for `block_eigh`.
     """
     _check_dims(H, band)
     F, in_p = _fiber_frame(band)

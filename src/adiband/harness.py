@@ -379,7 +379,10 @@ class PropagatorCache:
     A key holds the kind, the model's tag and parameters, the grid's bounds
     and size, eps and, where a band enters, its indices and window; a `bo`
     key also holds the `include_a_geo` and `delta` values passed to
-    `assemble_bo`.  Every key is read from the objects the builder is given,
+    `assemble_bo` and the bytes of the band's gauged frame chi (n m complex
+    values, small next to the propagator), so a band in another gauge
+    (`with_gauge_shift`, or band_decompose's `gauge`) gets an entry of its
+    own.  Every key is read from the objects the builder is given,
     so two models or grids passed under one cfg never share an entry; the
     `cfg` argument supplies only `bo`'s two values.
 
@@ -427,7 +430,7 @@ class PropagatorCache:
 
     def bo(self, cfg, band, eps) -> SpectralPropagator:
         key = ("bo", self._system_key(band.model, band.grid), band.band_indices, band.window, eps,
-               cfg.include_a_geo, cfg.delta)
+               cfg.include_a_geo, cfg.delta, None if band.chi is None else band.chi.tobytes())
         return self.get(
             key,
             lambda: diagonalize(assemble_bo(band, eps, include_a_geo=cfg.include_a_geo, delta=cfg.delta)),

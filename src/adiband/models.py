@@ -20,7 +20,7 @@ Registry tags
     to neither other component, which is what lets it cross +X, so the
     fibers, the band projection of the pair and the molecular H all split
     into exactly decoupled blocks (H: one of 2n, one of n), which
-    `electronic.eigh_by_blocks` solves apart.
+    `electronic.block_eigh` solves apart.
 ``rotated_pair``
     2x2: R(theta) diag(X^2-4, 4-X^2) R(theta)^T with theta = 0.3 tanh X.
     Real symmetric; bands cross at X = +-2, so the lower band is isolated

@@ -6,32 +6,38 @@ decomposition of the assembled operator, so every error measured here is
 an adiabatic or semiclassical error of the model, never a time-integration
 artifact.
 
+A propagator is stored as blocks.  `diagonalize` solves each exactly
+decoupled block of an operator on its own (`electronic.block_eigh`): a
+dense solve of a block of dimension d costs d^3, so the blocks together
+cost far less than N^3.  Each block keeps its rows, its d eigenvalues and
+its eigenvectors on those rows only, and `apply` works block by block, so
+an apply costs the sum over blocks of rows x d per column instead of
+N^2.  An operator of one block (every Born-Oppenheimer H, the full H of
+`rotated_pair` and `two_band_complex`) is one block over all rows, solved
+and applied by the dense products unchanged.  The band-preserving
+generator H_diag = P H P + Q H Q commutes with P, so in the fiber frame
+of P it has no entry between ran P and ran Q, and
+`diagonalize_band_preserving` solves it there: at least as two blocks,
+ran P (dimension r) and ran Q (N - r), and as finer ones where the model
+leaves fiber components uncoupled; each block is lifted back to the rows
+its frame columns reach.  `crossing_trio`'s full H splits into blocks of
+2n and n, and its H_diag for bands (0, 1) into three of n.
+
 A real-stored operator keeps its real eigenvectors as float64.  Its
 propagator applies a vector or a block of k vectors as real products on
 the block's float64 view, an (N, 2k) array of interleaved real and
 imaginary parts, so one real GEMM does the work of a complex one at half
 the storage.  A complex-stored operator takes the complex products.
-Both storage types go through the same two products for every input
-shape; the error functionals pass whole state families as one block.
+Both storage types go through the same two products per block for every
+input shape; the error functionals pass whole state families as one
+block of columns.
 
-Times form a row as well.  Given a 1-D array of T times, `apply` forms the
-coefficients V^dag vec with one analysis product, multiplies in the phases
-of every time as one (N, T k) block, and maps that block back with one
-synthesis product; the batch takes N k T 16 bytes.  `decoupling_error`
-passes its times through, so a scan of many times makes two such applies
-per eps.
-
-`diagonalize` solves each exactly decoupled block of an operator on its
-own (`electronic.eigh_by_blocks`): a dense solve of a block of dimension
-d costs d^3, so the blocks together cost far less than N^3, and an
-operator of one block goes to the dense solver unchanged.  The
-band-preserving generator H_diag = P H P + Q H Q commutes with P, so in
-the fiber frame of P it has no entry between ran P and ran Q, and
-`diagonalize_band_preserving` solves it there: at least as two blocks,
-ran P (dimension r) and ran Q (N - r), and as finer ones where the model
-leaves fiber components uncoupled.  `crossing_trio`'s full H splits into
-blocks of 2n and n, and its H_diag for bands (0, 1) into three of n.
-Either way the result is one ordinary SpectralPropagator.
+Times form a row as well.  Given a 1-D array of T times, `apply` forms
+each block's coefficients V^dag vec with one analysis product, multiplies
+in the phases of every time as one (d, T k) block, and maps that block
+back with one synthesis product; the batch takes N k T 16 bytes.
+`decoupling_error` passes its times through, so a scan of many times
+makes two such applies per eps.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData, eigh_by_blocks
+from .electronic import BandData, block_eigh
 from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
 from .hamiltonians import DenseHamiltonian, split_band_preserving, u_map, u_star_map
 
@@ -60,93 +66,138 @@ def _real_times(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
 
 
-def _as_block(vec) -> np.ndarray:
-    """vec, (N,) or (N, k), as a complex (N, k) block.
+def _coefficients(V: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """V^dag block for a complex (rows, k) block."""
+    if V.dtype == np.float64:
+        return _real_times(V.T, block)
+    # V^dag block as conj(V^T conj(block)): no conjugate copy of V
+    return (V.T @ block.conj()).conj()
 
-    The rows stay the input's own, so a wrong-length input fails the
-    product with the eigenvectors instead of being folded into columns.
-    """
-    return np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
+
+def _synthesize(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """V coeffs for complex (d, k) coefficients."""
+    return _real_times(V, coeffs) if V.dtype == np.float64 else V @ coeffs
 
 
 @dataclass(frozen=True)
 class SpectralPropagator:
-    """Eigendecomposition of a DenseHamiltonian, reusable for any time.
+    """Eigendecomposition of a DenseHamiltonian, reusable for any time, stored block by block.
 
-    `eigenvectors` are float64 when the operator is stored real, complex128
-    otherwise.
+    `blocks` holds one (rows, eigenvalues, eigenvectors) triple per exactly
+    decoupled block: the block's d eigenpairs, with eigenvectors of shape
+    (len(rows), d) whose entries outside `rows` are exactly zero and are not
+    stored.  An operator of one block is ((slice(None), w, V),), the dense
+    pair itself.  Eigenvalues are ascending within a block; no order is
+    kept across blocks.  Eigenvectors are float64 when the operator and its
+    frames are stored real, complex128 otherwise.
     """
 
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
     eps: float
     tag: str
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return sum(len(w) for _, w, _ in self.blocks)
 
-    def _coefficients(self, block: np.ndarray) -> np.ndarray:
-        """V^dag block for a complex (N, k) block."""
-        V = self.eigenvectors
-        if V.dtype == np.float64:
-            return _real_times(V.T, block)
-        # V^dag block as conj(V^T conj(block)): no dim^2 conjugate copy of V
-        return (V.T @ block.conj()).conj()
+    def _map(self, vec, coefficient_map) -> np.ndarray:
+        """Sum over blocks of V coefficient_map(w, V^dag vec[rows]), placed in rows.
 
-    def _synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """V coeffs for complex (N, k) coefficients."""
-        V = self.eigenvectors
-        return _real_times(V, coeffs) if V.dtype == np.float64 else V @ coeffs
+        vec, (N,) or (N, k), is taken as a complex (N, k) block; a wrong
+        row count is refused rather than folded into columns.  The result
+        has N rows and the mapped coefficients' column count.
+        """
+        block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
+        if len(block) != self.dim:
+            raise ValueError(f"dimension mismatch: vector has {len(block)} rows, operator {self.dim}")
+        out = None
+        for rows, w, V in self.blocks:
+            part = _synthesize(V, coefficient_map(w, _coefficients(V, block[rows])))
+            if isinstance(rows, slice):
+                # the one block over every row: its product is the result
+                return part
+            if out is None:
+                out = np.zeros((len(block), part.shape[1]), dtype=complex)
+            out[rows] += part
+        return out
 
     def apply(self, vec: np.ndarray, t) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
 
         vec may be one vector (N,) or a block of columns (N, k).  A scalar t
         gives a result of vec's shape.  A 1-D array of T times gives shape
-        (T,) + shape(vec): the coefficients V^dag vec are formed once, the
-        phases of all T times multiply them into one (N, T k) block, and
-        one synthesis product maps that block back, so the batch takes
-        N k T 16 bytes.
+        (T,) + shape(vec): per block, the coefficients V^dag vec are formed
+        once, the phases of all T times multiply them into one (d, T k)
+        block, and one synthesis product maps that block back, so the batch
+        takes N k T 16 bytes.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
-        c = self._coefficients(_as_block(vec))
-        phases = np.exp(-1j * self.eigenvalues[:, None] * times.reshape(-1) / self.eps)
-        out = self._synthesize((c[:, None, :] * phases[:, :, None]).reshape(self.dim, -1))
+
+        def phased(w, c):
+            phases = np.exp(-1j * w[:, None] * times.reshape(-1) / self.eps)
+            return (c[:, None, :] * phases[:, :, None]).reshape(len(w), -1)
+
+        out = self._map(vec, phased)
         # (N, T, k) columns to one contiguous (N,) or (N, k) result per time
         out = np.ascontiguousarray(out.reshape(self.dim, times.size, -1).transpose(1, 0, 2))
         return out.reshape(times.shape + np.shape(vec))
 
     def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
         """Project vec, (N,) or (N, k), onto total energies <= cutoff."""
-        c = self._coefficients(_as_block(vec))
-        c[self.eigenvalues > cutoff] = 0.0
-        return self._synthesize(c).reshape(np.shape(vec))
+
+        def kept(w, c):
+            c[w > cutoff] = 0.0
+            return c
+
+        return self._map(vec, kept).reshape(np.shape(vec))
 
 
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:
     """Eigendecompose an assembled operator, one exactly decoupled block at a time.
 
-    `eigh_by_blocks` solves each connected component of the operator's
-    exact-zero pattern on its own and merges the eigenvalues in ascending
-    order; an operator of one component is solved as one dense matrix.  A
-    real-stored operator runs the real-symmetric solver and keeps its
+    `block_eigh` solves each connected component of the operator's
+    exact-zero pattern on its own, and the propagator keeps the blocks as
+    they come; an operator of one component is solved as one dense matrix.
+    A real-stored operator runs the real-symmetric solver and keeps its
     eigenvectors float64; a complex-stored one runs the Hermitian solver.
-    With validate=True the reconstruction U diag(w) U^dag is checked
-    against H to 1e-10 (costs two extra dense products).
+    With validate=True each block's reconstruction V diag(w) V^dag is
+    checked against H's block to 1e-10 relative, and its eigenvectors for
+    orthonormality to 1e-11 times the block's dimension (two extra dense
+    products per block).  H's entries outside the blocks are exact zeros,
+    as the blocks are found from them.
     """
-    w, v = eigh_by_blocks(H.matrix)
+    blocks = block_eigh(H.matrix)
     if validate:
-        recon = (v * w) @ v.conj().T
-        err = np.abs(recon - H.matrix).max()
-        if err > 1e-10 * max(1.0, np.abs(H.matrix).max()):
-            raise AssertionError(f"eigendecomposition reconstruction error {err:.2e}")
-        unit = np.abs(v.conj().T @ v - np.eye(H.dim)).max()
-        if unit > 1e-11 * H.dim:
-            raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
-    return SpectralPropagator(eigenvalues=w, eigenvectors=v, eps=H.eps, tag=H.tag)
+        scale = max(1.0, np.abs(H.matrix).max())
+        for rows, w, v in blocks:
+            sub = H.matrix if isinstance(rows, slice) else H.matrix[np.ix_(rows, rows)]
+            err = np.abs((v * w) @ v.conj().T - sub).max()
+            if err > 1e-10 * scale:
+                raise AssertionError(f"eigendecomposition reconstruction error {err:.2e}")
+            unit = np.abs(v.conj().T @ v - np.eye(len(w))).max()
+            if unit > 1e-11 * len(w):
+                raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
+    return SpectralPropagator(blocks=blocks, eps=H.eps, tag=H.tag)
+
+
+def _lift(F: np.ndarray, idx, w: np.ndarray, V: np.ndarray) -> tuple:
+    """A frame-basis block (idx, w, V) as the block (rows, w, W[:, idx] V) for W = blockdiag(F_i).
+
+    idx holds frame-basis indices i m + c (slice(None) for all).  The lift
+    is a fiber product, O(N m d); rows keeps the molecular indices i m + a
+    with F_i[a, c] nonzero for a frame column c of the block at X_i, the
+    only rows where W[:, idx] V can be nonzero.
+    """
+    n, m, _ = F.shape
+    Z = np.zeros((n * m,) + V.shape[1:], dtype=V.dtype)
+    Z[idx] = V
+    in_block = np.zeros(n * m, dtype=bool)
+    in_block[idx] = True
+    reach = ((F != 0) & in_block.reshape(n, 1, m)).any(axis=2)
+    rows = np.flatnonzero(reach)
+    return rows, w, np.matmul(F, Z.reshape(n, m, -1)).reshape(n * m, -1)[rows]
 
 
 def diagonalize_band_preserving(H: DenseHamiltonian, band: BandData) -> SpectralPropagator:
@@ -155,15 +206,15 @@ def diagonalize_band_preserving(H: DenseHamiltonian, band: BandData) -> Spectral
     `split_band_preserving` gives G = W^dag H_diag W in the fiber frame
     W = blockdiag(F_i), where ran P and ran Q share no entry; `diagonalize`
     solves G block by block, at cost r^3 + (N - r)^3 or less instead of
-    N^3, and its eigenvectors are lifted back as W V by fiber products,
-    O(N^2 m).  Eigenvalues come out ascending; eigenvectors are float64
-    when H and the frames are real, complex128 otherwise.
+    N^3.  Each block's eigenvectors are lifted back by fiber products and
+    kept on the rows its frame columns reach, so the propagator stays a
+    set of blocks; they are float64 when H and the frames are real,
+    complex128 otherwise.
     """
     F, G = split_band_preserving(H, band)
-    prop = diagonalize(G)
-    n, m, _ = F.shape
-    V = np.matmul(F, prop.eigenvectors.reshape(n, m, H.dim)).reshape(H.dim, H.dim)
-    return SpectralPropagator(eigenvalues=prop.eigenvalues, eigenvectors=V, eps=H.eps, tag="diag")
+    frame_blocks = diagonalize(G).blocks
+    del G  # the lifts need the frame-basis blocks only
+    return SpectralPropagator(blocks=tuple(_lift(F, *block) for block in frame_blocks), eps=H.eps, tag="diag")
 
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):

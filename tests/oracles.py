@@ -15,10 +15,68 @@ def fourier_matrix(grid) -> np.ndarray:
     return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n_points)
 
 
+def dense_eigenpairs(prop):
+    """(w, V): a SpectralPropagator's blocks scattered into dense N x N eigenpairs.
+
+    Each block's eigenvectors go into its rows, zero elsewhere, and the
+    eigenvalues are sorted ascending by a stable sort, the order
+    `np.linalg.eigh` of the dense operator gives.
+    """
+    N = prop.dim
+    w = np.concatenate([bw for _, bw, _ in prop.blocks])
+    V = np.zeros((N, N), dtype=np.result_type(*(bV for *_, bV in prop.blocks)))
+    start = 0
+    for rows, bw, bV in prop.blocks:
+        V[rows, start : start + len(bw)] = bV
+        start += len(bw)
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
 def unitary(prop, t: float) -> np.ndarray:
     """Dense e^{-iHt/eps} = V diag(e^{-i w t/eps}) V^dag of a SpectralPropagator."""
-    V = prop.eigenvectors
-    return (V * np.exp(-1j * prop.eigenvalues * t / prop.eps)) @ V.conj().T
+    w, V = dense_eigenpairs(prop)
+    return (V * np.exp(-1j * w * t / prop.eps)) @ V.conj().T
+
+
+def cutoff_projection(prop, cutoff: float) -> np.ndarray:
+    """Dense spectral projection onto the eigenvalues <= cutoff of a SpectralPropagator."""
+    w, V = dense_eigenpairs(prop)
+    return (V * (w <= cutoff)) @ V.conj().T
+
+
+def _dense_times(A, Z):
+    """A @ Z, as one real product on Z's float64 view when A is real."""
+    if A.dtype == np.float64:
+        return (A @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
+    return A @ Z
+
+
+def _dense_coefficients(V, vec):
+    """V^dag vec for vec (N,) or (N, k), as an (N, k) block."""
+    block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
+    return _dense_times(V.T, block) if V.dtype == np.float64 else (V.T @ block.conj()).conj()
+
+
+def dense_product_apply(w, V, eps, vec, t):
+    """e^{-iHt/eps} vec for a dense eigenpair (w, V) by the products of a one-block propagator.
+
+    A 1-D array of times goes through as one (N, T k) block of phased
+    coefficients and one synthesis product.
+    """
+    c = _dense_coefficients(V, vec)
+    ts = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * w[:, None] * ts.reshape(-1) / eps)
+    out = _dense_times(V, (c[:, None, :] * phases[:, :, None]).reshape(len(w), -1))
+    out = np.ascontiguousarray(out.reshape(len(w), ts.size, -1).transpose(1, 0, 2))
+    return out.reshape(ts.shape + np.shape(vec))
+
+
+def dense_product_cutoff(w, V, vec, cutoff):
+    """The projection of vec onto eigenvalues <= cutoff by the products of a one-block propagator."""
+    c = _dense_coefficients(V, vec)
+    c[w > cutoff] = 0.0
+    return _dense_times(V, c).reshape(np.shape(vec))
 
 
 def kron_hamiltonian(model, grid, eps, a_ext=None) -> np.ndarray:

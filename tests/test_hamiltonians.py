@@ -4,6 +4,7 @@ import pytest
 from adiband.electronic import band_decompose, berry_connection, fd_derivative
 from adiband.grids import NuclearWave, make_grid, norm
 from adiband.hamiltonians import (
+    DenseHamiltonian,
     assemble_bo,
     assemble_diag,
     assemble_full,
@@ -17,7 +18,7 @@ from adiband.hamiltonians import (
 )
 from adiband.models import ElectronicModel, get_model
 from adiband.propagation import diagonalize
-from oracles import fourier_matrix, kron_hamiltonian
+from oracles import dense_eigenpairs, fourier_matrix, kron_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,35 @@ def test_non_hermitian_fiber_refused():
     model = ElectronicModel(tag="skew", fiber_dim=2, params={}, _h=lambda X: skew, _dh=lambda X: 0 * skew)
     with pytest.raises(AssertionError, match="non-Hermitian"):
         assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 0): np.nan}, {(1, 1): np.inf}, {(0, 1): np.inf, (1, 0): np.inf}, {(0, 1): -np.inf},
+     {(0, 1): complex(0, np.inf), (1, 0): complex(0, -np.inf)}],
+    ids=["nan", "inf-diagonal", "inf-pair", "inf-one-side", "complex-inf-pair"],
+)
+def test_non_finite_fiber_refused(entries):
+    # a non-finite entry makes its entry of M - M^dag non-finite, so the residual refuses it
+    bad = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex if any(np.iscomplex(v) for v in entries.values()) else float)
+    for ij, v in entries.items():
+        bad[ij] = v
+    model = ElectronicModel(tag="bad", fiber_dim=2, params={}, _h=lambda X: bad, _dh=lambda X: 0 * bad)
+    with pytest.raises(AssertionError, match="non-finite entries"):
+        assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_stored_matrix_is_the_hermitian_part_bitwise(dtype):
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((32, 32)).astype(dtype)
+    if dtype == np.complex128:
+        M += 1j * rng.standard_normal((32, 32))
+    # Hermitian up to a rounding-sized residual, as an assembly leaves it
+    M = M + M.conj().T + 1e-15 * rng.standard_normal((32, 32))
+    H = DenseHamiltonian(M.copy(), eps=0.1, tag="test", grid=make_grid(-4, 4, 32), fiber_dim=1)
+    assert H.matrix.dtype == dtype
+    assert np.array_equal(H.matrix, (M + M.conj().T) / 2)
 
 
 def test_small_eps_ground_energy():
@@ -143,7 +173,7 @@ def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
     assert H.matrix.dtype == Hd.matrix.dtype == expected
     # eigenvectors follow the storage: float64 for real data, complex with a
     # nonzero imaginary part otherwise
-    for V in (diagonalize(H).eigenvectors, diagonalize(Hd).eigenvectors):
+    for V in (dense_eigenpairs(diagonalize(H))[1], dense_eigenpairs(diagonalize(Hd))[1]):
         assert V.dtype == expected
         assert np.any(V.imag) != real_data
 

@@ -22,7 +22,7 @@ from adiband.propagation import (
     effective_dynamics_error,
     evolve,
 )
-from oracles import unitary
+from oracles import cutoff_projection, dense_eigenpairs, dense_product_apply, dense_product_cutoff, unitary
 
 # one model stored real (real fibers, real frame) and one stored complex
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
@@ -57,15 +57,17 @@ def test_diagonalize_diagonal_input():
     d = np.arange(8.0)
     H = DenseHamiltonian(np.diag(d).astype(complex), eps=0.1, tag="test", grid=grid, fiber_dim=1)
     prop = diagonalize(H, validate=True)
-    assert np.allclose(np.sort(prop.eigenvalues), d)
-    assert np.abs(np.abs(prop.eigenvectors).max(axis=0) - 1).max() <= 1e-12
+    w, V = dense_eigenpairs(prop)
+    assert np.allclose(np.sort(w), d)
+    assert np.abs(np.abs(V).max(axis=0) - 1).max() <= 1e-12
 
 
 def test_reconstruction_and_real_eigenvalues(setups):
     for *_, H, prop in setups:
-        recon = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
+        w, V = dense_eigenpairs(prop)
+        recon = (V * w) @ V.conj().T
         assert np.abs(recon - H.matrix).max() <= 1e-10
-        assert np.isrealobj(prop.eigenvalues)
+        assert np.isrealobj(w)
 
 
 def test_evolve_t0_identity(setups):
@@ -78,10 +80,11 @@ def test_evolve_t0_identity(setups):
 def test_evolve_eigenvector_phase(setups):
     for grid, model, band, H, prop in setups:
         k = 17
-        v = prop.eigenvectors[:, k]
+        w, V = dense_eigenpairs(prop)
+        v = V[:, k]
         psi = MolecularWave(grid, v.reshape(grid.n_points, 2), eps=0.1)
         out = evolve(prop, psi, 0.7)
-        expected = np.exp(-1j * prop.eigenvalues[k] * 0.7 / 0.1) * v
+        expected = np.exp(-1j * w[k] * 0.7 / 0.1) * v
         assert np.abs(out.flat() - expected).max() <= 1e-10
 
 
@@ -115,7 +118,7 @@ def test_apply_block_matches_columns_and_unitary(setups):
         columns = np.column_stack([prop.apply(block[:, j], t) for j in range(3)])
         assert np.abs(out - columns).max() <= 1e-12
         assert np.abs(out - unitary(prop, t) @ block).max() <= 1e-12
-        cutoff = float(np.median(prop.eigenvalues))
+        cutoff = float(np.median(dense_eigenpairs(prop)[0]))
         cut = prop.energy_cutoff_apply(block, cutoff)
         columns = np.column_stack([prop.energy_cutoff_apply(block[:, j], cutoff) for j in range(3)])
         assert np.abs(cut - columns).max() <= 1e-12
@@ -129,10 +132,11 @@ def test_real_storage_matches_complex_solver():
     for H in (H_full, assemble_bo(band, H_full.eps, delta=0.4)):
         assert H.matrix.dtype == np.float64
         prop = diagonalize(H)
-        # the real solver ran: real eigenvectors, stored complex
-        assert not np.any(prop.eigenvectors.imag)
+        # the real solver ran: real eigenvectors
+        w, V = dense_eigenpairs(prop)
+        assert not np.any(V.imag)
         ref = diagonalize(dataclasses.replace(H, matrix=H.matrix.astype(complex)))
-        assert np.abs(prop.eigenvalues - ref.eigenvalues).max() <= 1e-12
+        assert np.abs(w - dense_eigenpairs(ref)[0]).max() <= 1e-12
         rng = np.random.default_rng(3)
         block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
         block /= np.linalg.norm(block, axis=0)
@@ -147,7 +151,6 @@ def test_real_storage_matches_complex_solver():
             assert gap(prop.apply(block[:, :1], t), ref.apply(block[:, :1], t)) <= 1e-12
             assert np.linalg.norm(unitary(prop, t) - unitary(ref, t), 2) <= 1e-12
         # a cutoff inside a spectral gap, so that no degenerate pair is split
-        w = prop.eigenvalues
         i = int(np.argmax(np.diff(w[: prop.dim // 2])))
         cutoff = 0.5 * (w[i] + w[i + 1])
         assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
@@ -156,12 +159,12 @@ def test_real_storage_matches_complex_solver():
 def test_apply_at_a_row_of_times_equals_stacked_scalar_calls(setups):
     # The batch makes the same products on the same data, but the BLAS picks its
     # kernel by the total column count: zgemm and the small dgemm path (dim 256
-    # here) round T k columns differently from k.  So the match is to rounding
-    # here; at the scans' sizes (dgemm, dim >= 384, ten states) it is bitwise,
-    # see tests/test_harness.py::test_decoupling_scan_evaluates_each_eps_as_one_row.
+    # here) round T k columns differently from k.  So the match is to rounding;
+    # dgemm with ten states and blocks of 256 or more is bitwise, while 128-wide
+    # blocks are not (tests/test_harness.py::test_decoupling_scan_evaluates_each_eps_as_one_row).
     times = np.array([0.0, 0.3, 1.1, 4.0])
     # complex128 storage (two_band_complex), then float64 storage (rotated_pair)
-    assert [prop.eigenvectors.dtype for *_, prop in setups] == [np.complex128, np.float64]
+    assert [dense_eigenpairs(prop)[1].dtype for *_, prop in setups] == [np.complex128, np.float64]
     for *_, prop in setups:
         rng = np.random.default_rng(7)
         block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
@@ -175,18 +178,21 @@ def test_apply_at_a_row_of_times_equals_stacked_scalar_calls(setups):
 
 
 def _complex_stored(prop):
-    return dataclasses.replace(prop, eigenvectors=prop.eigenvectors.astype(complex))
+    """The same eigenpairs as one dense block stored complex128."""
+    w, V = dense_eigenpairs(prop)
+    return dataclasses.replace(prop, blocks=((slice(None), w, V.astype(complex)),))
 
 
 def test_float64_storage_equals_complex_storage():
     *_, prop = _build(*MODELS["real"])
-    assert prop.eigenvectors.dtype == np.float64
+    w, V = dense_eigenpairs(prop)
+    assert V.dtype == np.float64
     # the same eigenpairs stored complex take the complex products
     ref = _complex_stored(prop)
     rng = np.random.default_rng(5)
     block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
     block /= np.linalg.norm(block, axis=0)
-    cutoff = float(np.median(prop.eigenvalues))
+    cutoff = float(np.median(w))
     for vec in (block, block[:, 0]):
         for t in (0.0, 0.7, 3.0):
             out = prop.apply(vec, t)
@@ -240,7 +246,7 @@ def test_decoupling_error_over_times_equals_per_time_calls(setups):
         pd = diagonalize(assemble_diag(H, band))
         states = [_gaussian_state(grid, band, 0.1, q0, p0) for q0, p0 in ((-1.0, 0.3), (0.8, -0.4))]
         block = StateBlock.stack(states)
-        cutoff = float(np.median(prop.eigenvalues))
+        cutoff = float(np.median(dense_eigenpairs(prop)[0]))
         for energy_cutoff in (None, cutoff):
             row = decoupling_error(prop, pd, block, times, energy_cutoff=energy_cutoff)
             per_time = np.array([decoupling_error(prop, pd, block, t, energy_cutoff=energy_cutoff) for t in times])
@@ -369,14 +375,15 @@ def test_band_preserving_split_matches_dense_oracle(case):
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
 
     assert got.dim == H.dim and got.tag == "diag"
-    assert np.all(np.diff(got.eigenvalues) >= 0)
-    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * np.abs(H.matrix).max()
-    assert got.eigenvectors.dtype == want.eigenvectors.dtype == dtype
+    assert all(np.all(np.diff(w) >= 0) for _, w, _ in got.blocks)
+    (got_w, got_V), (want_w, want_V) = dense_eigenpairs(got), dense_eigenpairs(want)
+    assert np.abs(got_w - want_w).max() <= 1e-12 * np.abs(H.matrix).max()
+    assert got_V.dtype == want_V.dtype == dtype
 
     rng = np.random.default_rng(3)
     block = rng.standard_normal((H.dim, 4)) + 1j * rng.standard_normal((H.dim, 4))
     # a cutoff in the widest gap of the lower half, away from every eigenvalue
-    w = want.eigenvalues[: H.dim // 2]
+    w = want_w[: H.dim // 2]
     i = int(np.argmax(np.diff(w)))
     cutoff = 0.5 * (w[i] + w[i + 1])
     for vec in (block[:, 0], block):
@@ -395,13 +402,74 @@ def test_band_preserving_split_refuses_non_projections():
 
 
 def test_single_block_operators_take_the_dense_solver_unchanged():
-    # rotated_pair's full H and its BO H are one block each: diagonalize is np.linalg.eigh itself
+    # the full H and the BO H of rotated_pair (real) and two_band_complex (complex) are one
+    # block each: diagonalize is np.linalg.eigh itself, and every apply is the dense products
     grid = make_grid(-8, 8, 128)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    for H in (assemble_full(band.model, grid, eps=0.1), assemble_bo(band, 0.1)):
+    bands = [band_decompose(get_model(tag), grid, 0, window=window) for tag, window in MODELS.values()]
+    rng = np.random.default_rng(2)
+    block = rng.standard_normal((2 * grid.n_points, 3)) + 1j * rng.standard_normal((2 * grid.n_points, 3))
+    operators = [H for band in bands for H in (assemble_full(band.model, grid, eps=0.1), assemble_bo(band, 0.1))]
+    assert [H.matrix.dtype for H in operators] == [np.float64, np.float64, np.complex128, np.complex128]
+    for H in operators:
         w, v = np.linalg.eigh(H.matrix)
         prop = diagonalize(H)
-        assert np.array_equal(prop.eigenvalues, w) and np.array_equal(prop.eigenvectors, v)
+        ((rows, got_w, got_v),) = prop.blocks
+        assert rows == slice(None)
+        assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
+        cutoff = float(np.median(w))
+        for vec in (block[: H.dim, 0], block[: H.dim]):
+            for t in (0.7, np.array([0.0, 0.7, 3.0])):
+                assert np.array_equal(prop.apply(vec, t), dense_product_apply(w, v, H.eps, vec, t))
+            assert np.array_equal(prop.energy_cutoff_apply(vec, cutoff), dense_product_cutoff(w, v, vec, cutoff))
+
+
+def test_block_apply_matches_the_dense_oracle():
+    # crossing_trio's full H (blocks 2n, n) and H_diag (three lifted blocks of n) against their
+    # scattered dense eigenpairs
+    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
+    times = np.array([0.0, 0.7, 3.0])
+    for prop in (diagonalize(H), diagonalize_band_preserving(H, band)):
+        assert len(prop.blocks) > 1 and prop.dim == H.dim
+        cutoff = float(np.median(dense_eigenpairs(prop)[0]))
+        projection = cutoff_projection(prop, cutoff)
+        for vec in (block[:, 0], block):
+            pairs = [(prop.apply(vec, 0.7), unitary(prop, 0.7) @ vec),
+                     (prop.apply(vec, times), np.stack([unitary(prop, t) @ vec for t in times])),
+                     (prop.energy_cutoff_apply(vec, cutoff), projection @ vec)]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_crossing_trio_pair_stores_only_its_blocks():
+    # eigenvectors are kept on their blocks' rows: 5 n^2 entries for the full H instead of 9 n^2
+    n = 128
+    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
+    full, diag = diagonalize(H), diagonalize_band_preserving(H, band)
+    assert [(len(rows), len(w)) for rows, w, _ in full.blocks] == [(2 * n, 2 * n), (n, n)]
+    for prop in (full, diag):
+        stored = sum(V.nbytes for *_, V in prop.blocks)
+        assert all(V.dtype == np.float64 for *_, V in prop.blocks)
+        assert stored == 8 * sum(len(rows) * len(w) for rows, w, _ in prop.blocks) <= 8 * 5 * n * n
+
+
+def test_validate_checks_each_block(monkeypatch):
+    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
+    G = split_band_preserving(H, band)[1]
+    for op in (H, G):
+        assert len(diagonalize(op, validate=True).blocks) > 1
+    real_eigh = np.linalg.eigh
+
+    def moved(M):
+        # the n-wide block of H comes back with one eigenvalue off by 1e-6
+        w, v = real_eigh(M)
+        return (w + 1e-6 * (np.arange(len(w)) == 0), v) if len(M) == grid.n_points else (w, v)
+
+    monkeypatch.setattr(np.linalg, "eigh", moved)
+    with pytest.raises(AssertionError, match="reconstruction error"):
+        diagonalize(H, validate=True)
 
 
 def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
@@ -424,5 +492,6 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
     monkeypatch.undo()
     # the oracles: the dense solve of H and of the dense H_diag
     scale = np.abs(H.matrix).max()
-    assert np.abs(prop.eigenvalues - np.linalg.eigh(H.matrix)[0]).max() <= 1e-12 * scale
-    assert np.abs(prop_diag.eigenvalues - diagonalize(assemble_diag(H, band)).eigenvalues).max() <= 1e-12 * scale
+    assert np.abs(dense_eigenpairs(prop)[0] - np.linalg.eigh(H.matrix)[0]).max() <= 1e-12 * scale
+    want = dense_eigenpairs(diagonalize(assemble_diag(H, band)))[0]
+    assert np.abs(dense_eigenpairs(prop_diag)[0] - want).max() <= 1e-12 * scale
