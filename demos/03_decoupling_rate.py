@@ -36,7 +36,7 @@ for eps in ladder:
     prop_diag = diagonalize_band_preserving(H, pair)
     wave, _ = coherent_state(grid, eps, -0.9, 0.2)
     psi = lift_to_band(wave, lower)
-    err = decoupling_error(prop_full, prop_diag, psi, t)
+    (err,) = decoupling_error(prop_full, prop_diag, [psi], [t])[0]  # one time, one state
     errs.append(err)
     print(f"  eps = {eps:<6g}  error = {err:.4e}")
 

@@ -43,7 +43,7 @@ for eps in (0.2, 0.1, 0.05, 0.025):
     row = [f"eps = {eps:<6g}"]
     for flag, label in ((True, "with A_geo"), (False, "without")):
         prop_bo = diagonalize(assemble_bo(band, eps, include_a_geo=flag))
-        err = effective_dynamics_error(prop_full, prop_bo, band, projected, t)
+        (err,) = effective_dynamics_error(prop_full, prop_bo, band, projected, [t])
         row.append(f"{label}: {err:.4e}")
     print("  ".join(row))
 

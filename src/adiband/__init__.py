@@ -2,10 +2,13 @@
 effective Born-Oppenheimer dynamics of 1-D model molecular systems.
 
 The package discretizes a fibered Hamiltonian
-H = (eps^2/2)(-i d/dX + A(X))^2 + H_e(X) on a periodic grid with a small
-matrix fiber, evolves it exactly through dense eigendecompositions, and
-measures how fast band-preserving and effective single-band dynamics
-converge to the full dynamics as eps decreases.
+H = (eps^2/2)(-i d/dX)^2 + H_e(X) on a periodic grid with a small matrix
+fiber, evolves it exactly through dense eigendecompositions, and measures
+how fast band-preserving and effective single-band dynamics converge to
+the full dynamics as eps decreases.  A vector potential enters only the
+effective Born-Oppenheimer Hamiltonian of a band,
+(eps^2/2)(-i d/dX + A_geo(X))^2 + E(X), as its geometric (Berry)
+connection A_geo.
 
 numpy is the only runtime dependency; SciPy serves the tests as an oracle.
 """

@@ -5,17 +5,18 @@ Matrices act on value vectors; molecular vectors are grid-major, entry
 nuclear kinetic energy is assembled exactly, as the circulant of its
 symbol, so the only approximation anywhere is the spatial discretization.
 
-Operators are stored real (float64) when their data is real: the kinetic
-term at zero vector potential, a model whose H_e(X_i) have exactly zero
-imaginary part, a band projection with real fiber blocks, and the
-effective Hamiltonian of `assemble_bo` when its gauge field (A_ext plus
-the clamped A_geo) is zero on the grid, as it is for a band with a real
-frame or with the connection dropped.  Real storage sends `eigh` to the
-real-symmetric solver, several times faster than the complex one.
-Complex data (complex fibers, a nonzero vector potential) keeps
-complex128.  This module is the only place that decides the storage type
-of an operator; `assemble_diag` and `split_band_preserving` follow the
-dtype of their inputs.
+Operators are stored real (float64) when their data is real.  The
+molecular Hamiltonian has no vector potential, so its kinetic term is
+always real and `assemble_full` stores it real whenever the model's
+H_e(X_i) have exactly zero imaginary part.  A band projection with real
+fiber blocks is real, and so is the effective Hamiltonian of
+`assemble_bo` when its gauge field, the clamped A_geo, is zero on the
+grid, as it is for a band with a real frame or with the connection
+dropped.  Real storage sends `eigh` to the real-symmetric solver, several
+times faster than the complex one.  Complex data (complex fibers, a
+nonzero A_geo) keeps complex128.  This module is the only place that
+decides the storage type of an operator; `assemble_diag` and
+`split_band_preserving` follow the dtype of their inputs.
 
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
@@ -130,31 +131,16 @@ def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -
     return T if np.any(a_vals) else T.real.copy()
 
 
-def _sample_a_ext(a_ext, grid: Grid1D) -> np.ndarray:
-    """A_ext(X_i) on the grid (zero for None); refuses a field that jumps at the seam."""
-    if a_ext is None:
-        return np.zeros(grid.n_points)
-    a_vals = np.asarray([a_ext(X) for X in grid.x], dtype=float)
-    seam = abs(a_ext(grid.x_min) - a_ext(grid.x_max))
-    if seam > 1e-6 * (1 + np.abs(a_vals).max()):
-        raise ValueError(f"external vector potential jumps by {seam:.3e} at the box seam")
-    return a_vals
-
-
-def assemble_full(
-    model: ElectronicModel,
-    grid: Grid1D,
-    eps: float,
-    a_ext=None,
-) -> DenseHamiltonian:
+def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHamiltonian:
     """Molecular Hamiltonian: kinetic term tensor identity plus fiberwise H_e(X_i).
 
-    Stored real when T is real and every H_e(X_i) has zero imaginary part.
+    The kinetic term is real; H is stored real when every H_e(X_i) has zero
+    imaginary part.
     """
     n, m = grid.n_points, model.fiber_dim
-    T = kinetic_matrix(grid, eps, _sample_a_ext(a_ext, grid))
+    T = kinetic_matrix(grid, eps)
     fibers = model.h_batch(grid.x)
-    if np.isrealobj(T) and not np.any(fibers.imag):
+    if not np.any(fibers.imag):
         fibers = fibers.real
     H = np.zeros((n * m, n * m), dtype=fibers.dtype)
     blocks = H.reshape(n, m, n, m)
@@ -299,30 +285,28 @@ def clamp_field(
 def assemble_bo(
     band: BandData,
     eps: float,
-    a_ext=None,
     include_a_geo: bool = True,
     delta: float = 0.5,
     berry: np.ndarray | None = None,
 ) -> DenseHamiltonian:
     """Effective nuclear Hamiltonian of the tracked band.
 
-    (eps*(-i d/dX) + eps*A_ext + eps*A_geo)^2 / 2 + E(X): `kinetic_matrix`
-    of the summed field, A_ext sampled and seam-checked as in `assemble_full`,
-    with the band energy and the geometric vector potential clamped outside
-    the window shrunk by delta/5.  `berry` overrides the connection samples
-    (used by gauge-covariance checks); with include_a_geo=False the
-    connection is dropped entirely.  Stored real when the total gauge field
-    is zero on the grid.
+    (eps*(-i d/dX) + eps*A_geo)^2 / 2 + E(X): `kinetic_matrix` of the
+    geometric vector potential A_geo, with the band energy and A_geo clamped
+    outside the window shrunk by delta/5.  `berry` overrides the connection
+    samples (used by gauge-covariance checks); with include_a_geo=False the
+    connection is dropped entirely.  Stored real when A_geo is zero on the
+    grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")
     grid = band.grid
     E_ext = clamp_field(band.band_energy, grid, band.window, delta / 5)
-    a_vals = _sample_a_ext(a_ext, grid)
+    a_vals = None
     if include_a_geo:
         if berry is None:
             berry = berry_connection(band)
-        a_vals += clamp_field(berry, grid, band.window, delta / 5)
+        a_vals = clamp_field(berry, grid, band.window, delta / 5)
     H = kinetic_matrix(grid, eps, a_vals) + np.diag(E_ext)
     return DenseHamiltonian(matrix=H, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 

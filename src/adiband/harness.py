@@ -34,7 +34,6 @@ from .indicators import PhaseSpaceRegion
 from .models import ElectronicModel, get_model
 from .propagation import (
     SpectralPropagator,
-    StateBlock,
     decoupling_error,
     diagonalize,
     diagonalize_band_preserving,
@@ -525,7 +524,7 @@ def _scan_decoupling(inputs: _ScanInputs, eps: float, times):
     family = standard_state_family(
         inputs.grid, inputs.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=cfg.delta
     )
-    return decoupling_error(pf, pd, StateBlock.stack(family), times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
+    return decoupling_error(pf, pd, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
 
 
 def _scan_effective(inputs: _ScanInputs, eps: float, times):
@@ -534,7 +533,7 @@ def _scan_effective(inputs: _ScanInputs, eps: float, times):
     pb = inputs.cache.bo(cfg, band, eps)
     psi0, _, _ = cfg.make_state(inputs.grid, band, eps)
     projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
-    return [effective_dynamics_error(pf, pb, band, projected, t, delta=cfg.delta) for t in times]
+    return effective_dynamics_error(pf, pb, band, projected, times, delta=cfg.delta)
 
 
 def _scan_leakage(inputs: _ScanInputs, eps: float, times):

@@ -29,15 +29,18 @@ the block's float64 view, an (N, 2k) array of interleaved real and
 imaginary parts, so one real GEMM does the work of a complex one at half
 the storage.  A complex-stored operator takes the complex products.
 Both storage types go through the same two products per block for every
-input shape; the error functionals pass whole state families as one
-block of columns.
+input shape.
 
 Times form a row as well.  Given a 1-D array of T times, `apply` forms
 each block's coefficients V^dag vec with one analysis product, multiplies
 in the phases of every time as one (d, T k) block, and maps that block
 back with one synthesis product; the batch takes N k T 16 bytes.
-`decoupling_error` passes its times through, so a scan of many times
-makes two such applies per eps.
+
+The error functionals have one call form: a row of T times goes in (and,
+for `decoupling_error`, a list of k molecular waves, applied as one (N, k)
+block), and one error per time comes out, (T, k) or (T,).  Each
+propagator applies the whole row in one `apply`, so a scan of many times
+makes one apply per propagator and eps.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .electronic import BandData, block_eigh
-from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
-from .hamiltonians import DenseHamiltonian, split_band_preserving, u_map, u_star_map
+from .grids import MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
+from .hamiltonians import DenseHamiltonian, split_band_preserving, u_map
 
 __all__ = [
     "SpectralPropagator",
-    "StateBlock",
     "diagonalize",
     "diagonalize_band_preserving",
     "evolve",
@@ -226,64 +228,48 @@ def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float
     return type(wave)(grid=wave.grid, values=out, eps=wave.eps)
 
 
-@dataclass(frozen=True)
-class StateBlock:
-    """Molecular waves on one grid as the columns of an (N, k) array.
-
-    Keeps each column's scaled second Sobolev norm, so a family applied at
-    many times has its norms computed once.
-    """
-
-    grid: Grid1D
-    columns: np.ndarray = field(repr=False)
-    sobolev: np.ndarray = field(repr=False)
-
-    @classmethod
-    def stack(cls, waves) -> "StateBlock":
-        return cls(
-            grid=waves[0].grid,
-            columns=np.column_stack([w.flat() for w in waves]),
-            sobolev=np.array([sobolev_norm(w, 2) for w in waves]),
-        )
+def _time_row(times) -> np.ndarray:
+    """A row of T times as a 1-D float array; a scalar or a nested sequence is refused."""
+    row = np.asarray(times, dtype=float)
+    if row.ndim != 1:
+        raise ValueError(f"times must be a 1-D sequence of times, got shape {row.shape}")
+    return row
 
 
 def decoupling_error(
     prop_full: SpectralPropagator,
     prop_diag: SpectralPropagator,
-    psi0: StateBlock | MolecularWave,
-    t,
+    states: list,
+    times,
     energy_cutoff: float | None = None,
-):
-    """Distance between the full and the band-preserving evolution, per state.
+) -> np.ndarray:
+    """Distance between the full and the band-preserving evolution, per time and state.
 
-    psi0 is a StateBlock of k states, applied as one (N, k) block, and the
-    result holds one error per column; a single MolecularWave gives one
-    float.  t is a scalar or a sequence of T times; a sequence goes to
-    `SpectralPropagator.apply` as one row and adds a leading axis of T to
-    the result, (T, k) or (T,).  Without a cutoff each difference is
-    normalized by the scaled second Sobolev norm of its initial state
-    (applied-state proxy for the operator norm on W^{2,eps}).  With a
-    cutoff, the states are first projected onto total energies <= cutoff,
-    once for all times, and each difference is measured relative to the
-    plain L^2 norm of its projected state.
+    `states` is a list of k molecular waves on the propagators' grid and
+    `times` a sequence of T times; the result is (T, k).  The states go to
+    each propagator's `apply` as one (N, k) block with the whole row of
+    times, so a family at many times costs one apply per propagator.
+    Without a cutoff each difference is normalized by the scaled second
+    Sobolev norm of its initial state (applied-state proxy for the
+    operator norm on W^{2,eps}).  With a cutoff, the states are first
+    projected onto total energies <= cutoff, once for all times, and each
+    difference is measured relative to the plain L^2 norm of its projected
+    state.  A zero state, or one the cutoff annihilates, is refused.
     """
-    block = psi0 if isinstance(psi0, StateBlock) else StateBlock.stack([psi0])
-    if np.any(block.sobolev == 0.0):
+    times = _time_row(times)
+    dx = states[0].grid.dx
+    vecs = np.column_stack([w.flat() for w in states])
+    if not np.all(vecs.any(axis=0)):
         raise ValueError("zero initial state")
-    dx = block.grid.dx
-    vecs = block.columns
     if energy_cutoff is not None:
         vecs = prop_full.energy_cutoff_apply(vecs, energy_cutoff)
         denom = l2_norm(vecs, dx, axis=0)
         if np.any(denom == 0.0):
             raise ValueError("energy cutoff annihilated the state")
     else:
-        denom = block.sobolev
-    d = prop_full.apply(vecs, t) - prop_diag.apply(vecs, t)
-    errors = l2_norm(d, dx, axis=-2) / denom
-    if isinstance(psi0, StateBlock):
-        return errors
-    return float(errors[0]) if np.ndim(t) == 0 else errors[:, 0]
+        denom = np.array([sobolev_norm(w, 2) for w in states])
+    d = prop_full.apply(vecs, times) - prop_diag.apply(vecs, times)
+    return l2_norm(d, dx, axis=-2) / denom
 
 
 def effective_dynamics_error(
@@ -291,21 +277,24 @@ def effective_dynamics_error(
     prop_bo: SpectralPropagator,
     band: BandData,
     projected: MolecularWave,
-    t: float,
+    times,
     delta: float = 0.5,
-) -> float:
-    """Full evolution versus the band-identified effective evolution.
+) -> np.ndarray:
+    """Full evolution versus the band-identified effective evolution, one error per time.
 
     Measures ||(e^{-iHt/eps} - U* e^{-iH_bo t/eps} U) P psi0|| / ||P psi0||
-    on the projected initial state P psi0, where P is the approximate
-    phase-space projection (`semiclassics.apply_phase_space_projection`)
-    and U the band identification.  The bound holds only for t inside the
-    hitting-time window; `ExperimentConfig.validate()` refuses scan times
-    outside it.
+    on the projected initial state P psi0 at each of T `times`, shape (T,).
+    P is the approximate phase-space projection
+    (`semiclassics.apply_phase_space_projection`) and U the band
+    identification, applied fiberwise.  Each propagator applies the whole
+    row in one `apply`.  The bound holds only for t inside the hitting-time
+    window; `ExperimentConfig.validate()` refuses scan times outside it.
     """
+    times = _time_row(times)
     nP = norm(projected)
     if nP < 1e-12:
         raise ValueError("projected initial state vanishes; state and region are disjoint")
-    reduced = evolve(prop_bo, u_map(projected, band, delta), t)
-    d = prop_full.apply(projected.flat(), t) - u_star_map(reduced, band, delta).flat()
-    return l2_norm(d, projected.grid.dx) / nP
+    reduced = prop_bo.apply(u_map(projected, band, delta).values, times)
+    lifted = reduced[:, :, None] * band.chi_clamped(delta / 2)
+    d = prop_full.apply(projected.flat(), times) - lifted.reshape(len(times), -1)
+    return l2_norm(d, projected.grid.dx, axis=-1) / nP

@@ -30,7 +30,7 @@ from .electronic import BandData
 from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm
 from .hamiltonians import clamp_field, u_map, u_star_map
 from .indicators import PhaseSpaceRegion, SmoothIndicator, interval_indicator, smooth_indicator
-from .propagation import SpectralPropagator, evolve
+from .propagation import SpectralPropagator, _time_row
 
 __all__ = [
     "Symbol",
@@ -237,7 +237,7 @@ def _verlet_step(energy_grad, q, p, h):
     return q, _kick(energy_grad, q, p, h)
 
 
-def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3, q_bounds=None):
+def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3):
     """Flow (q, p) -> (q(t), p(t)) with qdot = p, pdot = -dE(q), Verlet steps.
 
     z0 may be a single (q, p) pair or an (N, 2) cloud; dt is the maximal
@@ -252,8 +252,6 @@ def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3, q_bounds=None):
         h = sgn * min(dt, abs(remaining))
         q, p = _verlet_step(energy_grad, q, p, h)
         remaining -= h
-        if q_bounds is not None and (np.any(q <= q_bounds[0]) or np.any(q >= q_bounds[1])):
-            raise RuntimeError(f"trajectory left the window {q_bounds} at t={t - remaining:.4f}")
     out = np.column_stack([q, p])
     return out[0] if np.ndim(z0) == 1 else out
 
@@ -427,32 +425,31 @@ def egorov_residual(
     symbols,
     psi0: NuclearWave | MolecularWave,
     rho: ClassicalDensity,
-    t,
+    times,
     energy_grad,
     dt: float = 1e-3,
-):
-    """Egorov defect max_a |<psi_t, a^W psi_t> - int (a o flow_t) d rho| over the symbols a.
+) -> np.ndarray:
+    """Egorov defect max_a |<psi_t, a^W psi_t> - int (a o flow_t) d rho| over the symbols a, per time.
 
     psi0 is a nuclear wave under a Born-Oppenheimer propagator, or a molecular
     wave under the full one (a^W acting on each fiber component); it must
     realize rho in the semiclassical-distribution sense (the state
-    constructors return matched pairs).  t is a scalar, which gives one
-    float, or a sequence of times, which gives a list with one defect per
-    time.  Per time, the state is evolved once and rho is flowed once from
-    time 0; each symbol is then quantized once and paired with every time.
+    constructors return matched pairs).  `times` is a sequence of T times and
+    the result has shape (T,).  The state is evolved to every time by one
+    `apply`, and rho is flowed once from time 0 per time; each symbol is
+    then quantized once and paired with every time.
     """
-    times = [t] if np.ndim(t) == 0 else t
-    states = []
-    for s in times:
-        vals = evolve(prop, psi0, s).values
-        states.append((vals if vals.ndim == 2 else vals[:, None], rho.flowed(energy_grad, s, dt)))
-    defects = [0.0] * len(states)
+    times = _time_row(times)
+    grid = psi0.grid
+    states = prop.apply(psi0.values.reshape(-1), times).reshape(len(times), grid.n_points, -1)
+    flowed = [rho.flowed(energy_grad, s, dt) for s in times]
+    defects = np.zeros(len(times))
     for sym in symbols:
-        A = weyl_quantize(sym, psi0.grid, psi0.eps)
-        for k, (v, flowed) in enumerate(states):
-            qm = float(np.real(np.einsum("ia,ij,ja->", v.conj(), A, v)) * psi0.grid.dx)
-            defects[k] = max(defects[k], abs(qm - flowed.expectation(sym)))
-    return defects[0] if np.ndim(t) == 0 else defects
+        A = weyl_quantize(sym, grid, psi0.eps)
+        for k, (v, rho_t) in enumerate(zip(states, flowed)):
+            qm = float(np.real(np.einsum("ia,ij,ja->", v.conj(), A, v)) * grid.dx)
+            defects[k] = max(defects[k], abs(qm - rho_t.expectation(sym)))
+    return defects
 
 
 def boundary_leakage(
@@ -462,22 +459,20 @@ def boundary_leakage(
     region: PhaseSpaceRegion,
     alpha: float,
     phi0: NuclearWave,
-    t,
-):
-    """Mass outside the shrunk window after evolving the region-cut state.
+    times,
+) -> np.ndarray:
+    """Mass outside the shrunk window after evolving the region-cut state, per time.
 
-    ||(1 - 1_{window - delta}) e^{-iH_bo t/eps} (region indicator)^W phi0||.
-    t is a scalar, which gives one float, or a sequence of times, which
-    gives a list with one mass per time.  The cut state is formed once, by
-    one quantization of the indicator, and evolved by one `apply` per time.
+    ||(1 - 1_{window - delta}) e^{-iH_bo t/eps} (region indicator)^W phi0||
+    at each of T `times`, shape (T,).  The cut state is formed once, by one
+    quantization of the indicator, and evolved to every time by one `apply`.
     """
+    times = _time_row(times)
     grid = phi0.grid
     cut = weyl_quantize(smooth_indicator(region, alpha), grid, phi0.eps) @ phi0.values
     a, b = window
     outside = (grid.x <= a + delta) | (grid.x >= b - delta)
-    times = [t] if np.ndim(t) == 0 else t
-    masses = [l2_norm(prop_bo.apply(cut, s)[outside], grid.dx) for s in times]
-    return masses[0] if np.ndim(t) == 0 else masses
+    return l2_norm(prop_bo.apply(cut, times)[:, outside], grid.dx, axis=-1)
 
 
 def reduced_observable_residual(

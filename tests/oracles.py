@@ -79,19 +79,18 @@ def dense_product_cutoff(w, V, vec, cutoff):
     return _dense_times(V, c).reshape(np.shape(vec))
 
 
-def kron_hamiltonian(model, grid, eps, a_ext=None) -> np.ndarray:
+def kron_hamiltonian(model, grid, eps) -> np.ndarray:
     """T kron 1_m + blockdiag(H_e(X_i)) by np.kron.
 
-    Returned as `assemble_full` stores it: real where its data are real, and
-    as its Hermitian part (M + M^dag) / 2.
+    Returned as `assemble_full` stores it: real where its fibers are real
+    (the kinetic term T is), and as its Hermitian part (M + M^dag) / 2.
     """
     from adiband.hamiltonians import kinetic_matrix
 
     n, m = grid.n_points, model.fiber_dim
-    a_vals = np.zeros(n) if a_ext is None else np.array([a_ext(X) for X in grid.x])
-    T = kinetic_matrix(grid, eps, a_vals)
+    T = kinetic_matrix(grid, eps)
     fibers = model.h_batch(grid.x)
-    if np.isrealobj(T) and not np.any(fibers.imag):
+    if not np.any(fibers.imag):
         fibers = fibers.real
     H = np.kron(T, np.eye(m)).astype(fibers.dtype)
     H.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :] += fibers

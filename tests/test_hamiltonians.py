@@ -90,33 +90,6 @@ def test_full_is_hermitian(ac_setup):
     assert np.abs(H.matrix - H.matrix.conj().T).max() <= 1e-12
 
 
-def test_a_ext_seam_validation():
-    # both assemblers sample A_ext through one seam check
-    grid = make_grid(-8, 8, 64)
-    model = get_model("free")
-    band = band_decompose(model, grid, 0)
-    for assemble in (lambda a: assemble_full(model, grid, 0.1, a_ext=a),
-                     lambda a: assemble_bo(band, 0.1, a_ext=a, include_a_geo=False)):
-        with pytest.raises(ValueError, match="seam"):
-            assemble(lambda X: X)  # jumps at the seam
-        # periodic vector potential is accepted
-        assemble(lambda X: 0.3 * np.sin(np.pi * X / 4))
-
-
-@pytest.mark.parametrize(
-    "a_ext", [lambda X: 0.3 * np.sin(np.pi * X / 4), lambda X: 0.2 + 0.1 * np.cos(np.pi * X / 8)], ids=["sine", "shifted"]
-)
-def test_full_and_bo_share_the_covariant_kinetic_term(a_ext):
-    # the free model has H_e = 0 and E = 0, so both operators are the kinetic term
-    grid = make_grid(-8, 8, 64)
-    model = get_model("free")
-    band = band_decompose(model, grid, 0)
-    H_full = assemble_full(model, grid, 0.1, a_ext=a_ext).matrix
-    H_bo = assemble_bo(band, 0.1, a_ext=a_ext, include_a_geo=False).matrix
-    assert np.abs(H_full).max() > 0.1
-    assert np.abs(H_full - H_bo).max() <= 1e-13
-
-
 def test_diag_trivial_projections(ac_setup):
     grid, model, band, H, P = ac_setup
     # a band set covering the whole fiber has P = 1, so H_diag = H; the
@@ -152,25 +125,23 @@ def test_offdiagonal_split_identity(ac_setup):
 
 
 @pytest.mark.parametrize(
-    "tag, bands, window, a_ext, real_data",
+    "tag, bands, window, real_data",
     [
-        ("crossing_trio", (0, 1), None, None, True),
-        ("rotated_pair", (0,), (-2, 2), None, True),
-        ("two_band_complex", (0,), None, None, False),
-        ("rotated_pair", (0,), (-2, 2), lambda X: 0.3 * np.sin(np.pi * X / 4), False),
+        ("crossing_trio", (0, 1), None, True),
+        ("rotated_pair", (0,), (-2, 2), True),
+        ("two_band_complex", (0,), None, False),
     ],
 )
-def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
+def test_storage_dtype_follows_data(tag, bands, window, real_data):
     grid = make_grid(-4, 4, 32)
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge=None if len(bands) > 1 else "component")
-    H = assemble_full(model, grid, eps=0.2, a_ext=a_ext)
+    H = assemble_full(model, grid, eps=0.2)
     P = full_projection(band)
     Hd = assemble_diag(H, band)
-    # the projection depends on the fibers only, not on A_ext
-    assert P.dtype == (np.complex128 if tag == "two_band_complex" else np.float64)
+    # the kinetic term is real, so the fibers alone decide the storage of H, P and H_diag
     expected = np.float64 if real_data else np.complex128
-    assert H.matrix.dtype == Hd.matrix.dtype == expected
+    assert P.dtype == H.matrix.dtype == Hd.matrix.dtype == expected
     # eigenvectors follow the storage: float64 for real data, complex with a
     # nonzero imaginary part otherwise
     for V in (dense_eigenpairs(diagonalize(H))[1], dense_eigenpairs(diagonalize(Hd))[1]):
@@ -179,20 +150,16 @@ def test_storage_dtype_follows_data(tag, bands, window, a_ext, real_data):
 
 
 @pytest.mark.parametrize(
-    "tag, a_ext, dtype",
-    [
-        ("crossing_trio", None, np.float64),
-        ("two_band_complex", None, np.complex128),
-        ("rotated_pair", lambda X: 0.3 * np.sin(np.pi * X / 4), np.complex128),
-    ],
-    ids=["real", "complex-fibers", "a-ext"],
+    "tag, dtype",
+    [("crossing_trio", np.float64), ("two_band_complex", np.complex128)],
+    ids=["real", "complex-fibers"],
 )
-def test_full_equals_kron_construction(tag, a_ext, dtype):
+def test_full_equals_kron_construction(tag, dtype):
     grid = make_grid(-4, 4, 32)
     model = get_model(tag)
-    H = assemble_full(model, grid, eps=0.2, a_ext=a_ext).matrix
+    H = assemble_full(model, grid, eps=0.2).matrix
     assert H.dtype == dtype
-    assert np.array_equal(H, kron_hamiltonian(model, grid, 0.2, a_ext))
+    assert np.array_equal(H, kron_hamiltonian(model, grid, 0.2))
 
 
 def test_kinetic_real_part_is_the_operator():
@@ -235,20 +202,21 @@ def test_bo_free_band_is_kinetic():
 
 
 @pytest.mark.parametrize(
-    "tag, window, a_ext, include_a_geo, real",
+    "tag, window, berry, include_a_geo, real",
     [
         ("rotated_pair", (-2, 2), None, True, True),  # real frame: A_geo = 0
         ("crossing_trio", None, None, True, True),  # the decoupling lift band
         ("two_band_complex", None, None, False, True),  # connection dropped
         ("two_band_complex", None, None, True, False),  # A_geo != 0
-        ("rotated_pair", (-2, 2), lambda X: 0.3, True, False),  # constant A_ext
+        ("rotated_pair", (-2, 2), lambda x: np.full(x.shape, 0.3), True, False),  # constant connection
     ],
 )
-def test_bo_storage_dtype_follows_gauge_field(tag, window, a_ext, include_a_geo, real):
+def test_bo_storage_dtype_follows_gauge_field(tag, window, berry, include_a_geo, real):
     grid = make_grid(-4, 4, 64)
     band = band_decompose(get_model(tag), grid, 0, window=window, gauge="component")
     eps, delta = 0.2, 0.4
-    H = assemble_bo(band, eps, a_ext=a_ext, include_a_geo=include_a_geo, delta=delta)
+    samples = None if berry is None else berry(grid.x)
+    H = assemble_bo(band, eps, include_a_geo=include_a_geo, delta=delta, berry=samples)
     assert H.matrix.dtype == (np.float64 if real else np.complex128)
     assert np.any(H.matrix.imag) != real
     if real:
