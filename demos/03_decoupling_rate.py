@@ -10,12 +10,12 @@ selected pair is harmless: the pair subspace is protected at first order.
 import numpy as np
 
 from adiband import (
-    assemble_full,
+    assemble_blocks,
     band_decompose,
     coherent_state,
     decoupling_error,
-    diagonalize,
     diagonalize_band_preserving,
+    diagonalize_blocks,
     get_model,
     lift_to_band,
     make_grid,
@@ -31,9 +31,9 @@ t = 1.0
 print(f"t = {t}; packet launched on the tracked lower band at (q, p) = (-0.9, 0.2)")
 errs = []
 for eps in ladder:
-    H = assemble_full(model, grid, eps)
-    prop_full = diagonalize(H)
-    prop_diag = diagonalize_band_preserving(H, pair)
+    H = assemble_blocks(model, grid, eps)  # the -X level is a block of its own
+    prop_full = diagonalize_blocks(H)
+    prop_diag = diagonalize_band_preserving(H, pair, prop_full)
     wave, _ = coherent_state(grid, eps, -0.9, 0.2)
     psi = lift_to_band(wave, lower)
     (err,) = decoupling_error(prop_full, prop_diag, [psi], [t])[0]  # one time, one state

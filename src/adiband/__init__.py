@@ -25,7 +25,9 @@ from .electronic import (
 )
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm
 from .hamiltonians import (
+    BlockHamiltonian,
     DenseHamiltonian,
+    assemble_blocks,
     assemble_bo,
     assemble_diag,
     assemble_full,
@@ -41,6 +43,7 @@ from .propagation import (
     decoupling_error,
     diagonalize,
     diagonalize_band_preserving,
+    diagonalize_blocks,
     effective_dynamics_error,
     evolve,
 )

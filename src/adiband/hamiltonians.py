@@ -1,15 +1,27 @@
-"""Dense Hermitian operators on the discretized molecular and nuclear spaces.
+"""Hermitian operators on the discretized molecular and nuclear spaces, dense or by blocks.
 
 Matrices act on value vectors; molecular vectors are grid-major, entry
 ``i*m + a`` holding fiber component ``a`` at grid point ``X_i``.  The
 nuclear kinetic energy is assembled exactly, as the circulant of its
 symbol, so the only approximation anywhere is the spatial discretization.
 
+The molecular Hamiltonian is stored as its exactly decoupled blocks
+(`assemble_blocks`, a `BlockHamiltonian`).  The kinetic term couples
+every grid point of one fiber component, and H_e(X_i) couples components
+only where its entries are nonzero, so the blocks of H are the connected
+components of the m x m union over the grid of the fibers' exact-zero
+pattern, each over the rows i m + a of its components a.  Each block is
+built directly on its rows and checked as a DenseHamiltonian; no N x N
+matrix is formed.  `assemble_full` scatters the same blocks into the dense
+N x N H, for the dense oracles, `identities.offdiag_scaling` and the
+demos.  Most models are one block; `crossing_trio`, whose -X level
+couples to nothing, is two (2n and n), and so is `constant_fiber`.
+
 Operators are stored real (float64) when their data is real.  The
 molecular Hamiltonian has no vector potential, so its kinetic term is
-always real and `assemble_full` stores it real whenever the model's
-H_e(X_i) have exactly zero imaginary part.  A band projection with real
-fiber blocks is real, and so is the effective Hamiltonian of
+always real and `assemble_blocks` stores every block real whenever the
+model's H_e(X_i) all have exactly zero imaginary part.  A band projection
+with real fiber blocks is real, and so is the effective Hamiltonian of
 `assemble_bo` when its gauge field, the clamped A_geo, is zero on the
 grid, as it is for a band with a real frame or with the connection
 dropped.  Real storage sends `eigh` to the real-symmetric solver, several
@@ -21,14 +33,17 @@ decides the storage type of an operator; `assemble_diag` and
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
 P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
-`split_band_preserving` writes the full H in those frames and zeroes the
-entries between ran P and ran Q, which gives the band-preserving
-H_diag = P H P + Q H Q in that frame; the scans build its propagator from
-it.  `assemble_diag` forms H_diag
-densely; it serves `identities.offdiag_scaling`, which needs H - H_diag,
-and is the tests' oracle.  `u_map` / `u_star_map` apply U fiberwise.
-`full_projection` and `u_matrix` build the dense N x N and n x N
-matrices; they are the oracles the tests compare against.
+`split_band_preserving` builds the band-preserving
+H_diag = P H P + Q H Q block by block of H.  On a block where P is 0 at
+every grid point, or 1 at every grid point, H_diag equals H, and the
+block is shared.  Every other block is written in the frame columns that
+span its fibers, with the entries between ran P and ran Q set to zero,
+which gives H_diag on that block in its frame; the scans build its
+propagator from that.  `assemble_diag` forms H_diag densely; it serves
+`identities.offdiag_scaling`, which needs H - H_diag, and is the tests'
+oracle.  `u_map` / `u_star_map` apply U fiberwise.  `full_projection` and
+`u_matrix` build the dense N x N and n x N matrices; they are the oracles
+the tests compare against.
 
 Band functions defined on an isolation window are extended to the whole
 periodic box before entering an operator.  The band energy and the
@@ -47,13 +62,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData, berry_connection, eigh_by_blocks, fd_derivative
+from .electronic import BandData, _coupled_components, berry_connection, eigh_by_blocks, fd_derivative
 from .grids import Grid1D, MolecularWave, NuclearWave, fourier_multiplier_matrix
 from .indicators import ramp_to_constant, smooth_step
 from .models import ElectronicModel
 
 __all__ = [
     "DenseHamiltonian",
+    "BlockHamiltonian",
+    "assemble_blocks",
     "assemble_full",
     "assemble_diag",
     "split_band_preserving",
@@ -116,39 +133,107 @@ def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -
     band-limited fields).  Since |Phi| = 1, M^2 = Phi^* (D + mean(A))^2 Phi,
     and (D + mean(A))^2 is the Fourier multiplier of (k + mean(A))^2, so one
     construction serves every field: Phi^* C Phi, with C the circulant of
-    the symbol (eps (k + mean(A)))^2 / 2.  At zero field Phi = 1 and the
-    symbol is even on the lattice (the Nyquist mode pairs with itself), so
-    C is real up to rounding and is stored real.
+    the symbol (eps (k + mean(A)))^2 / 2.  At zero field (None, or all
+    zeros) Phi = 1, so C is returned directly: the symbol is even on the
+    lattice (the Nyquist mode pairs with itself), so C is real up to
+    rounding and is stored as its real part.
     """
-    a_vals = np.zeros(grid.n_points) if a_vals is None else a_vals
+    if a_vals is None or not np.any(a_vals):
+        return fourier_multiplier_matrix((eps * grid.k) ** 2 / 2).real.copy()
     a_bar = float(a_vals.mean())
     ft = np.fft.fft(a_vals - a_bar)
     with np.errstate(divide="ignore", invalid="ignore"):
         ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
     phase = np.exp(1j * np.fft.ifft(ft_theta).real)
     C = fourier_multiplier_matrix((eps * (grid.k + a_bar)) ** 2 / 2)
-    T = phase.conj()[:, None] * C * phase[None, :]
-    return T if np.any(a_vals) else T.real.copy()
+    return phase.conj()[:, None] * C * phase[None, :]
 
 
-def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHamiltonian:
-    """Molecular Hamiltonian: kinetic term tensor identity plus fiberwise H_e(X_i).
+def _grid_major_rows(n: int, m: int, component: np.ndarray) -> np.ndarray:
+    """Rows i m + a, grid-major and ascending, of the fiber indices a in `component`."""
+    return (np.arange(n)[:, None] * m + component).ravel()
 
-    The kinetic term is real; H is stored real when every H_e(X_i) has zero
-    imaginary part.
+
+@dataclass(frozen=True)
+class BlockHamiltonian:
+    """The molecular H stored as its exactly decoupled blocks.
+
+    `blocks` holds one (component, DenseHamiltonian) pair per connected
+    component of the union over the grid of the fibers' exact-zero pattern:
+    component is the block's ascending fiber indices, and its
+    DenseHamiltonian (fiber dimension len(component)) acts on the molecular
+    rows `rows(component)`, i m + a for a in the component, in ascending
+    order.  The kinetic term couples every grid point of a fiber index, so
+    each block is connected and H has no entry between two blocks.
+    """
+
+    blocks: tuple = field(repr=False)
+    eps: float
+    grid: Grid1D
+    fiber_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.grid.n_points * self.fiber_dim
+
+    def rows(self, component: np.ndarray) -> np.ndarray:
+        """The ascending molecular rows i m + a of the fiber indices a in `component`."""
+        return _grid_major_rows(self.grid.n_points, self.fiber_dim, component)
+
+    def joined(self, parts) -> tuple[np.ndarray, DenseHamiltonian]:
+        """(component, H on its rows) for the union of the blocks indexed by `parts`.
+
+        One block is returned as stored; several are scattered into one
+        matrix on their joint rows, with exact zeros between them.
+        """
+        if len(parts) == 1:
+            return self.blocks[parts[0]]
+        component = np.sort(np.concatenate([self.blocks[k][0] for k in parts]))
+        n, d = self.grid.n_points, len(component)
+        H = np.zeros((n * d, n * d), dtype=np.result_type(*(self.blocks[k][1].matrix for k in parts)))
+        for k in parts:
+            comp, block = self.blocks[k]
+            rows = _grid_major_rows(n, d, np.searchsorted(component, comp))
+            H[np.ix_(rows, rows)] = block.matrix
+        return component, DenseHamiltonian(matrix=H, eps=self.eps, tag="full", grid=self.grid, fiber_dim=d)
+
+
+def assemble_blocks(model: ElectronicModel, grid: Grid1D, eps: float) -> BlockHamiltonian:
+    """Molecular Hamiltonian, kinetic term tensor identity plus fiberwise H_e(X_i), by blocks.
+
+    The blocks are the connected components of the m x m union over the grid
+    of the fibers' exact-zero pattern (`crossing_trio`: {0, 2} and {1}), and
+    each block's matrix is built directly on its rows; no N x N matrix is
+    formed.  The kinetic term is real; H is stored real when every H_e(X_i)
+    has zero imaginary part.
     """
     n, m = grid.n_points, model.fiber_dim
     T = kinetic_matrix(grid, eps)
     fibers = model.h_batch(grid.x)
     if not np.any(fibers.imag):
         fibers = fibers.real
-    H = np.zeros((n * m, n * m), dtype=fibers.dtype)
-    blocks = H.reshape(n, m, n, m)
-    for a in range(m):
-        blocks[:, a, :, a] = T
     diag = np.arange(n)
-    blocks[diag, :, diag, :] += fibers
-    return DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=m)
+    blocks = []
+    for comp in _coupled_components((fibers != 0).any(axis=0)):
+        d = len(comp)
+        H = np.zeros((n * d, n * d), dtype=fibers.dtype)
+        view = H.reshape(n, d, n, d)
+        for a in range(d):
+            view[:, a, :, a] = T
+        view[diag, :, diag, :] += fibers[:, comp[:, None], comp]
+        blocks.append((comp, DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=d)))
+    return BlockHamiltonian(blocks=tuple(blocks), eps=eps, grid=grid, fiber_dim=m)
+
+
+def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHamiltonian:
+    """The molecular Hamiltonian as one dense N x N matrix: `assemble_blocks`, scattered.
+
+    Its entries are those of the blocks, zero between them.  It serves the
+    dense oracles, `identities.offdiag_scaling` and the demos; the scans
+    solve the blocks.
+    """
+    H = assemble_blocks(model, grid, eps)
+    return H.joined(tuple(range(len(H.blocks))))[1]
 
 
 def _fiber_sandwich(H: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -169,7 +254,7 @@ def _fiber_blocks(band: BandData) -> np.ndarray:
     return np.where(band.mask[:, None, None], proj, 0)
 
 
-def _check_dims(H: DenseHamiltonian, band: BandData):
+def _check_dims(H: DenseHamiltonian | BlockHamiltonian, band: BandData):
     n, m = band.grid.n_points, band.fiber_dim
     if (H.dim, H.fiber_dim) != (n * m, m):
         raise ValueError(
@@ -199,24 +284,48 @@ def _fiber_frame(band: BandData) -> tuple[np.ndarray, np.ndarray]:
     return F, in_p
 
 
-def split_band_preserving(H: DenseHamiltonian, band: BandData):
-    """H_diag = P H P + Q H Q written in the fiber frame of P.
+def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple[tuple, tuple]:
+    """H_diag = P H P + Q H Q, block by block of H, in the fiber frame of P.
 
-    With W = blockdiag(F_i) from `_fiber_frame`, W^dag H_diag W is W^dag H W
-    with its ran P x ran Q and ran Q x ran P entries set to zero: the
-    columns of W that span ran P couple only among themselves, and so do
-    those that span ran Q.  W^dag H W is formed by batched fiber products,
-    O(N^2 m), so H_diag itself is never formed.  Returns (F, G), G the
-    DenseHamiltonian W^dag H_diag W (tag "diag").  Its exact zeros separate
-    ran P from ran Q, and any finer blocks that H and the frames leave
-    uncoupled, for `block_eigh`.
+    P acts fiberwise, so H_diag has no entry between two blocks of H that
+    P does not couple: its blocks are the blocks of H, joined where P's
+    fiber blocks (`_fiber_blocks`) couple them.  Returns (shared, split).
+
+    - shared: the indices k of the blocks of H on which P is 0 at every
+      grid point, or 1 at every grid point.  There H_diag equals H.
+    - split: one (component, W, G) per other block of H_diag.  component
+      holds its d ascending fiber indices, those of the blocks of H it
+      joins (`BlockHamiltonian.joined`); W, (n, d, d), holds the columns of
+      the frame F_i of P (`_fiber_frame`) that span them, in ascending
+      order; G is the DenseHamiltonian W^dag H_diag W (tag "diag"):
+      W^dag H W, formed by batched fiber products, with its ran P x ran Q
+      and ran Q x ran P entries set to zero.  Its exact zeros separate ran P from ran Q, and any finer
+      blocks that H and the frames leave uncoupled, for `block_eigh`.
     """
     _check_dims(H, band)
     F, in_p = _fiber_frame(band)
-    G = _fiber_sandwich(H.matrix, F.conj().transpose(0, 2, 1), F)
-    in_p = in_p.ravel()
-    G[in_p[:, None] != in_p[None, :]] = 0
-    return F, DenseHamiltonian(matrix=G, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
+    B = _fiber_blocks(band)
+    n = band.grid.n_points
+    owner = np.empty(H.fiber_dim, dtype=int)
+    for k, (comp, _) in enumerate(H.blocks):
+        owner[comp] = k
+    shared, split = [], []
+    for joint in _coupled_components((owner[:, None] == owner[None, :]) | (B != 0).any(axis=0)):
+        parts = tuple(np.unique(owner[joint]).tolist())
+        P = B[:, joint[:, None], joint]
+        if len(parts) == 1 and (not P.any() or np.all(P == np.eye(len(joint)))):
+            shared.append(parts[0])
+            continue
+        _, HJ = H.joined(parts)
+        # the frame columns of each point that span the joint fibers: exactly len(joint) of them
+        cols = np.nonzero((F[:, joint, :] != 0).any(axis=1))[1].reshape(n, len(joint))
+        W = np.take_along_axis(F[:, joint, :], cols[:, None, :], axis=2)
+        G = _fiber_sandwich(HJ.matrix, W.conj().transpose(0, 2, 1), W)
+        p = np.take_along_axis(in_p, cols, axis=1).ravel()
+        G[p[:, None] != p[None, :]] = 0
+        G = DenseHamiltonian(matrix=G, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=len(joint))
+        split.append((joint, W, G))
+    return tuple(shared), tuple(split)
 
 
 def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
@@ -225,7 +334,7 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
     P is the band projection, block-diagonal in X with the m x m fiber
     blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
     The scans do not form it: `propagation.diagonalize_band_preserving`
-    solves H_diag in the fiber frame from `split_band_preserving`.  It serves
+    solves H_diag block by block from `split_band_preserving`.  It serves
     `identities.offdiag_scaling`, which needs H - H_diag, and the tests as
     the oracle of that split solve.
     """

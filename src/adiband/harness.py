@@ -28,7 +28,7 @@ import numpy as np
 
 from .electronic import BandData, ContourSpec, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
-from .hamiltonians import assemble_bo, assemble_full, u_map, u_star_map
+from .hamiltonians import assemble_blocks, assemble_bo, assemble_full, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
 from .models import ElectronicModel, get_model
@@ -37,6 +37,7 @@ from .propagation import (
     decoupling_error,
     diagonalize,
     diagonalize_band_preserving,
+    diagonalize_blocks,
     effective_dynamics_error,
     evolve,
 )
@@ -386,10 +387,13 @@ class PropagatorCache:
     `cfg` argument supplies only `bo`'s two values.
 
     The full propagator and the band-preserving one of an eps are built
-    from one assembled full H: `decoupling_pair` assembles it on its first
-    miss and drops it when it returns, so no assembled H outlives the call
-    that builds from it.  `full` and `diag` each build one propagator from
-    their own assembly.
+    from one block-stored H (`assemble_blocks`): `decoupling_pair` assembles
+    it on its first miss and drops it when it returns, so no assembled H
+    outlives the call that builds from it.  The band-preserving propagator
+    holds the full one's triple wherever P is 0 or 1 on a whole block of H,
+    so the full propagator of the same eps is built (or found) first.
+    `full` builds the full propagator alone, and `diag` is the
+    band-preserving half of `decoupling_pair`.
     """
 
     def __init__(self):
@@ -411,21 +415,17 @@ class PropagatorCache:
         return self._store[key]
 
     def full(self, cfg, model, grid, eps) -> SpectralPropagator:
-        return self.get(self._full_key(model, grid, eps), lambda: diagonalize(assemble_full(model, grid, eps)))
+        return self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(assemble_blocks(model, grid, eps)))
 
     def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
-        return self.get(
-            self._diag_key(model, grid, band, eps),
-            lambda: diagonalize_band_preserving(assemble_full(model, grid, eps), band),
-        )
+        return self.decoupling_pair(cfg, model, grid, band, eps)[1]
 
     def decoupling_pair(self, cfg, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
-        """(full, band-preserving) propagators at eps, from at most one assembled H."""
-        H = functools.cache(lambda: assemble_full(model, grid, eps))
-        return (
-            self.get(self._full_key(model, grid, eps), lambda: diagonalize(H())),
-            self.get(self._diag_key(model, grid, band, eps), lambda: diagonalize_band_preserving(H(), band)),
-        )
+        """(full, band-preserving) propagators at eps, from at most one block-stored H."""
+        H = functools.cache(lambda: assemble_blocks(model, grid, eps))
+        full = self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(H()))
+        diag = self.get(self._diag_key(model, grid, band, eps), lambda: diagonalize_band_preserving(H(), band, full))
+        return full, diag
 
     def bo(self, cfg, band, eps) -> SpectralPropagator:
         key = ("bo", self._system_key(band.model, band.grid), band.band_indices, band.window, eps,

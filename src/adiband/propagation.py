@@ -6,22 +6,31 @@ decomposition of the assembled operator, so every error measured here is
 an adiabatic or semiclassical error of the model, never a time-integration
 artifact.
 
-A propagator is stored as blocks.  `diagonalize` solves each exactly
-decoupled block of an operator on its own (`electronic.block_eigh`): a
-dense solve of a block of dimension d costs d^3, so the blocks together
-cost far less than N^3.  Each block keeps its rows, its d eigenvalues and
-its eigenvectors on those rows only, and `apply` works block by block, so
-an apply costs the sum over blocks of rows x d per column instead of
-N^2.  An operator of one block (every Born-Oppenheimer H, the full H of
-`rotated_pair` and `two_band_complex`) is one block over all rows, solved
-and applied by the dense products unchanged.  The band-preserving
-generator H_diag = P H P + Q H Q commutes with P, so in the fiber frame
-of P it has no entry between ran P and ran Q, and
-`diagonalize_band_preserving` solves it there: at least as two blocks,
-ran P (dimension r) and ran Q (N - r), and as finer ones where the model
-leaves fiber components uncoupled; each block is lifted back to the rows
-its frame columns reach.  `crossing_trio`'s full H splits into blocks of
-2n and n, and its H_diag for bands (0, 1) into three of n.
+A propagator is stored as blocks.  The scans assemble the molecular H
+by its exactly decoupled blocks (`hamiltonians.assemble_blocks`, read
+from the fibers' pattern), and `diagonalize_blocks` solves each on its
+own: a dense solve of a block of dimension d costs d^3, so the blocks
+together cost far less than N^3.  `diagonalize` of a dense operator finds
+the same blocks from its exact-zero pattern (`electronic.block_eigh`).
+Each block keeps its rows, its d eigenvalues and its eigenvectors on
+those rows only, and `apply` works block by block, so an apply costs the
+sum over blocks of rows x d per column instead of N^2.  An operator of
+one block (every Born-Oppenheimer H, the full H of `rotated_pair`,
+`two_band_complex` and `free`) is one block over all rows, solved and
+applied by the dense products unchanged.
+
+The band-preserving generator H_diag = P H P + Q H Q is solved block by
+block of H (`diagonalize_band_preserving`).  Where P is 0 or 1 on a whole
+block of H, H_diag equals H there, and the band-preserving propagator
+holds the full propagator's triple for that block: the same object,
+solved once.  Every other block of H_diag commutes with P, so in the
+fiber frame of P it has no entry between ran P and ran Q, and it is
+solved there, at least as two blocks, and as finer ones where the model
+leaves fiber components uncoupled; each is lifted back to the rows its
+frame columns reach.  `crossing_trio`'s full H splits into blocks of 2n
+and n.  For bands (0, 1), P is 1 on the n block at every point, so H_diag
+shares it and solves the 2n block again as two of n; with a window, P
+is 1 inside and 0 outside, and no block is shared.
 
 A real-stored operator keeps its real eigenvectors as float64.  Its
 propagator applies a vector or a block of k vectors as real products on
@@ -51,11 +60,12 @@ import numpy as np
 
 from .electronic import BandData, block_eigh
 from .grids import MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
-from .hamiltonians import DenseHamiltonian, split_band_preserving, u_map
+from .hamiltonians import BlockHamiltonian, DenseHamiltonian, split_band_preserving, u_map
 
 __all__ = [
     "SpectralPropagator",
     "diagonalize",
+    "diagonalize_blocks",
     "diagonalize_band_preserving",
     "evolve",
     "decoupling_error",
@@ -202,21 +212,46 @@ def _lift(F: np.ndarray, idx, w: np.ndarray, V: np.ndarray) -> tuple:
     return rows, w, np.matmul(F, Z.reshape(n, m, -1)).reshape(n * m, -1)[rows]
 
 
-def diagonalize_band_preserving(H: DenseHamiltonian, band: BandData) -> SpectralPropagator:
-    """Eigendecompose H_diag = P H P + Q H Q for the full H and the band's P.
+def diagonalize_blocks(H: BlockHamiltonian) -> SpectralPropagator:
+    """Eigendecompose a block-stored H, each block by `diagonalize`.
 
-    `split_band_preserving` gives G = W^dag H_diag W in the fiber frame
-    W = blockdiag(F_i), where ran P and ran Q share no entry; `diagonalize`
-    solves G block by block, at cost r^3 + (N - r)^3 or less instead of
-    N^3.  Each block's eigenvectors are lifted back by fiber products and
-    kept on the rows its frame columns reach, so the propagator stays a
-    set of blocks; they are float64 when H and the frames are real,
-    complex128 otherwise.
+    The propagator holds one (rows, eigenvalues, eigenvectors) triple per
+    block of H, in H's order, with the block's molecular rows; with one
+    block it is `diagonalize` of that block itself, rows slice(None).
     """
-    F, G = split_band_preserving(H, band)
-    frame_blocks = diagonalize(G).blocks
-    del G  # the lifts need the frame-basis blocks only
-    return SpectralPropagator(blocks=tuple(_lift(F, *block) for block in frame_blocks), eps=H.eps, tag="diag")
+    if len(H.blocks) == 1:
+        return diagonalize(H.blocks[0][1])
+    triples = []
+    for comp, block in H.blocks:
+        # the kinetic term connects a block: it is solved as one
+        ((_, w, V),) = diagonalize(block).blocks
+        triples.append((H.rows(comp), w, V))
+    return SpectralPropagator(blocks=tuple(triples), eps=H.eps, tag="full")
+
+
+def diagonalize_band_preserving(H: BlockHamiltonian, band: BandData, full: SpectralPropagator) -> SpectralPropagator:
+    """Eigendecompose H_diag = P H P + Q H Q for the block-stored H and the band's P.
+
+    `full` is `diagonalize_blocks(H)`.  Where P is 0 or 1 on a whole block
+    of H, H_diag equals H there, and the propagator holds full's triple
+    for that block, the same object.  Every other block of H_diag is
+    solved in the fiber frame of P (`split_band_preserving`), where ran P
+    and ran Q share no entry: `diagonalize` solves its G block by block,
+    at cost r^3 + (d - r)^3 or less instead of d^3, and each block's
+    eigenvectors are lifted back by fiber products and kept on the rows
+    its frame columns reach.  They are float64 when H and the frames are
+    real, complex128 otherwise.
+    """
+    if (full.dim, len(full.blocks), full.eps) != (H.dim, len(H.blocks), H.eps):
+        raise ValueError("full is not the block-by-block propagator of H")
+    shared, split = split_band_preserving(H, band)
+    blocks = [full.blocks[k] for k in shared]
+    for comp, W, G in split:
+        rows = H.rows(comp)
+        for idx, w, V in diagonalize(G).blocks:
+            local, w, V = _lift(W, idx, w, V)
+            blocks.append((rows[local], w, V))
+    return SpectralPropagator(blocks=tuple(blocks), eps=H.eps, tag="diag")
 
 
 def evolve(prop: SpectralPropagator, wave: NuclearWave | MolecularWave, t: float):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from adiband.electronic import band_decompose, berry_connection, fd_derivative
+from adiband.electronic import _coupled_components, band_decompose, berry_connection, fd_derivative
 from adiband.grids import NuclearWave, make_grid, norm
 from adiband.hamiltonians import (
     DenseHamiltonian,
+    assemble_blocks,
     assemble_bo,
     assemble_diag,
     assemble_full,
@@ -16,7 +17,7 @@ from adiband.hamiltonians import (
     u_matrix,
     u_star_map,
 )
-from adiband.models import ElectronicModel, get_model
+from adiband.models import MODEL_TAGS, ElectronicModel, get_model
 from adiband.propagation import diagonalize
 from oracles import dense_eigenpairs, fourier_matrix, kron_hamiltonian
 
@@ -102,9 +103,9 @@ def test_diag_trivial_projections(ac_setup):
 def test_diag_rejects_band_of_other_dimension(ac_setup):
     grid, model, band, H, P = ac_setup
     coarse = band_decompose(model, make_grid(-8, 8, 64), 0)
-    for build in (assemble_diag, split_band_preserving):
+    for build, op in ((assemble_diag, H), (split_band_preserving, assemble_blocks(model, grid, eps=0.1))):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            build(H, coarse)
+            build(op, coarse)
 
 
 def test_diag_commutes_while_full_does_not(ac_setup):
@@ -149,6 +150,22 @@ def test_storage_dtype_follows_data(tag, bands, window, real_data):
         assert np.any(V.imag) != real_data
 
 
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+def test_blocks_are_the_components_of_the_dense_h(tag):
+    # the blocks read from the m x m fiber pattern are the connected components of the
+    # exact-zero pattern of the dense N x N H, and hold its entries on their rows
+    grid = make_grid(-4, 4, 32)
+    model = get_model(tag)
+    H = assemble_blocks(model, grid, eps=0.2)
+    dense = assemble_full(model, grid, eps=0.2).matrix
+    rows = [H.rows(comp) for comp, _ in H.blocks]
+    assert [list(r) for r in rows] == [list(c) for c in _coupled_components(dense != 0)]
+    for r, (comp, block) in zip(rows, H.blocks):
+        assert block.fiber_dim == len(comp) and block.matrix.dtype == dense.dtype
+        assert np.array_equal(block.matrix, dense[np.ix_(r, r)])
+    assert len(H.blocks) == {"crossing_trio": 2, "constant_fiber": 2}.get(tag, 1)
+
+
 @pytest.mark.parametrize(
     "tag, dtype",
     [("crossing_trio", np.float64), ("two_band_complex", np.complex128)],
@@ -168,6 +185,8 @@ def test_kinetic_real_part_is_the_operator():
     dense = F.conj().T @ ((0.3 * grid.k[:, None]) ** 2 / 2 * F)
     T = kinetic_matrix(grid, 0.3)
     assert np.isrealobj(T)
+    # a field of zeros is no field
+    assert np.array_equal(kinetic_matrix(grid, 0.3, np.zeros(grid.n_points)), T)
     # the circulant of the symbol and the DFT product round differently
     assert np.abs(T - dense.real).max() <= 1e-14 * np.abs(T).max()
     assert np.abs(dense.imag).max() <= 1e-14 * np.abs(T).max()

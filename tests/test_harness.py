@@ -253,16 +253,17 @@ def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
 
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
-    # the full and the band-preserving propagator of an eps share one assembly;
-    # each is one diagonalize call of dim 384, solved by blocks: the full H as
-    # 256 + 128 (crossing_trio's -X level is uncoupled), H_diag in the fiber
-    # frame as ran P (two blocks of 128) and ran Q (128)
+    # the full and the band-preserving propagator of an eps share one block-stored H
+    # (crossing_trio's -X level is uncoupled: blocks of 256 and 128), and no N x N
+    # operator is formed; diagonalize solves the two blocks of H, then the {0, 2} block
+    # of H_diag in the fiber frame (256, as ran P and ran Q of 128); the -X block of
+    # H_diag is H's, solved once
     from adiband import hamiltonians, harness, propagation
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
-    calls = {"assemble_full": 0, "assemble_diag": 0}
-    dims, blocks, real_eigh = [], [], np.linalg.eigh
+    calls = {"assemble_blocks": 0, "assemble_full": 0, "assemble_diag": 0}
+    dims, formed, blocks, real_eigh = [], [], [], np.linalg.eigh
 
     def eigh(M):
         if M.ndim == 2:
@@ -279,17 +280,27 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
         dims.append(H.dim)
         return real_diagonalize(H, *args, **kwargs)
 
+    def checked(H):
+        formed.append(H.dim)
+        real_check(H)
+
     real_diagonalize = propagation.diagonalize
+    real_check = hamiltonians.DenseHamiltonian.__post_init__
+    monkeypatch.setattr(harness, "assemble_blocks", counted("assemble_blocks", harness.assemble_blocks))
     monkeypatch.setattr(harness, "assemble_full", counted("assemble_full", harness.assemble_full))
+    monkeypatch.setattr(hamiltonians, "assemble_full", counted("assemble_full", hamiltonians.assemble_full))
     monkeypatch.setattr(hamiltonians, "assemble_diag", counted("assemble_diag", hamiltonians.assemble_diag))
     monkeypatch.setattr(harness, "diagonalize", diagonalize)
     monkeypatch.setattr(propagation, "diagonalize", diagonalize)
+    monkeypatch.setattr(hamiltonians.DenseHamiltonian, "__post_init__", checked)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
-    assert calls == {"assemble_full": 3, "assemble_diag": 0}
-    assert dims == [384, 384] * 3
-    assert blocks == [256, 128, 128, 128, 128] * 3
+    assert calls == {"assemble_blocks": 3, "assemble_full": 0, "assemble_diag": 0}
+    # every operator formed is one block: H's two, then H_diag's {0, 2} block in the frame
+    assert formed == [256, 128, 256] * 3
+    assert dims == [256, 128, 256] * 3
+    assert blocks == [256, 128, 128, 128] * 3
 
 
 @pytest.mark.parametrize("energy_cutoff", [None, 2.0])

@@ -7,6 +7,7 @@ from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
 from adiband.hamiltonians import (
     _fiber_frame,
+    assemble_blocks,
     assemble_bo,
     assemble_diag,
     assemble_full,
@@ -18,6 +19,7 @@ from adiband.propagation import (
     decoupling_error,
     diagonalize,
     diagonalize_band_preserving,
+    diagonalize_blocks,
     effective_dynamics_error,
     evolve,
 )
@@ -346,14 +348,19 @@ def test_effective_dynamics_error_equals_dense_formula(tag):
     assert got == pytest.approx(want, rel=1e-14)
 
 
-# the band-preserving split solve against the dense oracle diagonalize(assemble_diag(H, band))
+# the band-preserving split solve against the dense oracle diagonalize(assemble_diag(H, band)),
+# with the indices of the blocks of H on which H_diag equals H and shares their solve
 SPLIT_CASES = {
-    # real data, P of rank 2 in a fiber of 3
-    "crossing_trio-pair": ("crossing_trio", (0, 1), None, None, np.float64),
+    # real data, P of rank 2 in a fiber of 3; P is 1 on the -X block at every point
+    "crossing_trio-pair": ("crossing_trio", (0, 1), None, None, np.float64, (1,)),
+    # P is 1 inside the window and 0 outside, on every block: nothing is shared
+    "crossing_trio-windowed": ("crossing_trio", (0, 1), (-2, 2), None, np.float64, ()),
+    # P = diag(1, 0) at every point: H_diag = H on both blocks
+    "constant_fiber": ("constant_fiber", (0,), None, "component", np.float64, (0, 1)),
     # complex fibers, so complex frames
-    "two_band_complex": ("two_band_complex", (0,), None, "component", np.complex128),
+    "two_band_complex": ("two_band_complex", (0,), None, "component", np.complex128, ()),
     # P vanishes outside the window: the fiber rank is 1 inside and 0 outside
-    "rotated_pair-windowed": ("rotated_pair", (0,), (-2, 2), "component", np.float64),
+    "rotated_pair-windowed": ("rotated_pair", (0,), (-2, 2), "component", np.float64, ()),
 }
 
 
@@ -361,30 +368,44 @@ def _split_setup(tag, bands, window, gauge):
     grid = make_grid(-8, 8, 128)
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge=gauge)
-    H = assemble_full(model, grid, eps=0.1)
-    return grid, band, H
+    H = assemble_blocks(model, grid, eps=0.1)
+    return grid, band, H, diagonalize_blocks(H)
+
+
+def _ran_p(band, comp, W):
+    """Which frame columns of W span ran P: the diagonal of W_i^dag P_i W_i on the block's fibers."""
+    P = full_projection(band).reshape(band.grid.n_points, band.fiber_dim, -1, band.fiber_dim)
+    fibers = P[np.arange(band.grid.n_points), :, np.arange(band.grid.n_points), :][:, comp[:, None], comp]
+    return (np.einsum("iac,iab,ibc->ic", W.conj(), fibers, W).real > 0.5).ravel()
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_band_preserving_split_matches_dense_oracle(case):
-    tag, bands, window, gauge, dtype = SPLIT_CASES[case]
-    grid, band, H = _split_setup(tag, bands, window, gauge)
-    got = diagonalize_band_preserving(H, band)
-    want = diagonalize(assemble_diag(H, band))
-    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside;
-    # in the fiber frame, H_diag has no entry between ran P and ran Q
-    r = len(bands) * int(band.mask.sum())
-    in_p = _fiber_frame(band)[1].ravel()
-    G = split_band_preserving(H, band)[1]
-    assert G.dim == H.dim and in_p.sum() == r
-    assert not np.any(G.matrix[np.ix_(in_p, ~in_p)])
+    tag, bands, window, gauge, dtype, shared = SPLIT_CASES[case]
+    grid, band, H, full = _split_setup(tag, bands, window, gauge)
+    got = diagonalize_band_preserving(H, band, full)
+    dense = assemble_full(band.model, grid, eps=0.1)
+    want = diagonalize(assemble_diag(dense, band))
+    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
+    assert _fiber_frame(band)[1].sum() == len(bands) * int(band.mask.sum())
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
+    # the shared blocks of H and the split blocks of H_diag cover every row once; in its
+    # fiber frame, a split block has no entry between ran P and ran Q
+    got_shared, split = split_band_preserving(H, band)
+    assert got_shared == shared
+    assert sum(H.blocks[k][1].dim for k in shared) + sum(G.dim for *_, G in split) == H.dim
+    for comp, W, G in split:
+        in_p = _ran_p(band, comp, W)
+        assert 0 < in_p.sum() < G.dim
+        assert not np.any(G.matrix[np.ix_(in_p, ~in_p)])
+    # a shared block is the full propagator's triple itself
+    assert [b for b in got.blocks if any(b is f for f in full.blocks)] == [full.blocks[k] for k in shared]
 
     assert got.dim == H.dim and got.tag == "diag"
     assert all(np.all(np.diff(w) >= 0) for _, w, _ in got.blocks)
     (got_w, got_V), (want_w, want_V) = dense_eigenpairs(got), dense_eigenpairs(want)
     gap = np.abs(got_w - want_w).max()
-    assert gap <= 1e-12 * np.abs(H.matrix).max()
+    assert gap <= 1e-12 * np.abs(dense.matrix).max()
     assert got_V.dtype == want_V.dtype == dtype
 
     rng = np.random.default_rng(3)
@@ -403,13 +424,45 @@ def test_band_preserving_split_matches_dense_oracle(case):
         a, b = got.energy_cutoff_apply(vec, cutoff), want.energy_cutoff_apply(vec, cutoff)
         assert a.shape == vec.shape
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    if len(shared) == len(H.blocks):
+        # H_diag = H: the two propagators are one, so the decoupling error is exactly zero
+        waves = [MolecularWave(grid, block[:, j].reshape(grid.n_points, -1), eps=0.1) for j in range(4)]
+        assert np.all(decoupling_error(full, got, waves, [0.7, 3.0]) == 0.0)
+
+
+def test_band_preserving_split_joins_blocks_that_p_couples():
+    # a P that mixes constant_fiber's two levels couples the two blocks of H, so H_diag is
+    # one block, solved from H scattered onto their joint rows; against the dense oracle
+    grid = make_grid(-8, 8, 64)
+    band = band_decompose(get_model("constant_fiber"), grid, 0)
+    v = np.array([np.cos(0.4), np.sin(0.4)])
+    mixed = dataclasses.replace(band, proj=np.tile(np.outer(v, v), (grid.n_points, 1, 1)).astype(complex))
+    H = assemble_blocks(band.model, grid, eps=0.1)
+    full = diagonalize_blocks(H)
+    shared, ((comp, W, G),) = split_band_preserving(H, mixed)
+    assert len(H.blocks) == 2 and shared == () and list(comp) == [0, 1] and G.dim == H.dim
+    got = diagonalize_band_preserving(H, mixed, full)
+    dense = assemble_full(band.model, grid, eps=0.1)
+    want = diagonalize(assemble_diag(dense, mixed))
+    gap = np.abs(dense_eigenpairs(got)[0] - dense_eigenpairs(want)[0]).max()
+    assert gap <= 1e-12 * np.abs(dense.matrix).max()
+    vec = np.random.default_rng(4).standard_normal((H.dim, 2)) + 0j
+    a, b = got.apply(vec, 0.7), want.apply(vec, 0.7)
+    assert np.abs(a - b).max() <= (1e-12 + gap * 0.7 / H.eps) * np.abs(b).max()
 
 
 def test_band_preserving_split_refuses_non_projections():
-    grid, band, H = _split_setup("rotated_pair", (0,), (-2, 2), "component")
+    grid, band, H, full = _split_setup("rotated_pair", (0,), (-2, 2), "component")
     scaled = dataclasses.replace(band, proj=0.9 * band.proj)
     with pytest.raises(ValueError, match="not orthogonal projections"):
-        diagonalize_band_preserving(H, scaled)
+        diagonalize_band_preserving(H, scaled, full)
+
+
+def test_band_preserving_solve_refuses_another_full_propagator():
+    # another eps: the same blocks, with other eigenpairs
+    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    with pytest.raises(ValueError, match="block-by-block propagator of H"):
+        diagonalize_band_preserving(H, band, diagonalize_blocks(assemble_blocks(band.model, grid, eps=0.2)))
 
 
 def test_single_block_operators_take_the_dense_solver_unchanged():
@@ -435,13 +488,13 @@ def test_single_block_operators_take_the_dense_solver_unchanged():
 
 
 def test_block_apply_matches_the_dense_oracle():
-    # crossing_trio's full H (blocks 2n, n) and H_diag (three lifted blocks of n) against their
-    # scattered dense eigenpairs
-    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
+    # crossing_trio's full H (blocks 2n, n) and H_diag (the shared -X block and two lifted
+    # blocks of n) against their scattered dense eigenpairs
+    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     rng = np.random.default_rng(9)
     block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
     times = np.array([0.0, 0.7, 3.0])
-    for prop in (diagonalize(H), diagonalize_band_preserving(H, band)):
+    for prop in (full, diagonalize_band_preserving(H, band, full)):
         assert len(prop.blocks) > 1 and prop.dim == H.dim
         cutoff = float(np.median(dense_eigenpairs(prop)[0]))
         projection = cutoff_projection(prop, cutoff)
@@ -457,8 +510,8 @@ def test_block_apply_matches_the_dense_oracle():
 def test_crossing_trio_pair_stores_only_its_blocks():
     # eigenvectors are kept on their blocks' rows: 5 n^2 entries for the full H instead of 9 n^2
     n = 128
-    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
-    full, diag = diagonalize(H), diagonalize_band_preserving(H, band)
+    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    diag = diagonalize_band_preserving(H, band, full)
     assert [(len(rows), len(w)) for rows, w, _ in full.blocks] == [(2 * n, 2 * n), (n, n)]
     for prop in (full, diag):
         stored = sum(V.nbytes for *_, V in prop.blocks)
@@ -467,9 +520,10 @@ def test_crossing_trio_pair_stores_only_its_blocks():
 
 
 def test_validate_checks_each_block(monkeypatch):
-    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
-    G = split_band_preserving(H, band)[1]
-    for op in (H, G):
+    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    dense = assemble_full(band.model, grid, eps=0.1)
+    (_, _, G), = split_band_preserving(H, band)[1]
+    for op in (dense, G):
         assert len(diagonalize(op, validate=True).blocks) > 1
     real_eigh = np.linalg.eigh
 
@@ -480,13 +534,15 @@ def test_validate_checks_each_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", moved)
     with pytest.raises(AssertionError, match="reconstruction error"):
-        diagonalize(H, validate=True)
+        diagonalize(dense, validate=True)
 
 
 def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
-    # the -X level couples to nothing: H splits into 2n + n, H_diag of bands (0, 1) into n + n + n
+    # the -X level couples to nothing: H is assembled and solved as blocks of 2n and n, and
+    # H_diag of bands (0, 1) solves only the {0, 2} block again, as ran P and ran Q of n each
     n = 128
-    grid, band, H = _split_setup("crossing_trio", (0, 1), None, None)
+    grid, band, H, _ = _split_setup("crossing_trio", (0, 1), None, None)
+    assert [(list(comp), block.dim) for comp, block in H.blocks] == [([0, 2], 2 * n), ([1], n)]
     sizes, real_eigh = [], np.linalg.eigh
 
     def eigh(M):
@@ -495,14 +551,19 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
         return real_eigh(M)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    prop = diagonalize(H)
+    prop = diagonalize_blocks(H)
     assert sizes == [2 * n, n]
     sizes.clear()
-    prop_diag = diagonalize_band_preserving(H, band)
-    assert sizes == [n, n, n]
+    prop_diag = diagonalize_band_preserving(H, band, prop)
+    assert sizes == [n, n]
+    # P is 1 on the -X level at every point: H_diag holds H's triple of that block, solved once
+    minus_x = prop.blocks[1]
+    assert np.array_equal(minus_x[0], 3 * np.arange(n) + 1)
+    assert [b is minus_x for b in prop_diag.blocks] == [True, False, False]
     monkeypatch.undo()
     # the oracles: the dense solve of H and of the dense H_diag
-    scale = np.abs(H.matrix).max()
-    assert np.abs(dense_eigenpairs(prop)[0] - np.linalg.eigh(H.matrix)[0]).max() <= 1e-12 * scale
-    want = dense_eigenpairs(diagonalize(assemble_diag(H, band)))[0]
+    dense = assemble_full(band.model, grid, eps=0.1)
+    scale = np.abs(dense.matrix).max()
+    assert np.abs(dense_eigenpairs(prop)[0] - np.linalg.eigh(dense.matrix)[0]).max() <= 1e-12 * scale
+    want = dense_eigenpairs(diagonalize(assemble_diag(dense, band)))[0]
     assert np.abs(dense_eigenpairs(prop_diag)[0] - want).max() <= 1e-12 * scale

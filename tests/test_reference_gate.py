@@ -1,15 +1,20 @@
-"""The benchmark's decoupling-ladder config, scanned as the benchmark scans it, stays
-inside the reference gate of perfbench/checks.py at every point.
+"""The benchmark's decoupling-ladder and decoupling-sweep configs, scanned as the
+benchmark scans them, stay inside the reference gate of perfbench/checks.py at every
+point.
 
 perfbench/reference.json holds the seed-0 errors of each workload, and the
 benchmark counts a point as failed when its error leaves REL_TOL (relative)
 of the recorded one.  The benchmark files are read, not imported as a
-package, and not changed.
+package, and not changed.  The sweep's cache, built before the benchmark's
+timed phase, holds the propagators a cold scan builds, so the errors are
+the same.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from adiband.harness import ExperimentConfig, PropagatorCache, eps_scan
 
@@ -23,11 +28,15 @@ def _checks():
     return module
 
 
-def test_decoupling_ladder_stays_inside_the_reference_gate():
+CONFIGS = {"decoupling-ladder": "decoupling.json", "decoupling-sweep": "decoupling_sweep.json"}
+
+
+@pytest.mark.parametrize("workload", sorted(CONFIGS))
+def test_decoupling_workload_stays_inside_the_reference_gate(workload):
     checks = _checks()
-    entry = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]["decoupling-ladder"]
+    entry = json.loads((PERFBENCH / "reference.json").read_text())["workloads"][workload]
     reference = checks.reference_map(entry)
-    cfg = ExperimentConfig.from_json((PERFBENCH / "configs" / "decoupling.json").read_text())
+    cfg = ExperimentConfig.from_json((PERFBENCH / "configs" / CONFIGS[workload]).read_text())
     res = eps_scan(cfg, PropagatorCache())
     assert sorted((p["eps"], p["t"]) for p in res.points) == sorted(reference)
     for p in res.points:
