@@ -22,6 +22,11 @@ Gradients of band quantities are computed two independent ways: 8th-order
 centered differences of grid samples, and exact per-point perturbation
 formulas built from the model's closed-form dH/dX.  Identity tests compare
 the two routes.
+
+The m x m fiber stacks are solved by `eigh_by_blocks`, one connected
+component of their exact-zero pattern at a time (`_coupled_components`).
+The package finds blocks from exact-zero patterns only on m x m fibers,
+here and in `hamiltonians.assemble_blocks`, never on an N x N operator.
 """
 
 from __future__ import annotations
@@ -91,40 +96,26 @@ def _coupled_components(pattern: np.ndarray) -> list:
     return components
 
 
-def block_eigh(M: np.ndarray) -> tuple:
+def eigh_by_blocks(M: np.ndarray):
     """`np.linalg.eigh` of a Hermitian matrix or (n, m, m) stack, one exactly decoupled block at a time.
 
     The blocks are the connected components of the exact-zero pattern of
-    M (for a stack, of the union over the stack).  Returns one
-    (rows, eigenvalues, eigenvectors) triple per block: rows are the
-    block's ascending indices and the pair is `np.linalg.eigh` of M
-    restricted to them.  With one block, rows is slice(None) and the pair
-    is `np.linalg.eigh(M)` on M itself, bit-for-bit the dense solver's.
-    """
-    blocks = _coupled_components((M != 0).any(axis=tuple(range(M.ndim - 2))))
-    if len(blocks) == 1:
-        return ((slice(None), *np.linalg.eigh(M)),)
-    return tuple((idx, *np.linalg.eigh(M[..., idx[:, None], idx])) for idx in blocks)
-
-
-def eigh_by_blocks(M: np.ndarray):
-    """`block_eigh` scattered into one eigenpair per index, as `np.linalg.eigh` returns them.
-
-    The eigenvalues are merged in ascending order (a stable sort, per
-    matrix of a stack) and each block's eigenvectors are scattered into
-    its rows, zero elsewhere.  With one block the result is
+    M (for a stack, of the union over the stack), each solved on its own
+    indices.  The eigenvalues are merged in ascending order (a stable
+    sort, per matrix of a stack) and each block's eigenvectors are
+    scattered into its rows, zero elsewhere.  With one block the result is
     `np.linalg.eigh(M)` itself.  It serves the m x m fiber stacks, whose
     per-point spectra are read as one ascending array.
     """
-    blocks = block_eigh(M)
+    blocks = _coupled_components((M != 0).any(axis=tuple(range(M.ndim - 2))))
     if len(blocks) == 1:
-        return blocks[0][1:]
+        return np.linalg.eigh(M)
     w = np.empty(M.shape[:-1])
     V = np.zeros(M.shape, dtype=np.result_type(M, 1.0))
     start = 0
-    for idx, bw, bV in blocks:
+    for idx in blocks:
         cols = slice(start, start + len(idx))
-        w[..., cols], V[..., idx, cols] = bw, bV
+        w[..., cols], V[..., idx, cols] = np.linalg.eigh(M[..., idx[:, None], idx])
         start += len(idx)
     order = np.argsort(w, axis=-1, kind="stable")
     return np.take_along_axis(w, order, axis=-1), np.take_along_axis(V, order[..., None, :], axis=-1)

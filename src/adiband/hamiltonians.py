@@ -33,15 +33,19 @@ decides the storage type of an operator; `assemble_diag` and
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
 P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
-`split_band_preserving` builds the band-preserving
-H_diag = P H P + Q H Q block by block of H.  On a block where P is 0 at
-every grid point, or 1 at every grid point, H_diag equals H, and the
-block is shared.  Every other block is written in the frame columns that
-span its fibers, with the entries between ran P and ran Q set to zero,
-which gives H_diag on that block in its frame; the scans build its
-propagator from that.  `assemble_diag` forms H_diag densely; it serves
-`identities.offdiag_scaling`, which needs H - H_diag, and is the tests'
-oracle.  `u_map` / `u_star_map` apply U fiberwise.  `full_projection` and
+P is a function of H_e(X_i) at each point, so it couples no two blocks of
+H, and the band-preserving H_diag = P H P + Q H Q commutes with P: its
+blocks are known by construction, each block of H split into its ran P
+and ran Q parts.  `split_band_preserving` builds them.  On a block where P
+is 0 at every grid point, or 1 at every grid point, H_diag equals H, and
+the block is shared.  Every other block is written in the frame columns
+that span its fibers and restricted to the ran P columns, and to the
+ran Q columns: two checked operators, from which the scans build the
+propagator.  A P that couples two blocks of H is refused.  This module
+decides every block the scans solve; no N x N exact-zero pattern is read.
+`assemble_diag` forms H_diag densely; no package code calls it, and it
+stays as the tests' oracle of the split solve and a span the benchmark
+traces.  `u_map` / `u_star_map` apply U fiberwise.  `full_projection` and
 `u_matrix` build the dense N x N and n x N matrices; they are the oracles
 the tests compare against.
 
@@ -149,11 +153,6 @@ def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -
     return phase.conj()[:, None] * C * phase[None, :]
 
 
-def _grid_major_rows(n: int, m: int, component: np.ndarray) -> np.ndarray:
-    """Rows i m + a, grid-major and ascending, of the fiber indices a in `component`."""
-    return (np.arange(n)[:, None] * m + component).ravel()
-
-
 @dataclass(frozen=True)
 class BlockHamiltonian:
     """The molecular H stored as its exactly decoupled blocks.
@@ -178,24 +177,7 @@ class BlockHamiltonian:
 
     def rows(self, component: np.ndarray) -> np.ndarray:
         """The ascending molecular rows i m + a of the fiber indices a in `component`."""
-        return _grid_major_rows(self.grid.n_points, self.fiber_dim, component)
-
-    def joined(self, parts) -> tuple[np.ndarray, DenseHamiltonian]:
-        """(component, H on its rows) for the union of the blocks indexed by `parts`.
-
-        One block is returned as stored; several are scattered into one
-        matrix on their joint rows, with exact zeros between them.
-        """
-        if len(parts) == 1:
-            return self.blocks[parts[0]]
-        component = np.sort(np.concatenate([self.blocks[k][0] for k in parts]))
-        n, d = self.grid.n_points, len(component)
-        H = np.zeros((n * d, n * d), dtype=np.result_type(*(self.blocks[k][1].matrix for k in parts)))
-        for k in parts:
-            comp, block = self.blocks[k]
-            rows = _grid_major_rows(n, d, np.searchsorted(component, comp))
-            H[np.ix_(rows, rows)] = block.matrix
-        return component, DenseHamiltonian(matrix=H, eps=self.eps, tag="full", grid=self.grid, fiber_dim=d)
+        return (np.arange(self.grid.n_points)[:, None] * self.fiber_dim + component).ravel()
 
 
 def assemble_blocks(model: ElectronicModel, grid: Grid1D, eps: float) -> BlockHamiltonian:
@@ -233,7 +215,11 @@ def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHami
     solve the blocks.
     """
     H = assemble_blocks(model, grid, eps)
-    return H.joined(tuple(range(len(H.blocks))))[1]
+    M = np.zeros((H.dim, H.dim), dtype=H.blocks[0][1].matrix.dtype)
+    for comp, block in H.blocks:
+        rows = H.rows(comp)
+        M[np.ix_(rows, rows)] = block.matrix
+    return DenseHamiltonian(matrix=M, eps=eps, tag="full", grid=grid, fiber_dim=H.fiber_dim)
 
 
 def _fiber_sandwich(H: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -285,46 +271,47 @@ def _fiber_frame(band: BandData) -> tuple[np.ndarray, np.ndarray]:
 
 
 def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple[tuple, tuple]:
-    """H_diag = P H P + Q H Q, block by block of H, in the fiber frame of P.
+    """H_diag = P H P + Q H Q by blocks of H, as ran P and ran Q parts in the fiber frame of P.
 
-    P acts fiberwise, so H_diag has no entry between two blocks of H that
-    P does not couple: its blocks are the blocks of H, joined where P's
-    fiber blocks (`_fiber_blocks`) couple them.  Returns (shared, split).
+    P is a function of H_e(X_i) at each point, so its fiber blocks
+    (`_fiber_blocks`) couple no two blocks of H, and H_diag commutes with
+    P: on each block of H it is that block's ran P part plus its ran Q
+    part.  A P whose fiber blocks couple two blocks of H is not a spectral
+    projection of H_e and is refused (ValueError).  Returns (shared, split).
 
     - shared: the indices k of the blocks of H on which P is 0 at every
       grid point, or 1 at every grid point.  There H_diag equals H.
-    - split: one (component, W, G) per other block of H_diag.  component
-      holds its d ascending fiber indices, those of the blocks of H it
-      joins (`BlockHamiltonian.joined`); W, (n, d, d), holds the columns of
-      the frame F_i of P (`_fiber_frame`) that span them, in ascending
-      order; G is the DenseHamiltonian W^dag H_diag W (tag "diag"):
-      W^dag H W, formed by batched fiber products, with its ran P x ran Q
-      and ran Q x ran P entries set to zero.  Its exact zeros separate ran P from ran Q, and any finer
-      blocks that H and the frames leave uncoupled, for `block_eigh`.
+    - split: one (component, W, idx, G) per nonempty part of every other
+      block, its ran P part before its ran Q part.  component holds the
+      block's d ascending fiber indices; W, (n, d, d), the columns of the
+      frame F_i of P (`_fiber_frame`) that span them, in ascending order;
+      idx the ascending frame-basis indices i d + c of the part's columns,
+      those `_fiber_frame` marks in ran P_i, or those it does not; G the
+      DenseHamiltonian (tag "diag", fiber dimension d) of W^dag H W on idx,
+      formed by batched fiber products, which is H_diag on the part.
     """
     _check_dims(H, band)
     F, in_p = _fiber_frame(band)
     B = _fiber_blocks(band)
     n = band.grid.n_points
-    owner = np.empty(H.fiber_dim, dtype=int)
-    for k, (comp, _) in enumerate(H.blocks):
-        owner[comp] = k
     shared, split = [], []
-    for joint in _coupled_components((owner[:, None] == owner[None, :]) | (B != 0).any(axis=0)):
-        parts = tuple(np.unique(owner[joint]).tolist())
-        P = B[:, joint[:, None], joint]
-        if len(parts) == 1 and (not P.any() or np.all(P == np.eye(len(joint)))):
-            shared.append(parts[0])
+    for k, (comp, block) in enumerate(H.blocks):
+        if np.any(np.delete(B[:, comp], comp, axis=2)):
+            raise ValueError("fiber blocks of P couple two blocks of H: P is not a spectral projection of H_e")
+        P = B[:, comp[:, None], comp]
+        if not P.any() or np.all(P == np.eye(len(comp))):
+            shared.append(k)
             continue
-        _, HJ = H.joined(parts)
-        # the frame columns of each point that span the joint fibers: exactly len(joint) of them
-        cols = np.nonzero((F[:, joint, :] != 0).any(axis=1))[1].reshape(n, len(joint))
-        W = np.take_along_axis(F[:, joint, :], cols[:, None, :], axis=2)
-        G = _fiber_sandwich(HJ.matrix, W.conj().transpose(0, 2, 1), W)
+        # the frame columns of each point that span the block's fibers: exactly len(comp) of them
+        cols = np.nonzero((F[:, comp, :] != 0).any(axis=1))[1].reshape(n, len(comp))
+        W = np.take_along_axis(F[:, comp, :], cols[:, None, :], axis=2)
+        G = _fiber_sandwich(block.matrix, W.conj().transpose(0, 2, 1), W)
         p = np.take_along_axis(in_p, cols, axis=1).ravel()
-        G[p[:, None] != p[None, :]] = 0
-        G = DenseHamiltonian(matrix=G, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=len(joint))
-        split.append((joint, W, G))
+        for idx in (np.flatnonzero(p), np.flatnonzero(~p)):
+            if len(idx):
+                part = DenseHamiltonian(matrix=G[np.ix_(idx, idx)], eps=H.eps, tag="diag", grid=H.grid,
+                                        fiber_dim=len(comp))
+                split.append((comp, W, idx, part))
     return tuple(shared), tuple(split)
 
 
@@ -333,10 +320,11 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
 
     P is the band projection, block-diagonal in X with the m x m fiber
     blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
-    The scans do not form it: `propagation.diagonalize_band_preserving`
-    solves H_diag block by block from `split_band_preserving`.  It serves
-    `identities.offdiag_scaling`, which needs H - H_diag, and the tests as
-    the oracle of that split solve.
+    No package code forms it: `propagation.diagonalize_band_preserving`
+    solves H_diag by the parts of `split_band_preserving`, and
+    `identities.offdiag_scaling` forms H - H_diag as P H Q + Q H P.  It
+    stays as the tests' dense oracle of the split solve, and as a span the
+    benchmark traces by name.
     """
     _check_dims(H, band)
     m = band.fiber_dim

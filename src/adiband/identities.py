@@ -26,7 +26,7 @@ import numpy as np
 
 from .electronic import BandData, fd_derivative, grad_projection, offdiag_spectral_sum, resolvent_quadrature
 from .grids import l2_norm, sobolev_norm, spectral_derivative_matrix
-from .hamiltonians import assemble_diag, assemble_full
+from .hamiltonians import _fiber_blocks, _fiber_sandwich, assemble_full
 from .models import ElectronicModel
 
 __all__ = [
@@ -146,13 +146,15 @@ def offdiag_scaling(
     # (i*m + a, j*m + c) is B_i[a, c] D[i, j]
     B = (np.eye(band.fiber_dim) - band.proj) @ dP_an @ band.proj
     BD = (B[:, :, None, :] * spectral_derivative_matrix(grid)[:, None, :, None]).reshape(N, N)
+    P = _fiber_blocks(band)
+    Q = np.eye(band.fiber_dim) - P
 
     eps_ladder = tuple(float(e) for e in eps_ladder)
     off_norms, rem_norms = [], []
     for eps in eps_ladder:
-        H = assemble_full(model, grid, eps)
-        Hd = assemble_diag(H, band)
-        offdiag = H.matrix - Hd.matrix
+        H = assemble_full(model, grid, eps).matrix
+        # H - H_diag as P H Q + Q H P: formed directly, not as the difference of two O(1) operators
+        offdiag = _fiber_sandwich(H, P, Q) + _fiber_sandwich(H, Q, P)
         lead = -1j * eps * eps * BD
         lead = lead + lead.conj().T
         worst_off, worst_rem = 0.0, 0.0

@@ -22,8 +22,9 @@ Registry tags
     into exactly decoupled blocks: `hamiltonians.assemble_blocks` builds H
     as one of 2n and one of n from the fibers' pattern.  The pair's P is 1
     on the -X block at every point, so there the band-preserving H equals
-    H and shares its solve; a window makes P 0 outside it, and then it
-    does not.
+    H and shares its solve, and the 2n block of H_diag is solved as its
+    ran P and ran Q parts of n each; a window makes P 0 outside it, and
+    then both blocks are split.
 ``rotated_pair``
     2x2: R(theta) diag(X^2-4, 4-X^2) R(theta)^T with theta = 0.3 tanh X.
     Real symmetric; bands cross at X = +-2, so the lower band is isolated

@@ -6,31 +6,31 @@ decomposition of the assembled operator, so every error measured here is
 an adiabatic or semiclassical error of the model, never a time-integration
 artifact.
 
-A propagator is stored as blocks.  The scans assemble the molecular H
-by its exactly decoupled blocks (`hamiltonians.assemble_blocks`, read
-from the fibers' pattern), and `diagonalize_blocks` solves each on its
-own: a dense solve of a block of dimension d costs d^3, so the blocks
-together cost far less than N^3.  `diagonalize` of a dense operator finds
-the same blocks from its exact-zero pattern (`electronic.block_eigh`).
-Each block keeps its rows, its d eigenvalues and its eigenvectors on
-those rows only, and `apply` works block by block, so an apply costs the
-sum over blocks of rows x d per column instead of N^2.  An operator of
-one block (every Born-Oppenheimer H, the full H of `rotated_pair`,
-`two_band_complex` and `free`) is one block over all rows, solved and
-applied by the dense products unchanged.
+A propagator is stored as blocks.  The block structure is decided in
+`hamiltonians`: the scans assemble the molecular H by its exactly
+decoupled blocks (`hamiltonians.assemble_blocks`, read from the fibers'
+pattern), and `diagonalize_blocks` solves each on its own: a dense solve
+of a block of dimension d costs d^3, so the blocks together cost far less
+than N^3.  `diagonalize` solves the operator it is given as one dense
+block and reads no pattern.  Each block keeps its rows, its d eigenvalues
+and its eigenvectors on those rows only, and `apply` works block by
+block, so an apply costs the sum over blocks of rows x d per column
+instead of N^2.  An operator of one block (every Born-Oppenheimer H, the
+full H of `rotated_pair`, `two_band_complex` and `free`) is one block
+over all rows, solved and applied by the dense products unchanged.
 
 The band-preserving generator H_diag = P H P + Q H Q is solved block by
 block of H (`diagonalize_band_preserving`).  Where P is 0 or 1 on a whole
 block of H, H_diag equals H there, and the band-preserving propagator
 holds the full propagator's triple for that block: the same object,
 solved once.  Every other block of H_diag commutes with P, so in the
-fiber frame of P it has no entry between ran P and ran Q, and it is
-solved there, at least as two blocks, and as finer ones where the model
-leaves fiber components uncoupled; each is lifted back to the rows its
-frame columns reach.  `crossing_trio`'s full H splits into blocks of 2n
-and n.  For bands (0, 1), P is 1 on the n block at every point, so H_diag
-shares it and solves the 2n block again as two of n; with a window, P
-is 1 inside and 0 outside, and no block is shared.
+fiber frame of P it is its ran P part plus its ran Q part
+(`hamiltonians.split_band_preserving`); each part is solved on its own
+and lifted back to the rows its frame columns reach.  `crossing_trio`'s
+full H splits into blocks of 2n and n.  For bands (0, 1), P is 1 on the
+n block at every point, so H_diag shares it and solves the 2n block
+again as two parts of n; with a window, P is 1 inside and 0 outside, and
+no block is shared.
 
 A real-stored operator keeps its real eigenvectors as float64.  Its
 propagator applies a vector or a block of k vectors as real products on
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData, block_eigh
+from .electronic import BandData
 from .grids import MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
 from .hamiltonians import BlockHamiltonian, DenseHamiltonian, split_band_preserving, u_map
 
@@ -167,37 +167,33 @@ class SpectralPropagator:
 
 
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:
-    """Eigendecompose an assembled operator, one exactly decoupled block at a time.
+    """Eigendecompose an assembled operator as one dense block.
 
-    `block_eigh` solves each connected component of the operator's
-    exact-zero pattern on its own, and the propagator keeps the blocks as
-    they come; an operator of one component is solved as one dense matrix.
-    A real-stored operator runs the real-symmetric solver and keeps its
-    eigenvectors float64; a complex-stored one runs the Hermitian solver.
-    With validate=True each block's reconstruction V diag(w) V^dag is
-    checked against H's block to 1e-10 relative, and its eigenvectors for
-    orthonormality to 1e-11 times the block's dimension (two extra dense
-    products per block).  H's entries outside the blocks are exact zeros,
-    as the blocks are found from them.
+    The propagator holds the one triple (slice(None), w, V) of
+    `np.linalg.eigh` of H's matrix; the block structure is the caller's,
+    who passes each block on its own (`diagonalize_blocks`,
+    `diagonalize_band_preserving`).  A real-stored operator runs the
+    real-symmetric solver and keeps its eigenvectors float64; a
+    complex-stored one runs the Hermitian solver.  With validate=True the
+    reconstruction V diag(w) V^dag is checked against H to 1e-10 relative,
+    and the eigenvectors for orthonormality to 1e-11 times H's dimension
+    (two extra dense products).
     """
-    blocks = block_eigh(H.matrix)
+    w, v = np.linalg.eigh(H.matrix)
     if validate:
-        scale = max(1.0, np.abs(H.matrix).max())
-        for rows, w, v in blocks:
-            sub = H.matrix if isinstance(rows, slice) else H.matrix[np.ix_(rows, rows)]
-            err = np.abs((v * w) @ v.conj().T - sub).max()
-            if err > 1e-10 * scale:
-                raise AssertionError(f"eigendecomposition reconstruction error {err:.2e}")
-            unit = np.abs(v.conj().T @ v - np.eye(len(w))).max()
-            if unit > 1e-11 * len(w):
-                raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
-    return SpectralPropagator(blocks=blocks, eps=H.eps, tag=H.tag)
+        err = np.abs((v * w) @ v.conj().T - H.matrix).max()
+        if err > 1e-10 * max(1.0, np.abs(H.matrix).max()):
+            raise AssertionError(f"eigendecomposition reconstruction error {err:.2e}")
+        unit = np.abs(v.conj().T @ v - np.eye(len(w))).max()
+        if unit > 1e-11 * len(w):
+            raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
+    return SpectralPropagator(blocks=((slice(None), w, v),), eps=H.eps, tag=H.tag)
 
 
 def _lift(F: np.ndarray, idx, w: np.ndarray, V: np.ndarray) -> tuple:
     """A frame-basis block (idx, w, V) as the block (rows, w, W[:, idx] V) for W = blockdiag(F_i).
 
-    idx holds frame-basis indices i m + c (slice(None) for all).  The lift
+    idx holds ascending frame-basis indices i m + c.  The lift
     is a fiber product, O(N m d); rows keeps the molecular indices i m + a
     with F_i[a, c] nonzero for a frame column c of the block at X_i, the
     only rows where W[:, idx] V can be nonzero.
@@ -223,7 +219,6 @@ def diagonalize_blocks(H: BlockHamiltonian) -> SpectralPropagator:
         return diagonalize(H.blocks[0][1])
     triples = []
     for comp, block in H.blocks:
-        # the kinetic term connects a block: it is solved as one
         ((_, w, V),) = diagonalize(block).blocks
         triples.append((H.rows(comp), w, V))
     return SpectralPropagator(blocks=tuple(triples), eps=H.eps, tag="full")
@@ -234,23 +229,21 @@ def diagonalize_band_preserving(H: BlockHamiltonian, band: BandData, full: Spect
 
     `full` is `diagonalize_blocks(H)`.  Where P is 0 or 1 on a whole block
     of H, H_diag equals H there, and the propagator holds full's triple
-    for that block, the same object.  Every other block of H_diag is
-    solved in the fiber frame of P (`split_band_preserving`), where ran P
-    and ran Q share no entry: `diagonalize` solves its G block by block,
-    at cost r^3 + (d - r)^3 or less instead of d^3, and each block's
-    eigenvectors are lifted back by fiber products and kept on the rows
-    its frame columns reach.  They are float64 when H and the frames are
-    real, complex128 otherwise.
+    for that block, the same object.  Every other block of H is split in
+    the fiber frame of P into its ran P and ran Q parts
+    (`split_band_preserving`); `diagonalize` solves each part, at cost
+    r^3 + (d - r)^3 instead of d^3, and its eigenvectors are lifted back
+    by fiber products and kept on the rows its frame columns reach.  They
+    are float64 when H and the frames are real, complex128 otherwise.
     """
     if (full.dim, len(full.blocks), full.eps) != (H.dim, len(H.blocks), H.eps):
         raise ValueError("full is not the block-by-block propagator of H")
     shared, split = split_band_preserving(H, band)
     blocks = [full.blocks[k] for k in shared]
-    for comp, W, G in split:
-        rows = H.rows(comp)
-        for idx, w, V in diagonalize(G).blocks:
-            local, w, V = _lift(W, idx, w, V)
-            blocks.append((rows[local], w, V))
+    for comp, W, idx, G in split:
+        ((_, w, V),) = diagonalize(G).blocks
+        local, w, V = _lift(W, idx, w, V)
+        blocks.append((H.rows(comp)[local], w, V))
     return SpectralPropagator(blocks=tuple(blocks), eps=H.eps, tag="diag")
 
 

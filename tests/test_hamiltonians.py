@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,29 @@ def test_blocks_are_the_components_of_the_dense_h(tag):
         assert block.fiber_dim == len(comp) and block.matrix.dtype == dense.dtype
         assert np.array_equal(block.matrix, dense[np.ix_(r, r)])
     assert len(H.blocks) == {"crossing_trio": 2, "constant_fiber": 2}.get(tag, 1)
+
+
+BAND_SUBSETS = [
+    pytest.param(tag, bands, window, id=f"{tag}-{''.join(map(str, bands))}-{'window' if window else 'box'}")
+    for tag in MODEL_TAGS
+    for r in range(1, get_model(tag).fiber_dim + 1)
+    for bands in itertools.combinations(range(get_model(tag).fiber_dim), r)
+    for window in (None, (-1.5, 1.5))
+]
+
+
+@pytest.mark.parametrize("tag, bands, window", BAND_SUBSETS)
+def test_band_projection_couples_no_two_blocks(tag, bands, window):
+    # P is a function of H_e(X) at each point, so its fiber blocks never couple two blocks
+    # of H: split_band_preserving refuses a P that does, and solves each block on its own
+    grid = make_grid(-4, 4, 32)
+    model = get_model(tag)
+    band = band_decompose(model, grid, bands, window=window, gauge="component" if len(bands) == 1 else None)
+    owner = np.empty(model.fiber_dim, dtype=int)
+    for k, (comp, _) in enumerate(assemble_blocks(model, grid, eps=0.2).blocks):
+        owner[comp] = k
+    coupled = (band.proj != 0).any(axis=0)
+    assert not np.any(coupled[owner[:, None] != owner[None, :]])
 
 
 @pytest.mark.parametrize(

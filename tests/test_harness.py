@@ -255,15 +255,20 @@ def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     # the full and the band-preserving propagator of an eps share one block-stored H
     # (crossing_trio's -X level is uncoupled: blocks of 256 and 128), and no N x N
-    # operator is formed; diagonalize solves the two blocks of H, then the {0, 2} block
-    # of H_diag in the fiber frame (256, as ran P and ran Q of 128); the -X block of
-    # H_diag is H's, solved once
-    from adiband import hamiltonians, harness, propagation
+    # operator is formed; diagonalize solves the two blocks of H, then the ran P and
+    # ran Q parts (128 each) of the {0, 2} block of H_diag in the fiber frame; the -X
+    # block of H_diag is H's, solved once.  Blocks are found only on m x m fiber
+    # patterns, never by an N x N exact-zero scan
+    from adiband import electronic, hamiltonians, harness, propagation
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
     calls = {"assemble_blocks": 0, "assemble_full": 0, "assemble_diag": 0}
-    dims, formed, blocks, real_eigh = [], [], [], np.linalg.eigh
+    dims, formed, blocks, patterns, real_eigh = [], [], [], [], np.linalg.eigh
+
+    def components(pattern):
+        patterns.append(pattern.shape)
+        return real_components(pattern)
 
     def eigh(M):
         if M.ndim == 2:
@@ -286,6 +291,9 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
 
     real_diagonalize = propagation.diagonalize
     real_check = hamiltonians.DenseHamiltonian.__post_init__
+    real_components = electronic._coupled_components
+    monkeypatch.setattr(electronic, "_coupled_components", components)
+    monkeypatch.setattr(hamiltonians, "_coupled_components", components)
     monkeypatch.setattr(harness, "assemble_blocks", counted("assemble_blocks", harness.assemble_blocks))
     monkeypatch.setattr(harness, "assemble_full", counted("assemble_full", harness.assemble_full))
     monkeypatch.setattr(hamiltonians, "assemble_full", counted("assemble_full", hamiltonians.assemble_full))
@@ -297,10 +305,11 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
     assert calls == {"assemble_blocks": 3, "assemble_full": 0, "assemble_diag": 0}
-    # every operator formed is one block: H's two, then H_diag's {0, 2} block in the frame
-    assert formed == [256, 128, 256] * 3
-    assert dims == [256, 128, 256] * 3
+    # every operator formed is one block: H's two, then the two parts of H_diag's {0, 2} block
+    assert formed == [256, 128, 128, 128] * 3
+    assert dims == [256, 128, 128, 128] * 3
     assert blocks == [256, 128, 128, 128] * 3
+    assert patterns and set(patterns) == {(3, 3)}
 
 
 @pytest.mark.parametrize("energy_cutoff", [None, 2.0])

@@ -349,7 +349,8 @@ def test_effective_dynamics_error_equals_dense_formula(tag):
 
 
 # the band-preserving split solve against the dense oracle diagonalize(assemble_diag(H, band)),
-# with the indices of the blocks of H on which H_diag equals H and shares their solve
+# one dense eigh of the N x N H_diag, with the indices of the blocks of H on which H_diag
+# equals H and shares their solve
 SPLIT_CASES = {
     # real data, P of rank 2 in a fiber of 3; P is 1 on the -X block at every point
     "crossing_trio-pair": ("crossing_trio", (0, 1), None, None, np.float64, (1,)),
@@ -386,18 +387,22 @@ def test_band_preserving_split_matches_dense_oracle(case):
     got = diagonalize_band_preserving(H, band, full)
     dense = assemble_full(band.model, grid, eps=0.1)
     want = diagonalize(assemble_diag(dense, band))
+    assert [rows for rows, *_ in want.blocks] == [slice(None)]
     # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
     assert _fiber_frame(band)[1].sum() == len(bands) * int(band.mask.sum())
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
-    # the shared blocks of H and the split blocks of H_diag cover every row once; in its
-    # fiber frame, a split block has no entry between ran P and ran Q
+    # the shared blocks of H and the ran P and ran Q parts of the others cover every row
+    # once; each other block gives its ran P part, then its ran Q part, in its fiber frame
     got_shared, split = split_band_preserving(H, band)
     assert got_shared == shared
     assert sum(H.blocks[k][1].dim for k in shared) + sum(G.dim for *_, G in split) == H.dim
-    for comp, W, G in split:
+    assert [tuple(comp) for comp, *_ in split[::2]] == [tuple(c) for k, (c, _) in enumerate(H.blocks)
+                                                        if k not in shared]
+    for (comp, W, p_idx, p_part), (comp_q, W_q, q_idx, q_part) in zip(split[::2], split[1::2]):
         in_p = _ran_p(band, comp, W)
-        assert 0 < in_p.sum() < G.dim
-        assert not np.any(G.matrix[np.ix_(in_p, ~in_p)])
+        assert comp_q is comp and W_q is W and 0 < in_p.sum() < len(in_p)
+        assert np.array_equal(p_idx, np.flatnonzero(in_p)) and np.array_equal(q_idx, np.flatnonzero(~in_p))
+        assert (p_part.dim, q_part.dim) == (len(p_idx), len(q_idx))
     # a shared block is the full propagator's triple itself
     assert [b for b in got.blocks if any(b is f for f in full.blocks)] == [full.blocks[k] for k in shared]
 
@@ -430,25 +435,19 @@ def test_band_preserving_split_matches_dense_oracle(case):
         assert np.all(decoupling_error(full, got, waves, [0.7, 3.0]) == 0.0)
 
 
-def test_band_preserving_split_joins_blocks_that_p_couples():
-    # a P that mixes constant_fiber's two levels couples the two blocks of H, so H_diag is
-    # one block, solved from H scattered onto their joint rows; against the dense oracle
+def test_band_preserving_split_refuses_a_p_that_couples_blocks():
+    # a P that mixes constant_fiber's two levels couples the two blocks of H: it is not a
+    # spectral projection of H_e, which leaves the two levels exactly decoupled
     grid = make_grid(-8, 8, 64)
     band = band_decompose(get_model("constant_fiber"), grid, 0)
     v = np.array([np.cos(0.4), np.sin(0.4)])
     mixed = dataclasses.replace(band, proj=np.tile(np.outer(v, v), (grid.n_points, 1, 1)).astype(complex))
     H = assemble_blocks(band.model, grid, eps=0.1)
-    full = diagonalize_blocks(H)
-    shared, ((comp, W, G),) = split_band_preserving(H, mixed)
-    assert len(H.blocks) == 2 and shared == () and list(comp) == [0, 1] and G.dim == H.dim
-    got = diagonalize_band_preserving(H, mixed, full)
-    dense = assemble_full(band.model, grid, eps=0.1)
-    want = diagonalize(assemble_diag(dense, mixed))
-    gap = np.abs(dense_eigenpairs(got)[0] - dense_eigenpairs(want)[0]).max()
-    assert gap <= 1e-12 * np.abs(dense.matrix).max()
-    vec = np.random.default_rng(4).standard_normal((H.dim, 2)) + 0j
-    a, b = got.apply(vec, 0.7), want.apply(vec, 0.7)
-    assert np.abs(a - b).max() <= (1e-12 + gap * 0.7 / H.eps) * np.abs(b).max()
+    assert len(H.blocks) == 2
+    with pytest.raises(ValueError, match="couple two blocks of H"):
+        split_band_preserving(H, mixed)
+    with pytest.raises(ValueError, match="couple two blocks of H"):
+        diagonalize_band_preserving(H, mixed, diagonalize_blocks(H))
 
 
 def test_band_preserving_split_refuses_non_projections():
@@ -520,21 +519,25 @@ def test_crossing_trio_pair_stores_only_its_blocks():
 
 
 def test_validate_checks_each_block(monkeypatch):
+    # diagonalize solves what it is given as one block: the dense H of crossing_trio, whose
+    # entries form blocks of 2n and n, and each ran P / ran Q part of H_diag's split block
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     dense = assemble_full(band.model, grid, eps=0.1)
-    (_, _, G), = split_band_preserving(H, band)[1]
-    for op in (dense, G):
-        assert len(diagonalize(op, validate=True).blocks) > 1
+    parts = [G for *_, G in split_band_preserving(H, band)[1]]
+    for op in [dense] + parts:
+        ((rows, w, _),) = diagonalize(op, validate=True).blocks
+        assert rows == slice(None) and len(w) == op.dim
     real_eigh = np.linalg.eigh
 
     def moved(M):
-        # the n-wide block of H comes back with one eigenvalue off by 1e-6
+        # the solve comes back with one eigenvalue off by 1e-6
         w, v = real_eigh(M)
-        return (w + 1e-6 * (np.arange(len(w)) == 0), v) if len(M) == grid.n_points else (w, v)
+        return w + 1e-6 * (np.arange(len(w)) == 0), v
 
     monkeypatch.setattr(np.linalg, "eigh", moved)
-    with pytest.raises(AssertionError, match="reconstruction error"):
-        diagonalize(dense, validate=True)
+    for op in (dense, parts[1]):
+        with pytest.raises(AssertionError, match="reconstruction error"):
+            diagonalize(op, validate=True)
 
 
 def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
