@@ -23,10 +23,11 @@ centered differences of grid samples, and exact per-point perturbation
 formulas built from the model's closed-form dH/dX.  Identity tests compare
 the two routes.
 
-The m x m fiber stacks are solved by `eigh_by_blocks`, one connected
-component of their exact-zero pattern at a time (`_coupled_components`).
-The package finds blocks from exact-zero patterns only on m x m fibers,
-here and in `hamiltonians.assemble_blocks`, never on an N x N operator.
+`band_decompose` solves its m x m fiber stack by `eigh_by_blocks`, one
+connected component of the stack's exact-zero pattern at a time
+(`_coupled_components`).  The package finds blocks from exact-zero
+patterns only on m x m fibers, here and in `hamiltonians.assemble_blocks`,
+never on an N x N operator.
 """
 
 from __future__ import annotations
@@ -74,26 +75,15 @@ def fd_derivative(samples: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
 def _coupled_components(pattern: np.ndarray) -> list:
     """Index sets of the connected components of a square boolean coupling pattern.
 
-    Entry (a, b) or (b, a) couples a and b.  Components come in order of
-    their smallest index, each as ascending indices.  Each step reads the
-    frontier's rows, and its columns only when the rows do not already
-    reach every index, so a one-component pattern costs a few row reads.
+    Entry (a, b) or (b, a) couples a and b.  The reach of every index is
+    the transitive closure of the symmetric pattern (Warshall's sweep);
+    components come in order of their smallest index, each as ascending
+    indices.  The package passes m x m fiber patterns only.
     """
-    unseen = np.ones(len(pattern), dtype=bool)
-    components = []
-    while unseen.any():
-        comp = np.zeros_like(unseen)
-        comp[np.argmax(unseen)] = True
-        frontier = comp.copy()
-        while frontier.any() and not comp.all():
-            reach = pattern[frontier].any(axis=0)
-            if not (reach | comp).all():
-                reach |= pattern[:, frontier].any(axis=1)
-            frontier = reach & ~comp
-            comp |= reach
-        unseen &= ~comp
-        components.append(np.flatnonzero(comp))
-    return components
+    reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
+    for k in range(len(reach)):
+        reach |= reach[:, [k]] & reach[k]
+    return [np.flatnonzero(row) for a, row in enumerate(reach) if row.argmax() == a]
 
 
 def eigh_by_blocks(M: np.ndarray):
@@ -104,8 +94,8 @@ def eigh_by_blocks(M: np.ndarray):
     indices.  The eigenvalues are merged in ascending order (a stable
     sort, per matrix of a stack) and each block's eigenvectors are
     scattered into its rows, zero elsewhere.  With one block the result is
-    `np.linalg.eigh(M)` itself.  It serves the m x m fiber stacks, whose
-    per-point spectra are read as one ascending array.
+    `np.linalg.eigh(M)` itself.  It serves `band_decompose`'s m x m fiber
+    stack, whose per-point spectra are read as one ascending array.
     """
     blocks = _coupled_components((M != 0).any(axis=tuple(range(M.ndim - 2))))
     if len(blocks) == 1:

@@ -34,15 +34,17 @@ The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
 P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
 P is a function of H_e(X_i) at each point, so it couples no two blocks of
-H, and the band-preserving H_diag = P H P + Q H Q commutes with P: its
-blocks are known by construction, each block of H split into its ran P
-and ran Q parts.  `split_band_preserving` builds them.  On a block where P
-is 0 at every grid point, or 1 at every grid point, H_diag equals H, and
-the block is shared.  Every other block is written in the frame columns
-that span its fibers and restricted to the ran P columns, and to the
-ran Q columns: two checked operators, from which the scans build the
-propagator.  A P that couples two blocks of H is refused.  This module
-decides every block the scans solve; no N x N exact-zero pattern is read.
+H, and the band-preserving H_diag = P H P + Q H Q commutes with P: it has
+exactly the blocks of H, each split into its ran P and ran Q parts.
+`split_band_preserving` builds them, one entry per block of H.  On a
+block where P is 0 at every grid point, or 1 at every grid point, H_diag
+equals H, and the block is shared.  Every other block is written in the
+frame of its own stack of P's fiber blocks (one `np.linalg.eigh` of that
+(n, d, d) stack) and restricted to the ran P columns, and to the ran Q
+columns: two checked operators, from which the scans build the
+propagator's triple for that block.  A P that couples two blocks of H is
+refused.  This module decides every block the scans solve; no exact-zero
+pattern is read on the H_diag path.
 `assemble_diag` forms H_diag densely; no package code calls it, and it
 stays as the tests' oracle of the split solve and a span the benchmark
 traces.  `u_map` / `u_star_map` apply U fiberwise.  `full_projection` and
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .electronic import BandData, _coupled_components, berry_connection, eigh_by_blocks, fd_derivative
+from .electronic import BandData, _coupled_components, berry_connection, fd_derivative
 from .grids import Grid1D, MolecularWave, NuclearWave, fourier_multiplier_matrix
 from .indicators import ramp_to_constant, smooth_step
 from .models import ElectronicModel
@@ -248,71 +250,52 @@ def _check_dims(H: DenseHamiltonian | BlockHamiltonian, band: BandData):
         )
 
 
-def _fiber_frame(band: BandData) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal frames of the fiber blocks of P, split into ran P_i and ran Q_i.
-
-    Returns (F, in_p).  F[i] is the m x m unitary of eigenvectors of the
-    block P_i (`_fiber_blocks`), real for real blocks, solved by
-    `eigh_by_blocks`, so a fiber component that P never couples to the
-    others keeps frame columns of its own; in_p (n, m) marks the columns
-    with eigenvalue 1, which span ran P_i; the others span ran Q_i.  The
-    rank of P_i may vary with i (zero outside the window).  Refuses
-    (ValueError) blocks that are not Hermitian or have an eigenvalue more
-    than 1e-10 from both 0 and 1: they are not orthogonal projections.
-    """
-    B = _fiber_blocks(band)
-    herm = np.abs(B - B.conj().transpose(0, 2, 1)).max()
-    lam, F = eigh_by_blocks(B)
-    in_p = lam > 0.5
-    dev = max(herm, np.abs(lam - in_p).max())
-    if dev > 1e-10:
-        raise ValueError(f"fiber blocks of P are not orthogonal projections (off by {dev:.2e})")
-    return F, in_p
-
-
-def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple[tuple, tuple]:
-    """H_diag = P H P + Q H Q by blocks of H, as ran P and ran Q parts in the fiber frame of P.
+def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
+    """H_diag = P H P + Q H Q on each block of H, as its ran P and ran Q parts in the fiber frame of P.
 
     P is a function of H_e(X_i) at each point, so its fiber blocks
     (`_fiber_blocks`) couple no two blocks of H, and H_diag commutes with
     P: on each block of H it is that block's ran P part plus its ran Q
     part.  A P whose fiber blocks couple two blocks of H is not a spectral
-    projection of H_e and is refused (ValueError).  Returns (shared, split).
+    projection of H_e and is refused (ValueError).  Returns one entry per
+    block of H, in H's order:
 
-    - shared: the indices k of the blocks of H on which P is 0 at every
-      grid point, or 1 at every grid point.  There H_diag equals H.
-    - split: one (component, W, idx, G) per nonempty part of every other
-      block, its ran P part before its ran Q part.  component holds the
-      block's d ascending fiber indices; W, (n, d, d), the columns of the
-      frame F_i of P (`_fiber_frame`) that span them, in ascending order;
-      idx the ascending frame-basis indices i d + c of the part's columns,
-      those `_fiber_frame` marks in ran P_i, or those it does not; G the
-      DenseHamiltonian (tag "diag", fiber dimension d) of W^dag H W on idx,
-      formed by batched fiber products, which is H_diag on the part.
+    - None where P is 0 at every grid point, or 1 at every grid point:
+      there H_diag equals H, and the block is shared.
+    - (W, parts) on every other block.  W, (n, d, d), is the frame of the
+      block's stack of P's fiber blocks, their eigenvectors from one
+      `np.linalg.eigh`, real for real blocks; the stack is refused
+      (ValueError) unless it is Hermitian with every eigenvalue within
+      1e-10 of 0 or 1.  The rank of P_i may vary with i (zero outside the
+      window).  parts holds one (idx, G) per nonempty part, ran P before
+      ran Q: idx the ascending frame-basis indices i d + c of the part's
+      columns, those of eigenvalue 1 or those of eigenvalue 0, and G the
+      DenseHamiltonian (tag "diag", fiber dimension d) of W^dag H W on
+      idx, formed by batched fiber products, which is H_diag on the part.
     """
     _check_dims(H, band)
-    F, in_p = _fiber_frame(band)
     B = _fiber_blocks(band)
-    n = band.grid.n_points
-    shared, split = [], []
-    for k, (comp, block) in enumerate(H.blocks):
+    entries = []
+    for comp, block in H.blocks:
         if np.any(np.delete(B[:, comp], comp, axis=2)):
             raise ValueError("fiber blocks of P couple two blocks of H: P is not a spectral projection of H_e")
         P = B[:, comp[:, None], comp]
         if not P.any() or np.all(P == np.eye(len(comp))):
-            shared.append(k)
+            entries.append(None)
             continue
-        # the frame columns of each point that span the block's fibers: exactly len(comp) of them
-        cols = np.nonzero((F[:, comp, :] != 0).any(axis=1))[1].reshape(n, len(comp))
-        W = np.take_along_axis(F[:, comp, :], cols[:, None, :], axis=2)
+        lam, W = np.linalg.eigh(P)
+        in_p = lam > 0.5
+        dev = max(np.abs(P - P.conj().transpose(0, 2, 1)).max(), np.abs(lam - in_p).max())
+        if dev > 1e-10:
+            raise ValueError(f"fiber blocks of P are not orthogonal projections (off by {dev:.2e})")
         G = _fiber_sandwich(block.matrix, W.conj().transpose(0, 2, 1), W)
-        p = np.take_along_axis(in_p, cols, axis=1).ravel()
-        for idx in (np.flatnonzero(p), np.flatnonzero(~p)):
-            if len(idx):
-                part = DenseHamiltonian(matrix=G[np.ix_(idx, idx)], eps=H.eps, tag="diag", grid=H.grid,
-                                        fiber_dim=len(comp))
-                split.append((comp, W, idx, part))
-    return tuple(shared), tuple(split)
+        parts = tuple(
+            (idx, DenseHamiltonian(matrix=G[np.ix_(idx, idx)], eps=H.eps, tag="diag", grid=H.grid,
+                                   fiber_dim=len(comp)))
+            for idx in (np.flatnonzero(in_p), np.flatnonzero(~in_p)) if len(idx)
+        )
+        entries.append((W, parts))
+    return tuple(entries)
 
 
 def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:

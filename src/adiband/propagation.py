@@ -13,24 +13,27 @@ pattern), and `diagonalize_blocks` solves each on its own: a dense solve
 of a block of dimension d costs d^3, so the blocks together cost far less
 than N^3.  `diagonalize` solves the operator it is given as one dense
 block and reads no pattern.  Each block keeps its rows, its d eigenvalues
-and its eigenvectors on those rows only, and `apply` works block by
-block, so an apply costs the sum over blocks of rows x d per column
-instead of N^2.  An operator of one block (every Born-Oppenheimer H, the
-full H of `rotated_pair`, `two_band_complex` and `free`) is one block
-over all rows, solved and applied by the dense products unchanged.
+and its eigenvectors on those rows only.  The blocks split the rows into
+disjoint sets, so `apply` works block by block and writes each block's
+product into its own rows: an apply costs the sum over blocks of rows x d
+per column instead of N^2.  An operator of one block (every
+Born-Oppenheimer H, the full H of `rotated_pair`, `two_band_complex` and
+`free`) is one block over all rows, solved and applied by the dense
+products unchanged.
 
-The band-preserving generator H_diag = P H P + Q H Q is solved block by
-block of H (`diagonalize_band_preserving`).  Where P is 0 or 1 on a whole
-block of H, H_diag equals H there, and the band-preserving propagator
-holds the full propagator's triple for that block: the same object,
-solved once.  Every other block of H_diag commutes with P, so in the
-fiber frame of P it is its ran P part plus its ran Q part
-(`hamiltonians.split_band_preserving`); each part is solved on its own
-and lifted back to the rows its frame columns reach.  `crossing_trio`'s
-full H splits into blocks of 2n and n.  For bands (0, 1), P is 1 on the
-n block at every point, so H_diag shares it and solves the 2n block
-again as two parts of n; with a window, P is 1 inside and 0 outside, and
-no block is shared.
+The band-preserving generator H_diag = P H P + Q H Q has the blocks of H,
+and its propagator has the full propagator's block partition: one triple
+per block of H, in H's order, on the same rows
+(`diagonalize_band_preserving`).  Where P is 0 or 1 on a whole block of
+H, H_diag equals H there, and the triple is the full propagator's: the
+same object, solved once.  Every other block of H_diag commutes with P,
+so in the frame of P's fiber blocks on it, it is its ran P part plus its
+ran Q part (`hamiltonians.split_band_preserving`); each part is solved on
+its own, and both are lifted back into the one triple of that block.
+`crossing_trio`'s full H splits into blocks of 2n and n.  For bands
+(0, 1), P is 1 on the n block at every point, so H_diag shares it and
+solves the 2n block again as two parts of n; with a window, P is 1 inside
+and 0 outside, and no block is shared.
 
 A real-stored operator keeps its real eigenvectors as float64.  Its
 propagator applies a vector or a block of k vectors as real products on
@@ -98,10 +101,12 @@ class SpectralPropagator:
     `blocks` holds one (rows, eigenvalues, eigenvectors) triple per exactly
     decoupled block: the block's d eigenpairs, with eigenvectors of shape
     (len(rows), d) whose entries outside `rows` are exactly zero and are not
-    stored.  An operator of one block is ((slice(None), w, V),), the dense
-    pair itself.  Eigenvalues are ascending within a block; no order is
-    kept across blocks.  Eigenvectors are float64 when the operator and its
-    frames are stored real, complex128 otherwise.
+    stored.  The blocks' rows split range(N) into disjoint sets.  An
+    operator of one block is ((slice(None), w, V),), the dense pair itself.
+    Eigenvalues are ascending within a solved block; a block of H_diag
+    split into ran P and ran Q lists its ran P part's, then its ran Q
+    part's, and no order is kept across blocks.  Eigenvectors are float64
+    when the operator and its frames are stored real, complex128 otherwise.
     """
 
     blocks: tuple = field(repr=False)
@@ -113,7 +118,7 @@ class SpectralPropagator:
         return sum(len(w) for _, w, _ in self.blocks)
 
     def _map(self, vec, coefficient_map) -> np.ndarray:
-        """Sum over blocks of V coefficient_map(w, V^dag vec[rows]), placed in rows.
+        """V coefficient_map(w, V^dag vec[rows]) of every block, written into its rows.
 
         vec, (N,) or (N, k), is taken as a complex (N, k) block; a wrong
         row count is refused rather than folded into columns.  The result
@@ -129,8 +134,8 @@ class SpectralPropagator:
                 # the one block over every row: its product is the result
                 return part
             if out is None:
-                out = np.zeros((len(block), part.shape[1]), dtype=complex)
-            out[rows] += part
+                out = np.empty((len(block), part.shape[1]), dtype=complex)
+            out[rows] = part
         return out
 
     def apply(self, vec: np.ndarray, t) -> np.ndarray:
@@ -190,22 +195,22 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
     return SpectralPropagator(blocks=((slice(None), w, v),), eps=H.eps, tag=H.tag)
 
 
-def _lift(F: np.ndarray, idx, w: np.ndarray, V: np.ndarray) -> tuple:
-    """A frame-basis block (idx, w, V) as the block (rows, w, W[:, idx] V) for W = blockdiag(F_i).
+def _lift(W: np.ndarray, parts: list) -> tuple:
+    """One block's solved parts (idx, w, V) in the frame W, as the pair (w, blockdiag(W_i) Z).
 
-    idx holds ascending frame-basis indices i m + c.  The lift
-    is a fiber product, O(N m d); rows keeps the molecular indices i m + a
-    with F_i[a, c] nonzero for a frame column c of the block at X_i, the
-    only rows where W[:, idx] V can be nonzero.
+    W is (n, d, d) and idx holds a part's ascending frame-basis indices
+    i d + c.  The parts' eigenvectors sit side by side, in order, as the
+    columns of Z, each zero off its own idx, and their eigenvalues are
+    joined in the same order.  The lift is a fiber product, O(n d^2) per
+    eigenvector.
     """
-    n, m, _ = F.shape
-    Z = np.zeros((n * m,) + V.shape[1:], dtype=V.dtype)
-    Z[idx] = V
-    in_block = np.zeros(n * m, dtype=bool)
-    in_block[idx] = True
-    reach = ((F != 0) & in_block.reshape(n, 1, m)).any(axis=2)
-    rows = np.flatnonzero(reach)
-    return rows, w, np.matmul(F, Z.reshape(n, m, -1)).reshape(n * m, -1)[rows]
+    n, d, _ = W.shape
+    Z = np.zeros((n * d, n * d), dtype=np.result_type(*(V for *_, V in parts)))
+    start = 0
+    for idx, _, V in parts:
+        Z[idx, start : start + V.shape[1]] = V
+        start += V.shape[1]
+    return np.concatenate([w for _, w, _ in parts]), np.matmul(W, Z.reshape(n, d, -1)).reshape(n * d, -1)
 
 
 def diagonalize_blocks(H: BlockHamiltonian) -> SpectralPropagator:
@@ -227,23 +232,27 @@ def diagonalize_blocks(H: BlockHamiltonian) -> SpectralPropagator:
 def diagonalize_band_preserving(H: BlockHamiltonian, band: BandData, full: SpectralPropagator) -> SpectralPropagator:
     """Eigendecompose H_diag = P H P + Q H Q for the block-stored H and the band's P.
 
-    `full` is `diagonalize_blocks(H)`.  Where P is 0 or 1 on a whole block
-    of H, H_diag equals H there, and the propagator holds full's triple
-    for that block, the same object.  Every other block of H is split in
-    the fiber frame of P into its ran P and ran Q parts
-    (`split_band_preserving`); `diagonalize` solves each part, at cost
-    r^3 + (d - r)^3 instead of d^3, and its eigenvectors are lifted back
-    by fiber products and kept on the rows its frame columns reach.  They
-    are float64 when H and the frames are real, complex128 otherwise.
+    `full` is `diagonalize_blocks(H)`, and the propagator has its block
+    partition: one triple per block of H, in H's order, on full's rows for
+    that block.  Where P is 0 or 1 on a whole block of H, H_diag equals H
+    there, and the triple is full's, the same object.  Every other block
+    of H is split in the frame of P's fiber blocks into its ran P and ran Q
+    parts (`split_band_preserving`); `diagonalize` solves each part, at
+    cost r^3 + (d - r)^3 instead of d^3, and `_lift` maps both back, by
+    fiber products, into the block's one triple, ran P part first.  The
+    eigenvectors are float64 when H and the frames are real, complex128
+    otherwise.
     """
     if (full.dim, len(full.blocks), full.eps) != (H.dim, len(H.blocks), H.eps):
         raise ValueError("full is not the block-by-block propagator of H")
-    shared, split = split_band_preserving(H, band)
-    blocks = [full.blocks[k] for k in shared]
-    for comp, W, idx, G in split:
-        ((_, w, V),) = diagonalize(G).blocks
-        local, w, V = _lift(W, idx, w, V)
-        blocks.append((H.rows(comp)[local], w, V))
+    blocks = []
+    for triple, entry in zip(full.blocks, split_band_preserving(H, band)):
+        if entry is None:
+            blocks.append(triple)
+            continue
+        W, parts = entry
+        solved = [(idx,) + diagonalize(G).blocks[0][1:] for idx, G in parts]
+        blocks.append((triple[0],) + _lift(W, solved))
     return SpectralPropagator(blocks=tuple(blocks), eps=H.eps, tag="diag")
 
 

@@ -6,7 +6,6 @@ import pytest
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
 from adiband.hamiltonians import (
-    _fiber_frame,
     assemble_blocks,
     assemble_bo,
     assemble_diag,
@@ -373,11 +372,16 @@ def _split_setup(tag, bands, window, gauge):
     return grid, band, H, diagonalize_blocks(H)
 
 
+def _fibers(band, comp):
+    """The (n, d, d) fiber blocks of P on the fiber indices comp, read from the dense P."""
+    n, m = band.grid.n_points, band.fiber_dim
+    P = full_projection(band).reshape(n, m, n, m)
+    return P[np.arange(n), :, np.arange(n), :][:, comp[:, None], comp]
+
+
 def _ran_p(band, comp, W):
     """Which frame columns of W span ran P: the diagonal of W_i^dag P_i W_i on the block's fibers."""
-    P = full_projection(band).reshape(band.grid.n_points, band.fiber_dim, -1, band.fiber_dim)
-    fibers = P[np.arange(band.grid.n_points), :, np.arange(band.grid.n_points), :][:, comp[:, None], comp]
-    return (np.einsum("iac,iab,ibc->ic", W.conj(), fibers, W).real > 0.5).ravel()
+    return (np.einsum("iac,iab,ibc->ic", W.conj(), _fibers(band, comp), W).real > 0.5).ravel()
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
@@ -388,26 +392,34 @@ def test_band_preserving_split_matches_dense_oracle(case):
     dense = assemble_full(band.model, grid, eps=0.1)
     want = diagonalize(assemble_diag(dense, band))
     assert [rows for rows, *_ in want.blocks] == [slice(None)]
-    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
-    assert _fiber_frame(band)[1].sum() == len(bands) * int(band.mask.sum())
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
-    # the shared blocks of H and the ran P and ran Q parts of the others cover every row
-    # once; each other block gives its ran P part, then its ran Q part, in its fiber frame
-    got_shared, split = split_band_preserving(H, band)
-    assert got_shared == shared
-    assert sum(H.blocks[k][1].dim for k in shared) + sum(G.dim for *_, G in split) == H.dim
-    assert [tuple(comp) for comp, *_ in split[::2]] == [tuple(c) for k, (c, _) in enumerate(H.blocks)
-                                                        if k not in shared]
-    for (comp, W, p_idx, p_part), (comp_q, W_q, q_idx, q_part) in zip(split[::2], split[1::2]):
+    # one entry per block of H: None where H_diag equals H, else the block's frame of P and
+    # its ran P part, then its ran Q part, which together cover the block's rows once
+    entries = split_band_preserving(H, band)
+    assert len(entries) == len(H.blocks)
+    assert tuple(k for k, entry in enumerate(entries) if entry is None) == shared
+    rank = sum(block.dim for k, (comp, block) in enumerate(H.blocks) if k in shared and _fibers(band, comp).any())
+    for (comp, block), entry in zip(H.blocks, entries):
+        if entry is None:
+            continue
+        W, parts = entry
+        d = len(comp)
+        assert W.shape == (grid.n_points, d, d)
+        assert np.abs(W.conj().transpose(0, 2, 1) @ W - np.eye(d)).max() <= 1e-12
         in_p = _ran_p(band, comp, W)
-        assert comp_q is comp and W_q is W and 0 < in_p.sum() < len(in_p)
-        assert np.array_equal(p_idx, np.flatnonzero(in_p)) and np.array_equal(q_idx, np.flatnonzero(~in_p))
-        assert (p_part.dim, q_part.dim) == (len(p_idx), len(q_idx))
-    # a shared block is the full propagator's triple itself
-    assert [b for b in got.blocks if any(b is f for f in full.blocks)] == [full.blocks[k] for k in shared]
+        assert 0 < in_p.sum() < len(in_p) == block.dim
+        assert len(parts) == 2
+        for (idx, G), want_idx in zip(parts, (np.flatnonzero(in_p), np.flatnonzero(~in_p))):
+            assert np.array_equal(idx, want_idx) and G.dim == len(idx) and G.fiber_dim == d
+        rank += int(in_p.sum())
+    # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
+    assert rank == len(bands) * int(band.mask.sum())
 
     assert got.dim == H.dim and got.tag == "diag"
-    assert all(np.all(np.diff(w) >= 0) for _, w, _ in got.blocks)
+    # eigenvalues ascend within each part: a split block lists its ran P part's, then its ran Q part's
+    for (_, w, _), entry in zip(got.blocks, entries):
+        sizes = [len(w)] if entry is None else [G.dim for _, G in entry[1]]
+        assert all(np.all(np.diff(part) >= 0) for part in np.split(w, np.cumsum(sizes)[:-1]))
     (got_w, got_V), (want_w, want_V) = dense_eigenpairs(got), dense_eigenpairs(want)
     gap = np.abs(got_w - want_w).max()
     assert gap <= 1e-12 * np.abs(dense.matrix).max()
@@ -435,6 +447,25 @@ def test_band_preserving_split_matches_dense_oracle(case):
         assert np.all(decoupling_error(full, got, waves, [0.7, 3.0]) == 0.0)
 
 
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_full_and_band_preserving_propagators_share_the_blocks_of_h(case):
+    # one triple per block of H, in H's order, on the full propagator's rows at the same
+    # index; the rows of each propagator cover every row exactly once, and a shared block
+    # is the full triple itself
+    tag, bands, window, gauge, _, shared = SPLIT_CASES[case]
+    grid, band, H, full = _split_setup(tag, bands, window, gauge)
+    diag = diagonalize_band_preserving(H, band, full)
+    every = np.arange(H.dim)
+    assert len(full.blocks) == len(diag.blocks) == len(H.blocks)
+    for prop in (full, diag):
+        assert np.array_equal(np.sort(np.concatenate([every[rows] for rows, *_ in prop.blocks])), every)
+    for k, ((comp, _), f, d) in enumerate(zip(H.blocks, full.blocks, diag.blocks)):
+        assert np.array_equal(every[f[0]], H.rows(comp))
+        assert np.array_equal(every[d[0]], every[f[0]]) and type(d[0]) is type(f[0])
+        assert len(d[1]) == len(f[1]) and d[2].shape == f[2].shape
+        assert (d is f) == (k in shared)
+
+
 def test_band_preserving_split_refuses_a_p_that_couples_blocks():
     # a P that mixes constant_fiber's two levels couples the two blocks of H: it is not a
     # spectral projection of H_e, which leaves the two levels exactly decoupled
@@ -451,10 +482,15 @@ def test_band_preserving_split_refuses_a_p_that_couples_blocks():
 
 
 def test_band_preserving_split_refuses_non_projections():
+    # 0.9 P has eigenvalues 0 and 0.9.  The oblique [[1, 0.3], [0, 0]] is idempotent, and the
+    # lower triangle that eigh reads has eigenvalues 0 and 1, but it is not Hermitian
     grid, band, H, full = _split_setup("rotated_pair", (0,), (-2, 2), "component")
-    scaled = dataclasses.replace(band, proj=0.9 * band.proj)
-    with pytest.raises(ValueError, match="not orthogonal projections"):
-        diagonalize_band_preserving(H, scaled, full)
+    oblique = np.array([[1.0, 0.3], [0.0, 0.0]])
+    assert np.array_equal(oblique @ oblique, oblique)
+    assert np.array_equal(np.linalg.eigvalsh(oblique), [0.0, 1.0])
+    for proj in (0.9 * band.proj, np.tile(oblique, (grid.n_points, 1, 1)).astype(complex)):
+        with pytest.raises(ValueError, match="not orthogonal projections"):
+            diagonalize_band_preserving(H, dataclasses.replace(band, proj=proj), full)
 
 
 def test_band_preserving_solve_refuses_another_full_propagator():
@@ -487,8 +523,8 @@ def test_single_block_operators_take_the_dense_solver_unchanged():
 
 
 def test_block_apply_matches_the_dense_oracle():
-    # crossing_trio's full H (blocks 2n, n) and H_diag (the shared -X block and two lifted
-    # blocks of n) against their scattered dense eigenpairs
+    # crossing_trio's full H (blocks 2n, n) and H_diag (the {0, 2} block, lifted from its
+    # ran P and ran Q parts of n, and the shared -X block) against their scattered dense eigenpairs
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     rng = np.random.default_rng(9)
     block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
@@ -523,7 +559,7 @@ def test_validate_checks_each_block(monkeypatch):
     # entries form blocks of 2n and n, and each ran P / ran Q part of H_diag's split block
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     dense = assemble_full(band.model, grid, eps=0.1)
-    parts = [G for *_, G in split_band_preserving(H, band)[1]]
+    parts = [G for entry in split_band_preserving(H, band) if entry is not None for _, G in entry[1]]
     for op in [dense] + parts:
         ((rows, w, _),) = diagonalize(op, validate=True).blocks
         assert rows == slice(None) and len(w) == op.dim
@@ -562,7 +598,7 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
     # P is 1 on the -X level at every point: H_diag holds H's triple of that block, solved once
     minus_x = prop.blocks[1]
     assert np.array_equal(minus_x[0], 3 * np.arange(n) + 1)
-    assert [b is minus_x for b in prop_diag.blocks] == [True, False, False]
+    assert [b is minus_x for b in prop_diag.blocks] == [False, True]
     monkeypatch.undo()
     # the oracles: the dense solve of H and of the dense H_diag
     dense = assemble_full(band.model, grid, eps=0.1)
