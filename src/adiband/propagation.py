@@ -238,7 +238,8 @@ def diagonalize_band_preserving(H: BlockHamiltonian, band: BandData, full: Spect
     there, and the triple is full's, the same object.  Every other block
     of H is split in the frame of P's fiber blocks into its ran P and ran Q
     parts (`split_band_preserving`); `diagonalize` solves each part, at
-    cost r^3 + (d - r)^3 instead of d^3, and `_lift` maps both back, by
+    cost r^3 + (b - r)^3 for a block of dimension b with a ran P part of
+    dimension r, instead of b^3, and `_lift` maps both back, by
     fiber products, into the block's one triple, ran P part first.  The
     eigenvectors are float64 when H and the frames are real, complex128
     otherwise.
