@@ -41,9 +41,9 @@ block where P is 0 at every grid point, or 1 at every grid point, H_diag
 equals H, and the block is shared.  Every other block is written in the
 frame of its own stack of P's fiber blocks (one `np.linalg.eigh` of that
 (n, d, d) stack) and restricted to the ran P columns, and to the ran Q
-columns: two checked operators, from which the scans build the
-propagator's triple for that block.  A P that couples two blocks of H is
-refused.  This module decides every block the scans solve; no exact-zero
+columns: two checked operators, which the propagator solves and keeps,
+each on its own frame indices, as that block's frame form.  A P that
+couples two blocks of H is refused.  This module decides every block the scans solve; no exact-zero
 pattern is read on the H_diag path.
 `assemble_diag` forms H_diag densely; no package code calls it, and it
 stays as the tests' oracle of the split solve and a span the benchmark

@@ -13,13 +13,15 @@ pattern), and `diagonalize_blocks` solves each on its own: a dense solve
 of a block of dimension d costs d^3, so the blocks together cost far less
 than N^3.  `diagonalize` solves the operator it is given as one dense
 block and reads no pattern.  Each block keeps its rows, its d eigenvalues
-and its eigenvectors on those rows only.  The blocks split the rows into
-disjoint sets, so `apply` works block by block and writes each block's
-product into its own rows: an apply costs the sum over blocks of rows x d
-per column instead of N^2.  An operator of one block (every
-Born-Oppenheimer H, the full H of `rotated_pair`, `two_band_complex` and
-`free`) is one block over all rows, solved and applied by the dense
-products unchanged.
+and its eigenvectors on those rows only, stored as a (rows, d) matrix or,
+for a split block of H_diag, in the frame form below.  The blocks split
+the rows into disjoint sets, so `apply` works block by block and writes
+each block's product into its own rows: an apply costs the sum over
+blocks of rows x d per column instead of N^2 (r^2 + (b - r)^2, plus the
+O(b d) fiber products, for a split block of dimension b with a ran P
+part of dimension r).  An operator of one block (every Born-Oppenheimer
+H, the full H of `rotated_pair`, `two_band_complex` and `free`) is one
+block over all rows, solved and applied by the dense products unchanged.
 
 The band-preserving generator H_diag = P H P + Q H Q has the blocks of H,
 and its propagator has the full propagator's block partition: one triple
@@ -27,13 +29,18 @@ per block of H, in H's order, on the same rows
 (`diagonalize_band_preserving`).  Where P is 0 or 1 on a whole block of
 H, H_diag equals H there, and the triple is the full propagator's: the
 same object, solved once.  Every other block of H_diag commutes with P,
-so in the frame of P's fiber blocks on it, it is its ran P part plus its
-ran Q part (`hamiltonians.split_band_preserving`); each part is solved on
-its own, and both are lifted back into the one triple of that block.
-`crossing_trio`'s full H splits into blocks of 2n and n.  For bands
-(0, 1), P is 1 on the n block at every point, so H_diag shares it and
-solves the 2n block again as two parts of n; with a window, P is 1 inside
-and 0 outside, and no block is shared.
+so in the frame W of P's fiber blocks on it, it is its ran P part plus
+its ran Q part (`hamiltonians.split_band_preserving`); each part is
+solved on its own and kept on its own frame indices.  The block's triple
+holds them in the frame form (W, parts): an apply takes the block into
+the frame by W^dag, fiber by fiber, maps each part by its own products,
+and takes the result back by W.  No b x b eigenvector matrix of the block
+is formed.  `crossing_trio`'s full H splits into blocks of 2n and n.  For
+bands (0, 1), P is 1 on the n block at every point, so H_diag shares it
+and keeps the 2n block as two parts of n; with a window, P is 1 inside
+and 0 outside, and no block is shared.  `decoupling_error` drops the
+rows of every shared triple, where the two evolutions are the same
+products, and applies the pair on the other rows only.
 
 A real-stored operator keeps its real eigenvectors as float64.  Its
 propagator applies a vector or a block of k vectors as real products on
@@ -44,9 +51,10 @@ Both storage types go through the same two products per block for every
 input shape.
 
 Times form a row as well.  Given a 1-D array of T times, `apply` forms
-each block's coefficients V^dag vec with one analysis product, multiplies
-in the phases of every time as one (d, T k) block, and maps that block
-back with one synthesis product; the batch takes N k T 16 bytes.
+the coefficients V^dag vec of each block, or of each part of a split
+block, with one analysis product, multiplies in the phases of every time
+as one (d, T k) block, and maps that block back with one synthesis
+product; the batch takes N k T 16 bytes.
 
 The error functionals have one call form: a row of T times goes in (and,
 for `decoupling_error`, a list of k molecular waves, applied as one (N, k)
@@ -57,7 +65,7 @@ makes one apply per propagator and eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,19 +102,63 @@ def _synthesize(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return _real_times(V, coeffs) if V.dtype == np.float64 else V @ coeffs
 
 
+def _by_fibers(W: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """blockdiag(W_i) block for an (n, d, d) stack W and a complex (n d, k) block, fiber by fiber."""
+    n, d, _ = W.shape
+    if W.dtype == np.float64:
+        # one real product on the block's float64 view, as in _real_times
+        out = np.matmul(W, np.ascontiguousarray(block).view(np.float64).reshape(n, d, -1))
+        return out.reshape(n * d, -1).view(np.complex128)
+    return np.matmul(W, block.reshape(n, d, -1)).reshape(n * d, -1)
+
+
+def _map_blocks(blocks, block: np.ndarray, coefficient_map) -> np.ndarray:
+    """V coefficient_map(w, V^dag block[rows]) of every (rows, w, V) triple, written into its rows.
+
+    V is a block's eigenvectors on its rows, or its frame form (W, parts):
+    there the block's rows go into the frame by W^dag, fiber by fiber, this
+    same loop maps each part (idx, w, V) on its own frame indices, analysis,
+    coefficient map and synthesis, and W takes the result back.  The rows
+    of the triples are disjoint, so each product is assigned, not added.
+    """
+    out = None
+    for rows, w, V in blocks:
+        if isinstance(V, tuple):
+            W, parts = V
+            in_frame = _by_fibers(W.conj().transpose(0, 2, 1), block[rows])
+            part = _by_fibers(W, _map_blocks(parts, in_frame, coefficient_map))
+        else:
+            part = _synthesize(V, coefficient_map(w, _coefficients(V, block[rows])))
+        if isinstance(rows, slice):
+            # the one block over every row: its product is the result
+            return part
+        if out is None:
+            out = np.empty((len(block), part.shape[1]), dtype=complex)
+        out[rows] = part
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralPropagator:
     """Eigendecomposition of a DenseHamiltonian, reusable for any time, stored block by block.
 
     `blocks` holds one (rows, eigenvalues, eigenvectors) triple per exactly
-    decoupled block: the block's d eigenpairs, with eigenvectors of shape
-    (len(rows), d) whose entries outside `rows` are exactly zero and are not
-    stored.  The blocks' rows split range(N) into disjoint sets.  An
-    operator of one block is ((slice(None), w, V),), the dense pair itself.
-    Eigenvalues are ascending within a solved block; a block of H_diag
-    split into ran P and ran Q lists its ran P part's, then its ran Q
-    part's, and no order is kept across blocks.  Eigenvectors are float64
-    when the operator and its frames are stored real, complex128 otherwise.
+    decoupled block: the block's d eigenpairs, with entries outside `rows`
+    exactly zero and not stored.  The blocks' rows split range(N) into
+    disjoint sets.  The eigenvectors are one of two forms:
+
+    - a (len(rows), d) matrix.  An operator of one block is
+      ((slice(None), w, V),), the dense pair itself.
+    - the frame form (W, parts) of a block of H_diag split into its ran P
+      and ran Q parts: W, (n, d_f, d_f), is the frame of P's fiber blocks
+      on the block, and parts holds one (idx, w, V) triple per part, ran P
+      first, with idx the part's ascending frame-basis indices i d_f + c
+      and V its eigenvectors on idx.  The block's eigenvalues join the
+      parts' in that order.
+
+    Eigenvalues are ascending within a solved block or part, and no order
+    is kept across blocks.  Eigenvectors and frames are float64 when the
+    operator and its frames are stored real, complex128 otherwise.
     """
 
     blocks: tuple = field(repr=False)
@@ -118,7 +170,7 @@ class SpectralPropagator:
         return sum(len(w) for _, w, _ in self.blocks)
 
     def _map(self, vec, coefficient_map) -> np.ndarray:
-        """V coefficient_map(w, V^dag vec[rows]) of every block, written into its rows.
+        """V coefficient_map(w, V^dag vec[rows]) of every block, written into its rows (`_map_blocks`).
 
         vec, (N,) or (N, k), is taken as a complex (N, k) block; a wrong
         row count is refused rather than folded into columns.  The result
@@ -127,26 +179,17 @@ class SpectralPropagator:
         block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
         if len(block) != self.dim:
             raise ValueError(f"dimension mismatch: vector has {len(block)} rows, operator {self.dim}")
-        out = None
-        for rows, w, V in self.blocks:
-            part = _synthesize(V, coefficient_map(w, _coefficients(V, block[rows])))
-            if isinstance(rows, slice):
-                # the one block over every row: its product is the result
-                return part
-            if out is None:
-                out = np.empty((len(block), part.shape[1]), dtype=complex)
-            out[rows] = part
-        return out
+        return _map_blocks(self.blocks, block, coefficient_map)
 
     def apply(self, vec: np.ndarray, t) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
 
         vec may be one vector (N,) or a block of columns (N, k).  A scalar t
         gives a result of vec's shape.  A 1-D array of T times gives shape
-        (T,) + shape(vec): per block, the coefficients V^dag vec are formed
-        once, the phases of all T times multiply them into one (d, T k)
-        block, and one synthesis product maps that block back, so the batch
-        takes N k T 16 bytes.
+        (T,) + shape(vec): per block (per part of a split block), the
+        coefficients V^dag vec are formed once, the phases of all T times
+        multiply them into one (d, T k) block, and one synthesis product
+        maps that block back, so the batch takes N k T 16 bytes.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
@@ -196,21 +239,17 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
 
 
 def _lift(W: np.ndarray, parts: list) -> tuple:
-    """One block's solved parts (idx, w, V) in the frame W, as the pair (w, blockdiag(W_i) Z).
+    """One block's solved parts (idx, w, V) in the frame W, as the pair (w, (W, parts)) of its triple.
 
     W is (n, d, d) and idx holds a part's ascending frame-basis indices
-    i d + c.  The parts' eigenvectors sit side by side, in order, as the
-    columns of Z, each zero off its own idx, and their eigenvalues are
-    joined in the same order.  The lift is a fiber product, O(n d^2) per
-    eigenvector.
+    i d + c; V is the part's eigenvectors on idx alone.  w joins the
+    parts' eigenvalues in order, and each part keeps its own as a view of
+    w.  No eigenvector is lifted: `_map_blocks` applies W and W^dag fiber
+    by fiber, O(n d^2) per column, around the parts' own products.
     """
-    n, d, _ = W.shape
-    Z = np.zeros((n * d, n * d), dtype=np.result_type(*(V for *_, V in parts)))
-    start = 0
-    for idx, _, V in parts:
-        Z[idx, start : start + V.shape[1]] = V
-        start += V.shape[1]
-    return np.concatenate([w for _, w, _ in parts]), np.matmul(W, Z.reshape(n, d, -1)).reshape(n * d, -1)
+    w = np.concatenate([pw for _, pw, _ in parts])
+    views = np.split(w, np.cumsum([len(pw) for _, pw, _ in parts])[:-1])
+    return w, (W, tuple((idx, pw, V) for (idx, _, V), pw in zip(parts, views)))
 
 
 def diagonalize_blocks(H: BlockHamiltonian) -> SpectralPropagator:
@@ -235,20 +274,26 @@ def diagonalize_band_preserving(H: BlockHamiltonian, band: BandData, full: Spect
     `full` is `diagonalize_blocks(H)`, and the propagator has its block
     partition: one triple per block of H, in H's order, on full's rows for
     that block.  Where P is 0 or 1 on a whole block of H, H_diag equals H
-    there, and the triple is full's, the same object.  Every other block
-    of H is split in the frame of P's fiber blocks into its ran P and ran Q
-    parts (`split_band_preserving`); `diagonalize` solves each part, at
-    cost r^3 + (b - r)^3 for a block of dimension b with a ran P part of
-    dimension r, instead of b^3, and `_lift` maps both back, by
-    fiber products, into the block's one triple, ran P part first.  The
-    eigenvectors are float64 when H and the frames are real, complex128
-    otherwise.
+    there, and the triple is full's, the same object; its eigenvalues must
+    sum to the trace of H's block to 1e-10 of their absolute sum, an O(d)
+    check that refuses the full propagator of another H.  Every other
+    block of H is split in the frame of P's fiber blocks into its ran P
+    and ran Q parts (`split_band_preserving`); `diagonalize` solves each
+    part, at cost r^3 + (b - r)^3 for a block of dimension b with a ran P
+    part of dimension r, instead of b^3, and `_lift` keeps both in the
+    block's frame form, ran P part first, with r^2 + (b - r)^2 eigenvector
+    entries instead of b^2.  The eigenvectors are float64 when H and the
+    frames are real, complex128 otherwise.
     """
     if (full.dim, len(full.blocks), full.eps) != (H.dim, len(H.blocks), H.eps):
         raise ValueError("full is not the block-by-block propagator of H")
     blocks = []
-    for triple, entry in zip(full.blocks, split_band_preserving(H, band)):
+    for (_, block), triple, entry in zip(H.blocks, full.blocks, split_band_preserving(H, band)):
         if entry is None:
+            # the eigenvalues of a shared triple sum to the trace of its block of H
+            w = triple[1]
+            if abs(w.sum() - np.trace(block.matrix)) > 1e-10 * np.abs(w).sum():
+                raise ValueError("full is not the block-by-block propagator of H")
             blocks.append(triple)
             continue
         W, parts = entry
@@ -274,6 +319,33 @@ def _time_row(times) -> np.ndarray:
     return row
 
 
+def _unshared(prop_full: SpectralPropagator, prop_diag: SpectralPropagator) -> tuple:
+    """(rows, pair): the rows on which the two propagators share no triple, and both restricted to them.
+
+    A triple that is the same object in both propagators gives both
+    evolutions the same products on its rows, so their difference there is
+    exactly zero.  `rows` indexes the remaining rows, and each propagator
+    of `pair` holds its other triples, renumbered onto them; with nothing
+    shared that is (slice(None), (prop_full, prop_diag)), and with every
+    row shared `pair` is empty.
+    """
+    shared = {id(b) for b in prop_full.blocks} & {id(b) for b in prop_diag.blocks}
+    if not shared:
+        return slice(None), (prop_full, prop_diag)
+    keep = np.ones(prop_full.dim, dtype=bool)
+    for b in prop_full.blocks:
+        if id(b) in shared:
+            keep[b[0]] = False
+    if not keep.any():
+        return keep, ()
+    renumber = np.cumsum(keep) - 1
+    pair = tuple(
+        replace(prop, blocks=tuple((renumber[b[0]],) + b[1:] for b in prop.blocks if id(b) not in shared))
+        for prop in (prop_full, prop_diag)
+    )
+    return keep, pair
+
+
 def decoupling_error(
     prop_full: SpectralPropagator,
     prop_diag: SpectralPropagator,
@@ -284,13 +356,17 @@ def decoupling_error(
     """Distance between the full and the band-preserving evolution, per time and state.
 
     `states` is a list of k molecular waves on the propagators' grid and
-    `times` a sequence of T times; the result is (T, k).  The states go to
-    each propagator's `apply` as one (N, k) block with the whole row of
-    times, so a family at many times costs one apply per propagator.
-    Without a cutoff each difference is normalized by the scaled second
-    Sobolev norm of its initial state (applied-state proxy for the
-    operator norm on W^{2,eps}).  With a cutoff, the states are first
-    projected onto total energies <= cutoff, once for all times, and each
+    `times` a sequence of T times; the result is (T, k).  On the rows of a
+    triple that both propagators hold, the same object, the two evolutions
+    are the same products and their difference is exactly zero, so those
+    rows are dropped (`_unshared`).  The states' other rows go to each
+    propagator's `apply` as one block with the whole row of times, so a
+    family at many times costs one apply per propagator; when every row is
+    shared, the result is zero and nothing is applied.  Without a cutoff
+    each difference is normalized by the scaled second Sobolev norm of its
+    initial state (applied-state proxy for the operator norm on
+    W^{2,eps}).  With a cutoff, the states are first projected onto total
+    energies <= cutoff on every row, once for all times, and each
     difference is measured relative to the plain L^2 norm of its projected
     state.  A zero state, or one the cutoff annihilates, is refused.
     """
@@ -306,7 +382,10 @@ def decoupling_error(
             raise ValueError("energy cutoff annihilated the state")
     else:
         denom = np.array([sobolev_norm(w, 2) for w in states])
-    d = prop_full.apply(vecs, times) - prop_diag.apply(vecs, times)
+    rows, pair = _unshared(prop_full, prop_diag)
+    if not pair:
+        return np.zeros((len(times), vecs.shape[1]))
+    d = pair[0].apply(vecs[rows], times) - pair[1].apply(vecs[rows], times)
     return l2_norm(d, dx, axis=-2) / denom
 
 

@@ -15,18 +15,41 @@ def fourier_matrix(grid) -> np.ndarray:
     return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n_points)
 
 
+def _block_eigenvectors(V):
+    """A block's eigenvectors on its rows; the frame form (W, parts) lifted as blockdiag(W_i) Z.
+
+    Z holds each part's eigenvectors V on its frame indices idx, the parts
+    side by side in order, zero elsewhere; blockdiag(W_i) is built as a
+    dense matrix.
+    """
+    if not isinstance(V, tuple):
+        return V
+    W, parts = V
+    n, d, _ = W.shape
+    frame = np.zeros((n * d, n * d), dtype=W.dtype)
+    for i in range(n):
+        frame[i * d : (i + 1) * d, i * d : (i + 1) * d] = W[i]
+    Z = np.zeros((n * d, n * d), dtype=np.result_type(W, *(pV for *_, pV in parts)))
+    start = 0
+    for idx, _, pV in parts:
+        Z[idx, start : start + pV.shape[1]] = pV
+        start += pV.shape[1]
+    return frame @ Z
+
+
 def dense_eigenpairs(prop):
     """(w, V): a SpectralPropagator's blocks scattered into dense N x N eigenpairs.
 
-    Each block's eigenvectors go into its rows, zero elsewhere, and the
-    eigenvalues are sorted ascending by a stable sort, the order
-    `np.linalg.eigh` of the dense operator gives.
+    Each block's eigenvectors (`_block_eigenvectors`) go into its rows,
+    zero elsewhere, and the eigenvalues are sorted ascending by a stable
+    sort, the order `np.linalg.eigh` of the dense operator gives.
     """
     N = prop.dim
     w = np.concatenate([bw for _, bw, _ in prop.blocks])
-    V = np.zeros((N, N), dtype=np.result_type(*(bV for *_, bV in prop.blocks)))
+    vectors = [_block_eigenvectors(bV) for *_, bV in prop.blocks]
+    V = np.zeros((N, N), dtype=np.result_type(*vectors))
     start = 0
-    for rows, bw, bV in prop.blocks:
+    for (rows, bw, _), bV in zip(prop.blocks, vectors):
         V[rows, start : start + len(bw)] = bV
         start += len(bw)
     order = np.argsort(w, kind="stable")

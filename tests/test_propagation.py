@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
@@ -280,7 +282,7 @@ def test_apply_rejects_wrong_row_count(setups):
             decoupling_error(prop, pd, [wave, wave], [1.0])
 
 
-def test_decoupling_error_zero_for_commuting_fixture():
+def test_decoupling_error_zero_for_commuting_fixture(monkeypatch):
     # X-independent fibers: [H, P] = 0 and the two evolutions coincide
     grid = make_grid(-8, 8, 64)
     model = get_model("constant_fiber", levels=(0.0, 2.0))
@@ -290,6 +292,19 @@ def test_decoupling_error_zero_for_commuting_fixture():
     pf, pd = diagonalize(H), diagonalize(Hd)
     psi = _gaussian_state(grid, band, 0.1)
     assert decoupling_error(pf, pd, [psi], [1.0]).max() <= 1e-10
+    # the block-built pair shares both blocks of H: the error is exactly zero, of shape (T, k),
+    # and no propagator applies a state; a cutoff that annihilates a state is still refused
+    Hb = assemble_blocks(model, grid, eps=0.1)
+    full = diagonalize_blocks(Hb)
+    diag = diagonalize_band_preserving(Hb, band, full)
+    assert len(diag.blocks) == 2 and all(d is f for d, f in zip(diag.blocks, full.blocks))
+    monkeypatch.setattr(type(full), "apply", None)
+    states = [psi, _gaussian_state(grid, band, 0.1, q0=1.0)]
+    for energy_cutoff in (None, 10.0):
+        err = decoupling_error(full, diag, states, [0.5, 1.0, 2.0], energy_cutoff=energy_cutoff)
+        assert err.shape == (3, 2) and np.all(err == 0.0)
+    with pytest.raises(ValueError, match="energy cutoff annihilated the state"):
+        decoupling_error(full, diag, states, [1.0], energy_cutoff=-1.0)
 
 
 def test_decoupling_error_eigenvector_input(setups):
@@ -462,8 +477,85 @@ def test_full_and_band_preserving_propagators_share_the_blocks_of_h(case):
     for k, ((comp, _), f, d) in enumerate(zip(H.blocks, full.blocks, diag.blocks)):
         assert np.array_equal(every[f[0]], H.rows(comp))
         assert np.array_equal(every[d[0]], every[f[0]]) and type(d[0]) is type(f[0])
-        assert len(d[1]) == len(f[1]) and d[2].shape == f[2].shape
+        assert len(d[1]) == len(f[1]) and f[2].shape == (len(f[1]),) * 2
         assert (d is f) == (k in shared)
+        if d is not f:
+            # the frame form: the block's frame of P, and each part's square eigenvectors on its
+            # frame indices, ran P then ran Q, which cover the block's frame basis once
+            W, parts = d[2]
+            assert W.shape == (grid.n_points, len(comp), len(comp))
+            assert [V.shape for _, _, V in parts] == [(len(idx),) * 2 for idx, _, _ in parts]
+            assert np.array_equal(np.sort(np.concatenate([idx for idx, _, _ in parts])), np.arange(len(d[1])))
+            assert np.array_equal(np.concatenate([w for _, w, _ in parts]), d[1])
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_block_pair_decoupling_error_matches_per_state_formula(case):
+    # the block-built pair, shared triples dropped and split blocks applied in P's frame, against
+    # one state at a time through the dense scattered eigenpairs of both propagators
+    tag, bands, window, gauge, _, shared = SPLIT_CASES[case]
+    grid, band, H, full = _split_setup(tag, bands, window, gauge)
+    diag = diagonalize_band_preserving(H, band, full)
+    rng = np.random.default_rng(5)
+    states = [MolecularWave(grid, rng.standard_normal((grid.n_points, band.fiber_dim))
+                            + 1j * rng.standard_normal((grid.n_points, band.fiber_dim)), eps=0.1) for _ in range(3)]
+    times = (0.5, 0.7, 3.0)
+    cutoff = float(np.median(dense_eigenpairs(full)[0]))
+    for energy_cutoff in (None, cutoff):
+        got = decoupling_error(full, diag, states, times, energy_cutoff=energy_cutoff)
+        want = np.array([[_per_state_error(full, diag, psi, t, energy_cutoff) for psi in states] for t in times])
+        assert got.shape == (len(times), len(states))
+        # H_diag = H on every block of constant_fiber: both sides are exactly zero there
+        assert np.all(want > 1e-5) != (len(shared) == len(H.blocks))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
+    # crossing_trio's pair shares its -X block: without a cutoff no eigenvector of that triple
+    # enters an analysis or a synthesis product; with one, only the cutoff projection reads it
+    from adiband import propagation
+
+    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    diag = diagonalize_band_preserving(H, band, full)
+    shared = [f for f, d in zip(full.blocks, diag.blocks) if f is d]
+    assert len(shared) == 1
+    products = []
+    for name in ("_coefficients", "_synthesize"):
+        def counted(V, block, _product=getattr(propagation, name)):
+            products.append(V)
+            return _product(V, block)
+        monkeypatch.setattr(propagation, name, counted)
+    rng = np.random.default_rng(4)
+    states = [MolecularWave(grid, rng.standard_normal((grid.n_points, 3)) + 0j, eps=0.1) for _ in range(2)]
+    for energy_cutoff, reads in ((None, 0), (float(np.median(shared[0][1])), 2)):
+        products.clear()
+        decoupling_error(full, diag, states, [0.5, 1.0], energy_cutoff=energy_cutoff)
+        assert sum(V is shared[0][2] for V in products) == reads
+        # the full propagator's 2n block, and the ran P and ran Q parts of H_diag's (each once
+        # more for the cutoff projection of the full propagator)
+        assert len(products) == 2 * 3 + 2 * len(full.blocks) * (energy_cutoff is not None)
+
+
+@pytest.fixture(scope="module")
+def trio_diag():
+    """crossing_trio's band-preserving propagator at n = 64: a split block in P's frame and a shared one."""
+    grid = make_grid(-8, 8, 64)
+    band = band_decompose(get_model("crossing_trio"), grid, (0, 1))
+    H = assemble_blocks(band.model, grid, eps=0.1)
+    diag = diagonalize_band_preserving(H, band, diagonalize_blocks(H))
+    assert [isinstance(V, tuple) for *_, V in diag.blocks] == [True, False]
+    return diag
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_band_preserving_propagator_is_a_unitary_group(trio_diag, s, t, seed):
+    # the norm is kept, and U(s) U(t) v = U(s + t) v, for random times and a random complex v
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(trio_diag.dim) + 1j * rng.standard_normal(trio_diag.dim)
+    ut = trio_diag.apply(v, t)
+    assert abs(np.linalg.norm(ut) / np.linalg.norm(v) - 1) <= 1e-12
+    assert np.abs(trio_diag.apply(ut, s) - trio_diag.apply(v, s + t)).max() <= 1e-11 * np.abs(v).max()
 
 
 def test_band_preserving_split_refuses_a_p_that_couples_blocks():
@@ -498,6 +590,13 @@ def test_band_preserving_solve_refuses_another_full_propagator():
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     with pytest.raises(ValueError, match="block-by-block propagator of H"):
         diagonalize_band_preserving(H, band, diagonalize_blocks(assemble_blocks(band.model, grid, eps=0.2)))
+    # the same grid, eps and blocks, but levels (1, 7) for the H of levels (1, 2): both blocks are
+    # shared, and the second one's eigenvalues sum to 5 n more than the trace of H's block
+    grid, band, H, full = _split_setup("constant_fiber", (0,), None, "component")
+    other = diagonalize_blocks(assemble_blocks(get_model("constant_fiber", levels=(1.0, 7.0)), grid, eps=0.1))
+    assert (other.dim, len(other.blocks), other.eps) == (full.dim, len(full.blocks), full.eps)
+    with pytest.raises(ValueError, match="block-by-block propagator of H"):
+        diagonalize_band_preserving(H, band, other)
 
 
 def test_single_block_operators_take_the_dense_solver_unchanged():
@@ -523,8 +622,9 @@ def test_single_block_operators_take_the_dense_solver_unchanged():
 
 
 def test_block_apply_matches_the_dense_oracle():
-    # crossing_trio's full H (blocks 2n, n) and H_diag (the {0, 2} block, lifted from its
-    # ran P and ran Q parts of n, and the shared -X block) against their scattered dense eigenpairs
+    # crossing_trio's full H (blocks 2n, n) and H_diag (the {0, 2} block in P's frame as its ran P
+    # and ran Q parts of n, and the shared -X block) against their dense eigenpairs, in which the
+    # oracle lifts the frame form itself
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     rng = np.random.default_rng(9)
     block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
@@ -543,15 +643,21 @@ def test_block_apply_matches_the_dense_oracle():
 
 
 def test_crossing_trio_pair_stores_only_its_blocks():
-    # eigenvectors are kept on their blocks' rows: 5 n^2 entries for the full H instead of 9 n^2
+    # eigenvectors are kept on their blocks' rows: 5 n^2 entries for the full H instead of 9 n^2.
+    # H_diag keeps its split 2n block in P's frame, as ran P and ran Q eigenvectors of n each and
+    # the (n, 2, 2) frame: 2 n^2 + 4 n entries instead of the 4 n^2 of its lifted eigenvectors,
+    # and its shared n block is the full propagator's triple, stored once
     n = 128
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     diag = diagonalize_band_preserving(H, band, full)
     assert [(len(rows), len(w)) for rows, w, _ in full.blocks] == [(2 * n, 2 * n), (n, n)]
-    for prop in (full, diag):
-        stored = sum(V.nbytes for *_, V in prop.blocks)
-        assert all(V.dtype == np.float64 for *_, V in prop.blocks)
-        assert stored == 8 * sum(len(rows) * len(w) for rows, w, _ in prop.blocks) <= 8 * 5 * n * n
+    assert all(V.dtype == np.float64 for *_, V in full.blocks)
+    assert sum(V.nbytes for *_, V in full.blocks) == 8 * 5 * n * n
+    (_, _, (W, parts)), shared = diag.blocks
+    assert shared is full.blocks[1]
+    arrays = [W] + [V for *_, V in parts]
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert sum(a.nbytes for a in arrays) == 8 * (2 * n * n + 4 * n)
 
 
 def test_validate_checks_each_block(monkeypatch):
