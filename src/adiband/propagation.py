@@ -85,7 +85,7 @@ __all__ = [
 
 
 def _real_times(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R @ Z for real R and a complex (N, k) block Z, as one real product on Z's float64 view."""
+    """R @ Z for real R and a complex block Z, (N, k) or a stack of them, as one real product on Z's float64 view."""
     return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
 
 
@@ -105,11 +105,8 @@ def _synthesize(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _by_fibers(W: np.ndarray, block: np.ndarray) -> np.ndarray:
     """blockdiag(W_i) block for an (n, d, d) stack W and a complex (n d, k) block, fiber by fiber."""
     n, d, _ = W.shape
-    if W.dtype == np.float64:
-        # one real product on the block's float64 view, as in _real_times
-        out = np.matmul(W, np.ascontiguousarray(block).view(np.float64).reshape(n, d, -1))
-        return out.reshape(n * d, -1).view(np.complex128)
-    return np.matmul(W, block.reshape(n, d, -1)).reshape(n * d, -1)
+    fibers = block.reshape(n, d, -1)
+    return (_real_times(W, fibers) if W.dtype == np.float64 else W @ fibers).reshape(n * d, -1)
 
 
 def _map_blocks(blocks, block: np.ndarray, coefficient_map) -> np.ndarray:
