@@ -3,10 +3,12 @@ effective Born-Oppenheimer dynamics of 1-D model molecular systems.
 
 The package discretizes a fibered Hamiltonian
 H = (eps^2/2)(-i d/dX)^2 + H_e(X) on a periodic grid with a small matrix
-fiber, evolves it exactly through dense eigendecompositions, and measures
-how fast band-preserving and effective single-band dynamics converge to
-the full dynamics as eps decreases.  A vector potential enters only the
-effective Born-Oppenheimer Hamiltonian of a band,
+fiber, evolves it exactly (through dense eigendecompositions, and the
+effective Hamiltonian of a band through a matrix-free Chebyshev
+expansion), and measures how fast band-preserving and effective
+single-band dynamics converge to the full dynamics as eps decreases.  A
+vector potential enters only the effective Born-Oppenheimer Hamiltonian
+of a band,
 (eps^2/2)(-i d/dX + A_geo(X))^2 + E(X), as its geometric (Berry)
 connection A_geo.
 
@@ -39,6 +41,7 @@ from .identities import commutator_inverse, commutator_inverse_residual, offdiag
 from .indicators import PhaseSpaceRegion, SmoothIndicator, smooth_indicator
 from .models import ElectronicModel, get_model, list_models
 from .propagation import (
+    ChebyshevPropagator,
     SpectralPropagator,
     decoupling_error,
     diagonalize,

@@ -5,6 +5,21 @@ Matrices act on value vectors; molecular vectors are grid-major, entry
 nuclear kinetic energy is assembled exactly, as the circulant of its
 symbol, so the only approximation anywhere is the spatial discretization.
 
+Both Hamiltonians of the paper have one form, kept as its parts
+(`FiberedOperator`): a Fourier multiplier dressed by a gauge phase, the
+same on every fiber component, plus a fiber stack V(X_i).  The molecular
+H (`molecular_operator`) has no phase and V = H_e; the effective
+Hamiltonian of a band (`bo_operator`) has the phase of its Berry
+connection and V = its clamped band energy.  The dense blocks and the
+O(N log n) matvec both derive from the parts.  The scans solve the
+molecular H from its dense blocks and apply the BO operator by its matvec
+(`propagation.ChebyshevPropagator`): BO matrix-free, molecular H dense,
+for the reasons `propagation` states.  The dense blocks are checked for
+Hermiticity and finiteness on the parts, the n x n kinetic matrix and the
+(n, d, d) fiber stack, and written as their Hermitian part directly: the
+same matrices, and the same refusals, as the check of the assembled
+matrix that `DenseHamiltonian` makes.
+
 The molecular Hamiltonian is stored as its exactly decoupled blocks
 (`assemble_blocks`, a `BlockHamiltonian`).  The kinetic term couples
 every grid point of one fiber component, and H_e(X_i) couples components
@@ -80,6 +95,9 @@ __all__ = [
     "assemble_full",
     "assemble_diag",
     "split_band_preserving",
+    "FiberedOperator",
+    "molecular_operator",
+    "bo_operator",
     "assemble_bo",
     "full_projection",
     "u_matrix",
@@ -98,7 +116,9 @@ class DenseHamiltonian:
     stored matrix is its Hermitian part (M + M^dag) / 2, exactly Hermitian.
     A non-finite entry makes its entry of M - M^dag non-finite (inf - inf
     is nan), so the residual refuses it too.  The residual and then the
-    Hermitian part are formed in one buffer of M's size.
+    Hermitian part are formed in one buffer of M's size.  The blocks of a
+    `FiberedOperator` take the same check on their parts, and are built by
+    `_checked`.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -123,9 +143,50 @@ class DenseHamiltonian:
         S *= 0.5
         object.__setattr__(self, "matrix", S)
 
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, **meta) -> DenseHamiltonian:
+        """A DenseHamiltonian of a matrix whose builder has made this check on its parts and written its Hermitian part."""
+        H = object.__new__(cls)
+        for name, value in dict(matrix=matrix, **meta).items():
+            object.__setattr__(H, name, value)
+        return H
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _absmax(A: np.ndarray) -> float:
+    """The largest modulus of A's entries (nan if one is nan), without an |A| temporary for real data."""
+    return np.abs(A).max() if np.iscomplexobj(A) else max(A.max(), -A.min())
+
+
+def _gauge(grid: Grid1D, a_vals: np.ndarray | None) -> tuple:
+    """(Phi, a_bar) of a vector potential sampled on the grid: Phi = exp(i Theta), Theta' = A - a_bar.
+
+    a_bar is the mean of A.  At zero field (None, or all zeros) Phi is None
+    and a_bar 0.0.
+    """
+    if a_vals is None or not np.any(a_vals):
+        return None, 0.0
+    a_bar = float(a_vals.mean())
+    ft = np.fft.fft(a_vals - a_bar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
+    return np.exp(1j * np.fft.ifft(ft_theta).real), a_bar
+
+
+def _symbol(grid: Grid1D, eps: float, a_bar: float) -> np.ndarray:
+    """The kinetic symbol (eps (k + a_bar))^2 / 2 on the momentum lattice, FFT order."""
+    return (eps * (grid.k + a_bar)) ** 2 / 2
+
+
+def _kinetic(symbol: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """Phi^* C Phi, with C the circulant of the symbol; C itself, real, at zero field (phase None)."""
+    C = fourier_multiplier_matrix(symbol)
+    if phase is None:
+        return C.real.copy()
+    return phase.conj()[:, None] * C * phase[None, :]
 
 
 def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -> np.ndarray:
@@ -144,15 +205,8 @@ def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -
     lattice (the Nyquist mode pairs with itself), so C is real up to
     rounding and is stored as its real part.
     """
-    if a_vals is None or not np.any(a_vals):
-        return fourier_multiplier_matrix((eps * grid.k) ** 2 / 2).real.copy()
-    a_bar = float(a_vals.mean())
-    ft = np.fft.fft(a_vals - a_bar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ft_theta = np.where(grid.k != 0.0, ft / (1j * grid.k), 0.0)
-    phase = np.exp(1j * np.fft.ifft(ft_theta).real)
-    C = fourier_multiplier_matrix((eps * (grid.k + a_bar)) ** 2 / 2)
-    return phase.conj()[:, None] * C * phase[None, :]
+    phase, a_bar = _gauge(grid, a_vals)
+    return _kinetic(_symbol(grid, eps, a_bar), phase)
 
 
 @dataclass(frozen=True)
@@ -182,31 +236,155 @@ class BlockHamiltonian:
         return (np.arange(self.grid.n_points)[:, None] * self.fiber_dim + component).ravel()
 
 
+@dataclass(frozen=True)
+class FiberedOperator:
+    """Phi^* (eps (-i d/dX + a_bar))^2 / 2 Phi (x) 1_m + blockdiag(V(X_i)), kept as its parts.
+
+    The molecular H (`molecular_operator`: zero field, V the fibers
+    H_e(X_i)) and the effective Hamiltonian of a band (`bo_operator`: the
+    gauge phase of its clamped A_geo, V its clamped energy, m = 1) both
+    have this form.  The parts do not depend on eps: the gauge phase Phi
+    (None at zero field, with a_bar 0.0) and the (n, m, m) fiber stack V,
+    float64 when real, built once per model and grid or per band.  At each
+    eps the kinetic term is the Fourier multiplier of the symbol
+    s(k) = (eps (k + a_bar))^2 / 2 dressed by Phi, the same on every fiber
+    component.  Both forms of the operator derive from these parts:
+    `blocks` gives its dense blocks, for the dense solve, and `action` its
+    O(N log n) matvec by FFT, for `propagation.ChebyshevPropagator`, with
+    `spectral_bounds` enclosing its spectrum.
+    """
+
+    grid: Grid1D
+    fibers: np.ndarray = field(repr=False)
+    tag: str
+    phase: np.ndarray | None = field(default=None, repr=False)
+    a_bar: float = 0.0
+
+    @property
+    def fiber_dim(self) -> int:
+        return self.fibers.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.grid.n_points * self.fiber_dim
+
+    def blocks(self, eps: float) -> BlockHamiltonian:
+        """The dense blocks at eps, checked and made Hermitian on the parts.
+
+        The blocks are the connected components of the m x m union over the
+        grid of the fibers' exact-zero pattern (`crossing_trio`: {0, 2} and
+        {1}).  With T the n x n kinetic matrix, the block over the fiber
+        indices c holds T_ij at (i a, j a) for i != j, V_i,ab at (i a, i b)
+        for a != b, the sums T_ii + V_i,aa on its diagonal and zeros
+        elsewhere.  So `DenseHamiltonian`'s check (the residual M - M^dag
+        within 1e-12 of max |M|, non-finite entries refused, with the same
+        values and messages) runs on T off its diagonal, the stack off its
+        fiber diagonals and the (n, d) diagonal sums, and the Hermitian parts
+        of the three are written into the block: the same matrix, without
+        the N x N residual and symmetrization passes.  The block is real
+        when T and V are.
+        """
+        n, m = self.grid.n_points, self.fiber_dim
+        T = _kinetic(_symbol(self.grid, eps, self.a_bar), self.phase)
+        i, a = np.arange(n), np.arange(m)
+        with np.errstate(invalid="ignore"):
+            # the block's diagonal; T and V are then taken off their diagonals
+            D = T[i, i][:, None] + self.fibers[:, a, a]
+            T[i, i] = 0
+            # V + 0.0 rounds -0.0 to 0.0, as adding V into a zero matrix does
+            V = self.fibers + 0.0
+            V[:, a, a] = 0
+            t_herm, t_scale = _absmax(T - T.conj().T), _absmax(T)
+            v_res, d_res, v_abs = V - V.conj().transpose(0, 2, 1), D - D.conj(), np.abs(V)
+            dtype = np.result_type(T, V)
+            T = T + T.conj().T
+            T *= 0.5
+            V = (V + V.conj().transpose(0, 2, 1)).astype(dtype, copy=False)
+            V *= 0.5
+            V[:, a, a] = (D + D.conj()) * 0.5
+        blocks = []
+        for comp in _coupled_components((self.fibers != 0).any(axis=0)):
+            d, cc = len(comp), np.ix_(comp, comp)
+            # np.max, not max: it keeps a nan wherever it is
+            herm = np.max([t_herm, _absmax(v_res[:, cc[0], cc[1]]), _absmax(d_res[:, comp])])
+            if not np.isfinite(herm):
+                raise AssertionError(f"{self.tag}: non-finite entries")
+            scale = np.max([t_scale, v_abs[:, cc[0], cc[1]].max(), _absmax(D[:, comp])])
+            if herm > 1e-12 and herm > 1e-12 * scale:
+                raise AssertionError(f"{self.tag}: non-Hermitian assembly ({herm:.2e})")
+            H = np.zeros((n * d, n * d), dtype=dtype)
+            view = H.reshape(n, d, n, d)
+            for b in range(d):
+                view[:, b, :, b] = T
+            view[i, :, i, :] = V[:, cc[0], cc[1]]
+            blocks.append((comp, DenseHamiltonian._checked(H, eps=eps, tag=self.tag, grid=self.grid, fiber_dim=d)))
+        return BlockHamiltonian(blocks=tuple(blocks), eps=eps, grid=self.grid, fiber_dim=m)
+
+    def action(self, eps: float, shift: float = 0.0, scale: float = 1.0):
+        """The map x -> scale (H - shift) x of complex (N, k) blocks at eps, O(N log n) per column.
+
+        The kinetic term goes by FFT along the grid, Phi^* ifft(s fft(Phi x))
+        on every fiber component, which is the dense Phi^* C Phi, and V by
+        fiber products.  An operator with no phase and real fibers maps the
+        block's float64 view, (N, 2k) interleaved real and imaginary parts,
+        by real FFTs: the symbol is even on the lattice.
+        """
+        n, m = self.grid.n_points, self.fiber_dim
+        s = scale * _symbol(self.grid, eps, self.a_bar)
+        V = scale * (self.fibers - shift * np.eye(m))
+        fiber = (lambda y: V * y) if m == 1 else (lambda y: V @ y)
+        if self.phase is None and V.dtype == np.float64:
+            half = s[: n // 2 + 1, None, None]
+
+            def apply(x):
+                y = np.ascontiguousarray(x).view(np.float64).reshape(n, m, -1)
+                out = np.fft.irfft(half * np.fft.rfft(y, axis=0), n, axis=0)
+                out += fiber(y)
+                return out.reshape(n * m, -1).view(np.complex128)
+
+            return apply
+        full = s[:, None, None]
+        phase = None if self.phase is None else self.phase[:, None, None]
+
+        def apply(x):
+            y = x.reshape(n, m, -1)
+            if phase is None:
+                out = np.fft.ifft(full * np.fft.fft(y, axis=0), axis=0)
+            else:
+                out = phase.conj() * np.fft.ifft(full * np.fft.fft(phase * y, axis=0), axis=0)
+            out += fiber(y)
+            return out.reshape(n * m, -1)
+
+        return apply
+
+    def spectral_bounds(self, eps: float) -> tuple:
+        """(lo, hi) = (min s + min spec V_i, max s + max spec V_i), which enclose the spectrum of H.
+
+        The dressed kinetic term has exactly the symbol's values as its
+        spectrum, and V the fibers' eigenvalues, so Weyl's inequality puts
+        every eigenvalue of their sum in [lo, hi].
+        """
+        s = _symbol(self.grid, eps, self.a_bar)
+        lam = np.linalg.eigvalsh(self.fibers)
+        return float(s.min() + lam.min()), float(s.max() + lam.max())
+
+
+def molecular_operator(model: ElectronicModel, grid: Grid1D) -> FiberedOperator:
+    """The molecular H as its parts: no field, and V the fibers H_e(X_i), real when all have zero imaginary part."""
+    fibers = model.h_batch(grid.x)
+    if not np.any(fibers.imag):
+        fibers = np.ascontiguousarray(fibers.real)
+    return FiberedOperator(grid=grid, fibers=fibers, tag="full")
+
+
 def assemble_blocks(model: ElectronicModel, grid: Grid1D, eps: float) -> BlockHamiltonian:
     """Molecular Hamiltonian, kinetic term tensor identity plus fiberwise H_e(X_i), by blocks.
 
-    The blocks are the connected components of the m x m union over the grid
-    of the fibers' exact-zero pattern (`crossing_trio`: {0, 2} and {1}), and
-    each block's matrix is built directly on its rows; no N x N matrix is
-    formed.  The kinetic term is real; H is stored real when every H_e(X_i)
-    has zero imaginary part.
+    `molecular_operator(model, grid).blocks(eps)`: each block is built
+    directly on its rows, and no N x N matrix is formed.  The kinetic term
+    is real; H is stored real when every H_e(X_i) has zero imaginary part.
     """
-    n, m = grid.n_points, model.fiber_dim
-    T = kinetic_matrix(grid, eps)
-    fibers = model.h_batch(grid.x)
-    if not np.any(fibers.imag):
-        fibers = fibers.real
-    diag = np.arange(n)
-    blocks = []
-    for comp in _coupled_components((fibers != 0).any(axis=0)):
-        d = len(comp)
-        H = np.zeros((n * d, n * d), dtype=fibers.dtype)
-        view = H.reshape(n, d, n, d)
-        for a in range(d):
-            view[:, a, :, a] = T
-        view[diag, :, diag, :] += fibers[:, comp[:, None], comp]
-        blocks.append((comp, DenseHamiltonian(matrix=H, eps=eps, tag="full", grid=grid, fiber_dim=d)))
-    return BlockHamiltonian(blocks=tuple(blocks), eps=eps, grid=grid, fiber_dim=m)
+    return molecular_operator(model, grid).blocks(eps)
 
 
 def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHamiltonian:
@@ -362,21 +540,20 @@ def clamp_field(
     return out
 
 
-def assemble_bo(
+def bo_operator(
     band: BandData,
-    eps: float,
     include_a_geo: bool = True,
     delta: float = 0.5,
     berry: np.ndarray | None = None,
-) -> DenseHamiltonian:
-    """Effective nuclear Hamiltonian of the tracked band.
+) -> FiberedOperator:
+    """Effective nuclear Hamiltonian of the tracked band, as its parts.
 
-    (eps*(-i d/dX) + eps*A_geo)^2 / 2 + E(X): `kinetic_matrix` of the
-    geometric vector potential A_geo, with the band energy and A_geo clamped
-    outside the window shrunk by delta/5.  `berry` overrides the connection
-    samples (used by gauge-covariance checks); with include_a_geo=False the
-    connection is dropped entirely.  Stored real when A_geo is zero on the
-    grid.
+    (eps*(-i d/dX) + eps*A_geo)^2 / 2 + E(X): the gauge phase of the
+    geometric vector potential A_geo (`kinetic_matrix`), and the band
+    energy as a 1 x 1 fiber stack, both clamped outside the window shrunk
+    by delta/5.  `berry` overrides the connection samples (used by
+    gauge-covariance checks); with include_a_geo=False the connection is
+    dropped entirely.  Real (no phase) when A_geo is zero on the grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")
@@ -387,8 +564,25 @@ def assemble_bo(
         if berry is None:
             berry = berry_connection(band)
         a_vals = clamp_field(berry, grid, band.window, delta / 5)
-    H = kinetic_matrix(grid, eps, a_vals) + np.diag(E_ext)
-    return DenseHamiltonian(matrix=H, eps=eps, tag="bo", grid=grid, fiber_dim=1)
+    phase, a_bar = _gauge(grid, a_vals)
+    return FiberedOperator(grid=grid, fibers=E_ext[:, None, None], tag="bo", phase=phase, a_bar=a_bar)
+
+
+def assemble_bo(
+    band: BandData,
+    eps: float,
+    include_a_geo: bool = True,
+    delta: float = 0.5,
+    berry: np.ndarray | None = None,
+) -> DenseHamiltonian:
+    """The effective Hamiltonian of `bo_operator` at eps, dense: its one block.
+
+    Stored real when A_geo is zero on the grid.  The scans apply the BO
+    propagator matrix-free (`propagation.ChebyshevPropagator`); this dense
+    form is the tests' oracle of it.
+    """
+    ((_, H),) = bo_operator(band, include_a_geo, delta, berry).blocks(eps).blocks
+    return H
 
 
 def full_projection(band: BandData) -> np.ndarray:

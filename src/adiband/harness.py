@@ -28,11 +28,12 @@ import numpy as np
 
 from .electronic import BandData, ContourSpec, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
-from .hamiltonians import assemble_blocks, assemble_bo, assemble_full, u_map, u_star_map
+from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
 from .models import ElectronicModel, get_model
 from .propagation import (
+    ChebyshevPropagator,
     SpectralPropagator,
     decoupling_error,
     diagonalize,
@@ -374,30 +375,44 @@ def load_result(path) -> ScanResult:
 
 
 class PropagatorCache:
-    """Memoizes eigendecompositions keyed by what their builders use.
+    """Memoizes propagators keyed by what their builders use.
 
     A key holds the kind, the model's tag and parameters, the grid's bounds
     and size, eps and, where a band enters, its indices and window; a `bo`
     key also holds the `include_a_geo` and `delta` values passed to
-    `assemble_bo` and the bytes of the band's gauged frame chi (n m complex
+    `bo_operator` and the bytes of the band's gauged frame chi (n m complex
     values, small next to the propagator), so a band in another gauge
     (`with_gauge_shift`, or band_decompose's `gauge`) gets an entry of its
     own.  Every key is read from the objects the builder is given,
     so two models or grids passed under one cfg never share an entry; the
     `cfg` argument supplies only `bo`'s two values.
 
-    The full propagator and the band-preserving one of an eps are built
-    from one block-stored H (`assemble_blocks`): `decoupling_pair` assembles
-    it on its first miss and drops it when it returns, so no assembled H
-    outlives the call that builds from it.  The band-preserving propagator
-    holds the full one's triple wherever P is 0 or 1 on a whole block of H,
-    so the full propagator of the same eps is built (or found) first.
-    `full` builds the full propagator alone, and `diag` is the
-    band-preserving half of `decoupling_pair`.
+    The molecular H is solved dense, and the Born-Oppenheimer H is applied
+    matrix-free:
+    - The parts of the molecular H (`hamiltonians.molecular_operator`, its
+      fiber stack H_e(X_i)) are built once per model and grid and kept
+      beside the propagators.  The full propagator and the band-preserving
+      one of an eps are built from one block-stored H derived from them:
+      `decoupling_pair` forms it on its first miss and drops it when it
+      returns, so no assembled H outlives the call that builds from it.
+      The band-preserving propagator holds the full one's triple wherever
+      P is 0 or 1 on a whole block of H, so the full propagator of the
+      same eps is built (or found) first.  `full` builds the full
+      propagator alone, and `diag` is the band-preserving half of
+      `decoupling_pair`.
+    - `bo` is always a `ChebyshevPropagator` on the band's `bo_operator`:
+      no BO matrix is formed and none is solved.  Its matvec is two FFTs
+      of the grid, and its cost grows with t/eps instead of n^3.
+    The rule, BO matrix-free and molecular H dense, and its reasons are
+    stated in `propagation`: the dense blocks are cheaper on the decoupling
+    pair, and the benchmark's 1e-10 gate on the effective errors is the
+    float64 floor of its eps = 0.025 point, to be restated by a derivation
+    before the full H moves.
     """
 
     def __init__(self):
         self._store = {}
+        self._operators = {}
 
     @staticmethod
     def _system_key(model: ElectronicModel, grid: Grid1D):
@@ -409,30 +424,37 @@ class PropagatorCache:
     def _diag_key(self, model, grid, band, eps):
         return ("diag", self._system_key(model, grid), band.band_indices, band.window, eps)
 
+    def _blocks(self, model, grid, eps):
+        """The block-stored molecular H at eps, from the parts kept for the model and grid."""
+        key = self._system_key(model, grid)
+        if key not in self._operators:
+            self._operators[key] = molecular_operator(model, grid)
+        return self._operators[key].blocks(eps)
+
     def get(self, key, builder):
         if key not in self._store:
             self._store[key] = builder()
         return self._store[key]
 
     def full(self, cfg, model, grid, eps) -> SpectralPropagator:
-        return self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(assemble_blocks(model, grid, eps)))
+        return self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(self._blocks(model, grid, eps)))
 
     def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
         return self.decoupling_pair(cfg, model, grid, band, eps)[1]
 
     def decoupling_pair(self, cfg, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
         """(full, band-preserving) propagators at eps, from at most one block-stored H."""
-        H = functools.cache(lambda: assemble_blocks(model, grid, eps))
+        H = functools.cache(lambda: self._blocks(model, grid, eps))
         full = self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(H()))
         diag = self.get(self._diag_key(model, grid, band, eps), lambda: diagonalize_band_preserving(H(), band, full))
         return full, diag
 
-    def bo(self, cfg, band, eps) -> SpectralPropagator:
+    def bo(self, cfg, band, eps) -> ChebyshevPropagator:
         key = ("bo", self._system_key(band.model, band.grid), band.band_indices, band.window, eps,
                cfg.include_a_geo, cfg.delta, None if band.chi is None else band.chi.tobytes())
         return self.get(
             key,
-            lambda: diagonalize(assemble_bo(band, eps, include_a_geo=cfg.include_a_geo, delta=cfg.delta)),
+            lambda: ChebyshevPropagator(bo_operator(band, include_a_geo=cfg.include_a_geo, delta=cfg.delta), eps),
         )
 
 

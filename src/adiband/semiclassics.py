@@ -30,7 +30,7 @@ from .electronic import BandData
 from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm
 from .hamiltonians import clamp_field, u_map, u_star_map
 from .indicators import PhaseSpaceRegion, SmoothIndicator, interval_indicator, smooth_indicator
-from .propagation import SpectralPropagator, _time_row
+from .propagation import ChebyshevPropagator, SpectralPropagator, _time_row
 
 __all__ = [
     "Symbol",
@@ -421,7 +421,7 @@ def write_wigner_csv(wd: WignerData, path, grid_label: str = "", t: float | None
 
 
 def egorov_residual(
-    prop: SpectralPropagator,
+    prop: SpectralPropagator | ChebyshevPropagator,
     symbols,
     psi0: NuclearWave | MolecularWave,
     rho: ClassicalDensity,
@@ -453,7 +453,7 @@ def egorov_residual(
 
 
 def boundary_leakage(
-    prop_bo: SpectralPropagator,
+    prop_bo: SpectralPropagator | ChebyshevPropagator,
     window: tuple,
     delta: float,
     region: PhaseSpaceRegion,

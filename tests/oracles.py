@@ -1,8 +1,8 @@
 """Reference constructions that the tests compare the package against.
 
-They build by the textbook formula or by SciPy, not by the package's fast
-path, and nothing in the package calls them.  SciPy is a test dependency
-only: the package itself imports numpy alone.
+They build by the textbook formula, by SciPy or by a second method, not by
+the package's fast path, and nothing in the package calls them.  SciPy is
+a test dependency only: the package itself imports numpy alone.
 """
 
 import numpy as np
@@ -118,6 +118,58 @@ def kron_hamiltonian(model, grid, eps) -> np.ndarray:
     H = np.kron(T, np.eye(m)).astype(fibers.dtype)
     H.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :] += fibers
     return (H + H.conj().T) / 2
+
+
+def assembled_blocks(model, grid, eps) -> list:
+    """The blocks of H as an assembly into zeros leaves them, each checked by `DenseHamiltonian` itself.
+
+    Each block's matrix is T on every fiber component plus the fibers on
+    the grid diagonal, and `DenseHamiltonian` checks it and stores its
+    Hermitian part (M + M^dag) / 2, on the full matrix.
+    """
+    from adiband.electronic import _coupled_components
+    from adiband.hamiltonians import DenseHamiltonian, kinetic_matrix
+
+    n = grid.n_points
+    T = kinetic_matrix(grid, eps)
+    fibers = model.h_batch(grid.x)
+    if not np.any(fibers.imag):
+        fibers = fibers.real
+    blocks = []
+    for comp in _coupled_components((fibers != 0).any(axis=0)):
+        d = len(comp)
+        M = np.zeros((n * d, n * d), dtype=fibers.dtype)
+        view = M.reshape(n, d, n, d)
+        for a in range(d):
+            view[:, a, :, a] = T
+        view[np.arange(n), :, np.arange(n), :] += fibers[:, comp[:, None], comp]
+        blocks.append((comp, DenseHamiltonian(matrix=M, eps=eps, tag="full", grid=grid, fiber_dim=d)))
+    return blocks
+
+
+def assembled_bo(band, eps, include_a_geo=True, delta=0.5):
+    """The dense BO operator as kinetic_matrix(A_geo) + diag(E), checked by `DenseHamiltonian` itself."""
+    from adiband.electronic import berry_connection
+    from adiband.hamiltonians import DenseHamiltonian, clamp_field, kinetic_matrix
+
+    grid = band.grid
+    E = clamp_field(band.band_energy, grid, band.window, delta / 5)
+    a_vals = clamp_field(berry_connection(band), grid, band.window, delta / 5) if include_a_geo else None
+    M = kinetic_matrix(grid, eps, a_vals) + np.diag(E)
+    return DenseHamiltonian(matrix=M, eps=eps, tag="bo", grid=grid, fiber_dim=1)
+
+
+def full_chebyshev(model, grid, eps):
+    """The full molecular propagator, matrix-free: a Chebyshev expansion on `molecular_operator`'s parts.
+
+    A second oracle of the dense block solve, independent of it: no matrix
+    is formed and no eigenproblem solved.  The scans keep the molecular H
+    dense; only tests build this.
+    """
+    from adiband.hamiltonians import molecular_operator
+    from adiband.propagation import ChebyshevPropagator
+
+    return ChebyshevPropagator(molecular_operator(model, grid), eps)
 
 
 def wigner_values(wave) -> np.ndarray:

@@ -21,7 +21,7 @@ from adiband.hamiltonians import (
 )
 from adiband.models import MODEL_TAGS, ElectronicModel, get_model
 from adiband.propagation import diagonalize
-from oracles import dense_eigenpairs, fourier_matrix, kron_hamiltonian
+from oracles import assembled_blocks, assembled_bo, dense_eigenpairs, fourier_matrix, kron_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,48 @@ def test_non_finite_fiber_refused(entries):
     model = ElectronicModel(tag="bad", fiber_dim=2, params={}, _h=lambda X: bad, _dh=lambda X: 0 * bad)
     with pytest.raises(AssertionError, match="non-finite entries"):
         assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
+
+
+@pytest.mark.parametrize("tag", ["rotated_pair", "crossing_trio", "two_band_complex"])
+def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
+    # the parts check writes the Hermitian part the full-matrix check stores, entry for entry
+    grid = make_grid(-6.4, 6.4, 128)
+    model = get_model(tag)
+    for eps in (0.2, 0.025):
+        got, want = assemble_blocks(model, grid, eps).blocks, assembled_blocks(model, grid, eps)
+        assert [list(c) for c, _ in got] == [list(c) for c, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
+            assert (a.tag, a.eps, a.fiber_dim, a.grid) == (b.tag, b.eps, b.fiber_dim, b.grid)
+        band = band_decompose(model, grid, 0, window=(-2, 2) if tag == "rotated_pair" else None)
+        for include_a_geo in (True, False):
+            a, b = assemble_bo(band, eps, include_a_geo, delta=0.4), assembled_bo(band, eps, include_a_geo, delta=0.4)
+            assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("skew", [1e-6, 3e-11, 1e-11, 2e-12])
+@pytest.mark.parametrize("shape", ["pair", "trio", "complex-diagonal"])
+def test_parts_check_refuses_as_the_full_check_does(skew, shape):
+    # near the 1e-12 relative bound, on either side of it: the same refusals, with the same
+    # residual in the message, or the same matrices; a block's scale is its own (trio: {0, 2} and {1})
+    fiber = {
+        "pair": np.array([[0.0, skew], [0.0, 1.0]]),
+        "trio": np.array([[10.0, 0.0, skew], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+        "complex-diagonal": np.array([[1.0 + 1j * skew, 0.2], [0.2, 1.0]]),
+    }[shape]
+    model = ElectronicModel(tag="x", fiber_dim=len(fiber), params={},
+                            _h=lambda X: fiber * (1 + 0.1 * np.sin(X)), _dh=lambda X: 0 * fiber)
+    grid = make_grid(-4, 4, 32)
+    for eps in (0.1, 30.0):
+        try:
+            want = assembled_blocks(model, grid, eps)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError) as got:
+                assemble_blocks(model, grid, eps)
+            assert str(got.value) == str(exc)
+        else:
+            for (_, a), (_, b) in zip(assemble_blocks(model, grid, eps).blocks, want, strict=True):
+                assert np.array_equal(a.matrix, b.matrix)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

@@ -258,12 +258,13 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     # operator is formed; diagonalize solves the two blocks of H, then the ran P and
     # ran Q parts (128 each) of the {0, 2} block of H_diag in the fiber frame; the -X
     # block of H_diag is H's, solved once.  Blocks are found only on m x m fiber
-    # patterns, never by an N x N exact-zero scan
+    # patterns, never by an N x N exact-zero scan.  The parts of H (its fiber stack)
+    # are built once for the scan, and each eps's blocks derive from them
     from adiband import electronic, hamiltonians, harness, propagation
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
-    calls = {"assemble_blocks": 0, "assemble_full": 0, "assemble_diag": 0}
+    calls = {"molecular_operator": 0, "blocks": 0, "assemble_full": 0, "assemble_diag": 0}
     dims, formed, blocks, patterns, real_eigh = [], [], [], [], np.linalg.eigh
 
     def components(pattern):
@@ -289,22 +290,29 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
         formed.append(H.dim)
         real_check(H)
 
+    def checked_by_parts(matrix, **meta):
+        formed.append(len(matrix))
+        return real_checked(matrix, **meta)
+
     real_diagonalize = propagation.diagonalize
     real_check = hamiltonians.DenseHamiltonian.__post_init__
+    real_checked = hamiltonians.DenseHamiltonian._checked
     real_components = electronic._coupled_components
     monkeypatch.setattr(electronic, "_coupled_components", components)
     monkeypatch.setattr(hamiltonians, "_coupled_components", components)
-    monkeypatch.setattr(harness, "assemble_blocks", counted("assemble_blocks", harness.assemble_blocks))
+    monkeypatch.setattr(harness, "molecular_operator", counted("molecular_operator", harness.molecular_operator))
+    monkeypatch.setattr(hamiltonians.FiberedOperator, "blocks", counted("blocks", hamiltonians.FiberedOperator.blocks))
     monkeypatch.setattr(harness, "assemble_full", counted("assemble_full", harness.assemble_full))
     monkeypatch.setattr(hamiltonians, "assemble_full", counted("assemble_full", hamiltonians.assemble_full))
     monkeypatch.setattr(hamiltonians, "assemble_diag", counted("assemble_diag", hamiltonians.assemble_diag))
     monkeypatch.setattr(harness, "diagonalize", diagonalize)
     monkeypatch.setattr(propagation, "diagonalize", diagonalize)
     monkeypatch.setattr(hamiltonians.DenseHamiltonian, "__post_init__", checked)
+    monkeypatch.setattr(hamiltonians.DenseHamiltonian, "_checked", checked_by_parts)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
-    assert calls == {"assemble_blocks": 3, "assemble_full": 0, "assemble_diag": 0}
+    assert calls == {"molecular_operator": 1, "blocks": 3, "assemble_full": 0, "assemble_diag": 0}
     # every operator formed is one block: H's two, then the two parts of H_diag's {0, 2} block
     assert formed == [256, 128, 128, 128] * 3
     assert dims == [256, 128, 128, 128] * 3
@@ -550,7 +558,12 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
         for model, band in zip(models, bands)
     ]
     for a, b in zip(*built):
-        assert a is not b and not np.array_equal(dense_eigenpairs(a)[0], dense_eigenpairs(b)[0])
+        assert a is not b
+    for a, b in zip(built[0][:4], built[1][:4]):
+        assert not np.array_equal(dense_eigenpairs(a)[0], dense_eigenpairs(b)[0])
+    # the BO propagators are matrix-free: their evolutions differ
+    v = np.exp(-grid.x**2) + 0j
+    assert not np.allclose(built[0][4].apply(v, 1.0), built[1][4].apply(v, 1.0))
     # the same objects hit: full and the pair's full share an entry, and so do diag and the pair's diag
     for props in built:
         assert props[0] is props[1] and props[2] is props[3]
@@ -574,10 +587,12 @@ def test_bo_cache_entries_are_keyed_by_the_gauge():
     cache = PropagatorCache()
     plain, moved = cache.bo(cfg, band, 0.1), cache.bo(cfg, shifted, 0.1)
     assert plain is not moved and len(cache._store) == 2
-    want = dense_eigenpairs(diagonalize(assemble_bo(shifted, 0.1, include_a_geo=cfg.include_a_geo, delta=cfg.delta)))
-    got = dense_eigenpairs(moved)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert not np.allclose(got[1], dense_eigenpairs(plain)[1])
+    # the shifted entry evolves as the dense oracle of the shifted band's BO operator
+    v = np.exp(-grid.x**2) * np.exp(0.5j * grid.x)
+    want = diagonalize(assemble_bo(shifted, 0.1, include_a_geo=cfg.include_a_geo, delta=cfg.delta)).apply(v, [0.5, 1.0])
+    got = moved.apply(v, [0.5, 1.0])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not np.allclose(got, plain.apply(v, [0.5, 1.0]))
     # the same gauge hits its entry
     assert cache.bo(cfg, band, 0.1) is plain and len(cache._store) == 2
 

@@ -512,7 +512,8 @@ def test_block_pair_decoupling_error_matches_per_state_formula(case):
 
 def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
     # crossing_trio's pair shares its -X block: without a cutoff no eigenvector of that triple
-    # enters an analysis or a synthesis product; with one, only the cutoff projection reads it
+    # enters an analysis or a synthesis product; with one, its rows enter only the denominator,
+    # as the norm of the kept coefficients: one analysis product reads it, and no synthesis
     from adiband import propagation
 
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
@@ -527,13 +528,13 @@ def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
         monkeypatch.setattr(propagation, name, counted)
     rng = np.random.default_rng(4)
     states = [MolecularWave(grid, rng.standard_normal((grid.n_points, 3)) + 0j, eps=0.1) for _ in range(2)]
-    for energy_cutoff, reads in ((None, 0), (float(np.median(shared[0][1])), 2)):
+    for energy_cutoff, reads in ((None, 0), (float(np.median(shared[0][1])), 1)):
         products.clear()
         decoupling_error(full, diag, states, [0.5, 1.0], energy_cutoff=energy_cutoff)
         assert sum(V is shared[0][2] for V in products) == reads
-        # the full propagator's 2n block, and the ran P and ran Q parts of H_diag's (each once
-        # more for the cutoff projection of the full propagator)
-        assert len(products) == 2 * 3 + 2 * len(full.blocks) * (energy_cutoff is not None)
+        # the full propagator's 2n block, and the ran P and ran Q parts of H_diag's; with the
+        # cutoff, the projection of the 2n block and the analysis of the shared block
+        assert len(products) == 2 * 3 + 3 * (energy_cutoff is not None)
 
 
 @pytest.fixture(scope="module")
