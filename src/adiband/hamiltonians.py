@@ -245,13 +245,14 @@ class FiberedOperator:
     gauge phase of its clamped A_geo, V its clamped energy, m = 1) both
     have this form.  The parts do not depend on eps: the gauge phase Phi
     (None at zero field, with a_bar 0.0) and the (n, m, m) fiber stack V,
-    float64 when real, built once per model and grid or per band.  At each
-    eps the kinetic term is the Fourier multiplier of the symbol
-    s(k) = (eps (k + a_bar))^2 / 2 dressed by Phi, the same on every fiber
-    component.  Both forms of the operator derive from these parts:
-    `blocks` gives its dense blocks, for the dense solve, and `action` its
-    O(N log n) matvec by FFT, for `propagation.ChebyshevPropagator`, with
-    `spectral_bounds` enclosing its spectrum.
+    float64 when real; the scans build the molecular H's once per model
+    and grid (`harness.PropagatorCache`).  At each eps the kinetic term is
+    the Fourier multiplier of the symbol s(k) = (eps (k + a_bar))^2 / 2
+    dressed by Phi, the same on every fiber component.  Both forms of the
+    operator derive from these parts: `blocks` gives its dense blocks, for
+    the dense solve, and `action` its O(N log n) matvec by FFT, for
+    `propagation.ChebyshevPropagator`, with `spectral_bounds` enclosing its
+    spectrum.
     """
 
     grid: Grid1D
@@ -325,34 +326,21 @@ class FiberedOperator:
 
         The kinetic term goes by FFT along the grid, Phi^* ifft(s fft(Phi x))
         on every fiber component, which is the dense Phi^* C Phi, and V by
-        fiber products.  An operator with no phase and real fibers maps the
-        block's float64 view, (N, 2k) interleaved real and imaginary parts,
-        by real FFTs: the symbol is even on the lattice.
+        fiber products.  (Real FFTs on the float64 view of a real operator's
+        input measured no faster at n = 512.)
         """
         n, m = self.grid.n_points, self.fiber_dim
-        s = scale * _symbol(self.grid, eps, self.a_bar)
+        s = scale * _symbol(self.grid, eps, self.a_bar)[:, None, None]
         V = scale * (self.fibers - shift * np.eye(m))
-        fiber = (lambda y: V * y) if m == 1 else (lambda y: V @ y)
-        if self.phase is None and V.dtype == np.float64:
-            half = s[: n // 2 + 1, None, None]
-
-            def apply(x):
-                y = np.ascontiguousarray(x).view(np.float64).reshape(n, m, -1)
-                out = np.fft.irfft(half * np.fft.rfft(y, axis=0), n, axis=0)
-                out += fiber(y)
-                return out.reshape(n * m, -1).view(np.complex128)
-
-            return apply
-        full = s[:, None, None]
         phase = None if self.phase is None else self.phase[:, None, None]
 
         def apply(x):
             y = x.reshape(n, m, -1)
             if phase is None:
-                out = np.fft.ifft(full * np.fft.fft(y, axis=0), axis=0)
+                out = np.fft.ifft(s * np.fft.fft(y, axis=0), axis=0)
             else:
-                out = phase.conj() * np.fft.ifft(full * np.fft.fft(phase * y, axis=0), axis=0)
-            out += fiber(y)
+                out = phase.conj() * np.fft.ifft(s * np.fft.fft(phase * y, axis=0), axis=0)
+            out += V * y if m == 1 else V @ y
             return out.reshape(n * m, -1)
 
         return apply

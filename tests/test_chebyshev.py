@@ -98,7 +98,7 @@ def test_action_and_bounds_match_the_dense_blocks(kind):
         w = np.linalg.eigvalsh(H.matrix)
         lo, hi = op.spectral_bounds(0.1)
         assert lo <= w[0] + 1e-12 and w[-1] <= hi + 1e-12
-    # the real operator runs real FFTs on the float64 view; the complex one keeps its gauge phase
+    # the real band's BO operator has no gauge phase; the complex one's carries its Berry connection
     assert (bo_operator(band).phase is None) == (kind == "real")
 
 
