@@ -145,7 +145,7 @@ class DenseHamiltonian:
 
     @classmethod
     def _checked(cls, matrix: np.ndarray, **meta) -> DenseHamiltonian:
-        """A DenseHamiltonian of a matrix whose builder has made this check on its parts and written its Hermitian part."""
+        """A DenseHamiltonian of a matrix already given this check on its parts and written as its Hermitian part."""
         H = object.__new__(cls)
         for name, value in dict(matrix=matrix, **meta).items():
             object.__setattr__(H, name, value)
