@@ -17,7 +17,6 @@ numpy is the only runtime dependency; SciPy serves the tests as an oracle.
 
 from .electronic import (
     BandData,
-    ContourSpec,
     GapReport,
     band_decompose,
     berry_connection,

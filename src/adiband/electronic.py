@@ -28,6 +28,14 @@ connected component of the stack's exact-zero pattern at a time
 (`_coupled_components`).  The package finds blocks from exact-zero
 patterns only on m x m fibers, here and in `hamiltonians.assemble_blocks`,
 never on an N x N operator.
+
+The resolvent projections integrate by the trapezoid rule on a circle
+with `_CONTOUR_NODES` = 128 nodes, spectrally accurate for the analytic
+integrand; `resolvent_quadrature` is the one quadrature, shared by
+`riesz_projection` and `identities.commutator_inverse`.
+`riesz_projection` refuses a circle that passes closer to an eigenvalue
+than `_MIN_CLEARANCE` (1e-6) times its radius, and band tracking continues
+inside an eigenspace whose levels agree to `_DEG_TOL` (1e-8) relative.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .models import ElectronicModel
 __all__ = [
     "BandData",
     "GapReport",
-    "ContourSpec",
     "band_decompose",
     "gap_check",
     "berry_connection",
@@ -54,6 +61,9 @@ __all__ = [
 ]
 
 _FD8_WEIGHTS = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+_CONTOUR_NODES = 128
+_MIN_CLEARANCE = 1e-6
+_DEG_TOL = 1e-8
 
 
 def fd_derivative(samples: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -154,14 +164,19 @@ class BandData:
             proj=self.proj, band_energy=self.band_energy, chi=chi, ref_component=self.ref_component,
         )
 
-    def chi_clamped(self, shrink: float) -> np.ndarray:
-        """chi extended outside (window shrunk by `shrink`) by boundary values."""
+    def chi_clamped(self, delta: float) -> np.ndarray:
+        """chi extended outside the window shrunk by delta/2 by its boundary values.
+
+        The one home of the frame's extension policy: U, U* and every lift
+        onto the band frame read the frame through this method.
+        """
         if self.chi is None:
             raise ValueError("no gauged eigenvector field on this band data")
         if self.window is None:
             return self.chi.copy()
         a, b = self.window
         x = self.grid.x
+        shrink = delta / 2
         ia = int(np.searchsorted(x, a + shrink))
         ib = int(np.searchsorted(x, b - shrink)) - 1
         out = self.chi.copy()
@@ -170,8 +185,12 @@ class BandData:
         return out
 
 
-def _track_band(evals, evecs, start_band, anchor, deg_tol=1e-8):
-    """Follow one band outward from the anchor by maximal-overlap continuation."""
+def _track_band(evals, evecs, start_band, anchor):
+    """Follow one band outward from the anchor by maximal-overlap continuation.
+
+    Levels within `_DEG_TOL` relative of the best-overlap level count as
+    degenerate with it.
+    """
     n, m, _ = evecs.shape
     chi = np.zeros((n, m), dtype=complex)
     energy = np.zeros(n)
@@ -183,7 +202,7 @@ def _track_band(evals, evecs, start_band, anchor, deg_tol=1e-8):
         overlaps = np.abs(v.conj().T @ prev)
         j = int(np.argmax(overlaps))
         # at a near-degeneracy, continue inside the degenerate eigenspace
-        deg = np.nonzero(np.abs(evals[i] - evals[i, j]) < deg_tol * max(1.0, abs(evals[i, j])))[0]
+        deg = np.nonzero(np.abs(evals[i] - evals[i, j]) < _DEG_TOL * max(1.0, abs(evals[i, j])))[0]
         if len(deg) > 1:
             sub = v[:, deg]
             cand = sub @ (sub.conj().T @ prev)
@@ -267,11 +286,8 @@ def band_decompose(
     if max(band_indices) >= m:
         raise ValueError(f"band indices {band_indices} out of range for fiber dim {m}")
 
-    fibers = model.h_batch(grid.x)
-    if not np.any(fibers.imag):
-        # real data: the real solver returns frames with exactly zero imaginary part
-        fibers = fibers.real
-    evals, evecs = eigh_by_blocks(fibers)
+    # h_batch returns real fibers as a real stack: the real solver gives frames with zero imaginary part
+    evals, evecs = eigh_by_blocks(model.h_batch(grid.x))
     evecs = evecs.astype(complex, copy=False)
 
     if window is None:
@@ -372,56 +388,33 @@ def berry_connection(band: BandData) -> np.ndarray:
     return pairing.imag
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle |lambda - center| = radius around the selected spectrum.
-
-    Quadrature is the trapezoid rule on the circle, spectrally accurate for
-    the analytic resolvent integrand.
-    """
-
-    center: float
-    radius: float
-    nodes: int = 128
-
-    def __post_init__(self):
-        if self.nodes < 64:
-            raise ValueError("contour quadrature needs at least 64 nodes")
-
-
-def resolvent_quadrature(H: np.ndarray, center: float, radius: float, nodes: int, integrand) -> np.ndarray:
-    """Trapezoid rule on `nodes` points for -(1/2 pi i) oint integrand(R) dlambda,
+def resolvent_quadrature(H: np.ndarray, center: float, radius: float, integrand) -> np.ndarray:
+    """Trapezoid rule on `_CONTOUR_NODES` points for -(1/2 pi i) oint integrand(R) dlambda,
     R = (H - lambda)^-1, counterclockwise on |lambda - center| = radius."""
     m = H.shape[0]
     out = np.zeros((m, m), dtype=complex)
-    for th in 2 * np.pi * np.arange(nodes) / nodes:
+    for th in 2 * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES:
         lam = center + radius * np.exp(1j * th)
         out -= np.exp(1j * th) * integrand(np.linalg.inv(H - lam * np.eye(m)))
-    return out * (radius / nodes)
+    return out * (radius / _CONTOUR_NODES)
 
 
-def riesz_projection(
-    model: ElectronicModel,
-    X: float,
-    contour: ContourSpec,
-    min_clearance: float | None = None,
-) -> np.ndarray:
-    """Spectral projection by resolvent quadrature around the contour.
+def riesz_projection(model: ElectronicModel, X: float, center: float, radius: float) -> np.ndarray:
+    """Spectral projection of H_e(X) by resolvent quadrature on |lambda - center| = radius.
 
-    errors: raises if any eigenvalue sits within `min_clearance` of the
-    contour circle (default: 1e-6 of the radius).
+    errors: raises if any eigenvalue sits closer to the circle than
+    `_MIN_CLEARANCE` times its radius.
     """
     H = model.h(X)
-    c, r = contour.center, contour.radius
     evals = np.linalg.eigvalsh(H)
-    clearance = np.abs(np.abs(evals - c) - r).min()
-    floor = (1e-6 * r) if min_clearance is None else min_clearance
+    clearance = np.abs(np.abs(evals - center) - radius).min()
+    floor = _MIN_CLEARANCE * radius
     if clearance < floor:
         raise ValueError(
             f"eigenvalue within {clearance:.3e} of the contour at X={X}; "
             f"required clearance {floor:.3e}"
         )
-    return resolvent_quadrature(H, c, r, contour.nodes, lambda R: R)
+    return resolvent_quadrature(H, center, radius, lambda R: R)
 
 
 def grad_projection(band: BandData, method: str = "fd") -> np.ndarray:

@@ -18,7 +18,8 @@ for the reasons `propagation` states.  The dense blocks are checked for
 Hermiticity and finiteness on the parts, the n x n kinetic matrix and the
 (n, d, d) fiber stack, and written as their Hermitian part directly: the
 same matrices, and the same refusals, as the check of the assembled
-matrix that `DenseHamiltonian` makes.
+matrix that `DenseHamiltonian` makes.  Both checks refuse through one
+helper, `_refuse_non_hermitian`.
 
 The molecular Hamiltonian is stored as its exactly decoupled blocks
 (`assemble_blocks`, a `BlockHamiltonian`).  The kinetic term couples
@@ -34,16 +35,19 @@ couples to nothing, is two (2n and n), and so is `constant_fiber`.
 
 Operators are stored real (float64) when their data is real.  The
 molecular Hamiltonian has no vector potential, so its kinetic term is
-always real and `assemble_blocks` stores every block real whenever the
-model's H_e(X_i) all have exactly zero imaginary part.  A band projection
+always real, and its blocks are real whenever the fiber stack is.  Whether
+the fibers are real is decided once, in `models.ElectronicModel.h_batch`:
+it returns a real stack when every H_e(X_i) has exactly zero imaginary
+part, and both `molecular_operator` and `electronic.band_decompose` take
+that stack as given.  A band projection
 with real fiber blocks is real, and so is the effective Hamiltonian of
 `assemble_bo` when its gauge field, the clamped A_geo, is zero on the
 grid, as it is for a band with a real frame or with the connection
 dropped.  Real storage sends `eigh` to the real-symmetric solver, several
 times faster than the complex one.  Complex data (complex fibers, a
-nonzero A_geo) keeps complex128.  This module is the only place that
-decides the storage type of an operator; `assemble_diag` and
-`split_band_preserving` follow the dtype of their inputs.
+nonzero A_geo) keeps complex128.  Given its parts, this module is the
+only place that decides the storage type of an operator; `assemble_diag`
+and `split_band_preserving` follow the dtype of their inputs.
 
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
@@ -67,12 +71,19 @@ traces.  `u_map` / `u_star_map` apply U fiberwise.  `full_projection` and
 the tests compare against.
 
 Band functions defined on an isolation window are extended to the whole
-periodic box before entering an operator.  The band energy and the
-geometric vector potential (`clamp_field`, window shrunk by delta/5) keep
-value and first derivative at the clamp boundary, turn constant beyond a
-short ramp, and have the two constants blended across the periodic seam.
-The eigenvector frame (`BandData.chi_clamped`, window shrunk by delta/2)
-holds its boundary value: it is constant beyond each boundary point.
+periodic box before entering an operator (Spohn & Teufel, Commun. Math.
+Phys. 224, 113 (2001)).  Every caller passes the window margin delta, and
+each extension applies its own shrink, written once:
+- `clamp_field(values, grid, window, delta)` shrinks the window by
+  delta/5.  It extends the band energy and the geometric vector potential,
+  both for the BO operator (`bo_operator`) and for the classical flow
+  (`semiclassics.band_energy_interpolant`), so the two extend the same
+  energy.  The field keeps value and first derivative at the clamp
+  boundary, turns constant beyond a ramp of width `_RAMP_WIDTH` = 0.5, and
+  has the two constants blended across the periodic seam.
+- `BandData.chi_clamped(delta)` shrinks it by delta/2.  The eigenvector
+  frame holds its boundary value: it is constant beyond each boundary
+  point.  U, U* and every lift onto the band frame read the frame there.
 States in all experiments stay far from both the window edge and the seam,
 so the extension policy only has to keep operators bounded and smooth.
 """
@@ -107,6 +118,8 @@ __all__ = [
     "kinetic_matrix",
 ]
 
+_RAMP_WIDTH = 0.5
+
 
 @dataclass(frozen=True)
 class DenseHamiltonian:
@@ -132,13 +145,8 @@ class DenseHamiltonian:
         S = np.empty_like(M)
         with np.errstate(invalid="ignore"):
             np.subtract(M, np.conjugate(M.T, out=S), out=S)
-            # the largest modulus of real data without a |M - M^dag| temporary
-            herm = np.abs(S).max() if np.iscomplexobj(S) else max(S.max(), -S.min())
-        if not np.isfinite(herm):
-            raise AssertionError(f"{self.tag}: non-finite entries")
-        # the scale is at least 1, so a residual under 1e-12 passes without it
-        if herm > 1e-12 and herm > 1e-12 * np.abs(M).max():
-            raise AssertionError(f"{self.tag}: non-Hermitian assembly ({herm:.2e})")
+            herm = _absmax(S)
+        _refuse_non_hermitian(self.tag, herm, lambda: _absmax(M))
         np.add(M, np.conjugate(M.T, out=S), out=S)
         S *= 0.5
         object.__setattr__(self, "matrix", S)
@@ -159,6 +167,20 @@ class DenseHamiltonian:
 def _absmax(A: np.ndarray) -> float:
     """The largest modulus of A's entries (nan if one is nan), without an |A| temporary for real data."""
     return np.abs(A).max() if np.iscomplexobj(A) else max(A.max(), -A.min())
+
+
+def _refuse_non_hermitian(tag: str, herm: float, scale) -> None:
+    """Refuse an assembly by its Hermiticity residual herm = max |M - M^dag|.
+
+    A non-finite residual (from a non-finite entry: inf - inf is nan) is
+    refused, and so is a residual above 1e-12 that is also above 1e-12 of
+    the assembly's largest modulus, `scale()`.  `scale` is called only when
+    the residual exceeds 1e-12: a smaller one passes at any scale.
+    """
+    if not np.isfinite(herm):
+        raise AssertionError(f"{tag}: non-finite entries")
+    if herm > 1e-12 and herm > 1e-12 * scale():
+        raise AssertionError(f"{tag}: non-Hermitian assembly ({herm:.2e})")
 
 
 def _gauge(grid: Grid1D, a_vals: np.ndarray | None) -> tuple:
@@ -308,11 +330,9 @@ class FiberedOperator:
             d, cc = len(comp), np.ix_(comp, comp)
             # np.max, not max: it keeps a nan wherever it is
             herm = np.max([t_herm, _absmax(v_res[:, cc[0], cc[1]]), _absmax(d_res[:, comp])])
-            if not np.isfinite(herm):
-                raise AssertionError(f"{self.tag}: non-finite entries")
-            scale = np.max([t_scale, v_abs[:, cc[0], cc[1]].max(), _absmax(D[:, comp])])
-            if herm > 1e-12 and herm > 1e-12 * scale:
-                raise AssertionError(f"{self.tag}: non-Hermitian assembly ({herm:.2e})")
+            _refuse_non_hermitian(
+                self.tag, herm, lambda: np.max([t_scale, v_abs[:, cc[0], cc[1]].max(), _absmax(D[:, comp])])
+            )
             H = np.zeros((n * d, n * d), dtype=dtype)
             view = H.reshape(n, d, n, d)
             for b in range(d):
@@ -358,11 +378,8 @@ class FiberedOperator:
 
 
 def molecular_operator(model: ElectronicModel, grid: Grid1D) -> FiberedOperator:
-    """The molecular H as its parts: no field, and V the fibers H_e(X_i), real when all have zero imaginary part."""
-    fibers = model.h_batch(grid.x)
-    if not np.any(fibers.imag):
-        fibers = np.ascontiguousarray(fibers.real)
-    return FiberedOperator(grid=grid, fibers=fibers, tag="full")
+    """The molecular H as its parts: no field, and V the fiber stack `model.h_batch(grid.x)`, real when it is."""
+    return FiberedOperator(grid=grid, fibers=model.h_batch(grid.x), tag="full")
 
 
 def assemble_blocks(model: ElectronicModel, grid: Grid1D, eps: float) -> BlockHamiltonian:
@@ -483,18 +500,12 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
     return DenseHamiltonian(matrix=Hd, eps=H.eps, tag="diag", grid=H.grid, fiber_dim=H.fiber_dim)
 
 
-def clamp_field(
-    values: np.ndarray,
-    grid: Grid1D,
-    window: tuple | None,
-    shrink: float,
-    ramp_width: float = 0.5,
-) -> np.ndarray:
+def clamp_field(values: np.ndarray, grid: Grid1D, window: tuple | None, delta: float) -> np.ndarray:
     """Extend a window-defined field to the periodic box.
 
-    Inside (window shrunk by `shrink`) the samples are kept.  Beyond each
+    Inside the window shrunk by delta/5 the samples are kept.  Beyond each
     boundary the field continues with matched value and first derivative,
-    flattening to a constant within `ramp_width`.  The two constants are
+    flattening to a constant within `_RAMP_WIDTH`.  The two constants are
     blended smoothly across the periodic seam.
     """
     vals = np.asarray(values, dtype=float)
@@ -502,21 +513,22 @@ def clamp_field(
         return vals.copy()
     a, b = window
     x = grid.x
+    shrink = delta / 5
     ia = int(np.searchsorted(x, a + shrink))
     ib = int(np.searchsorted(x, b - shrink)) - 1
     if ib <= ia:
         raise ValueError(f"window {window} shrunk by {shrink} is empty")
     dv = fd_derivative(vals, grid.dx)
     out = vals.copy()
-    out[ib:] = vals[ib] + dv[ib] * ramp_to_constant(x[ib:] - x[ib], ramp_width)
-    out[: ia + 1] = vals[ia] - dv[ia] * ramp_to_constant(x[ia] - x[: ia + 1], ramp_width)
+    out[ib:] = vals[ib] + dv[ib] * ramp_to_constant(x[ib:] - x[ib], _RAMP_WIDTH)
+    out[: ia + 1] = vals[ia] - dv[ia] * ramp_to_constant(x[ia] - x[: ia + 1], _RAMP_WIDTH)
 
-    c_right = vals[ib] + dv[ib] * ramp_width / 2
-    c_left = vals[ia] - dv[ia] * ramp_width / 2
+    c_right = vals[ib] + dv[ib] * _RAMP_WIDTH / 2
+    c_left = vals[ia] - dv[ia] * _RAMP_WIDTH / 2
     if abs(c_right - c_left) > 1e-14 * (1 + abs(c_right)):
         seam = x[-1] + grid.dx
-        avail_r = seam - (x[ib] + ramp_width)
-        avail_l = (x[ia] - ramp_width) - x[0]
+        avail_r = seam - (x[ib] + _RAMP_WIDTH)
+        avail_l = (x[ia] - _RAMP_WIDTH) - x[0]
         wb = min(1.0, 0.8 * avail_r, 0.8 * avail_l)
         if wb <= 2 * grid.dx:
             raise ValueError("no room between the clamp ramps and the periodic seam")
@@ -538,20 +550,20 @@ def bo_operator(
 
     (eps*(-i d/dX) + eps*A_geo)^2 / 2 + E(X): the gauge phase of the
     geometric vector potential A_geo (`kinetic_matrix`), and the band
-    energy as a 1 x 1 fiber stack, both clamped outside the window shrunk
-    by delta/5.  `berry` overrides the connection samples (used by
+    energy as a 1 x 1 fiber stack, both extended by `clamp_field` (window
+    shrunk by delta/5).  `berry` overrides the connection samples (used by
     gauge-covariance checks); with include_a_geo=False the connection is
     dropped entirely.  Real (no phase) when A_geo is zero on the grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")
     grid = band.grid
-    E_ext = clamp_field(band.band_energy, grid, band.window, delta / 5)
+    E_ext = clamp_field(band.band_energy, grid, band.window, delta)
     a_vals = None
     if include_a_geo:
         if berry is None:
             berry = berry_connection(band)
-        a_vals = clamp_field(berry, grid, band.window, delta / 5)
+        a_vals = clamp_field(berry, grid, band.window, delta)
     phase, a_bar = _gauge(grid, a_vals)
     return FiberedOperator(grid=grid, fibers=E_ext[:, None, None], tag="bo", phase=phase, a_bar=a_bar)
 
@@ -590,10 +602,11 @@ def u_matrix(band: BandData, delta: float) -> np.ndarray:
     """Dense matrix of the band identification U: molecular -> nuclear.
 
     Row i pairs the fiber value at X_i with the tracked eigenvector,
-    extended by its boundary values outside the window shrunk by delta/2.
+    extended by its boundary values outside the window shrunk by delta/2
+    (`BandData.chi_clamped`).
     U U* = 1 exactly; U* U is the projection onto the extended band frame.
     """
-    chi = band.chi_clamped(delta / 2)
+    chi = band.chi_clamped(delta)
     n, m = chi.shape
     U = np.zeros((n, n * m), dtype=complex)
     for i in range(n):
@@ -603,12 +616,12 @@ def u_matrix(band: BandData, delta: float) -> np.ndarray:
 
 def u_map(psi: MolecularWave, band: BandData, delta: float = 0.5) -> NuclearWave:
     """(U psi)(X) = <chi(X), psi(X)>, fiberwise."""
-    chi = band.chi_clamped(delta / 2)
+    chi = band.chi_clamped(delta)
     vals = np.einsum("ia,ia->i", chi.conj(), psi.values)
     return NuclearWave(grid=psi.grid, values=vals, eps=psi.eps)
 
 
 def u_star_map(phi: NuclearWave, band: BandData, delta: float = 0.5) -> MolecularWave:
     """(U* phi)(X) = phi(X) chi(X): lift a nuclear wave onto the band frame."""
-    chi = band.chi_clamped(delta / 2)
+    chi = band.chi_clamped(delta)
     return MolecularWave(grid=phi.grid, values=phi.values[:, None] * chi, eps=phi.eps)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .electronic import BandData, ContourSpec, band_decompose, berry_connection, grad_projection, riesz_projection
+from .electronic import BandData, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
@@ -71,6 +71,13 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+def _pop_schema_version(data: dict) -> None:
+    """Drop `schema_version` from a loaded document; refuse one other than SCHEMA_VERSION (absent is current)."""
+    version = data.pop("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -104,6 +111,9 @@ def _param_kind_error(family, key, value):
         return "a number"
     return None
 
+
+# the keys of the `grid` and `model` dicts, which build_grid and build_model read
+_SYSTEM_KEYS = {"grid": {"x_min", "x_max", "n_points"}, "model": {"tag", "params"}}
 
 # the config fields every scan reads
 _READ_BY_ALL = {"model", "grid", "eps_ladder", "functional", "times", "band_indices", "lift_band_index",
@@ -168,6 +178,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
             )
+        self._check_system()
         self._check_reads()
         if self.functional in ("effective_dynamics", "boundary_leakage"):
             missing = [name for name in ("window", "region") if getattr(self, name) is None]
@@ -184,6 +195,17 @@ class ExperimentConfig:
                 )
         self._validated_json = text
         return self
+
+    def _check_system(self):
+        """Refuse a `grid` or `model` key that no builder reads, and a grid or model that cannot be built."""
+        for name, build in (("grid", self.build_grid), ("model", self.build_model)):
+            unknown = sorted(set(getattr(self, name)) - _SYSTEM_KEYS[name])
+            if unknown:
+                raise ValueError(f"unknown {name} keys {unknown}; {name} reads {sorted(_SYSTEM_KEYS[name])}")
+            try:
+                build()
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"cannot build the {name} {getattr(self, name)}: {exc}") from None
 
     def _check_reads(self):
         """Refuse a field off its default, a state key or a state parameter the functional does not read."""
@@ -259,7 +281,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
-        data.pop("schema_version", None)
+        _pop_schema_version(data)
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config fields {unknown}")
@@ -365,7 +387,7 @@ def emit_report(result: ScanResult, path, fmt: str = "json", include_timing: boo
 def load_result(path) -> ScanResult:
     with open(path) as fh:
         data = json.load(fh)
-    data.pop("schema_version", None)
+    _pop_schema_version(data)
     data.setdefault("wall_clock", [])
     return ScanResult(**data)
 
@@ -805,7 +827,7 @@ def _suite_identities(seed, cache):
     for X in (-1.3, 0.0, 0.8, 2.1):
         w, v = np.linalg.eigh(model.h(X))
         spec = np.outer(v[:, 0], v[:, 0].conj())
-        P = riesz_projection(model, X, ContourSpec(center=w[0], radius=0.4 * (w[1] - w[0])))
+        P = riesz_projection(model, X, w[0], 0.4 * (w[1] - w[0]))
         worst = max(worst, np.abs(P - spec).max())
     crits.append(_crit("riesz-vs-spectral", worst <= 1e-10, worst=worst))
 

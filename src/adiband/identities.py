@@ -36,6 +36,9 @@ __all__ = [
     "OffdiagScaling",
 ]
 
+# the smallest gap between the band set and the rest at which B is formed
+_MIN_GAP = 1e-6
+
 
 def _eig(model, X):
     return np.linalg.eigh(model.h(X))
@@ -60,15 +63,15 @@ def commutator_inverse(
     band: BandData,
     X: float,
     method: str = "spectral",
-    nodes: int = 128,
-    min_gap: float = 1e-6,
 ) -> np.ndarray:
     """The off-diagonal operator B(X) with [H_e, B] = -P_perp (dP) P.
 
     method='spectral': B_ab = <a|dH|b> / (E_a - E_b)^2 for a outside, b
     inside the band set.  method='contour': resolvent quadrature
     -(1/2 pi i) oint R^2 P_perp (dH) R P dlambda on a circle enclosing the
-    selected eigenvalues with half-gap clearance.
+    selected eigenvalues with half-gap clearance, by the package's one
+    quadrature (`electronic.resolvent_quadrature`, 128 nodes).  Refuses
+    (ValueError) a gap below `_MIN_GAP` = 1e-6.
     """
     w, v = _eig(model, X)
     cols = _selected(band, X, v)
@@ -77,8 +80,8 @@ def commutator_inverse(
         (abs(w[a] - w[b]) for a in others for b in cols),
         default=np.inf,
     )
-    if gap < min_gap:
-        raise ValueError(f"gap {gap:.3e} at X={X} below the safe floor {min_gap:.1e}")
+    if gap < _MIN_GAP:
+        raise ValueError(f"gap {gap:.3e} at X={X} below the safe floor {_MIN_GAP:.1e}")
     dH = model.dh(X)
     if method == "spectral":
         return offdiag_spectral_sum(w, v, dH, others, cols, lambda wa, wb: (wa - wb) ** 2)
@@ -89,7 +92,7 @@ def commutator_inverse(
     radius = (sel.max() - sel.min()) / 2 + gap / 2
     Psel = v[:, cols] @ v[:, cols].conj().T
     Pperp = np.eye(len(w)) - Psel
-    return resolvent_quadrature(model.h(X), center, radius, nodes, lambda R: R @ R @ Pperp @ dH @ R @ Psel)
+    return resolvent_quadrature(model.h(X), center, radius, lambda R: R @ R @ Pperp @ dH @ R @ Psel)
 
 
 def commutator_inverse_residual(model: ElectronicModel, band: BandData, X: float) -> float:

@@ -64,8 +64,16 @@ class ElectronicModel:
         return self._dh(float(X))
 
     def h_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Stack of H_e over a vector of positions: shape (len(xs), m, m)."""
-        return np.stack([self.h(X) for X in np.asarray(xs, dtype=float)])
+        """Stack of H_e over a vector of positions: shape (len(xs), m, m).
+
+        The stack is real (a contiguous float64 array) when every H_e(X)
+        has exactly zero imaginary part, and complex otherwise.  This is the
+        one place that decides the storage type of the fibers: the band
+        decomposition and the molecular operator take it as given, so real
+        fibers reach the real-symmetric solvers.
+        """
+        stack = np.stack([self.h(X) for X in np.asarray(xs, dtype=float)])
+        return stack if np.any(stack.imag) else np.ascontiguousarray(stack.real)
 
 
 def _two_band_complex(g_re=0.5, g_im=0.2):

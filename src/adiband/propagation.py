@@ -549,6 +549,6 @@ def effective_dynamics_error(
     if nP < 1e-12:
         raise ValueError("projected initial state vanishes; state and region are disjoint")
     reduced = prop_bo.apply(u_map(projected, band, delta).values, times)
-    lifted = reduced[:, :, None] * band.chi_clamped(delta / 2)
+    lifted = reduced[:, :, None] * band.chi_clamped(delta)
     d = prop_full.apply(projected.flat(), times) - lifted.reshape(len(times), -1)
     return l2_norm(d, projected.grid.dx, axis=-1) / nP

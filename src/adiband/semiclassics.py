@@ -53,6 +53,11 @@ __all__ = [
     "reduced_observable_residual",
 ]
 
+# largest share of |xi| |a-hat| in the top quarter of |xi| that `Symbol.f2_estimate` accepts
+_F2_TAIL_THRESHOLD = 0.02
+# the cap of `hitting_times`: a region that never leaves the window reports this horizon
+_HORIZON = 50.0
+
 
 # ---------------------------------------------------------------------------
 # symbols and their quantization
@@ -77,14 +82,16 @@ class Symbol:
     def __call__(self, q, p):
         return self.fun(q, p)
 
-    def f2_estimate(self, grid: Grid1D, eps: float, tail_threshold: float = 0.02) -> F2Report:
+    def f2_estimate(self, grid: Grid1D, eps: float) -> F2Report:
         """Integrability check of the p-direction Fourier transform.
 
         The symbol is sampled on the grid's momentum window and tapered at
         the window edge (the window cutoff is an artifact of the lattice,
         not a property of the symbol).  A non-decaying |xi| |a-hat| tail
-        signals a symbol too rough in p for the O(eps) reduction estimates;
-        such symbols are rejected by the residual functionals.
+        signals a symbol too rough in p for the O(eps) reduction estimates:
+        the report is ok when the top quarter of |xi| holds at most
+        `_F2_TAIL_THRESHOLD` (2 %) of it, and symbols that are not ok are
+        rejected by the residual functionals.
         """
         n = grid.n_points
         p = np.sort(eps * grid.k)
@@ -99,7 +106,7 @@ class Symbol:
         total = float(profile.sum() * dxi)
         hi = np.abs(xi) >= 0.75 * np.abs(xi).max()
         tail = float(profile[hi].sum() * dxi / total) if total > 0 else 0.0
-        return F2Report(value=total, tail_fraction=tail, ok=tail <= tail_threshold)
+        return F2Report(value=total, tail_fraction=tail, ok=tail <= _F2_TAIL_THRESHOLD)
 
 
 def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
@@ -136,7 +143,7 @@ def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float,
     else:
         lam_ind = np.ones(band.grid.n_points)
     W = weyl_quantize(smooth_indicator(region, alpha), band.grid, eps)
-    chi = band.chi_clamped(delta / 2)
+    chi = band.chi_clamped(delta)
     r = np.einsum("ia,iab->ib", chi.conj(), band.proj) * band.mask[:, None]
     return chi, lam_ind, W, r
 
@@ -183,7 +190,10 @@ def apply_phase_space_projection(
 
 
 def band_energy_interpolant(band: BandData, delta: float = 0.5):
-    """Periodic cubic-spline interpolant of the clamped band energy.
+    """Periodic cubic-spline interpolant of the band energy as `clamp_field` extends it.
+
+    The knot values are the fiber stack of `hamiltonians.bo_operator(band,
+    delta=delta)`: the classical flow and the BO operator extend one energy.
 
     The knots are the grid points, uniform with spacing h and periodic over
     the box.  The second-derivative moments M solve the circulant system
@@ -196,7 +206,7 @@ def band_energy_interpolant(band: BandData, delta: float = 0.5):
     if band.band_energy is None:
         raise ValueError("band energy interpolant requires a tracked single band")
     grid = band.grid
-    y = clamp_field(band.band_energy, grid, band.window, delta / 5)
+    y = clamp_field(band.band_energy, grid, band.window, delta)
     n, h, x0, L = grid.n_points, grid.dx, grid.x_min, grid.length
     y_next = np.roll(y, -1)
     circulant_eigs = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
@@ -297,14 +307,13 @@ def hitting_times(
     energy_grad,
     alpha: float = 0.2,
     dt: float = 1e-3,
-    horizon: float = 50.0,
 ):
     """First times at which the flowed region's position support leaves the
     shrunk window, forward (T+) and backward (T-).
 
     The region is sampled on an inclusive uniform lattice (spacing alpha/4);
     the reported T+ is the earliest exit over the cloud, a conservative
-    under-approximation, capped at the horizon.
+    under-approximation, capped at the horizon `_HORIZON` = 50.
     Each direction's flow stops at the first Verlet step in which any
     point leaves, so the cost scales with T+ and |T-|, not the horizon.
     Enlarging the region can only decrease T+.
@@ -315,9 +324,9 @@ def hitting_times(
     cloud = region.sample_cloud(alpha / 4)
     if cloud.size == 0:
         raise ValueError("empty sampling cloud")
-    t_plus = _first_exit(energy_grad, cloud[:, 0], cloud[:, 1], lo, hi, dt, horizon)
+    t_plus = _first_exit(energy_grad, cloud[:, 0], cloud[:, 1], lo, hi, dt, _HORIZON)
     # backward flow = forward flow with reflected momentum
-    t_minus = _first_exit(energy_grad, cloud[:, 0], -cloud[:, 1], lo, hi, dt, horizon)
+    t_minus = _first_exit(energy_grad, cloud[:, 0], -cloud[:, 1], lo, hi, dt, _HORIZON)
     return -t_minus, t_plus
 
 

@@ -32,18 +32,21 @@ __all__ = [
     "lift_to_band",
 ]
 
+# the first-moment weight of the 'gaussian_skew' envelope
+_SKEW = 0.5
 
-def envelope(name: str = "gaussian", skew: float = 0.5):
+
+def envelope(name: str = "gaussian"):
     """Schwartz-class envelope presets on the rescaled coordinate u.
 
     'gaussian':       exp(-u^2/2)
-    'gaussian_skew':  (1 + skew*u) exp(-u^2/2) (nonzero first moment:
-                      exposes the sqrt(eps) packet rate)
+    'gaussian_skew':  (1 + u/2) exp(-u^2/2), skew weight `_SKEW` = 0.5
+                      (nonzero first moment: exposes the sqrt(eps) packet rate)
     """
     if name == "gaussian":
         return lambda u: np.exp(-(u**2) / 2)
     if name == "gaussian_skew":
-        return lambda u: (1 + skew * u) * np.exp(-(u**2) / 2)
+        return lambda u: (1 + _SKEW * u) * np.exp(-(u**2) / 2)
     raise KeyError(f"unknown envelope {name!r}")
 
 
@@ -62,28 +65,21 @@ def _check_position_clearance(grid, q0, clearance):
         )
 
 
-def coherent_state(
-    grid: Grid1D,
-    eps: float,
-    q0: float,
-    p0: float,
-    profile="gaussian",
-    skew: float = 0.5,
-):
+def coherent_state(grid: Grid1D, eps: float, q0: float, p0: float, profile="gaussian"):
     """Wave packet tracking the classical point (q0, p0).
 
     phi(X) = eps^{-1/4} e^{i p0 (X-q0)/eps} profile((X-q0)/sqrt(eps)),
-    normalized, with `profile` an `envelope` name (`skew` is the
-    'gaussian_skew' weight) or a callable of u.  The matched classical
-    density is the point mass at (q0, p0).  Raises if the packet
-    (5*sqrt(eps) halo) does not fit in the position or momentum window.
+    normalized, with `profile` an `envelope` name or a callable of u.  The
+    matched classical density is the point mass at (q0, p0).  Raises if the
+    packet (5*sqrt(eps) halo) does not fit in the position or momentum
+    window.
     """
     halo = 5 * np.sqrt(eps)
     _check_position_clearance(grid, q0, halo)
     p_max = eps * np.abs(grid.k).max()
     if abs(p0) + halo > p_max:
         raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
-    prof = envelope(profile, skew) if isinstance(profile, str) else profile
+    prof = envelope(profile) if isinstance(profile, str) else profile
     u = (grid.x - q0) / np.sqrt(eps)
     vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
     wave = _normalized(grid, vals, eps)

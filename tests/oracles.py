@@ -113,8 +113,6 @@ def kron_hamiltonian(model, grid, eps) -> np.ndarray:
     n, m = grid.n_points, model.fiber_dim
     T = kinetic_matrix(grid, eps)
     fibers = model.h_batch(grid.x)
-    if not np.any(fibers.imag):
-        fibers = fibers.real
     H = np.kron(T, np.eye(m)).astype(fibers.dtype)
     H.reshape(n, m, n, m)[np.arange(n), :, np.arange(n), :] += fibers
     return (H + H.conj().T) / 2
@@ -133,8 +131,6 @@ def assembled_blocks(model, grid, eps) -> list:
     n = grid.n_points
     T = kinetic_matrix(grid, eps)
     fibers = model.h_batch(grid.x)
-    if not np.any(fibers.imag):
-        fibers = fibers.real
     blocks = []
     for comp in _coupled_components((fibers != 0).any(axis=0)):
         d = len(comp)
@@ -153,8 +149,8 @@ def assembled_bo(band, eps, include_a_geo=True, delta=0.5):
     from adiband.hamiltonians import DenseHamiltonian, clamp_field, kinetic_matrix
 
     grid = band.grid
-    E = clamp_field(band.band_energy, grid, band.window, delta / 5)
-    a_vals = clamp_field(berry_connection(band), grid, band.window, delta / 5) if include_a_geo else None
+    E = clamp_field(band.band_energy, grid, band.window, delta)
+    a_vals = clamp_field(berry_connection(band), grid, band.window, delta) if include_a_geo else None
     M = kinetic_matrix(grid, eps, a_vals) + np.diag(E)
     return DenseHamiltonian(matrix=M, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 

@@ -1,11 +1,15 @@
 """Every adiband name the benchmark's tracer hooks must still exist, with the same kind,
-and every adiband call in the benchmark's workloads must still bind to its signature.
+every adiband call in the benchmark's workloads must still bind to its signature,
+and every adiband attribute the benchmark's own tests read must still exist.
 
 perfbench/run.py imports perfbench/tracer.py and perfbench/workloads.py on
 every run.  The tracer resolves its hooks by name (span names come from
 `fn.__module__` and `fn.__name__`), and the workloads call the package's
 API directly, so a rename, a move or a changed signature breaks every
-benchmark run.  Both files are parsed with `ast`, not imported.
+benchmark run.  perfbench/test_perfbench.py reads `harness` and
+`propagation` attributes, among them the `diagonalize` that `harness`
+imports from `propagation`, which the tracer rebinds in both.  The three
+files are parsed with `ast`, not imported.
 """
 
 import ast
@@ -20,6 +24,7 @@ from adiband.harness import ExperimentConfig, PropagatorCache
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 WORKLOADS = TRACER.with_name("workloads.py")
+PERFBENCH_TESTS = TRACER.with_name("test_perfbench.py")
 
 # the adiband callables perfbench/workloads.py calls, by attribute name, and
 # whether the call goes through an instance (so `self` is bound implicitly)
@@ -132,3 +137,37 @@ def test_workload_call_binds_to_current_signature(call):
     assert not any(isinstance(a, ast.Starred) for a in call.args) and all(k.arg for k in call.keywords)
     args = [None] * (len(call.args) + via_instance)
     inspect.signature(fn).bind(*args, **{k.arg: None for k in call.keywords})
+
+
+def _perfbench_test_attributes():
+    """Every `harness.` and `propagation.` attribute chain in perfbench/test_perfbench.py, as source text."""
+    tree = ast.parse(PERFBENCH_TESTS.read_text(), filename=str(PERFBENCH_TESTS))
+    chains = set()
+    for node in ast.walk(tree):
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if root is not node and isinstance(root, ast.Name) and root.id in ("harness", "propagation"):
+            chains.add(ast.unparse(node))
+    return sorted(chains)
+
+
+def test_perfbench_test_attributes_found():
+    assert {"harness.diagonalize", "propagation.diagonalize", "harness.PropagatorCache"} <= set(
+        _perfbench_test_attributes()
+    )
+
+
+@pytest.mark.parametrize("expr", _perfbench_test_attributes())
+def test_perfbench_test_attribute_exists(expr):
+    module, *names = expr.split(".")
+    obj = importlib.import_module(f"adiband.{module}")
+    for name in names:
+        assert hasattr(obj, name), f"{expr}: no {name}"
+        obj = getattr(obj, name)
+
+
+def test_harness_diagonalize_is_propagation_diagonalize():
+    from adiband import propagation
+
+    assert harness.diagonalize is propagation.diagonalize

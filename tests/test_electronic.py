@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adiband.electronic import (
-    ContourSpec,
     _coupled_components,
     band_decompose,
     berry_connection,
@@ -282,29 +281,25 @@ def test_riesz_matches_spectral_oracle():
     for X in (-1.3, 0.0, 0.8):
         w, v = np.linalg.eigh(model.h(X))
         spec = np.outer(v[:, 0], v[:, 0].conj())
-        P = riesz_projection(model, X, ContourSpec(center=w[0], radius=0.4 * (w[1] - w[0])))
+        P = riesz_projection(model, X, w[0], 0.4 * (w[1] - w[0]))
         assert np.abs(P - spec).max() <= 1e-10
         assert np.abs(P @ P - P).max() <= 1e-10
 
 
 def test_riesz_all_and_none():
     model = get_model("two_band_complex")
-    P_all = riesz_projection(model, 0.5, ContourSpec(center=0.0, radius=10.0))
+    P_all = riesz_projection(model, 0.5, 0.0, 10.0)
     assert np.abs(P_all - np.eye(2)).max() <= 1e-10
-    P_none = riesz_projection(model, 0.5, ContourSpec(center=30.0, radius=1.0))
+    P_none = riesz_projection(model, 0.5, 30.0, 1.0)
     assert np.abs(P_none).max() <= 1e-10
 
 
 def test_riesz_rejects_contour_through_spectrum():
     model = get_model("two_band_complex")
     lam0 = np.linalg.eigvalsh(model.h(0.0))[0]
-    with pytest.raises(ValueError):
-        riesz_projection(model, 0.0, ContourSpec(center=lam0 - 1.0, radius=1.0), min_clearance=1e-3)
-
-
-def test_contour_spec_node_floor():
-    with pytest.raises(ValueError):
-        ContourSpec(center=0.0, radius=1.0, nodes=32)
+    # the circle touches lambda_0: its clearance, 1.1e-16, is under the floor of 1e-6 of the radius
+    with pytest.raises(ValueError, match="required clearance 1.000e-06"):
+        riesz_projection(model, 0.0, lam0 - 1.0, 1.0)
 
 
 def test_grad_projection_constant_model_zero():

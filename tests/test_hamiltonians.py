@@ -309,7 +309,7 @@ def test_bo_storage_dtype_follows_gauge_field(tag, window, berry, include_a_geo,
         # the zero-field phase dressing: phase = 1, mean(A) = 0, M = eps D
         F = fourier_matrix(grid)
         M = eps * (F.conj().T @ (grid.k[:, None] * F))
-        E = clamp_field(band.band_energy, grid, band.window, delta / 5)
+        E = clamp_field(band.band_energy, grid, band.window, delta)
         dressed = (M @ M) / 2 + np.diag(E)
         assert np.abs(H.matrix - dressed).max() <= 1e-12 * np.abs(dressed).max()
 
@@ -402,8 +402,8 @@ def test_u_map_kills_orthogonal_complement(ac_setup):
 def test_clamp_field_matching_and_flat_tails():
     grid = make_grid(-6.4, 6.4, 512)
     vals = np.sin(grid.x) + 0.3 * grid.x
-    out = clamp_field(vals, grid, window=(-2, 2), shrink=0.1)
-    ib = int(np.searchsorted(grid.x, 2 - 0.1)) - 1
+    out = clamp_field(vals, grid, window=(-2, 2), delta=0.5)
+    ib = int(np.searchsorted(grid.x, 2 - 0.5 / 5)) - 1
     # value and first derivative continuous at the clamp boundary (the
     # second derivative may jump there, so compare one-sided differences)
     assert out[ib] == pytest.approx(vals[ib], abs=1e-12)

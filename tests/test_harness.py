@@ -171,6 +171,26 @@ def test_from_json_names_unknown_fields():
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # keys the builders would drop: the scan would run at n_points 256, and on the default parameters
+        ("grid", {"x_min": -8.0, "x_max": 8.0, "n_points": 256, "n_pionts": 4096}, r"unknown grid keys \['n_pionts'\]"),
+        ("model", {"tag": "two_band_complex", "parms": {"g_re": 0.3}}, r"unknown model keys \['parms'\]"),
+        # a grid or model that cannot be built would fail every scan row
+        ("model", {"tag": "two_band_complex", "params": {"g_rx": 0.3}}, "g_rx"),
+        ("model", {"tag": "three_band", "params": {}}, "three_band"),
+        ("grid", {"x_min": -8.0, "x_max": 8.0, "n_points": 100}, "power of two"),
+        ("schema_version", 7, "schema_version 7 is not 1"),
+    ],
+)
+def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
+    data = json.loads(small_config().to_json())
+    data[key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
     "functional, state, message",
     [
         # the decoupling family is a coherent lattice plus one WKB state, all from family_params
@@ -602,6 +622,15 @@ def test_emit_json_roundtrip(tmp_path, scan_result):
     emit_report(scan_result, path, fmt="json")
     back = load_result(path)
     assert back.canonical_payload() == scan_result.canonical_payload()
+
+
+def test_load_result_refuses_another_schema_version(tmp_path, scan_result):
+    path = emit_report(scan_result, tmp_path / "out.json")
+    data = json.loads(path.read_text())
+    data["schema_version"] = 7
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="schema_version 7 is not 1"):
+        load_result(path)
 
 
 def test_emit_json_byte_identical(tmp_path):

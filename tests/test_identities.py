@@ -85,8 +85,8 @@ def test_gap_floor_raises():
     grid = make_grid(-6.4, 6.4, 256)
     model = get_model("rotated_pair")
     band = band_decompose(model, grid, 0, window=(-2, 2))
-    with pytest.raises(ValueError):
-        commutator_inverse(model, band, 2.0, min_gap=1e-6)  # exact crossing
+    with pytest.raises(ValueError, match="below the safe floor 1.0e-06"):
+        commutator_inverse(model, band, 2.0)  # exact crossing
 
 
 def _coherent_family(grid, band):

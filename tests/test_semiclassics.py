@@ -5,7 +5,7 @@ import pytest
 
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, NuclearWave, make_grid, norm, spectral_derivative_matrix
-from adiband.hamiltonians import assemble_bo, assemble_full, clamp_field
+from adiband.hamiltonians import assemble_bo, assemble_full, bo_operator, clamp_field
 from adiband.indicators import PhaseSpaceRegion, smooth_indicator, smooth_step
 from adiband.models import get_model
 from adiband.propagation import diagonalize
@@ -173,10 +173,20 @@ def test_band_energy_interpolant_matches_band():
     assert np.abs(dE(qs) - 2 * qs).max() <= 1e-4
 
 
+@pytest.mark.parametrize("delta", [0.4, 0.5])
+def test_flow_and_bo_operator_extend_the_same_energy(delta):
+    # the classical flow and the effective Hamiltonian of one band use one extension of its energy
+    grid = make_grid(-6.4, 6.4, 512)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
+    E, _ = band_energy_interpolant(band, delta)
+    V = bo_operator(band, delta=delta).fibers[:, 0, 0]
+    assert np.abs(E(grid.x) - V).max() <= 1e-13 * np.abs(V).max()
+
+
 def _rotated_pair_spline_data():
     grid = make_grid(-6.4, 6.4, 512)
     band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    return band, clamp_field(band.band_energy, grid, band.window, 0.4 / 5)
+    return band, clamp_field(band.band_energy, grid, band.window, 0.4)
 
 
 def _random_periodic_spline_data():
@@ -313,13 +323,13 @@ def test_hitting_times_stop_at_first_exit():
 
 
 def test_hitting_time_stationary_point_capped():
-    # cloud at the bottom of a well with p = 0 never exits
+    # cloud at the bottom of a well with p = 0 never exits: both directions stop at the horizon of 50
     region = PhaseSpaceRegion([(-0.05, 0.05, -0.01, 0.01)])
     t_minus, t_plus = hitting_times(
         region, window=(-2, 2), delta=0.4, energy_grad=lambda q: 2 * np.asarray(q),
-        alpha=0.04, horizon=12.0,
+        alpha=0.04, dt=1e-2,
     )
-    assert t_plus == 12.0 and t_minus == -12.0
+    assert t_plus == 50.0 and t_minus == -50.0
 
 
 def test_hitting_time_momentum_reflection_swaps():

@@ -56,7 +56,7 @@ def test_coherent_norm_and_means(grid):
 
 def test_coherent_skewed_mean_offset(grid):
     eps = 0.1
-    w, _ = coherent_state(grid, eps, 0.0, 0.3, profile="gaussian_skew", skew=0.5)
+    w, _ = coherent_state(grid, eps, 0.0, 0.3, profile="gaussian_skew")
     qm, _ = position_moments(w)
     # first moment of (1+u/2)^2 exp(-u^2): sqrt(eps) * 4/9
     assert qm == pytest.approx(np.sqrt(eps) * 4 / 9, abs=1e-6)
