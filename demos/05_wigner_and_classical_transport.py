@@ -23,13 +23,13 @@ from adiband import (
 from adiband.semiclassics import band_energy_interpolant, write_wigner_csv
 
 grid = make_grid(-6.4, 6.4, 512)
-band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-_, dE = band_energy_interpolant(band, delta=0.4)
+band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
+_, dE = band_energy_interpolant(band)
 
 eps = 0.05
 q0, p0 = 0.8, -0.4
 wave, _ = coherent_state(grid, eps, q0, p0)
-prop = diagonalize(assemble_bo(band, eps, delta=0.4))
+prop = diagonalize(assemble_bo(band, eps))
 
 print(f"harmonic-well transport at eps = {eps}; start ({q0}, {p0})")
 for t in (0.0, 0.5, 1.0, 1.5):

@@ -40,7 +40,7 @@ inside an eigenspace whose levels agree to `_DEG_TOL` (1e-8) relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,12 +128,22 @@ class BandData:
     evals/evecs hold the full ascending spectrum at every point.  proj is
     the fiber projection onto the selected band set.  For a single band,
     band_energy and chi hold the identity-tracked, gauge-fixed curve.
+
+    The band carries its isolation window and the window margin delta, set
+    once by `band_decompose`.  Every function that takes a band reads the
+    grid, the window and the margin from it: the lift and U (through
+    `chi_clamped`), the phase-space projection, the BO operator and the
+    classical flow's energy cannot read different margins.  Only the
+    primitives on a bare window (`hamiltonians.clamp_field`,
+    `semiclassics.hitting_times`, `PhaseSpaceRegion.check_inside`) take
+    the window and delta as arguments.
     """
 
     grid: Grid1D
     model: ElectronicModel
     band_indices: tuple
     window: tuple | None
+    delta: float
     mask: np.ndarray = field(repr=False)
     evals: np.ndarray = field(repr=False)
     evecs: np.ndarray = field(repr=False)
@@ -157,14 +167,9 @@ class BandData:
         """Return a copy with chi multiplied by exp(i*theta(X_i)) pointwise."""
         if self.chi is None:
             raise ValueError("no gauged eigenvector field on this band data")
-        chi = self.chi * np.exp(1j * np.asarray(theta))[:, None]
-        return BandData(
-            grid=self.grid, model=self.model, band_indices=self.band_indices,
-            window=self.window, mask=self.mask, evals=self.evals, evecs=self.evecs,
-            proj=self.proj, band_energy=self.band_energy, chi=chi, ref_component=self.ref_component,
-        )
+        return replace(self, chi=self.chi * np.exp(1j * np.asarray(theta))[:, None])
 
-    def chi_clamped(self, delta: float) -> np.ndarray:
+    def chi_clamped(self) -> np.ndarray:
         """chi extended outside the window shrunk by delta/2 by its boundary values.
 
         The one home of the frame's extension policy: U, U* and every lift
@@ -176,7 +181,7 @@ class BandData:
             return self.chi.copy()
         a, b = self.window
         x = self.grid.x
-        shrink = delta / 2
+        shrink = self.delta / 2
         ia = int(np.searchsorted(x, a + shrink))
         ib = int(np.searchsorted(x, b - shrink)) - 1
         out = self.chi.copy()
@@ -259,6 +264,7 @@ def band_decompose(
     band_indices,
     window: tuple | None = None,
     gauge: str | None = "component",
+    delta: float = 0.5,
 ) -> BandData:
     """Diagonalize the fiber Hamiltonian on the grid and select a band set.
 
@@ -278,6 +284,12 @@ def band_decompose(
         with the largest internal gap margin.
     gauge : 'component' | 'transport' | None
         Gauge for the tracked eigenvector field (single bands only).
+    delta : float
+        The window margin, kept on the band as `BandData.delta`.  The band
+        energy and the connection are extended past the window shrunk by
+        delta/5, the frame past the window shrunk by delta/2, and the
+        phase-space cut, the leakage measure and the observable cut stay
+        delta inside the window.
     """
     if np.isscalar(band_indices):
         band_indices = (int(band_indices),)
@@ -321,7 +333,7 @@ def band_decompose(
         proj = np.einsum("ia,ib->iab", chi, chi.conj())
 
     return BandData(
-        grid=grid, model=model, band_indices=band_indices, window=window,
+        grid=grid, model=model, band_indices=band_indices, window=window, delta=delta,
         mask=mask, evals=evals, evecs=evecs, proj=proj,
         band_energy=band_energy, chi=chi, ref_component=ref,
     )

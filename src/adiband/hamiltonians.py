@@ -72,16 +72,20 @@ the tests compare against.
 
 Band functions defined on an isolation window are extended to the whole
 periodic box before entering an operator (Spohn & Teufel, Commun. Math.
-Phys. 224, 113 (2001)).  Every caller passes the window margin delta, and
-each extension applies its own shrink, written once:
+Phys. 224, 113 (2001)).  The window margin delta lives on the band
+(`BandData.delta`, set by `band_decompose`): every function here that
+takes a band reads it there, and each extension applies its own shrink,
+written once:
 - `clamp_field(values, grid, window, delta)` shrinks the window by
-  delta/5.  It extends the band energy and the geometric vector potential,
-  both for the BO operator (`bo_operator`) and for the classical flow
-  (`semiclassics.band_energy_interpolant`), so the two extend the same
-  energy.  The field keeps value and first derivative at the clamp
-  boundary, turns constant beyond a ramp of width `_RAMP_WIDTH` = 0.5, and
-  has the two constants blended across the periodic seam.
-- `BandData.chi_clamped(delta)` shrinks it by delta/2.  The eigenvector
+  delta/5.  It acts on a bare window, so it takes the window and delta as
+  arguments; `bo_operator` and `semiclassics.band_energy_interpolant`
+  pass it the band's.  It extends the band energy and the geometric
+  vector potential for the BO operator, and the band energy for the
+  classical flow, so the two extend the same energy.  The field keeps
+  value and first derivative at the clamp boundary, turns constant beyond
+  a ramp of width `_RAMP_WIDTH` = 0.5, and has the two constants blended
+  across the periodic seam.
+- `BandData.chi_clamped()` shrinks it by delta/2.  The eigenvector
   frame holds its boundary value: it is constant beyond each boundary
   point.  U, U* and every lift onto the band frame read the frame there.
 States in all experiments stay far from both the window edge and the seam,
@@ -543,27 +547,27 @@ def clamp_field(values: np.ndarray, grid: Grid1D, window: tuple | None, delta: f
 def bo_operator(
     band: BandData,
     include_a_geo: bool = True,
-    delta: float = 0.5,
     berry: np.ndarray | None = None,
 ) -> FiberedOperator:
     """Effective nuclear Hamiltonian of the tracked band, as its parts.
 
     (eps*(-i d/dX) + eps*A_geo)^2 / 2 + E(X): the gauge phase of the
     geometric vector potential A_geo (`kinetic_matrix`), and the band
-    energy as a 1 x 1 fiber stack, both extended by `clamp_field` (window
-    shrunk by delta/5).  `berry` overrides the connection samples (used by
-    gauge-covariance checks); with include_a_geo=False the connection is
-    dropped entirely.  Real (no phase) when A_geo is zero on the grid.
+    energy as a 1 x 1 fiber stack, both extended by `clamp_field` (the
+    band's window shrunk by the band's delta/5).  `berry` overrides the
+    connection samples (used by gauge-covariance checks); with
+    include_a_geo=False the connection is dropped entirely.  Real (no
+    phase) when A_geo is zero on the grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")
     grid = band.grid
-    E_ext = clamp_field(band.band_energy, grid, band.window, delta)
+    E_ext = clamp_field(band.band_energy, grid, band.window, band.delta)
     a_vals = None
     if include_a_geo:
         if berry is None:
             berry = berry_connection(band)
-        a_vals = clamp_field(berry, grid, band.window, delta)
+        a_vals = clamp_field(berry, grid, band.window, band.delta)
     phase, a_bar = _gauge(grid, a_vals)
     return FiberedOperator(grid=grid, fibers=E_ext[:, None, None], tag="bo", phase=phase, a_bar=a_bar)
 
@@ -572,7 +576,6 @@ def assemble_bo(
     band: BandData,
     eps: float,
     include_a_geo: bool = True,
-    delta: float = 0.5,
     berry: np.ndarray | None = None,
 ) -> DenseHamiltonian:
     """The effective Hamiltonian of `bo_operator` at eps, dense: its one block.
@@ -581,7 +584,7 @@ def assemble_bo(
     propagator matrix-free (`propagation.ChebyshevPropagator`); this dense
     form is the tests' oracle of it.
     """
-    ((_, H),) = bo_operator(band, include_a_geo, delta, berry).blocks(eps).blocks
+    ((_, H),) = bo_operator(band, include_a_geo, berry).blocks(eps).blocks
     return H
 
 
@@ -598,15 +601,15 @@ def full_projection(band: BandData) -> np.ndarray:
     return P
 
 
-def u_matrix(band: BandData, delta: float) -> np.ndarray:
+def u_matrix(band: BandData) -> np.ndarray:
     """Dense matrix of the band identification U: molecular -> nuclear.
 
     Row i pairs the fiber value at X_i with the tracked eigenvector,
-    extended by its boundary values outside the window shrunk by delta/2
-    (`BandData.chi_clamped`).
+    extended by its boundary values outside the window shrunk by the
+    band's delta/2 (`BandData.chi_clamped`).
     U U* = 1 exactly; U* U is the projection onto the extended band frame.
     """
-    chi = band.chi_clamped(delta)
+    chi = band.chi_clamped()
     n, m = chi.shape
     U = np.zeros((n, n * m), dtype=complex)
     for i in range(n):
@@ -614,14 +617,14 @@ def u_matrix(band: BandData, delta: float) -> np.ndarray:
     return U
 
 
-def u_map(psi: MolecularWave, band: BandData, delta: float = 0.5) -> NuclearWave:
+def u_map(psi: MolecularWave, band: BandData) -> NuclearWave:
     """(U psi)(X) = <chi(X), psi(X)>, fiberwise."""
-    chi = band.chi_clamped(delta)
+    chi = band.chi_clamped()
     vals = np.einsum("ia,ia->i", chi.conj(), psi.values)
     return NuclearWave(grid=psi.grid, values=vals, eps=psi.eps)
 
 
-def u_star_map(phi: NuclearWave, band: BandData, delta: float = 0.5) -> MolecularWave:
+def u_star_map(phi: NuclearWave, band: BandData) -> MolecularWave:
     """(U* phi)(X) = phi(X) chi(X): lift a nuclear wave onto the band frame."""
-    chi = band.chi_clamped(delta)
+    chi = band.chi_clamped()
     return MolecularWave(grid=phi.grid, values=phi.values[:, None] * chi, eps=phi.eps)

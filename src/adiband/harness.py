@@ -197,8 +197,17 @@ class ExperimentConfig:
         return self
 
     def _check_system(self):
-        """Refuse a `grid` or `model` key that no builder reads, and a grid or model that cannot be built."""
-        for name, build in (("grid", self.build_grid), ("model", self.build_model)):
+        """Refuse a `grid` or `model` key that no builder reads, and a grid or model that cannot be built.
+
+        The model is evaluated, h and dh, at one point, the grid's first, so
+        a parameter of the wrong type is refused here and not by every scan row.
+        """
+        def build_model_at_one_point():
+            model = self.build_model()
+            model.h(self.grid["x_min"])
+            model.dh(self.grid["x_min"])
+
+        for name, build in (("grid", self.build_grid), ("model", build_model_at_one_point)):
             unknown = sorted(set(getattr(self, name)) - _SYSTEM_KEYS[name])
             if unknown:
                 raise ValueError(f"unknown {name} keys {unknown}; {name} reads {sorted(_SYSTEM_KEYS[name])}")
@@ -249,7 +258,7 @@ class ExperimentConfig:
         gauge = "component" if len(idx) == 1 else None
         model = self.build_model() if model is None else model
         grid = self.build_grid() if grid is None else grid
-        return band_decompose(model, grid, idx, window=window, gauge=gauge)
+        return band_decompose(model, grid, idx, window=window, gauge=gauge, delta=self.delta)
 
     def build_region(self) -> PhaseSpaceRegion:
         if self.region is None:
@@ -258,7 +267,7 @@ class ExperimentConfig:
 
     def hitting_window(self):
         band = self.build_band(self.lift_band())
-        _, dE = band_energy_interpolant(band, self.delta)
+        _, dE = band_energy_interpolant(band)
         return hitting_times(
             self.build_region(), tuple(self.window), self.delta, dE,
             alpha=self.alpha, dt=self.flow_dt,
@@ -267,10 +276,10 @@ class ExperimentConfig:
     def lift_band(self):
         return [self.lift_band_index] if self.lift_band_index is not None else self.band_indices
 
-    def make_state(self, grid, band, eps):
-        """(lifted molecular wave, nuclear wave, classical density) of the configured family."""
-        wave, rho = _STATE_FAMILIES[self.state["family"]](grid, eps, **self.state["params"])
-        return lift_to_band(wave, band, self.delta), wave, rho
+    def make_state(self, band, eps):
+        """(lifted molecular wave, nuclear wave, classical density) of the configured family, on the band's grid."""
+        wave, rho = _STATE_FAMILIES[self.state["family"]](band.grid, eps, **self.state["params"])
+        return lift_to_band(wave, band), wave, rho
 
     # -- (de)serialization --------------------------------------------------
 
@@ -401,13 +410,16 @@ class PropagatorCache:
 
     A key holds the kind, the model's tag and parameters, the grid's bounds
     and size, eps and, where a band enters, its indices and window; a `bo`
-    key also holds the `include_a_geo` and `delta` values passed to
+    key also holds the band's window margin `delta` (`BandData.delta`,
+    which `bo_operator` reads), the `include_a_geo` value passed to
     `bo_operator` and the bytes of the band's gauged frame chi (n m complex
     values, small next to the propagator), so a band in another gauge
-    (`with_gauge_shift`, or band_decompose's `gauge`) gets an entry of its
-    own.  Every key is read from the objects the builder is given,
-    so two models or grids passed under one cfg never share an entry; the
-    `cfg` argument supplies only `bo`'s two values.
+    (`with_gauge_shift`, or band_decompose's `gauge`) or with another
+    margin gets an entry of its own.  A `diag` key holds no margin: H_diag
+    does not read it, so bands that differ only in delta share it.  Every
+    key is read from the objects the builder is given, so two models or
+    grids passed under one cfg never share an entry; the `cfg` argument
+    supplies only `bo`'s `include_a_geo`.
 
     The molecular H is solved dense, and the Born-Oppenheimer H is applied
     matrix-free:
@@ -473,11 +485,8 @@ class PropagatorCache:
 
     def bo(self, cfg, band, eps) -> ChebyshevPropagator:
         key = ("bo", self._system_key(band.model, band.grid), band.band_indices, band.window, eps,
-               cfg.include_a_geo, cfg.delta, None if band.chi is None else band.chi.tobytes())
-        return self.get(
-            key,
-            lambda: ChebyshevPropagator(bo_operator(band, include_a_geo=cfg.include_a_geo, delta=cfg.delta), eps),
-        )
+               cfg.include_a_geo, band.delta, None if band.chi is None else band.chi.tobytes())
+        return self.get(key, lambda: ChebyshevPropagator(bo_operator(band, include_a_geo=cfg.include_a_geo), eps))
 
 
 _OBSERVABLE_SET = (
@@ -501,18 +510,20 @@ def _named_symbol(name: str) -> Symbol:
     return _SYMBOLS[name]
 
 
-def standard_state_family(grid, band, eps, q_centers, p_centers, wkb_params, delta=0.5):
+def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
     """The fixed ten-state test family: a 3 x 3 coherent lattice plus one WKB state.
 
-    Returned as scaled-Sobolev-normalized molecular waves on the band frame.
+    Returned as scaled-Sobolev-normalized molecular waves on the band frame,
+    on the band's grid.
     """
+    grid = band.grid
     out = []
     for q0 in q_centers:
         for p0 in p_centers:
             wave, _ = coherent_state(grid, eps, q0, p0)
-            out.append(lift_to_band(wave, band, delta))
+            out.append(lift_to_band(wave, band))
     wave, _ = _wkb_wave(grid, eps, *wkb_params)
-    out.append(lift_to_band(wave, band, delta))
+    out.append(lift_to_band(wave, band))
     normalized = []
     for psi in out:
         s = sobolev_norm(psi, 2)
@@ -565,9 +576,7 @@ def _scan_decoupling(inputs: _ScanInputs, eps: float, times):
     cfg = inputs.cfg
     pf, pd = inputs.cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
     fam = cfg.state["family_params"]
-    family = standard_state_family(
-        inputs.grid, inputs.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"], delta=cfg.delta
-    )
+    family = standard_state_family(inputs.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
     return decoupling_error(pf, pd, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
 
 
@@ -575,41 +584,40 @@ def _scan_effective(inputs: _ScanInputs, eps: float, times):
     cfg, band = inputs.cfg, inputs.band()
     pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
     pb = inputs.cache.bo(cfg, band, eps)
-    psi0, _, _ = cfg.make_state(inputs.grid, band, eps)
-    projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps, delta=cfg.delta)
-    return effective_dynamics_error(pf, pb, band, projected, times, delta=cfg.delta)
+    psi0, _, _ = cfg.make_state(band, eps)
+    projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps)
+    return effective_dynamics_error(pf, pb, band, projected, times)
 
 
 def _scan_leakage(inputs: _ScanInputs, eps: float, times):
     cfg, band = inputs.cfg, inputs.band()
     pb = inputs.cache.bo(cfg, band, eps)
-    _, phi0, _ = cfg.make_state(band.grid, band, eps)
-    region = cfg.build_region()
-    return boundary_leakage(pb, tuple(cfg.window), cfg.delta, region, cfg.alpha, phi0, times)
+    _, phi0, _ = cfg.make_state(band, eps)
+    return boundary_leakage(pb, band, cfg.build_region(), cfg.alpha, phi0, times)
 
 
 def _scan_observable_pairing(inputs: _ScanInputs, eps: float, times):
     """The reduced-observable residual at eps; it does not depend on t."""
     cfg, band = inputs.cfg, inputs.band()
     sym = _named_symbol(cfg.symbol or "p")
-    states = [lift_to_band(coherent_state(band.grid, eps, q0, p0)[0], band, cfg.delta)
+    states = [lift_to_band(coherent_state(band.grid, eps, q0, p0)[0], band)
               for q0, p0 in cfg.state["params"]["centers"]]
-    return [reduced_observable_residual(sym, band, cfg.delta, eps, states)] * len(times)
+    return [reduced_observable_residual(sym, band, eps, states)] * len(times)
 
 
 def _scan_state_observables(inputs: _ScanInputs, eps: float, times):
     cfg, band = inputs.cfg, inputs.band()
     pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
-    psi0, _, rho = cfg.make_state(inputs.grid, band, eps)
-    _, dE = band_energy_interpolant(band, cfg.delta)
+    psi0, _, rho = cfg.make_state(band, eps)
+    _, dE = band_energy_interpolant(band)
     return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, times, dE, dt=cfg.flow_dt)
 
 
 def _scan_egorov(inputs: _ScanInputs, eps: float, times):
     cfg, band = inputs.cfg, inputs.band()
     pb = inputs.cache.bo(cfg, band, eps)
-    _, phi0, rho = cfg.make_state(band.grid, band, eps)
-    _, dE = band_energy_interpolant(band, cfg.delta)
+    _, phi0, rho = cfg.make_state(band, eps)
+    _, dE = band_energy_interpolant(band)
     sym = _named_symbol(cfg.symbol or "q")
     return egorov_residual(pb, [sym], phi0, rho, times, dE, dt=cfg.flow_dt)
 

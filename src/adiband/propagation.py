@@ -532,7 +532,6 @@ def effective_dynamics_error(
     band: BandData,
     projected: MolecularWave,
     times,
-    delta: float = 0.5,
 ) -> np.ndarray:
     """Full evolution versus the band-identified effective evolution, one error per time.
 
@@ -548,7 +547,7 @@ def effective_dynamics_error(
     nP = norm(projected)
     if nP < 1e-12:
         raise ValueError("projected initial state vanishes; state and region are disjoint")
-    reduced = prop_bo.apply(u_map(projected, band, delta).values, times)
-    lifted = reduced[:, :, None] * band.chi_clamped(delta)
+    reduced = prop_bo.apply(u_map(projected, band).values, times)
+    lifted = reduced[:, :, None] * band.chi_clamped()
     d = prop_full.apply(projected.flat(), times) - lifted.reshape(len(times), -1)
     return l2_norm(d, projected.grid.dx, axis=-1) / nP

@@ -130,7 +130,7 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     return A * (grid.dx * grid.dk / (2 * np.pi))
 
 
-def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float, eps: float, delta: float):
+def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float, eps: float):
     """The factors of P_Gamma = U* lambda W U P_band, as fiber data.
 
     Returns (chi, lam_ind, W, r): the clamped frame, the window indicator,
@@ -138,12 +138,12 @@ def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float,
     (zero outside the band window).
     """
     if band.window is not None:
-        region.check_inside(band.window, delta)
-        lam_ind = interval_indicator(band.grid.x, [band.window], margin=delta)
+        region.check_inside(band.window, band.delta)
+        lam_ind = interval_indicator(band.grid.x, [band.window], margin=band.delta)
     else:
         lam_ind = np.ones(band.grid.n_points)
     W = weyl_quantize(smooth_indicator(region, alpha), band.grid, eps)
-    chi = band.chi_clamped(delta)
+    chi = band.chi_clamped()
     r = np.einsum("ia,iab->ib", chi.conj(), band.proj) * band.mask[:, None]
     return chi, lam_ind, W, r
 
@@ -153,7 +153,6 @@ def phase_space_projection(
     region: PhaseSpaceRegion,
     alpha: float,
     eps: float,
-    delta: float = 0.5,
 ) -> np.ndarray:
     """Approximate projection onto phase-space support in the region, dense.
 
@@ -165,7 +164,7 @@ def phase_space_projection(
     it is the oracle for `apply_phase_space_projection`, which applies the
     same factors to one state in O(n^2) without it.
     """
-    chi, lam_ind, W, r = _phase_space_factors(band, region, alpha, eps, delta)
+    chi, lam_ind, W, r = _phase_space_factors(band, region, alpha, eps)
     M = chi[:, :, None, None] * (lam_ind[:, None, None, None] * (W[:, None, :, None] * r[None, None]))
     n, m = chi.shape
     return M.reshape(n * m, n * m)
@@ -177,10 +176,9 @@ def apply_phase_space_projection(
     region: PhaseSpaceRegion,
     alpha: float,
     eps: float,
-    delta: float = 0.5,
 ) -> MolecularWave:
     """P_Gamma psi by fibers: r_i . psi_i, the Weyl matvec, lambda, the chi lift."""
-    chi, lam_ind, W, r = _phase_space_factors(band, region, alpha, eps, delta)
+    chi, lam_ind, W, r = _phase_space_factors(band, region, alpha, eps)
     reduced = lam_ind * (W @ np.einsum("ib,ib->i", r, psi.values))
     return MolecularWave(grid=psi.grid, values=chi * reduced[:, None], eps=psi.eps)
 
@@ -189,11 +187,12 @@ def apply_phase_space_projection(
 # classical flow
 
 
-def band_energy_interpolant(band: BandData, delta: float = 0.5):
+def band_energy_interpolant(band: BandData):
     """Periodic cubic-spline interpolant of the band energy as `clamp_field` extends it.
 
-    The knot values are the fiber stack of `hamiltonians.bo_operator(band,
-    delta=delta)`: the classical flow and the BO operator extend one energy.
+    The knot values are the fiber stack of `hamiltonians.bo_operator(band)`:
+    both read the window and the margin delta from the band, so the
+    classical flow and the BO operator extend one energy.
 
     The knots are the grid points, uniform with spacing h and periodic over
     the box.  The second-derivative moments M solve the circulant system
@@ -206,7 +205,7 @@ def band_energy_interpolant(band: BandData, delta: float = 0.5):
     if band.band_energy is None:
         raise ValueError("band energy interpolant requires a tracked single band")
     grid = band.grid
-    y = clamp_field(band.band_energy, grid, band.window, delta)
+    y = clamp_field(band.band_energy, grid, band.window, band.delta)
     n, h, x0, L = grid.n_points, grid.dx, grid.x_min, grid.length
     y_next = np.roll(y, -1)
     circulant_eigs = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
@@ -463,8 +462,7 @@ def egorov_residual(
 
 def boundary_leakage(
     prop_bo: SpectralPropagator | ChebyshevPropagator,
-    window: tuple,
-    delta: float,
+    band: BandData,
     region: PhaseSpaceRegion,
     alpha: float,
     phi0: NuclearWave,
@@ -473,21 +471,20 @@ def boundary_leakage(
     """Mass outside the shrunk window after evolving the region-cut state, per time.
 
     ||(1 - 1_{window - delta}) e^{-iH_bo t/eps} (region indicator)^W phi0||
-    at each of T `times`, shape (T,).  The cut state is formed once, by one
-    quantization of the indicator, and evolved to every time by one `apply`.
+    at each of T `times`, shape (T,), on the band's window and margin delta.
+    The cut state is formed once, by one quantization of the indicator, and
+    evolved to every time by one `apply`.
     """
     times = _time_row(times)
     grid = phi0.grid
     cut = weyl_quantize(smooth_indicator(region, alpha), grid, phi0.eps) @ phi0.values
-    a, b = window
-    outside = (grid.x <= a + delta) | (grid.x >= b - delta)
+    outside = ~band.window_slice(band.delta)
     return l2_norm(prop_bo.apply(cut, times)[:, outside], grid.dx, axis=-1)
 
 
 def reduced_observable_residual(
     symbol: Symbol,
     band: BandData,
-    delta: float,
     eps: float,
     states: list,
 ) -> float:
@@ -504,12 +501,12 @@ def reduced_observable_residual(
             f"(tail fraction {rep.tail_fraction:.2f})"
         )
     A = weyl_quantize(symbol, grid, eps)
-    cut = (band.window_slice(delta) & band.mask)[:, None]
+    cut = (band.window_slice(band.delta) & band.mask)[:, None]
     worst = 0.0
     for psi in states:
         y = MolecularWave(grid, cut * np.einsum("iab,ib->ia", band.proj, psi.values), eps=eps)
-        reduced = u_map(y, band, delta)
-        through = u_star_map(NuclearWave(grid, A @ reduced.values, eps=eps), band, delta)
+        reduced = u_map(y, band)
+        through = u_star_map(NuclearWave(grid, A @ reduced.values, eps=eps), band)
         d = A @ y.values - through.values
         worst = max(worst, l2_norm(d, grid.dx) / norm(psi))
     return worst

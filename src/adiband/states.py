@@ -138,6 +138,6 @@ def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
     return wave, rho
 
 
-def lift_to_band(phi: NuclearWave, band: BandData, delta: float = 0.5) -> MolecularWave:
+def lift_to_band(phi: NuclearWave, band: BandData) -> MolecularWave:
     """Embed a nuclear wave onto the tracked electronic band frame."""
-    return u_star_map(phi, band, delta)
+    return u_star_map(phi, band)

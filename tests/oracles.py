@@ -143,14 +143,17 @@ def assembled_blocks(model, grid, eps) -> list:
     return blocks
 
 
-def assembled_bo(band, eps, include_a_geo=True, delta=0.5):
-    """The dense BO operator as kinetic_matrix(A_geo) + diag(E), checked by `DenseHamiltonian` itself."""
+def assembled_bo(band, eps, include_a_geo=True):
+    """The dense BO operator as kinetic_matrix(A_geo) + diag(E), checked by `DenseHamiltonian` itself.
+
+    E and A_geo are extended at the band's own window and margin.
+    """
     from adiband.electronic import berry_connection
     from adiband.hamiltonians import DenseHamiltonian, clamp_field, kinetic_matrix
 
     grid = band.grid
-    E = clamp_field(band.band_energy, grid, band.window, delta)
-    a_vals = clamp_field(berry_connection(band), grid, band.window, delta) if include_a_geo else None
+    E = clamp_field(band.band_energy, grid, band.window, band.delta)
+    a_vals = clamp_field(berry_connection(band), grid, band.window, band.delta) if include_a_geo else None
     M = kinetic_matrix(grid, eps, a_vals) + np.diag(E)
     return DenseHamiltonian(matrix=M, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 

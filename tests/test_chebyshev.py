@@ -25,9 +25,9 @@ from oracles import full_chebyshev
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
 
 
-def _band(kind, n=128):
+def _band(kind, n=128, **kwargs):
     tag, window = MODELS[kind]
-    return band_decompose(get_model(tag), make_grid(-8, 8, n), 0, window=window)
+    return band_decompose(get_model(tag), make_grid(-8, 8, n), 0, window=window, **kwargs)
 
 
 def _block(dim, k, seed):
@@ -107,9 +107,9 @@ def test_action_and_bounds_match_the_dense_blocks(kind):
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_bo_chebyshev_matches_the_dense_bo(kind):
-    band = _band(kind)
-    prop = ChebyshevPropagator(bo_operator(band, delta=0.4), 0.1)
-    dense = diagonalize(assemble_bo(band, 0.1, delta=0.4))
+    band = _band(kind, delta=0.4)
+    prop = ChebyshevPropagator(bo_operator(band), 0.1)
+    dense = diagonalize(assemble_bo(band, 0.1))
     assert (prop.dim, prop.eps) == (dense.dim, dense.eps)
     block = _block(prop.dim, 3, 2)
     times = np.array([0.0, 0.7, 3.0])
@@ -124,7 +124,7 @@ def test_bo_chebyshev_matches_the_dense_bo(kind):
 
 def test_each_time_is_independent_of_its_row():
     # a row runs one recurrence, to its largest degree, and each time stops at its own
-    prop = ChebyshevPropagator(bo_operator(_band("complex"), delta=0.4), 0.1)
+    prop = ChebyshevPropagator(bo_operator(_band("complex", delta=0.4)), 0.1)
     vec = _block(prop.dim, 2, 3)
     row = prop.apply(vec, [0.2, 1.5, 3.0])
     for got, t in zip(row, (0.2, 1.5, 3.0)):
@@ -134,7 +134,7 @@ def test_each_time_is_independent_of_its_row():
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_chebyshev_sum_is_converged_at_its_degree(kind, monkeypatch):
     # degree K and K + 50 agree to rounding; a third of K is far off
-    prop = ChebyshevPropagator(bo_operator(_band(kind), delta=0.4), 0.05)
+    prop = ChebyshevPropagator(bo_operator(_band(kind, delta=0.4)), 0.05)
     vec = _block(prop.dim, 1, 4)[:, 0]
     (K,) = prop.degrees([2.0])
     at_k = prop.apply(vec, 2.0)
@@ -182,7 +182,7 @@ class DenseBOCache(PropagatorCache):
     """The scans' cache with the dense BO propagator, the oracle of the matrix-free one."""
 
     def bo(self, cfg, band, eps):
-        return diagonalize(assemble_bo(band, eps, include_a_geo=cfg.include_a_geo, delta=cfg.delta))
+        return diagonalize(assemble_bo(band, eps, include_a_geo=cfg.include_a_geo))
 
 
 class ChebyshevFullCache(PropagatorCache):

@@ -77,9 +77,9 @@ def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
         for (_, a), (_, b) in zip(got, want):
             assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
             assert (a.tag, a.eps, a.fiber_dim, a.grid) == (b.tag, b.eps, b.fiber_dim, b.grid)
-        band = band_decompose(model, grid, 0, window=(-2, 2) if tag == "rotated_pair" else None)
+        band = band_decompose(model, grid, 0, window=(-2, 2) if tag == "rotated_pair" else None, delta=0.4)
         for include_a_geo in (True, False):
-            a, b = assemble_bo(band, eps, include_a_geo, delta=0.4), assembled_bo(band, eps, include_a_geo, delta=0.4)
+            a, b = assemble_bo(band, eps, include_a_geo), assembled_bo(band, eps, include_a_geo)
             assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
 
 
@@ -299,25 +299,25 @@ def test_bo_free_band_is_kinetic():
 )
 def test_bo_storage_dtype_follows_gauge_field(tag, window, berry, include_a_geo, real):
     grid = make_grid(-4, 4, 64)
-    band = band_decompose(get_model(tag), grid, 0, window=window, gauge="component")
-    eps, delta = 0.2, 0.4
+    band = band_decompose(get_model(tag), grid, 0, window=window, gauge="component", delta=0.4)
+    eps = 0.2
     samples = None if berry is None else berry(grid.x)
-    H = assemble_bo(band, eps, include_a_geo=include_a_geo, delta=delta, berry=samples)
+    H = assemble_bo(band, eps, include_a_geo=include_a_geo, berry=samples)
     assert H.matrix.dtype == (np.float64 if real else np.complex128)
     assert np.any(H.matrix.imag) != real
     if real:
         # the zero-field phase dressing: phase = 1, mean(A) = 0, M = eps D
         F = fourier_matrix(grid)
         M = eps * (F.conj().T @ (grid.k[:, None] * F))
-        E = clamp_field(band.band_energy, grid, band.window, delta)
+        E = clamp_field(band.band_energy, grid, band.window, band.delta)
         dressed = (M @ M) / 2 + np.diag(E)
         assert np.abs(H.matrix - dressed).max() <= 1e-12 * np.abs(dressed).max()
 
 
 def test_bo_ground_state_localized_at_well_bottom():
     grid = make_grid(-6.4, 6.4, 256)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    H = assemble_bo(band, eps=0.05, delta=0.4)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
+    H = assemble_bo(band, eps=0.05)
     w, v = np.linalg.eigh(H.matrix)
     ground = np.abs(v[:, 0]) ** 2
     inside = (grid.x > -1) & (grid.x < 1)
@@ -380,7 +380,7 @@ def test_u_maps_isometry_and_projection(ac_setup):
 
 def test_u_star_u_is_band_projection(ac_setup):
     grid, model, band, H, P = ac_setup
-    U = u_matrix(band, delta=0.5)
+    U = u_matrix(band)
     UU = U @ U.conj().T
     assert np.abs(UU - np.eye(grid.n_points)).max() <= 1e-12
     # U* U acts as the band projection on its range
@@ -395,7 +395,7 @@ def test_u_map_kills_orthogonal_complement(ac_setup):
     rng = np.random.default_rng(2)
     psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     perp = psi - P @ psi
-    U = u_matrix(band, delta=0.5)
+    U = u_matrix(band)
     assert np.abs(U @ (P @ perp)).max() <= 1e-12
 
 

@@ -181,6 +181,8 @@ def test_from_json_names_unknown_fields():
         ("model", {"tag": "three_band", "params": {}}, "three_band"),
         ("grid", {"x_min": -8.0, "x_max": 8.0, "n_points": 100}, "power of two"),
         ("schema_version", 7, "schema_version 7 is not 1"),
+        # a model parameter of the wrong type builds, and fails at the first fiber the model evaluates
+        ("model", {"tag": "two_band_complex", "params": {"g_re": "0.5"}}, "cannot build the model"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -238,7 +240,7 @@ def test_leakage_window_reads_flow_dt():
     from adiband.semiclassics import band_energy_interpolant, hitting_times
 
     cfg = _config("leakage", flow_dt=5e-4)
-    _, dE = band_energy_interpolant(cfg.build_band(), cfg.delta)
+    _, dE = band_energy_interpolant(cfg.build_band())
     direct = hitting_times(cfg.build_region(), tuple(cfg.window), cfg.delta, dE, alpha=cfg.alpha, dt=5e-4)
     assert cfg.hitting_window() == direct
     assert direct != _config("leakage").hitting_window()
@@ -373,8 +375,7 @@ def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutof
     inputs, fam = harness._ScanInputs(cfg, cache), cfg.state["family_params"]
     for p in res.points:
         pf, pd = cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), p["eps"])
-        family = standard_state_family(inputs.grid, inputs.band(), p["eps"], fam["q_centers"], fam["p_centers"],
-                                       fam["wkb"], delta=cfg.delta)
+        family = standard_state_family(inputs.band(), p["eps"], fam["q_centers"], fam["p_centers"], fam["wkb"])
         one = decoupling_error(pf, pd, family, [p["t"]], energy_cutoff=energy_cutoff)
         assert p["error"] == pytest.approx(float(one.max()), rel=1e-14)
 
@@ -413,9 +414,9 @@ def test_effective_scan_projects_each_eps_once(monkeypatch):
                           grid={"x_min": -6.4, "x_max": 6.4, "n_points": 128})
     real, calls = harness.apply_phase_space_projection, []
 
-    def counted(psi, band, region, alpha, eps, **kwargs):
+    def counted(psi, band, region, alpha, eps):
         calls.append(eps)
-        return real(psi, band, region, alpha, eps, **kwargs)
+        return real(psi, band, region, alpha, eps)
 
     monkeypatch.setattr(harness, "apply_phase_space_projection", counted)
     cache = PropagatorCache()
@@ -593,28 +594,37 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
 
 
 def test_bo_cache_entries_are_keyed_by_the_gauge():
-    # a band and its gauge-shifted copy give conjugate BO operators, so their propagators differ
+    # a band's gauge-shifted copy gives the conjugate BO operator, and a band that differs
+    # only in its window margin delta extends E and A_geo from another shrunk window: each
+    # gets a BO entry of its own.  H_diag reads neither the gauge nor the margin, so all
+    # three bands share one diag entry.
     from adiband.electronic import band_decompose
     from adiband.grids import make_grid
-    from adiband.hamiltonians import assemble_bo
     from adiband.models import get_model
     from adiband.propagation import diagonalize
+    from oracles import assembled_bo
 
     cfg = small_config()
-    grid = make_grid(-8, 8, 64)
-    band = band_decompose(get_model("two_band_complex"), grid, 0)
+    grid, model = make_grid(-8, 8, 128), get_model("two_band_complex")
+    band = band_decompose(model, grid, 0, window=(-2, 2))
     shifted = band.with_gauge_shift(0.3 * np.sin(2 * np.pi * grid.x / grid.length))
+    # delta/5 and delta/2 of 0.5 and 1.0 clamp at other grid points (dx = 0.125)
+    narrow = band_decompose(model, grid, 0, window=(-2, 2), delta=1.0)
+    assert (shifted.delta, narrow.delta) == (band.delta, 1.0)
     cache = PropagatorCache()
-    plain, moved = cache.bo(cfg, band, 0.1), cache.bo(cfg, shifted, 0.1)
-    assert plain is not moved and len(cache._store) == 2
-    # the shifted entry evolves as the dense oracle of the shifted band's BO operator
+    bands = (band, shifted, narrow)
+    bos = [cache.bo(cfg, b, 0.1) for b in bands]
+    diags = [cache.diag(cfg, model, grid, b, 0.1) for b in bands]
+    assert len({id(p) for p in bos}) == 3 and diags[1] is diags[0] and diags[2] is diags[0]
+    # each entry evolves as the dense oracle of its own band's BO operator, at its own margin
     v = np.exp(-grid.x**2) * np.exp(0.5j * grid.x)
-    want = diagonalize(assemble_bo(shifted, 0.1, include_a_geo=cfg.include_a_geo, delta=cfg.delta)).apply(v, [0.5, 1.0])
-    got = moved.apply(v, [0.5, 1.0])
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not np.allclose(got, plain.apply(v, [0.5, 1.0]))
-    # the same gauge hits its entry
-    assert cache.bo(cfg, band, 0.1) is plain and len(cache._store) == 2
+    got = [p.apply(v, [0.5, 1.0]) for p in bos]
+    for b, g in zip(bands, got):
+        want = diagonalize(assembled_bo(b, 0.1, include_a_geo=cfg.include_a_geo)).apply(v, [0.5, 1.0])
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+    assert not np.allclose(got[1], got[0]) and not np.allclose(got[2], got[0])
+    # the same gauge and margin hit their entry: three BO entries, one full, one diag
+    assert all(cache.bo(cfg, b, 0.1) is p for b, p in zip(bands, bos)) and len(cache._store) == 5
 
 
 def test_emit_json_roundtrip(tmp_path, scan_result):
@@ -701,8 +711,7 @@ def test_standard_family_size_and_normalization():
 
     grid = make_grid(-8, 8, 128)
     band = band_decompose(get_model("two_band_complex"), grid, 0)
-    fam = standard_state_family(grid, band, 0.1, (-1.0, 0.0, 1.0), (-0.4, 0.0, 0.4),
-                                (0.0, 0.6, 0.3, np.pi / 8))
+    fam = standard_state_family(band, 0.1, (-1.0, 0.0, 1.0), (-0.4, 0.0, 0.4), (0.0, 0.6, 0.3, np.pi / 8))
     assert len(fam) == 10
     for psi in fam:
         assert sobolev_norm(psi, 2) == pytest.approx(1.0, abs=1e-10)

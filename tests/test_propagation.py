@@ -131,7 +131,7 @@ def test_real_storage_matches_complex_solver():
 
     grid, model, band, H_full, _ = _build(*MODELS["real"])
     # the full H and the Born-Oppenheimer H of the real frame (zero gauge field)
-    for H in (H_full, assemble_bo(band, H_full.eps, delta=0.4)):
+    for H in (H_full, assemble_bo(dataclasses.replace(band, delta=0.4), H_full.eps)):
         assert H.matrix.dtype == np.float64
         prop = diagonalize(H)
         # the real solver ran: real eigenvectors
@@ -342,17 +342,17 @@ def test_effective_dynamics_error_equals_dense_formula(tag):
 
     grid = make_grid(-6.4, 6.4, 128)
     model = get_model(tag)
-    band = band_decompose(model, grid, 0, window=(-2, 2))
-    delta, eps, times = 0.4, 0.1, (0.2, 0.5)
+    band = band_decompose(model, grid, 0, window=(-2, 2), delta=0.4)
+    eps, times = 0.1, (0.2, 0.5)
     pf = diagonalize(assemble_full(model, grid, eps))
-    pb = diagonalize(assemble_bo(band, eps, delta=delta))
+    pb = diagonalize(assemble_bo(band, eps))
     # launched near the window edge, so the clamped frame matters
-    psi = lift_to_band(coherent_state(grid, eps, 1.2, 0.3)[0], band, delta)
+    psi = lift_to_band(coherent_state(grid, eps, 1.2, 0.3)[0], band)
     vec = full_projection(band) @ psi.flat()
     projected = MolecularWave(grid, vec.reshape(psi.values.shape), eps=eps)
-    got = effective_dynamics_error(pf, pb, band, projected, times, delta=delta)
+    got = effective_dynamics_error(pf, pb, band, projected, times)
     # dense oracle, one time at a time: U as a matrix
-    U = u_matrix(band, delta)
+    U = u_matrix(band)
     want = []
     for t in times:
         d = pf.apply(vec, t) - U.conj().T @ pb.apply(U @ vec, t)

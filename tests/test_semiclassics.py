@@ -166,8 +166,8 @@ def test_flow_symplectic_area():
 
 def test_band_energy_interpolant_matches_band():
     grid = make_grid(-6.4, 6.4, 256)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    E, dE = band_energy_interpolant(band, delta=0.4)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
+    E, dE = band_energy_interpolant(band)
     qs = np.linspace(-1.5, 1.5, 40)
     assert np.abs(E(qs) - (qs**2 - 4)).max() <= 1e-6
     assert np.abs(dE(qs) - 2 * qs).max() <= 1e-4
@@ -177,16 +177,16 @@ def test_band_energy_interpolant_matches_band():
 def test_flow_and_bo_operator_extend_the_same_energy(delta):
     # the classical flow and the effective Hamiltonian of one band use one extension of its energy
     grid = make_grid(-6.4, 6.4, 512)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    E, _ = band_energy_interpolant(band, delta)
-    V = bo_operator(band, delta=delta).fibers[:, 0, 0]
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=delta)
+    E, _ = band_energy_interpolant(band)
+    V = bo_operator(band).fibers[:, 0, 0]
     assert np.abs(E(grid.x) - V).max() <= 1e-13 * np.abs(V).max()
 
 
 def _rotated_pair_spline_data():
     grid = make_grid(-6.4, 6.4, 512)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
-    return band, clamp_field(band.band_energy, grid, band.window, 0.4)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
+    return band, clamp_field(band.band_energy, grid, band.window, band.delta)
 
 
 def _random_periodic_spline_data():
@@ -205,7 +205,7 @@ def _random_periodic_spline_data():
 def test_band_energy_interpolant_matches_scipy_periodic_spline(data):
     band, vals = data()
     grid = band.grid
-    E, dE = band_energy_interpolant(band, delta=0.4)
+    E, dE = band_energy_interpolant(band)
     E_ref, dE_ref = periodic_spline(grid, vals)
     L = grid.length
     qs = np.concatenate([np.linspace(grid.x_min - 2 * L, grid.x_min + 3 * L, 5003), grid.x])
@@ -218,7 +218,7 @@ def test_band_energy_interpolant_matches_scipy_periodic_spline(data):
 def test_band_energy_interpolant_continuous_across_seam(data):
     band, _ = data()
     grid = band.grid
-    E, dE = band_energy_interpolant(band, delta=0.4)
+    E, dE = band_energy_interpolant(band)
     end = np.nextafter(grid.x_min + grid.length, -np.inf)  # end of the last interval
     for f in (E, dE):
         scale = np.abs(f(grid.x)).max()
@@ -229,7 +229,7 @@ def test_band_energy_interpolant_wraps_queries_into_the_box():
     band, vals = _random_periodic_spline_data()
     grid = band.grid
     x0, L = grid.x_min, grid.length
-    E, dE = band_energy_interpolant(band, delta=0.4)
+    E, dE = band_energy_interpolant(band)
     assert E(x0) == vals[0] and E(x0 + L) == E(x0) and dE(x0 + L) == dE(x0)
     q = x0 + 0.37
     far = q + L * np.array([-5.0, -3.0, 2.0, 4.0])
@@ -440,9 +440,9 @@ def test_density_rejects_negative_weights():
 
 def test_phase_space_projection_annihilates_complement():
     grid = make_grid(-6.4, 6.4, 128)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
     region = PhaseSpaceRegion([(-0.8, 0.8, -0.8, 0.8)])
-    PG = phase_space_projection(band, region, alpha=0.3, eps=0.1, delta=0.4)
+    PG = phase_space_projection(band, region, alpha=0.3, eps=0.1)
     from adiband.hamiltonians import full_projection
 
     P = full_projection(band)
@@ -458,13 +458,13 @@ def test_phase_space_projection_equals_dense_formula(tag, window):
     from adiband.indicators import interval_indicator
 
     grid = make_grid(-6.4, 6.4, 128)
-    band = band_decompose(get_model(tag), grid, 0, window=window)
-    region = PhaseSpaceRegion([(-0.8, 0.8, -0.8, 0.8)])
     delta, eps = 0.4, 0.1
-    PG = phase_space_projection(band, region, alpha=0.3, eps=eps, delta=delta)
+    band = band_decompose(get_model(tag), grid, 0, window=window, delta=delta)
+    region = PhaseSpaceRegion([(-0.8, 0.8, -0.8, 0.8)])
+    PG = phase_space_projection(band, region, alpha=0.3, eps=eps)
     lam = interval_indicator(grid.x, [window], margin=delta)
     W = weyl_quantize(smooth_indicator(region, 0.3), grid, eps)
-    U = u_matrix(band, delta)
+    U = u_matrix(band)
     dense = U.conj().T @ (lam[:, None] * (W @ (U @ full_projection(band))))
     assert np.abs(PG - dense).max() <= 1e-14
 
@@ -474,28 +474,28 @@ def test_apply_phase_space_projection_equals_dense(tag):
     from adiband.states import coherent_state, lift_to_band
 
     grid = make_grid(-6.4, 6.4, 128)
-    band = band_decompose(get_model(tag), grid, 0, window=(-2, 2))
+    band = band_decompose(get_model(tag), grid, 0, window=(-2, 2), delta=0.4)
     # the region reaches the shrunk window's edge, so P_Gamma has range
     # where the frame is clamped (|X| > 1.8) and lambda is still nonzero
     region = PhaseSpaceRegion([(0.3, 1.5, -0.8, 0.8)])
-    delta, eps, alpha = 0.4, 0.1, 0.3
-    PG = phase_space_projection(band, region, alpha=alpha, eps=eps, delta=delta)
+    eps, alpha = 0.1, 0.3
+    PG = phase_space_projection(band, region, alpha=alpha, eps=eps)
     rng = np.random.default_rng(1)
-    edge = lift_to_band(coherent_state(grid, eps, 1.6, 0.3)[0], band, delta)
+    edge = lift_to_band(coherent_state(grid, eps, 1.6, 0.3)[0], band)
     noise = rng.standard_normal(edge.values.shape) + 1j * rng.standard_normal(edge.values.shape)
     for values in (edge.values, noise):
         psi = MolecularWave(grid, values, eps=eps)
-        got = apply_phase_space_projection(psi, band, region, alpha, eps, delta=delta)
+        got = apply_phase_space_projection(psi, band, region, alpha, eps)
         want = PG @ psi.flat()
         assert np.linalg.norm(got.flat() - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_phase_space_projection_region_must_fit():
     grid = make_grid(-6.4, 6.4, 128)
-    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2))
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
     region = PhaseSpaceRegion([(-1.9, 1.9, -0.5, 0.5)])
     with pytest.raises(ValueError):
-        phase_space_projection(band, region, alpha=0.3, eps=0.1, delta=0.4)
+        phase_space_projection(band, region, alpha=0.3, eps=0.1)
 
 
 @pytest.mark.parametrize("tag, window", [("rotated_pair", (-2, 2)), ("two_band_complex", (-5, 5))])
@@ -504,17 +504,17 @@ def test_reduced_observable_residual_equals_dense_formula(tag, window):
     from adiband.states import coherent_state, lift_to_band
 
     grid = make_grid(-6.4, 6.4, 128)
-    band = band_decompose(get_model(tag), grid, 0, window=window)
     delta, eps = 0.4, 0.1
+    band = band_decompose(get_model(tag), grid, 0, window=window, delta=delta)
     sym = Symbol(lambda q, p: p + 0 * q, "p")
-    states = [lift_to_band(coherent_state(grid, eps, q0, p0)[0], band, delta)
+    states = [lift_to_band(coherent_state(grid, eps, q0, p0)[0], band)
               for q0, p0 in ((-0.5, 0.4), (0.6, -0.3))]
-    got = reduced_observable_residual(sym, band, delta, eps, states)
+    got = reduced_observable_residual(sym, band, eps, states)
     # dense oracle: U and P as matrices
     A = weyl_quantize(sym, grid, eps)
     a, b = window
     sharp = np.repeat(((grid.x > a + delta) & (grid.x < b - delta)).astype(float), band.fiber_dim)
-    U = u_matrix(band, delta)
+    U = u_matrix(band)
     want = 0.0
     for psi in states:
         y = sharp * (full_projection(band) @ psi.flat())
@@ -526,13 +526,13 @@ def test_reduced_observable_residual_equals_dense_formula(tag, window):
 
 def test_boundary_leakage_small_when_far_from_edge():
     grid = make_grid(-6.4, 6.4, 256)
-    band = band_decompose(get_model("free"), grid, 0, window=(-4, 4))
+    band = band_decompose(get_model("free"), grid, 0, window=(-4, 4), delta=0.4)
     eps = 0.1
-    H = assemble_bo(band, eps, delta=0.4)
+    H = assemble_bo(band, eps)
     prop = diagonalize(H)
     region = PhaseSpaceRegion([(-0.8, 0.8, -0.4, 0.4)])
     phi = coherent(grid, eps, 0.0, 0.1)
-    leak = boundary_leakage(prop, (-4, 4), 0.4, region, alpha=0.25, phi0=phi, times=(0.1, 0.2))
+    leak = boundary_leakage(prop, band, region, alpha=0.25, phi0=phi, times=(0.1, 0.2))
     assert leak.shape == (2,)
     assert leak.max() <= 1e-8
 
@@ -541,14 +541,14 @@ def test_egorov_residual_equals_dense_oracle():
     # per time: the dense unitary, a^W on each fiber component, and rho flowed from 0
     grid = make_grid(-6.4, 6.4, 128)
     model = get_model("rotated_pair")
-    band = band_decompose(model, grid, 0, window=(-2, 2))
-    eps, delta, times = 0.1, 0.4, (0.3, 0.6)
-    _, dE = band_energy_interpolant(band, delta)
+    band = band_decompose(model, grid, 0, window=(-2, 2), delta=0.4)
+    eps, times = 0.1, (0.3, 0.6)
+    _, dE = band_energy_interpolant(band)
     symbols = [Symbol(lambda q, p: q + 0 * p, "q"), Symbol(lambda q, p: np.asarray(p) ** 2 + 0 * q, "p^2")]
     phi0, rho = coherent_state(grid, eps, 0.3, 0.2)
     cases = (
-        (diagonalize(assemble_bo(band, eps, delta=delta)), phi0),  # nuclear wave, BO propagator
-        (diagonalize(assemble_full(model, grid, eps)), lift_to_band(phi0, band, delta)),  # molecular, full
+        (diagonalize(assemble_bo(band, eps)), phi0),  # nuclear wave, BO propagator
+        (diagonalize(assemble_full(model, grid, eps)), lift_to_band(phi0, band)),  # molecular, full
     )
     for prop, psi0 in cases:
         got = egorov_residual(prop, symbols, psi0, rho, times, dE)
