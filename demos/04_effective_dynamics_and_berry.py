@@ -2,7 +2,8 @@
 """Effective single-band dynamics, with and without the Berry connection.
 
 On the complex two-band model, compares the full molecular evolution
-against the identified effective nuclear evolution.  With the geometric
+against the identified effective nuclear evolution, both applied
+matrix-free by Chebyshev expansion, as the scans do.  With the geometric
 vector potential included the difference decays at first order in eps;
 with it dropped, the error saturates at the geometric phase accumulated
 along the classical path.
@@ -11,19 +12,18 @@ along the classical path.
 import numpy as np
 
 from adiband import (
+    ChebyshevPropagator,
     PhaseSpaceRegion,
     apply_phase_space_projection,
-    assemble_bo,
-    assemble_full,
     band_decompose,
     berry_connection,
     coherent_state,
-    diagonalize,
     effective_dynamics_error,
     get_model,
     lift_to_band,
     make_grid,
 )
+from adiband.hamiltonians import bo_operator, molecular_operator
 
 grid = make_grid(-6.4, 6.4, 512)
 model = get_model("two_band_complex")
@@ -37,12 +37,12 @@ print(f"geometric phase along the path: int A dq ~ {A[path].sum() * grid.dx:.3f}
 print(f"packet ({q0}, {p0}), t = {t}\n")
 
 for eps in (0.2, 0.1, 0.05, 0.025):
-    prop_full = diagonalize(assemble_full(model, grid, eps))
+    prop_full = ChebyshevPropagator(molecular_operator(model, grid), eps)
     wave, _ = coherent_state(grid, eps, q0, p0)
     projected = apply_phase_space_projection(lift_to_band(wave, band), band, region, alpha=0.45, eps=eps)
     row = [f"eps = {eps:<6g}"]
     for flag, label in ((True, "with A_geo"), (False, "without")):
-        prop_bo = diagonalize(assemble_bo(band, eps, include_a_geo=flag))
+        prop_bo = ChebyshevPropagator(bo_operator(band, include_a_geo=flag), eps)
         (err,) = effective_dynamics_error(prop_full, prop_bo, band, projected, [t])
         row.append(f"{label}: {err:.4e}")
     print("  ".join(row))

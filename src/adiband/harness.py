@@ -155,6 +155,8 @@ class ExperimentConfig:
 
     # to_json() of the content validate() last passed; not a dataclass field
     _validated_json = None
+    # (to_json(), band) of the lift band `_lift_band_data` last built; not a dataclass field
+    _lift_band_built = None
 
     def validate(self):
         """Check the configuration and return it.
@@ -266,8 +268,8 @@ class ExperimentConfig:
         return PhaseSpaceRegion(self.region)
 
     def hitting_window(self):
-        band = self.build_band(self.lift_band())
-        _, dE = band_energy_interpolant(band)
+        """The hitting-time window of the region on the lift band, computed on every call."""
+        _, dE = band_energy_interpolant(self._lift_band_data())
         return hitting_times(
             self.build_region(), tuple(self.window), self.delta, dE,
             alpha=self.alpha, dt=self.flow_dt,
@@ -275,6 +277,17 @@ class ExperimentConfig:
 
     def lift_band(self):
         return [self.lift_band_index] if self.lift_band_index is not None else self.band_indices
+
+    def _lift_band_data(self) -> BandData:
+        """The lift band, decomposed once per content: kept with the to_json() text it was built for.
+
+        So validation (the hitting window) and the scans of an unchanged
+        config share one band, and a config changed since gets a new one.
+        """
+        text = self.to_json()
+        if self._lift_band_built is None or self._lift_band_built[0] != text:
+            self._lift_band_built = (text, self.build_band(self.lift_band()))
+        return self._lift_band_built[1]
 
     def make_state(self, band, eps):
         """(lifted molecular wave, nuclear wave, classical density) of the configured family, on the band's grid."""
@@ -421,27 +434,29 @@ class PropagatorCache:
     grids passed under one cfg never share an entry; the `cfg` argument
     supplies only `bo`'s `include_a_geo`.
 
-    The molecular H is solved dense, and the Born-Oppenheimer H is applied
-    matrix-free:
+    Only the decoupling pair is dense; every propagator of an H applied on
+    its own is matrix-free:
     - The parts of the molecular H (`hamiltonians.molecular_operator`, its
       fiber stack H_e(X_i)) are built once per model and grid and kept
-      beside the propagators.  The full propagator and the band-preserving
-      one of an eps are built from one block-stored H derived from them:
-      `decoupling_pair` forms it on its first miss and drops it when it
-      returns, so no assembled H outlives the call that builds from it.
-      The band-preserving propagator holds the full one's triple wherever
-      P is 0 or 1 on a whole block of H, so the full propagator of the
-      same eps is built (or found) first.  `full` builds the full
-      propagator alone, and `diag` is the band-preserving half of
-      `decoupling_pair`.
-    - `bo` is always a `ChebyshevPropagator` on the band's `bo_operator`:
-      no BO matrix is formed and none is solved.  Its matvec is two FFTs
-      of the grid, and its cost grows with t/eps instead of n^3.
-    The rule, BO matrix-free and molecular H dense, and its reasons are
-    stated in `propagation`: the dense blocks are cheaper on the decoupling
-    pair, and the benchmark's 1e-10 gate on the effective errors is the
-    float64 floor of its eps = 0.025 point, to be restated by a derivation
-    before the full H moves.
+      beside the propagators.
+    - `full` is a `ChebyshevPropagator` on those parts: no molecular matrix
+      is formed and none is solved.  Its callers, the effective and
+      state-observable scans, apply it alone.
+    - `decoupling_pair` solves the full propagator and the band-preserving
+      one of an eps from one block-stored H derived from the parts: it
+      forms H on its first miss and drops it when it returns, so no
+      assembled H outlives the call that builds from it.  The
+      band-preserving propagator holds the pair's full triple wherever P
+      is 0 or 1 on a whole block of H, so the pair's full propagator of the
+      same eps is built (or found) first.  It has a key of its own ("pair
+      full"), apart from `full`'s, so the pair never finds the matrix-free
+      propagator, which holds no blocks.  `diag` is the band-preserving
+      half of `decoupling_pair`.
+    - `bo` is always a `ChebyshevPropagator` on the band's `bo_operator`.
+    A matrix-free matvec is two FFTs of the grid, and its cost grows with
+    t/eps instead of n^3.  The rule and its reasons are stated in
+    `propagation`: the dense blocks are cheaper on the decoupling pair,
+    where `energy_cutoff_apply` also needs the eigenpairs.
     """
 
     def __init__(self):
@@ -452,34 +467,32 @@ class PropagatorCache:
     def _system_key(model: ElectronicModel, grid: Grid1D):
         return (model.tag, json.dumps(model.params, sort_keys=True), grid.x_min, grid.x_max, grid.n_points)
 
-    def _full_key(self, model, grid, eps):
-        return ("full", self._system_key(model, grid), eps)
-
     def _diag_key(self, model, grid, band, eps):
         return ("diag", self._system_key(model, grid), band.band_indices, band.window, eps)
 
-    def _blocks(self, model, grid, eps):
-        """The block-stored molecular H at eps, from the parts kept for the model and grid."""
+    def _operator(self, model, grid):
+        """The parts of the molecular H (a `FiberedOperator`), built once for the model and grid."""
         key = self._system_key(model, grid)
         if key not in self._operators:
             self._operators[key] = molecular_operator(model, grid)
-        return self._operators[key].blocks(eps)
+        return self._operators[key]
 
     def get(self, key, builder):
         if key not in self._store:
             self._store[key] = builder()
         return self._store[key]
 
-    def full(self, cfg, model, grid, eps) -> SpectralPropagator:
-        return self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(self._blocks(model, grid, eps)))
+    def full(self, cfg, model, grid, eps) -> ChebyshevPropagator:
+        return self.get(("full", self._system_key(model, grid), eps),
+                        lambda: ChebyshevPropagator(self._operator(model, grid), eps))
 
     def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
         return self.decoupling_pair(cfg, model, grid, band, eps)[1]
 
     def decoupling_pair(self, cfg, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
-        """(full, band-preserving) propagators at eps, from at most one block-stored H."""
-        H = functools.cache(lambda: self._blocks(model, grid, eps))
-        full = self.get(self._full_key(model, grid, eps), lambda: diagonalize_blocks(H()))
+        """(full, band-preserving) propagators at eps, both dense, from at most one block-stored H."""
+        H = functools.cache(lambda: self._operator(model, grid).blocks(eps))
+        full = self.get(("pair full", self._system_key(model, grid), eps), lambda: diagonalize_blocks(H()))
         diag = self.get(self._diag_key(model, grid, band, eps), lambda: diagonalize_band_preserving(H(), band, full))
         return full, diag
 
@@ -542,7 +555,9 @@ class _ScanInputs:
     functional directly passes one built from its config and cache, as a
     scan does.  The model, the grid and each band set are built on first
     use and kept; a build that raises is tried again by the next row, so it
-    fails every row that needs it.
+    fails every row that needs it.  The lift band is the config's own, the
+    one its validation built for the hitting window
+    (`ExperimentConfig._lift_band_data`).
     """
 
     def __init__(self, cfg: ExperimentConfig, cache: PropagatorCache | None = None):
@@ -560,7 +575,10 @@ class _ScanInputs:
 
     def band(self, indices=None) -> BandData:
         """The band set `indices`; by default the lift band."""
-        key = tuple(np.atleast_1d(self.cfg.lift_band() if indices is None else indices))
+        lift = tuple(np.atleast_1d(self.cfg.lift_band()))
+        key = lift if indices is None else tuple(np.atleast_1d(indices))
+        if key == lift:
+            return self.cfg._lift_band_data()
         if key not in self._bands:
             self._bands[key] = self.cfg.build_band(key, self.model, self.grid)
         return self._bands[key]

@@ -9,23 +9,28 @@ parts (`ChebyshevPropagator`), so every error measured here is an
 adiabatic or semiclassical error of the model, never a time-integration
 artifact.
 
-The rule is: the Born-Oppenheimer H matrix-free, the molecular H dense.
-The BO operator is a Fourier multiplier dressed by its gauge phase plus a
-potential, so the Chebyshev recurrence applies it by two FFTs of the grid
-per step, with no n x n matrix and no n^3 solve (`harness.PropagatorCache.bo`);
-the dense `diagonalize(assemble_bo(...))` stays as the tests' oracle.  The
-molecular H stays dense in every scan, for two reasons.  The decoupling pair
-applies a family of states to both H and H_diag, where the dense blocks are
-cheaper.  The benchmark's reference errors come from dense solves and are
-gated at 1e-10 relative, which at effective-ladder's eps = 0.025 is the
-float64 floor of the point: there the reference itself is 4.3e-11 from an
-extended-precision value, and the scans' error moves by 4.5e-11 between
-one and two BLAS threads.  A matrix-free full H waits for that tolerance
-to be restated by a derivation.  Its propagator is built only by the tests
-(`oracles.full_chebyshev`), as a second oracle of the dense solve.
+The rule is: only the decoupling pair is dense, and every propagator of
+an H applied on its own is matrix-free.  The Born-Oppenheimer operator is
+a Fourier multiplier dressed by its gauge phase plus a potential, and the
+molecular H is the kinetic multiplier on every fiber component plus the
+fiber stack, so the Chebyshev recurrence applies either by two FFTs of
+the grid per step, with no N x N matrix and no N^3 solve
+(`harness.PropagatorCache.bo` and `.full`); the dense solves
+(`diagonalize(assemble_bo(...))`, `diagonalize_blocks`) stay as the tests'
+oracles.  On the effective-ladder benchmark (one BLAS thread, two-core
+host, median of nine interleaved pairs) the switch of the full H took
+the scan from 1.52 s to 0.73 s and the peak RSS from 108 MB to 67 MB.  Its
+errors lie within 5.2e-11 relative of the dense references, at the
+eps = 0.025 point, inside their 1e-10 gate, and they are the same floats
+at one and two BLAS threads, where the dense full H moved that point by
+4.5e-11.  The decoupling pair stays dense for two reasons.  It applies a
+family of states to both H and H_diag, whose shared and split blocks are
+cheaper dense: at n = 512 the dense pair takes 0.41-0.49 s per eps against
+1.2-2.1 s by Chebyshev.  And `SpectralPropagator.energy_cutoff_apply`
+projects onto total energies by the eigenpairs.
 
 A propagator is stored as blocks.  The block structure is decided in
-`hamiltonians`: the scans assemble the molecular H by its exactly
+`hamiltonians`: the decoupling scans assemble the molecular H by its exactly
 decoupled blocks (`hamiltonians.assemble_blocks`, read from the fibers'
 pattern), and `diagonalize_blocks` solves each on its own: a dense solve
 of a block of dimension d costs d^3, so the blocks together cost far less
@@ -527,7 +532,7 @@ def decoupling_error(
 
 
 def effective_dynamics_error(
-    prop_full: SpectralPropagator,
+    prop_full: SpectralPropagator | ChebyshevPropagator,
     prop_bo: SpectralPropagator | ChebyshevPropagator,
     band: BandData,
     projected: MolecularWave,

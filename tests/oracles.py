@@ -158,19 +158,6 @@ def assembled_bo(band, eps, include_a_geo=True):
     return DenseHamiltonian(matrix=M, eps=eps, tag="bo", grid=grid, fiber_dim=1)
 
 
-def full_chebyshev(model, grid, eps):
-    """The full molecular propagator, matrix-free: a Chebyshev expansion on `molecular_operator`'s parts.
-
-    A second oracle of the dense block solve, independent of it: no matrix
-    is formed and no eigenproblem solved.  The scans keep the molecular H
-    dense; only tests build this.
-    """
-    from adiband.hamiltonians import molecular_operator
-    from adiband.propagation import ChebyshevPropagator
-
-    return ChebyshevPropagator(molecular_operator(model, grid), eps)
-
-
 def wigner_values(wave) -> np.ndarray:
     """The marginal Wigner array of `semiclassics.wigner_marginal` by its defining sums.
 

@@ -257,8 +257,10 @@ def test_leakage_window_reads_flow_dt():
 def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
     from adiband import harness
 
-    few = harness._config(name, eps_ladder=[0.2, 0.1, 0.05], times=[1.0], **overrides)
-    many = harness._config(name, eps_ladder=[0.25, 0.2, 0.1, 0.05], times=[0.5, 1.0, 1.5], **overrides)
+    # counted from the config's JSON: an effective config's validation builds the lift band
+    # for its hitting window, and the scan reuses it
+    few = harness._config(name, eps_ladder=[0.2, 0.1, 0.05], times=[1.0], **overrides).to_json()
+    many = harness._config(name, eps_ladder=[0.25, 0.2, 0.1, 0.05], times=[0.5, 1.0, 1.5], **overrides).to_json()
     calls, real = [], harness.band_decompose
 
     def counted(*args, **kwargs):
@@ -267,11 +269,34 @@ def test_scan_builds_each_band_once(monkeypatch, name, overrides, band_sets):
 
     monkeypatch.setattr(harness, "band_decompose", counted)
     cache = PropagatorCache()
-    for cfg in (few, many):
+    for text in (few, many):
         calls.clear()
-        res = eps_scan(cfg, cache)
+        res = eps_scan(ExperimentConfig.from_json(text), cache)
         assert all(p["status"] == "ok" for p in res.points)
         assert len(calls) == band_sets
+
+
+def test_effective_scan_decomposes_its_lift_band_once(monkeypatch):
+    # one from_json + eps_scan of the effective config: validation decomposes the lift band
+    # for the hitting window, and the scan takes that band, kept with the content it was built for
+    from adiband import harness
+
+    text = harness._config("effective").to_json()
+    calls, real = [], harness.band_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "band_decompose", counted)
+    cfg = ExperimentConfig.from_json(text)
+    res = eps_scan(cfg, PropagatorCache())
+    assert all(p["status"] == "ok" for p in res.points)
+    assert len(calls) == 1
+    # a config changed since its validation never gets the stale band
+    cfg.delta = 0.3
+    assert harness._ScanInputs(cfg).band().delta == 0.3
+    assert len(calls) == 2
 
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
@@ -567,6 +592,7 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     from adiband.electronic import band_decompose
     from adiband.grids import make_grid
     from adiband.models import get_model
+    from adiband.propagation import ChebyshevPropagator
 
     cfg = small_config()
     grid = make_grid(-8, 8, 64)
@@ -580,15 +606,23 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     ]
     for a, b in zip(*built):
         assert a is not b
-    for a, b in zip(built[0][:4], built[1][:4]):
+    # the decoupling pair is dense: its eigenvalues differ
+    for a, b in zip(built[0][1:4], built[1][1:4]):
         assert not np.array_equal(dense_eigenpairs(a)[0], dense_eigenpairs(b)[0])
-    # the BO propagators are matrix-free: their evolutions differ
+    # the full and the BO propagators are matrix-free: their evolutions differ
     v = np.exp(-grid.x**2) + 0j
+    vv = np.repeat(v, 2)
+    assert not np.allclose(built[0][0].apply(vv, 1.0), built[1][0].apply(vv, 1.0))
     assert not np.allclose(built[0][4].apply(v, 1.0), built[1][4].apply(v, 1.0))
-    # the same objects hit: full and the pair's full share an entry, and so do diag and the pair's diag
+    # the same objects hit: diag and the pair's diag share an entry.  full is matrix-free and
+    # the pair's full is dense, an entry of its own, so the pair never finds a propagator
+    # without blocks: the two evolve alike, to the rounding of the Chebyshev sum
     for props in built:
-        assert props[0] is props[1] and props[2] is props[3]
-    assert len(cache._store) == 6
+        assert props[2] is props[3]
+        assert isinstance(props[0], ChebyshevPropagator) and props[1].blocks
+        want = props[1].apply(vv, 1.0)
+        assert np.abs(props[0].apply(vv, 1.0) - want).max() <= 1e-12 * np.abs(want).max()
+    assert len(cache._store) == 8
     # another grid is another entry as well
     assert cache.full(cfg, models[0], make_grid(-8, 8, 32), 0.1).dim == 64
 
@@ -623,7 +657,7 @@ def test_bo_cache_entries_are_keyed_by_the_gauge():
         want = diagonalize(assembled_bo(b, 0.1, include_a_geo=cfg.include_a_geo)).apply(v, [0.5, 1.0])
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
     assert not np.allclose(got[1], got[0]) and not np.allclose(got[2], got[0])
-    # the same gauge and margin hit their entry: three BO entries, one full, one diag
+    # the same gauge and margin hit their entry: three BO entries, the pair's full, one diag
     assert all(cache.bo(cfg, b, 0.1) is p for b, p in zip(bands, bos)) and len(cache._store) == 5
 
 

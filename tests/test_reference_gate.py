@@ -6,17 +6,18 @@ benchmark counts a point as failed when its error leaves REL_TOL (relative)
 of the recorded one.  The benchmark files are read, not imported as a
 package, and not changed.  The sweep's cache, built before the benchmark's
 timed phase, holds the propagators a cold scan builds, so the errors are
-the same.  The effective-ladder references come from the dense BO solve;
-the scans now apply the BO propagator matrix-free, and its eps = 0.025
-point sits about 5e-11 from its reference, near the float64 floor of that
-point.
+the same.  The effective-ladder references come from dense solves of the
+full and the BO H; the scans now apply both matrix-free, and the seed-0
+points read +6.8e-13, +6.2e-12, +2.7e-12 and -5.13e-11 relative to them,
+the last near the float64 floor of the eps = 0.025 point.
 
 The three configs are scanned in one child interpreter with
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, the cap
-perfbench/run.py applies to the benchmark, so the errors gated here are
-rounded as the benchmark rounds them whatever BLAS threads the test run
-has: at two threads the eps = 0.025 effective point reads -9.71e-11 relative
-against the 1e-10 gate, at one -5.17e-11.
+perfbench/run.py applies to the benchmark.  The matrix-free effective errors
+do not depend on that cap: a second child scans effective-ladder at two
+BLAS threads, and its errors must be the same floats, to the last bit.  (The
+dense full H they replaced read -5.17e-11 at one thread and -9.71e-11 at
+two.)
 """
 
 import importlib.util
@@ -58,14 +59,19 @@ def _checks():
     return module
 
 
-@pytest.fixture(scope="module")
-def scans():
-    """{workload: {points, slope}} of every workload, from one child interpreter at one BLAS thread."""
-    paths = {workload: str(PERFBENCH / "configs" / name) for workload, name in CONFIGS.items()}
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{var: "1" for var in BLAS_VARS})
+def _scan_in_child(workloads, threads):
+    """{workload: {points, slope}} of the workloads, scanned in one child interpreter at `threads` BLAS threads."""
+    paths = {workload: str(PERFBENCH / "configs" / CONFIGS[workload]) for workload in workloads}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{var: str(threads) for var in BLAS_VARS})
     out = subprocess.run([sys.executable, "-c", SCAN, json.dumps(paths)], env=env, capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def scans():
+    """{workload: {points, slope}} of every workload, from one child interpreter at one BLAS thread."""
+    return _scan_in_child(CONFIGS, 1)
 
 
 def _scan_inside_the_gate(scans, workload):
@@ -88,3 +94,10 @@ def test_decoupling_workload_stays_inside_the_reference_gate(scans, workload):
 
 def test_effective_workload_stays_inside_the_reference_gate(scans):
     _scan_inside_the_gate(scans, "effective-ladder")
+
+
+def test_effective_errors_are_the_same_at_two_blas_threads(scans):
+    two = _scan_in_child(["effective-ladder"], 2)["effective-ladder"]
+    one = scans["effective-ladder"]
+    assert [(p["eps"], p["t"]) for p in two["points"]] == [(p["eps"], p["t"]) for p in one["points"]]
+    assert [repr(p["error"]) for p in two["points"]] == [repr(p["error"]) for p in one["points"]]
