@@ -5,12 +5,8 @@ The package discretizes a fibered Hamiltonian
 H = (eps^2/2)(-i d/dX)^2 + H_e(X) on a periodic grid with a small matrix
 fiber, evolves it exactly, and measures how fast band-preserving and
 effective single-band dynamics converge to the full dynamics as eps
-decreases.  Only the decoupling pair, the full and the band-preserving
-evolution, is solved by dense eigendecompositions, block by block; every
-H applied on its own, the molecular H and the effective Hamiltonian of a
-band, goes by a matrix-free Chebyshev expansion on its parts, which took
-the effective-dynamics benchmark scan from 1.52 s to 0.73 s with its
-errors inside 1e-10 of the dense solves (`propagation`).  A
+decreases.  Which evolutions are solved dense and which go matrix-free
+is one rule, stated with its reasons in `propagation`.  A
 vector potential enters only the effective Born-Oppenheimer Hamiltonian
 of a band,
 (eps^2/2)(-i d/dX + A_geo(X))^2 + E(X), as its geometric (Berry)

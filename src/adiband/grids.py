@@ -1,8 +1,8 @@
 """Periodic 1-D nuclear grid, scaled Fourier analysis, and wavefunction containers.
 
-All operators in this package are dense matrices acting on value vectors
-sampled on a periodic grid.  Inner products carry the quadrature weight dx,
-so ``norm(w) = sqrt(sum |w|^2 dx)``.
+Operators act on value vectors sampled on a periodic grid, as dense
+matrices or matrix-free (`propagation` states which).  Inner products
+carry the quadrature weight dx, so ``norm(w) = sqrt(sum |w|^2 dx)``.
 
 Momentum convention: the lattice is ``k_j = 2*pi*j/L`` in standard FFT
 ordering ``{0, 1, ..., n/2-1, -n/2, ..., -1}`` (times ``2*pi/L``), plane

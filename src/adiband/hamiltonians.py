@@ -11,10 +11,10 @@ same on every fiber component, plus a fiber stack V(X_i).  The molecular
 H (`molecular_operator`) has no phase and V = H_e; the effective
 Hamiltonian of a band (`bo_operator`) has the phase of its Berry
 connection and V = its clamped band energy.  The dense blocks and the
-O(N log n) matvec both derive from the parts.  The scans solve the
-molecular H from its dense blocks and apply the BO operator by its matvec
-(`propagation.ChebyshevPropagator`): BO matrix-free, molecular H dense,
-for the reasons `propagation` states.  The dense blocks are checked for
+O(N log n) matvec both derive from the parts.  The decoupling pair
+solves the molecular H from its dense blocks; every H applied on its own,
+molecular or BO, goes by its matvec (`propagation.ChebyshevPropagator`),
+by the rule `propagation` states.  The dense blocks are checked for
 Hermiticity and finiteness on the parts, the n x n kinetic matrix and the
 (n, d, d) fiber stack, and written as their Hermitian part directly: the
 same matrices, and the same refusals, as the check of the assembled
@@ -29,9 +29,10 @@ components of the m x m union over the grid of the fibers' exact-zero
 pattern, each over the rows i m + a of its components a.  Each block is
 built directly on its rows and checked as a DenseHamiltonian; no N x N
 matrix is formed.  `assemble_full` scatters the same blocks into the dense
-N x N H, for the dense oracles, `identities.offdiag_scaling` and the
-demos.  Most models are one block; `crossing_trio`, whose -X level
-couples to nothing, is two (2n and n), and so is `constant_fiber`.
+N x N H, for the tests' dense oracles, `identities.offdiag_scaling` and
+the `identities` suite.  Most models are one block; `crossing_trio`,
+whose -X level couples to nothing, is two (2n and n), and so is
+`constant_fiber`.
 
 Operators are stored real (float64) when their data is real.  The
 molecular Hamiltonian has no vector potential, so its kinetic term is
@@ -400,8 +401,8 @@ def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHami
     """The molecular Hamiltonian as one dense N x N matrix: `assemble_blocks`, scattered.
 
     Its entries are those of the blocks, zero between them.  It serves the
-    dense oracles, `identities.offdiag_scaling` and the demos; the scans
-    solve the blocks.
+    tests' dense oracles, `identities.offdiag_scaling` and the `identities`
+    suite; the decoupling scans solve the blocks.
     """
     H = assemble_blocks(model, grid, eps)
     M = np.zeros((H.dim, H.dim), dtype=H.blocks[0][1].matrix.dtype)

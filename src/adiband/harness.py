@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +96,11 @@ def _wkb_wave(grid, eps, center, width, amp, k):
 _STATE_FAMILIES = {"coherent": coherent_state, "sharp_momentum": sharp_momentum_state, "wkb": _wkb_wave}
 
 
+def _is_number(value) -> bool:
+    """Whether `value` is a real number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _param_kind_error(family, key, value):
     """What `state.params[key]` of `family` must be, or None when `value` is that.
 
@@ -107,7 +112,7 @@ def _param_kind_error(family, key, value):
         except KeyError:
             return "an envelope name"
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         return "a number"
     return None
 
@@ -153,29 +158,35 @@ class ExperimentConfig:
     fit_residual_threshold: float = 0.5
     flow_dt: float = 1e-3
 
-    # to_json() of the content validate() last passed; not a dataclass field
-    _validated_json = None
-    # (to_json(), band) of the lift band `_lift_band_data` last built; not a dataclass field
-    _lift_band_built = None
+    # _content() of what validate() last passed; not a dataclass field
+    _validated_content = None
+    # (_content(), {band indices: band}) of what `build_band` last built for; not a dataclass field
+    _bands_built = None
 
     def validate(self):
         """Check the configuration and return it.
 
         A configuration is checked once: validate() returns at once while
-        the content (compared by `to_json()`) is what it last passed, so the
+        the content (compared by `_content()`) is what it last passed, so the
         hitting window of an effective-dynamics config is not recomputed by
         every scan of it.
         """
-        text = self.to_json()
-        if text == self._validated_json:
+        text = self._content()
+        if text == self._validated_content:
             return self
-        eps = list(self.eps_ladder)
+        eps = self.eps_ladder
+        if not isinstance(eps, (list, tuple)) or not all(_is_number(e) for e in eps):
+            raise ValueError(f"eps_ladder must be a list of real numbers, got {eps!r}")
         if len(eps) < 3:
             raise ValueError("eps ladder needs at least 3 values")
         if any(not (0 < e < 1) for e in eps):
             raise ValueError(f"eps values must lie in (0, 1): {eps}")
         if not all(eps[i] > eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError(f"eps ladder must be strictly decreasing: {eps}")
+        times = self.times
+        finite = isinstance(times, (list, tuple)) and all(_is_number(t) and abs(t) <= sys.float_info.max for t in times)
+        if not (times and finite):
+            raise ValueError(f"times must be a non-empty list of finite real numbers, got {times!r}")
         if self.functional not in FUNCTIONALS:
             raise ValueError(
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
@@ -195,19 +206,21 @@ class ExperimentConfig:
                     f"times {bad} outside the hitting-time window "
                     f"[{t_minus:.4f}, {t_plus:.4f}] computed for this region"
                 )
-        self._validated_json = text
+        self._validated_content = text
         return self
 
     def _check_system(self):
         """Refuse a `grid` or `model` key that no builder reads, and a grid or model that cannot be built.
 
         The model is evaluated, h and dh, at one point, the grid's first, so
-        a parameter of the wrong type is refused here and not by every scan row.
+        a parameter of the wrong type, or one that makes H_e non-finite, is
+        refused here and not by every scan row.
         """
         def build_model_at_one_point():
-            model = self.build_model()
-            model.h(self.grid["x_min"])
-            model.dh(self.grid["x_min"])
+            model, x = self.build_model(), self.grid["x_min"]
+            for name, value in (("h", model.h(x)), ("dh", model.dh(x))):
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name}({x}) is not finite")
 
         for name, build in (("grid", self.build_grid), ("model", build_model_at_one_point)):
             unknown = sorted(set(getattr(self, name)) - _SYSTEM_KEYS[name])
@@ -215,7 +228,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} keys {unknown}; {name} reads {sorted(_SYSTEM_KEYS[name])}")
             try:
                 build()
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"cannot build the {name} {getattr(self, name)}: {exc}") from None
 
     def _check_reads(self):
@@ -253,14 +266,25 @@ class ExperimentConfig:
     def build_model(self) -> ElectronicModel:
         return get_model(self.model["tag"], **self.model.get("params", {}))
 
-    def build_band(self, indices=None, model=None, grid=None) -> BandData:
-        """The band set `indices` (default `band_indices`), on `model` and `grid` when given."""
-        idx = tuple(np.atleast_1d(self.band_indices if indices is None else indices))
-        window = tuple(self.window) if self.window is not None else None
-        gauge = "component" if len(idx) == 1 else None
-        model = self.build_model() if model is None else model
-        grid = self.build_grid() if grid is None else grid
-        return band_decompose(model, grid, idx, window=window, gauge=gauge, delta=self.delta)
+    def build_band(self, indices=None) -> BandData:
+        """The band set `indices` (default `band_indices`), decomposed once per content.
+
+        Each band set is kept with the `_content()` it was built for, so
+        validation (the hitting window) and every scan of an unchanged config
+        share its bands, and a config changed since gets new ones.  A build
+        that raises is not kept: it raises again on the next call.
+        """
+        idx = tuple(int(b) for b in np.atleast_1d(self.band_indices if indices is None else indices))
+        text = self._content()
+        if self._bands_built is None or self._bands_built[0] != text:
+            self._bands_built = (text, {})
+        bands = self._bands_built[1]
+        if idx not in bands:
+            window = tuple(self.window) if self.window is not None else None
+            gauge = "component" if len(idx) == 1 else None
+            bands[idx] = band_decompose(self.build_model(), self.build_grid(), idx,
+                                        window=window, gauge=gauge, delta=self.delta)
+        return bands[idx]
 
     def build_region(self) -> PhaseSpaceRegion:
         if self.region is None:
@@ -268,26 +292,14 @@ class ExperimentConfig:
         return PhaseSpaceRegion(self.region)
 
     def hitting_window(self):
-        """The hitting-time window of the region on the lift band, computed on every call."""
-        _, dE = band_energy_interpolant(self._lift_band_data())
-        return hitting_times(
-            self.build_region(), tuple(self.window), self.delta, dE,
-            alpha=self.alpha, dt=self.flow_dt,
-        )
+        """The hitting-time window of the region, on the lift band's window and margin; computed on every call."""
+        band = self.lift_band()
+        _, dE = band_energy_interpolant(band)
+        return hitting_times(self.build_region(), band.window, band.delta, dE, alpha=self.alpha, dt=self.flow_dt)
 
-    def lift_band(self):
-        return [self.lift_band_index] if self.lift_band_index is not None else self.band_indices
-
-    def _lift_band_data(self) -> BandData:
-        """The lift band, decomposed once per content: kept with the to_json() text it was built for.
-
-        So validation (the hitting window) and the scans of an unchanged
-        config share one band, and a config changed since gets a new one.
-        """
-        text = self.to_json()
-        if self._lift_band_built is None or self._lift_band_built[0] != text:
-            self._lift_band_built = (text, self.build_band(self.lift_band()))
-        return self._lift_band_built[1]
+    def lift_band(self) -> BandData:
+        """The band states are lifted to: `lift_band_index`, or else `band_indices`."""
+        return self.build_band(self.band_indices if self.lift_band_index is None else self.lift_band_index)
 
     def make_state(self, band, eps):
         """(lifted molecular wave, nuclear wave, classical density) of the configured family, on the band's grid."""
@@ -295,6 +307,10 @@ class ExperimentConfig:
         return lift_to_band(wave, band), wave, rho
 
     # -- (de)serialization --------------------------------------------------
+
+    def _content(self) -> str:
+        """The fields as one JSON text, to tell a changed config: what to_json() holds, without its copy."""
+        return json.dumps([getattr(self, f.name) for f in fields(self)], sort_keys=True)
 
     def to_json(self) -> str:
         payload = {"schema_version": SCHEMA_VERSION, **asdict(self)}
@@ -434,14 +450,12 @@ class PropagatorCache:
     grids passed under one cfg never share an entry; the `cfg` argument
     supplies only `bo`'s `include_a_geo`.
 
-    Only the decoupling pair is dense; every propagator of an H applied on
-    its own is matrix-free:
+    The propagators follow the rule stated in `propagation`:
     - The parts of the molecular H (`hamiltonians.molecular_operator`, its
       fiber stack H_e(X_i)) are built once per model and grid and kept
       beside the propagators.
-    - `full` is a `ChebyshevPropagator` on those parts: no molecular matrix
-      is formed and none is solved.  Its callers, the effective and
-      state-observable scans, apply it alone.
+    - `full` is a `ChebyshevPropagator` on those parts.  Its callers, the
+      effective and state-observable scans, apply it alone.
     - `decoupling_pair` solves the full propagator and the band-preserving
       one of an eps from one block-stored H derived from the parts: it
       forms H on its first miss and drops it when it returns, so no
@@ -453,10 +467,6 @@ class PropagatorCache:
       propagator, which holds no blocks.  `diag` is the band-preserving
       half of `decoupling_pair`.
     - `bo` is always a `ChebyshevPropagator` on the band's `bo_operator`.
-    A matrix-free matvec is two FFTs of the grid, and its cost grows with
-    t/eps instead of n^3.  The rule and its reasons are stated in
-    `propagation`: the dense blocks are cheaper on the decoupling pair,
-    where `energy_cutoff_apply` also needs the eigenpairs.
     """
 
     def __init__(self):
@@ -548,92 +558,57 @@ def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
 # scan functionals
 
 
-class _ScanInputs:
-    """What a scan builds once for all its eps rows, with the propagator cache it reads.
-
-    Every functional takes the scan's _ScanInputs, so a suite that calls a
-    functional directly passes one built from its config and cache, as a
-    scan does.  The model, the grid and each band set are built on first
-    use and kept; a build that raises is tried again by the next row, so it
-    fails every row that needs it.  The lift band is the config's own, the
-    one its validation built for the hitting window
-    (`ExperimentConfig._lift_band_data`).
-    """
-
-    def __init__(self, cfg: ExperimentConfig, cache: PropagatorCache | None = None):
-        self.cfg = cfg
-        self.cache = PropagatorCache() if cache is None else cache
-        self._bands = {}
-
-    @cached_property
-    def model(self) -> ElectronicModel:
-        return self.cfg.build_model()
-
-    @cached_property
-    def grid(self) -> Grid1D:
-        return self.cfg.build_grid()
-
-    def band(self, indices=None) -> BandData:
-        """The band set `indices`; by default the lift band."""
-        lift = tuple(np.atleast_1d(self.cfg.lift_band()))
-        key = lift if indices is None else tuple(np.atleast_1d(indices))
-        if key == lift:
-            return self.cfg._lift_band_data()
-        if key not in self._bands:
-            self._bands[key] = self.cfg.build_band(key, self.model, self.grid)
-        return self._bands[key]
+# Each functional maps (cfg, cache, eps, times) to one error per time: `cache`
+# is the scan's PropagatorCache, `times` a sequence of times, and whatever
+# does not depend on t is built once for the row.  The bands come from the
+# config (`ExperimentConfig.build_band`), and the model and grid from the band.
 
 
-# Each functional maps (inputs, eps, times) to one error per time: `inputs` is
-# the scan's _ScanInputs, `times` a sequence of times, and whatever does not
-# depend on t is built once for the row.
-
-
-def _scan_decoupling(inputs: _ScanInputs, eps: float, times):
+def _scan_decoupling(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     """The family's largest decoupling error at each of `times`, from one `decoupling_error` call."""
-    cfg = inputs.cfg
-    pf, pd = inputs.cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), eps)
+    pair = cfg.build_band()
+    pf, pd = cache.decoupling_pair(cfg, pair.model, pair.grid, pair, eps)
     fam = cfg.state["family_params"]
-    family = standard_state_family(inputs.band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
+    family = standard_state_family(cfg.lift_band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
     return decoupling_error(pf, pd, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
 
 
-def _scan_effective(inputs: _ScanInputs, eps: float, times):
-    cfg, band = inputs.cfg, inputs.band()
-    pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
-    pb = inputs.cache.bo(cfg, band, eps)
+def _scan_effective(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
+    band = cfg.lift_band()
+    pf = cache.full(cfg, band.model, band.grid, eps)
+    pb = cache.bo(cfg, band, eps)
     psi0, _, _ = cfg.make_state(band, eps)
     projected = apply_phase_space_projection(psi0, band, cfg.build_region(), cfg.alpha, eps)
     return effective_dynamics_error(pf, pb, band, projected, times)
 
 
-def _scan_leakage(inputs: _ScanInputs, eps: float, times):
-    cfg, band = inputs.cfg, inputs.band()
-    pb = inputs.cache.bo(cfg, band, eps)
+def _scan_leakage(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
+    band = cfg.lift_band()
+    pb = cache.bo(cfg, band, eps)
     _, phi0, _ = cfg.make_state(band, eps)
     return boundary_leakage(pb, band, cfg.build_region(), cfg.alpha, phi0, times)
 
 
-def _scan_observable_pairing(inputs: _ScanInputs, eps: float, times):
+def _scan_observable_pairing(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     """The reduced-observable residual at eps; it does not depend on t."""
-    cfg, band = inputs.cfg, inputs.band()
+    band = cfg.lift_band()
     sym = _named_symbol(cfg.symbol or "p")
     states = [lift_to_band(coherent_state(band.grid, eps, q0, p0)[0], band)
               for q0, p0 in cfg.state["params"]["centers"]]
     return [reduced_observable_residual(sym, band, eps, states)] * len(times)
 
 
-def _scan_state_observables(inputs: _ScanInputs, eps: float, times):
-    cfg, band = inputs.cfg, inputs.band()
-    pf = inputs.cache.full(cfg, inputs.model, inputs.grid, eps)
+def _scan_state_observables(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
+    band = cfg.lift_band()
+    pf = cache.full(cfg, band.model, band.grid, eps)
     psi0, _, rho = cfg.make_state(band, eps)
     _, dE = band_energy_interpolant(band)
     return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, times, dE, dt=cfg.flow_dt)
 
 
-def _scan_egorov(inputs: _ScanInputs, eps: float, times):
-    cfg, band = inputs.cfg, inputs.band()
-    pb = inputs.cache.bo(cfg, band, eps)
+def _scan_egorov(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
+    band = cfg.lift_band()
+    pb = cache.bo(cfg, band, eps)
     _, phi0, rho = cfg.make_state(band, eps)
     _, dE = band_energy_interpolant(band)
     sym = _named_symbol(cfg.symbol or "q")
@@ -653,8 +628,8 @@ FUNCTIONALS = {
 def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> ScanResult:
     """Run the configured functional over the eps ladder and fit the slope.
 
-    The eps row is the unit of a scan: the functional maps the scan's
-    `_ScanInputs`, one eps and the sorted times to one error per time.
+    The eps row is the unit of a scan: the functional maps the config, the
+    cache, one eps and the sorted times to one error per time.
     Rows run serially in order of decreasing eps, and a row gives its
     points in order of increasing t.  A row's wall clock goes on its first
     point and 0.0 on the rest.  A row that raises is recorded as an error
@@ -663,13 +638,13 @@ def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> Sca
     """
     cfg.validate()
     fn = FUNCTIONALS[cfg.functional]
-    inputs = _ScanInputs(cfg, cache)
+    cache = PropagatorCache() if cache is None else cache
     times = sorted(cfg.times)
     points, clocks, largest = [], [], {}
     for eps in cfg.eps_ladder:
         t0 = time.perf_counter()
         try:
-            errors = [float(e) for e in fn(inputs, eps, times)]
+            errors = [float(e) for e in fn(cfg, cache, eps, times)]
         except Exception as exc:  # recorded, not raised
             message = f"{type(exc).__name__}: {exc}"
             points += [{"eps": eps, "t": t, "error": None, "status": "error", "message": message} for t in times]
@@ -770,7 +745,7 @@ def _suite_decoupling(seed, cache):
         _rate_crit("decoupling-rate", eps_scan(_config("decoupling"), cache), 0.75, 1.25),
         _rate_crit("decoupling-rate-with-cutoff", eps_scan(cutoff, cache), 0.75),
     ]
-    e1, e2 = _scan_decoupling(_ScanInputs(cutoff, cache), 0.05, (1.0, 2.0))
+    e1, e2 = _scan_decoupling(cutoff, cache, 0.05, (1.0, 2.0))
     crits.append(
         _crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)
     )
@@ -786,7 +761,7 @@ def _suite_effective(seed, cache):
     ]
     # beyond the window the bound is not asserted; the value is only logged
     t_out = 1.2 * t_plus
-    (logged,) = _scan_effective(_ScanInputs(cfg, cache), 0.05, [t_out])
+    (logged,) = _scan_effective(cfg, cache, 0.05, [t_out])
     crits.append(
         _crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)
     )
@@ -797,8 +772,7 @@ def _suite_berry(seed, cache):
     cfg_on = _config("berry")
     res_on = eps_scan(cfg_on, cache)
     cfg_off = replace(cfg_on, include_a_geo=False)
-    inputs = _ScanInputs(cfg_off, cache)
-    errs_off = [_scan_effective(inputs, eps, cfg_off.times[:1])[0] for eps in cfg_off.eps_ladder]
+    errs_off = [_scan_effective(cfg_off, cache, eps, cfg_off.times[:1])[0] for eps in cfg_off.eps_ladder]
     return [
         _rate_crit("berry-on-rate", res_on, 0.75),
         _crit(

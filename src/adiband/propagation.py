@@ -15,15 +15,16 @@ a Fourier multiplier dressed by its gauge phase plus a potential, and the
 molecular H is the kinetic multiplier on every fiber component plus the
 fiber stack, so the Chebyshev recurrence applies either by two FFTs of
 the grid per step, with no N x N matrix and no N^3 solve
-(`harness.PropagatorCache.bo` and `.full`); the dense solves
-(`diagonalize(assemble_bo(...))`, `diagonalize_blocks`) stay as the tests'
-oracles.  On the effective-ladder benchmark (one BLAS thread, two-core
-host, median of nine interleaved pairs) the switch of the full H took
-the scan from 1.52 s to 0.73 s and the peak RSS from 108 MB to 67 MB.  Its
-errors lie within 5.2e-11 relative of the dense references, at the
-eps = 0.025 point, inside their 1e-10 gate, and they are the same floats
-at one and two BLAS threads, where the dense full H moved that point by
-4.5e-11.  The decoupling pair stays dense for two reasons.  It applies a
+(`harness.PropagatorCache.bo` and `.full`); the dense solves of a single
+H (`diagonalize` of `assemble_bo` or `assemble_full`) stay as the tests'
+oracles and the `identities` suite's, and `diagonalize_blocks` solves
+the decoupling pair's full H.  On the effective-ladder benchmark (one
+BLAS thread, two-core host, median of nine interleaved pairs) the switch
+of the full H took the scan from 1.52 s to 0.73 s and the peak RSS from
+108 MB to 67 MB.  Its errors lie within 5.2e-11 relative of the dense
+references, at the eps = 0.025 point, inside their 1e-10 gate, and they
+are the same floats at one and two BLAS threads, where the dense full H
+moved that point by 4.5e-11.  The decoupling pair stays dense for two reasons.  It applies a
 family of states to both H and H_diag, whose shared and split blocks are
 cheaper dense: at n = 512 the dense pair takes 0.41-0.49 s per eps against
 1.2-2.1 s by Chebyshev.  And `SpectralPropagator.energy_cutoff_apply`
@@ -42,9 +43,10 @@ the rows into disjoint sets, so `apply` works block by block and writes
 each block's product into its own rows: an apply costs the sum over
 blocks of rows x d per column instead of N^2 (r^2 + (b - r)^2, plus the
 O(b d) fiber products, for a split block of dimension b with a ran P
-part of dimension r).  An operator of one block (every Born-Oppenheimer
-H, the full H of `rotated_pair`, `two_band_complex` and `free`) is one
-block over all rows, solved and applied by the dense products unchanged.
+part of dimension r).  An operator of one block (the full H of
+`rotated_pair`, `two_band_complex` and `free`, or a dense Born-Oppenheimer
+oracle) is one block over all rows, solved and applied by the dense
+products unchanged.
 
 The band-preserving generator H_diag = P H P + Q H Q has the blocks of H,
 and its propagator has the full propagator's block partition: one triple

@@ -183,6 +183,23 @@ def test_from_json_names_unknown_fields():
         ("schema_version", 7, "schema_version 7 is not 1"),
         # a model parameter of the wrong type builds, and fails at the first fiber the model evaluates
         ("model", {"tag": "two_band_complex", "params": {"g_re": "0.5"}}, "cannot build the model"),
+        # a parameter that makes H_e non-finite would fail every row (no band can be tracked)
+        ("model", {"tag": "rotated_pair", "params": {"theta0": float("nan")}}, r"h\(-8.0\) is not finite"),
+        ("model", {"tag": "two_band_complex", "params": {"g_re": float("inf")}}, r"h\(-8.0\) is not finite"),
+        # no time: the observables scan would crash and the others report no point;
+        # a non-finite time would be recorded "ok" with a NaN error, and 10**400 has no float;
+        # a string or a bool would be reported as the time; a bare number or a mixed list
+        # would crash the scan
+        ("times", [], "times must be a non-empty list"),
+        ("times", [float("nan")], "finite real numbers"),
+        ("times", [float("inf")], "finite real numbers"),
+        ("times", [10**400], "finite real numbers"),
+        ("times", ["1.0"], "finite real numbers"),
+        ("times", [True], "finite real numbers"),
+        ("times", 1.0, "finite real numbers"),
+        ("times", [1.0, "2.0"], "finite real numbers"),
+        # compared with numbers, a string raises a TypeError
+        ("eps_ladder", ["0.2", 0.1, 0.05], "eps_ladder must be a list of real numbers"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -295,8 +312,46 @@ def test_effective_scan_decomposes_its_lift_band_once(monkeypatch):
     assert len(calls) == 1
     # a config changed since its validation never gets the stale band
     cfg.delta = 0.3
-    assert harness._ScanInputs(cfg).band().delta == 0.3
+    assert cfg.lift_band().delta == 0.3
     assert len(calls) == 2
+
+
+def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
+    # both band sets of a decoupling scan, the pair and the lift band, are kept with the
+    # config: a second scan of the same config object decomposes nothing, and a config
+    # changed since gets both band sets anew, built for its new content
+    from adiband import harness
+
+    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
+                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    built, real = [], harness.band_decompose
+
+    def counted(model, grid, indices, **kwargs):
+        built.append((grid.n_points, tuple(indices), kwargs["window"]))
+        return real(model, grid, indices, **kwargs)
+
+    monkeypatch.setattr(harness, "band_decompose", counted)
+    cache = PropagatorCache()
+    first = eps_scan(cfg, cache)
+    assert sorted(built) == [(128, (0,), None), (128, (0, 1), None)]
+    built.clear()
+    assert eps_scan(cfg, cache).canonical_payload() == first.canonical_payload()
+    assert built == []
+    for change, want in (({"window": [-6.0, 6.0]}, (128, (-6.0, 6.0))),
+                         ({"grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 256}}, (256, (-6.0, 6.0)))):
+        for name, value in change.items():
+            setattr(cfg, name, value)
+        built.clear()
+        assert all(p["status"] == "ok" for p in eps_scan(cfg, cache).points)
+        n, window = want
+        assert sorted(built) == [(n, (0,), window), (n, (0, 1), window)]
+        assert all(b.grid.n_points == n and b.window == window for b in (cfg.build_band(), cfg.lift_band()))
+    # a build that raises is not kept: each row tries it again, and fails
+    cfg.window = [9.0, 10.0]
+    built.clear()
+    res = eps_scan(cfg, cache)
+    assert all(p["status"] == "error" and "contains no grid points" in p["message"] for p in res.points)
+    assert len(built) == len(cfg.eps_ladder)
 
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
@@ -397,10 +452,10 @@ def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutof
     # To rounding, not bitwise: crossing_trio's blocks here are 128 wide, and OpenBLAS rounds
     # a product with 128 inner terms differently for 80 columns (the row) than for 20 (one
     # time); the largest relative gap measured is 2.2e-15.
-    inputs, fam = harness._ScanInputs(cfg, cache), cfg.state["family_params"]
+    pair, fam = cfg.build_band(), cfg.state["family_params"]
     for p in res.points:
-        pf, pd = cache.decoupling_pair(cfg, inputs.model, inputs.grid, inputs.band(cfg.band_indices), p["eps"])
-        family = standard_state_family(inputs.band(), p["eps"], fam["q_centers"], fam["p_centers"], fam["wkb"])
+        pf, pd = cache.decoupling_pair(cfg, pair.model, pair.grid, pair, p["eps"])
+        family = standard_state_family(cfg.lift_band(), p["eps"], fam["q_centers"], fam["p_centers"], fam["wkb"])
         one = decoupling_error(pf, pd, family, [p["t"]], energy_cutoff=energy_cutoff)
         assert p["error"] == pytest.approx(float(one.max()), rel=1e-14)
 
@@ -450,9 +505,8 @@ def test_effective_scan_projects_each_eps_once(monkeypatch):
         (eps, t, "ok") for eps in (0.2, 0.1, 0.05) for t in (0.6, 1.2)
     ]
     assert calls == [0.2, 0.1, 0.05]
-    inputs = harness._ScanInputs(cfg, cache)
     for p in res.points:
-        assert p["error"] == harness._scan_effective(inputs, p["eps"], [p["t"]])[0]
+        assert p["error"] == harness._scan_effective(cfg, cache, p["eps"], [p["t"]])[0]
 
 
 def test_list_valued_model_parameter_scans():
@@ -540,13 +594,13 @@ def test_egorov_scan_first_order(symbol):
 
 
 def test_leakage_scan_honours_include_a_geo():
-    from adiband.harness import _scan_leakage, _ScanInputs
+    from adiband.harness import _scan_leakage
 
     cache = PropagatorCache()
     cfg_on = _berry_config(functional="boundary_leakage")
     cfg_off = _berry_config(functional="boundary_leakage", include_a_geo=False)
-    (on,) = _scan_leakage(_ScanInputs(cfg_on, cache), 0.1, [0.8])
-    (off,) = _scan_leakage(_ScanInputs(cfg_off, cache), 0.1, [0.8])
+    (on,) = _scan_leakage(cfg_on, cache, 0.1, [0.8])
+    (off,) = _scan_leakage(cfg_off, cache, 0.1, [0.8])
     assert abs(on - off) > 1e-3 * on
 
 
@@ -569,7 +623,7 @@ def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overr
     from adiband import harness, semiclassics
 
     cfg = _berry_config(functional=functional, times=[0.3, 0.55, 0.8], **overrides)
-    inputs = harness._ScanInputs(cfg)
+    cache = PropagatorCache()
     fn = harness.FUNCTIONALS[functional]
     counted, real = [], semiclassics.weyl_quantize
 
@@ -578,11 +632,11 @@ def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overr
         return real(*args, **kwargs)
 
     monkeypatch.setattr(semiclassics, "weyl_quantize", weyl_quantize)
-    row = fn(inputs, 0.1, cfg.times)
+    row = fn(cfg, cache, 0.1, cfg.times)
     assert len(counted) == per_row
-    assert list(row) == pytest.approx([fn(inputs, 0.1, [t])[0] for t in cfg.times], rel=1e-13, abs=2e-15)
+    assert list(row) == pytest.approx([fn(cfg, cache, 0.1, [t])[0] for t in cfg.times], rel=1e-13, abs=2e-15)
     counted.clear()
-    res = eps_scan(cfg, inputs.cache)
+    res = eps_scan(cfg, cache)
     assert all(p["status"] == "ok" for p in res.points)
     assert len(counted) == per_row * len(cfg.eps_ladder)
 
