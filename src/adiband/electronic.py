@@ -258,6 +258,15 @@ def _fix_gauge(chi, gauge, anchor, mask):
     raise ValueError(f"unknown gauge {gauge!r}")
 
 
+def _window_mask(grid: Grid1D, window) -> np.ndarray:
+    """The grid points strictly inside the window (a, b), O(n); a window that holds none is refused (ValueError)."""
+    a, b = window
+    mask = (grid.x > a) & (grid.x < b)
+    if not mask.any():
+        raise ValueError(f"window {window} contains no grid points")
+    return mask
+
+
 def band_decompose(
     model: ElectronicModel,
     grid: Grid1D,
@@ -302,13 +311,7 @@ def band_decompose(
     evals, evecs = eigh_by_blocks(model.h_batch(grid.x))
     evecs = evecs.astype(complex, copy=False)
 
-    if window is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        a, b = window
-        mask = (grid.x > a) & (grid.x < b)
-        if not mask.any():
-            raise ValueError(f"window {window} contains no grid points")
+    mask = np.ones(n, dtype=bool) if window is None else _window_mask(grid, window)
 
     # fiber projections from the ascending selection (smooth across internal crossings)
     cols = list(band_indices)

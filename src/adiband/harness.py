@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .electronic import BandData, band_decompose, berry_connection, grad_projection, riesz_projection
+from .electronic import BandData, _window_mask, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
@@ -193,6 +193,9 @@ class ExperimentConfig:
             )
         self._check_system()
         self._check_reads()
+        if self.window is not None:
+            # every functional's bands take the window: one with no grid point fails every row
+            _window_mask(self.build_grid(), self.window)
         if self.functional in ("effective_dynamics", "boundary_leakage"):
             missing = [name for name in ("window", "region") if getattr(self, name) is None]
             if missing:

@@ -24,9 +24,19 @@ of the full H took the scan from 1.52 s to 0.73 s and the peak RSS from
 108 MB to 67 MB.  Its errors lie within 5.2e-11 relative of the dense
 references, at the eps = 0.025 point, inside their 1e-10 gate, and they
 are the same floats at one and two BLAS threads, where the dense full H
-moved that point by 4.5e-11.  The decoupling pair stays dense for two reasons.  It applies a
-family of states to both H and H_diag, whose shared and split blocks are
-cheaper dense: at n = 512 the dense pair takes 0.41-0.49 s per eps against
+moved that point by 4.5e-11.  Each term of the recurrence is one step of
+two FFTs along a contiguous axis, the symbol's product and V's, run in
+place on the grid-last layout (m, k, n) (`ChebyshevPropagator`,
+`hamiltonians.FiberedOperator.action`): about 32 us at n = 512, m = 2,
+where the allocating (n, m, k) step it replaced took 56 us.  With P_Gamma
+applied by the Weyl table's matvec, without its n x n matrix
+(`semiclassics.apply_phase_space_projection`), that took effective-ladder
+from 0.62 s to 0.41 s and its peak RSS from 67 MB to 52 MB (medians of
+ten interleaved pairs of the benchmark's 20 s runs, one BLAS thread,
+every pair won); `BENCH_16.json` records the change's own run.  The
+decoupling pair stays dense for two reasons.  It applies a family of
+states to both H and H_diag, whose shared and split blocks are cheaper
+dense: at n = 512 the dense pair takes 0.41-0.49 s per eps against
 1.2-2.1 s by Chebyshev.  And `SpectralPropagator.energy_cutoff_apply`
 projects onto total energies by the eigenpairs.
 
@@ -292,6 +302,16 @@ class ChebyshevPropagator:
     whose degree reaches k, with that time's Bessel coefficient
     (`_bessel_rows`).  So a time's result does not depend on the other
     times of its row.
+
+    The recurrence runs on the grid-last layout (m, k, n) of the molecular
+    block (N, k), N = n m, in which every FFT of a step runs along a
+    contiguous axis.  `apply` copies its input into that layout once, into
+    the first of three preallocated buffers.  Each step writes (2 H') T_k
+    into the buffer of T_{k-2}, no longer needed, and subtracts T_{k-1} in
+    place to give T_{k+1}, so the buffers rotate and no step allocates one.
+    The sum of the times' terms is kept (T, m, k, n) and taken back to the
+    molecular layout once, at the end.  The input is never one of the
+    buffers, and the result never a view of it.
     """
 
     operator: FiberedOperator = field(repr=False)
@@ -320,7 +340,7 @@ class ChebyshevPropagator:
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
-        block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
+        block = np.asarray(vec).reshape(np.shape(vec)[0], -1)
         if len(block) != self.dim:
             raise ValueError(f"dimension mismatch: vector has {len(block)} rows, operator {self.dim}")
         row = times.reshape(-1)
@@ -328,14 +348,26 @@ class ChebyshevPropagator:
         J = _bessel_rows(r * row / self.eps, self.degrees(row))
         k = np.arange(J.shape[1])
         coef = J * ((-1j) ** (k % 4) * np.where(k == 0, 1.0, 2.0)) * np.exp(-1j * c * row / self.eps)[:, None]
-        # twice H' = 2 (H - c)/r, so that T_{k+1} = (2 H') T_k - T_{k-1} is one action and one subtraction
+        coef = coef[:, :, None, None, None]
+        # the block laid out (m, k, n) is copied into a buffer, never used as one: for m = k = 1 that
+        # layout of the caller's array is the array itself, and the recurrence writes into its buffers
+        n, m = self.operator.grid.n_points, self.operator.fiber_dim
+        prev, cur, nxt = (np.empty((m, block.shape[1], n), dtype=complex) for _ in range(3))
+        prev[...] = block.reshape(n, m, -1).transpose(1, 2, 0)
+        # twice H' = 2 (H - c)/r, so that T_{k+1} = (2 H') T_k - T_{k-1} is one step and one subtraction
         twice = self.operator.action(self.eps, shift=c, scale=2 / r)
-        prev, cur = block, twice(block) / 2
-        out = coef[:, 0, None, None] * prev + coef[:, 1, None, None] * cur
+        twice(prev, cur)
+        cur *= 0.5
+        out = coef[:, 0] * prev + coef[:, 1] * cur
+        term = np.empty_like(out)
         for j in range(2, len(k)):
-            prev, cur = cur, twice(cur) - prev
-            out += coef[:, j, None, None] * cur
-        return out.reshape(times.shape + np.shape(vec))
+            twice(cur, nxt)
+            nxt -= prev
+            np.multiply(coef[:, j], nxt, out=term)
+            out += term
+            prev, cur, nxt = cur, nxt, prev
+        # (T, m, k, n) back to the molecular layout, one contiguous (N,) or (N, k) result per time
+        return out.transpose(0, 3, 1, 2).reshape(times.shape + np.shape(vec))
 
 
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:

@@ -98,9 +98,14 @@ def test_action_and_bounds_match_the_dense_blocks(kind):
     for op in (molecular_operator(band.model, band.grid), bo_operator(band)):
         ((_, H),) = op.blocks(0.1).blocks
         x = rng_block[: op.dim]
+        n, m = op.grid.n_points, op.fiber_dim
+        # the step runs on the grid-last layout (m, k, n) of the molecular block (n m, k)
+        x_last = np.ascontiguousarray(x.reshape(n, m, 3).transpose(1, 2, 0))
         for shift, scale in ((0.0, 1.0), (0.7, 2 / 3)):
             want = scale * (H.matrix @ x - shift * x)
-            got = op.action(0.1, shift=shift, scale=scale)(x)
+            out = np.empty_like(x_last)
+            op.action(0.1, shift=shift, scale=scale)(x_last, out)
+            got = out.transpose(2, 0, 1).reshape(n * m, 3)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         w = np.linalg.eigvalsh(H.matrix)
         lo, hi = op.spectral_bounds(0.1)
@@ -136,6 +141,25 @@ def test_each_time_is_independent_of_its_row():
     row = prop.apply(vec, [0.2, 1.5, 3.0])
     for got, t in zip(row, (0.2, 1.5, 3.0)):
         assert np.array_equal(got, prop.apply(vec, t))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("k", [None, 1, 3])
+@pytest.mark.parametrize("t", [0.7, (0.2, 0.7)])
+def test_apply_leaves_its_input_alone(m, k, t):
+    # the recurrence runs in place on its own buffers: the input is copied into them, never
+    # used as one, even for m = k = 1, where the grid-last layout of the input is the input itself
+    band = _band("real", n=64, delta=0.4)
+    op = bo_operator(band) if m == 1 else molecular_operator(band.model, band.grid)
+    prop = ChebyshevPropagator(op, 0.1)
+    block = _block(prop.dim, 1 if k is None else k, 6)
+    vec = block[:, 0] if k is None else block
+    before = vec.copy()
+    out = prop.apply(vec, t)
+    assert np.array_equal(vec, before)
+    assert not np.shares_memory(out, vec)
+    out[...] = 0
+    assert np.array_equal(vec, before)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

@@ -112,6 +112,16 @@ def test_config_refuses_effective_and_leakage_without_window_or_region(name, mis
         _config(name, **{missing: None})
 
 
+@pytest.mark.parametrize("name", ["berry", "decoupling", "effective", "leakage", "observables", "state_rates"])
+def test_config_refuses_a_window_with_no_grid_point(name):
+    # every functional's bands take the window, so every functional refuses it at load,
+    # by band_decompose's own predicate, and not in every row of its scans
+    from adiband.harness import _config
+
+    with pytest.raises(ValueError, match=r"window \[9.0, 10.0\] contains no grid points"):
+        _config(name, window=[9.0, 10.0])
+
+
 def test_config_rejects_times_outside_hitting_window():
     with pytest.raises(ValueError) as err:
         ExperimentConfig(
@@ -347,10 +357,15 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
         assert sorted(built) == [(n, (0,), window), (n, (0, 1), window)]
         assert all(b.grid.n_points == n and b.window == window for b in (cfg.build_band(), cfg.lift_band()))
     # a build that raises is not kept: each row tries it again, and fails
-    cfg.window = [9.0, 10.0]
+    def failing(model, grid, indices, **kwargs):
+        built.append((grid.n_points, tuple(indices), kwargs["window"]))
+        raise ValueError("no band here")
+
+    monkeypatch.setattr(harness, "band_decompose", failing)
+    cfg.window = [-5.0, 5.0]
     built.clear()
     res = eps_scan(cfg, cache)
-    assert all(p["status"] == "error" and "contains no grid points" in p["message"] for p in res.points)
+    assert all(p["status"] == "error" and "no band here" in p["message"] for p in res.points)
     assert len(built) == len(cfg.eps_ladder)
 
 
@@ -615,7 +630,7 @@ def test_leakage_scan_honours_include_a_geo():
 )
 def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overrides, per_row):
     # the Weyl quantizations do not depend on t: a row of three times builds each
-    # matrix once, and gives what three one-time rows give.  To rounding, not
+    # matrix (or applies each table) once, and gives what three one-time rows give.  To rounding, not
     # bitwise: the row is one apply of three times, and the BLAS rounds a product
     # of three columns differently from one.  The largest gaps measured are 4.4e-16
     # absolute on the Egorov defects, differences of expectations of order one,
@@ -625,13 +640,15 @@ def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overr
     cfg = _berry_config(functional=functional, times=[0.3, 0.55, 0.8], **overrides)
     cache = PropagatorCache()
     fn = harness.FUNCTIONALS[functional]
-    counted, real = [], semiclassics.weyl_quantize
+    # the region indicator is applied to one state by its table's matvec, without its matrix
+    quantize = "_weyl_matvec" if functional == "boundary_leakage" else "weyl_quantize"
+    counted, real = [], getattr(semiclassics, quantize)
 
-    def weyl_quantize(*args, **kwargs):
+    def counting(*args, **kwargs):
         counted.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(semiclassics, "weyl_quantize", weyl_quantize)
+    monkeypatch.setattr(semiclassics, quantize, counting)
     row = fn(cfg, cache, 0.1, cfg.times)
     assert len(counted) == per_row
     assert list(row) == pytest.approx([fn(cfg, cache, 0.1, [t])[0] for t in cfg.times], rel=1e-13, abs=2e-15)

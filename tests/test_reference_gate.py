@@ -8,7 +8,7 @@ package, and not changed.  The sweep's cache, built before the benchmark's
 timed phase, holds the propagators a cold scan builds, so the errors are
 the same.  The effective-ladder references come from dense solves of the
 full and the BO H; the scans now apply both matrix-free, and the seed-0
-points read +6.8e-13, +6.2e-12, +2.7e-12 and -5.13e-11 relative to them,
+points read +6.3e-13, +6.4e-12, +2.3e-12 and -5.15e-11 relative to them,
 the last near the float64 floor of the eps = 0.025 point.
 
 The three configs are scanned in one child interpreter with

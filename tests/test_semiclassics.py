@@ -12,6 +12,8 @@ from adiband.propagation import diagonalize
 from adiband.semiclassics import (
     ClassicalDensity,
     _first_exit,
+    _weyl_matvec,
+    _weyl_table,
     Symbol,
     apply_phase_space_projection,
     band_energy_interpolant,
@@ -113,6 +115,35 @@ def test_weyl_norm_bounded_by_sup(wgrid):
         A = weyl_quantize(lambda q, p: ind(q, p), wgrid, eps)
         top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
         assert top <= 1.0 + 3 * eps
+
+
+def _two_rectangles(q, p):
+    return (((np.abs(q - 2) < 1) & (np.abs(p) < 0.5)) | ((np.abs(q + 3) < 0.5) & (np.abs(p - 0.2) < 1))) + 0.0
+
+
+# each symbol with whether its table has a zero midpoint row, which the matvec skips
+WEYL_SYMBOLS = {
+    "whole box": (lambda q, p: np.exp(-(q**2) / 8 - p**2) + 0.1, False),
+    "two rectangles": (_two_rectangles, True),
+    "complex": (lambda q, p: (q + 1j * p) * np.exp(-(q**2) / 4 - p**2), False),
+    "smooth indicator": (smooth_indicator([(-0.9, 1.5, -1.05, 0.45)], alpha=0.45), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_SYMBOLS))
+def test_weyl_matvec_equals_the_dense_product(wgrid, name):
+    # the matvec reads only the table's nonzero midpoint rows and forms no n x n matrix
+    symbol, has_zero_rows = WEYL_SYMBOLS[name]
+    eps = 0.1
+    G = _weyl_table(symbol, wgrid, eps)
+    assert G.shape == (2 * wgrid.n_points - 1, wgrid.n_points)
+    assert (not G.any(axis=1).all()) == has_zero_rows
+    A = weyl_quantize(symbol, wgrid, eps)
+    rng = np.random.default_rng(4)
+    for phi in (rng.standard_normal(wgrid.n_points) + 1j * rng.standard_normal(wgrid.n_points),
+                np.exp(-((wgrid.x - 1) ** 2))):
+        want = A @ phi
+        assert np.linalg.norm(_weyl_matvec(G, phi) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_f2_estimate_accepts_smooth_rejects_rough(wgrid):
