@@ -363,9 +363,8 @@ class FiberedOperator:
         norm="forward"), and scale (V - shift).  A step then allocates only
         V's products.  At n = 512 and k = 1 (one BLAS thread, medians of 30
         interleaved repeats in one process) a step takes 32 us for m = 2 and
-        21 us for m = 1, against 56 and 27 us for the (n, m, k) step, with a
-        stacked fiber matmul for m = 2, that it replaced; the two FFTs are
-        most of it.  Real FFTs of a real operator's input, split into its
+        21 us for m = 1, the two FFTs most of it.  The FFTs write into out
+        (their `out=` argument, NumPy 2.0 on).  Real FFTs of a real operator's input, split into its
         real and imaginary parts, measured no faster: the rfft/irfft pair of
         (2, 2, 512) takes as long as the complex pair of (2, 1, 512).
         """

@@ -101,6 +101,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite_numbers(values) -> bool:
+    """Whether `values` is a list (or tuple) of finite real numbers."""
+    return isinstance(values, (list, tuple)) and all(_is_number(v) and abs(v) <= sys.float_info.max for v in values)
+
+
 def _param_kind_error(family, key, value):
     """What `state.params[key]` of `family` must be, or None when `value` is that.
 
@@ -184,8 +189,7 @@ class ExperimentConfig:
         if not all(eps[i] > eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError(f"eps ladder must be strictly decreasing: {eps}")
         times = self.times
-        finite = isinstance(times, (list, tuple)) and all(_is_number(t) and abs(t) <= sys.float_info.max for t in times)
-        if not (times and finite):
+        if not (times and _finite_numbers(times)):
             raise ValueError(f"times must be a non-empty list of finite real numbers, got {times!r}")
         if self.functional not in FUNCTIONALS:
             raise ValueError(
@@ -194,8 +198,11 @@ class ExperimentConfig:
         self._check_system()
         self._check_reads()
         if self.window is not None:
+            window = self.window
+            if not (_finite_numbers(window) and len(window) == 2):
+                raise ValueError(f"window must be null or a list of two finite real numbers, got {window!r}")
             # every functional's bands take the window: one with no grid point fails every row
-            _window_mask(self.build_grid(), self.window)
+            _window_mask(self.build_grid(), window)
         if self.functional in ("effective_dynamics", "boundary_leakage"):
             missing = [name for name in ("window", "region") if getattr(self, name) is None]
             if missing:

@@ -28,8 +28,8 @@ moved that point by 4.5e-11.  Each term of the recurrence is one step of
 two FFTs along a contiguous axis, the symbol's product and V's, run in
 place on the grid-last layout (m, k, n) (`ChebyshevPropagator`,
 `hamiltonians.FiberedOperator.action`): about 32 us at n = 512, m = 2,
-where the allocating (n, m, k) step it replaced took 56 us.  With P_Gamma
-applied by the Weyl table's matvec, without its n x n matrix
+allocating only V's products.  With P_Gamma applied by the Weyl table's
+matvec, without its n x n matrix
 (`semiclassics.apply_phase_space_projection`), that took effective-ladder
 from 0.62 s to 0.41 s and its peak RSS from 67 MB to 52 MB (medians of
 ten interleaved pairs of the benchmark's 20 s runs, one BLAS thread,

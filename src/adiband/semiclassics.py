@@ -109,8 +109,9 @@ class Symbol:
         return F2Report(value=total, tail_fraction=tail, ok=tail <= _F2_TAIL_THRESHOLD)
 
 
-def _weyl_table(symbol, grid: Grid1D, eps: float) -> np.ndarray:
-    """The (2n - 1, n) table G of a(q, p)'s Weyl kernel: A[i, l] = G[i + l, (i - l) mod n].
+def _weyl_table(symbol, grid: Grid1D, eps: float) -> tuple:
+    """(G, rows): the (2n - 1, n) table G of a(q, p)'s Weyl kernel, A[i, l] = G[i + l, (i - l) mod n],
+    and the indices of its nonzero midpoint rows.
 
     The midpoints (X_i + X_l)/2 take only 2n - 1 distinct values, and the
     phase exp(i (X_i - X_l) k_j) is the DFT kernel at lattice shift (i - l)
@@ -121,32 +122,32 @@ def _weyl_table(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     for every k is zero, so only the rows from the first to the last
     nonzero one are transformed: all of them for a symbol supported on the
     whole box, 191 of 1023 for the effective config's region indicator at
-    n = 512.
+    n = 512.  The inverse FFT of a nonzero row is nonzero, so `rows` are
+    the nonzero rows of G too.
     """
     n = grid.n_points
     mids = grid.x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
     table = np.asarray(symbol(mids[:, None], eps * grid.k[None, :]))
     G = np.zeros(table.shape, dtype=complex)
-    nonzero = np.flatnonzero(table.any(axis=1))
-    if nonzero.size:
-        rows = slice(nonzero[0], nonzero[-1] + 1)
-        np.fft.ifft(table[rows], axis=1, out=G[rows])
-        G[rows] *= n
-        G[rows] *= grid.dx * grid.dk / (2 * np.pi)
-    return G
+    rows = np.flatnonzero(table.any(axis=1))
+    if rows.size:
+        span = slice(rows[0], rows[-1] + 1)
+        np.fft.ifft(table[span], axis=1, out=G[span])
+        G[span] *= n
+        G[span] *= grid.dx * grid.dk / (2 * np.pi)
+    return G, rows
 
 
-def _weyl_matvec(G: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """A phi for the Weyl kernel of the table G (`_weyl_table`) and a vector phi, (n,), without forming A.
+def _weyl_matvec(G: np.ndarray, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """A phi for the Weyl kernel of the table (G, rows) of `_weyl_table` and a vector phi, (n,), without A.
 
-    (A phi)_i = sum_l G[i + l, (i - l) mod n] phi_l.  Only the midpoint rows
-    of G with a nonzero entry are read, each pairing its n or fewer (i, l)
+    (A phi)_i = sum_l G[i + l, (i - l) mod n] phi_l.  Only the nonzero
+    midpoint rows of G, `rows`, are read, each pairing its n or fewer (i, l)
     with i + l on it: a zero row adds nothing, so the product is exact.  A
     region indicator's table is nonzero on a few rows, so this costs those
     rows' pairs, not the n^2 entries of A.
     """
     n = G.shape[1]
-    rows = np.flatnonzero(G.view(np.float64).any(axis=1))
     # row r pairs the i of [lo, lo + count) with l = r - i; one flat run of (r, i) over every kept row
     lo = np.maximum(rows - (n - 1), 0)
     count = np.minimum(rows, n - 1) - lo + 1
@@ -170,7 +171,7 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     """
     n = grid.n_points
     I, L = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return _weyl_table(symbol, grid, eps)[I + L, (I - L) % n]
+    return _weyl_table(symbol, grid, eps)[0][I + L, (I - L) % n]
 
 
 def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float):
@@ -231,8 +232,8 @@ def apply_phase_space_projection(
     all (2n - 1) x n midpoints.
     """
     chi, lam_ind, r = _phase_space_factors(band, region, alpha)
-    G = _weyl_table(smooth_indicator(region, alpha), band.grid, eps)
-    reduced = lam_ind * _weyl_matvec(G, np.einsum("ib,ib->i", r, psi.values))
+    G, rows = _weyl_table(smooth_indicator(region, alpha), band.grid, eps)
+    reduced = lam_ind * _weyl_matvec(G, rows, np.einsum("ib,ib->i", r, psi.values))
     return MolecularWave(grid=psi.grid, values=chi * reduced[:, None], eps=psi.eps)
 
 
@@ -531,7 +532,7 @@ def boundary_leakage(
     """
     times = _time_row(times)
     grid = phi0.grid
-    cut = _weyl_matvec(_weyl_table(smooth_indicator(region, alpha), grid, phi0.eps), phi0.values)
+    cut = _weyl_matvec(*_weyl_table(smooth_indicator(region, alpha), grid, phi0.eps), phi0.values)
     outside = ~band.window_slice(band.delta)
     return l2_norm(prop_bo.apply(cut, times)[:, outside], grid.dx, axis=-1)
 

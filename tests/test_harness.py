@@ -210,6 +210,11 @@ def test_from_json_names_unknown_fields():
         ("times", [1.0, "2.0"], "finite real numbers"),
         # compared with numbers, a string raises a TypeError
         ("eps_ladder", ["0.2", 0.1, 0.05], "eps_ladder must be a list of real numbers"),
+        # compared with the grid, a null or a string raises a TypeError; a bare number cannot be unpacked
+        ("window", [None, 2.0], "window must be null or a list of two finite real numbers"),
+        ("window", ["a", "b"], "window must be null or a list of two finite real numbers"),
+        ("window", [-2.0, 0.0, 2.0], "window must be null or a list of two finite real numbers"),
+        ("window", 2.0, "window must be null or a list of two finite real numbers"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
