@@ -7,8 +7,10 @@ REF is any git revision (a sha, a branch, HEAD~1).  Its committed files are
 exported to a temporary directory with `git archive`; the checkout side is
 the working tree as it stands, uncommitted edits included.  Each side runs,
 every item in a fresh process at one BLAS thread:
-- every acceptance suite, `python -m adiband.cli suite <name> --output F`
-  (the report file F is compared);
+- every acceptance suite, `python -m adiband.cli suite <name> --output
+  report.json`, run once: its stdout and the report file are compared as
+  two items (the stdout shows the detail values as printed, which the
+  JSON file may not tell apart, for example a numpy scalar);
 - the canonical payload of each benchmark workload at seeds 0 and 3, from
   `perfbench/workloads.py` (`config_text` then `run_unit`), compared by `repr`;
 - the stdout of every demo under `demos/`.
@@ -20,6 +22,7 @@ the exit status is 1 when any item differs or fails on either side.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -64,11 +67,13 @@ def _items(tree: Path, names):
     suites, loads, demos = names
     items = {}
 
+    @functools.cache
     def suite(name):
+        """(stdout, report file) of one suite run; the relative --output path prints the same on both sides."""
         with tempfile.TemporaryDirectory() as workdir:
-            out = Path(workdir) / "report.json"
-            _run(tree, [sys.executable, "-m", "adiband.cli", "suite", name, "--output", str(out)], cwd=workdir)
-            return out.read_text()
+            stdout = _run(tree, [sys.executable, "-m", "adiband.cli", "suite", name, "--output", "report.json"],
+                          cwd=workdir)
+            return stdout, (Path(workdir) / "report.json").read_text()
 
     def payload(name, seed):
         with tempfile.TemporaryDirectory() as workdir:
@@ -79,7 +84,8 @@ def _items(tree: Path, names):
             return _run(tree, [sys.executable, str(tree / "demos" / name)], cwd=workdir)
 
     for name in suites:
-        items[f"suite {name} --output"] = lambda name=name: suite(name)
+        items[f"suite {name} --output"] = lambda name=name: suite(name)[1]
+        items[f"suite {name} stdout"] = lambda name=name: suite(name)[0]
     for name in loads:
         for seed in SEEDS:
             items[f"workload {name} seed {seed} canonical_payload"] = lambda name=name, seed=seed: payload(name, seed)

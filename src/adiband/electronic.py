@@ -267,6 +267,16 @@ def _window_mask(grid: Grid1D, window) -> np.ndarray:
     return mask
 
 
+def _band_indices_ok(indices, m: int) -> bool:
+    """Whether `indices` is a band set read as given: a non-empty, strictly ascending list (or tuple) of
+    integers in [0, m), not bools, so that no index is wrapped, truncated or out of range."""
+    return (
+        isinstance(indices, (list, tuple)) and len(indices) > 0
+        and all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in indices)
+        and 0 <= indices[0] and indices[-1] < m and all(a < b for a, b in zip(indices, indices[1:]))
+    )
+
+
 def band_decompose(
     model: ElectronicModel,
     grid: Grid1D,
@@ -284,9 +294,10 @@ def band_decompose(
 
     Parameters
     ----------
-    band_indices : int or sequence of ints
-        Ascending spectral positions (at the anchor point) of the bands
-        forming the selected set.
+    band_indices : int, or list or tuple of ints
+        Strictly ascending spectral positions in [0, m) (at the anchor
+        point) of the bands forming the selected set; anything else is
+        refused.
     window : (a, b) or None
         Region where the set is required to be isolated; None means the
         whole box.  The anchor for identity tracking is the window point
@@ -301,11 +312,11 @@ def band_decompose(
         delta inside the window.
     """
     if np.isscalar(band_indices):
-        band_indices = (int(band_indices),)
-    band_indices = tuple(int(b) for b in band_indices)
+        band_indices = (band_indices,)
     n, m = grid.n_points, model.fiber_dim
-    if max(band_indices) >= m:
-        raise ValueError(f"band indices {band_indices} out of range for fiber dim {m}")
+    if not _band_indices_ok(band_indices, m):
+        raise ValueError(f"band indices {band_indices} must be strictly ascending integers in [0, {m})")
+    band_indices = tuple(int(b) for b in band_indices)
 
     # h_batch returns real fibers as a real stack: the real solver gives frames with zero imaginary part
     evals, evecs = eigh_by_blocks(model.h_batch(grid.x))

@@ -8,6 +8,11 @@ next to this module, whose geometry
 each measured quantity sits in its asymptotic regime on the standard
 ladder eps = 0.2 ... 0.025 at desk-scale grids.
 
+A suite is its criteria in report order (`_SUITES`).  A criterion maps
+(seed, cache) to its reports; a rate criterion, the fitted slope of one
+scan of an acceptance configuration within [lo, hi], is one `_rate` entry,
+and a check with its own logic is a small function.
+
 Determinism: every scan is a pure function of its configuration; reports
 serialize with sorted keys and repr floats, so identical configurations
 produce byte-identical files.  Wall-clock timings are collected but kept
@@ -21,12 +26,14 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .electronic import BandData, _window_mask, band_decompose, berry_connection, grad_projection, riesz_projection
+from .electronic import (
+    BandData, _band_indices_ok, _window_mask, band_decompose, berry_connection, grad_projection, riesz_projection,
+)
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
@@ -197,6 +204,12 @@ class ExperimentConfig:
             )
         self._check_system()
         self._check_reads()
+        # the bands a scan decomposes, checked without decomposing one
+        m = self.build_model().fiber_dim
+        if not _band_indices_ok(self.band_indices, m):
+            raise ValueError(f"band_indices must be strictly ascending integers in [0, {m}), got {self.band_indices!r}")
+        if self.lift_band_index is not None and not _band_indices_ok([self.lift_band_index], m):
+            raise ValueError(f"lift_band_index must be null or an integer in [0, {m}), got {self.lift_band_index!r}")
         if self.window is not None:
             window = self.window
             if not (_finite_numbers(window) and len(window) == 2):
@@ -728,19 +741,9 @@ class SuiteReport:
 
 
 def _crit(cid, passed, **detail):
-    clean = {}
-    for k, v in detail.items():
-        if isinstance(v, (bool, np.bool_)):
-            clean[k] = bool(v)
-        elif isinstance(v, (np.floating, float)):
-            clean[k] = float(v)
-        elif isinstance(v, (np.integer, int)):
-            clean[k] = int(v)
-        elif isinstance(v, (list, tuple)):
-            clean[k] = [float(x) if isinstance(x, (np.floating, float)) else x for x in v]
-        else:
-            clean[k] = v
-    return CriterionReport(cid=cid, passed=bool(passed), detail=clean)
+    """One verdict; the detail's numpy scalars and tuples become plain Python values by one JSON round trip."""
+    detail = json.loads(json.dumps(detail, default=lambda v: v.item()))
+    return CriterionReport(cid=cid, passed=bool(passed), detail=detail)
 
 
 def _rate_crit(cid, res, lo, hi=None, **extra):
@@ -749,83 +752,45 @@ def _rate_crit(cid, res, lo, hi=None, **extra):
     return _crit(cid, ok, slope=res.slope, **extra, errors=[p["error"] for p in res.points])
 
 
-def _suite_decoupling(seed, cache):
-    cutoff = _config("decoupling", energy_cutoff=2.0)
-    crits = [
-        _rate_crit("decoupling-rate", eps_scan(_config("decoupling"), cache), 0.75, 1.25),
-        _rate_crit("decoupling-rate-with-cutoff", eps_scan(cutoff, cache), 0.75),
-    ]
-    e1, e2 = _scan_decoupling(cutoff, cache, 0.05, (1.0, 2.0))
-    crits.append(
-        _crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)
-    )
-    return crits
+def _rate(cid, config, lo, hi=None, **overrides):
+    """The rate criterion `cid`: the fitted slope of the scan of `_config(config, **overrides)` in [lo, hi]."""
+    return lambda seed, cache: [_rate_crit(cid, eps_scan(_config(config, **overrides), cache), lo, hi)]
 
 
-def _suite_effective(seed, cache):
-    cfg = _config("effective")
-    t_minus, t_plus = cfg.hitting_window()
-    crits = [
-        _crit("effective-hitting-window", t_plus >= 1.5, t_plus=t_plus, t_minus=t_minus),
-        _rate_crit("effective-rate", eps_scan(cfg, cache), 0.75, 1.25),
-    ]
+def _decoupling_time_growth(seed, cache):
+    e1, e2 = _scan_decoupling(_config("decoupling", energy_cutoff=2.0), cache, 0.05, (1.0, 2.0))
+    return [_crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)]
+
+
+def _effective_hitting_window(seed, cache):
+    t_minus, t_plus = _config("effective").hitting_window()
+    return [_crit("effective-hitting-window", t_plus >= 1.5, t_plus=t_plus, t_minus=t_minus)]
+
+
+def _effective_beyond_window_logged(seed, cache):
     # beyond the window the bound is not asserted; the value is only logged
-    t_out = 1.2 * t_plus
+    cfg = _config("effective")
+    t_out = 1.2 * cfg.hitting_window()[1]
     (logged,) = _scan_effective(cfg, cache, 0.05, [t_out])
-    crits.append(
-        _crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)
-    )
-    return crits
+    return [_crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)]
 
 
-def _suite_berry(seed, cache):
-    cfg_on = _config("berry")
-    res_on = eps_scan(cfg_on, cache)
-    cfg_off = replace(cfg_on, include_a_geo=False)
-    errs_off = [_scan_effective(cfg_off, cache, eps, cfg_off.times[:1])[0] for eps in cfg_off.eps_ladder]
-    return [
-        _rate_crit("berry-on-rate", res_on, 0.75),
-        _crit(
-            "berry-off-floor", min(errs_off) >= 0.05,
-            infimum=min(errs_off), errors=errs_off,
-        ),
-    ]
+def _berry_off_floor(seed, cache):
+    cfg = _config("berry", include_a_geo=False)
+    errs = [_scan_effective(cfg, cache, eps, cfg.times[:1])[0] for eps in cfg.eps_ladder]
+    return [_crit("berry-off-floor", min(errs) >= 0.05, infimum=min(errs), errors=errs)]
 
 
-def _suite_leakage(seed, cache):
-    cfg = _config("leakage")
-    _, t_plus = cfg.hitting_window()
+def _leakage_rate(seed, cache):
+    """The leakage rate at 0.8 t_+, with t_+ the hitting time of the configured region."""
+    t_plus = _config("leakage").hitting_window()[1]
     cfg = _config("leakage", times=[round(0.8 * t_plus, 6)])
     return [_rate_crit("leakage-rate", eps_scan(cfg, cache), 0.75, t=cfg.times[0], t_plus=t_plus)]
 
 
-def _suite_observables(seed, cache):
-    crits = [
-        _rate_crit(f"observable-{name}-rate", eps_scan(_config("observables", symbol=name), cache), 0.75)
-        for name in ("p", "windowed_p^2")
-    ]
-    res_q = eps_scan(_config("observables", symbol="q"), cache)
-    errs = [p["error"] for p in res_q.points]
-    crits.append(_crit("observable-q-exact", max(errs) <= 1e-9, worst=max(errs)))
-    return crits
-
-
-def _suite_state_rates(seed, cache):
-    crits = [_rate_crit("packet-rate", eps_scan(_config("state_rates"), cache), 0.35, 0.75)]
-    cfg_sharp = _config(
-        "state_rates",
-        state={"family": "sharp_momentum",
-               "params": {"p0": 0.45, "center": 0.2, "width": 0.8, "boost": 1.0}},
-    )
-    crits.append(_rate_crit("sharp-momentum-rate", eps_scan(cfg_sharp, cache), 0.75, 1.25))
-    cfg_wkb = _config(
-        "state_rates",
-        state={"family": "wkb",
-               "params": {"center": 0.2, "width": 0.7, "amp": 0.4,
-                          "k": float(2 * np.pi / 12.8)}},  # box-periodic phase
-    )
-    crits.append(_rate_crit("wkb-rate", eps_scan(cfg_wkb, cache), 0.35))
-    return crits
+def _observable_q_exact(seed, cache):
+    errs = [p["error"] for p in eps_scan(_config("observables", symbol="q"), cache).points]
+    return [_crit("observable-q-exact", max(errs) <= 1e-9, worst=max(errs))]
 
 
 def _suite_identities(seed, cache):
@@ -949,30 +914,45 @@ def _suite_determinism(seed, cache):
     ]
 
 
+# each suite is its criteria in report order; a criterion maps (seed, cache) to its reports
 _SUITES = {
-    "decoupling": _suite_decoupling,
-    "effective": _suite_effective,
-    "berry": _suite_berry,
-    "leakage": _suite_leakage,
-    "observables": _suite_observables,
-    "state-rates": _suite_state_rates,
-    "identities": _suite_identities,
-    "semiclassics": _suite_semiclassics,
-    "determinism": _suite_determinism,
+    "decoupling": (
+        _rate("decoupling-rate", "decoupling", 0.75, 1.25),
+        _rate("decoupling-rate-with-cutoff", "decoupling", 0.75, energy_cutoff=2.0),
+        _decoupling_time_growth,
+    ),
+    "effective": (
+        _effective_hitting_window,
+        _rate("effective-rate", "effective", 0.75, 1.25),
+        _effective_beyond_window_logged,
+    ),
+    "berry": (_rate("berry-on-rate", "berry", 0.75), _berry_off_floor),
+    "leakage": (_leakage_rate,),
+    "observables": (
+        _rate("observable-p-rate", "observables", 0.75, symbol="p"),
+        _rate("observable-windowed_p^2-rate", "observables", 0.75, symbol="windowed_p^2"),
+        _observable_q_exact,
+    ),
+    "state-rates": (
+        _rate("packet-rate", "state_rates", 0.35, 0.75),
+        _rate("sharp-momentum-rate", "state_rates", 0.75, 1.25, state={
+            "family": "sharp_momentum", "params": {"p0": 0.45, "center": 0.2, "width": 0.8, "boost": 1.0}}),
+        _rate("wkb-rate", "state_rates", 0.35, state={  # k: the box-periodic phase
+            "family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4, "k": float(2 * np.pi / 12.8)}}),
+    ),
+    "identities": (_suite_identities,),
+    "semiclassics": (_suite_semiclassics,),
+    "determinism": (_suite_determinism,),
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, seed: int = 0, cache: PropagatorCache | None = None) -> SuiteReport:
-    """Execute a named acceptance suite and report per-criterion verdicts."""
-    if name == "all":
-        cache = cache or PropagatorCache()
-        crits = []
-        for sub in _SUITES:
-            crits.extend(_SUITES[sub](seed, cache))
-        return SuiteReport(suite="all", criteria=crits, seed=seed)
-    if name not in _SUITES:
+    """Run the criteria of the named acceptance suite, or of every suite for "all", in report order."""
+    if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
     cache = cache or PropagatorCache()
-    return SuiteReport(suite=name, criteria=_SUITES[name](seed, cache), seed=seed)
+    criteria = [report for suite, entries in _SUITES.items() if name in (suite, "all")
+                for criterion in entries for report in criterion(seed, cache)]
+    return SuiteReport(suite=name, criteria=criteria, seed=seed)

@@ -18,23 +18,15 @@ the grid per step, with no N x N matrix and no N^3 solve
 (`harness.PropagatorCache.bo` and `.full`); the dense solves of a single
 H (`diagonalize` of `assemble_bo` or `assemble_full`) stay as the tests'
 oracles and the `identities` suite's, and `diagonalize_blocks` solves
-the decoupling pair's full H.  On the effective-ladder benchmark (one
-BLAS thread, two-core host, median of nine interleaved pairs) the switch
-of the full H took the scan from 1.52 s to 0.73 s and the peak RSS from
-108 MB to 67 MB.  Its errors lie within 5.2e-11 relative of the dense
-references, at the eps = 0.025 point, inside their 1e-10 gate, and they
-are the same floats at one and two BLAS threads, where the dense full H
-moved that point by 4.5e-11.  Each term of the recurrence is one step of
-two FFTs along a contiguous axis, the symbol's product and V's, run in
-place on the grid-last layout (m, k, n) (`ChebyshevPropagator`,
-`hamiltonians.FiberedOperator.action`): about 32 us at n = 512, m = 2,
-allocating only V's products.  With P_Gamma applied by the Weyl table's
-matvec, without its n x n matrix
-(`semiclassics.apply_phase_space_projection`), that took effective-ladder
-from 0.62 s to 0.41 s and its peak RSS from 67 MB to 52 MB (medians of
-ten interleaved pairs of the benchmark's 20 s runs, one BLAS thread,
-every pair won); `BENCH_16.json` records the change's own run.  The
-decoupling pair stays dense for two reasons.  It applies a family of
+the decoupling pair's full H.  On the effective-ladder benchmark the
+matrix-free errors lie within 5.2e-11 relative of the dense references,
+at the eps = 0.025 point, inside their 1e-10 gate, and they are the same
+floats at one and two BLAS threads, where the dense full H moved that
+point by 4.5e-11.  Each term of the recurrence is one step of two FFTs
+along a contiguous axis, the symbol's product and V's, run in place on
+the grid-last layout (m, k, n) (`ChebyshevPropagator`,
+`hamiltonians.FiberedOperator.action`), allocating only V's products.
+The decoupling pair stays dense for two reasons.  It applies a family of
 states to both H and H_diag, whose shared and split blocks are cheaper
 dense: at n = 512 the dense pair takes 0.41-0.49 s per eps against
 1.2-2.1 s by Chebyshev.  And `SpectralPropagator.energy_cutoff_apply`

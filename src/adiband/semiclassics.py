@@ -225,10 +225,8 @@ def apply_phase_space_projection(
     The Weyl factor is applied by `_weyl_matvec` on the region indicator's
     table, never as its n x n matrix: the table is nonzero only on the
     midpoint rows inside the region's position support, and only those
-    are transformed and read.  At the effective config (n = 512, 191 of
-    1023 rows; one BLAS thread, medians over its four eps of five
-    interleaved runs) P_Gamma takes 17 ms per eps against 32 ms with the
-    n x n matrix; most of what remains is the symbol itself, evaluated at
+    are transformed and read (191 of 1023 rows at the effective config,
+    n = 512).  Most of P_Gamma's cost is the symbol itself, evaluated at
     all (2n - 1) x n midpoints.
     """
     chi, lam_ind, r = _phase_space_factors(band, region, alpha)

@@ -8,7 +8,23 @@ stays within a few minutes at the standard 256-512 point grids.
 
 import pytest
 
-from adiband.harness import PropagatorCache, run_suite
+from adiband.harness import SUITE_NAMES, PropagatorCache, run_suite
+
+# each suite's criterion ids in report order: a criterion is neither dropped, renamed nor moved
+CRITERIA = {
+    "decoupling": ["decoupling-rate", "decoupling-rate-with-cutoff", "decoupling-time-growth"],
+    "effective": ["effective-hitting-window", "effective-rate", "effective-beyond-window-logged"],
+    "berry": ["berry-on-rate", "berry-off-floor"],
+    "leakage": ["leakage-rate"],
+    "observables": ["observable-p-rate", "observable-windowed_p^2-rate", "observable-q-exact"],
+    "state-rates": ["packet-rate", "sharp-momentum-rate", "wkb-rate"],
+    "identities": ["riesz-vs-spectral", "projection-gradient-split", "commutator-identity",
+                   "commutator-inverse-two-routes", "bo-gauge-covariance", "identification-isometry",
+                   "evolution-unitarity-energy"],
+    "semiclassics": ["weyl-exact-symbols", "wigner-normalization", "verlet-harmonic-period",
+                     "hitting-time-free-fixture"],
+    "determinism": ["scan-reports-byte-identical"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -20,12 +36,18 @@ def _run(name, cache):
     report = run_suite(name, seed=0, cache=cache)
     for line in report.lines():
         print(line)
+    assert [c.cid for c in report.criteria] == CRITERIA[name]
     return report
 
 
 def _assert_all(report):
     failed = [c.cid for c in report.criteria if not c.passed]
     assert report.passed, f"criteria failed: {failed}"
+
+
+def test_every_suite_has_its_criterion_ids_pinned():
+    assert list(CRITERIA) + ["all"] == list(SUITE_NAMES)
+    assert sum(map(len, CRITERIA.values())) == 27
 
 
 def test_criterion_1_band_decoupling_rate(cache):

@@ -276,6 +276,13 @@ def test_berry_requires_gauge():
         berry_connection(pair)
 
 
+@pytest.mark.parametrize("indices", [-1, 0.5, True, 3, (), (0, 0), (1, 0), (0, 3), [0.0, 1.0]])
+def test_band_decompose_refuses_indices_it_would_misread(indices):
+    # -1 would wrap to the top band, 0.5 truncate to band 0, True be taken as band 1
+    with pytest.raises(ValueError, match=r"strictly ascending integers in \[0, 3\)"):
+        band_decompose(get_model("crossing_trio"), make_grid(-8, 8, 64), indices)
+
+
 def test_riesz_matches_spectral_oracle():
     model = get_model("two_band_complex")
     for X in (-1.3, 0.0, 0.8):

@@ -215,6 +215,16 @@ def test_from_json_names_unknown_fields():
         ("window", ["a", "b"], "window must be null or a list of two finite real numbers"),
         ("window", [-2.0, 0.0, 2.0], "window must be null or a list of two finite real numbers"),
         ("window", 2.0, "window must be null or a list of two finite real numbers"),
+        # band indices the scan would misread: -1 wraps to the top band, 0.5 truncates to band 0,
+        # True is band 1; the others give an error row at every eps
+        ("band_indices", [-1], "band_indices must be strictly ascending integers"),
+        ("band_indices", [0.5], "band_indices must be strictly ascending integers"),
+        ("band_indices", [True], "band_indices must be strictly ascending integers"),
+        ("band_indices", [], "band_indices must be strictly ascending integers"),
+        ("band_indices", [0, 0], "band_indices must be strictly ascending integers"),
+        ("band_indices", [0, 7], r"band_indices .* in \[0, 2\), got \[0, 7\]"),
+        ("lift_band_index", -1, r"lift_band_index must be null or an integer in \[0, 2\), got -1"),
+        ("lift_band_index", 5, r"lift_band_index must be null or an integer in \[0, 2\), got 5"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -812,6 +822,23 @@ def test_suite_report_serializes():
     assert payload["suite"] == "semiclassics"
     assert payload["passed"] is True
     assert all("detail" in c for c in payload["criteria"])
+
+
+def test_criterion_detail_is_plain_python_values():
+    # numpy scalars would print as np.float64(0.5) in the report lines, and np.bool_ / np.int64 do not serialize
+    from adiband import harness
+
+    crit = harness._crit("c", np.bool_(True), x=np.float64(0.5), flag=np.bool_(False), n=np.int64(3),
+                         xs=(np.float64(0.25), np.float64(1.5)), none=None, bad=np.float64("nan"))
+    assert {k: type(v) for k, v in crit.detail.items()} == {
+        "x": float, "flag": bool, "n": int, "xs": list, "none": type(None), "bad": float}
+    assert [type(v) for v in crit.detail["xs"]] == [float, float]
+    rep = harness.SuiteReport(suite="s", criteria=[crit], seed=0)
+    assert list(rep.lines()) == ["[PASS] c: bad=nan, flag=False, n=3, none=None, x=0.5, xs=[0.25, 1.5]"]
+    (payload,) = json.loads(rep.to_json())["criteria"]
+    assert payload["passed"] is True
+    assert payload["detail"]["flag"] is False and payload["detail"]["n"] == 3 and payload["detail"]["xs"] == [0.25, 1.5]
+    assert '"x": 0.5' in rep.to_json() and '"bad": NaN' in rep.to_json()
 
 
 def test_standard_family_size_and_normalization():
