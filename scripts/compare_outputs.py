@@ -11,6 +11,10 @@ every item in a fresh process at one BLAS thread:
   report.json`, run once: its stdout and the report file are compared as
   two items (the stdout shows the detail values as printed, which the
   JSON file may not tell apart, for example a numpy scalar);
+- every shipped config under `src/adiband/configs/`, `python -m adiband.cli
+  run <config> --output report.json`: its stdout and its report, two items;
+  for a config with a window and a region (effective, berry, leakage) also
+  the stdout of `python -m adiband.cli hitting-times <config>`;
 - the canonical payload of each benchmark workload at seeds 0 and 3, from
   `perfbench/workloads.py` (`config_text` then `run_unit`), compared by `repr`;
 - the stdout of every demo under `demos/`.
@@ -23,6 +27,7 @@ the exit status is 1 when any item differs or fails on either side.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 3)
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+CONFIGS = Path("src") / "adiband" / "configs"
 
 # prints repr(canonical_payload()) of one workload at one seed; argv: tree, workload, seed
 PAYLOAD = """
@@ -45,12 +51,16 @@ print(repr(workloads.run_unit(text, None).canonical_payload()))
 
 
 def _names(tree: Path):
-    """(suite names, workload names, demo files) as the tree at `tree` defines them."""
+    """(suite names, workload names, demo files, {config file: has a window and a region}) as `tree` defines them."""
     code = ("import sys; sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/perfbench'];"
             "from adiband.harness import SUITE_NAMES; import workloads;"
             "print(' '.join(n for n in SUITE_NAMES if n != 'all')); print(' '.join(workloads.WORKLOADS))")
     suites, loads = _run(tree, [sys.executable, "-c", code, str(tree)]).splitlines()
-    return suites.split(), loads.split(), sorted(p.name for p in (tree / "demos").glob("*.py"))
+    configs = {}
+    for path in sorted((tree / CONFIGS).glob("*.json")):
+        data = json.loads(path.read_text())
+        configs[path.name] = data.get("window") is not None and data.get("region") is not None
+    return suites.split(), loads.split(), sorted(p.name for p in (tree / "demos").glob("*.py")), configs
 
 
 def _run(tree: Path, cmd, cwd=None) -> str:
@@ -64,33 +74,35 @@ def _run(tree: Path, cmd, cwd=None) -> str:
 
 def _items(tree: Path, names):
     """{item label: zero-argument function giving the item's output text} for `tree`."""
-    suites, loads, demos = names
+    suites, loads, demos, configs = names
     items = {}
 
+    def stdout(*cmd):
+        with tempfile.TemporaryDirectory() as workdir:
+            return _run(tree, [sys.executable, *cmd], cwd=workdir)
+
     @functools.cache
-    def suite(name):
-        """(stdout, report file) of one suite run; the relative --output path prints the same on both sides."""
+    def reported(*args):
+        """(stdout, report file) of one `adiband <args> --output report.json`; the relative path prints the same on both sides."""
         with tempfile.TemporaryDirectory() as workdir:
-            stdout = _run(tree, [sys.executable, "-m", "adiband.cli", "suite", name, "--output", "report.json"],
-                          cwd=workdir)
-            return stdout, (Path(workdir) / "report.json").read_text()
-
-    def payload(name, seed):
-        with tempfile.TemporaryDirectory() as workdir:
-            return _run(tree, [sys.executable, "-c", PAYLOAD, str(tree), name, str(seed)], cwd=workdir)
-
-    def demo(name):
-        with tempfile.TemporaryDirectory() as workdir:
-            return _run(tree, [sys.executable, str(tree / "demos" / name)], cwd=workdir)
+            out = _run(tree, [sys.executable, "-m", "adiband.cli", *args, "--output", "report.json"], cwd=workdir)
+            return out, (Path(workdir) / "report.json").read_text()
 
     for name in suites:
-        items[f"suite {name} --output"] = lambda name=name: suite(name)[1]
-        items[f"suite {name} stdout"] = lambda name=name: suite(name)[0]
+        items[f"suite {name} --output"] = lambda name=name: reported("suite", name)[1]
+        items[f"suite {name} stdout"] = lambda name=name: reported("suite", name)[0]
+    for name, windowed in configs.items():
+        path = str(tree / CONFIGS / name)
+        items[f"run {name} --output"] = lambda path=path: reported("run", path)[1]
+        items[f"run {name} stdout"] = lambda path=path: reported("run", path)[0]
+        if windowed:
+            items[f"hitting-times {name} stdout"] = lambda path=path: stdout("-m", "adiband.cli", "hitting-times", path)
     for name in loads:
         for seed in SEEDS:
-            items[f"workload {name} seed {seed} canonical_payload"] = lambda name=name, seed=seed: payload(name, seed)
+            items[f"workload {name} seed {seed} canonical_payload"] = (
+                lambda name=name, seed=seed: stdout("-c", PAYLOAD, str(tree), name, str(seed)))
     for name in demos:
-        items[f"demo {name} stdout"] = lambda name=name: demo(name)
+        items[f"demo {name} stdout"] = lambda name=name: stdout(str(tree / "demos" / name))
     return items
 
 

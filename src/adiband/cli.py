@@ -29,7 +29,7 @@ from .models import list_models
 def _cmd_run(args):
     cfg = ExperimentConfig.from_file(args.config)
     result = eps_scan(cfg)
-    out = args.output or "scan_result.json"
+    out = args.output or f"scan_result.{args.format}"
     emit_report(result, out, fmt=args.format, include_timing=args.timing)
     print(f"functional: {result.functional}")
     for pt in result.points:
@@ -74,7 +74,7 @@ def _cmd_hitting_times(args):
 
 
 def _cmd_report(args):
-    out = args.output or (args.result.rsplit(".", 1)[0] + "." + args.format)
+    out = args.output or str(Path(args.result).with_suffix("." + args.format))
     if Path(out).resolve() == Path(args.result).resolve():
         print(f"output {out} is the input result; pass another --output", file=sys.stderr)
         return 2

@@ -120,7 +120,6 @@ __all__ = [
     "u_map",
     "u_star_map",
     "clamp_field",
-    "kinetic_matrix",
 ]
 
 _RAMP_WIDTH = 0.5
@@ -192,7 +191,13 @@ def _gauge(grid: Grid1D, a_vals: np.ndarray | None) -> tuple:
     """(Phi, a_bar) of a vector potential sampled on the grid: Phi = exp(i Theta), Theta' = A - a_bar.
 
     a_bar is the mean of A.  At zero field (None, or all zeros) Phi is None
-    and a_bar 0.0.
+    and a_bar 0.0.  The phase-dressed derivative M = Phi^* D Phi + a_bar
+    equals -i d/dX + A(X) to spectral accuracy on resolved states, and a
+    periodic gauge shift theta conjugates it exactly (the antiderivative
+    map is linear and lattice-exact on band-limited fields).  Since
+    |Phi| = 1, M^2 = Phi^* (D + a_bar)^2 Phi, so the covariant kinetic
+    operator (eps (-i d/dX + A))^2 / 2 is `_kinetic` of the symbol
+    (`_symbol`) and Phi, for every field.
     """
     if a_vals is None or not np.any(a_vals):
         return None, 0.0
@@ -209,31 +214,15 @@ def _symbol(grid: Grid1D, eps: float, a_bar: float) -> np.ndarray:
 
 
 def _kinetic(symbol: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """Phi^* C Phi, with C the circulant of the symbol; C itself, real, at zero field (phase None)."""
+    """Phi^* C Phi, with C the circulant of the symbol; C itself, real, at zero field (phase None).
+
+    The symbol is even on the lattice (the Nyquist mode pairs with itself),
+    so C is real up to rounding and is stored as its real part.
+    """
     C = fourier_multiplier_matrix(symbol)
     if phase is None:
         return C.real.copy()
     return phase.conj()[:, None] * C * phase[None, :]
-
-
-def kinetic_matrix(grid: Grid1D, eps: float, a_vals: np.ndarray | None = None) -> np.ndarray:
-    """Covariant kinetic operator (eps*(-i d/dX) + eps*A(X))^2 / 2, dense.
-
-    `a_vals` holds the vector potential A sampled on the grid (None: zero).
-    With Phi = exp(i Theta), Theta' = A - mean(A), the phase-dressed
-    derivative M = Phi^* D Phi + mean(A) equals -i d/dX + A(X) to spectral
-    accuracy on resolved states, and a periodic gauge shift theta conjugates
-    it exactly (the antiderivative map is linear and lattice-exact on
-    band-limited fields).  Since |Phi| = 1, M^2 = Phi^* (D + mean(A))^2 Phi,
-    and (D + mean(A))^2 is the Fourier multiplier of (k + mean(A))^2, so one
-    construction serves every field: Phi^* C Phi, with C the circulant of
-    the symbol (eps (k + mean(A)))^2 / 2.  At zero field (None, or all
-    zeros) Phi = 1, so C is returned directly: the symbol is even on the
-    lattice (the Nyquist mode pairs with itself), so C is real up to
-    rounding and is stored as its real part.
-    """
-    phase, a_bar = _gauge(grid, a_vals)
-    return _kinetic(_symbol(grid, eps, a_bar), phase)
 
 
 @dataclass(frozen=True)
@@ -573,12 +562,12 @@ def bo_operator(
     """Effective nuclear Hamiltonian of the tracked band, as its parts.
 
     (eps*(-i d/dX) + eps*A_geo)^2 / 2 + E(X): the gauge phase of the
-    geometric vector potential A_geo (`kinetic_matrix`), and the band
-    energy as a 1 x 1 fiber stack, both extended by `clamp_field` (the
-    band's window shrunk by the band's delta/5).  `berry` overrides the
-    connection samples (used by gauge-covariance checks); with
-    include_a_geo=False the connection is dropped entirely.  Real (no
-    phase) when A_geo is zero on the grid.
+    geometric vector potential A_geo (`_gauge`; its dense kinetic term is
+    `_kinetic`), and the band energy as a 1 x 1 fiber stack, both extended
+    by `clamp_field` (the band's window shrunk by the band's delta/5).
+    `berry` overrides the connection samples (used by gauge-covariance
+    checks); with include_a_geo=False the connection is dropped entirely.
+    Real (no phase) when A_geo is zero on the grid.
     """
     if band.band_energy is None:
         raise ValueError("effective Hamiltonian requires a tracked single band")

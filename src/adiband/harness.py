@@ -170,22 +170,44 @@ class ExperimentConfig:
     fit_residual_threshold: float = 0.5
     flow_dt: float = 1e-3
 
-    # _content() of what validate() last passed; not a dataclass field
-    _validated_content = None
-    # (_content(), {band indices: band}) of what `build_band` last built for; not a dataclass field
-    _bands_built = None
+    # (_content(), {key: value}): the validation, each band set and the hitting window
+    # of that content (see `_kept`); not a dataclass field
+    _store = None
+
+    def _kept(self, key, build):
+        """build(), kept in the config's one store under `key` while the content is what it was built for.
+
+        The store is keyed by `_content()`, so a config changed in place
+        (`cfg.times[0] = 50.0`, `cfg.delta = 0.3`) finds it empty and builds
+        anew.  A build that raises is not kept: it raises again on the next call.
+        """
+        text = self._content()
+        if self._store is None or self._store[0] != text:
+            self._store = (text, {})
+        store = self._store[1]
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     def validate(self):
         """Check the configuration and return it.
 
-        A configuration is checked once: validate() returns at once while
-        the content (compared by `_content()`) is what it last passed, so the
-        hitting window of an effective-dynamics config is not recomputed by
-        every scan of it.
+        The verdict is kept in the config's store (`_kept`): validate()
+        returns at once while the content is what it last passed, and checks
+        a changed config again.  A field JSON cannot write (a numpy float32,
+        a set) is refused by name first, since the store's key is written
+        from every field.
         """
-        text = self._content()
-        if text == self._validated_content:
-            return self
+        for f in fields(self):
+            try:
+                json.dumps(getattr(self, f.name), sort_keys=True)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{f.name} must hold only JSON values, got {getattr(self, f.name)!r}: {exc}") from None
+        self._kept("validated", self._check)
+        return self
+
+    def _check(self):
+        """Refuse a configuration that a scan would misread, ignore or fail on at every point."""
         eps = self.eps_ladder
         if not isinstance(eps, (list, tuple)) or not all(_is_number(e) for e in eps):
             raise ValueError(f"eps_ladder must be a list of real numbers, got {eps!r}")
@@ -229,8 +251,6 @@ class ExperimentConfig:
                     f"times {bad} outside the hitting-time window "
                     f"[{t_minus:.4f}, {t_plus:.4f}] computed for this region"
                 )
-        self._validated_content = text
-        return self
 
     def _check_system(self):
         """Refuse a `grid` or `model` key that no builder reads, and a grid or model that cannot be built.
@@ -292,22 +312,15 @@ class ExperimentConfig:
     def build_band(self, indices=None) -> BandData:
         """The band set `indices` (default `band_indices`), decomposed once per content.
 
-        Each band set is kept with the `_content()` it was built for, so
-        validation (the hitting window) and every scan of an unchanged config
-        share its bands, and a config changed since gets new ones.  A build
-        that raises is not kept: it raises again on the next call.
+        Each band set is kept in the config's store (`_kept`), so validation
+        (the hitting window) and every scan of an unchanged config share its
+        bands, and a config changed since gets new ones.
         """
         idx = tuple(int(b) for b in np.atleast_1d(self.band_indices if indices is None else indices))
-        text = self._content()
-        if self._bands_built is None or self._bands_built[0] != text:
-            self._bands_built = (text, {})
-        bands = self._bands_built[1]
-        if idx not in bands:
-            window = tuple(self.window) if self.window is not None else None
-            gauge = "component" if len(idx) == 1 else None
-            bands[idx] = band_decompose(self.build_model(), self.build_grid(), idx,
-                                        window=window, gauge=gauge, delta=self.delta)
-        return bands[idx]
+        window = tuple(self.window) if self.window is not None else None
+        gauge = "component" if len(idx) == 1 else None
+        return self._kept(("band", idx), lambda: band_decompose(self.build_model(), self.build_grid(), idx,
+                                                                window=window, gauge=gauge, delta=self.delta))
 
     def build_region(self) -> PhaseSpaceRegion:
         if self.region is None:
@@ -315,10 +328,18 @@ class ExperimentConfig:
         return PhaseSpaceRegion(self.region)
 
     def hitting_window(self):
-        """The hitting-time window of the region, on the lift band's window and margin; computed on every call."""
-        band = self.lift_band()
-        _, dE = band_energy_interpolant(band)
-        return hitting_times(self.build_region(), band.window, band.delta, dE, alpha=self.alpha, dt=self.flow_dt)
+        """The hitting-time window of the region, on the lift band's window and margin.
+
+        Computed once per content and kept in the config's store (`_kept`):
+        validation of an effective-dynamics config computes it, and every
+        later call of the unchanged config reads it.
+        """
+        def compute():
+            band = self.lift_band()
+            _, dE = band_energy_interpolant(band)
+            return hitting_times(self.build_region(), band.window, band.delta, dE, alpha=self.alpha, dt=self.flow_dt)
+
+        return self._kept("window", compute)
 
     def lift_band(self) -> BandData:
         """The band states are lifted to: `lift_band_index`, or else `band_indices`."""
@@ -332,7 +353,7 @@ class ExperimentConfig:
     # -- (de)serialization --------------------------------------------------
 
     def _content(self) -> str:
-        """The fields as one JSON text, to tell a changed config: what to_json() holds, without its copy."""
+        """The fields as one JSON text, the key of the config's store: what to_json() holds, without its copy."""
         return json.dumps([getattr(self, f.name) for f in fields(self)], sort_keys=True)
 
     def to_json(self) -> str:
@@ -458,81 +479,63 @@ def load_result(path) -> ScanResult:
 
 
 class PropagatorCache:
-    """Memoizes propagators keyed by what their builders use.
+    """Keeps what a scan would otherwise build again and pays for: one dict, filled only through `get`.
 
-    A key holds the kind, the model's tag and parameters, the grid's bounds
-    and size, eps and, where a band enters, its indices and window; a `bo`
-    key also holds the band's window margin `delta` (`BandData.delta`,
-    which `bo_operator` reads), the `include_a_geo` value passed to
-    `bo_operator` and the bytes of the band's gauged frame chi (n m complex
-    values, small next to the propagator), so a band in another gauge
-    (`with_gauge_shift`, or band_decompose's `gauge`) or with another
-    margin gets an entry of its own.  A `diag` key holds no margin: H_diag
-    does not read it, so bands that differ only in delta share it.  Every
-    key is read from the objects the builder is given, so two models or
-    grids passed under one cfg never share an entry; the `cfg` argument
-    supplies only `bo`'s `include_a_geo`.
+    It holds two kinds of entry, each keyed by what its builder reads from
+    the objects it is given (the model's tag and parameters, the grid's
+    bounds and size, eps, and for `diag` the band's indices and window), so
+    two models or grids never share one:
+    - the parts of the molecular H (`hamiltonians.molecular_operator`, its
+      fiber stack H_e(X_i)), once per model and grid;
+    - the dense decoupling pair of an eps, `"pair full"` and `"diag"`, the
+      one build that costs: `decoupling_pair` solves both from one
+      block-stored H derived from the parts, formed on its first miss and
+      dropped when it returns.  The band-preserving propagator holds the
+      pair's full triple wherever P is 0 or 1 on a whole block of H, so the
+      full one is built (or found) first.  H_diag reads neither the band's
+      gauge nor its margin, so bands that differ only in those share a
+      `diag` entry.
 
-    The propagators follow the rule stated in `propagation`:
-    - The parts of the molecular H (`hamiltonians.molecular_operator`, its
-      fiber stack H_e(X_i)) are built once per model and grid and kept
-      beside the propagators.
-    - `full` is a `ChebyshevPropagator` on those parts.  Its callers, the
-      effective and state-observable scans, apply it alone.
-    - `decoupling_pair` solves the full propagator and the band-preserving
-      one of an eps from one block-stored H derived from the parts: it
-      forms H on its first miss and drops it when it returns, so no
-      assembled H outlives the call that builds from it.  The
-      band-preserving propagator holds the pair's full triple wherever P
-      is 0 or 1 on a whole block of H, so the pair's full propagator of the
-      same eps is built (or found) first.  It has a key of its own ("pair
-      full"), apart from `full`'s, so the pair never finds the matrix-free
-      propagator, which holds no blocks.  `diag` is the band-preserving
-      half of `decoupling_pair`.
-    - `bo` is always a `ChebyshevPropagator` on the band's `bo_operator`.
+    `full` and `bo` keep nothing: each returns a new `ChebyshevPropagator`
+    (the full one on the kept parts), cheap to build next to the dense
+    pair.  They stay methods because they are the seams through which the
+    oracle tests substitute dense propagators.  `full` and `diag` take a
+    `cfg` they do not read, the signature the benchmark's workloads call.
     """
 
     def __init__(self):
         self._store = {}
-        self._operators = {}
 
     @staticmethod
     def _system_key(model: ElectronicModel, grid: Grid1D):
         return (model.tag, json.dumps(model.params, sort_keys=True), grid.x_min, grid.x_max, grid.n_points)
-
-    def _diag_key(self, model, grid, band, eps):
-        return ("diag", self._system_key(model, grid), band.band_indices, band.window, eps)
-
-    def _operator(self, model, grid):
-        """The parts of the molecular H (a `FiberedOperator`), built once for the model and grid."""
-        key = self._system_key(model, grid)
-        if key not in self._operators:
-            self._operators[key] = molecular_operator(model, grid)
-        return self._operators[key]
 
     def get(self, key, builder):
         if key not in self._store:
             self._store[key] = builder()
         return self._store[key]
 
+    def _operator(self, model, grid):
+        """The parts of the molecular H (a `FiberedOperator`), kept once for the model and grid."""
+        return self.get(("parts", self._system_key(model, grid)), lambda: molecular_operator(model, grid))
+
     def full(self, cfg, model, grid, eps) -> ChebyshevPropagator:
-        return self.get(("full", self._system_key(model, grid), eps),
-                        lambda: ChebyshevPropagator(self._operator(model, grid), eps))
+        return ChebyshevPropagator(self._operator(model, grid), eps)
 
     def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
-        return self.decoupling_pair(cfg, model, grid, band, eps)[1]
+        return self.decoupling_pair(model, grid, band, eps)[1]
 
-    def decoupling_pair(self, cfg, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
+    def decoupling_pair(self, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
         """(full, band-preserving) propagators at eps, both dense, from at most one block-stored H."""
         H = functools.cache(lambda: self._operator(model, grid).blocks(eps))
-        full = self.get(("pair full", self._system_key(model, grid), eps), lambda: diagonalize_blocks(H()))
-        diag = self.get(self._diag_key(model, grid, band, eps), lambda: diagonalize_band_preserving(H(), band, full))
+        system = self._system_key(model, grid)
+        full = self.get(("pair full", system, eps), lambda: diagonalize_blocks(H()))
+        diag = self.get(("diag", system, band.band_indices, band.window, eps),
+                        lambda: diagonalize_band_preserving(H(), band, full))
         return full, diag
 
     def bo(self, cfg, band, eps) -> ChebyshevPropagator:
-        key = ("bo", self._system_key(band.model, band.grid), band.band_indices, band.window, eps,
-               cfg.include_a_geo, band.delta, None if band.chi is None else band.chi.tobytes())
-        return self.get(key, lambda: ChebyshevPropagator(bo_operator(band, include_a_geo=cfg.include_a_geo), eps))
+        return ChebyshevPropagator(bo_operator(band, include_a_geo=cfg.include_a_geo), eps)
 
 
 _OBSERVABLE_SET = (
@@ -590,7 +593,7 @@ def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
 def _scan_decoupling(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     """The family's largest decoupling error at each of `times`, from one `decoupling_error` call."""
     pair = cfg.build_band()
-    pf, pd = cache.decoupling_pair(cfg, pair.model, pair.grid, pair, eps)
+    pf, pd = cache.decoupling_pair(pair.model, pair.grid, pair, eps)
     fam = cfg.state["family_params"]
     family = standard_state_family(cfg.lift_band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
     return decoupling_error(pf, pd, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)

@@ -102,14 +102,26 @@ def dense_product_cutoff(w, V, vec, cutoff):
     return _dense_times(V, c).reshape(np.shape(vec))
 
 
+def kinetic_matrix(grid, eps, a_vals=None) -> np.ndarray:
+    """Covariant kinetic operator (eps*(-i d/dX) + eps*A(X))^2 / 2, dense.
+
+    `a_vals` holds the vector potential A sampled on the grid (None: zero).
+    It is Phi^* C Phi, with Phi the gauge phase of A (`hamiltonians._gauge`)
+    and C the circulant of the symbol (eps (k + mean(A)))^2 / 2; at zero
+    field (None, or all zeros) C itself, stored real.
+    """
+    from adiband.hamiltonians import _gauge, _kinetic, _symbol
+
+    phase, a_bar = _gauge(grid, a_vals)
+    return _kinetic(_symbol(grid, eps, a_bar), phase)
+
+
 def kron_hamiltonian(model, grid, eps) -> np.ndarray:
     """T kron 1_m + blockdiag(H_e(X_i)) by np.kron.
 
     Returned as `assemble_full` stores it: real where its fibers are real
     (the kinetic term T is), and as its Hermitian part (M + M^dag) / 2.
     """
-    from adiband.hamiltonians import kinetic_matrix
-
     n, m = grid.n_points, model.fiber_dim
     T = kinetic_matrix(grid, eps)
     fibers = model.h_batch(grid.x)
@@ -126,7 +138,7 @@ def assembled_blocks(model, grid, eps) -> list:
     Hermitian part (M + M^dag) / 2, on the full matrix.
     """
     from adiband.electronic import _coupled_components
-    from adiband.hamiltonians import DenseHamiltonian, kinetic_matrix
+    from adiband.hamiltonians import DenseHamiltonian
 
     n = grid.n_points
     T = kinetic_matrix(grid, eps)
@@ -149,7 +161,7 @@ def assembled_bo(band, eps, include_a_geo=True):
     E and A_geo are extended at the band's own window and margin.
     """
     from adiband.electronic import berry_connection
-    from adiband.hamiltonians import DenseHamiltonian, clamp_field, kinetic_matrix
+    from adiband.hamiltonians import DenseHamiltonian, clamp_field
 
     grid = band.grid
     E = clamp_field(band.band_energy, grid, band.window, band.delta)

@@ -8,6 +8,7 @@ stays within a few minutes at the standard 256-512 point grids.
 
 import pytest
 
+from adiband import harness
 from adiband.harness import SUITE_NAMES, PropagatorCache, run_suite
 
 # each suite's criterion ids in report order: a criterion is neither dropped, renamed nor moved
@@ -27,16 +28,31 @@ CRITERIA = {
 }
 
 
+# the hitting_times calls of each suite that makes any: a config computes its window once,
+# and each criterion loads its own config (effective: three loads of an effective_dynamics
+# config; berry: two; leakage: one window for its time; semiclassics: the free fixture)
+HITTING_TIMES = {"effective": 3, "berry": 2, "leakage": 1, "semiclassics": 1}
+
+
 @pytest.fixture(scope="module")
 def cache():
     return PropagatorCache()
 
 
 def _run(name, cache):
-    report = run_suite(name, seed=0, cache=cache)
+    calls, real = [], harness.hitting_times
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "hitting_times", counted)
+        report = run_suite(name, seed=0, cache=cache)
     for line in report.lines():
         print(line)
     assert [c.cid for c in report.criteria] == CRITERIA[name]
+    assert len(calls) == HITTING_TIMES.get(name, 0)
     return report
 
 

@@ -26,7 +26,7 @@ from adiband.grids import make_grid
 from adiband.hamiltonians import assemble_blocks, assemble_bo, bo_operator, molecular_operator
 from adiband.harness import PropagatorCache, eps_scan
 from adiband.models import get_model
-from adiband.propagation import ChebyshevPropagator, _bessel_rows, diagonalize, diagonalize_blocks
+from adiband.propagation import ChebyshevPropagator, SpectralPropagator, _bessel_rows, diagonalize, diagonalize_blocks
 
 # one BO operator stored real (no gauge phase) and one complex, with the gauge field of its Berry connection
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
@@ -226,6 +226,26 @@ class DenseFullCache(PropagatorCache):
     def full(self, cfg, model, grid, eps):
         key = ("dense full", self._system_key(model, grid), eps)
         return self.get(key, lambda: diagonalize_blocks(assemble_blocks(model, grid, eps)))
+
+
+def test_oracle_caches_substitute_through_full_and_bo(monkeypatch):
+    # the scans take their full and BO propagators from `full` and `bo`, so the oracle caches
+    # above reach every effective row: dense where they override, matrix-free elsewhere
+    seen, real = [], harness.effective_dynamics_error
+
+    def recording(pf, pb, *args):
+        seen.append((type(pf), type(pb)))
+        return real(pf, pb, *args)
+
+    monkeypatch.setattr(harness, "effective_dynamics_error", recording)
+    cfg = harness._config("effective", eps_ladder=[0.2, 0.1, 0.05],
+                          grid={"x_min": -6.4, "x_max": 6.4, "n_points": 128})
+    cheb, dense = ChebyshevPropagator, SpectralPropagator
+    for cache, want in ((PropagatorCache(), (cheb, cheb)), (DenseFullCache(), (dense, cheb)),
+                        (DenseBOCache(), (cheb, dense))):
+        seen.clear()
+        harness._scan_effective(cfg, cache, 0.1, [1.0])
+        assert seen == [want]
 
 
 # each config with its suite's verdict on a scan of it

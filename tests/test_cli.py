@@ -58,6 +58,26 @@ def test_report_roundtrip(tmp_path, config_file):
     assert out.read_text().startswith("epsilon,")
 
 
+def test_run_default_output_takes_the_format(tmp_path, config_file, monkeypatch, capsys):
+    # with no --output, CSV goes to scan_result.csv, not into scan_result.json
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(config_file), "--format", "csv"]) == 0
+    assert (tmp_path / "scan_result.csv").read_text().startswith("epsilon,t,error,slope_so_far")
+    assert not (tmp_path / "scan_result.json").exists()
+    assert "report written to scan_result.csv" in capsys.readouterr().out
+
+
+def test_report_default_output_stays_in_the_result_directory(tmp_path, config_file):
+    # a dot in a directory name is not the result's suffix: run.v2/result gives run.v2/result.csv
+    folder = tmp_path / "run.v2"
+    folder.mkdir()
+    res = folder / "result"
+    assert main(["run", str(config_file), "--output", str(res)]) == 0
+    assert main(["report", str(res), "--format", "csv"]) == 0
+    assert (folder / "result.csv").read_text().startswith("epsilon,")
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_report_refuses_to_overwrite_its_input(tmp_path, config_file, capsys):
     res = tmp_path / "r.json"
     assert main(["run", str(config_file), "--output", str(res), "--timing"]) == 0

@@ -13,7 +13,6 @@ from adiband.hamiltonians import (
     assemble_full,
     clamp_field,
     full_projection,
-    kinetic_matrix,
     split_band_preserving,
     u_map,
     u_matrix,
@@ -21,7 +20,7 @@ from adiband.hamiltonians import (
 )
 from adiband.models import MODEL_TAGS, ElectronicModel, get_model
 from adiband.propagation import diagonalize
-from oracles import assembled_blocks, assembled_bo, dense_eigenpairs, fourier_matrix, kron_hamiltonian
+from oracles import assembled_blocks, assembled_bo, dense_eigenpairs, fourier_matrix, kinetic_matrix, kron_hamiltonian
 
 
 @pytest.fixture(scope="module")

@@ -160,12 +160,29 @@ def test_hitting_window_computed_once_per_config(monkeypatch):
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
     assert len(calls) == 1  # the scan does not validate the unchanged config again
-    cfg.hitting_window()
-    assert len(calls) == 2  # a direct call always computes
-    cfg.times[0] = 50.0  # changed in place: the scan checks it again and refuses it
+    window = cfg.hitting_window()
+    assert len(calls) == 1  # a direct call reads the window validation kept
+    cfg.times[0] = 50.0  # changed in place: the scan checks it again, on a window of its own, and refuses it
     with pytest.raises(ValueError, match="hitting-time window"):
         eps_scan(cfg, PropagatorCache())
-    assert len(calls) == 3
+    assert len(calls) == 2
+    # a refused config is checked again on every call, and reads the window kept for its content
+    with pytest.raises(ValueError, match="hitting-time window"):
+        cfg.validate()
+    assert len(calls) == 2 and cfg.hitting_window() == window
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # JSON writes neither, so the config's content, the key of its store, cannot be formed
+        ("times", [np.float32(0.0)]),
+        ("band_indices", {0}),
+    ],
+)
+def test_validate_refuses_by_name_what_json_cannot_write(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must hold only JSON values"):
+        small_config(**{key: value})
 
 
 def test_unknown_functional():
@@ -484,7 +501,7 @@ def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutof
     # time); the largest relative gap measured is 2.2e-15.
     pair, fam = cfg.build_band(), cfg.state["family_params"]
     for p in res.points:
-        pf, pd = cache.decoupling_pair(cfg, pair.model, pair.grid, pair, p["eps"])
+        pf, pd = cache.decoupling_pair(pair.model, pair.grid, pair, p["eps"])
         family = standard_state_family(cfg.lift_band(), p["eps"], fam["q_centers"], fam["p_centers"], fam["wkb"])
         one = decoupling_error(pf, pd, family, [p["t"]], energy_cutoff=energy_cutoff)
         assert p["error"] == pytest.approx(float(one.max()), rel=1e-14)
@@ -686,7 +703,7 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     bands = [band_decompose(model, grid, 0) for model in models]
     cache = PropagatorCache()
     built = [
-        [cache.full(cfg, model, grid, 0.1), *cache.decoupling_pair(cfg, model, grid, band, 0.1),
+        [cache.full(cfg, model, grid, 0.1), *cache.decoupling_pair(model, grid, band, 0.1),
          cache.diag(cfg, model, grid, band, 0.1), cache.bo(cfg, band, 0.1)]
         for model, band in zip(models, bands)
     ]
@@ -700,23 +717,28 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     vv = np.repeat(v, 2)
     assert not np.allclose(built[0][0].apply(vv, 1.0), built[1][0].apply(vv, 1.0))
     assert not np.allclose(built[0][4].apply(v, 1.0), built[1][4].apply(v, 1.0))
-    # the same objects hit: diag and the pair's diag share an entry.  full is matrix-free and
-    # the pair's full is dense, an entry of its own, so the pair never finds a propagator
-    # without blocks: the two evolve alike, to the rounding of the Chebyshev sum
-    for props in built:
+    # the same objects hit: diag and the pair's diag share an entry.  full and bo are built anew
+    # on each call and kept nowhere; full's parts are kept, once per model.  The matrix-free
+    # full and the pair's dense full evolve alike, to the rounding of the Chebyshev sum
+    for model, band, props in zip(models, bands, built):
         assert props[2] is props[3]
+        assert cache.full(cfg, model, grid, 0.1) is not props[0]
+        assert cache.full(cfg, model, grid, 0.1).operator is props[0].operator
+        assert cache.bo(cfg, band, 0.1) is not props[4]
         assert isinstance(props[0], ChebyshevPropagator) and props[1].blocks
         want = props[1].apply(vv, 1.0)
         assert np.abs(props[0].apply(vv, 1.0) - want).max() <= 1e-12 * np.abs(want).max()
-    assert len(cache._store) == 8
-    # another grid is another entry as well
+    # per model: its parts, the pair's full and one diag
+    assert sorted(key[0] for key in cache._store) == ["diag", "diag", "pair full", "pair full", "parts", "parts"]
+    # another grid is other parts as well
     assert cache.full(cfg, models[0], make_grid(-8, 8, 32), 0.1).dim == 64
+    assert len(cache._store) == 7
 
 
 def test_bo_cache_entries_are_keyed_by_the_gauge():
     # a band's gauge-shifted copy gives the conjugate BO operator, and a band that differs
     # only in its window margin delta extends E and A_geo from another shrunk window: each
-    # gets a BO entry of its own.  H_diag reads neither the gauge nor the margin, so all
+    # evolves by its own BO operator.  H_diag reads neither the gauge nor the margin, so all
     # three bands share one diag entry.
     from adiband.electronic import band_decompose
     from adiband.grids import make_grid
@@ -735,16 +757,40 @@ def test_bo_cache_entries_are_keyed_by_the_gauge():
     bands = (band, shifted, narrow)
     bos = [cache.bo(cfg, b, 0.1) for b in bands]
     diags = [cache.diag(cfg, model, grid, b, 0.1) for b in bands]
-    assert len({id(p) for p in bos}) == 3 and diags[1] is diags[0] and diags[2] is diags[0]
-    # each entry evolves as the dense oracle of its own band's BO operator, at its own margin
+    assert diags[1] is diags[0] and diags[2] is diags[0]
+    # each BO evolves as the dense oracle of its own band's BO operator, at its own margin
     v = np.exp(-grid.x**2) * np.exp(0.5j * grid.x)
     got = [p.apply(v, [0.5, 1.0]) for p in bos]
     for b, g in zip(bands, got):
         want = diagonalize(assembled_bo(b, 0.1, include_a_geo=cfg.include_a_geo)).apply(v, [0.5, 1.0])
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
     assert not np.allclose(got[1], got[0]) and not np.allclose(got[2], got[0])
-    # the same gauge and margin hit their entry: three BO entries, the pair's full, one diag
-    assert all(cache.bo(cfg, b, 0.1) is p for b, p in zip(bands, bos)) and len(cache._store) == 5
+    # the BO propagators are kept nowhere: the parts, the pair's full and one diag
+    assert sorted(key[0] for key in cache._store) == ["diag", "pair full", "parts"]
+
+
+@pytest.mark.parametrize(
+    "name, pair_entries",
+    [
+        # the matrix-free scans keep only the molecular parts (effective: for its full propagator)
+        ("effective", 0),
+        ("state_rates", 0),
+        # a decoupling scan keeps the parts and its dense pair, "pair full" and "diag", per eps
+        ("decoupling", 2),
+    ],
+)
+def test_scans_keep_only_the_parts_and_the_decoupling_pair(name, pair_entries):
+    from adiband import harness
+
+    # the box of each config, at n = 128 and a ladder its rows resolve there
+    box, ladder = ((-8.0, 8.0), [0.4, 0.2, 0.1]) if name == "decoupling" else ((-6.4, 6.4), [0.2, 0.1, 0.05])
+    cfg = harness._config(name, eps_ladder=ladder, grid={"x_min": box[0], "x_max": box[1], "n_points": 128})
+    cache = PropagatorCache()
+    res = eps_scan(cfg, cache)
+    assert all(p["status"] == "ok" for p in res.points)
+    kinds = [key[0] for key in cache._store]
+    assert kinds.count("parts") == 1
+    assert sorted(kinds) == sorted(["parts"] + ["pair full", "diag"][:pair_entries] * len(cfg.eps_ladder))
 
 
 def test_emit_json_roundtrip(tmp_path, scan_result):
