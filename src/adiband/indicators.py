@@ -63,14 +63,18 @@ def interval_indicator(x, intervals, margin: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSpaceRegion:
-    """Finite union of closed rectangles [q1,q2] x [p1,p2] in phase space."""
+    """Finite union of closed rectangles [q1,q2] x [p1,p2] in phase space.
+
+    A rectangle with a bound that is not finite (NaN or +-inf) or a reversed
+    side is refused as malformed.
+    """
 
     rects: tuple
 
     def __init__(self, rects):
         rects = tuple(tuple(float(v) for v in r) for r in np.atleast_2d(rects))
         for q1, q2, p1, p2 in rects:
-            if q2 < q1 or p2 < p1:
+            if not (np.isfinite([q1, q2, p1, p2]).all() and q1 <= q2 and p1 <= p2):
                 raise ValueError(f"malformed rectangle {(q1, q2, p1, p2)}")
         object.__setattr__(self, "rects", rects)
 

@@ -57,6 +57,8 @@ __all__ = [
 _F2_TAIL_THRESHOLD = 0.02
 # the cap of `hitting_times`: a region that never leaves the window reports this horizon
 _HORIZON = 50.0
+# entries of the Weyl table that `_weyl_table` evaluates and transforms as one block of rows
+_WEYL_BLOCK_ENTRIES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -109,55 +111,68 @@ class Symbol:
         return F2Report(value=total, tail_fraction=tail, ok=tail <= _F2_TAIL_THRESHOLD)
 
 
-def _weyl_table(symbol, grid: Grid1D, eps: float) -> tuple:
-    """(G, rows): the (2n - 1, n) table G of a(q, p)'s Weyl kernel, A[i, l] = G[i + l, (i - l) mod n],
-    and the indices of its nonzero midpoint rows.
+def _weyl_table(symbol, grid: Grid1D, eps: float, q_bounds=None):
+    """The table G of a(q, p)'s Weyl kernel, A[i, l] = G[i + l, (i - l) mod n], as blocks (rows, G[rows]).
 
     The midpoints (X_i + X_l)/2 take only 2n - 1 distinct values, and the
     phase exp(i (X_i - X_l) k_j) is the DFT kernel at lattice shift (i - l)
     (exact including wrapped modes, since X_i - X_l is a lattice multiple
-    of dx and n dk dx = 2 pi): the symbol is tabulated once, at the
-    midpoints, and transformed over k, with the kernel's weight
-    dx dk/(2 pi) in every entry.  A midpoint row where the symbol is zero
-    for every k is zero, so only the rows from the first to the last
-    nonzero one are transformed: all of them for a symbol supported on the
-    whole box, 191 of 1023 for the effective config's region indicator at
-    n = 512.  The inverse FFT of a nonzero row is nonzero, so `rows` are
-    the nonzero rows of G too.
+    of dx and n dk dx = 2 pi): the symbol is tabulated at the midpoints
+    and transformed over k, with the kernel's weight dx dk/(2 pi) in every
+    entry.  Only the midpoint rows inside `q_bounds` = (q_lo, q_hi), the
+    whole box when None, are evaluated, `_WEYL_BLOCK_ENTRIES` entries at a
+    time; of each block, the rows where the symbol is nonzero for some k
+    are transformed and yielded, ascending.  Every other row of G is zero:
+    the inverse FFT of a nonzero row is nonzero, and a caller passes
+    q_bounds only for a symbol that vanishes outside them, as a region
+    indicator does outside its q-extent (`smooth_step` is exactly 0
+    there).  At the effective config (n = 512) that is 192 rows evaluated
+    and 191 yielded of 1023.  Memory O(n * block): no (2n - 1, n) array
+    is formed.
     """
     n = grid.n_points
     mids = grid.x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
-    table = np.asarray(symbol(mids[:, None], eps * grid.k[None, :]))
-    G = np.zeros(table.shape, dtype=complex)
-    rows = np.flatnonzero(table.any(axis=1))
-    if rows.size:
-        span = slice(rows[0], rows[-1] + 1)
-        np.fft.ifft(table[span], axis=1, out=G[span])
-        G[span] *= n
-        G[span] *= grid.dx * grid.dk / (2 * np.pi)
-    return G, rows
+    span = np.arange(2 * n - 1)
+    if q_bounds is not None:
+        span = span[(mids >= q_bounds[0]) & (mids <= q_bounds[1])]
+    p = eps * grid.k[None, :]
+    step = max(1, _WEYL_BLOCK_ENTRIES // n)
+    for start in range(0, span.size, step):
+        block = span[start : start + step]
+        values = np.asarray(symbol(mids[block, None], p))
+        nonzero = values.any(axis=1)
+        if nonzero.any():
+            G = np.fft.ifft(values[nonzero], axis=1)
+            G *= n
+            G *= grid.dx * grid.dk / (2 * np.pi)
+            yield block[nonzero], G
 
 
-def _weyl_matvec(G: np.ndarray, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """A phi for the Weyl kernel of the table (G, rows) of `_weyl_table` and a vector phi, (n,), without A.
+def _weyl_matvec(table, phi: np.ndarray) -> np.ndarray:
+    """A phi for the Weyl kernel of the blocks (rows, G[rows]) of `_weyl_table` and a vector phi, (n,), without A.
 
-    (A phi)_i = sum_l G[i + l, (i - l) mod n] phi_l.  Only the nonzero
-    midpoint rows of G, `rows`, are read, each pairing its n or fewer (i, l)
-    with i + l on it: a zero row adds nothing, so the product is exact.  A
-    region indicator's table is nonzero on a few rows, so this costs those
-    rows' pairs, not the n^2 entries of A.
+    (A phi)_i = sum_l G[r, (i - l) mod n] phi_l over the r = i + l of the
+    yielded rows: each row pairs its n or fewer (i, l), and a row not
+    yielded is zero and adds nothing, so the product is exact.  Each block
+    is applied as it is formed and then dropped, and each bin adds its
+    terms rows ascending (`np.add.at` adds in order), the order of one
+    pass over all rows.  The cost is the yielded rows' pairs, not the n^2
+    entries of A, and the memory that of one block.
     """
-    n = G.shape[1]
-    # row r pairs the i of [lo, lo + count) with l = r - i; one flat run of (r, i) over every kept row
-    lo = np.maximum(rows - (n - 1), 0)
-    count = np.minimum(rows, n - 1) - lo + 1
-    r = np.repeat(rows, count)
-    i = np.arange(len(r)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    # the column (i - l) mod n, with i - l = 2 i - r in (-n, n)
-    col = 2 * i - r
-    col[col < 0] += n
-    terms = G.reshape(-1)[r * n + col] * phi[r - i]
-    return np.bincount(i, terms.real, n) + 1j * np.bincount(i, terms.imag, n)
+    n = phi.shape[0]
+    out = np.zeros(n, dtype=complex)
+    for rows, G in table:
+        # row r pairs the i of [lo, lo + count) with l = r - i; one flat run of (r, i) over the block's rows
+        lo = np.maximum(rows - (n - 1), 0)
+        count = np.minimum(rows, n - 1) - lo + 1
+        k = np.repeat(np.arange(rows.size), count)
+        r = rows[k]
+        i = np.arange(r.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+        # the column (i - l) mod n, with i - l = 2 i - r in (-n, n)
+        col = 2 * i - r
+        col[col < 0] += n
+        np.add.at(out, i, G.reshape(-1)[k * n + col] * phi[r - i])
+    return out
 
 
 def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
@@ -166,12 +181,16 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     Linear in the symbol; real symbols give Hermitian matrices; the
     operator norm is bounded by sup|a| up to O(eps) corrections.  `symbol`
     is any callable a(q, p), a `Symbol` among them.  The n x n matrix is
-    gathered from `_weyl_table`; a single product with it is
-    `_weyl_matvec` on the table, which forms no matrix.
+    gathered from the whole box's `_weyl_table`, placed in one (2n - 1, n)
+    array; a single product with it is `_weyl_matvec` on the table, which
+    forms neither.
     """
     n = grid.n_points
+    G = np.zeros((2 * n - 1, n), dtype=complex)
+    for rows, block in _weyl_table(symbol, grid, eps):
+        G[rows] = block
     I, L = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return _weyl_table(symbol, grid, eps)[0][I + L, (I - L) % n]
+    return G[I + L, (I - L) % n]
 
 
 def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float):
@@ -223,15 +242,17 @@ def apply_phase_space_projection(
     """P_Gamma psi by fibers: r_i . psi_i, the Weyl matvec, lambda, the chi lift.
 
     The Weyl factor is applied by `_weyl_matvec` on the region indicator's
-    table, never as its n x n matrix: the table is nonzero only on the
-    midpoint rows inside the region's position support, and only those
-    are transformed and read (191 of 1023 rows at the effective config,
-    n = 512).  Most of P_Gamma's cost is the symbol itself, evaluated at
-    all (2n - 1) x n midpoints.
+    table, never as its n x n matrix nor as its (2n - 1) x n table: the
+    indicator is evaluated only on the midpoint rows inside the region's
+    q-extent, `region.q_bounds` (192 of 1023 rows at the effective config,
+    n = 512), and its nonzero rows are transformed and applied a block at
+    a time.  Time O(n * rows), memory O(n * block) besides the O(n m^2)
+    fiber factors.
     """
     chi, lam_ind, r = _phase_space_factors(band, region, alpha)
-    G, rows = _weyl_table(smooth_indicator(region, alpha), band.grid, eps)
-    reduced = lam_ind * _weyl_matvec(G, rows, np.einsum("ib,ib->i", r, psi.values))
+    indicator = smooth_indicator(region, alpha)
+    table = _weyl_table(indicator, band.grid, eps, indicator.region.q_bounds)
+    reduced = lam_ind * _weyl_matvec(table, np.einsum("ib,ib->i", r, psi.values))
     return MolecularWave(grid=psi.grid, values=chi * reduced[:, None], eps=psi.eps)
 
 
@@ -286,16 +307,21 @@ def band_energy_interpolant(band: BandData):
     return E, dE
 
 
-def _kick(energy_grad, q, p, h):
-    """The Verlet half kick p - (h/2) dE(q); h is a step, or one step per point."""
-    return p - 0.5 * h * np.asarray(energy_grad(q), dtype=float)
+def _force(energy_grad, q):
+    """dE(q) as a float array of q's shape: the one evaluation of the force at q that a Verlet step carries."""
+    return np.broadcast_to(np.asarray(energy_grad(q), dtype=float), np.shape(q))
 
 
-def _verlet_step(energy_grad, q, p, h):
-    """One kick-drift-kick step of size h; returns the new (q, p)."""
-    p = _kick(energy_grad, q, p, h)
+def _verlet_step(energy_grad, q, p, f, h):
+    """One kick-drift-kick step of size h from (q, p) with f = dE(q); returns (q, p, f) at the new q.
+
+    The closing half kick's force is the next step's opening one, so a
+    step evaluates dE once and returns it to be carried.
+    """
+    p = p - 0.5 * h * f
     q = q + h * p
-    return q, _kick(energy_grad, q, p, h)
+    f = _force(energy_grad, q)
+    return q, p - 0.5 * h * f, f
 
 
 def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3):
@@ -304,14 +330,16 @@ def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3):
     z0 may be a single (q, p) pair or an (N, 2) cloud; dt is the maximal
     step (the final partial step is shortened to land exactly on t).
     Energy drift is O(dt^2) per unit time; the map is time-reversible.
+    dE is evaluated once per step, and once at the start.
     """
     z = np.atleast_2d(np.asarray(z0, dtype=float))
     q, p = z[:, 0], z[:, 1]
+    f = _force(energy_grad, q)
     remaining = float(t)
     sgn = 1.0 if remaining >= 0 else -1.0
     while abs(remaining) > 1e-15:
         h = sgn * min(dt, abs(remaining))
-        q, p = _verlet_step(energy_grad, q, p, h)
+        q, p, f = _verlet_step(energy_grad, q, p, f, h)
         remaining -= h
     out = np.column_stack([q, p])
     return out[0] if np.ndim(z0) == 1 else out
@@ -324,14 +352,17 @@ def _first_exit(energy_grad, q0, p0, lo, hi, dt, horizon) -> float:
     exit found in a later step, so the flow stops at the first step in
     which any point leaves; the exit is refined inside that step by
     bisection to dt/64.  A cloud that stays inside (or leaves only in the
-    step that overshoots the horizon) gives exactly the horizon.
+    step that overshoots the horizon) gives exactly the horizon.  dE is
+    evaluated once per step and once at the start: the bisection reuses
+    the force kept at the step's start.
     """
     q = np.atleast_1d(np.asarray(q0, dtype=float))
     p = np.atleast_1d(np.asarray(p0, dtype=float))
+    f = _force(energy_grad, q)
     t = 0.0
     while t < horizon:
-        q_prev, p_prev = q, p
-        q, p = _verlet_step(energy_grad, q, p, dt)
+        q_prev, p_prev, f_prev = q, p, f
+        q, p, f = _verlet_step(energy_grad, q, p, f, dt)
         t += dt
         out = ~((q > lo) & (q < hi))
         if out.any():
@@ -339,11 +370,11 @@ def _first_exit(energy_grad, q0, p0, lo, hi, dt, horizon) -> float:
             # step's position needs only its first kick)
             frac_lo = np.zeros(out.sum())
             frac_hi = np.ones(out.sum())
-            qp, pp = q_prev[out], p_prev[out]
+            qp, pp, fp = q_prev[out], p_prev[out], f_prev[out]
             for _ in range(6):
                 mid = (frac_lo + frac_hi) / 2
                 h = dt * mid
-                qm = qp + h * _kick(energy_grad, qp, pp, h)
+                qm = qp + h * (pp - 0.5 * h * fp)
                 inside = (qm > lo) & (qm < hi)
                 frac_lo = np.where(inside, mid, frac_lo)
                 frac_hi = np.where(inside, frac_hi, mid)
@@ -524,15 +555,16 @@ def boundary_leakage(
 
     ||(1 - 1_{window - delta}) e^{-iH_bo t/eps} (region indicator)^W phi0||
     at each of T `times`, shape (T,), on the band's window and margin delta.
-    The cut state is formed once, by one table of the indicator's Weyl
-    kernel and one `_weyl_matvec` on it (no n x n matrix), and evolved to
-    every time by one `apply`.
+    The cut state is formed once, by one `_weyl_matvec` on the indicator's
+    Weyl table, evaluated only on the midpoint rows inside the region's
+    q-extent and applied a block at a time (time O(n * rows), memory
+    O(n * block); no n x n matrix), and evolved to every time by one `apply`.
     """
     times = _time_row(times)
-    grid = phi0.grid
-    cut = _weyl_matvec(*_weyl_table(smooth_indicator(region, alpha), grid, phi0.eps), phi0.values)
+    indicator = smooth_indicator(region, alpha)
+    cut = _weyl_matvec(_weyl_table(indicator, phi0.grid, phi0.eps, indicator.region.q_bounds), phi0.values)
     outside = ~band.window_slice(band.delta)
-    return l2_norm(prop_bo.apply(cut, times)[:, outside], grid.dx, axis=-1)
+    return l2_norm(prop_bo.apply(cut, times)[:, outside], phi0.grid.dx, axis=-1)
 
 
 def reduced_observable_residual(

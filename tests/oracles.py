@@ -187,6 +187,27 @@ def wigner_values(wave) -> np.ndarray:
     return ((C @ phase) * (2 * grid.dx / eps) / (2 * np.pi)).real
 
 
+def weyl_table_full_box(symbol, grid, eps) -> np.ndarray:
+    """The (2n - 1, n) table G of a(q, p)'s Weyl kernel, A[i, l] = G[i + l, (i - l) mod n], in one array.
+
+    The symbol is evaluated at all 2n - 1 midpoints (X_i + X_l)/2 and every
+    k, and the span from the first to the last nonzero midpoint row is
+    inverse-transformed over k in one call, scaled by n and by the kernel's
+    weight dx dk/(2 pi); the other rows stay zero.
+    """
+    n = grid.n_points
+    mids = grid.x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
+    table = np.asarray(symbol(mids[:, None], eps * grid.k[None, :]))
+    G = np.zeros(table.shape, dtype=complex)
+    rows = np.flatnonzero(table.any(axis=1))
+    if rows.size:
+        span = slice(rows[0], rows[-1] + 1)
+        np.fft.ifft(table[span], axis=1, out=G[span])
+        G[span] *= n
+        G[span] *= grid.dx * grid.dk / (2 * np.pi)
+    return G
+
+
 def circulant_multiplier(symbol) -> np.ndarray:
     """Dense F^dag diag(symbol) F as SciPy's circulant of ifft(symbol)."""
     return circulant(np.fft.ifft(symbol))

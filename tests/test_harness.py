@@ -242,10 +242,18 @@ def test_from_json_names_unknown_fields():
         ("band_indices", [0, 7], r"band_indices .* in \[0, 2\), got \[0, 7\]"),
         ("lift_band_index", -1, r"lift_band_index must be null or an integer in \[0, 2\), got -1"),
         ("lift_band_index", 5, r"lift_band_index must be null or an integer in \[0, 2\), got 5"),
+        # a region bound that is not finite would load and then crash the hitting-time flow
+        # (sample_cloud's lattice size overflows; a NaN position cannot be located on the grid)
+        ("region", [[-0.9, 1.5, float("-inf"), 0.45]], "malformed rectangle"),
+        ("region", [[-0.9, 1.5, -1.05, float("inf")]], "malformed rectangle"),
+        ("region", [[-0.9, 1.5, float("nan"), 0.45]], "malformed rectangle"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
-    data = json.loads(small_config().to_json())
+    from adiband.harness import _config
+
+    # the region is read by the effective-dynamics config, the other fields by the small one
+    data = json.loads((_config("effective") if key == "region" else small_config()).to_json())
     data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
@@ -662,7 +670,7 @@ def test_leakage_scan_honours_include_a_geo():
 )
 def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overrides, per_row):
     # the Weyl quantizations do not depend on t: a row of three times builds each
-    # matrix (or applies each table) once, and gives what three one-time rows give.  To rounding, not
+    # matrix (or forms each table) once, and gives what three one-time rows give.  To rounding, not
     # bitwise: the row is one apply of three times, and the BLAS rounds a product
     # of three columns differently from one.  The largest gaps measured are 4.4e-16
     # absolute on the Egorov defects, differences of expectations of order one,
@@ -672,8 +680,9 @@ def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overr
     cfg = _berry_config(functional=functional, times=[0.3, 0.55, 0.8], **overrides)
     cache = PropagatorCache()
     fn = harness.FUNCTIONALS[functional]
-    # the region indicator is applied to one state by its table's matvec, without its matrix
-    quantize = "_weyl_matvec" if functional == "boundary_leakage" else "weyl_quantize"
+    # the region indicator's table is formed once, a block of rows at a time, and applied to
+    # one state by `_weyl_matvec`, without its matrix
+    quantize = "_weyl_table" if functional == "boundary_leakage" else "weyl_quantize"
     counted, real = [], getattr(semiclassics, quantize)
 
     def counting(*args, **kwargs):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from adiband import semiclassics
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, NuclearWave, make_grid, norm, spectral_derivative_matrix
 from adiband.hamiltonians import assemble_bo, assemble_full, bo_operator, clamp_field
@@ -28,7 +29,7 @@ from adiband.semiclassics import (
     write_wigner_csv,
 )
 from adiband.states import coherent_state, lift_to_band
-from oracles import periodic_spline, unitary, wigner_values
+from oracles import periodic_spline, unitary, weyl_table_full_box, wigner_values
 
 
 def coherent(grid, eps, q0, p0):
@@ -130,21 +131,70 @@ WEYL_SYMBOLS = {
 }
 
 
+# the q-extent outside which each symbol with zero midpoint rows vanishes
+WEYL_EXTENTS = {
+    "two rectangles": (-3.5, 3.0),
+    "smooth indicator": WEYL_SYMBOLS["smooth indicator"][0].region.q_bounds,
+}
+
+
+def _table_rows(blocks):
+    """(rows, G[rows]) of a list of `_weyl_table` blocks, joined."""
+    return np.concatenate([r for r, _ in blocks]), np.concatenate([g for _, g in blocks])
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
 @pytest.mark.parametrize("name", sorted(WEYL_SYMBOLS))
-def test_weyl_matvec_equals_the_dense_product(wgrid, name):
-    # the matvec reads only the table's nonzero midpoint rows and forms no n x n matrix
+def test_weyl_table_rows_equal_the_full_box_table_bitwise(wgrid, monkeypatch, name, block_rows):
+    # blocks of the default size (one block at n = 128) and of 7 rows, the last one partial;
+    # on the whole box and on the symbol's q-extent, the same rows with the same bits
+    n = wgrid.n_points
+    if block_rows is not None:
+        monkeypatch.setattr(semiclassics, "_WEYL_BLOCK_ENTRIES", block_rows * n)
     symbol, has_zero_rows = WEYL_SYMBOLS[name]
+    full = weyl_table_full_box(symbol, wgrid, 0.1)
+    for q_bounds in (None, WEYL_EXTENTS.get(name)):
+        blocks = list(_weyl_table(symbol, wgrid, 0.1, q_bounds))
+        assert all(g.shape == (r.size, n) and r.size <= (block_rows or 2 * n) for r, g in blocks)
+        rows, G = _table_rows(blocks)
+        assert np.array_equal(rows, np.flatnonzero(full.any(axis=1)))
+        assert (rows.size < 2 * n - 1) == has_zero_rows
+        assert G.tobytes() == full[rows].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_EXTENTS))
+def test_weyl_table_evaluates_no_midpoint_outside_the_q_extent(wgrid, name):
+    symbol = WEYL_SYMBOLS[name][0]
+    lo, hi = WEYL_EXTENTS[name]
+    seen = []
+
+    def recording(q, p):
+        seen.append(np.broadcast_to(q, np.broadcast(q, p).shape)[:, 0].copy())
+        return symbol(q, p)
+
+    list(_weyl_table(recording, wgrid, 0.1, (lo, hi)))
+    q = np.concatenate(seen)
+    mids = wgrid.x[0] + 0.5 * wgrid.dx * np.arange(2 * wgrid.n_points - 1)
+    # every midpoint of the extent once, ascending, and none outside it
+    assert np.array_equal(q, mids[(mids >= lo) & (mids <= hi)])
+    assert lo <= q.min() and q.max() <= hi
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_SYMBOLS))
+def test_weyl_matvec_equals_the_dense_product(wgrid, monkeypatch, name):
+    # the matvec applies the table's nonzero midpoint rows a block at a time (here 7 rows)
+    # and forms no n x n matrix; a consumed block is dropped, so the table is a one-pass iterable
+    monkeypatch.setattr(semiclassics, "_WEYL_BLOCK_ENTRIES", 7 * wgrid.n_points)
+    symbol, _ = WEYL_SYMBOLS[name]
     eps = 0.1
-    G, rows = _weyl_table(symbol, wgrid, eps)
-    assert G.shape == (2 * wgrid.n_points - 1, wgrid.n_points)
-    assert np.array_equal(rows, np.flatnonzero(G.any(axis=1)))
-    assert (rows.size < G.shape[0]) == has_zero_rows
     A = weyl_quantize(symbol, wgrid, eps)
     rng = np.random.default_rng(4)
     for phi in (rng.standard_normal(wgrid.n_points) + 1j * rng.standard_normal(wgrid.n_points),
                 np.exp(-((wgrid.x - 1) ** 2))):
         want = A @ phi
-        assert np.linalg.norm(_weyl_matvec(G, rows, phi) - want) <= 1e-14 * np.linalg.norm(want)
+        for q_bounds in (None, WEYL_EXTENTS.get(name)):
+            got = _weyl_matvec(_weyl_table(symbol, wgrid, eps, q_bounds), phi)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_f2_estimate_accepts_smooth_rejects_rough(wgrid):
@@ -354,6 +404,39 @@ def test_hitting_times_stop_at_first_exit():
     assert len(calls) <= 2 * (2 * steps + 2 + 6)
 
 
+@pytest.mark.parametrize(
+    "name, window",
+    [
+        ("effective", (-0.11439062500000009, 1.6858437499999253)),
+        ("berry", (-1.607109374999934, 0.9033437500000007)),
+        ("leakage", (-0.03228125000000002, 1.3620312499999607)),
+    ],
+)
+def test_hitting_times_evaluate_the_force_once_per_step(name, window):
+    # a step's closing half kick and the next step's opening one share dE(q), and the bisection
+    # reuses the force kept at its step's start: per direction, one call per step plus the first;
+    # the windows are those of the flow that evaluated dE twice per step, to the bit
+    import math
+
+    from adiband.harness import _config
+
+    cfg = _config(name)
+    band = cfg.lift_band()
+    _, dE = band_energy_interpolant(band)
+    calls = []
+
+    def counted(q):
+        calls.append(1)
+        return dE(q)
+
+    got = hitting_times(cfg.build_region(), band.window, band.delta, counted, alpha=cfg.alpha, dt=cfg.flow_dt)
+    assert got == window and cfg.hitting_window() == window
+    # a direction that exits at T flows ceil(T / dt) steps (its bisection puts T at least dt/64
+    # past the previous step)
+    steps = [math.ceil(abs(t) / cfg.flow_dt - 1e-6) for t in window]
+    assert len(calls) == sum(s + 1 for s in steps)
+
+
 def test_hitting_time_stationary_point_capped():
     # cloud at the bottom of a well with p = 0 never exits: both directions stop at the horizon of 50
     region = PhaseSpaceRegion([(-0.05, 0.05, -0.01, 0.01)])
@@ -520,6 +603,27 @@ def test_apply_phase_space_projection_equals_dense(tag):
         got = apply_phase_space_projection(psi, band, region, alpha, eps)
         want = PG @ psi.flat()
         assert np.linalg.norm(got.flat() - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n, parent_peak_mib", [(512, 13.5), (1024, 54.0)])
+def test_phase_space_projection_peak_stays_under_half_the_full_table(n, parent_peak_mib):
+    # the full (2n - 1) x n table made P_Gamma's traced peak 13.5 MiB at n = 512 and 54 MiB at
+    # n = 1024 (effective config); evaluated and applied a block of rows at a time it needs under half
+    import tracemalloc
+
+    from adiband.harness import _config
+    from adiband.states import coherent_state, lift_to_band
+
+    cfg = _config("effective", grid={"x_min": -6.4, "x_max": 6.4, "n_points": n})
+    band, region, eps = cfg.lift_band(), cfg.build_region(), 0.025
+    psi = lift_to_band(coherent_state(band.grid, eps, 0.3, -0.35)[0], band)
+    tracemalloc.start()
+    try:
+        apply_phase_space_projection(psi, band, region, cfg.alpha, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * parent_peak_mib * 2**20
 
 
 def test_phase_space_projection_region_must_fit():
