@@ -193,7 +193,7 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     return G[I + L, (I - L) % n]
 
 
-def _phase_space_factors(band: BandData, region: PhaseSpaceRegion, alpha: float):
+def _phase_space_factors(band: BandData, region: PhaseSpaceRegion):
     """The fiber factors of P_Gamma = U* lambda W U P_band, W the region indicator's quantization.
 
     Returns (chi, lam_ind, r): the clamped frame, the window indicator and
@@ -223,9 +223,9 @@ def phase_space_projection(
 
     The N x N matrix is the outer product chi[j, c] lambda_j W[j, i] r[i, b];
     it is the oracle for `apply_phase_space_projection`, which applies the
-    same factors to one state in O(n^2) without it.
+    same factors to one state without it, nor W.
     """
-    chi, lam_ind, r = _phase_space_factors(band, region, alpha)
+    chi, lam_ind, r = _phase_space_factors(band, region)
     W = weyl_quantize(smooth_indicator(region, alpha), band.grid, eps)
     M = chi[:, :, None, None] * (lam_ind[:, None, None, None] * (W[:, None, :, None] * r[None, None]))
     n, m = chi.shape
@@ -246,10 +246,10 @@ def apply_phase_space_projection(
     indicator is evaluated only on the midpoint rows inside the region's
     q-extent, `region.q_bounds` (192 of 1023 rows at the effective config,
     n = 512), and its nonzero rows are transformed and applied a block at
-    a time.  Time O(n * rows), memory O(n * block) besides the O(n m^2)
+    a time.  Time O(n * rows), memory O(n * block) besides the O(n m)
     fiber factors.
     """
-    chi, lam_ind, r = _phase_space_factors(band, region, alpha)
+    chi, lam_ind, r = _phase_space_factors(band, region)
     indicator = smooth_indicator(region, alpha)
     table = _weyl_table(indicator, band.grid, eps, indicator.region.q_bounds)
     reduced = lam_ind * _weyl_matvec(table, np.einsum("ib,ib->i", r, psi.values))
@@ -307,11 +307,6 @@ def band_energy_interpolant(band: BandData):
     return E, dE
 
 
-def _force(energy_grad, q):
-    """dE(q) as a float array of q's shape: the one evaluation of the force at q that a Verlet step carries."""
-    return np.broadcast_to(np.asarray(energy_grad(q), dtype=float), np.shape(q))
-
-
 def _verlet_step(energy_grad, q, p, f, h):
     """One kick-drift-kick step of size h from (q, p) with f = dE(q); returns (q, p, f) at the new q.
 
@@ -320,7 +315,7 @@ def _verlet_step(energy_grad, q, p, f, h):
     """
     p = p - 0.5 * h * f
     q = q + h * p
-    f = _force(energy_grad, q)
+    f = np.asarray(energy_grad(q), dtype=float)
     return q, p - 0.5 * h * f, f
 
 
@@ -334,7 +329,7 @@ def classical_flow(energy_grad, z0, t: float, dt: float = 1e-3):
     """
     z = np.atleast_2d(np.asarray(z0, dtype=float))
     q, p = z[:, 0], z[:, 1]
-    f = _force(energy_grad, q)
+    f = np.asarray(energy_grad(q), dtype=float)
     remaining = float(t)
     sgn = 1.0 if remaining >= 0 else -1.0
     while abs(remaining) > 1e-15:
@@ -358,7 +353,7 @@ def _first_exit(energy_grad, q0, p0, lo, hi, dt, horizon) -> float:
     """
     q = np.atleast_1d(np.asarray(q0, dtype=float))
     p = np.atleast_1d(np.asarray(p0, dtype=float))
-    f = _force(energy_grad, q)
+    f = np.asarray(energy_grad(q), dtype=float)
     t = 0.0
     while t < horizon:
         q_prev, p_prev, f_prev = q, p, f
@@ -367,10 +362,10 @@ def _first_exit(energy_grad, q0, p0, lo, hi, dt, horizon) -> float:
         out = ~((q > lo) & (q < hi))
         if out.any():
             # bisection refinement inside the last step, to dt/64 (a partial
-            # step's position needs only its first kick)
+            # step's position needs only its first kick; a constant force may be a scalar)
             frac_lo = np.zeros(out.sum())
             frac_hi = np.ones(out.sum())
-            qp, pp, fp = q_prev[out], p_prev[out], f_prev[out]
+            qp, pp, fp = q_prev[out], p_prev[out], np.broadcast_to(f_prev, q_prev.shape)[out]
             for _ in range(6):
                 mid = (frac_lo + frac_hi) / 2
                 h = dt * mid

@@ -138,11 +138,6 @@ WEYL_EXTENTS = {
 }
 
 
-def _table_rows(blocks):
-    """(rows, G[rows]) of a list of `_weyl_table` blocks, joined."""
-    return np.concatenate([r for r, _ in blocks]), np.concatenate([g for _, g in blocks])
-
-
 @pytest.mark.parametrize("block_rows", [None, 7])
 @pytest.mark.parametrize("name", sorted(WEYL_SYMBOLS))
 def test_weyl_table_rows_equal_the_full_box_table_bitwise(wgrid, monkeypatch, name, block_rows):
@@ -156,7 +151,7 @@ def test_weyl_table_rows_equal_the_full_box_table_bitwise(wgrid, monkeypatch, na
     for q_bounds in (None, WEYL_EXTENTS.get(name)):
         blocks = list(_weyl_table(symbol, wgrid, 0.1, q_bounds))
         assert all(g.shape == (r.size, n) and r.size <= (block_rows or 2 * n) for r, g in blocks)
-        rows, G = _table_rows(blocks)
+        rows, G = (np.concatenate(part) for part in zip(*blocks))
         assert np.array_equal(rows, np.flatnonzero(full.any(axis=1)))
         assert (rows.size < 2 * n - 1) == has_zero_rows
         assert G.tobytes() == full[rows].tobytes()
