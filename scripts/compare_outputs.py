@@ -21,7 +21,9 @@ every item in a fresh process at one BLAS thread:
 
 Children run in a temporary directory with bytecode writing off, so neither
 tree gains a file.  One line is printed per item, "identical" or "differs";
-the exit status is 1 when any item differs or fails on either side.
+an item whose two texts differ only in their numbers also gets the largest
+relative difference of those numbers.  The exit status is 1 when any item
+differs or fails on either side.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -106,6 +109,17 @@ def _items(tree: Path, names):
     return items
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _number_gap(a: str, b: str):
+    """The largest relative difference of the numbers of two texts that differ only in them, else None."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    return max((abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)))
+                for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if float(x) != float(y)), default=0.0)
+
+
 def _outcome(fn):
     try:
         return fn(), None
@@ -133,7 +147,9 @@ def main(argv=None) -> int:
                 if err_a or err_b:
                     verdict = f"differs (failed: checkout {err_a!r}, {ref} {err_b!r})"
                 else:
-                    verdict = "identical" if a == b else "differs"
+                    gap = None if a == b else _number_gap(a, b)
+                    verdict = ("identical" if a == b else "differs" if gap is None
+                               else f"differs (numbers only, largest relative difference {gap:.1e})")
             differs += verdict != "identical"
             print(f"{label}: {verdict}", flush=True)
     print(f"{differs} of {len(set(ours) | set(theirs))} items differ")

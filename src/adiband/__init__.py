@@ -28,10 +28,10 @@ from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_
 from .hamiltonians import (
     BlockHamiltonian,
     DenseHamiltonian,
-    assemble_blocks,
     assemble_bo,
     assemble_diag,
     assemble_full,
+    molecular_operator,
     u_map,
     u_star_map,
 )
@@ -41,11 +41,11 @@ from .indicators import PhaseSpaceRegion, SmoothIndicator, smooth_indicator
 from .models import ElectronicModel, get_model, list_models
 from .propagation import (
     ChebyshevPropagator,
+    DecouplingPair,
     SpectralPropagator,
     decoupling_error,
     diagonalize,
-    diagonalize_band_preserving,
-    diagonalize_blocks,
+    diagonalize_pair,
     effective_dynamics_error,
     evolve,
 )

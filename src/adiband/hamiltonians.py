@@ -61,8 +61,9 @@ block where P is 0 at every grid point, or 1 at every grid point, H_diag
 equals H, and the block is shared.  Every other block is written in the
 frame of its own stack of P's fiber blocks (one `np.linalg.eigh` of that
 (n, d, d) stack) and restricted to the ran P columns, and to the ran Q
-columns: two checked operators, which the propagator solves and keeps,
-each on its own frame indices, as that block's frame form.  A P that
+columns: two checked operators, which the decoupling pair solves, each
+on its own frame indices, as that block's eigenbasis of H_diag
+(`propagation.diagonalize_pair`).  A P that
 couples two blocks of H is refused.  This module decides every block the scans solve; no exact-zero
 pattern is read on the H_diag path.
 `assemble_diag` forms H_diag densely; no package code calls it, and it
@@ -110,6 +111,7 @@ __all__ = [
     "assemble_blocks",
     "assemble_full",
     "assemble_diag",
+    "band_fibers",
     "split_band_preserving",
     "FiberedOperator",
     "molecular_operator",
@@ -447,6 +449,24 @@ def _check_dims(H: DenseHamiltonian | BlockHamiltonian, band: BandData):
         )
 
 
+def band_fibers(H: BlockHamiltonian, band: BandData) -> list:
+    """P's fiber blocks on each block of H, (n, d, d), in H's order; None where H_diag equals H there.
+
+    That is where P is 0 at every grid point, or 1 at every grid point.  A
+    P whose fiber blocks (`_fiber_blocks`) couple two blocks of H is not a
+    spectral projection of H_e and is refused (ValueError).
+    """
+    _check_dims(H, band)
+    B = _fiber_blocks(band)
+    fibers = []
+    for comp, _ in H.blocks:
+        if np.any(np.delete(B[:, comp], comp, axis=2)):
+            raise ValueError("fiber blocks of P couple two blocks of H: P is not a spectral projection of H_e")
+        P = B[:, comp[:, None], comp]
+        fibers.append(None if not P.any() or np.all(P == np.eye(len(comp))) else P)
+    return fibers
+
+
 def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
     """H_diag = P H P + Q H Q on each block of H, as its ran P and ran Q parts in the fiber frame of P.
 
@@ -454,8 +474,8 @@ def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
     (`_fiber_blocks`) couple no two blocks of H, and H_diag commutes with
     P: on each block of H it is that block's ran P part plus its ran Q
     part.  A P whose fiber blocks couple two blocks of H is not a spectral
-    projection of H_e and is refused (ValueError).  Returns one entry per
-    block of H, in H's order:
+    projection of H_e and is refused (ValueError, `band_fibers`).  Returns
+    one entry per block of H, in H's order:
 
     - None where P is 0 at every grid point, or 1 at every grid point:
       there H_diag equals H, and the block is shared.
@@ -470,14 +490,9 @@ def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
       DenseHamiltonian (tag "diag", fiber dimension d) of W^dag H W on
       idx, formed by batched fiber products, which is H_diag on the part.
     """
-    _check_dims(H, band)
-    B = _fiber_blocks(band)
     entries = []
-    for comp, block in H.blocks:
-        if np.any(np.delete(B[:, comp], comp, axis=2)):
-            raise ValueError("fiber blocks of P couple two blocks of H: P is not a spectral projection of H_e")
-        P = B[:, comp[:, None], comp]
-        if not P.any() or np.all(P == np.eye(len(comp))):
+    for (comp, block), P in zip(H.blocks, band_fibers(H, band)):
+        if P is None:
             entries.append(None)
             continue
         lam, W = np.linalg.eigh(P)
@@ -500,8 +515,8 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
 
     P is the band projection, block-diagonal in X with the m x m fiber
     blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
-    No package code forms it: `propagation.diagonalize_band_preserving`
-    solves H_diag by the parts of `split_band_preserving`, and
+    No package code forms it: `propagation.diagonalize_pair` solves H_diag
+    by the parts of `split_band_preserving`, and
     `identities.offdiag_scaling` forms H - H_diag as P H Q + Q H P.  It
     stays as the tests' dense oracle of the split solve, and as a span the
     benchmark traces by name.

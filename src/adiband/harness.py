@@ -21,7 +21,6 @@ out of the canonical payload.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import json
 import sys
@@ -41,11 +40,10 @@ from .indicators import PhaseSpaceRegion
 from .models import ElectronicModel, get_model
 from .propagation import (
     ChebyshevPropagator,
-    SpectralPropagator,
+    DecouplingPair,
     decoupling_error,
     diagonalize,
-    diagonalize_band_preserving,
-    diagonalize_blocks,
+    diagonalize_pair,
     effective_dynamics_error,
     evolve,
 )
@@ -220,6 +218,8 @@ class ExperimentConfig:
         times = self.times
         if not (times and _finite_numbers(times)):
             raise ValueError(f"times must be a non-empty list of finite real numbers, got {times!r}")
+        if self.energy_cutoff is not None and not _finite_numbers([self.energy_cutoff]):
+            raise ValueError(f"energy_cutoff must be null or a finite real number, got {self.energy_cutoff!r}")
         if self.functional not in FUNCTIONALS:
             raise ValueError(
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
@@ -483,24 +483,26 @@ class PropagatorCache:
 
     It holds two kinds of entry, each keyed by what its builder reads from
     the objects it is given (the model's tag and parameters, the grid's
-    bounds and size, eps, and for `diag` the band's indices and window), so
-    two models or grids never share one:
+    bounds and size, eps, and for the pair the band's indices and window),
+    so two models or grids never share one:
     - the parts of the molecular H (`hamiltonians.molecular_operator`, its
       fiber stack H_e(X_i)), once per model and grid;
-    - the dense decoupling pair of an eps, `"pair full"` and `"diag"`, the
-      one build that costs: `decoupling_pair` solves both from one
-      block-stored H derived from the parts, formed on its first miss and
-      dropped when it returns.  The band-preserving propagator holds the
-      pair's full triple wherever P is 0 or 1 on a whole block of H, so the
-      full one is built (or found) first.  H_diag reads neither the band's
-      gauge nor its margin, so bands that differ only in those share a
-      `diag` entry.
+    - the dense decoupling pair of an eps, `"pair"`, the one build that
+      costs: `decoupling_pair` builds it (`propagation.diagonalize_pair`)
+      from the dense blocks of H derived from the parts, formed and dropped
+      within the build.  The entry keeps, per split block of H, H_diag's
+      eigenbasis in P's frame, both sets of eigenvalues and the full
+      block's eigenvectors as coordinates in that basis, M; a shared block
+      of H is solved into it only when an energy cutoff asks.  H_diag reads
+      neither the band's gauge nor its margin, so bands that differ only in
+      those share an entry.
 
     `full` and `bo` keep nothing: each returns a new `ChebyshevPropagator`
     (the full one on the kept parts), cheap to build next to the dense
     pair.  They stay methods because they are the seams through which the
-    oracle tests substitute dense propagators.  `full` and `diag` take a
-    `cfg` they do not read, the signature the benchmark's workloads call.
+    oracle tests substitute dense propagators.  `diag` fills the pair's
+    entry and returns the pair.  `full` and `diag` take a `cfg` they do not
+    read, the signature the benchmark's workloads call.
     """
 
     def __init__(self):
@@ -522,17 +524,13 @@ class PropagatorCache:
     def full(self, cfg, model, grid, eps) -> ChebyshevPropagator:
         return ChebyshevPropagator(self._operator(model, grid), eps)
 
-    def diag(self, cfg, model, grid, band, eps) -> SpectralPropagator:
-        return self.decoupling_pair(model, grid, band, eps)[1]
+    def diag(self, cfg, model, grid, band, eps) -> DecouplingPair:
+        return self.decoupling_pair(model, grid, band, eps)
 
-    def decoupling_pair(self, model, grid, band, eps) -> tuple[SpectralPropagator, SpectralPropagator]:
-        """(full, band-preserving) propagators at eps, both dense, from at most one block-stored H."""
-        H = functools.cache(lambda: self._operator(model, grid).blocks(eps))
-        system = self._system_key(model, grid)
-        full = self.get(("pair full", system, eps), lambda: diagonalize_blocks(H()))
-        diag = self.get(("diag", system, band.band_indices, band.window, eps),
-                        lambda: diagonalize_band_preserving(H(), band, full))
-        return full, diag
+    def decoupling_pair(self, model, grid, band, eps) -> DecouplingPair:
+        """The dense pair of the full and the band-preserving evolution at eps (`propagation.DecouplingPair`)."""
+        return self.get(("pair", self._system_key(model, grid), band.band_indices, band.window, eps),
+                        lambda: diagonalize_pair(self._operator(model, grid), band, eps))
 
     def bo(self, cfg, band, eps) -> ChebyshevPropagator:
         return ChebyshevPropagator(bo_operator(band, include_a_geo=cfg.include_a_geo), eps)
@@ -592,11 +590,11 @@ def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
 
 def _scan_decoupling(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     """The family's largest decoupling error at each of `times`, from one `decoupling_error` call."""
-    pair = cfg.build_band()
-    pf, pd = cache.decoupling_pair(pair.model, pair.grid, pair, eps)
+    band = cfg.build_band()
+    pair = cache.decoupling_pair(band.model, band.grid, band, eps)
     fam = cfg.state["family_params"]
     family = standard_state_family(cfg.lift_band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
-    return decoupling_error(pf, pd, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
+    return decoupling_error(pair, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)
 
 
 def _scan_effective(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):

@@ -16,9 +16,8 @@ molecular H is the kinetic multiplier on every fiber component plus the
 fiber stack, so the Chebyshev recurrence applies either by two FFTs of
 the grid per step, with no N x N matrix and no N^3 solve
 (`harness.PropagatorCache.bo` and `.full`); the dense solves of a single
-H (`diagonalize` of `assemble_bo` or `assemble_full`) stay as the tests'
-oracles and the `identities` suite's, and `diagonalize_blocks` solves
-the decoupling pair's full H.  On the effective-ladder benchmark the
+H (`diagonalize` of `assemble_bo` or `assemble_full`, or of each block of
+H) stay as the tests' oracles and the `identities` suite's.  On the effective-ladder benchmark the
 matrix-free errors lie within 5.2e-11 relative of the dense references,
 at the eps = 0.025 point, inside their 1e-10 gate, and they are the same
 floats at one and two BLAS threads, where the dense full H moved that
@@ -26,134 +25,123 @@ point by 4.5e-11.  Each term of the recurrence is one step of two FFTs
 along a contiguous axis, the symbol's product and V's, run in place on
 the grid-last layout (m, k, n) (`ChebyshevPropagator`,
 `hamiltonians.FiberedOperator.action`), allocating only V's products.
-The decoupling pair stays dense for two reasons.  It applies a family of
-states to both H and H_diag, whose shared and split blocks are cheaper
-dense: at n = 512 the dense pair takes 0.41-0.49 s per eps against
-1.2-2.1 s by Chebyshev.  And `SpectralPropagator.energy_cutoff_apply`
-projects onto total energies by the eigenpairs.
+The decoupling pair stays dense because it is read in H_diag's
+eigenbasis, where the band-preserving evolution is a phase: a family of
+k states at a row of T times costs one product of a b x b matrix with a
+(b, T k) block per split block of dimension b, and nothing goes back to
+the grid, where a Chebyshev pair would run two recurrences over the whole
+row.  And the energy cutoff projects onto total energies by the full
+blocks' eigenvalues.
 
-A propagator is stored as blocks.  The block structure is decided in
-`hamiltonians`: the decoupling scans assemble the molecular H by its exactly
-decoupled blocks (`hamiltonians.assemble_blocks`, read from the fibers'
-pattern), and `diagonalize_blocks` solves each on its own: a dense solve
-of a block of dimension d costs d^3, so the blocks together cost far less
-than N^3.  `diagonalize` solves the operator it is given as one dense
-block and reads no pattern.  Each block keeps its rows, its d eigenvalues
-and its eigenvectors on those rows only, stored as a (rows, d) matrix or,
-for a split block of H_diag, in the frame form below.  The blocks split
+A propagator is stored as blocks.  `diagonalize` solves the operator it
+is given as one dense block and reads no pattern; the exactly decoupled
+blocks of a block-stored H (`hamiltonians.assemble_blocks`, read from the
+fibers' pattern) are solved each on its own: a dense solve of a block of
+dimension d costs d^3, so the blocks together cost far less than N^3.
+Each block keeps its rows, its d eigenvalues and its eigenvectors on
+those rows only, a (rows, d) matrix.  The blocks split
 the rows into disjoint sets, so `apply` works block by block and writes
 each block's product into its own rows: an apply costs the sum over
-blocks of rows x d per column instead of N^2 (r^2 + (b - r)^2, plus the
-O(b d) fiber products, for a split block of dimension b with a ran P
-part of dimension r).  An operator of one block (the full H of
-`rotated_pair`, `two_band_complex` and `free`, or a dense Born-Oppenheimer
-oracle) is one block over all rows, solved and applied by the dense
-products unchanged.
+blocks of rows x d per column instead of N^2.  An operator of one block
+(the full H of `rotated_pair`, `two_band_complex` and `free`, or a dense
+Born-Oppenheimer oracle) is one block over all rows, solved and applied
+by the dense products unchanged.
 
-The band-preserving generator H_diag = P H P + Q H Q has the blocks of H,
-and its propagator has the full propagator's block partition: one triple
-per block of H, in H's order, on the same rows
-(`diagonalize_band_preserving`).  Where P is 0 or 1 on a whole block of
-H, H_diag equals H there, and the triple is the full propagator's: the
-same object, solved once.  Every other block of H_diag commutes with P,
-so in the frame W of P's fiber blocks on it, it is its ran P part plus
-its ran Q part (`hamiltonians.split_band_preserving`); each part is
-solved on its own and kept on its own frame indices.  The block's triple
-holds them in the frame form (W, parts): an apply takes the block into
-the frame by W^dag, fiber by fiber, maps each part by its own products,
-and takes the result back by W.  No b x b eigenvector matrix of the block
-is formed.  `crossing_trio`'s full H splits into blocks of 2n and n.  For
-bands (0, 1), P is 1 on the n block at every point, so H_diag shares it
-and keeps the 2n block as two parts of n; with a window, P is 1 inside
-and 0 outside, and no block is shared.  `decoupling_error` drops the
-rows of every shared triple, where the two evolutions are the same
-products, and applies the pair on the other rows only.
+The decoupling pair (`diagonalize_pair`, a `DecouplingPair`) holds
+e^{-iHt/eps} and e^{-iH_diag t/eps}, H_diag = P H P + Q H Q, of the
+block-stored molecular H.  H_diag has the blocks of H.  Where P is 0 or 1
+on a whole block of H, H_diag equals H there, the two evolutions are the
+same on its rows, and their difference is exactly zero: such a shared
+block is solved only when an energy cutoff needs its eigenvalues, and
+then once per pair.  Every other block of H_diag commutes with P, so in
+the frame W of P's fiber blocks on it, it is its ran P part plus its ran
+Q part (`hamiltonians.split_band_preserving`).  Each part is solved on
+its own frame indices, and the parts give the block's eigenbasis of
+H_diag, W blockdiag(V_P, V_Q), with the eigenvalues w_d; no b x b
+eigenvector matrix of H_diag is formed.  The full block of H is solved as
+well, and its eigenvectors V_f are kept only as their coordinates in
+that basis, the unitary M = blockdiag(V_P, V_Q)^dag W^dag V_f, formed
+when the pair is built and written over V_f.  `crossing_trio`'s full H
+splits into blocks of 2n and n.  For bands (0, 1), P is 1 on the n block
+at every point, so the pair keeps the 2n block as two parts of n with
+its M, and does not solve the n block; with a window, P is 1 inside and
+0 outside, and both blocks are split.
 
-A real-stored operator keeps its real eigenvectors as float64.  Its
-propagator applies a vector or a block of k vectors as real products on
-the block's float64 view, an (N, 2k) array of interleaved real and
-imaginary parts, so one real GEMM does the work of a complex one at half
-the storage.  A complex-stored operator takes the complex products.
-Both storage types go through the same two products per block for every
-input shape.
+`decoupling_error` measures the pair in those coordinates.  With
+c_d = V_d^dag W^dag psi a state's coordinates and c_f = M^dag c_d its
+full ones, the difference of the two evolutions at time t is
+D(t) = M (e^{-i w_f t/eps} c_f) - e^{-i w_d t/eps} c_d, and its norm is
+the grid norm of the difference, since W V_d is unitary on the block's
+rows.  The phases of a row of T times multiply the k states' c_f into
+one (b, T k) block, and one product with M maps it; an energy cutoff
+acts on c_f, before c_d = M c_f is formed.
+
+A real-stored operator keeps its real eigenvectors, frames and M as
+float64.  A real matrix applies to a vector or a block of k vectors as a
+real product on the block's float64 view, an (N, 2k) array of
+interleaved real and imaginary parts, so one real GEMM does the work of
+a complex one at half the storage.  A complex-stored operator takes the
+complex products.
 
 Times form a row as well.  Given a 1-D array of T times, `apply` forms
-the coefficients V^dag vec of each block, or of each part of a split
-block, with one analysis product, multiplies in the phases of every time
-as one (d, T k) block, and maps that block back with one synthesis
-product; the batch takes N k T 16 bytes.
+the coefficients V^dag vec of each block with one analysis product,
+multiplies in the phases of every time as one (d, T k) block, and maps
+that block back with one synthesis product; the batch takes N k T 16
+bytes.
 
 The error functionals have one call form: a row of T times goes in (and,
-for `decoupling_error`, a list of k molecular waves, applied as one (N, k)
+for `decoupling_error`, a list of k molecular waves, taken as one (N, k)
 block), and one error per time comes out, (T, k) or (T,).  Each
-propagator applies the whole row in one `apply`, so a scan of many times
-makes one apply per propagator and eps.
+propagator applies the whole row at once, so a scan of many times makes
+one apply, or one product with M per split block, per eps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .electronic import BandData
-from .grids import MolecularWave, NuclearWave, l2_norm, norm, sobolev_norm
-from .hamiltonians import BlockHamiltonian, DenseHamiltonian, FiberedOperator, split_band_preserving, u_map
+from .grids import MolecularWave, NuclearWave, l2_norm, norm
+from .hamiltonians import DenseHamiltonian, FiberedOperator, band_fibers, split_band_preserving, u_map
 
 __all__ = [
     "SpectralPropagator",
     "ChebyshevPropagator",
+    "DecouplingPair",
     "diagonalize",
-    "diagonalize_blocks",
-    "diagonalize_band_preserving",
+    "diagonalize_pair",
     "evolve",
     "decoupling_error",
     "effective_dynamics_error",
 ]
 
 
-def _real_times(R: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R @ Z for real R and a complex block Z, (N, k) or a stack of them, as one real product on Z's float64 view."""
-    return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
+def _times(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A @ Z; for a real A and a complex Z, one real product on Z's float64 view."""
+    if A.dtype == np.float64 and Z.dtype == np.complex128:
+        return (A @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
+    return A @ Z
 
 
 def _coefficients(V: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """V^dag block for a complex (rows, k) block."""
+    """V^dag block, for a (rows, k) block."""
     if V.dtype == np.float64:
-        return _real_times(V.T, block)
+        return _times(V.T, block)
     # V^dag block as conj(V^T conj(block)): no conjugate copy of V
     return (V.T @ block.conj()).conj()
-
-
-def _synthesize(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """V coeffs for complex (d, k) coefficients."""
-    return _real_times(V, coeffs) if V.dtype == np.float64 else V @ coeffs
-
-
-def _by_fibers(W: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """blockdiag(W_i) block for an (n, d, d) stack W and a complex (n d, k) block, fiber by fiber."""
-    n, d, _ = W.shape
-    fibers = block.reshape(n, d, -1)
-    return (_real_times(W, fibers) if W.dtype == np.float64 else W @ fibers).reshape(n * d, -1)
 
 
 def _map_blocks(blocks, block: np.ndarray, coefficient_map) -> np.ndarray:
     """V coefficient_map(w, V^dag block[rows]) of every (rows, w, V) triple, written into its rows.
 
-    V is a block's eigenvectors on its rows, or its frame form (W, parts):
-    there the block's rows go into the frame by W^dag, fiber by fiber, this
-    same loop maps each part (idx, w, V) on its own frame indices, analysis,
-    coefficient map and synthesis, and W takes the result back.  The rows
-    of the triples are disjoint, so each product is assigned, not added.
+    The rows of the triples are disjoint, so each product is assigned, not added.
     """
     out = None
     for rows, w, V in blocks:
-        if isinstance(V, tuple):
-            W, parts = V
-            in_frame = _by_fibers(W.conj().transpose(0, 2, 1), block[rows])
-            part = _by_fibers(W, _map_blocks(parts, in_frame, coefficient_map))
-        else:
-            part = _synthesize(V, coefficient_map(w, _coefficients(V, block[rows])))
+        part = _times(V, coefficient_map(w, _coefficients(V, block[rows])))
         if isinstance(rows, slice):
             # the one block over every row: its product is the result
             return part
@@ -163,27 +151,24 @@ def _map_blocks(blocks, block: np.ndarray, coefficient_map) -> np.ndarray:
     return out
 
 
+def _phased(w: np.ndarray, c: np.ndarray, times: np.ndarray, eps: float) -> np.ndarray:
+    """The (d, T k) block e^{-i w t/eps} c of the d coefficients c, (d, k), at each time of a row of T."""
+    phases = np.exp(-1j * w[:, None] * times.reshape(-1) / eps)
+    return (c[:, None, :] * phases[:, :, None]).reshape(len(w), -1)
+
+
 @dataclass(frozen=True)
 class SpectralPropagator:
     """Eigendecomposition of a DenseHamiltonian, reusable for any time, stored block by block.
 
     `blocks` holds one (rows, eigenvalues, eigenvectors) triple per exactly
     decoupled block: the block's d eigenpairs, with entries outside `rows`
-    exactly zero and not stored.  The blocks' rows split range(N) into
-    disjoint sets.  The eigenvectors are one of two forms:
-
-    - a (len(rows), d) matrix.  An operator of one block is
-      ((slice(None), w, V),), the dense pair itself.
-    - the frame form (W, parts) of a block of H_diag split into its ran P
-      and ran Q parts: W, (n, d_f, d_f), is the frame of P's fiber blocks
-      on the block, and parts holds one (idx, w, V) triple per part, ran P
-      first, with idx the part's ascending frame-basis indices i d_f + c
-      and V its eigenvectors on idx.  The block's eigenvalues join the
-      parts' in that order.
-
-    Eigenvalues are ascending within a solved block or part, and no order
-    is kept across blocks.  Eigenvectors and frames are float64 when the
-    operator and its frames are stored real, complex128 otherwise.
+    exactly zero and not stored, as a (len(rows), d) matrix.  The blocks'
+    rows split range(N) into disjoint sets; an operator of one block is
+    ((slice(None), w, V),), the dense pair itself.  Eigenvalues are
+    ascending within a block, and no order is kept across blocks.
+    Eigenvectors are float64 when the operator is stored real, complex128
+    otherwise.
     """
 
     blocks: tuple = field(repr=False)
@@ -194,49 +179,27 @@ class SpectralPropagator:
     def dim(self) -> int:
         return sum(len(w) for _, w, _ in self.blocks)
 
-    def _map(self, vec, coefficient_map) -> np.ndarray:
-        """V coefficient_map(w, V^dag vec[rows]) of every block, written into its rows (`_map_blocks`).
-
-        vec, (N,) or (N, k), is taken as a complex (N, k) block; a wrong
-        row count is refused rather than folded into columns.  The result
-        has N rows and the mapped coefficients' column count.
-        """
-        block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
-        if len(block) != self.dim:
-            raise ValueError(f"dimension mismatch: vector has {len(block)} rows, operator {self.dim}")
-        return _map_blocks(self.blocks, block, coefficient_map)
-
     def apply(self, vec: np.ndarray, t) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
 
-        vec may be one vector (N,) or a block of columns (N, k).  A scalar t
-        gives a result of vec's shape.  A 1-D array of T times gives shape
-        (T,) + shape(vec): per block (per part of a split block), the
-        coefficients V^dag vec are formed once, the phases of all T times
-        multiply them into one (d, T k) block, and one synthesis product
-        maps that block back, so the batch takes N k T 16 bytes.
+        vec may be one vector (N,) or a block of columns (N, k); a wrong row
+        count is refused rather than folded into columns.  A scalar t gives
+        a result of vec's shape.  A 1-D array of T times gives shape
+        (T,) + shape(vec): per block, the coefficients V^dag vec are formed
+        once, the phases of all T times multiply them into one (d, T k)
+        block, and one synthesis product maps that block back, so the batch
+        takes N k T 16 bytes.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
-
-        def phased(w, c):
-            phases = np.exp(-1j * w[:, None] * times.reshape(-1) / self.eps)
-            return (c[:, None, :] * phases[:, :, None]).reshape(len(w), -1)
-
-        out = self._map(vec, phased)
+        block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
+        if len(block) != self.dim:
+            raise ValueError(f"dimension mismatch: vector has {len(block)} rows, operator {self.dim}")
+        out = _map_blocks(self.blocks, block, lambda w, c: _phased(w, c, times, self.eps))
         # (N, T, k) columns to one contiguous (N,) or (N, k) result per time
         out = np.ascontiguousarray(out.reshape(self.dim, times.size, -1).transpose(1, 0, 2))
         return out.reshape(times.shape + np.shape(vec))
-
-    def energy_cutoff_apply(self, vec: np.ndarray, cutoff: float) -> np.ndarray:
-        """Project vec, (N,) or (N, k), onto total energies <= cutoff."""
-
-        def kept(w, c):
-            c[w > cutoff] = 0.0
-            return c
-
-        return self._map(vec, kept).reshape(np.shape(vec))
 
 
 def _bessel_rows(z: np.ndarray, degrees) -> np.ndarray:
@@ -367,13 +330,12 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
 
     The propagator holds the one triple (slice(None), w, V) of
     `np.linalg.eigh` of H's matrix; the block structure is the caller's,
-    who passes each block on its own (`diagonalize_blocks`,
-    `diagonalize_band_preserving`).  A real-stored operator runs the
-    real-symmetric solver and keeps its eigenvectors float64; a
-    complex-stored one runs the Hermitian solver.  With validate=True the
-    reconstruction V diag(w) V^dag is checked against H to 1e-10 relative,
-    and the eigenvectors for orthonormality to 1e-11 times H's dimension
-    (two extra dense products).
+    who passes each block on its own (`diagonalize_pair`).  A real-stored operator runs the real-symmetric
+    solver and keeps its eigenvectors float64; a complex-stored one runs
+    the Hermitian solver.  With validate=True the reconstruction
+    V diag(w) V^dag is checked against H to 1e-10 relative, and the
+    eigenvectors for orthonormality to 1e-11 times H's dimension (two extra
+    dense products).
     """
     w, v = np.linalg.eigh(H.matrix)
     if validate:
@@ -386,68 +348,95 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
     return SpectralPropagator(blocks=((slice(None), w, v),), eps=H.eps, tag=H.tag)
 
 
-def _lift(W: np.ndarray, parts: list) -> tuple:
-    """One block's solved parts (idx, w, V) in the frame W, as the pair (w, (W, parts)) of its triple.
+def _frame_coordinates(W: np.ndarray, parts: tuple, block: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """blockdiag(V_P, V_Q)^dag W^dag block: a split block's rows, (b, k), in H_diag's eigenbasis.
 
-    W is (n, d, d) and idx holds a part's ascending frame-basis indices
-    i d + c; V is the part's eigenvectors on idx alone.  w joins the
-    parts' eigenvalues in order, and each part keeps its own as a view of
-    w.  No eigenvector is lifted: `_map_blocks` applies W and W^dag fiber
-    by fiber, O(n d^2) per column, around the parts' own products.
+    W^dag goes fiber by fiber, O(n d^2) per column; each part (idx, V)
+    then maps its own frame indices into its rows of the result.  The
+    block may be complex (states) or real (the full block's eigenvectors,
+    for M); real frames and eigenvectors take real products on a complex
+    block's float64 view.  With overwrite=True the result is written into
+    the block's own storage when their dtypes agree, so that forming M
+    takes no second b x b array.
     """
-    w = np.concatenate([pw for _, pw, _ in parts])
-    views = np.split(w, np.cumsum([len(pw) for _, pw, _ in parts])[:-1])
-    return w, (W, tuple((idx, pw, V) for (idx, _, V), pw in zip(parts, views)))
+    n, d, _ = W.shape
+    in_frame = _times(W.conj().transpose(0, 2, 1), block.reshape(n, d, -1)).reshape(n * d, -1)
+    out = block if overwrite and block.dtype == in_frame.dtype else np.empty_like(in_frame)
+    start = 0
+    for idx, V in parts:
+        out[start : start + len(idx)] = _coefficients(V, in_frame[idx])
+        start += len(idx)
+    return out
 
 
-def diagonalize_blocks(H: BlockHamiltonian) -> SpectralPropagator:
-    """Eigendecompose a block-stored H, each block by `diagonalize`.
+@dataclass(frozen=True)
+class DecouplingPair:
+    """e^{-iHt/eps} and e^{-iH_diag t/eps} of a block-stored molecular H, kept in H_diag's eigenbasis.
 
-    The propagator holds one (rows, eigenvalues, eigenvectors) triple per
-    block of H, in H's order, with the block's molecular rows; with one
-    block it is `diagonalize` of that block itself, rows slice(None).
+    `split` holds one (rows, W, parts, w_d, w_f, M) per block of H that P
+    splits, in H's order: the block's ascending molecular rows, its frame W
+    (n, d, d) of P's fiber blocks, its parts (idx, V), ran P before ran Q,
+    with idx a part's ascending frame-basis indices i d + c and V its
+    eigenvectors on them, the parts' eigenvalues w_d in that order, the
+    full block's ascending eigenvalues w_f, and the unitary
+    M = blockdiag(V_P, V_Q)^dag W^dag V_f (b x b).  `shared` holds the
+    indices of the blocks of H on which P is 0 or 1 at every point, where
+    H_diag equals H.  `operator` gives the blocks of H again, for
+    `shared_solves`.  Arrays are float64 when H and the frames are real,
+    complex128 otherwise.
     """
-    if len(H.blocks) == 1:
-        return diagonalize(H.blocks[0][1])
-    triples = []
-    for comp, block in H.blocks:
-        ((_, w, V),) = diagonalize(block).blocks
-        triples.append((H.rows(comp), w, V))
-    return SpectralPropagator(blocks=tuple(triples), eps=H.eps, tag="full")
+
+    operator: FiberedOperator = field(repr=False)
+    eps: float
+    split: tuple = field(repr=False)
+    shared: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.operator.dim
+
+    @functools.cached_property
+    def shared_solves(self) -> tuple:
+        """(rows, w, V) of each shared block, solved by `diagonalize` on the first call and kept.
+
+        Only an energy cutoff reads them: the two evolutions are the same on
+        a shared block's rows, and only its kept mass enters the norm.
+        """
+        if not self.shared:
+            return ()
+        H = self.operator.blocks(self.eps)
+        return tuple((H.rows(H.blocks[k][0]),) + diagonalize(H.blocks[k][1]).blocks[0][1:] for k in self.shared)
 
 
-def diagonalize_band_preserving(H: BlockHamiltonian, band: BandData, full: SpectralPropagator) -> SpectralPropagator:
-    """Eigendecompose H_diag = P H P + Q H Q for the block-stored H and the band's P.
+def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> DecouplingPair:
+    """The decoupling pair of the molecular H (`operator` at eps) and the band's P.
 
-    `full` is `diagonalize_blocks(H)`, and the propagator has its block
-    partition: one triple per block of H, in H's order, on full's rows for
-    that block.  Where P is 0 or 1 on a whole block of H, H_diag equals H
-    there, and the triple is full's, the same object; its eigenvalues must
-    sum to the trace of H's block to 1e-10 of their absolute sum, an O(d)
-    check that refuses the full propagator of another H.  Every other
-    block of H is split in the frame of P's fiber blocks into its ran P
-    and ran Q parts (`split_band_preserving`); `diagonalize` solves each
-    part, at cost r^3 + (b - r)^3 for a block of dimension b with a ran P
-    part of dimension r, instead of b^3, and `_lift` keeps both in the
-    block's frame form, ran P part first, with r^2 + (b - r)^2 eigenvector
-    entries instead of b^2.  The eigenvectors are float64 when H and the
-    frames are real, complex128 otherwise.
+    The blocks of H are formed once.  Each block that P splits
+    (`band_fibers`) is solved whole by `diagonalize` first, b^3 for a
+    block of dimension b, while H alone is held; `split_band_preserving`
+    (which refuses a P that is not a spectral projection of H_e) then
+    gives its ran P and ran Q parts, each solved by `diagonalize`,
+    r^3 + (b - r)^3, and the full block's eigenvectors V_f go into the
+    parts' eigenbasis as M, written over V_f.  H goes once split and each
+    part G once solved; the pair keeps W, the parts' eigenvectors, the
+    eigenvalues and M.  A shared block is not solved here
+    (`DecouplingPair.shared_solves`).
     """
-    if (full.dim, len(full.blocks), full.eps) != (H.dim, len(H.blocks), H.eps):
-        raise ValueError("full is not the block-by-block propagator of H")
-    blocks = []
-    for (_, block), triple, entry in zip(H.blocks, full.blocks, split_band_preserving(H, band)):
-        if entry is None:
-            # the eigenvalues of a shared triple sum to the trace of its block of H
-            w = triple[1]
-            if abs(w.sum() - np.trace(block.matrix)) > 1e-10 * np.abs(w).sum():
-                raise ValueError("full is not the block-by-block propagator of H")
-            blocks.append(triple)
-            continue
-        W, parts = entry
+    H = operator.blocks(eps)
+    fibers = band_fibers(H, band)
+    full = {k: diagonalize(H.blocks[k][1]).blocks[0][1:] for k, P in enumerate(fibers) if P is not None}
+    pending = [(H.rows(H.blocks[k][0]), k) + entry for k, entry in enumerate(split_band_preserving(H, band)) if entry]
+    del H
+    split = []
+    while pending:
+        rows, k, W, parts = pending.pop(0)
         solved = [(idx,) + diagonalize(G).blocks[0][1:] for idx, G in parts]
-        blocks.append((triple[0],) + _lift(W, solved))
-    return SpectralPropagator(blocks=tuple(blocks), eps=H.eps, tag="diag")
+        parts = tuple((idx, V) for idx, _, V in solved)
+        w_f, V_f = full.pop(k)
+        M = _frame_coordinates(W, parts, V_f, overwrite=True)
+        split.append((rows, W, parts, np.concatenate([w for _, w, _ in solved]), w_f, M))
+    shared = tuple(k for k, P in enumerate(fibers) if P is None)
+    return DecouplingPair(operator=operator, eps=eps, split=tuple(split), shared=shared)
 
 
 def evolve(prop: SpectralPropagator | ChebyshevPropagator, wave: NuclearWave | MolecularWave, t: float):
@@ -467,94 +456,67 @@ def _time_row(times) -> np.ndarray:
     return row
 
 
-def _unshared(prop_full: SpectralPropagator, prop_diag: SpectralPropagator) -> tuple:
-    """(rows, pair, shared): the rows on which the two propagators share no triple, both restricted to them, and the shared triples.
-
-    A triple that is the same object in both propagators gives both
-    evolutions the same products on its rows, so their difference there is
-    exactly zero.  `rows` indexes the remaining rows, and each propagator
-    of `pair` holds its other triples, renumbered onto them; with nothing
-    shared that is (slice(None), (prop_full, prop_diag), ()), and with
-    every row shared `pair` is empty.  `shared` holds the shared triples,
-    in prop_full's order.
-    """
-    shared = {id(b) for b in prop_full.blocks} & {id(b) for b in prop_diag.blocks}
-    if not shared:
-        return slice(None), (prop_full, prop_diag), ()
-    keep = np.ones(prop_full.dim, dtype=bool)
-    for b in prop_full.blocks:
-        if id(b) in shared:
-            keep[b[0]] = False
-    triples = tuple(b for b in prop_full.blocks if id(b) in shared)
-    if not keep.any():
-        return keep, (), triples
-    renumber = np.cumsum(keep) - 1
-    pair = tuple(
-        replace(prop, blocks=tuple((renumber[b[0]],) + b[1:] for b in prop.blocks if id(b) not in shared))
-        for prop in (prop_full, prop_diag)
-    )
-    return keep, pair, triples
+def _sobolev_norms(states: list) -> np.ndarray:
+    """`grids.sobolev_norm(w, 2)` of each of k molecular waves on one grid and eps, by one FFT of the (n, m, k) stack."""
+    grid, eps = states[0].grid, states[0].eps
+    vals = np.stack([w.values for w in states], axis=-1)
+    ft = np.fft.fft(vals, axis=0) / np.sqrt(grid.n_points)
+    weight = (eps * np.abs(grid.k)) ** 2
+    return l2_norm(weight[:, None, None] * np.abs(ft), grid.dx, axis=(0, 1)) + l2_norm(vals, grid.dx, axis=(0, 1))
 
 
-def _kept_mass(triple: tuple, block: np.ndarray, cutoff: float) -> np.ndarray:
-    """sum |c|^2 per column over the coefficients c = V^dag block[rows] of a (rows, w, V) triple's eigenvalues <= cutoff.
+def decoupling_error(pair: DecouplingPair, states: list, times, energy_cutoff: float | None = None) -> np.ndarray:
+    """Distance between the full and the band-preserving evolution of the pair, per time and state.
 
-    V is orthonormal, so this is the squared norm of block's projection
-    onto those eigenvalues, by one analysis product and no synthesis.
-    """
-    rows, w, V = triple
-    c = _coefficients(V, block[rows])[w <= cutoff]
-    return np.sum(np.abs(c) ** 2, axis=0)
-
-
-def decoupling_error(
-    prop_full: SpectralPropagator,
-    prop_diag: SpectralPropagator,
-    states: list,
-    times,
-    energy_cutoff: float | None = None,
-) -> np.ndarray:
-    """Distance between the full and the band-preserving evolution, per time and state.
-
-    `states` is a list of k molecular waves on the propagators' grid and
-    `times` a sequence of T times; the result is (T, k).  On the rows of a
-    triple that both propagators hold, the same object, the two evolutions
-    are the same products and their difference is exactly zero, so those
-    rows are dropped (`_unshared`).  The states' other rows go to each
-    propagator's `apply` as one block with the whole row of times, so a
-    family at many times costs one apply per propagator; when every row is
-    shared, the result is zero and nothing is applied.  Without a cutoff
-    each difference is normalized by the scaled second Sobolev norm of its
+    `states` is a list of k molecular waves on the pair's grid and `times`
+    a sequence of T times; the result is (T, k).  On a shared block of the
+    pair the two evolutions are the same and their difference is exactly
+    zero, so only the split blocks are read: each takes the states' rows
+    into H_diag's eigenbasis, c_d, and c_f = M^dag c_d, and measures
+    D = M (e^{-i w_f t/eps} c_f) - e^{-i w_d t/eps} c_d for the whole row
+    with one product with M (`DecouplingPair`).  Without a cutoff each
+    difference is normalized by the scaled second Sobolev norm of its
     initial state (applied-state proxy for the operator norm on
     W^{2,eps}).  With a cutoff, the states are first projected onto total
-    energies <= cutoff, once for all times, and each difference is
-    measured relative to the plain L^2 norm of its projected state.  The
-    projection is formed on the unshared rows only; a shared triple's rows
-    enter only that norm, and there its share is the norm of the kept
-    coefficients (`_kept_mass`).  A zero state, or one the cutoff
-    annihilates, is refused.
+    energies <= cutoff, once for all times: the projection keeps the c_f
+    of the eigenvalues w_f <= cutoff, and c_d = M c_f.  Each difference is
+    then measured relative to the plain L^2 norm of its projected state,
+    to which each shared block adds the mass of its coefficients of
+    eigenvalues <= cutoff (`shared_solves`).  A zero state, or one the
+    cutoff annihilates, is refused.
     """
     times = _time_row(times)
     dx = states[0].grid.dx
     vecs = np.column_stack([w.flat() for w in states]).astype(complex, copy=False)
+    if len(vecs) != pair.dim:
+        raise ValueError(f"dimension mismatch: states have {len(vecs)} rows, pair {pair.dim}")
     if not np.all(vecs.any(axis=0)):
         raise ValueError("zero initial state")
-    rows, pair, shared = _unshared(prop_full, prop_diag)
-    vecs_rows = vecs[rows] if pair else None
+    coords = []
+    for rows, W, parts, _, w_f, M in pair.split:
+        c_d = _frame_coordinates(W, parts, vecs[rows])
+        c_f = _coefficients(M, c_d)
+        if energy_cutoff is not None:
+            c_f[w_f > energy_cutoff] = 0.0
+            c_d = _times(M, c_f)
+        coords.append((c_d, c_f))
     if energy_cutoff is not None:
-        mass = sum(_kept_mass(triple, vecs, energy_cutoff) for triple in shared)
-        if pair:
-            vecs_rows = pair[0].energy_cutoff_apply(vecs_rows, energy_cutoff)
-            mass = mass + np.sum(np.abs(vecs_rows) ** 2, axis=0)
+        # the squared norm of the projection: each shared block's kept coefficients, then each split block's c_f
+        kept = [_coefficients(V, vecs[rows])[w <= energy_cutoff] for rows, w, V in pair.shared_solves]
+        mass = sum(np.sum(np.abs(c) ** 2, axis=0) for c in kept + [c_f for _, c_f in coords])
         denom = np.sqrt(mass * dx)
         if np.any(denom == 0.0):
             raise ValueError("energy cutoff annihilated the state")
     else:
-        denom = np.array([sobolev_norm(w, 2) for w in states])
-    if not pair:
-        return np.zeros((len(times), vecs.shape[1]))
-    d = pair[0].apply(vecs_rows, times) - pair[1].apply(vecs_rows, times)
-    return l2_norm(d, dx, axis=-2) / denom
+        denom = _sobolev_norms(states)
+    squared = np.zeros(len(times) * vecs.shape[1])
+    for (_, _, _, w_d, w_f, M), (c_d, c_f) in zip(pair.split, coords):
+        D = _times(M, _phased(w_f, c_f, times, pair.eps))
+        D -= _phased(w_d, c_d, times, pair.eps)
+        # |D|^2 summed down each column, on D's float64 view: (real, imaginary) pairs of columns
+        re_im = D.view(np.float64)
+        squared += np.einsum("ij,ij->j", re_im, re_im).reshape(-1, 2).sum(axis=1)
+    return np.sqrt(squared * dx).reshape(len(times), -1) / denom
 
 
 def effective_dynamics_error(

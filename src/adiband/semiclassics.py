@@ -25,6 +25,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .electronic import BandData
 from .grids import Grid1D, MolecularWave, NuclearWave, l2_norm, norm
@@ -182,15 +183,30 @@ def weyl_quantize(symbol, grid: Grid1D, eps: float) -> np.ndarray:
     operator norm is bounded by sup|a| up to O(eps) corrections.  `symbol`
     is any callable a(q, p), a `Symbol` among them.  The n x n matrix is
     gathered from the whole box's `_weyl_table`, placed in one (2n - 1, n)
-    array; a single product with it is `_weyl_matvec` on the table, which
-    forms neither.
+    array (`_weyl_gather`); a single product with it is `_weyl_matvec` on
+    the table, which forms neither.
     """
     n = grid.n_points
     G = np.zeros((2 * n - 1, n), dtype=complex)
     for rows, block in _weyl_table(symbol, grid, eps):
         G[rows] = block
-    I, L = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return G[I + L, (I - L) % n]
+    return _weyl_gather(G)
+
+
+def _weyl_gather(G: np.ndarray) -> np.ndarray:
+    """A[i, l] = G[i + l, (i - l) mod n] of a C-contiguous (2n - 1, n) table, by two strided views of G.
+
+    Along row i of A the flat index of G steps by n - 1: from i (n + 1)
+    while l <= i, and from i (n + 1) + n past the column's wrap, l > i.
+    The first view spans every (i, l) and the second the rows i < n - 1,
+    and both stay inside G; the second is copied over the first above the
+    diagonal.  No index array is formed, and the entries are G's, copied.
+    """
+    n, step = G.shape[1], G.itemsize
+    strides = ((n + 1) * step, (n - 1) * step)
+    A = as_strided(G, (n, n), strides).copy()
+    np.copyto(A[:-1], as_strided(G[1:], (n - 1, n), strides), where=np.triu(np.ones((n - 1, n), bool), 1))
+    return A
 
 
 def _phase_space_factors(band: BandData, region: PhaseSpaceRegion):

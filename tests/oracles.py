@@ -15,45 +15,38 @@ def fourier_matrix(grid) -> np.ndarray:
     return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n_points)
 
 
-def _block_eigenvectors(V):
-    """A block's eigenvectors on its rows; the frame form (W, parts) lifted as blockdiag(W_i) Z.
-
-    Z holds each part's eigenvectors V on its frame indices idx, the parts
-    side by side in order, zero elsewhere; blockdiag(W_i) is built as a
-    dense matrix.
-    """
-    if not isinstance(V, tuple):
-        return V
-    W, parts = V
-    n, d, _ = W.shape
-    frame = np.zeros((n * d, n * d), dtype=W.dtype)
-    for i in range(n):
-        frame[i * d : (i + 1) * d, i * d : (i + 1) * d] = W[i]
-    Z = np.zeros((n * d, n * d), dtype=np.result_type(W, *(pV for *_, pV in parts)))
-    start = 0
-    for idx, _, pV in parts:
-        Z[idx, start : start + pV.shape[1]] = pV
-        start += pV.shape[1]
-    return frame @ Z
-
-
 def dense_eigenpairs(prop):
     """(w, V): a SpectralPropagator's blocks scattered into dense N x N eigenpairs.
 
-    Each block's eigenvectors (`_block_eigenvectors`) go into its rows,
-    zero elsewhere, and the eigenvalues are sorted ascending by a stable
-    sort, the order `np.linalg.eigh` of the dense operator gives.
+    Each block's eigenvectors go into its rows, zero elsewhere, and the
+    eigenvalues are sorted ascending by a stable sort, the order
+    `np.linalg.eigh` of the dense operator gives.
     """
     N = prop.dim
     w = np.concatenate([bw for _, bw, _ in prop.blocks])
-    vectors = [_block_eigenvectors(bV) for *_, bV in prop.blocks]
-    V = np.zeros((N, N), dtype=np.result_type(*vectors))
+    V = np.zeros((N, N), dtype=np.result_type(*(bV for *_, bV in prop.blocks)))
     start = 0
-    for (rows, bw, _), bV in zip(prop.blocks, vectors):
+    for rows, bw, bV in prop.blocks:
         V[rows, start : start + len(bw)] = bV
         start += len(bw)
     order = np.argsort(w, kind="stable")
     return w[order], V[:, order]
+
+
+def diagonalize_blocks(H):
+    """A block-stored H solved block by block, each by `propagation.diagonalize`: the dense oracle of the full H.
+
+    The SpectralPropagator holds one (rows, eigenvalues, eigenvectors)
+    triple per block of H, in H's order, with the block's molecular rows;
+    with one block it is `diagonalize` of that block itself, rows
+    slice(None).
+    """
+    from adiband.propagation import SpectralPropagator, diagonalize
+
+    if len(H.blocks) == 1:
+        return diagonalize(H.blocks[0][1])
+    triples = [(H.rows(comp),) + diagonalize(block).blocks[0][1:] for comp, block in H.blocks]
+    return SpectralPropagator(blocks=tuple(triples), eps=H.eps, tag="full")
 
 
 def unitary(prop, t: float) -> np.ndarray:
@@ -66,6 +59,55 @@ def cutoff_projection(prop, cutoff: float) -> np.ndarray:
     """Dense spectral projection onto the eigenvalues <= cutoff of a SpectralPropagator."""
     w, V = dense_eigenpairs(prop)
     return (V * (w <= cutoff)) @ V.conj().T
+
+
+def split_eigenbases(pair) -> list:
+    """(rows, w_d, E_d, w_f, E_f) of each split block of a DecouplingPair, lifted to dense b x b matrices.
+
+    E_d = blockdiag(W_i) Z is the block's eigenbasis of H_diag, with Z
+    holding each part's eigenvectors V on its frame indices idx, the parts
+    side by side in order, zero elsewhere, and blockdiag(W_i) built as a
+    dense matrix; E_f = E_d M is the full block's.
+    """
+    out = []
+    for rows, W, parts, w_d, w_f, M in pair.split:
+        n, d, _ = W.shape
+        frame = np.zeros((n * d, n * d), dtype=W.dtype)
+        for i in range(n):
+            frame[i * d : (i + 1) * d, i * d : (i + 1) * d] = W[i]
+        Z = np.zeros((n * d, n * d), dtype=np.result_type(W, *(V for _, V in parts)))
+        start = 0
+        for idx, V in parts:
+            Z[idx, start : start + V.shape[1]] = V
+            start += V.shape[1]
+        E_d = frame @ Z
+        out.append((rows, w_d, E_d, w_f, E_d @ M))
+    return out
+
+
+def dense_decoupling_error(band, eps, states, times, cutoff=None) -> np.ndarray:
+    """`propagation.decoupling_error` on the grid, (T, k): H and H_diag dense, each solved as one block.
+
+    H is `assemble_full`, H_diag `assemble_diag` of it, and each is solved
+    by `diagonalize` and applied to the states on the grid.  With a cutoff
+    the states are first projected by the dense spectral projection of H
+    and measured against the L^2 norm of their projections; without one,
+    against their scaled second Sobolev norms.
+    """
+    from adiband.grids import l2_norm, sobolev_norm
+    from adiband.hamiltonians import assemble_diag, assemble_full
+    from adiband.propagation import diagonalize
+
+    H = assemble_full(band.model, band.grid, eps)
+    full, diag = diagonalize(H), diagonalize(assemble_diag(H, band))
+    vecs = np.column_stack([psi.flat() for psi in states]).astype(complex)
+    if cutoff is None:
+        denom = np.array([sobolev_norm(psi, 2) for psi in states])
+    else:
+        vecs = cutoff_projection(full, cutoff) @ vecs
+        denom = l2_norm(vecs, band.grid.dx, axis=0)
+    d = full.apply(vecs, np.asarray(times, dtype=float)) - diag.apply(vecs, np.asarray(times, dtype=float))
+    return l2_norm(d, band.grid.dx, axis=-2) / denom
 
 
 def _dense_times(A, Z):
@@ -93,13 +135,6 @@ def dense_product_apply(w, V, eps, vec, t):
     out = _dense_times(V, (c[:, None, :] * phases[:, :, None]).reshape(len(w), -1))
     out = np.ascontiguousarray(out.reshape(len(w), ts.size, -1).transpose(1, 0, 2))
     return out.reshape(ts.shape + np.shape(vec))
-
-
-def dense_product_cutoff(w, V, vec, cutoff):
-    """The projection of vec onto eigenvalues <= cutoff by the products of a one-block propagator."""
-    c = _dense_coefficients(V, vec)
-    c[w > cutoff] = 0.0
-    return _dense_times(V, c).reshape(np.shape(vec))
 
 
 def kinetic_matrix(grid, eps, a_vals=None) -> np.ndarray:
@@ -222,3 +257,10 @@ def periodic_spline(grid, values):
         return grid.x_min + np.mod(np.asarray(q, dtype=float) - grid.x_min, grid.length)
 
     return (lambda q: spline(wrap(q))), (lambda q: spline(wrap(q), 1))
+
+
+def weyl_gather(G) -> np.ndarray:
+    """A[i, l] = G[i + l, (i - l) mod n] of a (2n - 1, n) Weyl table, by one fancy gather of two meshgrid index arrays."""
+    n = G.shape[1]
+    I, L = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return G[I + L, (I - L) % n]

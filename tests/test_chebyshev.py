@@ -26,7 +26,8 @@ from adiband.grids import make_grid
 from adiband.hamiltonians import assemble_blocks, assemble_bo, bo_operator, molecular_operator
 from adiband.harness import PropagatorCache, eps_scan
 from adiband.models import get_model
-from adiband.propagation import ChebyshevPropagator, SpectralPropagator, _bessel_rows, diagonalize, diagonalize_blocks
+from adiband.propagation import ChebyshevPropagator, SpectralPropagator, _bessel_rows, diagonalize
+from oracles import diagonalize_blocks
 
 # one BO operator stored real (no gauge phase) and one complex, with the gauge field of its Berry connection
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}

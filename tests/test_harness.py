@@ -17,7 +17,7 @@ from adiband.harness import (
     standard_state_family,
 )
 from adiband.propagation import decoupling_error
-from oracles import dense_eigenpairs
+from oracles import split_eigenbases
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,13 +247,21 @@ def test_from_json_names_unknown_fields():
         ("region", [[-0.9, 1.5, float("-inf"), 0.45]], "malformed rectangle"),
         ("region", [[-0.9, 1.5, -1.05, float("inf")]], "malformed rectangle"),
         ("region", [[-0.9, 1.5, float("nan"), 0.45]], "malformed rectangle"),
+        # a cutoff the decoupling scan would misread: NaN keeps every coefficient of a split block
+        # (w > nan is false) and drops every one of a shared block (w <= nan is false); a string
+        # fails every row; True would be read as 1.0
+        ("energy_cutoff", float("nan"), "energy_cutoff must be null or a finite real number"),
+        ("energy_cutoff", "2.0", "energy_cutoff must be null or a finite real number"),
+        ("energy_cutoff", True, "energy_cutoff must be null or a finite real number"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
     from adiband.harness import _config
 
-    # the region is read by the effective-dynamics config, the other fields by the small one
-    data = json.loads((_config("effective") if key == "region" else small_config()).to_json())
+    # the region is read by the effective-dynamics config, the energy cutoff by the decoupling one,
+    # the other fields by the small one
+    base = {"region": "effective", "energy_cutoff": "decoupling"}
+    data = json.loads((_config(base[key]) if key in base else small_config()).to_json())
     data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
@@ -410,13 +418,14 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
 
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
-    # the full and the band-preserving propagator of an eps share one block-stored H
-    # (crossing_trio's -X level is uncoupled: blocks of 256 and 128), and no N x N
-    # operator is formed; diagonalize solves the two blocks of H, then the ran P and
-    # ran Q parts (128 each) of the {0, 2} block of H_diag in the fiber frame; the -X
-    # block of H_diag is H's, solved once.  Blocks are found only on m x m fiber
-    # patterns, never by an N x N exact-zero scan.  The parts of H (its fiber stack)
-    # are built once for the scan, and each eps's blocks derive from them
+    # the decoupling pair of an eps is built from one block-stored H (crossing_trio's
+    # -X level is uncoupled: blocks of 256 and 128), and no N x N operator is formed;
+    # diagonalize solves the {0, 2} block of H, then the ran P and ran Q parts (128
+    # each) of that block of H_diag in the fiber frame; the -X block, where H_diag
+    # equals H, is formed with H but not solved, since no cutoff is set.  Blocks are
+    # found only on m x m fiber patterns, never by an N x N exact-zero scan.  The
+    # parts of H (its fiber stack) are built once for the scan, and each eps's
+    # blocks derive from them
     from adiband import electronic, hamiltonians, harness, propagation
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
@@ -470,49 +479,57 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
     assert calls == {"molecular_operator": 1, "blocks": 3, "assemble_full": 0, "assemble_diag": 0}
-    # every operator formed is one block: H's two, then the two parts of H_diag's {0, 2} block
+    # every operator formed is one block: H's two, then the two parts of H_diag's {0, 2} block;
+    # H's {0, 2} block is solved, then the parts
     assert formed == [256, 128, 128, 128] * 3
-    assert dims == [256, 128, 128, 128] * 3
-    assert blocks == [256, 128, 128, 128] * 3
+    assert dims == [256, 128, 128] * 3
+    assert blocks == [256, 128, 128] * 3
     assert patterns and set(patterns) == {(3, 3)}
 
 
 @pytest.mark.parametrize("energy_cutoff", [None, 2.0])
 def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutoff):
-    # the four times of an eps come from one decoupling_error call: one apply
-    # per propagator and, with a cutoff, one projection
+    # the four times of an eps come from one decoupling_error call on the eps's pair, in H_diag's
+    # eigenbasis: no propagator applies a state, and the shared -X block is solved only for a cutoff
     from adiband import harness
     from adiband.propagation import SpectralPropagator
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1], times=[0.5, 1.0, 1.5, 2.0],
                           energy_cutoff=energy_cutoff, grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
     cache = PropagatorCache()
-    calls = {"apply": [], "energy_cutoff_apply": []}
+    calls, real = [], harness.decoupling_error
 
-    def counted(name):
-        real = getattr(SpectralPropagator, name)
+    def counted(pair, *args, **kwargs):
+        calls.append(pair.eps)
+        return real(pair, *args, **kwargs)
 
-        def wrapper(prop, *args):
-            calls[name].append(prop.eps)
-            return real(prop, *args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(SpectralPropagator, name, counted(name))
+    monkeypatch.setattr(harness, "decoupling_error", counted)
+    monkeypatch.setattr(SpectralPropagator, "apply", None)
     res = eps_scan(cfg, cache)
     assert [p["status"] for p in res.points] == ["ok"] * 12
-    assert sorted(calls["apply"]) == sorted([0.4, 0.2, 0.1] * 2)
-    assert sorted(calls["energy_cutoff_apply"]) == ([] if energy_cutoff is None else [0.1, 0.2, 0.4])
+    assert calls == [0.4, 0.2, 0.1]
+    monkeypatch.undo()
     # each point is the family's largest error at its own time, as one call per time gives it.
-    # To rounding, not bitwise: crossing_trio's blocks here are 128 wide, and OpenBLAS rounds
-    # a product with 128 inner terms differently for 80 columns (the row) than for 20 (one
-    # time); the largest relative gap measured is 2.2e-15.
-    pair, fam = cfg.build_band(), cfg.state["family_params"]
+    # To rounding, not bitwise: crossing_trio's split block here is 256 wide, and OpenBLAS rounds
+    # the product with M for 80 columns (the row) differently from 20 (one time)
+    band, fam = cfg.build_band(), cfg.state["family_params"]
     for p in res.points:
-        pf, pd = cache.decoupling_pair(pair.model, pair.grid, pair, p["eps"])
+        pair = cache.decoupling_pair(band.model, band.grid, band, p["eps"])
+        assert ("shared_solves" in vars(pair)) == (energy_cutoff is not None)
         family = standard_state_family(cfg.lift_band(), p["eps"], fam["q_centers"], fam["p_centers"], fam["wkb"])
-        one = decoupling_error(pf, pd, family, [p["t"]], energy_cutoff=energy_cutoff)
+        one = decoupling_error(pair, family, [p["t"]], energy_cutoff=energy_cutoff)
         assert p["error"] == pytest.approx(float(one.max()), rel=1e-14)
+
+
+def test_decoupling_cutoff_below_the_spectrum_is_a_row_error():
+    # a finite cutoff loads; below the whole spectrum it annihilates every state, which each row records
+    from adiband import harness
+
+    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1], energy_cutoff=-100.0,
+                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    res = eps_scan(cfg, PropagatorCache())
+    assert {(p["status"], p["message"]) for p in res.points} == {
+        ("error", "ValueError: energy cutoff annihilated the state")}
 
 
 def test_decoupling_row_that_raises_fails_every_point_of_its_eps(monkeypatch):
@@ -522,11 +539,11 @@ def test_decoupling_row_that_raises_fails_every_point_of_its_eps(monkeypatch):
                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
     real, calls = harness.decoupling_error, []
 
-    def failing_at_02(prop_full, *args, **kwargs):
-        calls.append(prop_full.eps)
-        if prop_full.eps == 0.2:
+    def failing_at_02(pair, *args, **kwargs):
+        calls.append(pair.eps)
+        if pair.eps == 0.2:
             raise RuntimeError("row failed")
-        return real(prop_full, *args, **kwargs)
+        return real(pair, *args, **kwargs)
 
     monkeypatch.setattr(harness, "decoupling_error", failing_at_02)
     res = eps_scan(cfg, PropagatorCache())
@@ -712,36 +729,39 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     bands = [band_decompose(model, grid, 0) for model in models]
     cache = PropagatorCache()
     built = [
-        [cache.full(cfg, model, grid, 0.1), *cache.decoupling_pair(model, grid, band, 0.1),
+        [cache.full(cfg, model, grid, 0.1), cache.decoupling_pair(model, grid, band, 0.1),
          cache.diag(cfg, model, grid, band, 0.1), cache.bo(cfg, band, 0.1)]
         for model, band in zip(models, bands)
     ]
     for a, b in zip(*built):
         assert a is not b
-    # the decoupling pair is dense: its eigenvalues differ
-    for a, b in zip(built[0][1:4], built[1][1:4]):
-        assert not np.array_equal(dense_eigenpairs(a)[0], dense_eigenpairs(b)[0])
+    # the decoupling pair is dense: the eigenvalues of its full block differ
+    for a, b in zip(built[0][1:3], built[1][1:3]):
+        assert not np.array_equal(a.split[0][4], b.split[0][4])
     # the full and the BO propagators are matrix-free: their evolutions differ
     v = np.exp(-grid.x**2) + 0j
     vv = np.repeat(v, 2)
     assert not np.allclose(built[0][0].apply(vv, 1.0), built[1][0].apply(vv, 1.0))
-    assert not np.allclose(built[0][4].apply(v, 1.0), built[1][4].apply(v, 1.0))
-    # the same objects hit: diag and the pair's diag share an entry.  full and bo are built anew
-    # on each call and kept nowhere; full's parts are kept, once per model.  The matrix-free
-    # full and the pair's dense full evolve alike, to the rounding of the Chebyshev sum
+    assert not np.allclose(built[0][3].apply(v, 1.0), built[1][3].apply(v, 1.0))
+    # the same objects hit: diag and the pair share an entry.  full and bo are built anew on each
+    # call and kept nowhere; full's parts are kept, once per model.  The matrix-free full and the
+    # pair's full block (one block over every row), lifted to the grid, evolve alike, to the
+    # rounding of the Chebyshev sum
     for model, band, props in zip(models, bands, built):
-        assert props[2] is props[3]
+        assert props[1] is props[2]
         assert cache.full(cfg, model, grid, 0.1) is not props[0]
-        assert cache.full(cfg, model, grid, 0.1).operator is props[0].operator
-        assert cache.bo(cfg, band, 0.1) is not props[4]
-        assert isinstance(props[0], ChebyshevPropagator) and props[1].blocks
-        want = props[1].apply(vv, 1.0)
+        assert cache.full(cfg, model, grid, 0.1).operator is props[0].operator is props[1].operator
+        assert cache.bo(cfg, band, 0.1) is not props[3]
+        assert isinstance(props[0], ChebyshevPropagator) and props[1].split
+        ((rows, _, _, w_f, E_f),) = split_eigenbases(props[1])
+        assert np.array_equal(rows, np.arange(len(vv)))
+        want = E_f @ (np.exp(-1j * w_f * 1.0 / 0.1) * (E_f.conj().T @ vv))
         assert np.abs(props[0].apply(vv, 1.0) - want).max() <= 1e-12 * np.abs(want).max()
-    # per model: its parts, the pair's full and one diag
-    assert sorted(key[0] for key in cache._store) == ["diag", "diag", "pair full", "pair full", "parts", "parts"]
+    # per model: its parts and one pair
+    assert sorted(key[0] for key in cache._store) == ["pair", "pair", "parts", "parts"]
     # another grid is other parts as well
     assert cache.full(cfg, models[0], make_grid(-8, 8, 32), 0.1).dim == 64
-    assert len(cache._store) == 7
+    assert len(cache._store) == 5
 
 
 def test_bo_cache_entries_are_keyed_by_the_gauge():
@@ -774,8 +794,8 @@ def test_bo_cache_entries_are_keyed_by_the_gauge():
         want = diagonalize(assembled_bo(b, 0.1, include_a_geo=cfg.include_a_geo)).apply(v, [0.5, 1.0])
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
     assert not np.allclose(got[1], got[0]) and not np.allclose(got[2], got[0])
-    # the BO propagators are kept nowhere: the parts, the pair's full and one diag
-    assert sorted(key[0] for key in cache._store) == ["diag", "pair full", "parts"]
+    # the BO propagators are kept nowhere: the parts and one pair
+    assert sorted(key[0] for key in cache._store) == ["pair", "parts"]
 
 
 @pytest.mark.parametrize(
@@ -784,8 +804,8 @@ def test_bo_cache_entries_are_keyed_by_the_gauge():
         # the matrix-free scans keep only the molecular parts (effective: for its full propagator)
         ("effective", 0),
         ("state_rates", 0),
-        # a decoupling scan keeps the parts and its dense pair, "pair full" and "diag", per eps
-        ("decoupling", 2),
+        # a decoupling scan keeps the parts and its dense pair, one entry per eps
+        ("decoupling", 1),
     ],
 )
 def test_scans_keep_only_the_parts_and_the_decoupling_pair(name, pair_entries):
@@ -799,7 +819,7 @@ def test_scans_keep_only_the_parts_and_the_decoupling_pair(name, pair_entries):
     assert all(p["status"] == "ok" for p in res.points)
     kinds = [key[0] for key in cache._store]
     assert kinds.count("parts") == 1
-    assert sorted(kinds) == sorted(["parts"] + ["pair full", "diag"][:pair_entries] * len(cfg.eps_ladder))
+    assert sorted(kinds) == sorted(["parts"] + ["pair"] * pair_entries * len(cfg.eps_ladder))
 
 
 def test_emit_json_roundtrip(tmp_path, scan_result):

@@ -6,25 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiband.electronic import band_decompose
-from adiband.grids import MolecularWave, l2_norm, make_grid, norm, sobolev_norm
+from adiband.grids import MolecularWave, make_grid, norm
 from adiband.hamiltonians import (
     assemble_blocks,
     assemble_bo,
     assemble_diag,
     assemble_full,
     full_projection,
+    molecular_operator,
     split_band_preserving,
 )
 from adiband.models import get_model
 from adiband.propagation import (
     decoupling_error,
     diagonalize,
-    diagonalize_band_preserving,
-    diagonalize_blocks,
+    diagonalize_pair,
     effective_dynamics_error,
     evolve,
 )
-from oracles import cutoff_projection, dense_eigenpairs, dense_product_apply, dense_product_cutoff, unitary
+from oracles import (
+    cutoff_projection,
+    dense_decoupling_error,
+    dense_eigenpairs,
+    dense_product_apply,
+    diagonalize_blocks,
+    split_eigenbases,
+    unitary,
+)
 
 # one model stored real (real fibers, real frame) and one stored complex
 MODELS = {"real": ("rotated_pair", (-2, 2)), "complex": ("two_band_complex", None)}
@@ -45,11 +53,51 @@ def setups():
     return [_build(*MODELS[kind]) for kind in ("complex", "real")]
 
 
+@pytest.fixture(scope="module")
+def pairs(setups):
+    """The decoupling pair of each setup's H and band at eps = 0.1."""
+    return [diagonalize_pair(molecular_operator(model, grid), band, 0.1) for grid, model, band, *_ in setups]
+
+
 def _gaussian_state(grid, band, eps, q0=0.0, p0=0.5):
     u = (grid.x - q0) / np.sqrt(eps)
     phi = eps**-0.25 * np.pi**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.exp(-(u**2) / 2)
     phi = phi / (np.linalg.norm(phi) * np.sqrt(grid.dx))
     return MolecularWave(grid, phi[:, None] * band.chi, eps=eps)
+
+
+def _random_states(grid, m, count, seed, eps=0.1):
+    rng = np.random.default_rng(seed)
+    return [MolecularWave(grid, rng.standard_normal((grid.n_points, m)) + 1j * rng.standard_normal((grid.n_points, m)),
+                          eps=eps) for _ in range(count)]
+
+
+def _random_packets(grid, m, count, seed, eps=0.1):
+    """Gaussian packets of width sqrt(eps) with random centers in [-2, 2], momenta in [-1, 1] and fiber parts."""
+    rng = np.random.default_rng(seed)
+    packets = []
+    for _ in range(count):
+        q0, p0 = rng.uniform(-2, 2), rng.uniform(-1, 1)
+        phi = np.exp(-((grid.x - q0) ** 2) / (2 * eps) + 1j * p0 * grid.x / eps)
+        packets.append(MolecularWave(grid, phi[:, None] * (rng.standard_normal(m) + 1j * rng.standard_normal(m)),
+                                     eps=eps))
+    return packets
+
+
+def _gap_cutoff(w):
+    """A cutoff in the widest gap of the lower half of the eigenvalues w, away from every one of them."""
+    w = np.sort(w)[: len(w) // 2]
+    i = int(np.argmax(np.diff(w)))
+    return 0.5 * (w[i] + w[i + 1])
+
+
+def _energy_cutoff(H, states):
+    """A cutoff at the states' mean energy under the dense H, moved to the middle of the spectral gap it lies in."""
+    vecs = np.column_stack([psi.flat() for psi in states])
+    energy = np.mean(np.real(np.sum(vecs.conj() * (H.matrix @ vecs), axis=0)) / np.sum(np.abs(vecs) ** 2, axis=0))
+    w = np.linalg.eigvalsh(H.matrix)
+    i = int(np.searchsorted(w, energy))
+    return 0.5 * (w[i - 1] + w[i])
 
 
 def test_diagonalize_diagonal_input():
@@ -111,8 +159,8 @@ def test_energy_conservation(setups):
             assert abs(energy(evolve(prop, psi, t)) - e0) <= 1e-10
 
 
-def test_apply_block_matches_columns_and_unitary(setups):
-    for grid, model, band, H, prop in setups:
+def test_apply_block_matches_columns_and_unitary(setups, pairs):
+    for (grid, model, band, H, prop), pair in zip(setups, pairs):
         rng = np.random.default_rng(0)
         block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
         t = 0.7
@@ -120,15 +168,15 @@ def test_apply_block_matches_columns_and_unitary(setups):
         columns = np.column_stack([prop.apply(block[:, j], t) for j in range(3)])
         assert np.abs(out - columns).max() <= 1e-12
         assert np.abs(out - unitary(prop, t) @ block).max() <= 1e-12
+        # the pair's energy cutoff projects a family of states as it projects each state alone
         cutoff = float(np.median(dense_eigenpairs(prop)[0]))
-        cut = prop.energy_cutoff_apply(block, cutoff)
-        columns = np.column_stack([prop.energy_cutoff_apply(block[:, j], cutoff) for j in range(3)])
-        assert np.abs(cut - columns).max() <= 1e-12
+        states = [MolecularWave(grid, block[:, j].reshape(grid.n_points, -1), eps=0.1) for j in range(3)]
+        cut = decoupling_error(pair, states, [t], energy_cutoff=cutoff)
+        columns = np.column_stack([decoupling_error(pair, [psi], [t], energy_cutoff=cutoff) for psi in states])
+        assert np.abs(cut / columns - 1).max() <= 1e-12
 
 
 def test_real_storage_matches_complex_solver():
-    from adiband.hamiltonians import assemble_bo
-
     grid, model, band, H_full, _ = _build(*MODELS["real"])
     # the full H and the Born-Oppenheimer H of the real frame (zero gauge field)
     for H in (H_full, assemble_bo(dataclasses.replace(band, delta=0.4), H_full.eps)):
@@ -152,10 +200,19 @@ def test_real_storage_matches_complex_solver():
             assert gap(prop.apply(block, t), ref.apply(block, t)) <= 1e-12
             assert gap(prop.apply(block[:, :1], t), ref.apply(block[:, :1], t)) <= 1e-12
             assert np.linalg.norm(unitary(prop, t) - unitary(ref, t), 2) <= 1e-12
-        # a cutoff inside a spectral gap, so that no degenerate pair is split
-        i = int(np.argmax(np.diff(w[: prop.dim // 2])))
-        cutoff = 0.5 * (w[i] + w[i + 1])
-        assert gap(prop.energy_cutoff_apply(block, cutoff), ref.energy_cutoff_apply(block, cutoff)) <= 1e-12
+    # the decoupling pair of the real H, and of the same H stored complex: the complex solver
+    # runs on every block and part, and the errors agree, with a cutoff inside a spectral gap
+    operator = molecular_operator(model, grid)
+    real, cplx = (diagonalize_pair(op, band, 0.1)
+                  for op in (operator, dataclasses.replace(operator, fibers=operator.fibers.astype(complex))))
+    assert {M.dtype for *_, M in real.split} == {np.dtype(np.float64)}
+    assert {M.dtype for *_, M in cplx.split} == {np.dtype(np.complex128)}
+    states = _random_states(grid, 2, 4, seed=3)
+    cutoff = _gap_cutoff(real.split[0][4])
+    for energy_cutoff in (None, cutoff):
+        # each error is a norm relative to its state's: a gap of 1e-12 between unit states, as above
+        a, b = (decoupling_error(p, states, [0.0, 0.3, 0.7], energy_cutoff=energy_cutoff) for p in (real, cplx))
+        assert np.all(b[1:] > 0) and np.abs(a - b).max() <= 1e-12
 
 
 def test_apply_at_a_row_of_times_equals_stacked_scalar_calls(setups):
@@ -185,7 +242,14 @@ def _complex_stored(prop):
     return dataclasses.replace(prop, blocks=((slice(None), w, V.astype(complex)),))
 
 
-def test_float64_storage_equals_complex_storage():
+def _complex_stored_pair(pair):
+    """The same pair with its frames, eigenvectors and M stored complex128."""
+    split = tuple((rows, W.astype(complex), tuple((idx, V.astype(complex)) for idx, V in parts), w_d, w_f,
+                   M.astype(complex)) for rows, W, parts, w_d, w_f, M in pair.split)
+    return dataclasses.replace(pair, split=split)
+
+
+def test_float64_storage_equals_complex_storage(pairs):
     *_, prop = _build(*MODELS["real"])
     w, V = dense_eigenpairs(prop)
     assert V.dtype == np.float64
@@ -194,34 +258,26 @@ def test_float64_storage_equals_complex_storage():
     rng = np.random.default_rng(5)
     block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
     block /= np.linalg.norm(block, axis=0)
-    cutoff = float(np.median(w))
     for vec in (block, block[:, 0]):
         for t in (0.0, 0.7, 3.0):
             out = prop.apply(vec, t)
             assert out.shape == vec.shape
             assert np.abs(out - ref.apply(vec, t)).max() <= 1e-13
-        out = prop.energy_cutoff_apply(vec, cutoff)
-        assert out.shape == vec.shape
-        assert np.abs(out - ref.energy_cutoff_apply(vec, cutoff)).max() <= 1e-13
     for t in (0.7, 3.0):
         assert np.abs(unitary(prop, t) - unitary(ref, t)).max() <= 1e-13
+    # the real pair and the same pair stored complex give the same errors, with and without a cutoff
+    pair = pairs[1]
+    assert all(a.dtype == np.float64 for _, W, parts, _, _, M in pair.split for a in (W, M, *(V for _, V in parts)))
+    grid = pair.operator.grid
+    states = [MolecularWave(grid, block[:, j].reshape(grid.n_points, -1), eps=0.1) for j in range(4)]
+    for energy_cutoff in (None, float(np.median(w))):
+        a = decoupling_error(pair, states, [0.0, 0.7, 3.0], energy_cutoff=energy_cutoff)
+        b = decoupling_error(_complex_stored_pair(pair), states, [0.0, 0.7, 3.0], energy_cutoff=energy_cutoff)
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
-def _per_state_error(pf, pd, psi, t, cutoff):
-    """The single-state formula: one vector at a time through complex-stored eigenvectors."""
-    pf, pd = _complex_stored(pf), _complex_stored(pd)
-    vec = psi.flat()
-    if cutoff is not None:
-        vec = pf.energy_cutoff_apply(vec, cutoff)
-        denom = l2_norm(vec, psi.grid.dx)
-    else:
-        denom = sobolev_norm(psi, 2)
-    return l2_norm(pf.apply(vec, t) - pd.apply(vec, t), psi.grid.dx) / denom
-
-
-def test_block_decoupling_error_matches_per_state_formula(setups):
-    for grid, model, band, H, prop in setups:
-        pd = diagonalize(assemble_diag(H, band))
+def test_block_decoupling_error_matches_per_state_formula(setups, pairs):
+    for (grid, model, band, H, prop), pair in zip(setups, pairs):
         states = [_gaussian_state(grid, band, 0.1, q0, p0) for q0, p0 in ((-1.0, 0.3), (0.0, 0.5), (0.8, -0.4))]
         # unnormalized on purpose: each column has its own Sobolev norm
         states[1] = MolecularWave(grid, 2.5 * states[1].values, eps=0.1)
@@ -230,23 +286,27 @@ def test_block_decoupling_error_matches_per_state_formula(setups):
         cutoff = float(np.real(np.vdot(v, H.matrix @ v))) * grid.dx
         times = (0.5, 2.0)
         for energy_cutoff in (None, cutoff):
-            got = decoupling_error(prop, pd, states, times, energy_cutoff=energy_cutoff)
-            want = np.array([[_per_state_error(prop, pd, psi, t, energy_cutoff) for psi in states] for t in times])
-            assert got.shape == (len(times), len(states))
+            got = decoupling_error(pair, states, times, energy_cutoff=energy_cutoff)
+            # the family as one block, against one state at a time through the same pair
+            alone = np.column_stack([decoupling_error(pair, [psi], times, energy_cutoff=energy_cutoff)
+                                     for psi in states])
+            want = dense_decoupling_error(band, 0.1, states, times, energy_cutoff)
+            assert got.shape == want.shape == (len(times), len(states))
             assert np.all(want > 1e-6)
-            assert np.abs(got / want - 1).max() <= 1e-12
+            assert np.abs(got / alone - 1).max() <= 1e-12
+            assert np.abs(got / want - 1).max() <= 1e-10
 
 
-def test_decoupling_error_over_times_equals_per_time_calls(setups):
+def test_decoupling_error_over_times_equals_per_time_calls(pairs):
     times = [0.5, 1.0, 2.0]
-    for grid, model, band, H, prop in setups:
-        pd = diagonalize(assemble_diag(H, band))
-        states = [_gaussian_state(grid, band, 0.1, q0, p0) for q0, p0 in ((-1.0, 0.3), (0.8, -0.4))]
-        cutoff = float(np.median(dense_eigenpairs(prop)[0]))
+    for pair in pairs:
+        grid = pair.operator.grid
+        states = _random_states(grid, 2, 2, seed=11)
+        cutoff = float(np.median(np.concatenate([w_f for *_, w_f, _ in pair.split])))
         for energy_cutoff in (None, cutoff):
-            row = decoupling_error(prop, pd, states, times, energy_cutoff=energy_cutoff)
+            row = decoupling_error(pair, states, times, energy_cutoff=energy_cutoff)
             # rows of one time, stacked
-            per_time = np.concatenate([decoupling_error(prop, pd, states, [t], energy_cutoff=energy_cutoff)
+            per_time = np.concatenate([decoupling_error(pair, states, [t], energy_cutoff=energy_cutoff)
                                        for t in times])
             assert row.shape == per_time.shape == (len(times), len(states))
             assert np.all(per_time > 1e-6)
@@ -254,7 +314,7 @@ def test_decoupling_error_over_times_equals_per_time_calls(setups):
         # one call form: a scalar time or a nested row is refused, not reshaped
         for bad in (1.0, [times]):
             with pytest.raises(ValueError, match="1-D sequence"):
-                decoupling_error(prop, pd, states, bad)
+                decoupling_error(pair, states, bad)
 
 
 def test_evolve_dimension_mismatch(setups):
@@ -265,21 +325,19 @@ def test_evolve_dimension_mismatch(setups):
             evolve(prop, psi, 1.0)
 
 
-def test_apply_rejects_wrong_row_count(setups):
+def test_apply_rejects_wrong_row_count(setups, pairs):
     # a length k*dim vector must not be folded into a (dim, k) block
-    for grid, model, band, H, prop in setups:
+    for (grid, model, band, H, prop), pair in zip(setups, pairs):
         for shape in ((2 * prop.dim,), (2 * prop.dim, 3), (prop.dim // 2, 4)):
             vec = np.ones(shape, dtype=complex)
             with pytest.raises(ValueError):
                 prop.apply(vec, 1.0)
-            with pytest.raises(ValueError):
-                prop.energy_cutoff_apply(vec, 0.0)
-        # a family on a finer grid than the propagators'
-        pd = diagonalize(assemble_diag(H, band))
+        # a family on a finer grid than the pair's, with and without a cutoff
         fine = make_grid(-8, 8, 256)
         wave = MolecularWave(fine, np.ones((256, 2)), eps=0.1)
-        with pytest.raises(ValueError):
-            decoupling_error(prop, pd, [wave, wave], [1.0])
+        for energy_cutoff in (None, 0.0):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                decoupling_error(pair, [wave, wave], [1.0], energy_cutoff=energy_cutoff)
 
 
 def test_decoupling_error_zero_for_commuting_fixture(monkeypatch):
@@ -287,52 +345,46 @@ def test_decoupling_error_zero_for_commuting_fixture(monkeypatch):
     grid = make_grid(-8, 8, 64)
     model = get_model("constant_fiber", levels=(0.0, 2.0))
     band = band_decompose(model, grid, 0)
-    H = assemble_full(model, grid, eps=0.1)
-    Hd = assemble_diag(H, band)
-    pf, pd = diagonalize(H), diagonalize(Hd)
     psi = _gaussian_state(grid, band, 0.1)
-    assert decoupling_error(pf, pd, [psi], [1.0]).max() <= 1e-10
-    # the block-built pair shares both blocks of H: the error is exactly zero, of shape (T, k),
-    # and no propagator applies a state; a cutoff that annihilates a state is still refused
-    Hb = assemble_blocks(model, grid, eps=0.1)
-    full = diagonalize_blocks(Hb)
-    diag = diagonalize_band_preserving(Hb, band, full)
-    assert len(diag.blocks) == 2 and all(d is f for d, f in zip(diag.blocks, full.blocks))
-    monkeypatch.setattr(type(full), "apply", None)
+    assert dense_decoupling_error(band, 0.1, [psi], [1.0]).max() <= 1e-10
+    # the pair shares both blocks of H: the error is exactly zero, of shape (T, k), and no
+    # propagator applies a state; a cutoff that annihilates a state is still refused
+    pair = diagonalize_pair(molecular_operator(model, grid), band, 0.1)
+    assert pair.split == () and pair.shared == (0, 1)
+    from adiband.propagation import SpectralPropagator
+
+    monkeypatch.setattr(SpectralPropagator, "apply", None)
     states = [psi, _gaussian_state(grid, band, 0.1, q0=1.0)]
     for energy_cutoff in (None, 10.0):
-        err = decoupling_error(full, diag, states, [0.5, 1.0, 2.0], energy_cutoff=energy_cutoff)
+        err = decoupling_error(pair, states, [0.5, 1.0, 2.0], energy_cutoff=energy_cutoff)
         assert err.shape == (3, 2) and np.all(err == 0.0)
     with pytest.raises(ValueError, match="energy cutoff annihilated the state"):
-        decoupling_error(full, diag, states, [1.0], energy_cutoff=-1.0)
+        decoupling_error(pair, states, [1.0], energy_cutoff=-1.0)
 
 
-def test_decoupling_error_eigenvector_input(setups):
-    for grid, model, band, H, prop in setups:
-        Hd = assemble_diag(H, band)
-        pd = diagonalize(Hd)
+def test_decoupling_error_eigenvector_input(pairs, setups):
+    for (grid, model, band, H, prop), pair in zip(setups, pairs):
         # an eigenvector of H that also lies in Ran P evolves identically under
         # both generators only if it is a common eigenvector; use the commuting
         # constant-fiber case above for the exact statement. Here: error bounded.
         psi = _gaussian_state(grid, band, 0.1)
-        e = decoupling_error(prop, pd, [psi], [1.0])
+        e = decoupling_error(pair, [psi], [1.0])
         assert e.shape == (1, 1)
         assert 0 <= e[0, 0] <= 2.0
 
 
-def test_decoupling_error_rejects_zero_state(setups):
-    for grid, model, band, H, prop in setups:
-        pd = diagonalize(assemble_diag(H, band))
+def test_decoupling_error_rejects_zero_state(setups, pairs):
+    for (grid, model, band, H, prop), pair in zip(setups, pairs):
         zero = MolecularWave(grid, np.zeros((grid.n_points, 2)), eps=0.1)
         psi = _gaussian_state(grid, band, 0.1)
         # a zero state among nonzero ones, with and without a cutoff
         for energy_cutoff in (None, 10.0):
             with pytest.raises(ValueError, match="zero initial state"):
-                decoupling_error(prop, pd, [psi, zero], [1.0], energy_cutoff=energy_cutoff)
+                decoupling_error(pair, [psi, zero], [1.0], energy_cutoff=energy_cutoff)
         # a cutoff below the whole spectrum annihilates a nonzero state
         below = float(dense_eigenpairs(prop)[0][0]) - 1.0
         with pytest.raises(ValueError, match="energy cutoff annihilated the state"):
-            decoupling_error(prop, pd, [psi], [1.0], energy_cutoff=below)
+            decoupling_error(pair, [psi], [1.0], energy_cutoff=below)
 
 
 @pytest.mark.parametrize("tag", ["rotated_pair", "two_band_complex"])
@@ -362,9 +414,9 @@ def test_effective_dynamics_error_equals_dense_formula(tag):
     assert got == pytest.approx(want, rel=1e-14)
 
 
-# the band-preserving split solve against the dense oracle diagonalize(assemble_diag(H, band)),
-# one dense eigh of the N x N H_diag, with the indices of the blocks of H on which H_diag
-# equals H and shares their solve
+# the decoupling pair against the dense oracles diagonalize(assemble_full(...)) and
+# diagonalize(assemble_diag(H, band)), one dense eigh of the N x N H and of H_diag each, with
+# the indices of the blocks of H on which H_diag equals H, which the pair shares and does not solve
 SPLIT_CASES = {
     # real data, P of rank 2 in a fiber of 3; P is 1 on the -X block at every point
     "crossing_trio-pair": ("crossing_trio", (0, 1), None, None, np.float64, (1,)),
@@ -379,12 +431,21 @@ SPLIT_CASES = {
 }
 
 
-def _split_setup(tag, bands, window, gauge):
-    grid = make_grid(-8, 8, 128)
+def _split_setup(tag, bands, window, gauge, n=128):
+    grid = make_grid(-8, 8, n)
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge=gauge)
     H = assemble_blocks(model, grid, eps=0.1)
     return grid, band, H, diagonalize_blocks(H)
+
+
+def _case_pair(case, n=128, eps=0.1):
+    """(grid, band, pair) of a SPLIT_CASES entry at n points and eps."""
+    tag, bands, window, gauge, *_ = SPLIT_CASES[case]
+    grid = make_grid(-8, 8, n)
+    model = get_model(tag)
+    band = band_decompose(model, grid, bands, window=window, gauge=gauge)
+    return grid, band, diagonalize_pair(molecular_operator(model, grid), band, eps)
 
 
 def _fibers(band, comp):
@@ -403,16 +464,17 @@ def _ran_p(band, comp, W):
 def test_band_preserving_split_matches_dense_oracle(case):
     tag, bands, window, gauge, dtype, shared = SPLIT_CASES[case]
     grid, band, H, full = _split_setup(tag, bands, window, gauge)
-    got = diagonalize_band_preserving(H, band, full)
+    got = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
     dense = assemble_full(band.model, grid, eps=0.1)
-    want = diagonalize(assemble_diag(dense, band))
+    dense_diag = assemble_diag(dense, band)
+    want = diagonalize(dense_diag)
     assert [rows for rows, *_ in want.blocks] == [slice(None)]
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
     # one entry per block of H: None where H_diag equals H, else the block's frame of P and
     # its ran P part, then its ran Q part, which together cover the block's rows once
     entries = split_band_preserving(H, band)
     assert len(entries) == len(H.blocks)
-    assert tuple(k for k, entry in enumerate(entries) if entry is None) == shared
+    assert tuple(k for k, entry in enumerate(entries) if entry is None) == shared == got.shared
     rank = sum(block.dim for k, (comp, block) in enumerate(H.blocks) if k in shared and _fibers(band, comp).any())
     for (comp, block), entry in zip(H.blocks, entries):
         if entry is None:
@@ -430,133 +492,200 @@ def test_band_preserving_split_matches_dense_oracle(case):
     # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
     assert rank == len(bands) * int(band.mask.sum())
 
-    assert got.dim == H.dim and got.tag == "diag"
-    # eigenvalues ascend within each part: a split block lists its ran P part's, then its ran Q part's
-    for (_, w, _), entry in zip(got.blocks, entries):
-        sizes = [len(w)] if entry is None else [G.dim for _, G in entry[1]]
-        assert all(np.all(np.diff(part) >= 0) for part in np.split(w, np.cumsum(sizes)[:-1]))
-    (got_w, got_V), (want_w, want_V) = dense_eigenpairs(got), dense_eigenpairs(want)
-    gap = np.abs(got_w - want_w).max()
-    assert gap <= 1e-12 * np.abs(dense.matrix).max()
-    assert got_V.dtype == want_V.dtype == dtype
+    assert got.dim == H.dim and got.eps == 0.1
+    # eigenvalues ascend within each part (a split block lists its ran P part's, then its ran Q
+    # part's) and within the full block
+    for (_, _, parts, w_d, w_f, M), entry in zip(got.split, [e for e in entries if e is not None]):
+        sizes = [G.dim for _, G in entry[1]]
+        assert all(np.all(np.diff(part) >= 0) for part in np.split(w_d, np.cumsum(sizes)[:-1]))
+        assert np.all(np.diff(w_f) >= 0)
+        assert M.dtype == dtype and all(V.dtype == dtype for _, V in parts)
+    # the spectra of H_diag and H: the split blocks' and, on a shared block, H's own
+    shared_w = [w for k, (_, w, _) in enumerate(full.blocks) if k in shared]
+    scale = np.abs(dense.matrix).max()
+    for w_split, oracle in ((3, dense_diag), (4, dense)):
+        w = np.sort(np.concatenate([entry[w_split] for entry in got.split] + shared_w))
+        assert np.abs(w - np.linalg.eigvalsh(oracle.matrix)).max() <= 1e-12 * scale
+    # on each split block's rows, E_d and E_f = E_d M are orthonormal eigenbases of H_diag and H
+    for rows, w_d, E_d, w_f, E_f in split_eigenbases(got):
+        b = len(rows)
+        for w, E, oracle in ((w_d, E_d, dense_diag), (w_f, E_f, dense)):
+            assert np.abs(E.conj().T @ E - np.eye(b)).max() <= 1e-12
+            assert np.abs((E * w) @ E.conj().T - oracle.matrix[np.ix_(rows, rows)]).max() <= 1e-12 * scale
 
-    rng = np.random.default_rng(3)
-    block = rng.standard_normal((H.dim, 4)) + 1j * rng.standard_normal((H.dim, 4))
-    # a cutoff in the widest gap of the lower half, away from every eigenvalue
-    w = want_w[: H.dim // 2]
-    i = int(np.argmax(np.diff(w)))
-    cutoff = 0.5 * (w[i] + w[i + 1])
-    for vec in (block[:, 0], block):
-        # the two sides are independent eigensolves: the phase e^{-i w t/eps} turns
-        # their eigenvalue gap into a phase error of gap t/eps, on top of the floor
-        for t in (0.7, 3.0):
-            a, b = got.apply(vec, t), want.apply(vec, t)
-            assert a.shape == vec.shape
-            assert np.abs(a - b).max() <= (1e-12 + gap * t / H.eps) * np.abs(b).max()
-        a, b = got.energy_cutoff_apply(vec, cutoff), want.energy_cutoff_apply(vec, cutoff)
-        assert a.shape == vec.shape
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-    if len(shared) == len(H.blocks):
-        # H_diag = H: the two propagators are one, so the decoupling error is exactly zero
-        waves = [MolecularWave(grid, block[:, j].reshape(grid.n_points, -1), eps=0.1) for j in range(4)]
-        assert np.all(decoupling_error(full, got, waves, [0.7, 3.0]) == 0.0)
+    # the errors of both evolutions and of the energy cutoff against the dense oracle
+    states = _random_packets(grid, band.fiber_dim, 4, seed=3)
+    cutoff = _energy_cutoff(dense, states)
+    for energy_cutoff in (None, cutoff):
+        a = decoupling_error(got, states, [0.7, 3.0], energy_cutoff=energy_cutoff)
+        b = dense_decoupling_error(band, 0.1, states, [0.7, 3.0], energy_cutoff)
+        if len(shared) == len(H.blocks):
+            # H_diag = H: the pair shares every block, so the decoupling error is exactly zero
+            assert np.all(a == 0.0) and np.abs(b).max() <= 1e-12
+        else:
+            assert np.abs(a / b - 1).max() <= 1e-10
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_full_and_band_preserving_propagators_share_the_blocks_of_h(case):
-    # one triple per block of H, in H's order, on the full propagator's rows at the same
-    # index; the rows of each propagator cover every row exactly once, and a shared block
-    # is the full triple itself
+    # one split entry per block of H that P splits, in H's order, on that block's rows, and the
+    # index of every other block of H in `shared`; the rows of the split and shared blocks cover
+    # every row exactly once
     tag, bands, window, gauge, _, shared = SPLIT_CASES[case]
     grid, band, H, full = _split_setup(tag, bands, window, gauge)
-    diag = diagonalize_band_preserving(H, band, full)
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
     every = np.arange(H.dim)
-    assert len(full.blocks) == len(diag.blocks) == len(H.blocks)
-    for prop in (full, diag):
-        assert np.array_equal(np.sort(np.concatenate([every[rows] for rows, *_ in prop.blocks])), every)
-    for k, ((comp, _), f, d) in enumerate(zip(H.blocks, full.blocks, diag.blocks)):
-        assert np.array_equal(every[f[0]], H.rows(comp))
-        assert np.array_equal(every[d[0]], every[f[0]]) and type(d[0]) is type(f[0])
-        assert len(d[1]) == len(f[1]) and f[2].shape == (len(f[1]),) * 2
-        assert (d is f) == (k in shared)
-        if d is not f:
-            # the frame form: the block's frame of P, and each part's square eigenvectors on its
-            # frame indices, ran P then ran Q, which cover the block's frame basis once
-            W, parts = d[2]
-            assert W.shape == (grid.n_points, len(comp), len(comp))
-            assert [V.shape for _, _, V in parts] == [(len(idx),) * 2 for idx, _, _ in parts]
-            assert np.array_equal(np.sort(np.concatenate([idx for idx, _, _ in parts])), np.arange(len(d[1])))
-            assert np.array_equal(np.concatenate([w for _, w, _ in parts]), d[1])
+    assert pair.shared == shared and len(pair.split) + len(shared) == len(H.blocks)
+    split_blocks = [block for k, block in enumerate(H.blocks) if k not in shared]
+    covered = [rows for rows, *_ in pair.split] + [H.rows(H.blocks[k][0]) for k in shared]
+    assert np.array_equal(np.sort(np.concatenate(covered)), every)
+    for (comp, block), (rows, W, parts, w_d, w_f, M) in zip(split_blocks, pair.split):
+        b = block.dim
+        assert np.array_equal(rows, H.rows(comp))
+        # the block's frame of P, each part's square eigenvectors on its frame indices, ran P then
+        # ran Q, which cover the block's frame basis once, and the full block's b eigenvalues and M
+        assert W.shape == (grid.n_points, len(comp), len(comp))
+        assert [V.shape for _, V in parts] == [(len(idx),) * 2 for idx, _ in parts]
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in parts])), np.arange(b))
+        assert w_d.shape == w_f.shape == (b,) and M.shape == (b, b)
+    # nothing of a shared block is solved until an energy cutoff asks
+    assert "shared_solves" not in vars(pair)
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_block_pair_decoupling_error_matches_per_state_formula(case):
-    # the block-built pair, shared triples dropped and split blocks applied in P's frame, against
-    # one state at a time through the dense scattered eigenpairs of both propagators
+    # the pair, shared blocks dropped and split blocks measured in H_diag's eigenbasis, against
+    # one state at a time through the same pair, and against the dense grid-space oracle
     tag, bands, window, gauge, _, shared = SPLIT_CASES[case]
     grid, band, H, full = _split_setup(tag, bands, window, gauge)
-    diag = diagonalize_band_preserving(H, band, full)
-    rng = np.random.default_rng(5)
-    states = [MolecularWave(grid, rng.standard_normal((grid.n_points, band.fiber_dim))
-                            + 1j * rng.standard_normal((grid.n_points, band.fiber_dim)), eps=0.1) for _ in range(3)]
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    states = _random_states(grid, band.fiber_dim, 3, seed=5)
     times = (0.5, 0.7, 3.0)
     cutoff = float(np.median(dense_eigenpairs(full)[0]))
     for energy_cutoff in (None, cutoff):
-        got = decoupling_error(full, diag, states, times, energy_cutoff=energy_cutoff)
-        want = np.array([[_per_state_error(full, diag, psi, t, energy_cutoff) for psi in states] for t in times])
+        got = decoupling_error(pair, states, times, energy_cutoff=energy_cutoff)
+        alone = np.column_stack([decoupling_error(pair, [psi], times, energy_cutoff=energy_cutoff)
+                                 for psi in states])
+        want = dense_decoupling_error(band, 0.1, states, times, energy_cutoff)
         assert got.shape == (len(times), len(states))
-        # H_diag = H on every block of constant_fiber: both sides are exactly zero there
-        assert np.all(want > 1e-5) != (len(shared) == len(H.blocks))
-        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # H_diag = H on every block of constant_fiber: the pair's error is exactly zero there
+        if len(shared) == len(H.blocks):
+            assert np.all(got == 0.0) and np.all(alone == 0.0) and np.abs(want).max() <= 1e-12
+            continue
+        assert np.all(want > 1e-5)
+        assert np.all(np.abs(got - alone) <= 1e-12 * alone)
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
-def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
-    # crossing_trio's pair shares its -X block: without a cutoff no eigenvector of that triple
-    # enters an analysis or a synthesis product; with one, its rows enter only the denominator,
-    # as the norm of the kept coefficients: one analysis product reads it, and no synthesis
-    from adiband import propagation
-
-    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
-    diag = diagonalize_band_preserving(H, band, full)
-    shared = [f for f, d in zip(full.blocks, diag.blocks) if f is d]
-    assert len(shared) == 1
-    products = []
-    for name in ("_coefficients", "_synthesize"):
-        def counted(V, block, _product=getattr(propagation, name)):
-            products.append(V)
-            return _product(V, block)
-        monkeypatch.setattr(propagation, name, counted)
-    rng = np.random.default_rng(4)
-    states = [MolecularWave(grid, rng.standard_normal((grid.n_points, 3)) + 0j, eps=0.1) for _ in range(2)]
-    for energy_cutoff, reads in ((None, 0), (float(np.median(shared[0][1])), 1)):
-        products.clear()
-        decoupling_error(full, diag, states, [0.5, 1.0], energy_cutoff=energy_cutoff)
-        assert sum(V is shared[0][2] for V in products) == reads
-        # the full propagator's 2n block, and the ran P and ran Q parts of H_diag's; with the
-        # cutoff, the projection of the 2n block and the analysis of the shared block
-        assert len(products) == 2 * 3 + 3 * (energy_cutoff is not None)
+# the oracle cases at n = 64: bands (0, 1) of crossing_trio with and without a window, the
+# complex frames of two_band_complex and the real ones of rotated_pair
+ORACLE_CASES = ("crossing_trio-pair", "crossing_trio-windowed", "two_band_complex", "rotated_pair-windowed")
 
 
 @pytest.fixture(scope="module")
-def trio_diag():
-    """crossing_trio's band-preserving propagator at n = 64: a split block in P's frame and a shared one."""
-    grid = make_grid(-8, 8, 64)
-    band = band_decompose(get_model("crossing_trio"), grid, (0, 1))
-    H = assemble_blocks(band.model, grid, eps=0.1)
-    diag = diagonalize_band_preserving(H, band, diagonalize_blocks(H))
-    assert [isinstance(V, tuple) for *_, V in diag.blocks] == [True, False]
-    return diag
+def oracle_bands():
+    return {case: _case_pair(case, n=64)[:2] for case in ORACLE_CASES}
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(ORACLE_CASES), eps=st.floats(0.1, 0.4),
+       times=st.lists(st.floats(0.25, 4.0), min_size=16, max_size=20), with_cutoff=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_errors_equal_the_dense_grid_oracle(oracle_bands, case, eps, times, with_cutoff, seed):
+    # a row of at least 16 times, with and without an energy cutoff, against H and H_diag solved
+    # dense and applied on the grid
+    grid, band = oracle_bands[case]
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, eps)
+    states = _random_packets(grid, band.fiber_dim, 3, seed, eps=eps)
+    cutoff = _energy_cutoff(assemble_full(band.model, grid, eps), states) if with_cutoff else None
+    got = decoupling_error(pair, states, times, energy_cutoff=cutoff)
+    want = dense_decoupling_error(band, eps, states, times, cutoff)
+    assert got.shape == want.shape == (len(times), 3)
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_pair_m_is_unitary(oracle_bands, case):
+    grid, band = oracle_bands[case]
+    for eps in (0.2, 0.05):
+        pair = diagonalize_pair(molecular_operator(band.model, grid), band, eps)
+        for *_, M in pair.split:
+            assert np.abs(M.conj().T @ M - np.eye(len(M))).max() <= 1e-12
+
+
+def test_pair_of_a_real_h_with_complex_frames():
+    # P conjugated by the fiber phase diag(1, e^{0.7 i}) has complex fiber blocks on a real H: the
+    # frames, the parts' eigenvectors and M are complex, while H's own eigenvectors are real
+    grid, band, _ = _case_pair("rotated_pair-windowed", n=64)
+    phase = np.array([1.0, np.exp(0.7j)])
+    tilted = dataclasses.replace(band, proj=phase[:, None] * band.proj * phase.conj()[None, :])
+    pair = diagonalize_pair(molecular_operator(band.model, grid), tilted, 0.1)
+    ((_, W, parts, _, _, M),) = pair.split
+    assert W.dtype == M.dtype == np.complex128 and np.any(M.imag)
+    assert np.abs(M.conj().T @ M - np.eye(len(M))).max() <= 1e-12
+    states = _random_packets(grid, 2, 3, seed=2)
+    cutoff = _energy_cutoff(assemble_full(band.model, grid, 0.1), states)
+    for energy_cutoff in (None, cutoff):
+        got = decoupling_error(pair, states, [0.5, 2.0], energy_cutoff=energy_cutoff)
+        want = dense_decoupling_error(tilted, 0.1, states, [0.5, 2.0], energy_cutoff)
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
+    # crossing_trio's pair shares its -X block: without a cutoff that block is never solved and
+    # no product reads its rows; with one, it is solved on the first call, and its rows enter only
+    # the denominator, as the norm of the kept coefficients: one analysis product reads it
+    from adiband import propagation
+
+    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    assert pair.shared == (1,)
+    products = []
+    real_times = propagation._times
+
+    def counted(A, Z):
+        products.append(A)
+        return real_times(A, Z)
+
+    monkeypatch.setattr(propagation, "_times", counted)
+    rng = np.random.default_rng(4)
+    states = [MolecularWave(grid, rng.standard_normal((grid.n_points, 3)) + 0j, eps=0.1) for _ in range(2)]
+    decoupling_error(pair, states, [0.5, 1.0])
+    assert "shared_solves" not in vars(pair)
+    # the split block's analysis (W^dag, then its ran P and ran Q parts), M^dag, and the one product with M
+    assert len(products) == 5
+    products.clear()
+    cutoff = float(np.median(full.blocks[1][1]))
+    decoupling_error(pair, states, [0.5, 1.0], energy_cutoff=cutoff)
+    ((rows, w, V),) = pair.shared_solves
+    assert np.array_equal(rows, full.blocks[1][0]) and np.array_equal(w, full.blocks[1][1])
+    assert sum(A.base is V for A in products) == 1
+    # and with the cutoff, c_d = M c_f once more
+    assert len(products) == 5 + 1 + 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_band_preserving_propagator_is_a_unitary_group(trio_diag, s, t, seed):
-    # the norm is kept, and U(s) U(t) v = U(s + t) v, for random times and a random complex v
+def test_band_preserving_propagator_is_a_unitary_group(oracle_bands, s, t, seed):
+    # on crossing_trio's split block, H_diag's eigenbasis W V_d keeps the norm of the block's rows,
+    # and the full evolution in its coordinates, U(t) = M e^{-i w_f t/eps} M^dag, keeps the norm
+    # and is a group, U(s) U(t) c = U(s + t) c, for random times and a random complex state
+    from adiband.propagation import _frame_coordinates
+
+    grid, band = oracle_bands["crossing_trio-pair"]
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    ((rows, W, parts, w_d, w_f, M),) = pair.split
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(trio_diag.dim) + 1j * rng.standard_normal(trio_diag.dim)
-    ut = trio_diag.apply(v, t)
-    assert abs(np.linalg.norm(ut) / np.linalg.norm(v) - 1) <= 1e-12
-    assert np.abs(trio_diag.apply(ut, s) - trio_diag.apply(v, s + t)).max() <= 1e-11 * np.abs(v).max()
+    v = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    c = _frame_coordinates(W, parts, v[:, None])[:, 0]
+    assert abs(np.linalg.norm(c) / np.linalg.norm(v) - 1) <= 1e-12
+
+    def U(time, x):
+        return M @ (np.exp(-1j * w_f * time / pair.eps) * (M.conj().T @ x))
+
+    ut = U(t, c)
+    assert abs(np.linalg.norm(ut) / np.linalg.norm(c) - 1) <= 1e-12
+    assert np.abs(U(s, ut) - U(s + t, c)).max() <= 1e-11 * np.abs(c).max()
 
 
 def test_band_preserving_split_refuses_a_p_that_couples_blocks():
@@ -571,7 +700,7 @@ def test_band_preserving_split_refuses_a_p_that_couples_blocks():
     with pytest.raises(ValueError, match="couple two blocks of H"):
         split_band_preserving(H, mixed)
     with pytest.raises(ValueError, match="couple two blocks of H"):
-        diagonalize_band_preserving(H, mixed, diagonalize_blocks(H))
+        diagonalize_pair(molecular_operator(band.model, grid), mixed, 0.1)
 
 
 def test_band_preserving_split_refuses_non_projections():
@@ -583,21 +712,7 @@ def test_band_preserving_split_refuses_non_projections():
     assert np.array_equal(np.linalg.eigvalsh(oblique), [0.0, 1.0])
     for proj in (0.9 * band.proj, np.tile(oblique, (grid.n_points, 1, 1)).astype(complex)):
         with pytest.raises(ValueError, match="not orthogonal projections"):
-            diagonalize_band_preserving(H, dataclasses.replace(band, proj=proj), full)
-
-
-def test_band_preserving_solve_refuses_another_full_propagator():
-    # another eps: the same blocks, with other eigenpairs
-    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
-    with pytest.raises(ValueError, match="block-by-block propagator of H"):
-        diagonalize_band_preserving(H, band, diagonalize_blocks(assemble_blocks(band.model, grid, eps=0.2)))
-    # the same grid, eps and blocks, but levels (1, 7) for the H of levels (1, 2): both blocks are
-    # shared, and the second one's eigenvalues sum to 5 n more than the trace of H's block
-    grid, band, H, full = _split_setup("constant_fiber", (0,), None, "component")
-    other = diagonalize_blocks(assemble_blocks(get_model("constant_fiber", levels=(1.0, 7.0)), grid, eps=0.1))
-    assert (other.dim, len(other.blocks), other.eps) == (full.dim, len(full.blocks), full.eps)
-    with pytest.raises(ValueError, match="block-by-block propagator of H"):
-        diagonalize_band_preserving(H, band, other)
+            diagonalize_pair(molecular_operator(band.model, grid), dataclasses.replace(band, proj=proj), 0.1)
 
 
 def test_single_block_operators_take_the_dense_solver_unchanged():
@@ -615,50 +730,58 @@ def test_single_block_operators_take_the_dense_solver_unchanged():
         ((rows, got_w, got_v),) = prop.blocks
         assert rows == slice(None)
         assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
-        cutoff = float(np.median(w))
         for vec in (block[: H.dim, 0], block[: H.dim]):
             for t in (0.7, np.array([0.0, 0.7, 3.0])):
                 assert np.array_equal(prop.apply(vec, t), dense_product_apply(w, v, H.eps, vec, t))
-            assert np.array_equal(prop.energy_cutoff_apply(vec, cutoff), dense_product_cutoff(w, v, vec, cutoff))
 
 
 def test_block_apply_matches_the_dense_oracle():
-    # crossing_trio's full H (blocks 2n, n) and H_diag (the {0, 2} block in P's frame as its ran P
-    # and ran Q parts of n, and the shared -X block) against their dense eigenpairs, in which the
-    # oracle lifts the frame form itself
+    # crossing_trio's full H by blocks (2n, n) against its dense eigenpairs; and the pair's {0, 2}
+    # block, lifted from H_diag's eigenbasis to the grid, against the dense H_diag and H on its rows:
+    # e^{-iH_diag t/eps} = E_d e^{-i w_d t/eps} E_d^dag, e^{-iHt/eps} = E_f e^{-i w_f t/eps} E_f^dag,
+    # and the energy cutoff E_f chi(w_f <= E) E_f^dag with E_f = E_d M
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     rng = np.random.default_rng(9)
     block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
     times = np.array([0.0, 0.7, 3.0])
-    for prop in (full, diagonalize_band_preserving(H, band, full)):
-        assert len(prop.blocks) > 1 and prop.dim == H.dim
-        cutoff = float(np.median(dense_eigenpairs(prop)[0]))
-        projection = cutoff_projection(prop, cutoff)
-        for vec in (block[:, 0], block):
-            pairs = [(prop.apply(vec, 0.7), unitary(prop, 0.7) @ vec),
-                     (prop.apply(vec, times), np.stack([unitary(prop, t) @ vec for t in times])),
-                     (prop.energy_cutoff_apply(vec, cutoff), projection @ vec)]
-            for got, want in pairs:
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert len(full.blocks) > 1 and full.dim == H.dim
+    for vec in (block[:, 0], block):
+        pairs = [(full.apply(vec, 0.7), unitary(full, 0.7) @ vec),
+                 (full.apply(vec, times), np.stack([unitary(full, t) @ vec for t in times]))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    dense_diag = diagonalize(assemble_diag(assemble_full(band.model, grid, eps=0.1), band))
+    cutoff = float(np.median(dense_eigenpairs(full)[0]))
+    ((rows, w_d, E_d, w_f, E_f),) = split_eigenbases(pair)
+    on_rows = np.ix_(rows, rows)
+    x = block[rows]
+    for t in (0.7, 3.0):
+        for w, E, oracle in ((w_d, E_d, dense_diag), (w_f, E_f, full)):
+            got = (E * np.exp(-1j * w * t / 0.1)) @ (E.conj().T @ x)
+            want = unitary(oracle, t)[on_rows] @ x
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = (E_f * (w_f <= cutoff)) @ (E_f.conj().T @ x)
+    want = cutoff_projection(full, cutoff)[on_rows] @ x
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_crossing_trio_pair_stores_only_its_blocks():
-    # eigenvectors are kept on their blocks' rows: 5 n^2 entries for the full H instead of 9 n^2.
-    # H_diag keeps its split 2n block in P's frame, as ran P and ran Q eigenvectors of n each and
-    # the (n, 2, 2) frame: 2 n^2 + 4 n entries instead of the 4 n^2 of its lifted eigenvectors,
-    # and its shared n block is the full propagator's triple, stored once
+    # the full H's eigenvectors are kept on their blocks' rows: 5 n^2 entries instead of 9 n^2.
+    # The pair keeps its split 2n block as ran P and ran Q eigenvectors of n each, the (n, 2, 2)
+    # frame and the 2n x 2n M: 6 n^2 + 4 n entries; its shared n block is not stored at all
     n = 128
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
-    diag = diagonalize_band_preserving(H, band, full)
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
     assert [(len(rows), len(w)) for rows, w, _ in full.blocks] == [(2 * n, 2 * n), (n, n)]
     assert all(V.dtype == np.float64 for *_, V in full.blocks)
     assert sum(V.nbytes for *_, V in full.blocks) == 8 * 5 * n * n
-    (_, _, (W, parts)), shared = diag.blocks
-    assert shared is full.blocks[1]
-    arrays = [W] + [V for *_, V in parts]
+    ((_, W, parts, w_d, w_f, M),) = pair.split
+    arrays = [W, M] + [V for _, V in parts]
     assert all(a.dtype == np.float64 for a in arrays)
-    assert sum(a.nbytes for a in arrays) == 8 * (2 * n * n + 4 * n)
+    assert sum(a.nbytes for a in arrays) == 8 * (6 * n * n + 4 * n)
+    assert pair.shared == (1,) and "shared_solves" not in vars(pair)
 
 
 def test_validate_checks_each_block(monkeypatch):
@@ -684,8 +807,11 @@ def test_validate_checks_each_block(monkeypatch):
 
 
 def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
-    # the -X level couples to nothing: H is assembled and solved as blocks of 2n and n, and
-    # H_diag of bands (0, 1) solves only the {0, 2} block again, as ran P and ran Q of n each
+    # the -X level couples to nothing: H is assembled and solved as blocks of 2n and n.  The pair
+    # of bands (0, 1) solves the {0, 2} block, then its ran P and ran Q parts of n, and not the -X
+    # block, where H_diag equals H; an energy cutoff solves that once
+    from adiband import propagation
+
     n = 128
     grid, band, H, _ = _split_setup("crossing_trio", (0, 1), None, None)
     assert [(list(comp), block.dim) for comp, block in H.blocks] == [([0, 2], 2 * n), ([1], n)]
@@ -700,16 +826,31 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
     prop = diagonalize_blocks(H)
     assert sizes == [2 * n, n]
     sizes.clear()
-    prop_diag = diagonalize_band_preserving(H, band, prop)
-    assert sizes == [n, n]
-    # P is 1 on the -X level at every point: H_diag holds H's triple of that block, solved once
+    calls, real_diagonalize = [], propagation.diagonalize
+
+    def diagonalize_counted(op, *args, **kwargs):
+        calls.append(op.dim)
+        return real_diagonalize(op, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "diagonalize", diagonalize_counted)
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    assert sizes == calls == [2 * n, n, n]
+    states = _random_states(grid, 3, 2, seed=8)
+    decoupling_error(pair, states, [1.0])
+    assert calls == [2 * n, n, n]
+    # with a cutoff, the -X block is solved on the first call and kept: H's own triple of that block
+    for _ in range(2):
+        decoupling_error(pair, states, [1.0], energy_cutoff=float(np.median(prop.blocks[1][1])))
+    assert calls == [2 * n, n, n, n]
+    ((rows, w, V),) = pair.shared_solves
     minus_x = prop.blocks[1]
-    assert np.array_equal(minus_x[0], 3 * np.arange(n) + 1)
-    assert [b is minus_x for b in prop_diag.blocks] == [False, True]
+    assert np.array_equal(rows, 3 * np.arange(n) + 1) and np.array_equal(rows, minus_x[0])
+    assert np.array_equal(w, minus_x[1]) and np.array_equal(V, minus_x[2])
     monkeypatch.undo()
     # the oracles: the dense solve of H and of the dense H_diag
     dense = assemble_full(band.model, grid, eps=0.1)
     scale = np.abs(dense.matrix).max()
     assert np.abs(dense_eigenpairs(prop)[0] - np.linalg.eigh(dense.matrix)[0]).max() <= 1e-12 * scale
     want = dense_eigenpairs(diagonalize(assemble_diag(dense, band)))[0]
-    assert np.abs(dense_eigenpairs(prop_diag)[0] - want).max() <= 1e-12 * scale
+    got = np.sort(np.concatenate([pair.split[0][3], w]))
+    assert np.abs(got - want).max() <= 1e-12 * scale

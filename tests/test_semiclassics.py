@@ -29,7 +29,7 @@ from adiband.semiclassics import (
     write_wigner_csv,
 )
 from adiband.states import coherent_state, lift_to_band
-from oracles import periodic_spline, unitary, weyl_table_full_box, wigner_values
+from oracles import periodic_spline, unitary, weyl_gather, weyl_table_full_box, wigner_values
 
 
 def coherent(grid, eps, q0, p0):
@@ -155,6 +155,21 @@ def test_weyl_table_rows_equal_the_full_box_table_bitwise(wgrid, monkeypatch, na
         assert np.array_equal(rows, np.flatnonzero(full.any(axis=1)))
         assert (rows.size < 2 * n - 1) == has_zero_rows
         assert G.tobytes() == full[rows].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 512])
+def test_weyl_gather_equals_the_index_gather_bitwise(n):
+    # A[i, l] = G[i + l, (i - l) mod n] by strided views, against the two meshgrid index arrays,
+    # on a random complex table, an odd n among them; and weyl_quantize gathers its own table so
+    from adiband.semiclassics import _weyl_gather
+
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((2 * n - 1, n)) + 1j * rng.standard_normal((2 * n - 1, n))
+    assert np.array_equal(_weyl_gather(G), weyl_gather(G))
+    if n & (n - 1) == 0:
+        grid = make_grid(-8, 8, n)
+        symbol = WEYL_SYMBOLS["complex"][0]
+        assert np.array_equal(weyl_quantize(symbol, grid, 0.1), weyl_gather(weyl_table_full_box(symbol, grid, 0.1)))
 
 
 @pytest.mark.parametrize("name", sorted(WEYL_EXTENTS))
