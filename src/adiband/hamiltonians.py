@@ -111,7 +111,6 @@ __all__ = [
     "assemble_blocks",
     "assemble_full",
     "assemble_diag",
-    "band_fibers",
     "split_band_preserving",
     "FiberedOperator",
     "molecular_operator",
@@ -449,7 +448,7 @@ def _check_dims(H: DenseHamiltonian | BlockHamiltonian, band: BandData):
         )
 
 
-def band_fibers(H: BlockHamiltonian, band: BandData) -> list:
+def _band_fibers(H: BlockHamiltonian, band: BandData) -> list:
     """P's fiber blocks on each block of H, (n, d, d), in H's order; None where H_diag equals H there.
 
     That is where P is 0 at every grid point, or 1 at every grid point.  A
@@ -474,7 +473,7 @@ def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
     (`_fiber_blocks`) couple no two blocks of H, and H_diag commutes with
     P: on each block of H it is that block's ran P part plus its ran Q
     part.  A P whose fiber blocks couple two blocks of H is not a spectral
-    projection of H_e and is refused (ValueError, `band_fibers`).  Returns
+    projection of H_e and is refused (ValueError, `_band_fibers`).  Returns
     one entry per block of H, in H's order:
 
     - None where P is 0 at every grid point, or 1 at every grid point:
@@ -491,7 +490,7 @@ def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
       idx, formed by batched fiber products, which is H_diag on the part.
     """
     entries = []
-    for (comp, block), P in zip(H.blocks, band_fibers(H, band)):
+    for (comp, block), P in zip(H.blocks, _band_fibers(H, band)):
         if P is None:
             entries.append(None)
             continue

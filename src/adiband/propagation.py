@@ -105,7 +105,7 @@ import numpy as np
 
 from .electronic import BandData
 from .grids import MolecularWave, NuclearWave, l2_norm, norm
-from .hamiltonians import DenseHamiltonian, FiberedOperator, band_fibers, split_band_preserving, u_map
+from .hamiltonians import DenseHamiltonian, FiberedOperator, _band_fibers, split_band_preserving, u_map
 
 __all__ = [
     "SpectralPropagator",
@@ -412,7 +412,7 @@ def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> D
     """The decoupling pair of the molecular H (`operator` at eps) and the band's P.
 
     The blocks of H are formed once.  Each block that P splits
-    (`band_fibers`) is solved whole by `diagonalize` first, b^3 for a
+    (`_band_fibers`) is solved whole by `diagonalize` first, b^3 for a
     block of dimension b, while H alone is held; `split_band_preserving`
     (which refuses a P that is not a spectral projection of H_e) then
     gives its ran P and ran Q parts, each solved by `diagonalize`,
@@ -423,7 +423,7 @@ def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> D
     (`DecouplingPair.shared_solves`).
     """
     H = operator.blocks(eps)
-    fibers = band_fibers(H, band)
+    fibers = _band_fibers(H, band)
     full = {k: diagonalize(H.blocks[k][1]).blocks[0][1:] for k, P in enumerate(fibers) if P is not None}
     pending = [(H.rows(H.blocks[k][0]), k) + entry for k, entry in enumerate(split_band_preserving(H, band)) if entry]
     del H
