@@ -22,7 +22,7 @@ matrix that `DenseHamiltonian` makes.  Both checks refuse through one
 helper, `_refuse_non_hermitian`.
 
 The molecular Hamiltonian is stored as its exactly decoupled blocks
-(`assemble_blocks`, a `BlockHamiltonian`).  The kinetic term couples
+(`FiberedOperator.blocks` of `molecular_operator`, a `BlockHamiltonian`).  The kinetic term couples
 every grid point of one fiber component, and H_e(X_i) couples components
 only where its entries are nonzero, so the blocks of H are the connected
 components of the m x m union over the grid of the fibers' exact-zero
@@ -48,7 +48,7 @@ dropped.  Real storage sends `eigh` to the real-symmetric solver, several
 times faster than the complex one.  Complex data (complex fibers, a
 nonzero A_geo) keeps complex128.  Given its parts, this module is the
 only place that decides the storage type of an operator; `assemble_diag`
-and `split_band_preserving` follow the dtype of their inputs.
+and `_split_block` follow the dtype of their inputs.
 
 The band projection P and the identification U act pointwise in X, so the
 package carries them as the band's fiber data: the m x m fiber blocks of
@@ -56,15 +56,15 @@ P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
 P is a function of H_e(X_i) at each point, so it couples no two blocks of
 H, and the band-preserving H_diag = P H P + Q H Q commutes with P: it has
 exactly the blocks of H, each split into its ran P and ran Q parts.
-`split_band_preserving` builds them, one entry per block of H.  On a
-block where P is 0 at every grid point, or 1 at every grid point, H_diag
-equals H, and the block is shared.  Every other block is written in the
-frame of its own stack of P's fiber blocks (one `np.linalg.eigh` of that
-(n, d, d) stack) and restricted to the ran P columns, and to the ran Q
-columns: two checked operators, which the decoupling pair solves, each
-on its own frame indices, as that block's eigenbasis of H_diag
-(`propagation.diagonalize_pair`).  A P that
-couples two blocks of H is refused.  This module decides every block the scans solve; no exact-zero
+`_band_fibers` reads P's fiber blocks on each block of H.  On a block
+where P is 0 at every grid point, or 1 at every grid point, H_diag equals
+H, and the block is shared.  `_split_block` writes every other block in
+the frame of its own stack of P's fiber blocks (one `np.linalg.eigh` of
+that (n, d, d) stack) and restricts it to the ran P columns, and to the
+ran Q columns: two checked operators, which the decoupling pair solves,
+each on its own frame indices, as that block's eigenbasis of H_diag
+(`propagation.diagonalize_pair`).  A P that couples two blocks of H is
+refused.  This module decides every block the scans solve; no exact-zero
 pattern is read on the H_diag path.
 `assemble_diag` forms H_diag densely; no package code calls it, and it
 stays as the tests' oracle of the split solve and a span the benchmark
@@ -108,10 +108,8 @@ from .models import ElectronicModel
 __all__ = [
     "DenseHamiltonian",
     "BlockHamiltonian",
-    "assemble_blocks",
     "assemble_full",
     "assemble_diag",
-    "split_band_preserving",
     "FiberedOperator",
     "molecular_operator",
     "bo_operator",
@@ -397,24 +395,14 @@ def molecular_operator(model: ElectronicModel, grid: Grid1D) -> FiberedOperator:
     return FiberedOperator(grid=grid, fibers=model.h_batch(grid.x), tag="full")
 
 
-def assemble_blocks(model: ElectronicModel, grid: Grid1D, eps: float) -> BlockHamiltonian:
-    """Molecular Hamiltonian, kinetic term tensor identity plus fiberwise H_e(X_i), by blocks.
-
-    `molecular_operator(model, grid).blocks(eps)`: each block is built
-    directly on its rows, and no N x N matrix is formed.  The kinetic term
-    is real; H is stored real when every H_e(X_i) has zero imaginary part.
-    """
-    return molecular_operator(model, grid).blocks(eps)
-
-
 def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHamiltonian:
-    """The molecular Hamiltonian as one dense N x N matrix: `assemble_blocks`, scattered.
+    """The molecular Hamiltonian as one dense N x N matrix: the blocks of `molecular_operator`, scattered.
 
     Its entries are those of the blocks, zero between them.  It serves the
     tests' dense oracles, `identities.offdiag_scaling` and the `identities`
     suite; the decoupling scans solve the blocks.
     """
-    H = assemble_blocks(model, grid, eps)
+    H = molecular_operator(model, grid).blocks(eps)
     M = np.zeros((H.dim, H.dim), dtype=H.blocks[0][1].matrix.dtype)
     for comp, block in H.blocks:
         rows = H.rows(comp)
@@ -466,47 +454,33 @@ def _band_fibers(H: BlockHamiltonian, band: BandData) -> list:
     return fibers
 
 
-def split_band_preserving(H: BlockHamiltonian, band: BandData) -> tuple:
-    """H_diag = P H P + Q H Q on each block of H, as its ran P and ran Q parts in the fiber frame of P.
+def _split_block(block: DenseHamiltonian, P: np.ndarray) -> tuple:
+    """H_diag = P H P + Q H Q on one block of H that P splits, as its ran P and ran Q parts in the fiber frame of P.
 
-    P is a function of H_e(X_i) at each point, so its fiber blocks
-    (`_fiber_blocks`) couple no two blocks of H, and H_diag commutes with
-    P: on each block of H it is that block's ran P part plus its ran Q
-    part.  A P whose fiber blocks couple two blocks of H is not a spectral
-    projection of H_e and is refused (ValueError, `_band_fibers`).  Returns
-    one entry per block of H, in H's order:
-
-    - None where P is 0 at every grid point, or 1 at every grid point:
-      there H_diag equals H, and the block is shared.
-    - (W, parts) on every other block.  W, (n, d, d), is the frame of the
-      block's stack of P's fiber blocks, their eigenvectors from one
-      `np.linalg.eigh`, real for real blocks; the stack is refused
-      (ValueError) unless it is Hermitian with every eigenvalue within
-      1e-10 of 0 or 1.  The rank of P_i may vary with i (zero outside the
-      window).  parts holds one (idx, G) per nonempty part, ran P before
-      ran Q: idx the ascending frame-basis indices i d + c of the part's
-      columns, those of eigenvalue 1 or those of eigenvalue 0, and G the
-      DenseHamiltonian (tag "diag", fiber dimension d) of W^dag H W on
-      idx, formed by batched fiber products, which is H_diag on the part.
+    P is the block's stack of P's fiber blocks, (n, d, d), as `_band_fibers`
+    gives it.  Returns (W, parts).  W, (n, d, d), is the frame of that
+    stack, its eigenvectors from one `np.linalg.eigh`, real for real
+    blocks; the stack is refused (ValueError) unless it is Hermitian with
+    every eigenvalue within 1e-10 of 0 or 1.  The rank of P_i may vary with
+    i (zero outside the window).  parts holds one (idx, G) per nonempty
+    part, ran P before ran Q: idx the ascending frame-basis indices i d + c
+    of the part's columns, those of eigenvalue 1 or those of eigenvalue 0,
+    and G the DenseHamiltonian (tag "diag", fiber dimension d) of
+    W^dag H W on idx, formed by batched fiber products, which is H_diag on
+    the part.
     """
-    entries = []
-    for (comp, block), P in zip(H.blocks, _band_fibers(H, band)):
-        if P is None:
-            entries.append(None)
-            continue
-        lam, W = np.linalg.eigh(P)
-        in_p = lam > 0.5
-        dev = max(np.abs(P - P.conj().transpose(0, 2, 1)).max(), np.abs(lam - in_p).max())
-        if dev > 1e-10:
-            raise ValueError(f"fiber blocks of P are not orthogonal projections (off by {dev:.2e})")
-        G = _fiber_sandwich(block.matrix, W.conj().transpose(0, 2, 1), W)
-        parts = tuple(
-            (idx, DenseHamiltonian(matrix=G[np.ix_(idx, idx)], eps=H.eps, tag="diag", grid=H.grid,
-                                   fiber_dim=len(comp)))
-            for idx in (np.flatnonzero(in_p), np.flatnonzero(~in_p)) if len(idx)
-        )
-        entries.append((W, parts))
-    return tuple(entries)
+    lam, W = np.linalg.eigh(P)
+    in_p = lam > 0.5
+    dev = max(np.abs(P - P.conj().transpose(0, 2, 1)).max(), np.abs(lam - in_p).max())
+    if dev > 1e-10:
+        raise ValueError(f"fiber blocks of P are not orthogonal projections (off by {dev:.2e})")
+    G = _fiber_sandwich(block.matrix, W.conj().transpose(0, 2, 1), W)
+    parts = tuple(
+        (idx, DenseHamiltonian(matrix=G[np.ix_(idx, idx)], eps=block.eps, tag="diag", grid=block.grid,
+                               fiber_dim=block.fiber_dim))
+        for idx in (np.flatnonzero(in_p), np.flatnonzero(~in_p)) if len(idx)
+    )
+    return W, parts
 
 
 def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
@@ -515,7 +489,7 @@ def assemble_diag(H: DenseHamiltonian, band: BandData) -> DenseHamiltonian:
     P is the band projection, block-diagonal in X with the m x m fiber
     blocks of `band`, so both products cost O(N^2 m) instead of O(N^3).
     No package code forms it: `propagation.diagonalize_pair` solves H_diag
-    by the parts of `split_band_preserving`, and
+    by the parts of `_split_block`, and
     `identities.offdiag_scaling` forms H - H_diag as P H Q + Q H P.  It
     stays as the tests' dense oracle of the split solve, and as a span the
     benchmark traces by name.

@@ -488,9 +488,9 @@ class PropagatorCache:
     - the parts of the molecular H (`hamiltonians.molecular_operator`, its
       fiber stack H_e(X_i)), once per model and grid;
     - the dense decoupling pair of an eps, `"pair"`, the one build that
-      costs: `decoupling_pair` builds it (`propagation.diagonalize_pair`)
-      from the dense blocks of H derived from the parts, formed and dropped
-      within the build.  The entry keeps, per split block of H, H_diag's
+      costs: `diag` builds it (`propagation.diagonalize_pair`) from the
+      dense blocks of H derived from the parts, formed and dropped within
+      the build.  The entry keeps, per split block of H, H_diag's
       eigenbasis in P's frame, both sets of eigenvalues and the full
       block's eigenvectors as coordinates in that basis, M; a shared block
       of H is solved into it only when an energy cutoff asks.  H_diag reads
@@ -500,9 +500,8 @@ class PropagatorCache:
     `full` and `bo` keep nothing: each returns a new `ChebyshevPropagator`
     (the full one on the kept parts), cheap to build next to the dense
     pair.  They stay methods because they are the seams through which the
-    oracle tests substitute dense propagators.  `diag` fills the pair's
-    entry and returns the pair.  `full` and `diag` take a `cfg` they do not
-    read, the signature the benchmark's workloads call.
+    oracle tests substitute dense propagators.  `full` and `diag` take a
+    `cfg` they do not read, the signature the benchmark's workloads call.
     """
 
     def __init__(self):
@@ -525,9 +524,6 @@ class PropagatorCache:
         return ChebyshevPropagator(self._operator(model, grid), eps)
 
     def diag(self, cfg, model, grid, band, eps) -> DecouplingPair:
-        return self.decoupling_pair(model, grid, band, eps)
-
-    def decoupling_pair(self, model, grid, band, eps) -> DecouplingPair:
         """The dense pair of the full and the band-preserving evolution at eps (`propagation.DecouplingPair`)."""
         return self.get(("pair", self._system_key(model, grid), band.band_indices, band.window, eps),
                         lambda: diagonalize_pair(self._operator(model, grid), band, eps))
@@ -591,7 +587,7 @@ def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
 def _scan_decoupling(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     """The family's largest decoupling error at each of `times`, from one `decoupling_error` call."""
     band = cfg.build_band()
-    pair = cache.decoupling_pair(band.model, band.grid, band, eps)
+    pair = cache.diag(cfg, band.model, band.grid, band, eps)
     fam = cfg.state["family_params"]
     family = standard_state_family(cfg.lift_band(), eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
     return decoupling_error(pair, family, times, energy_cutoff=cfg.energy_cutoff).max(axis=1)

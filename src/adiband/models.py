@@ -19,12 +19,12 @@ Registry tags
     ~1.75) while containing a genuine band crossing.  The -X level couples
     to neither other component, which is what lets it cross +X, so the
     fibers, the band projection of the pair and the molecular H all split
-    into exactly decoupled blocks: `hamiltonians.assemble_blocks` builds H
-    as one of 2n and one of n from the fibers' pattern.  The pair's P is 1
-    on the -X block at every point, so there the band-preserving H equals
-    H and shares its solve, and the 2n block of H_diag is solved as its
-    ran P and ran Q parts of n each; a window makes P 0 outside it, and
-    then both blocks are split.
+    into exactly decoupled blocks: `hamiltonians.FiberedOperator.blocks`
+    builds H as one of 2n and one of n from the fibers' pattern.  The pair's
+    P is 1 on the -X block at every point, so there the band-preserving H
+    equals H and the decoupling pair does not solve it, and the 2n block
+    of H_diag is solved as its ran P and ran Q parts of n each; a window
+    makes P 0 outside it, and then both blocks are split.
 ``rotated_pair``
     2x2: R(theta) diag(X^2-4, 4-X^2) R(theta)^T with theta = 0.3 tanh X.
     Real symmetric; bands cross at X = +-2, so the lower band is isolated

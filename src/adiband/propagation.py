@@ -33,20 +33,6 @@ the grid, where a Chebyshev pair would run two recurrences over the whole
 row.  And the energy cutoff projects onto total energies by the full
 blocks' eigenvalues.
 
-A propagator is stored as blocks.  `diagonalize` solves the operator it
-is given as one dense block and reads no pattern; the exactly decoupled
-blocks of a block-stored H (`hamiltonians.assemble_blocks`, read from the
-fibers' pattern) are solved each on its own: a dense solve of a block of
-dimension d costs d^3, so the blocks together cost far less than N^3.
-Each block keeps its rows, its d eigenvalues and its eigenvectors on
-those rows only, a (rows, d) matrix.  The blocks split
-the rows into disjoint sets, so `apply` works block by block and writes
-each block's product into its own rows: an apply costs the sum over
-blocks of rows x d per column instead of N^2.  An operator of one block
-(the full H of `rotated_pair`, `two_band_complex` and `free`, or a dense
-Born-Oppenheimer oracle) is one block over all rows, solved and applied
-by the dense products unchanged.
-
 The decoupling pair (`diagonalize_pair`, a `DecouplingPair`) holds
 e^{-iHt/eps} and e^{-iH_diag t/eps}, H_diag = P H P + Q H Q, of the
 block-stored molecular H.  H_diag has the blocks of H.  Where P is 0 or 1
@@ -55,7 +41,7 @@ same on its rows, and their difference is exactly zero: such a shared
 block is solved only when an energy cutoff needs its eigenvalues, and
 then once per pair.  Every other block of H_diag commutes with P, so in
 the frame W of P's fiber blocks on it, it is its ran P part plus its ran
-Q part (`hamiltonians.split_band_preserving`).  Each part is solved on
+Q part (`hamiltonians._split_block`).  Each part is solved on
 its own frame indices, and the parts give the block's eigenbasis of
 H_diag, W blockdiag(V_P, V_Q), with the eigenvalues w_d; no b x b
 eigenvector matrix of H_diag is formed.  The full block of H is solved as
@@ -84,10 +70,9 @@ a complex one at half the storage.  A complex-stored operator takes the
 complex products.
 
 Times form a row as well.  Given a 1-D array of T times, `apply` forms
-the coefficients V^dag vec of each block with one analysis product,
-multiplies in the phases of every time as one (d, T k) block, and maps
-that block back with one synthesis product; the batch takes N k T 16
-bytes.
+the coefficients V^dag vec with one analysis product, multiplies in the
+phases of every time as one (N, T k) block, and maps that block back with
+one synthesis product; the batch takes N k T 16 bytes.
 
 The error functionals have one call form: a row of T times goes in (and,
 for `decoupling_error`, a list of k molecular waves, taken as one (N, k)
@@ -105,7 +90,7 @@ import numpy as np
 
 from .electronic import BandData
 from .grids import MolecularWave, NuclearWave, l2_norm, norm
-from .hamiltonians import DenseHamiltonian, FiberedOperator, _band_fibers, split_band_preserving, u_map
+from .hamiltonians import DenseHamiltonian, FiberedOperator, _band_fibers, _split_block, u_map
 
 __all__ = [
     "SpectralPropagator",
@@ -134,23 +119,6 @@ def _coefficients(V: np.ndarray, block: np.ndarray) -> np.ndarray:
     return (V.T @ block.conj()).conj()
 
 
-def _map_blocks(blocks, block: np.ndarray, coefficient_map) -> np.ndarray:
-    """V coefficient_map(w, V^dag block[rows]) of every (rows, w, V) triple, written into its rows.
-
-    The rows of the triples are disjoint, so each product is assigned, not added.
-    """
-    out = None
-    for rows, w, V in blocks:
-        part = _times(V, coefficient_map(w, _coefficients(V, block[rows])))
-        if isinstance(rows, slice):
-            # the one block over every row: its product is the result
-            return part
-        if out is None:
-            out = np.empty((len(block), part.shape[1]), dtype=complex)
-        out[rows] = part
-    return out
-
-
 def _phased(w: np.ndarray, c: np.ndarray, times: np.ndarray, eps: float) -> np.ndarray:
     """The (d, T k) block e^{-i w t/eps} c of the d coefficients c, (d, k), at each time of a row of T."""
     phases = np.exp(-1j * w[:, None] * times.reshape(-1) / eps)
@@ -159,25 +127,19 @@ def _phased(w: np.ndarray, c: np.ndarray, times: np.ndarray, eps: float) -> np.n
 
 @dataclass(frozen=True)
 class SpectralPropagator:
-    """Eigendecomposition of a DenseHamiltonian, reusable for any time, stored block by block.
+    """Eigendecomposition of a DenseHamiltonian, reusable for any time.
 
-    `blocks` holds one (rows, eigenvalues, eigenvectors) triple per exactly
-    decoupled block: the block's d eigenpairs, with entries outside `rows`
-    exactly zero and not stored, as a (len(rows), d) matrix.  The blocks'
-    rows split range(N) into disjoint sets; an operator of one block is
-    ((slice(None), w, V),), the dense pair itself.  Eigenvalues are
-    ascending within a block, and no order is kept across blocks.
-    Eigenvectors are float64 when the operator is stored real, complex128
-    otherwise.
+    `w` holds the ascending eigenvalues and `V` the eigenvectors as columns,
+    float64 when the operator is stored real, complex128 otherwise.
     """
 
-    blocks: tuple = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
     eps: float
-    tag: str
 
     @property
     def dim(self) -> int:
-        return sum(len(w) for _, w, _ in self.blocks)
+        return len(self.w)
 
     def apply(self, vec: np.ndarray, t) -> np.ndarray:
         """e^{-iHt/eps} vec without forming the dense unitary.
@@ -185,10 +147,10 @@ class SpectralPropagator:
         vec may be one vector (N,) or a block of columns (N, k); a wrong row
         count is refused rather than folded into columns.  A scalar t gives
         a result of vec's shape.  A 1-D array of T times gives shape
-        (T,) + shape(vec): per block, the coefficients V^dag vec are formed
-        once, the phases of all T times multiply them into one (d, T k)
-        block, and one synthesis product maps that block back, so the batch
-        takes N k T 16 bytes.
+        (T,) + shape(vec): the coefficients V^dag vec are formed once, the
+        phases of all T times multiply them into one (N, T k) block, and one
+        synthesis product maps that block back, so the batch takes N k T 16
+        bytes.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
@@ -196,7 +158,7 @@ class SpectralPropagator:
         block = np.asarray(vec, dtype=complex).reshape(np.shape(vec)[0], -1)
         if len(block) != self.dim:
             raise ValueError(f"dimension mismatch: vector has {len(block)} rows, operator {self.dim}")
-        out = _map_blocks(self.blocks, block, lambda w, c: _phased(w, c, times, self.eps))
+        out = _times(self.V, _phased(self.w, _coefficients(self.V, block), times, self.eps))
         # (N, T, k) columns to one contiguous (N,) or (N, k) result per time
         out = np.ascontiguousarray(out.reshape(self.dim, times.size, -1).transpose(1, 0, 2))
         return out.reshape(times.shape + np.shape(vec))
@@ -328,9 +290,9 @@ class ChebyshevPropagator:
 def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagator:
     """Eigendecompose an assembled operator as one dense block.
 
-    The propagator holds the one triple (slice(None), w, V) of
-    `np.linalg.eigh` of H's matrix; the block structure is the caller's,
-    who passes each block on its own (`diagonalize_pair`).  A real-stored operator runs the real-symmetric
+    The propagator holds the eigenpair (w, V) of `np.linalg.eigh` of H's
+    matrix; the block structure is the caller's, who passes each block on
+    its own (`diagonalize_pair`).  A real-stored operator runs the real-symmetric
     solver and keeps its eigenvectors float64; a complex-stored one runs
     the Hermitian solver.  With validate=True the reconstruction
     V diag(w) V^dag is checked against H to 1e-10 relative, and the
@@ -345,7 +307,7 @@ def diagonalize(H: DenseHamiltonian, validate: bool = False) -> SpectralPropagat
         unit = np.abs(v.conj().T @ v - np.eye(len(w))).max()
         if unit > 1e-11 * len(w):
             raise AssertionError(f"eigenvector matrix not unitary ({unit:.2e})")
-    return SpectralPropagator(blocks=((slice(None), w, v),), eps=H.eps, tag=H.tag)
+    return SpectralPropagator(w=w, V=v, eps=H.eps)
 
 
 def _frame_coordinates(W: np.ndarray, parts: tuple, block: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -405,38 +367,37 @@ class DecouplingPair:
         if not self.shared:
             return ()
         H = self.operator.blocks(self.eps)
-        return tuple((H.rows(H.blocks[k][0]),) + diagonalize(H.blocks[k][1]).blocks[0][1:] for k in self.shared)
+        solved = [(H.rows(H.blocks[k][0]), diagonalize(H.blocks[k][1])) for k in self.shared]
+        return tuple((rows, s.w, s.V) for rows, s in solved)
 
 
 def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> DecouplingPair:
     """The decoupling pair of the molecular H (`operator` at eps) and the band's P.
 
-    The blocks of H are formed once.  Each block that P splits
-    (`_band_fibers`) is solved whole by `diagonalize` first, b^3 for a
-    block of dimension b, while H alone is held; `split_band_preserving`
-    (which refuses a P that is not a spectral projection of H_e) then
-    gives its ran P and ran Q parts, each solved by `diagonalize`,
+    The blocks of H are formed once, and P's fiber blocks on each
+    (`_band_fibers`) read once.  Each block that P splits is solved whole by
+    `diagonalize` first, b^3 for a block of dimension b; `_split_block`
+    (which refuses a P that is not a spectral projection of H_e) then gives
+    its ran P and ran Q parts, each solved by `diagonalize`,
     r^3 + (b - r)^3, and the full block's eigenvectors V_f go into the
-    parts' eigenbasis as M, written over V_f.  H goes once split and each
-    part G once solved; the pair keeps W, the parts' eigenvectors, the
-    eigenvalues and M.  A shared block is not solved here
+    parts' eigenbasis as M, written over V_f.  Each block is finished
+    before the next is solved; the pair keeps W, the parts' eigenvectors,
+    the eigenvalues and M.  A shared block is not solved here
     (`DecouplingPair.shared_solves`).
     """
     H = operator.blocks(eps)
-    fibers = _band_fibers(H, band)
-    full = {k: diagonalize(H.blocks[k][1]).blocks[0][1:] for k, P in enumerate(fibers) if P is not None}
-    pending = [(H.rows(H.blocks[k][0]), k) + entry for k, entry in enumerate(split_band_preserving(H, band)) if entry]
-    del H
-    split = []
-    while pending:
-        rows, k, W, parts = pending.pop(0)
-        solved = [(idx,) + diagonalize(G).blocks[0][1:] for idx, G in parts]
-        parts = tuple((idx, V) for idx, _, V in solved)
-        w_f, V_f = full.pop(k)
-        M = _frame_coordinates(W, parts, V_f, overwrite=True)
-        split.append((rows, W, parts, np.concatenate([w for _, w, _ in solved]), w_f, M))
-    shared = tuple(k for k, P in enumerate(fibers) if P is None)
-    return DecouplingPair(operator=operator, eps=eps, split=tuple(split), shared=shared)
+    split, shared = [], []
+    for k, ((comp, block), P) in enumerate(zip(H.blocks, _band_fibers(H, band))):
+        if P is None:
+            shared.append(k)
+            continue
+        full = diagonalize(block)
+        W, parts = _split_block(block, P)
+        solved = [(idx, diagonalize(G)) for idx, G in parts]
+        parts = tuple((idx, s.V) for idx, s in solved)
+        M = _frame_coordinates(W, parts, full.V, overwrite=True)
+        split.append((H.rows(comp), W, parts, np.concatenate([s.w for _, s in solved]), full.w, M))
+    return DecouplingPair(operator=operator, eps=eps, split=tuple(split), shared=tuple(shared))
 
 
 def evolve(prop: SpectralPropagator | ChebyshevPropagator, wave: NuclearWave | MolecularWave, t: float):

@@ -15,50 +15,38 @@ def fourier_matrix(grid) -> np.ndarray:
     return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n_points)
 
 
-def dense_eigenpairs(prop):
-    """(w, V): a SpectralPropagator's blocks scattered into dense N x N eigenpairs.
-
-    Each block's eigenvectors go into its rows, zero elsewhere, and the
-    eigenvalues are sorted ascending by a stable sort, the order
-    `np.linalg.eigh` of the dense operator gives.
-    """
-    N = prop.dim
-    w = np.concatenate([bw for _, bw, _ in prop.blocks])
-    V = np.zeros((N, N), dtype=np.result_type(*(bV for *_, bV in prop.blocks)))
-    start = 0
-    for rows, bw, bV in prop.blocks:
-        V[rows, start : start + len(bw)] = bV
-        start += len(bw)
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
 def diagonalize_blocks(H):
     """A block-stored H solved block by block, each by `propagation.diagonalize`: the dense oracle of the full H.
 
-    The SpectralPropagator holds one (rows, eigenvalues, eigenvectors)
-    triple per block of H, in H's order, with the block's molecular rows;
-    with one block it is `diagonalize` of that block itself, rows
-    slice(None).
+    The blocks' eigenpairs are scattered into one dense SpectralPropagator:
+    each block's eigenvectors go into its rows, zero elsewhere, and the
+    eigenvalues are sorted ascending by a stable sort, the order
+    `np.linalg.eigh` of the dense operator gives.  With one block it is
+    `diagonalize` of that block itself.
     """
     from adiband.propagation import SpectralPropagator, diagonalize
 
     if len(H.blocks) == 1:
         return diagonalize(H.blocks[0][1])
-    triples = [(H.rows(comp),) + diagonalize(block).blocks[0][1:] for comp, block in H.blocks]
-    return SpectralPropagator(blocks=tuple(triples), eps=H.eps, tag="full")
+    solved = [(H.rows(comp), diagonalize(block)) for comp, block in H.blocks]
+    w = np.concatenate([s.w for _, s in solved])
+    V = np.zeros((H.dim, H.dim), dtype=np.result_type(*(s.V for _, s in solved)))
+    start = 0
+    for rows, s in solved:
+        V[rows, start : start + s.dim] = s.V
+        start += s.dim
+    order = np.argsort(w, kind="stable")
+    return SpectralPropagator(w=w[order], V=V[:, order], eps=H.eps)
 
 
 def unitary(prop, t: float) -> np.ndarray:
     """Dense e^{-iHt/eps} = V diag(e^{-i w t/eps}) V^dag of a SpectralPropagator."""
-    w, V = dense_eigenpairs(prop)
-    return (V * np.exp(-1j * w * t / prop.eps)) @ V.conj().T
+    return (prop.V * np.exp(-1j * prop.w * t / prop.eps)) @ prop.V.conj().T
 
 
 def cutoff_projection(prop, cutoff: float) -> np.ndarray:
     """Dense spectral projection onto the eigenvalues <= cutoff of a SpectralPropagator."""
-    w, V = dense_eigenpairs(prop)
-    return (V * (w <= cutoff)) @ V.conj().T
+    return (prop.V * (prop.w <= cutoff)) @ prop.V.conj().T
 
 
 def split_eigenbases(pair) -> list:

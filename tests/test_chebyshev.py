@@ -4,7 +4,7 @@ Only the decoupling pair is dense in the scans: the Born-Oppenheimer
 propagator is a `ChebyshevPropagator` on `bo_operator`'s parts, and the
 full molecular one (`PropagatorCache.full`) on `molecular_operator`'s.
 Their oracles here are the dense solves, `diagonalize(assemble_bo(...))`
-and `diagonalize_blocks(assemble_blocks(...))`.  The gate of the switch is
+and `diagonalize_blocks(molecular_operator(...).blocks(eps))`.  The gate of the switch is
 the scans of the `effective`, `berry` (A_geo on and off) and `state_rates`
 configs on both backends: every point agrees with the dense one to 1e-10
 relative, and each config's criterion gives the same verdict.  Measured
@@ -23,7 +23,7 @@ from scipy.special import jv
 from adiband import harness
 from adiband.electronic import band_decompose
 from adiband.grids import make_grid
-from adiband.hamiltonians import assemble_blocks, assemble_bo, bo_operator, molecular_operator
+from adiband.hamiltonians import assemble_bo, bo_operator, molecular_operator
 from adiband.harness import PropagatorCache, eps_scan
 from adiband.models import get_model
 from adiband.propagation import ChebyshevPropagator, SpectralPropagator, _bessel_rows, diagonalize
@@ -199,7 +199,7 @@ def test_full_chebyshev_matches_the_dense_block_solve():
     # crossing_trio: H of two blocks, solved dense, against the scans' matrix-free full propagator
     grid = make_grid(-8, 8, 128)
     model = get_model("crossing_trio")
-    dense = diagonalize_blocks(assemble_blocks(model, grid, 0.1))
+    dense = diagonalize_blocks(molecular_operator(model, grid).blocks(0.1))
     prop = PropagatorCache().full(None, model, grid, 0.1)
     block = _block(prop.dim, 2, 5)
     times = np.array([0.5, 2.0])
@@ -226,7 +226,7 @@ class DenseFullCache(PropagatorCache):
 
     def full(self, cfg, model, grid, eps):
         key = ("dense full", self._system_key(model, grid), eps)
-        return self.get(key, lambda: diagonalize_blocks(assemble_blocks(model, grid, eps)))
+        return self.get(key, lambda: diagonalize_blocks(molecular_operator(model, grid).blocks(eps)))
 
 
 def test_oracle_caches_substitute_through_full_and_bo(monkeypatch):

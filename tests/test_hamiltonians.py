@@ -7,20 +7,20 @@ from adiband.electronic import _coupled_components, band_decompose, berry_connec
 from adiband.grids import NuclearWave, make_grid, norm
 from adiband.hamiltonians import (
     DenseHamiltonian,
-    assemble_blocks,
+    _band_fibers,
     assemble_bo,
     assemble_diag,
     assemble_full,
     clamp_field,
     full_projection,
-    split_band_preserving,
+    molecular_operator,
     u_map,
     u_matrix,
     u_star_map,
 )
 from adiband.models import MODEL_TAGS, ElectronicModel, get_model
 from adiband.propagation import diagonalize
-from oracles import assembled_blocks, assembled_bo, dense_eigenpairs, fourier_matrix, kinetic_matrix, kron_hamiltonian
+from oracles import assembled_blocks, assembled_bo, fourier_matrix, kinetic_matrix, kron_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
     grid = make_grid(-6.4, 6.4, 128)
     model = get_model(tag)
     for eps in (0.2, 0.025):
-        got, want = assemble_blocks(model, grid, eps).blocks, assembled_blocks(model, grid, eps)
+        got, want = molecular_operator(model, grid).blocks(eps).blocks, assembled_blocks(model, grid, eps)
         assert [list(c) for c, _ in got] == [list(c) for c, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
@@ -100,10 +100,10 @@ def test_parts_check_refuses_as_the_full_check_does(skew, shape):
             want = assembled_blocks(model, grid, eps)
         except AssertionError as exc:
             with pytest.raises(AssertionError) as got:
-                assemble_blocks(model, grid, eps)
+                molecular_operator(model, grid).blocks(eps)
             assert str(got.value) == str(exc)
         else:
-            for (_, a), (_, b) in zip(assemble_blocks(model, grid, eps).blocks, want, strict=True):
+            for (_, a), (_, b) in zip(molecular_operator(model, grid).blocks(eps).blocks, want, strict=True):
                 assert np.array_equal(a.matrix, b.matrix)
 
 
@@ -146,7 +146,7 @@ def test_diag_trivial_projections(ac_setup):
 def test_diag_rejects_band_of_other_dimension(ac_setup):
     grid, model, band, H, P = ac_setup
     coarse = band_decompose(model, make_grid(-8, 8, 64), 0)
-    for build, op in ((assemble_diag, H), (split_band_preserving, assemble_blocks(model, grid, eps=0.1))):
+    for build, op in ((assemble_diag, H), (_band_fibers, molecular_operator(model, grid).blocks(0.1))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             build(op, coarse)
 
@@ -188,7 +188,7 @@ def test_storage_dtype_follows_data(tag, bands, window, real_data):
     assert P.dtype == H.matrix.dtype == Hd.matrix.dtype == expected
     # eigenvectors follow the storage: float64 for real data, complex with a
     # nonzero imaginary part otherwise
-    for V in (dense_eigenpairs(diagonalize(H))[1], dense_eigenpairs(diagonalize(Hd))[1]):
+    for V in (diagonalize(H).V, diagonalize(Hd).V):
         assert V.dtype == expected
         assert np.any(V.imag) != real_data
 
@@ -199,7 +199,7 @@ def test_blocks_are_the_components_of_the_dense_h(tag):
     # exact-zero pattern of the dense N x N H, and hold its entries on their rows
     grid = make_grid(-4, 4, 32)
     model = get_model(tag)
-    H = assemble_blocks(model, grid, eps=0.2)
+    H = molecular_operator(model, grid).blocks(0.2)
     dense = assemble_full(model, grid, eps=0.2).matrix
     rows = [H.rows(comp) for comp, _ in H.blocks]
     assert [list(r) for r in rows] == [list(c) for c in _coupled_components(dense != 0)]
@@ -221,12 +221,12 @@ BAND_SUBSETS = [
 @pytest.mark.parametrize("tag, bands, window", BAND_SUBSETS)
 def test_band_projection_couples_no_two_blocks(tag, bands, window):
     # P is a function of H_e(X) at each point, so its fiber blocks never couple two blocks
-    # of H: split_band_preserving refuses a P that does, and solves each block on its own
+    # of H: _band_fibers refuses a P that does, and the decoupling pair solves each block on its own
     grid = make_grid(-4, 4, 32)
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge="component" if len(bands) == 1 else None)
     owner = np.empty(model.fiber_dim, dtype=int)
-    for k, (comp, _) in enumerate(assemble_blocks(model, grid, eps=0.2).blocks):
+    for k, (comp, _) in enumerate(molecular_operator(model, grid).blocks(0.2).blocks):
         owner[comp] = k
     coupled = (band.proj != 0).any(axis=0)
     assert not np.any(coupled[owner[:, None] != owner[None, :]])

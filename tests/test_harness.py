@@ -514,7 +514,7 @@ def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutof
     # the product with M for 80 columns (the row) differently from 20 (one time)
     band, fam = cfg.build_band(), cfg.state["family_params"]
     for p in res.points:
-        pair = cache.decoupling_pair(band.model, band.grid, band, p["eps"])
+        pair = cache.diag(cfg, band.model, band.grid, band, p["eps"])
         assert ("shared_solves" in vars(pair)) == (energy_cutoff is not None)
         family = standard_state_family(cfg.lift_band(), p["eps"], fam["q_centers"], fam["p_centers"], fam["wkb"])
         one = decoupling_error(pair, family, [p["t"]], energy_cutoff=energy_cutoff)
@@ -729,7 +729,7 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     bands = [band_decompose(model, grid, 0) for model in models]
     cache = PropagatorCache()
     built = [
-        [cache.full(cfg, model, grid, 0.1), cache.decoupling_pair(model, grid, band, 0.1),
+        [cache.full(cfg, model, grid, 0.1), cache.diag(cfg, model, grid, band, 0.1),
          cache.diag(cfg, model, grid, band, 0.1), cache.bo(cfg, band, 0.1)]
         for model, band in zip(models, bands)
     ]
@@ -743,7 +743,7 @@ def test_cache_entries_are_keyed_by_the_objects_passed():
     vv = np.repeat(v, 2)
     assert not np.allclose(built[0][0].apply(vv, 1.0), built[1][0].apply(vv, 1.0))
     assert not np.allclose(built[0][3].apply(v, 1.0), built[1][3].apply(v, 1.0))
-    # the same objects hit: diag and the pair share an entry.  full and bo are built anew on each
+    # the same objects hit: a second diag call returns the kept pair.  full and bo are built anew on each
     # call and kept nowhere; full's parts are kept, once per model.  The matrix-free full and the
     # pair's full block (one block over every row), lifted to the grid, evolve alike, to the
     # rounding of the Chebyshev sum

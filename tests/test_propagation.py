@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from adiband.electronic import band_decompose
 from adiband.grids import MolecularWave, make_grid, norm
 from adiband.hamiltonians import (
-    assemble_blocks,
+    _band_fibers,
+    _split_block,
     assemble_bo,
     assemble_diag,
     assemble_full,
     full_projection,
     molecular_operator,
-    split_band_preserving,
 )
 from adiband.models import get_model
 from adiband.propagation import (
@@ -27,7 +27,6 @@ from adiband.propagation import (
 from oracles import (
     cutoff_projection,
     dense_decoupling_error,
-    dense_eigenpairs,
     dense_product_apply,
     diagonalize_blocks,
     split_eigenbases,
@@ -107,14 +106,14 @@ def test_diagonalize_diagonal_input():
     d = np.arange(8.0)
     H = DenseHamiltonian(np.diag(d).astype(complex), eps=0.1, tag="test", grid=grid, fiber_dim=1)
     prop = diagonalize(H, validate=True)
-    w, V = dense_eigenpairs(prop)
+    w, V = prop.w, prop.V
     assert np.allclose(np.sort(w), d)
     assert np.abs(np.abs(V).max(axis=0) - 1).max() <= 1e-12
 
 
 def test_reconstruction_and_real_eigenvalues(setups):
     for *_, H, prop in setups:
-        w, V = dense_eigenpairs(prop)
+        w, V = prop.w, prop.V
         recon = (V * w) @ V.conj().T
         assert np.abs(recon - H.matrix).max() <= 1e-10
         assert np.isrealobj(w)
@@ -130,7 +129,7 @@ def test_evolve_t0_identity(setups):
 def test_evolve_eigenvector_phase(setups):
     for grid, model, band, H, prop in setups:
         k = 17
-        w, V = dense_eigenpairs(prop)
+        w, V = prop.w, prop.V
         v = V[:, k]
         psi = MolecularWave(grid, v.reshape(grid.n_points, 2), eps=0.1)
         out = evolve(prop, psi, 0.7)
@@ -169,7 +168,7 @@ def test_apply_block_matches_columns_and_unitary(setups, pairs):
         assert np.abs(out - columns).max() <= 1e-12
         assert np.abs(out - unitary(prop, t) @ block).max() <= 1e-12
         # the pair's energy cutoff projects a family of states as it projects each state alone
-        cutoff = float(np.median(dense_eigenpairs(prop)[0]))
+        cutoff = float(np.median(prop.w))
         states = [MolecularWave(grid, block[:, j].reshape(grid.n_points, -1), eps=0.1) for j in range(3)]
         cut = decoupling_error(pair, states, [t], energy_cutoff=cutoff)
         columns = np.column_stack([decoupling_error(pair, [psi], [t], energy_cutoff=cutoff) for psi in states])
@@ -183,10 +182,10 @@ def test_real_storage_matches_complex_solver():
         assert H.matrix.dtype == np.float64
         prop = diagonalize(H)
         # the real solver ran: real eigenvectors
-        w, V = dense_eigenpairs(prop)
+        w, V = prop.w, prop.V
         assert not np.any(V.imag)
         ref = diagonalize(dataclasses.replace(H, matrix=H.matrix.astype(complex)))
-        assert np.abs(w - dense_eigenpairs(ref)[0]).max() <= 1e-12
+        assert np.abs(w - ref.w).max() <= 1e-12
         rng = np.random.default_rng(3)
         block = rng.standard_normal((prop.dim, 4)) + 1j * rng.standard_normal((prop.dim, 4))
         block /= np.linalg.norm(block, axis=0)
@@ -223,7 +222,7 @@ def test_apply_at_a_row_of_times_equals_stacked_scalar_calls(setups):
     # blocks are not (tests/test_harness.py::test_decoupling_scan_evaluates_each_eps_as_one_row).
     times = np.array([0.0, 0.3, 1.1, 4.0])
     # complex128 storage (two_band_complex), then float64 storage (rotated_pair)
-    assert [dense_eigenpairs(prop)[1].dtype for *_, prop in setups] == [np.complex128, np.float64]
+    assert [prop.V.dtype for *_, prop in setups] == [np.complex128, np.float64]
     for *_, prop in setups:
         rng = np.random.default_rng(7)
         block = rng.standard_normal((prop.dim, 3)) + 1j * rng.standard_normal((prop.dim, 3))
@@ -237,9 +236,8 @@ def test_apply_at_a_row_of_times_equals_stacked_scalar_calls(setups):
 
 
 def _complex_stored(prop):
-    """The same eigenpairs as one dense block stored complex128."""
-    w, V = dense_eigenpairs(prop)
-    return dataclasses.replace(prop, blocks=((slice(None), w, V.astype(complex)),))
+    """The same eigenpairs stored complex128."""
+    return dataclasses.replace(prop, V=prop.V.astype(complex))
 
 
 def _complex_stored_pair(pair):
@@ -251,7 +249,7 @@ def _complex_stored_pair(pair):
 
 def test_float64_storage_equals_complex_storage(pairs):
     *_, prop = _build(*MODELS["real"])
-    w, V = dense_eigenpairs(prop)
+    w, V = prop.w, prop.V
     assert V.dtype == np.float64
     # the same eigenpairs stored complex take the complex products
     ref = _complex_stored(prop)
@@ -382,7 +380,7 @@ def test_decoupling_error_rejects_zero_state(setups, pairs):
             with pytest.raises(ValueError, match="zero initial state"):
                 decoupling_error(pair, [psi, zero], [1.0], energy_cutoff=energy_cutoff)
         # a cutoff below the whole spectrum annihilates a nonzero state
-        below = float(dense_eigenpairs(prop)[0][0]) - 1.0
+        below = float(prop.w[0]) - 1.0
         with pytest.raises(ValueError, match="energy cutoff annihilated the state"):
             decoupling_error(pair, [psi], [1.0], energy_cutoff=below)
 
@@ -435,7 +433,7 @@ def _split_setup(tag, bands, window, gauge, n=128):
     grid = make_grid(-8, 8, n)
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge=gauge)
-    H = assemble_blocks(model, grid, eps=0.1)
+    H = molecular_operator(model, grid).blocks(0.1)
     return grid, band, H, diagonalize_blocks(H)
 
 
@@ -468,18 +466,21 @@ def test_band_preserving_split_matches_dense_oracle(case):
     dense = assemble_full(band.model, grid, eps=0.1)
     dense_diag = assemble_diag(dense, band)
     want = diagonalize(dense_diag)
-    assert [rows for rows, *_ in want.blocks] == [slice(None)]
+    assert want.w.shape == (H.dim,) and want.V.shape == (H.dim, H.dim)
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
-    # one entry per block of H: None where H_diag equals H, else the block's frame of P and
-    # its ran P part, then its ran Q part, which together cover the block's rows once
-    entries = split_band_preserving(H, band)
-    assert len(entries) == len(H.blocks)
-    assert tuple(k for k, entry in enumerate(entries) if entry is None) == shared == got.shared
+    # P's fiber blocks on each block of H: None where H_diag equals H; every other block splits
+    # into the block's frame of P and its ran P part, then its ran Q part, which together cover
+    # the block's rows once
+    fibers = _band_fibers(H, band)
+    assert len(fibers) == len(H.blocks)
+    assert tuple(k for k, P in enumerate(fibers) if P is None) == shared == got.shared
     rank = sum(block.dim for k, (comp, block) in enumerate(H.blocks) if k in shared and _fibers(band, comp).any())
-    for (comp, block), entry in zip(H.blocks, entries):
-        if entry is None:
+    entries = []
+    for (comp, block), P in zip(H.blocks, fibers):
+        if P is None:
             continue
-        W, parts = entry
+        W, parts = _split_block(block, P)
+        entries.append((W, parts))
         d = len(comp)
         assert W.shape == (grid.n_points, d, d)
         assert np.abs(W.conj().transpose(0, 2, 1) @ W - np.eye(d)).max() <= 1e-12
@@ -495,13 +496,13 @@ def test_band_preserving_split_matches_dense_oracle(case):
     assert got.dim == H.dim and got.eps == 0.1
     # eigenvalues ascend within each part (a split block lists its ran P part's, then its ran Q
     # part's) and within the full block
-    for (_, _, parts, w_d, w_f, M), entry in zip(got.split, [e for e in entries if e is not None]):
+    for (_, _, parts, w_d, w_f, M), entry in zip(got.split, entries, strict=True):
         sizes = [G.dim for _, G in entry[1]]
         assert all(np.all(np.diff(part) >= 0) for part in np.split(w_d, np.cumsum(sizes)[:-1]))
         assert np.all(np.diff(w_f) >= 0)
         assert M.dtype == dtype and all(V.dtype == dtype for _, V in parts)
     # the spectra of H_diag and H: the split blocks' and, on a shared block, H's own
-    shared_w = [w for k, (_, w, _) in enumerate(full.blocks) if k in shared]
+    shared_w = [diagonalize(H.blocks[k][1]).w for k in shared]
     scale = np.abs(dense.matrix).max()
     for w_split, oracle in ((3, dense_diag), (4, dense)):
         w = np.sort(np.concatenate([entry[w_split] for entry in got.split] + shared_w))
@@ -561,7 +562,7 @@ def test_block_pair_decoupling_error_matches_per_state_formula(case):
     pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
     states = _random_states(grid, band.fiber_dim, 3, seed=5)
     times = (0.5, 0.7, 3.0)
-    cutoff = float(np.median(dense_eigenpairs(full)[0]))
+    cutoff = float(np.median(full.w))
     for energy_cutoff in (None, cutoff):
         got = decoupling_error(pair, states, times, energy_cutoff=energy_cutoff)
         alone = np.column_stack([decoupling_error(pair, [psi], times, energy_cutoff=energy_cutoff)
@@ -642,6 +643,7 @@ def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
     assert pair.shared == (1,)
+    minus_x = diagonalize(H.blocks[1][1])
     products = []
     real_times = propagation._times
 
@@ -657,10 +659,10 @@ def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
     # the split block's analysis (W^dag, then its ran P and ran Q parts), M^dag, and the one product with M
     assert len(products) == 5
     products.clear()
-    cutoff = float(np.median(full.blocks[1][1]))
+    cutoff = float(np.median(minus_x.w))
     decoupling_error(pair, states, [0.5, 1.0], energy_cutoff=cutoff)
     ((rows, w, V),) = pair.shared_solves
-    assert np.array_equal(rows, full.blocks[1][0]) and np.array_equal(w, full.blocks[1][1])
+    assert np.array_equal(rows, H.rows(H.blocks[1][0])) and np.array_equal(w, minus_x.w)
     assert sum(A.base is V for A in products) == 1
     # and with the cutoff, c_d = M c_f once more
     assert len(products) == 5 + 1 + 1
@@ -697,10 +699,10 @@ def test_band_preserving_split_refuses_a_p_that_couples_blocks():
     band = band_decompose(get_model("constant_fiber"), grid, 0)
     v = np.array([np.cos(0.4), np.sin(0.4)])
     mixed = dataclasses.replace(band, proj=np.tile(np.outer(v, v), (grid.n_points, 1, 1)).astype(complex))
-    H = assemble_blocks(band.model, grid, eps=0.1)
+    H = molecular_operator(band.model, grid).blocks(0.1)
     assert len(H.blocks) == 2
     with pytest.raises(ValueError, match="couple two blocks of H"):
-        split_band_preserving(H, mixed)
+        _band_fibers(H, mixed)
     with pytest.raises(ValueError, match="couple two blocks of H"):
         diagonalize_pair(molecular_operator(band.model, grid), mixed, 0.1)
 
@@ -729,9 +731,7 @@ def test_single_block_operators_take_the_dense_solver_unchanged():
     for H in operators:
         w, v = np.linalg.eigh(H.matrix)
         prop = diagonalize(H)
-        ((rows, got_w, got_v),) = prop.blocks
-        assert rows == slice(None)
-        assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
+        assert np.array_equal(prop.w, w) and np.array_equal(prop.V, v)
         for vec in (block[: H.dim, 0], block[: H.dim]):
             for t in (0.7, np.array([0.0, 0.7, 3.0])):
                 assert np.array_equal(prop.apply(vec, t), dense_product_apply(w, v, H.eps, vec, t))
@@ -746,7 +746,7 @@ def test_block_apply_matches_the_dense_oracle():
     rng = np.random.default_rng(9)
     block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
     times = np.array([0.0, 0.7, 3.0])
-    assert len(full.blocks) > 1 and full.dim == H.dim
+    assert len(H.blocks) > 1 and full.dim == H.dim
     for vec in (block[:, 0], block):
         pairs = [(full.apply(vec, 0.7), unitary(full, 0.7) @ vec),
                  (full.apply(vec, times), np.stack([unitary(full, t) @ vec for t in times]))]
@@ -755,7 +755,7 @@ def test_block_apply_matches_the_dense_oracle():
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
     dense_diag = diagonalize(assemble_diag(assemble_full(band.model, grid, eps=0.1), band))
-    cutoff = float(np.median(dense_eigenpairs(full)[0]))
+    cutoff = float(np.median(full.w))
     ((rows, w_d, E_d, w_f, E_f),) = split_eigenbases(pair)
     on_rows = np.ix_(rows, rows)
     x = block[rows]
@@ -770,15 +770,16 @@ def test_block_apply_matches_the_dense_oracle():
 
 
 def test_crossing_trio_pair_stores_only_its_blocks():
-    # the full H's eigenvectors are kept on their blocks' rows: 5 n^2 entries instead of 9 n^2.
+    # the full H's eigenvectors, solved block by block, take 5 n^2 entries instead of 9 n^2.
     # The pair keeps its split 2n block as ran P and ran Q eigenvectors of n each, the (n, 2, 2)
     # frame and the 2n x 2n M: 6 n^2 + 4 n entries; its shared n block is not stored at all
     n = 128
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
-    assert [(len(rows), len(w)) for rows, w, _ in full.blocks] == [(2 * n, 2 * n), (n, n)]
-    assert all(V.dtype == np.float64 for *_, V in full.blocks)
-    assert sum(V.nbytes for *_, V in full.blocks) == 8 * 5 * n * n
+    solved = [diagonalize(block) for _, block in H.blocks]
+    assert [s.V.shape for s in solved] == [(2 * n, 2 * n), (n, n)]
+    assert all(s.V.dtype == np.float64 for s in solved)
+    assert sum(s.V.nbytes for s in solved) == 8 * 5 * n * n
     ((_, W, parts, w_d, w_f, M),) = pair.split
     arrays = [W, M] + [V for _, V in parts]
     assert all(a.dtype == np.float64 for a in arrays)
@@ -791,10 +792,11 @@ def test_validate_checks_each_block(monkeypatch):
     # entries form blocks of 2n and n, and each ran P / ran Q part of H_diag's split block
     grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
     dense = assemble_full(band.model, grid, eps=0.1)
-    parts = [G for entry in split_band_preserving(H, band) if entry is not None for _, G in entry[1]]
+    parts = [G for (_, block), P in zip(H.blocks, _band_fibers(H, band)) if P is not None
+             for _, G in _split_block(block, P)[1]]
     for op in [dense] + parts:
-        ((rows, w, _),) = diagonalize(op, validate=True).blocks
-        assert rows == slice(None) and len(w) == op.dim
+        solved = diagonalize(op, validate=True)
+        assert solved.w.shape == (op.dim,) and solved.V.shape == (op.dim, op.dim)
     real_eigh = np.linalg.eigh
 
     def moved(M):
@@ -817,6 +819,7 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
     n = 128
     grid, band, H, _ = _split_setup("crossing_trio", (0, 1), None, None)
     assert [(list(comp), block.dim) for comp, block in H.blocks] == [([0, 2], 2 * n), ([1], n)]
+    minus_x = diagonalize(H.blocks[1][1])
     sizes, real_eigh = [], np.linalg.eigh
 
     def eigh(M):
@@ -840,19 +843,18 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
     states = _random_states(grid, 3, 2, seed=8)
     decoupling_error(pair, states, [1.0])
     assert calls == [2 * n, n, n]
-    # with a cutoff, the -X block is solved on the first call and kept: H's own triple of that block
+    # with a cutoff, the -X block is solved on the first call and kept: H's own eigenpair of that block
     for _ in range(2):
-        decoupling_error(pair, states, [1.0], energy_cutoff=float(np.median(prop.blocks[1][1])))
+        decoupling_error(pair, states, [1.0], energy_cutoff=float(np.median(minus_x.w)))
     assert calls == [2 * n, n, n, n]
     ((rows, w, V),) = pair.shared_solves
-    minus_x = prop.blocks[1]
-    assert np.array_equal(rows, 3 * np.arange(n) + 1) and np.array_equal(rows, minus_x[0])
-    assert np.array_equal(w, minus_x[1]) and np.array_equal(V, minus_x[2])
+    assert np.array_equal(rows, 3 * np.arange(n) + 1) and np.array_equal(rows, H.rows(H.blocks[1][0]))
+    assert np.array_equal(w, minus_x.w) and np.array_equal(V, minus_x.V)
     monkeypatch.undo()
     # the oracles: the dense solve of H and of the dense H_diag
     dense = assemble_full(band.model, grid, eps=0.1)
     scale = np.abs(dense.matrix).max()
-    assert np.abs(dense_eigenpairs(prop)[0] - np.linalg.eigh(dense.matrix)[0]).max() <= 1e-12 * scale
-    want = dense_eigenpairs(diagonalize(assemble_diag(dense, band)))[0]
+    assert np.abs(prop.w - np.linalg.eigh(dense.matrix)[0]).max() <= 1e-12 * scale
+    want = diagonalize(assemble_diag(dense, band)).w
     got = np.sort(np.concatenate([pair.split[0][3], w]))
     assert np.abs(got - want).max() <= 1e-12 * scale
