@@ -33,7 +33,7 @@ import numpy as np
 from .electronic import (
     BandData, _band_indices_ok, _window_mask, band_decompose, berry_connection, grad_projection, riesz_projection,
 )
-from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm, spectral_derivative_matrix
+from .grids import Grid1D, NuclearWave, make_grid, norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
@@ -114,7 +114,7 @@ def _finite_numbers(values) -> bool:
 def _param_kind_error(family, key, value):
     """What `state.params[key]` of `family` must be, or None when `value` is that.
 
-    Every parameter is a number, except the coherent `profile`, an `envelope` name.
+    Every parameter is a finite number, except the coherent `profile`, an `envelope` name.
     """
     if (family, key) == ("coherent", "profile"):
         try:
@@ -122,8 +122,8 @@ def _param_kind_error(family, key, value):
         except KeyError:
             return "an envelope name"
         return None
-    if not _is_number(value):
-        return "a number"
+    if not _finite_numbers([value]):
+        return "a finite real number"
     return None
 
 
@@ -220,6 +220,14 @@ class ExperimentConfig:
             raise ValueError(f"times must be a non-empty list of finite real numbers, got {times!r}")
         if self.energy_cutoff is not None and not _finite_numbers([self.energy_cutoff]):
             raise ValueError(f"energy_cutoff must be null or a finite real number, got {self.energy_cutoff!r}")
+        for name in ("alpha", "delta", "flow_dt", "fit_residual_threshold"):
+            value = getattr(self, name)
+            if not (_finite_numbers([value]) and value > 0):
+                raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
+        if not isinstance(self.include_a_geo, bool):
+            raise ValueError(f"include_a_geo must be true or false, got {self.include_a_geo!r}")
+        if not (self.symbol is None or (isinstance(self.symbol, str) and self.symbol in _SYMBOLS)):
+            raise ValueError(f"symbol must be null or one of {sorted(_SYMBOLS)}, got {self.symbol!r}")
         if self.functional not in FUNCTIONALS:
             raise ValueError(
                 f"unknown functional {self.functional!r}; available: {sorted(FUNCTIONALS)}"
@@ -298,6 +306,17 @@ class ExperimentConfig:
                     raise ValueError(f"state.{keys[-1]}[{key!r}] of the {family} family must be {kind}, got {value!r}")
         elif set(nested) != sub:
             raise ValueError(f"{self.functional} reads state.{keys[-1]} keys {sorted(sub)}, got {sorted(nested)}")
+        else:
+            # the number lists of the decoupling family and the observable-pairing centers: (key, form, check)
+            for key, form, ok in (
+                ("q_centers", "a list of finite real numbers", _finite_numbers),
+                ("p_centers", "a list of finite real numbers", _finite_numbers),
+                ("wkb", "4 finite real numbers (center, width, amp, k)", lambda v: _finite_numbers(v) and len(v) == 4),
+                ("centers", "a list of [q0, p0] pairs of finite real numbers",
+                 lambda v: isinstance(v, (list, tuple)) and all(_finite_numbers(c) and len(c) == 2 for c in v)),
+            ):
+                if key in nested and not ok(nested[key]):
+                    raise ValueError(f"state.{keys[-1]}[{key!r}] must be {form}, got {nested[key]!r}")
         if self.functional == "decoupling" and self.state["family"] != "coherent":
             raise ValueError(f"decoupling needs the coherent state family, got {self.state['family']!r}")
 
@@ -556,22 +575,15 @@ def _named_symbol(name: str) -> Symbol:
 def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
     """The fixed ten-state test family: a 3 x 3 coherent lattice plus one WKB state.
 
-    Returned as scaled-Sobolev-normalized molecular waves on the band frame,
-    on the band's grid.
+    Returned as molecular waves on the band frame, on the band's grid, not
+    normalized: `decoupling_error` divides each state's error by a norm of
+    that state, with or without an energy cutoff, so a rescaled state has the
+    same error.
     """
     grid = band.grid
-    out = []
-    for q0 in q_centers:
-        for p0 in p_centers:
-            wave, _ = coherent_state(grid, eps, q0, p0)
-            out.append(lift_to_band(wave, band))
-    wave, _ = _wkb_wave(grid, eps, *wkb_params)
-    out.append(lift_to_band(wave, band))
-    normalized = []
-    for psi in out:
-        s = sobolev_norm(psi, 2)
-        normalized.append(MolecularWave(psi.grid, psi.values / s, eps=psi.eps))
-    return normalized
+    out = [lift_to_band(coherent_state(grid, eps, q0, p0)[0], band) for q0 in q_centers for p0 in p_centers]
+    out.append(lift_to_band(_wkb_wave(grid, eps, *wkb_params)[0], band))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -253,15 +253,59 @@ def test_from_json_names_unknown_fields():
         ("energy_cutoff", float("nan"), "energy_cutoff must be null or a finite real number"),
         ("energy_cutoff", "2.0", "energy_cutoff must be null or a finite real number"),
         ("energy_cutoff", True, "energy_cutoff must be null or a finite real number"),
+        # a zero time step never ends the hitting-time flow, so the load would not return; a negative
+        # one reverses the hitting window, and True would be read as a step of 1
+        ("flow_dt", 0.0, "flow_dt must be a positive finite real number"),
+        ("flow_dt", -0.001, "flow_dt must be a positive finite real number"),
+        ("flow_dt", True, "flow_dt must be a positive finite real number"),
+        # alpha 0 divides by zero in the load; a negative alpha, or a margin delta <= 0 on a windowed
+        # config, fails every row
+        ("alpha", 0.0, "alpha must be a positive finite real number"),
+        ("alpha", -0.3, "alpha must be a positive finite real number"),
+        ("delta", 0.0, "delta must be a positive finite real number"),
+        ("delta", -0.5, "delta must be a positive finite real number"),
+        # a NaN threshold turns the fit's residual guard off, and one <= 0 makes every slope None
+        ("fit_residual_threshold", float("nan"), "fit_residual_threshold must be a positive finite real number"),
+        ("fit_residual_threshold", 0.0, "fit_residual_threshold must be a positive finite real number"),
+        ("fit_residual_threshold", -1.0, "fit_residual_threshold must be a positive finite real number"),
+        # the string "false" is truthy: the scan would run with the connection
+        ("include_a_geo", "false", "include_a_geo must be true or false"),
+        ("include_a_geo", 0, "include_a_geo must be true or false"),
+        # an unknown symbol fails every row
+        ("symbol", 3, "symbol must be null or one of"),
+        ("symbol", "q^3", "symbol must be null or one of"),
+        # a non-finite launch point or center fails every row with non-finite wavefunction values, a
+        # string center with a TypeError, and so does a wkb list of the wrong length
+        ("state", {"family": "coherent", "params": {"q0": float("nan"), "p0": -0.35}},
+         r"state.params\['q0'\] of the coherent family must be a finite real number"),
+        ("state", {"family": "coherent", "params": {"q0": 0.3, "p0": float("inf")}},
+         r"state.params\['p0'\] of the coherent family must be a finite real number"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, float("nan")], "p_centers": [0.2],
+                                                           "wkb": [-0.9, 0.6, 0.3, 0.4]}},
+         r"state.family_params\['q_centers'\] must be a list of finite real numbers"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4], "p_centers": ["0.2"],
+                                                           "wkb": [-0.9, 0.6, 0.3, 0.4]}},
+         r"state.family_params\['p_centers'\] must be a list of finite real numbers"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4], "p_centers": [0.2], "wkb": [0.1]}},
+         r"state.family_params\['wkb'\] must be 4 finite real numbers"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4], "p_centers": [0.2],
+                                                           "wkb": [-0.9, 0.6, float("nan"), 0.4]}},
+         r"state.family_params\['wkb'\] must be 4 finite real numbers"),
+        ("state", {"params": {"centers": [[-0.5, 0.4], [float("nan"), -0.3]]}},
+         r"state.params\['centers'\] must be a list of \[q0, p0\] pairs of finite real numbers"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
     from adiband.harness import _config
 
-    # the region is read by the effective-dynamics config, the energy cutoff by the decoupling one,
-    # the other fields by the small one
-    base = {"region": "effective", "energy_cutoff": "decoupling"}
-    data = json.loads((_config(base[key]) if key in base else small_config()).to_json())
+    # the region and the fields of the hitting-time flow are read by the effective-dynamics config,
+    # the energy cutoff by the decoupling one, the other fields by the small one; a state with a
+    # family goes to the config that reads its keys
+    readers = {"region": "effective", "alpha": "effective", "flow_dt": "effective", "include_a_geo": "effective",
+               "energy_cutoff": "decoupling"}
+    if key == "state" and "family" in value:
+        readers["state"] = "decoupling" if "family_params" in value else "effective"
+    data = json.loads((_config(readers[key]) if key in readers else small_config()).to_json())
     data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
@@ -917,16 +961,29 @@ def test_criterion_detail_is_plain_python_values():
 
 
 def test_standard_family_size_and_normalization():
+    # ten states, left unnormalized: the decoupling error of each is relative to a norm of that
+    # state, with and without an energy cutoff, so rescaling a state does not change its error.
+    # By powers of two the rescaling is exact, and so is the error; by other factors, to rounding
     from adiband.electronic import band_decompose
-    from adiband.grids import make_grid, sobolev_norm
+    from adiband.grids import MolecularWave, make_grid
+    from adiband.hamiltonians import molecular_operator
     from adiband.models import get_model
+    from adiband.propagation import decoupling_error, diagonalize_pair
 
     grid = make_grid(-8, 8, 128)
     band = band_decompose(get_model("two_band_complex"), grid, 0)
     fam = standard_state_family(band, 0.1, (-1.0, 0.0, 1.0), (-0.4, 0.0, 0.4), (0.0, 0.6, 0.3, np.pi / 8))
     assert len(fam) == 10
-    for psi in fam:
-        assert sobolev_norm(psi, 2) == pytest.approx(1.0, abs=1e-10)
+    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    cutoff = float(np.median(pair.split[0][4]))
+    times = [0.5, 2.0]
+    for energy_cutoff in (None, cutoff):
+        want = decoupling_error(pair, fam, times, energy_cutoff=energy_cutoff)
+        assert np.all(want > 1e-6)
+        for scales, rel in ((2.0 ** np.arange(-5, 5), 0.0), (np.geomspace(1e-3, 1e3, 10), 1e-13)):
+            scaled = [MolecularWave(grid, c * psi.values, eps=0.1) for c, psi in zip(scales, fam)]
+            got = decoupling_error(pair, scaled, times, energy_cutoff=energy_cutoff)
+            assert np.all(np.abs(got - want) <= rel * want)
 
 
 def test_acceptance_configs_are_canonical():
