@@ -26,8 +26,8 @@ the two routes.
 `band_decompose` solves its m x m fiber stack by `eigh_by_blocks`, one
 connected component of the stack's exact-zero pattern at a time
 (`_coupled_components`).  The package finds blocks from exact-zero
-patterns only on m x m fibers, here and in `hamiltonians.FiberedOperator.blocks`,
-never on an N x N operator.
+patterns only on m x m fibers, here and in
+`hamiltonians.FiberedOperator.blocks`, never on an N x N operator.
 
 The resolvent projections integrate by the trapezoid rule on a circle
 with `_CONTOUR_NODES` = 128 nodes, spectrally accurate for the analytic

@@ -22,13 +22,13 @@ matrix that `DenseHamiltonian` makes.  Both checks refuse through one
 helper, `_refuse_non_hermitian`.
 
 The molecular Hamiltonian is stored as its exactly decoupled blocks
-(`FiberedOperator.blocks` of `molecular_operator`, a `BlockHamiltonian`).  The kinetic term couples
-every grid point of one fiber component, and H_e(X_i) couples components
-only where its entries are nonzero, so the blocks of H are the connected
-components of the m x m union over the grid of the fibers' exact-zero
-pattern, each over the rows i m + a of its components a.  Each block is
-built directly on its rows and checked as a DenseHamiltonian; no N x N
-matrix is formed.  `assemble_full` scatters the same blocks into the dense
+(`FiberedOperator.blocks` of `molecular_operator`, a `BlockHamiltonian`).
+The kinetic term couples every grid point of one fiber component, and
+H_e(X_i) couples components only where its entries are nonzero, so the
+blocks of H are the connected components of the m x m union over the grid
+of the fibers' exact-zero pattern, each over the rows i m + a of its
+components a.  Each block is built directly on its rows and checked as a
+DenseHamiltonian; no N x N matrix is formed.  `assemble_full` scatters the same blocks into the dense
 N x N H, for the tests' dense oracles, `identities.offdiag_scaling` and
 the `identities` suite.  Most models are one block; `crossing_trio`,
 whose -X level couples to nothing, is two (2n and n), and so is
