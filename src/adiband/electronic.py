@@ -64,6 +64,8 @@ _FD8_WEIGHTS = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4
 _CONTOUR_NODES = 128
 _MIN_CLEARANCE = 1e-6
 _DEG_TOL = 1e-8
+# above 1/sqrt(2) a unit vector's best overlap with an orthonormal basis is its only one that large
+_SURE_OVERLAP = 0.71
 
 
 def fd_derivative(samples: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -193,16 +195,23 @@ class BandData:
 def _track_band(evals, evecs, start_band, anchor):
     """Follow one band outward from the anchor by maximal-overlap continuation.
 
-    Levels within `_DEG_TOL` relative of the best-overlap level count as
-    degenerate with it.
+    The overlaps |V_i^H V_{i-1}| of adjacent points of the eigenvector stack
+    are formed by one batched product.  From the band's column at one point,
+    the walk takes the table's best column at the next while that overlap
+    exceeds `_SURE_OVERLAP` and no other level lies within `_DEG_TOL`
+    relative of its level.  Elsewhere it takes `step` against the previous
+    vector: inside an eigenspace whose levels agree to `_DEG_TOL` the vector
+    is continued by projection, and a best overlap below 0.7 is refused.  The
+    walk returns to the table once a step lands on a column.  Both routes
+    choose the same column, so chi and the energy are the bits of a walk by
+    `step` alone.
     """
     n, m, _ = evecs.shape
     chi = np.zeros((n, m), dtype=complex)
     energy = np.zeros(n)
-    chi[anchor] = evecs[anchor, :, start_band]
-    energy[anchor] = evals[anchor, start_band]
 
     def step(i, prev):
+        """The vector, the level and the column (None inside a degenerate eigenspace) at point i."""
         v = evecs[i]
         overlaps = np.abs(v.conj().T @ prev)
         j = int(np.argmax(overlaps))
@@ -213,17 +222,32 @@ def _track_band(evals, evecs, start_band, anchor):
             cand = sub @ (sub.conj().T @ prev)
             nc = np.linalg.norm(cand)
             if nc > 0.5:
-                return cand / nc, evals[i, j], 1.0
+                return cand / nc, evals[i, j], None
         if overlaps[j] < 0.7:
             raise RuntimeError(
                 f"band tracking lost at grid index {i}: best overlap {overlaps[j]:.3f}"
             )
-        return v[:, j], evals[i, j], overlaps[j]
+        return v[:, j], evals[i, j], j
 
-    for i in range(anchor + 1, n):
-        chi[i], energy[i], _ = step(i, chi[i - 1])
-    for i in range(anchor - 1, -1, -1):
-        chi[i], energy[i], _ = step(i, chi[i + 1])
+    # overlaps[r][a, b] = |<V_{r+1}[:, a], V_r[:, b]>|; alone[i][j]: no other level within _DEG_TOL of level j at i
+    overlaps = np.abs(evecs[1:].conj().transpose(0, 2, 1) @ evecs[:-1])
+    near = np.abs(evals[:, None, :] - evals[:, :, None]) < _DEG_TOL * np.maximum(1.0, np.abs(evals))[:, :, None]
+    alone = (near.sum(axis=2) == 1).tolist()
+    cols = np.full(n, -1)
+    cols[anchor] = start_band
+    # each direction: its points, the neighbour each steps from, the table axis of the new point, the row offset
+    for points, back, axis, row in ((range(anchor + 1, n), -1, 1, -1), (range(anchor - 1, -1, -1), 1, 2, 0)):
+        best, sure = overlaps.argmax(axis=axis).tolist(), (overlaps.max(axis=axis) > _SURE_OVERLAP).tolist()
+        j = start_band
+        for i in points:
+            r = i + row
+            if j is not None and sure[r][j] and alone[i][best[r][j]]:
+                j = cols[i] = best[r][j]
+            else:
+                chi[i], energy[i], j = step(i, chi[i + back] if j is None else evecs[i + back, :, j])
+    on = cols >= 0
+    chi[on] = evecs[on, :, cols[on]]
+    energy[on] = evals[on, cols[on]]
     return energy, chi
 
 

@@ -68,13 +68,27 @@ class Grid1D:
         return int(np.argmin(np.abs(self.x - x0)))
 
 
+# the largest bound a grid takes: below it every position, the span, the spacing and each position's square are finite
+_BOUND = float(np.sqrt(np.finfo(float).max))
+
+
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
-    """Build a periodic grid; n_points must be a power of two >= 8."""
+    """Build a periodic grid; n_points must be a power of two >= 8.
+
+    The bounds must be finite and below `_BOUND` (about 1.3e154) in size,
+    so that the positions, the span, the spacing and the squares the models
+    and observables take of X are finite, and the spacing must leave the
+    momentum lattice finite.
+    """
+    if not (abs(x_min) < _BOUND and abs(x_max) < _BOUND):
+        raise ValueError(f"grid bounds [{x_min}, {x_max}] must be finite and below {_BOUND:.3g} in size")
     if not x_max > x_min:
         raise ValueError(f"degenerate interval [{x_min}, {x_max}]")
     if n_points < 8 or (n_points & (n_points - 1)) != 0:
         raise ValueError(f"n_points must be a power of two >= 8, got {n_points}")
     dx = (x_max - x_min) / n_points
+    if not (dx > 0 and np.isfinite(np.pi / dx)):
+        raise ValueError(f"spacing {dx} of [{x_min}, {x_max}] leaves the momentum lattice non-finite")
     x = x_min + dx * np.arange(n_points)
     k = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
     return Grid1D(x_min=x_min, x_max=x_max, n_points=n_points, x=x, k=k)

@@ -33,7 +33,7 @@ import numpy as np
 from .electronic import (
     BandData, _band_indices_ok, _window_mask, band_decompose, berry_connection, grad_projection, riesz_projection,
 )
-from .grids import Grid1D, NuclearWave, make_grid, norm, spectral_derivative_matrix
+from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
 from .indicators import PhaseSpaceRegion
@@ -59,7 +59,10 @@ from .semiclassics import (
     weyl_quantize,
     wigner_marginal,
 )
-from .states import coherent_state, envelope, lift_to_band, sharp_momentum_state, wkb_state
+from .states import (
+    _check_coherent_center, _coherent_values, _wkb_normalized, coherent_state, envelope, lift_to_band,
+    sharp_momentum_state, wkb_state,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -87,14 +90,18 @@ def _pop_schema_version(data: dict) -> None:
 # configuration
 
 
-def _wkb_wave(grid, eps, center, width, amp, k):
-    """WKB packet with Gaussian amplitude (center, width) and phase amp*sin(k X)."""
-    return wkb_state(
-        grid, eps,
+def _wkb_functions(center, width, amp, k):
+    """(f, S, dS) of the WKB packet with Gaussian amplitude (center, width) and phase amp*sin(k X)."""
+    return (
         lambda X: np.exp(-((X - center) ** 2) / (2 * width**2)),
         lambda X: amp * np.sin(k * np.asarray(X)),
-        dS=lambda X: amp * k * np.cos(k * np.asarray(X)),
+        lambda X: amp * k * np.cos(k * np.asarray(X)),
     )
+
+
+def _wkb_wave(grid, eps, center, width, amp, k):
+    """WKB packet with Gaussian amplitude (center, width) and phase amp*sin(k X)."""
+    return wkb_state(grid, eps, *_wkb_functions(center, width, amp, k))
 
 
 # the constructor of each state family; `state.params` are its keyword arguments
@@ -246,6 +253,7 @@ class ExperimentConfig:
                 raise ValueError(f"window must be null or a list of two finite real numbers, got {window!r}")
             # every functional's bands take the window: one with no grid point fails every row
             _window_mask(self.build_grid(), window)
+        self._check_coherent_centers()
         if self.functional in ("effective_dynamics", "boundary_leakage"):
             missing = [name for name in ("window", "region") if getattr(self, name) is None]
             if missing:
@@ -319,6 +327,37 @@ class ExperimentConfig:
                     raise ValueError(f"state.{keys[-1]}[{key!r}] must be {form}, got {nested[key]!r}")
         if self.functional == "decoupling" and self.state["family"] != "coherent":
             raise ValueError(f"decoupling needs the coherent state family, got {self.state['family']!r}")
+
+    def _check_coherent_centers(self):
+        """Refuse a coherent center that `coherent_state` refuses at every eps of the ladder.
+
+        Its halo 5 sqrt(eps) and its momentum window shrink with eps at
+        different rates, so each eps is tried with the states' own checks
+        (`states._check_coherent_center`); a center that fits at one eps
+        loads, and its other rows report their refusal.
+        """
+        params = self.state.get("params", {})
+        if self.functional == "decoupling":
+            fam = self.state["family_params"]
+            where, centers = "state.family_params", [(q, p) for q in fam["q_centers"] for p in fam["p_centers"]]
+        elif self.functional == "observable_pairing":
+            where, centers = "state.params['centers']", params["centers"]
+        elif self.state["family"] == "coherent":
+            where, centers = "state.params", [(params["q0"], params["p0"])]
+        else:
+            return
+        grid = self.build_grid()
+        for q0, p0 in centers:
+            refusals = []
+            for eps in self.eps_ladder:
+                try:
+                    _check_coherent_center(grid, eps, q0, p0)
+                except ValueError as exc:
+                    refusals.append(exc)
+                else:
+                    break
+            else:
+                raise ValueError(f"{where} center ({q0}, {p0}) fits no eps of the ladder; at eps {eps}: {refusals[-1]}")
 
     # -- builders ---------------------------------------------------------
 
@@ -578,12 +617,20 @@ def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
     Returned as molecular waves on the band frame, on the band's grid, not
     normalized: `decoupling_error` divides each state's error by a norm of
     that state, with or without an energy cutoff, so a rescaled state has the
-    same error.
+    same error.  The family is built as one block: each center is checked as
+    `coherent_state` checks it, in lattice order, the lattice's packets are
+    the rows of one `_coherent_values` block, the WKB wave is the last row,
+    and the ten rows are lifted with one `chi_clamped()`.  Each state is the
+    same bits as `lift_to_band` of its own constructor's wave.
     """
     grid = band.grid
-    out = [lift_to_band(coherent_state(grid, eps, q0, p0)[0], band) for q0 in q_centers for p0 in p_centers]
-    out.append(lift_to_band(_wkb_wave(grid, eps, *wkb_params)[0], band))
-    return out
+    centers = [(q0, p0) for q0 in q_centers for p0 in p_centers]
+    for q0, p0 in centers:
+        _check_coherent_center(grid, eps, q0, p0)
+    q0, p0 = np.array(centers, dtype=float).reshape(-1, 2).T[:, :, None]
+    f, S, _ = _wkb_functions(*wkb_params)
+    block = np.vstack([_coherent_values(grid, eps, q0, p0), _wkb_normalized(grid, eps, f, S).values])
+    return [MolecularWave(grid, values, eps) for values in block[:, :, None] * band.chi_clamped()]
 
 
 # ---------------------------------------------------------------------------

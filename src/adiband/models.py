@@ -1,9 +1,16 @@
 """Built-in families X -> H_e(X) of Hermitian fiber Hamiltonians.
 
-Each model provides the matrix H_e(X) and its closed-form derivative
-dH_e/dX.  The analytic derivative backs the high-precision identity checks
-(gradients of projections, eigenvector perturbation formulas) where
-grid-based differentiation of non-periodic entries would limit accuracy.
+Each model provides the matrix H_e(X) as one closed form on an array of
+positions, and its closed-form derivative dH_e/dX at one position.  The
+closed form is evaluated once on the whole grid (`ElectronicModel.h_batch`,
+the fiber stack of the band decomposition and the molecular operator) and
+on a one-point array for `h(X)`.  It is written entry by entry with the
+operations of the formula at one point, a square as numpy's correctly
+rounded `xs**2`, so each entry of the stack is the same bits as that
+formula evaluated at its point alone.  The analytic derivative backs the
+high-precision identity checks (gradients of projections, eigenvector
+perturbation formulas) where grid-based differentiation of non-periodic
+entries would limit accuracy.
 
 Registry tags
 -------------
@@ -47,24 +54,29 @@ __all__ = ["ElectronicModel", "get_model", "list_models", "MODEL_TAGS"]
 
 @dataclass(frozen=True)
 class ElectronicModel:
-    """A smooth family of m x m Hermitian matrices with analytic derivative."""
+    """A smooth family of m x m Hermitian matrices with analytic derivative.
+
+    `_h` is the family's closed form on an array of positions: it maps a
+    float vector xs of shape (n,) to the stack H_e(xs) of shape (n, m, m),
+    real or complex.  `_dh` is the derivative at one position.
+    """
 
     tag: str
     fiber_dim: int
     params: dict
-    _h: Callable[[float], np.ndarray] = field(repr=False)
+    _h: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _dh: Callable[[float], np.ndarray] = field(repr=False)
 
     def h(self, X: float) -> np.ndarray:
-        """H_e(X) as an (m, m) complex Hermitian matrix."""
-        return self._h(float(X))
+        """H_e(X) as an (m, m) complex Hermitian matrix: the closed form at the one point X."""
+        return self._h(np.array([float(X)]))[0].astype(complex)
 
     def dh(self, X: float) -> np.ndarray:
         """Closed-form dH_e/dX at X."""
         return self._dh(float(X))
 
     def h_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Stack of H_e over a vector of positions: shape (len(xs), m, m).
+        """Stack of H_e over a vector of positions: shape (len(xs), m, m), one closed-form evaluation.
 
         The stack is real (a contiguous float64 array) when every H_e(X)
         has exactly zero imaginary part, and complex otherwise.  This is the
@@ -72,15 +84,25 @@ class ElectronicModel:
         decomposition and the molecular operator take it as given, so real
         fibers reach the real-symmetric solvers.
         """
-        stack = np.stack([self.h(X) for X in np.asarray(xs, dtype=float)])
-        return stack if np.any(stack.imag) else np.ascontiguousarray(stack.real)
+        stack = np.ascontiguousarray(self._h(np.asarray(xs, dtype=float)))
+        return stack if np.any(stack.imag) else np.ascontiguousarray(stack.real, dtype=float)
+
+
+def _fill(n: int, m: int, entries: dict, dtype=float) -> np.ndarray:
+    """An (n, m, m) stack, zero except entries[(a, b)] at (:, a, b)."""
+    out = np.zeros((n, m, m), dtype=dtype)
+    for (a, b), value in entries.items():
+        out[:, a, b] = value
+    return out
 
 
 def _two_band_complex(g_re=0.5, g_im=0.2):
-    def h(X):
-        f = np.tanh(X)
-        g = g_re + 1j * g_im / np.cosh(X)
-        return np.array([[f, g], [np.conj(g), -f]])
+    def h(xs):
+        f = np.tanh(xs)
+        # g_im / cosh X as a real quotient: a complex array divided by a real one is scaled by its
+        # reciprocal, which would not give the bits of the per-point formula's complex scalar division
+        g = g_re + 1j * (g_im / np.cosh(xs))
+        return _fill(len(xs), 2, {(0, 0): f, (0, 1): g, (1, 0): np.conj(g), (1, 1): -f}, complex)
 
     def dh(X):
         df = 1.0 / np.cosh(X) ** 2
@@ -91,12 +113,9 @@ def _two_band_complex(g_re=0.5, g_im=0.2):
 
 
 def _crossing_trio(g0=0.5, curvature=0.2, offset=3.0):
-    def h(X):
-        c = g0 * X * np.exp(-(X**2) / 2)
-        return np.array(
-            [[X, 0.0, c], [0.0, -X, 0.0], [c, 0.0, offset + curvature * X**2]],
-            dtype=complex,
-        )
+    def h(xs):
+        c = g0 * xs * np.exp(-(xs**2) / 2)
+        return _fill(len(xs), 3, {(0, 0): xs, (0, 2): c, (1, 1): -xs, (2, 0): c, (2, 2): offset + curvature * xs**2})
 
     def dh(X):
         dc = g0 * (1 - X**2) * np.exp(-(X**2) / 2)
@@ -109,12 +128,12 @@ def _crossing_trio(g0=0.5, curvature=0.2, offset=3.0):
 
 
 def _rotated_pair(theta0=0.3, well=4.0):
-    def h(X):
-        th = theta0 * np.tanh(X)
-        a = X**2 - well
+    def h(xs):
+        th = theta0 * np.tanh(xs)
+        a = xs**2 - well
         c, s = np.cos(th), np.sin(th)
-        R = np.array([[c, -s], [s, c]])
-        return (R @ np.diag([a, -a]) @ R.T).astype(complex)
+        R = _fill(len(xs), 2, {(0, 0): c, (0, 1): -s, (1, 0): s, (1, 1): c})
+        return R @ _fill(len(xs), 2, {(0, 0): a, (1, 1): -a}) @ R.transpose(0, 2, 1)
 
     def dh(X):
         th = theta0 * np.tanh(X)
@@ -134,8 +153,8 @@ def _rotated_pair(theta0=0.3, well=4.0):
 def _constant_fiber(levels=(1.0, 2.0)):
     lev = np.asarray(levels, dtype=float)
 
-    def h(X):
-        return np.diag(lev).astype(complex)
+    def h(xs):
+        return _fill(len(xs), len(lev), {(a, a): v for a, v in enumerate(lev)})
 
     def dh(X):
         return np.zeros((len(lev), len(lev)), dtype=complex)
@@ -144,10 +163,13 @@ def _constant_fiber(levels=(1.0, 2.0)):
 
 
 def _free():
-    def h(X):
+    def h(xs):
+        return np.zeros((len(xs), 1, 1))
+
+    def dh(X):
         return np.zeros((1, 1), dtype=complex)
 
-    return h, h
+    return h, dh
 
 
 _BUILDERS = {
@@ -168,7 +190,7 @@ def get_model(tag: str, **params) -> ElectronicModel:
     builder, m = _BUILDERS[tag]
     h, dh = builder(**params)
     if m is None:
-        m = h(0.0).shape[0]
+        m = h(np.zeros(1)).shape[-1]
     return ElectronicModel(tag=tag, fiber_dim=m, params=dict(params), _h=h, _dh=dh)
 
 

@@ -65,6 +65,36 @@ def _check_position_clearance(grid, q0, clearance):
         )
 
 
+def _check_coherent_center(grid: Grid1D, eps: float, q0: float, p0: float):
+    """Refuse a packet center whose 5*sqrt(eps) halo does not fit in the position or momentum window.
+
+    The refusals of `coherent_state`, shared by the state family and the
+    config load, which refuses a center that no eps of its ladder can hold.
+    """
+    halo = 5 * np.sqrt(eps)
+    _check_position_clearance(grid, q0, halo)
+    p_max = eps * np.abs(grid.k).max()
+    if abs(p0) + halo > p_max:
+        raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
+
+
+def _coherent_values(grid: Grid1D, eps: float, q0, p0, profile="gaussian") -> np.ndarray:
+    """The normalized samples of `coherent_state`, without its checks.
+
+    For numbers q0 and p0 the samples form a vector of shape (n,).  For
+    centers of shape (k, 1) they form a (k, n) block, one packet per row,
+    each row normalized over its own contiguous samples, so every row is
+    the same bits as the vector of its center.
+    """
+    prof = envelope(profile) if isinstance(profile, str) else profile
+    u = (grid.x - q0) / np.sqrt(eps)
+    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
+    nrm = l2_norm(vals, grid.dx, axis=-1)
+    if np.any(nrm == 0):
+        raise ValueError("zero state")
+    return vals / nrm[..., None]
+
+
 def coherent_state(grid: Grid1D, eps: float, q0: float, p0: float, profile="gaussian"):
     """Wave packet tracking the classical point (q0, p0).
 
@@ -72,17 +102,10 @@ def coherent_state(grid: Grid1D, eps: float, q0: float, p0: float, profile="gaus
     normalized, with `profile` an `envelope` name or a callable of u.  The
     matched classical density is the point mass at (q0, p0).  Raises if the
     packet (5*sqrt(eps) halo) does not fit in the position or momentum
-    window.
+    window (`_check_coherent_center`).
     """
-    halo = 5 * np.sqrt(eps)
-    _check_position_clearance(grid, q0, halo)
-    p_max = eps * np.abs(grid.k).max()
-    if abs(p0) + halo > p_max:
-        raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
-    prof = envelope(profile) if isinstance(profile, str) else profile
-    u = (grid.x - q0) / np.sqrt(eps)
-    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
-    wave = _normalized(grid, vals, eps)
+    _check_coherent_center(grid, eps, q0, p0)
+    wave = NuclearWave(grid, _coherent_values(grid, eps, q0, p0, profile), eps=eps)
     rho = ClassicalDensity(np.array([[q0, p0]]), np.array([1.0]))
     return wave, rho
 
@@ -111,13 +134,9 @@ def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, cent
     return wave, rho
 
 
-def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
-    """Oscillatory state f(X) e^{i S(X)/eps} on the Lagrangian graph p = S'(q).
-
-    f and S must be real and periodic on the box (the phase may also wind
-    by multiples of 2*pi*eps).  The classical density is the graph cloud
-    {(X_i, S'(X_i))} weighted by the normalized f^2 dX.
-    """
+def _wkb_normalized(grid: Grid1D, eps: float, f, S) -> NuclearWave:
+    """The normalized wave f(X) e^{i S(X)/eps} of `wkb_state`, without its density; a phase that does
+    not wind by a multiple of 2*pi*eps across the seam is refused."""
     fv = np.asarray(f(grid.x), dtype=float)
     Sv = np.asarray(S(grid.x), dtype=float)
     jump = abs(float(S(grid.x_max)) - float(S(grid.x_min)))
@@ -127,12 +146,21 @@ def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
             f"phase function jumps by {jump:.3e} across the seam; "
             "not a multiple of 2*pi*eps"
         )
-    wave = _normalized(grid, fv * np.exp(1j * Sv / eps), eps)
+    return _normalized(grid, fv * np.exp(1j * Sv / eps), eps)
+
+
+def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
+    """Oscillatory state f(X) e^{i S(X)/eps} on the Lagrangian graph p = S'(q).
+
+    f and S must be real and periodic on the box (the phase may also wind
+    by multiples of 2*pi*eps).  The classical density is the graph cloud
+    {(X_i, S'(X_i))} weighted by the normalized f^2 dX.
+    """
+    wave = _wkb_normalized(grid, eps, f, S)
     if dS is not None:
         slope = np.asarray(dS(grid.x), dtype=float)
     else:
-        ft = np.fft.fft(Sv)
-        slope = np.fft.ifft(1j * grid.k * ft).real
+        slope = np.fft.ifft(1j * grid.k * np.fft.fft(np.asarray(S(grid.x), dtype=float))).real
     dens = np.abs(wave.values) ** 2 * grid.dx
     rho = ClassicalDensity(np.column_stack([grid.x, slope]), dens)
     return wave, rho

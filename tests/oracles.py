@@ -252,3 +252,142 @@ def weyl_gather(G) -> np.ndarray:
     n = G.shape[1]
     I, L = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return G[I + L, (I - L) % n]
+
+
+# -- the per-point and per-state constructions the package's array code replaced ----------
+
+
+def _point_two_band_complex(g_re=0.5, g_im=0.2):
+    def h(X):
+        f = np.tanh(X)
+        g = g_re + 1j * g_im / np.cosh(X)
+        return np.array([[f, g], [np.conj(g), -f]])
+
+    return h
+
+
+def _point_crossing_trio(g0=0.5, curvature=0.2, offset=3.0):
+    def h(X):
+        c = g0 * X * np.exp(-(X * X) / 2)
+        return np.array(
+            [[X, 0.0, c], [0.0, -X, 0.0], [c, 0.0, offset + curvature * (X * X)]],
+            dtype=complex,
+        )
+
+    return h
+
+
+def _point_rotated_pair(theta0=0.3, well=4.0):
+    def h(X):
+        th = theta0 * np.tanh(X)
+        a = X * X - well
+        c, s = np.cos(th), np.sin(th)
+        R = np.array([[c, -s], [s, c]])
+        return (R @ np.diag([a, -a]) @ R.T).astype(complex)
+
+    return h
+
+
+def _point_constant_fiber(levels=(1.0, 2.0)):
+    lev = np.asarray(levels, dtype=float)
+    return lambda X: np.diag(lev).astype(complex)
+
+
+POINT_FIBERS = {
+    "two_band_complex": _point_two_band_complex,
+    "crossing_trio": _point_crossing_trio,
+    "rotated_pair": _point_rotated_pair,
+    "constant_fiber": _point_constant_fiber,
+    "free": lambda: (lambda X: np.zeros((1, 1), dtype=complex)),
+}
+
+
+def point_fiber(tag, X, **params) -> np.ndarray:
+    """H_e(X) of a built-in model at one Python float X by its per-point formula, complex (m, m).
+
+    Squares are written X * X, the correctly rounded product that numpy's
+    `xs**2` gives on an array.  Python's `X**2` on a float calls the C
+    library's pow, which rounds about one double in a thousand differently
+    (by one ulp); on the points of the shipped grids the two agree
+    (`tests/test_models.py`).
+    """
+    return POINT_FIBERS[tag](**params)(float(X))
+
+
+def stacked_fibers(tag, xs, **params) -> np.ndarray:
+    """The stack of `point_fiber` over xs, real (contiguous float64) when no entry has an imaginary part."""
+    stack = np.stack([point_fiber(tag, X, **params) for X in np.asarray(xs, dtype=float)])
+    return stack if np.any(stack.imag) else np.ascontiguousarray(stack.real)
+
+
+def stepwise_track_band(evals, evecs, start_band, anchor):
+    """`electronic._track_band` by its `step` at every point: maximal-overlap continuation from the anchor.
+
+    Levels within `_DEG_TOL` relative of the best-overlap level count as
+    degenerate with it, and the previous vector is projected onto their
+    eigenspace; a best overlap below 0.7 is refused.
+    """
+    from adiband.electronic import _DEG_TOL
+
+    n, m, _ = evecs.shape
+    chi = np.zeros((n, m), dtype=complex)
+    energy = np.zeros(n)
+    chi[anchor] = evecs[anchor, :, start_band]
+    energy[anchor] = evals[anchor, start_band]
+
+    def step(i, prev):
+        v = evecs[i]
+        overlaps = np.abs(v.conj().T @ prev)
+        j = int(np.argmax(overlaps))
+        deg = np.nonzero(np.abs(evals[i] - evals[i, j]) < _DEG_TOL * max(1.0, abs(evals[i, j])))[0]
+        if len(deg) > 1:
+            sub = v[:, deg]
+            cand = sub @ (sub.conj().T @ prev)
+            nc = np.linalg.norm(cand)
+            if nc > 0.5:
+                return cand / nc, evals[i, j]
+        if overlaps[j] < 0.7:
+            raise RuntimeError(
+                f"band tracking lost at grid index {i}: best overlap {overlaps[j]:.3f}"
+            )
+        return v[:, j], evals[i, j]
+
+    for i in range(anchor + 1, n):
+        chi[i], energy[i] = step(i, chi[i - 1])
+    for i in range(anchor - 1, -1, -1):
+        chi[i], energy[i] = step(i, chi[i + 1])
+    return energy, chi
+
+
+def coherent_wave(grid, eps, q0, p0, profile="gaussian"):
+    """The normalized values of `states.coherent_state` by its formula, one state, with its refusals."""
+    from adiband.grids import l2_norm
+    from adiband.states import envelope
+
+    halo = 5 * np.sqrt(eps)
+    if q0 - grid.x_min < halo or grid.x_max - q0 < halo:
+        raise ValueError(f"center {q0} closer than {halo:.3f} to the box edge; state would wrap around")
+    p_max = eps * np.abs(grid.k).max()
+    if abs(p0) + halo > p_max:
+        raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
+    prof = envelope(profile) if isinstance(profile, str) else profile
+    u = (grid.x - q0) / np.sqrt(eps)
+    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
+    nrm = l2_norm(vals, grid.dx)
+    if nrm == 0:
+        raise ValueError("zero state")
+    return vals / nrm
+
+
+def per_state_family(band, eps, q_centers, p_centers, wkb_params):
+    """`harness.standard_state_family` one state at a time: each packet by `coherent_wave`, the WKB
+    state by `wkb_state`, and each lifted on its own by `lift_to_band`."""
+    from adiband.grids import NuclearWave
+    from adiband.harness import _wkb_wave
+    from adiband.states import lift_to_band
+
+    grid = band.grid
+    out = [lift_to_band(NuclearWave(grid, coherent_wave(grid, eps, q0, p0), eps), band)
+           for q0 in q_centers for p0 in p_centers]
+    out.append(lift_to_band(_wkb_wave(grid, eps, *wkb_params)[0], band))
+    return out

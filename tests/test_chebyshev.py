@@ -195,6 +195,27 @@ def test_bo_propagator_is_a_unitary_group(bo_prop, s, t, seed):
     assert np.abs(bo_prop.apply(ut, s) - bo_prop.apply(v, s + t)).max() <= 1e-11 * np.abs(v).max()
 
 
+@pytest.fixture(scope="module")
+def full_props():
+    """The scans' matrix-free molecular propagators (`PropagatorCache.full`) at n = 64: crossing_trio, of two
+    blocks and real fibers, and two_band_complex, of complex fibers."""
+    grid = make_grid(-8, 8, 64)
+    return {tag: PropagatorCache().full(None, get_model(tag), grid, 0.1) for tag in ("crossing_trio", "two_band_complex")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(["crossing_trio", "two_band_complex"]), s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_full_propagator_is_a_unitary_group(full_props, tag, s, t, seed):
+    # the norm is kept, and U(s) U(t) v = U(s + t) v, for random times and a random complex v
+    prop = full_props[tag]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(prop.dim) + 1j * rng.standard_normal(prop.dim)
+    ut = prop.apply(v, t)
+    assert abs(np.linalg.norm(ut) / np.linalg.norm(v) - 1) <= 1e-12
+    assert np.abs(prop.apply(ut, s) - prop.apply(v, s + t)).max() <= 1e-11 * np.abs(v).max()
+
+
 def test_full_chebyshev_matches_the_dense_block_solve():
     # crossing_trio: H of two blocks, solved dense, against the scans' matrix-free full propagator
     grid = make_grid(-8, 8, 128)

@@ -1,8 +1,15 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adiband import electronic
 from adiband.electronic import (
     _coupled_components,
+    _track_band,
     band_decompose,
     berry_connection,
     eigh_by_blocks,
@@ -12,7 +19,9 @@ from adiband.electronic import (
     riesz_projection,
 )
 from adiband.grids import make_grid
+from adiband.harness import ExperimentConfig
 from adiband.models import get_model
+from oracles import stepwise_track_band
 
 GAP0 = 2 * np.sqrt(0.29)  # two_band_complex minimal gap, attained at X = 0
 
@@ -350,3 +359,91 @@ def test_band_tracking_through_crossing():
     # on the far right the tracked curve sits on the +X branch (2nd ascending)
     i = g.index_of(1.5)
     assert E[i] == pytest.approx(band.evals[i, 1], abs=1e-10)
+
+
+# -- the tracker on its overlap table against the tracker by steps ---------------------------
+
+
+@functools.cache
+def _shipped_bands():
+    """(id, band) of every gauged single band a shipped config decomposes: its bands and its lift band."""
+    root = Path(__file__).resolve().parents[1]
+    out = {}
+    for path in sorted(root.glob("src/adiband/configs/*.json")) + sorted(root.glob("perfbench/configs/*.json")):
+        cfg = ExperimentConfig.from_json(path.read_text())
+        for band in (cfg.build_band(), cfg.lift_band()):
+            if band.chi is not None:
+                out[f"{path.parts[-3]}/{path.stem}-band{band.band_indices[0]}"] = band
+    return sorted(out.items())
+
+
+# crossing_trio on a grid holding X = 0, where its +X and -X levels cross exactly
+_TRIO_CROSSING = [(f"crossing_trio-exact-crossing-band{j}", j) for j in range(3)]
+
+
+@pytest.mark.parametrize("gauge", ["component", "transport"])
+@pytest.mark.parametrize("name", [name for name, _ in _shipped_bands()] + [name for name, _ in _TRIO_CROSSING])
+def test_band_tracking_equals_the_stepwise_tracker(name, gauge, monkeypatch):
+    # chi and the band energy of band_decompose, bitwise, with _track_band and with its oracle by steps
+    bands = dict(_shipped_bands())
+    if name in bands:
+        b = bands[name]
+        args = (b.model, b.grid, b.band_indices, b.window)
+    else:
+        grid = make_grid(-4, 4, 256)
+        assert 0.0 in grid.x
+        args = (get_model("crossing_trio"), grid, dict(_TRIO_CROSSING)[name], None)
+    try:
+        got = band_decompose(*args, gauge=gauge)
+    except RuntimeError as exc:
+        # a band whose reference component vanishes inside the window refuses the component gauge the same way
+        monkeypatch.setattr(electronic, "_track_band", stepwise_track_band)
+        with pytest.raises(RuntimeError, match=str(exc)):
+            band_decompose(*args, gauge=gauge)
+        return
+    monkeypatch.setattr(electronic, "_track_band", stepwise_track_band)
+    want = band_decompose(*args, gauge=gauge)
+    assert got.chi.tobytes() == want.chi.tobytes() and got.band_energy.tobytes() == want.band_energy.tobytes()
+
+
+@pytest.mark.parametrize("anchor, lost_at", [(0, 7), (11, 6)])
+def test_band_tracking_loss_raises_at_the_index_of_the_stepwise_tracker(anchor, lost_at):
+    # three levels; from grid index 7 on the frame is the 3 x 3 DFT, whose columns all meet the
+    # standard basis at overlap 1/sqrt(3) < 0.7: tracking is lost entering it, from either side
+    n = 12
+    evals = np.tile([0.0, 1.0, 2.0], (n, 1))
+    evecs = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
+    evecs[7:] = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
+    message = f"band tracking lost at grid index {lost_at}: best overlap 0.577"
+    with pytest.raises(RuntimeError, match=message):
+        stepwise_track_band(evals, evecs, 1, anchor)
+    with pytest.raises(RuntimeError, match=message):
+        _track_band(evals, evecs, 1, anchor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), n=st.integers(2, 40),
+       step=st.sampled_from([0.02, 0.3, 1.5]), degenerate=st.floats(0.0, 0.5))
+def test_band_tracking_matches_the_stepwise_tracker_on_random_frames(seed, m, n, step, degenerate):
+    # a random Hermitian path, smooth or jumping, with points where two levels agree to rounding:
+    # the same bits, or the same refusal at the same index
+    rng = np.random.default_rng(seed)
+    A, B = (rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m)))
+    A, B = A + A.conj().T, B + B.conj().T
+    t = np.cumsum(rng.uniform(0, step, n))
+    H = np.cos(t)[:, None, None] * A + np.sin(t)[:, None, None] * B
+    for i in np.flatnonzero(rng.uniform(size=n) < degenerate):
+        U = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        d = rng.standard_normal(m)
+        d[1] = d[0]
+        H[i] = (U * d) @ U.conj().T
+    evals, evecs = np.linalg.eigh(H)
+    band, anchor = int(rng.integers(m)), int(rng.integers(n))
+    try:
+        want = stepwise_track_band(evals, evecs, band, anchor)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=str(exc)):
+            _track_band(evals, evecs, band, anchor)
+        return
+    got = _track_band(evals, evecs, band, anchor)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiband.electronic import _coupled_components, band_decompose, berry_connection, fd_derivative
 from adiband.grids import NuclearWave, make_grid, norm
@@ -44,7 +46,8 @@ def test_free_particle_spectrum():
 def test_non_hermitian_fiber_refused():
     # the check sees the raw assembly, before the stored matrix is symmetrized
     skew = np.array([[0.0, 1e-6], [0.0, 1.0]])
-    model = ElectronicModel(tag="skew", fiber_dim=2, params={}, _h=lambda X: skew, _dh=lambda X: 0 * skew)
+    model = ElectronicModel(tag="skew", fiber_dim=2, params={}, _h=lambda xs: np.repeat(skew[None], len(xs), axis=0),
+                            _dh=lambda X: 0 * skew)
     with pytest.raises(AssertionError, match="non-Hermitian"):
         assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
 
@@ -60,7 +63,8 @@ def test_non_finite_fiber_refused(entries):
     bad = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex if any(np.iscomplex(v) for v in entries.values()) else float)
     for ij, v in entries.items():
         bad[ij] = v
-    model = ElectronicModel(tag="bad", fiber_dim=2, params={}, _h=lambda X: bad, _dh=lambda X: 0 * bad)
+    model = ElectronicModel(tag="bad", fiber_dim=2, params={}, _h=lambda xs: np.repeat(bad[None], len(xs), axis=0),
+                            _dh=lambda X: 0 * bad)
     with pytest.raises(AssertionError, match="non-finite entries"):
         assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
 
@@ -93,7 +97,7 @@ def test_parts_check_refuses_as_the_full_check_does(skew, shape):
         "complex-diagonal": np.array([[1.0 + 1j * skew, 0.2], [0.2, 1.0]]),
     }[shape]
     model = ElectronicModel(tag="x", fiber_dim=len(fiber), params={},
-                            _h=lambda X: fiber * (1 + 0.1 * np.sin(X)), _dh=lambda X: 0 * fiber)
+                            _h=lambda xs: fiber * (1 + 0.1 * np.sin(xs))[:, None, None], _dh=lambda X: 0 * fiber)
     grid = make_grid(-4, 4, 32)
     for eps in (0.1, 30.0):
         try:
@@ -331,6 +335,27 @@ def test_bo_gauge_conjugation_covariance():
     dtheta = 0.3 * (2 * np.pi / grid.length) * np.cos(2 * np.pi * grid.x / grid.length)
     H1 = assemble_bo(band, eps=0.1, berry=A + dtheta)
     H0 = assemble_bo(band, eps=0.1, berry=A)
+    phase = np.exp(1j * theta)
+    conj = np.diag(phase.conj()) @ H0.matrix @ np.diag(phase)
+    assert np.abs(H1.matrix - conj).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(["two_band_complex", "crossing_trio"]), eps=st.sampled_from([0.2, 0.1, 0.025]),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_bo_gauge_covariance_under_a_random_periodic_phase(tag, eps, coeffs):
+    # theta = sum_j a_j cos(j w X) + b_j sin(j w X), j = 1..3, periodic on the box: the BO operator of
+    # A + theta' is e^{-i theta} H_A e^{i theta}, for a complex band and for a real one (A = 0).  The
+    # bands have no window, which would clamp A + theta' outside it
+    grid = make_grid(-8, 8, 64)
+    band = band_decompose(get_model(tag), grid, 0)
+    A = berry_connection(band)
+    w, j = 2 * np.pi / grid.length, np.arange(1, 4)[:, None]
+    a, b = np.array(coeffs[:3])[:, None], np.array(coeffs[3:])[:, None]
+    theta = np.sum(a * np.cos(j * w * grid.x) + b * np.sin(j * w * grid.x), axis=0)
+    dtheta = np.sum(j * w * (b * np.cos(j * w * grid.x) - a * np.sin(j * w * grid.x)), axis=0)
+    H1 = assemble_bo(band, eps=eps, berry=A + dtheta)
+    H0 = assemble_bo(band, eps=eps, berry=A)
     phase = np.exp(1j * theta)
     conj = np.diag(phase.conj()) @ H0.matrix @ np.diag(phase)
     assert np.abs(H1.matrix - conj).max() <= 1e-9

@@ -1,8 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiband.harness import (
     FUNCTIONALS,
@@ -17,7 +20,7 @@ from adiband.harness import (
     standard_state_family,
 )
 from adiband.propagation import decoupling_error
-from oracles import split_eigenbases
+from oracles import per_state_family, split_eigenbases
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -293,6 +296,23 @@ def test_from_json_names_unknown_fields():
          r"state.family_params\['wkb'\] must be 4 finite real numbers"),
         ("state", {"params": {"centers": [[-0.5, 0.4], [float("nan"), -0.3]]}},
          r"state.params\['centers'\] must be a list of \[q0, p0\] pairs of finite real numbers"),
+        # grid bounds past finite (JSON's Infinity) or whose squares are not finite (1e308) fail every
+        # row: with non-finite fibers, or an OverflowError; a spacing so fine that the momentum
+        # lattice is not finite leaves no finite kinetic energy
+        ("grid", {"x_min": -8.0, "x_max": float("inf"), "n_points": 256}, "cannot build the grid .* must be finite"),
+        ("grid", {"x_min": -4.0, "x_max": 1e308, "n_points": 256}, "cannot build the grid .* must be finite"),
+        ("grid", {"x_min": 0.0, "x_max": 1e-310, "n_points": 256}, "cannot build the grid .* momentum lattice"),
+        # a coherent center closer to the box edge than its halo at the smallest eps, or too close to
+        # the lattice edge in momentum at every eps, fails every row
+        ("state", {"family": "coherent", "params": {"q0": 6.35, "p0": -0.35}},
+         r"state.params center \(6.35, -0.35\) fits no eps of the ladder; at eps 0.025: .* to the box edge"),
+        ("state", {"family": "coherent", "params": {"q0": 0.3, "p0": 30.0}},
+         r"state.params center \(0.3, 30.0\) fits no eps of the ladder; at eps 0.025: .* lattice edge"),
+        ("state", {"params": {"centers": [[-0.5, 0.4], [-7.99, -0.3]]}},
+         r"state.params\['centers'\] center \(-7.99, -0.3\) fits no eps of the ladder; .* to the box edge"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, 7.9], "p_centers": [0.2],
+                                                           "wkb": [-0.9, 0.6, 0.3, 0.4]}},
+         r"state.family_params center \(7.9, 0.2\) fits no eps of the ladder; .* to the box edge"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -300,15 +320,24 @@ def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, mes
 
     # the region and the fields of the hitting-time flow are read by the effective-dynamics config,
     # the energy cutoff by the decoupling one, the other fields by the small one; a state with a
-    # family goes to the config that reads its keys
+    # family goes to the config that reads its keys.  A grid goes to the decoupling config, which
+    # has no window that a grid of non-finite points would miss first
     readers = {"region": "effective", "alpha": "effective", "flow_dt": "effective", "include_a_geo": "effective",
-               "energy_cutoff": "decoupling"}
+               "energy_cutoff": "decoupling", "grid": "decoupling"}
     if key == "state" and "family" in value:
         readers["state"] = "decoupling" if "family_params" in value else "effective"
     data = json.loads((_config(readers[key]) if key in readers else small_config()).to_json())
     data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
+
+
+def test_config_load_keeps_a_center_that_fits_some_eps():
+    # the center -6.7 is closer to the edge -8 than the halo 5 sqrt(eps) at eps 0.2 and 0.1, and
+    # fits at 0.05: it loads, and only its rows at the larger eps report the refusal
+    cfg = small_config(state={"params": {"centers": [[-0.5, 0.4], [-6.7, -0.3]]}})
+    statuses = [p["status"] for p in eps_scan(cfg).points]
+    assert statuses == ["error", "error", "ok"]
 
 
 @pytest.mark.parametrize(
@@ -681,11 +710,12 @@ def test_scan_points_sorted_and_ok(scan_result):
 
 
 def test_scan_synthetic_error_recorded():
-    # an impossible state center fails per point without aborting the scan
+    # an impossible state fails per point without aborting the scan: a sharp-momentum state past
+    # the lattice edge at every eps (a coherent center that no eps can hold is refused at load)
     cfg = small_config(
         functional="state_observables",
         window=[-5.0, 5.0],
-        state={"family": "coherent", "params": {"q0": 7.95, "p0": 0.0}},
+        state={"family": "sharp_momentum", "params": {"p0": 20.0}},
     )
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "error" for p in res.points)
@@ -984,6 +1014,54 @@ def test_standard_family_size_and_normalization():
             scaled = [MolecularWave(grid, c * psi.values, eps=0.1) for c, psi in zip(scales, fam)]
             got = decoupling_error(pair, scaled, times, energy_cutoff=energy_cutoff)
             assert np.all(np.abs(got - want) <= rel * want)
+
+
+def _same_states(got, want):
+    """The same molecular waves, bit for bit, on the same grid and eps."""
+    return len(got) == len(want) and all(
+        a.grid is b.grid and a.eps == b.eps and a.values.tobytes() == b.values.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("*/**/configs/decoupling*.json")), ids=lambda p: f"{p.parts[-3]}-{p.stem}")
+def test_state_family_is_the_per_state_construction_on_the_decoupling_configs(path):
+    # the block-built family of each shipped decoupling config, at each eps of its ladder, is
+    # the per-state construction bit for bit
+    cfg = ExperimentConfig.from_json(path.read_text())
+    fam, band = cfg.state["family_params"], cfg.lift_band()
+    for eps in cfg.eps_ladder:
+        args = (band, eps, fam["q_centers"], fam["p_centers"], fam["wkb"])
+        got = standard_state_family(*args)
+        assert len(got) == 10 and _same_states(got, per_state_family(*args))
+
+
+@functools.cache
+def _family_band():
+    from adiband.electronic import band_decompose
+    from adiband.grids import make_grid
+    from adiband.models import get_model
+
+    return band_decompose(get_model("crossing_trio"), make_grid(-4, 4, 128), 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    eps=st.sampled_from([0.2, 0.1, 0.05, 0.025]),
+    q_centers=st.lists(st.floats(-4.5, 4.5), max_size=3),
+    p_centers=st.lists(st.floats(-4, 4), max_size=3),
+    wkb=st.tuples(st.floats(-2, 2), st.floats(0.3, 1.0), st.floats(0, 0.5), st.sampled_from([np.pi / 4, np.pi / 2, 1.0])),
+)
+def test_state_family_matches_the_per_state_construction(eps, q_centers, p_centers, wkb):
+    # random lattices, among them centers near or past the box edge and momenta past the lattice
+    # edge, and WKB phases that do not wind across the seam: the same states, or the same refusal
+    args = (_family_band(), eps, q_centers, p_centers, wkb)
+    try:
+        want = per_state_family(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            standard_state_family(*args)
+        assert str(got.value) == str(exc)
+        return
+    assert _same_states(standard_state_family(*args), want)
 
 
 def test_acceptance_configs_are_canonical():

@@ -1,7 +1,23 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adiband.models import get_model, list_models
+from adiband.grids import make_grid
+from adiband.models import MODEL_TAGS, get_model, list_models
+from oracles import point_fiber, stacked_fibers
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (x_min, x_max, n_points) of every shipped config's grid
+SHIPPED_GRIDS = sorted({
+    (g["x_min"], g["x_max"], g["n_points"])
+    for path in sorted(ROOT.glob("src/adiband/configs/*.json")) + sorted(ROOT.glob("perfbench/configs/*.json"))
+    for g in [json.loads(path.read_text())["grid"]]
+})
 
 
 def test_two_band_complex_at_zero():
@@ -69,3 +85,44 @@ def test_constant_fiber_levels():
 def test_unknown_tag():
     with pytest.raises(KeyError):
         get_model("nope")
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bounds", SHIPPED_GRIDS)
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+def test_h_batch_is_the_per_point_stack_on_the_shipped_grids(tag, bounds):
+    # the closed form on the whole grid gives the per-point formula's bits, in its storage type
+    xs = make_grid(*bounds).x
+    got = get_model(tag).h_batch(xs)
+    assert _same_bits(got, stacked_fibers(tag, xs)) and got.flags.c_contiguous
+    # there Python's X**2 equals X * X at every point, so the per-point models that called
+    # `X**2` on each float gave the same stack
+    assert [X**2 for X in xs.tolist()] == (xs * xs).tolist()
+
+
+_PARAMS = {
+    "two_band_complex": st.fixed_dictionaries({"g_re": st.floats(-2, 2), "g_im": st.floats(-2, 2)}),
+    "crossing_trio": st.fixed_dictionaries(
+        {"g0": st.floats(-2, 2), "curvature": st.floats(-1, 1), "offset": st.floats(-5, 5)}),
+    "rotated_pair": st.fixed_dictionaries({"theta0": st.floats(-1.5, 1.5), "well": st.floats(-10, 10)}),
+    "constant_fiber": st.fixed_dictionaries(
+        {"levels": st.lists(st.floats(-5, 5), min_size=1, max_size=4).map(tuple)}),
+    "free": st.just({}),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_h_batch_matches_the_per_point_stack(data):
+    # random positions (zeros and subnormals among them) and model parameters: the stack, and
+    # h at single points, are the per-point formula's bits
+    tag = data.draw(st.sampled_from(MODEL_TAGS))
+    params = data.draw(_PARAMS[tag])
+    xs = np.array(data.draw(st.lists(st.floats(-40, 40), min_size=1, max_size=40)))
+    model = get_model(tag, **params)
+    assert _same_bits(model.h_batch(xs), stacked_fibers(tag, xs, **params))
+    for X in xs[:3]:
+        assert _same_bits(model.h(X), point_fiber(tag, X, **params))

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiband import semiclassics
 from adiband.electronic import band_decompose
@@ -96,6 +98,15 @@ def test_weyl_of_p_is_scaled_momentum(wgrid):
     A = weyl_quantize(lambda q, p: p + 0 * q, wgrid, eps=eps)
     D = spectral_derivative_matrix(wgrid)
     assert np.abs(A - eps * D).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-5, 5), b=st.floats(-5, 5), c=st.floats(-5, 5), eps=st.floats(0.01, 0.5))
+def test_weyl_of_an_affine_symbol_is_exact(wgrid, a, b, c, eps):
+    # a + b q + c p quantizes to a + b X + c eps (-i d/dX) exactly, up to rounding, for random coefficients
+    A = weyl_quantize(lambda q, p: a + b * q + c * p, wgrid, eps=eps)
+    want = a * np.eye(wgrid.n_points) + b * np.diag(wgrid.x) + c * eps * spectral_derivative_matrix(wgrid)
+    assert np.abs(A - want).max() <= 1e-10 * (1 + abs(a) + abs(b) + abs(c))
 
 
 def test_weyl_linear_and_hermitian_for_real_symbols(wgrid):

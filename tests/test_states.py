@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiband.electronic import band_decompose
 from adiband.grids import make_grid, norm
@@ -12,6 +14,7 @@ from adiband.states import (
     sharp_momentum_state,
     wkb_state,
 )
+from oracles import coherent_wave
 
 
 def position_moments(wave):
@@ -67,6 +70,24 @@ def test_coherent_clearance_errors(grid):
         coherent_state(grid, 0.2, 7.9, 0.0)
     with pytest.raises(ValueError):
         coherent_state(grid, 0.2, 0.0, 50.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps=st.floats(0.01, 0.5), q0=st.floats(-9, 9), p0=st.floats(-20, 20),
+       profile=st.sampled_from(["gaussian", "gaussian_skew", "callable"]))
+def test_coherent_state_is_its_formula(eps, q0, p0, profile):
+    # the values of coherent_state are the oracle's one-state formula bit for bit, and a center
+    # the oracle refuses is refused with the same message
+    grid = make_grid(-8, 8, 128)
+    prof = (lambda u: np.exp(-(u**4) / 4)) if profile == "callable" else profile
+    try:
+        want = coherent_wave(grid, eps, q0, p0, prof)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            coherent_state(grid, eps, q0, p0, prof)
+        assert str(got.value) == str(exc)
+        return
+    assert coherent_state(grid, eps, q0, p0, prof)[0].values.tobytes() == want.tobytes()
 
 
 def test_coherent_density_is_point_mass(grid):
