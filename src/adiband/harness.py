@@ -348,16 +348,14 @@ class ExperimentConfig:
             return
         grid = self.build_grid()
         for q0, p0 in centers:
-            refusals = []
             for eps in self.eps_ladder:
                 try:
                     _check_coherent_center(grid, eps, q0, p0)
-                except ValueError as exc:
-                    refusals.append(exc)
-                else:
                     break
+                except ValueError as exc:
+                    refusal = exc
             else:
-                raise ValueError(f"{where} center ({q0}, {p0}) fits no eps of the ladder; at eps {eps}: {refusals[-1]}")
+                raise ValueError(f"{where} center ({q0}, {p0}) fits no eps of the ladder; at eps {eps}: {refusal}")
 
     # -- builders ---------------------------------------------------------
 

@@ -200,7 +200,8 @@ def full_props():
     """The scans' matrix-free molecular propagators (`PropagatorCache.full`) at n = 64: crossing_trio, of two
     blocks and real fibers, and two_band_complex, of complex fibers."""
     grid = make_grid(-8, 8, 64)
-    return {tag: PropagatorCache().full(None, get_model(tag), grid, 0.1) for tag in ("crossing_trio", "two_band_complex")}
+    return {tag: PropagatorCache().full(None, get_model(tag), grid, 0.1)
+            for tag in ("crossing_trio", "two_band_complex")}
 
 
 @settings(max_examples=40, deadline=None)

@@ -1022,7 +1022,9 @@ def _same_states(got, want):
         a.grid is b.grid and a.eps == b.eps and a.values.tobytes() == b.values.tobytes() for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("path", sorted(ROOT.glob("*/**/configs/decoupling*.json")), ids=lambda p: f"{p.parts[-3]}-{p.stem}")
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/adiband/configs/decoupling*.json")) + sorted(ROOT.glob("perfbench/configs/decoupling*.json")),
+    ids=lambda p: f"{p.parts[-3]}-{p.stem}")
 def test_state_family_is_the_per_state_construction_on_the_decoupling_configs(path):
     # the block-built family of each shipped decoupling config, at each eps of its ladder, is
     # the per-state construction bit for bit
@@ -1048,7 +1050,8 @@ def _family_band():
     eps=st.sampled_from([0.2, 0.1, 0.05, 0.025]),
     q_centers=st.lists(st.floats(-4.5, 4.5), max_size=3),
     p_centers=st.lists(st.floats(-4, 4), max_size=3),
-    wkb=st.tuples(st.floats(-2, 2), st.floats(0.3, 1.0), st.floats(0, 0.5), st.sampled_from([np.pi / 4, np.pi / 2, 1.0])),
+    wkb=st.tuples(st.floats(-2, 2), st.floats(0.3, 1.0), st.floats(0, 0.5),
+                  st.sampled_from([np.pi / 4, np.pi / 2, 1.0])),
 )
 def test_state_family_matches_the_per_state_construction(eps, q_centers, p_centers, wkb):
     # random lattices, among them centers near or past the box edge and momenta past the lattice
