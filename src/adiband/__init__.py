@@ -26,7 +26,6 @@ from .electronic import (
 )
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, sobolev_norm
 from .hamiltonians import (
-    BlockHamiltonian,
     DenseHamiltonian,
     assemble_bo,
     assemble_diag,

@@ -14,23 +14,25 @@ connection and V = its clamped band energy.  The dense blocks and the
 O(N log n) matvec both derive from the parts.  The decoupling pair
 solves the molecular H from its dense blocks; every H applied on its own,
 molecular or BO, goes by its matvec (`propagation.ChebyshevPropagator`),
-by the rule `propagation` states.  The dense blocks are checked for
+by the rule `propagation` states.  A dense block is checked for
 Hermiticity and finiteness on the parts, the n x n kinetic matrix and the
-(n, d, d) fiber stack, and written as their Hermitian part directly: the
-same matrices, and the same refusals, as the check of the assembled
+(n, d, d) fiber stack, and written as its Hermitian part directly: the
+same matrix, and the same refusals, as the check of the assembled
 matrix that `DenseHamiltonian` makes.  Both checks refuse through one
 helper, `_refuse_non_hermitian`.
 
-The molecular Hamiltonian is stored as its exactly decoupled blocks
-(`FiberedOperator.blocks` of `molecular_operator`, a `BlockHamiltonian`).
-The kinetic term couples every grid point of one fiber component, and
-H_e(X_i) couples components only where its entries are nonzero, so the
-blocks of H are the connected components of the m x m union over the grid
-of the fibers' exact-zero pattern, each over the rows i m + a of its
-components a.  Each block is built directly on its rows and checked as a
-DenseHamiltonian; no N x N matrix is formed.  `assemble_full` scatters the same blocks into the dense
-N x N H, for the tests' dense oracles, `identities.offdiag_scaling` and
-the `identities` suite.  Most models are one block; `crossing_trio`,
+The fiber component is the unit of the molecular Hamiltonian.  The
+kinetic term couples every grid point of one fiber index, and H_e(X_i)
+couples fiber indices only where its entries are nonzero, so H decouples
+exactly into blocks, one per connected component of the m x m union over
+the grid of the fibers' exact-zero pattern (`FiberedOperator.components`,
+read once per operator), each over the rows i m + a of its fiber indices a
+(`FiberedOperator.rows`).  `FiberedOperator.block(eps, comp)` builds one
+component's block directly on its rows, checked as a DenseHamiltonian, so
+a caller holds only the blocks it solves, one at a time; no N x N matrix
+is formed.  `assemble_full` scatters every block into the dense N x N H,
+for the tests' dense oracles, `identities.offdiag_scaling` and the
+`identities` suite.  Most models are one component; `crossing_trio`,
 whose -X level couples to nothing, is two (2n and n), and so is
 `constant_fiber`.
 
@@ -56,7 +58,7 @@ P (`_fiber_blocks`, the one source of them) and their orthonormal frames.
 P is a function of H_e(X_i) at each point, so it couples no two blocks of
 H, and the band-preserving H_diag = P H P + Q H Q commutes with P: it has
 exactly the blocks of H, each split into its ran P and ran Q parts.
-`_band_fibers` reads P's fiber blocks on each block of H.  On a block
+`_band_fibers` reads P's fiber blocks on each component of H.  On a block
 where P is 0 at every grid point, or 1 at every grid point, H_diag equals
 H, and the block is shared.  `_split_block` writes every other block in
 the frame of its own stack of P's fiber blocks (one `np.linalg.eigh` of
@@ -96,6 +98,7 @@ so the extension policy only has to keep operators bounded and smooth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +110,6 @@ from .models import ElectronicModel
 
 __all__ = [
     "DenseHamiltonian",
-    "BlockHamiltonian",
     "assemble_full",
     "assemble_diag",
     "FiberedOperator",
@@ -133,8 +135,8 @@ class DenseHamiltonian:
     A non-finite entry makes its entry of M - M^dag non-finite (inf - inf
     is nan), so the residual refuses it too.  The residual and then the
     Hermitian part are formed in one buffer of M's size.  The blocks of a
-    `FiberedOperator` take the same check on their parts, and are built by
-    `_checked`.
+    `FiberedOperator` (`FiberedOperator.block`) take the same check on their
+    parts, and are built by `_checked`.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -225,33 +227,6 @@ def _kinetic(symbol: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockHamiltonian:
-    """The molecular H stored as its exactly decoupled blocks.
-
-    `blocks` holds one (component, DenseHamiltonian) pair per connected
-    component of the union over the grid of the fibers' exact-zero pattern:
-    component is the block's ascending fiber indices, and its
-    DenseHamiltonian (fiber dimension len(component)) acts on the molecular
-    rows `rows(component)`, i m + a for a in the component, in ascending
-    order.  The kinetic term couples every grid point of a fiber index, so
-    each block is connected and H has no entry between two blocks.
-    """
-
-    blocks: tuple = field(repr=False)
-    eps: float
-    grid: Grid1D
-    fiber_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.grid.n_points * self.fiber_dim
-
-    def rows(self, component: np.ndarray) -> np.ndarray:
-        """The ascending molecular rows i m + a of the fiber indices a in `component`."""
-        return (np.arange(self.grid.n_points)[:, None] * self.fiber_dim + component).ravel()
-
-
-@dataclass(frozen=True)
 class FiberedOperator:
     """Phi^* (eps (-i d/dX + a_bar))^2 / 2 Phi (x) 1_m + blockdiag(V(X_i)), kept as its parts.
 
@@ -264,8 +239,9 @@ class FiberedOperator:
     and grid (`harness.PropagatorCache`).  At each eps the kinetic term is
     the Fourier multiplier of the symbol s(k) = (eps (k + a_bar))^2 / 2
     dressed by Phi, the same on every fiber component.  Both forms of the
-    operator derive from these parts: `blocks` gives its dense blocks, for
-    the dense solve, and `action` its O(N log n) matvec by FFT, one step
+    operator derive from these parts: `block` gives the dense block of one
+    fiber component (`components`), for the dense solve, and `action` its
+    O(N log n) matvec by FFT, one step
     into a caller's buffer on the grid-last layout (m, k, n), for
     `propagation.ChebyshevPropagator`, with `spectral_bounds` enclosing its
     spectrum.
@@ -285,55 +261,63 @@ class FiberedOperator:
     def dim(self) -> int:
         return self.grid.n_points * self.fiber_dim
 
-    def blocks(self, eps: float) -> BlockHamiltonian:
-        """The dense blocks at eps, checked and made Hermitian on the parts.
+    @functools.cached_property
+    def components(self) -> tuple:
+        """The fiber components: the connected components of the m x m union over the grid of the fibers' exact-zero pattern.
 
-        The blocks are the connected components of the m x m union over the
-        grid of the fibers' exact-zero pattern (`crossing_trio`: {0, 2} and
-        {1}).  With T the n x n kinetic matrix, the block over the fiber
-        indices c holds T_ij at (i a, j a) for i != j, V_i,ab at (i a, i b)
-        for a != b, the sums T_ii + V_i,aa on its diagonal and zeros
-        elsewhere.  So `DenseHamiltonian`'s check (the residual M - M^dag
-        within 1e-12 of max |M|, non-finite entries refused, with the same
-        values and messages) runs on T off its diagonal, the stack off its
-        fiber diagonals and the (n, d) diagonal sums, and the Hermitian parts
-        of the three are written into the block: the same matrix, without
-        the N x N residual and symmetrization passes.  The block is real
-        when T and V are.
+        Each is the ascending array of its fiber indices, in order of its
+        smallest index (`crossing_trio`: {0, 2} and {1}).  The kinetic term
+        couples every grid point of a fiber index, so H restricted to a
+        component's rows (`rows`) is one connected block, and H has no entry
+        between two components.  Read once per operator.
         """
-        n, m = self.grid.n_points, self.fiber_dim
+        return tuple(_coupled_components((self.fibers != 0).any(axis=0)))
+
+    def rows(self, comp: np.ndarray) -> np.ndarray:
+        """The ascending molecular rows i m + a of the fiber indices a in the component `comp`."""
+        return (np.arange(self.grid.n_points)[:, None] * self.fiber_dim + comp).ravel()
+
+    def block(self, eps: float, comp: np.ndarray) -> DenseHamiltonian:
+        """The dense block of H at eps on the rows of one component, checked and made Hermitian on the parts.
+
+        With T the n x n kinetic matrix and d = len(comp), the block holds
+        T_ij at (i a, j a) for i != j, V_i,ab at (i a, i b) for a != b, the
+        sums T_ii + V_i,aa on its diagonal and zeros elsewhere, its rows in
+        the order of `rows(comp)`.  So `DenseHamiltonian`'s check (the
+        residual M - M^dag within 1e-12 of max |M|, non-finite entries
+        refused, with the same values and messages) runs on T off its
+        diagonal, the component's (n, d, d) stack off its fiber diagonal and
+        the (n, d) diagonal sums, and the Hermitian parts of the three are
+        written into the block: the same matrix, without the residual and
+        symmetrization passes over the whole block.  The block is real when
+        T and V are; its fiber dimension is d.
+        """
+        n, d = self.grid.n_points, len(comp)
         T = _kinetic(_symbol(self.grid, eps, self.a_bar), self.phase)
-        i, a = np.arange(n), np.arange(m)
+        i, a = np.arange(n), np.arange(d)
+        fibers = self.fibers[:, comp[:, None], comp]
         with np.errstate(invalid="ignore"):
             # the block's diagonal; T and V are then taken off their diagonals
-            D = T[i, i][:, None] + self.fibers[:, a, a]
+            D = T[i, i][:, None] + fibers[:, a, a]
             T[i, i] = 0
             # V + 0.0 rounds -0.0 to 0.0, as adding V into a zero matrix does
-            V = self.fibers + 0.0
+            V = fibers + 0.0
             V[:, a, a] = 0
-            t_herm, t_scale = _absmax(T - T.conj().T), _absmax(T)
-            v_res, d_res, v_abs = V - V.conj().transpose(0, 2, 1), D - D.conj(), np.abs(V)
-            dtype = np.result_type(T, V)
-            T = T + T.conj().T
-            T *= 0.5
-            V = (V + V.conj().transpose(0, 2, 1)).astype(dtype, copy=False)
-            V *= 0.5
-            V[:, a, a] = (D + D.conj()) * 0.5
-        blocks = []
-        for comp in _coupled_components((self.fibers != 0).any(axis=0)):
-            d, cc = len(comp), np.ix_(comp, comp)
             # np.max, not max: it keeps a nan wherever it is
-            herm = np.max([t_herm, _absmax(v_res[:, cc[0], cc[1]]), _absmax(d_res[:, comp])])
-            _refuse_non_hermitian(
-                self.tag, herm, lambda: np.max([t_scale, v_abs[:, cc[0], cc[1]].max(), _absmax(D[:, comp])])
-            )
-            H = np.zeros((n * d, n * d), dtype=dtype)
-            view = H.reshape(n, d, n, d)
-            for b in range(d):
-                view[:, b, :, b] = T
-            view[i, :, i, :] = V[:, cc[0], cc[1]]
-            blocks.append((comp, DenseHamiltonian._checked(H, eps=eps, tag=self.tag, grid=self.grid, fiber_dim=d)))
-        return BlockHamiltonian(blocks=tuple(blocks), eps=eps, grid=self.grid, fiber_dim=m)
+            herm = np.max([_absmax(T - T.conj().T), _absmax(V - V.conj().transpose(0, 2, 1)), _absmax(D - D.conj())])
+        _refuse_non_hermitian(self.tag, herm, lambda: np.max([_absmax(T), np.abs(V).max(), _absmax(D)]))
+        dtype = np.result_type(T, V)
+        T = T + T.conj().T
+        T *= 0.5
+        V = (V + V.conj().transpose(0, 2, 1)).astype(dtype, copy=False)
+        V *= 0.5
+        V[:, a, a] = (D + D.conj()) * 0.5
+        H = np.zeros((n * d, n * d), dtype=dtype)
+        view = H.reshape(n, d, n, d)
+        for b in range(d):
+            view[:, b, :, b] = T
+        view[i, :, i, :] = V
+        return DenseHamiltonian._checked(H, eps=eps, tag=self.tag, grid=self.grid, fiber_dim=d)
 
     def action(self, eps: float, shift: float = 0.0, scale: float = 1.0):
         """The step (x, out) -> out = scale (H - shift) x at eps, O(N log n) per column.
@@ -402,12 +386,12 @@ def assemble_full(model: ElectronicModel, grid: Grid1D, eps: float) -> DenseHami
     tests' dense oracles, `identities.offdiag_scaling` and the `identities`
     suite; the decoupling scans solve the blocks.
     """
-    H = molecular_operator(model, grid).blocks(eps)
-    M = np.zeros((H.dim, H.dim), dtype=H.blocks[0][1].matrix.dtype)
-    for comp, block in H.blocks:
-        rows = H.rows(comp)
-        M[np.ix_(rows, rows)] = block.matrix
-    return DenseHamiltonian(matrix=M, eps=eps, tag="full", grid=grid, fiber_dim=H.fiber_dim)
+    op = molecular_operator(model, grid)
+    blocks = [(op.rows(comp), op.block(eps, comp).matrix) for comp in op.components]
+    M = np.zeros((op.dim, op.dim), dtype=blocks[0][1].dtype)
+    for rows, block in blocks:
+        M[np.ix_(rows, rows)] = block
+    return DenseHamiltonian(matrix=M, eps=eps, tag="full", grid=grid, fiber_dim=op.fiber_dim)
 
 
 def _fiber_sandwich(H: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -428,7 +412,7 @@ def _fiber_blocks(band: BandData) -> np.ndarray:
     return np.where(band.mask[:, None, None], proj, 0)
 
 
-def _check_dims(H: DenseHamiltonian | BlockHamiltonian, band: BandData):
+def _check_dims(H: DenseHamiltonian | FiberedOperator, band: BandData):
     n, m = band.grid.n_points, band.fiber_dim
     if (H.dim, H.fiber_dim) != (n * m, m):
         raise ValueError(
@@ -436,17 +420,17 @@ def _check_dims(H: DenseHamiltonian | BlockHamiltonian, band: BandData):
         )
 
 
-def _band_fibers(H: BlockHamiltonian, band: BandData) -> list:
-    """P's fiber blocks on each block of H, (n, d, d), in H's order; None where H_diag equals H there.
+def _band_fibers(op: FiberedOperator, band: BandData) -> list:
+    """P's fiber blocks on each component of the molecular H `op`, (n, d, d), in order; None where H_diag equals H there.
 
     That is where P is 0 at every grid point, or 1 at every grid point.  A
     P whose fiber blocks (`_fiber_blocks`) couple two blocks of H is not a
     spectral projection of H_e and is refused (ValueError).
     """
-    _check_dims(H, band)
+    _check_dims(op, band)
     B = _fiber_blocks(band)
     fibers = []
-    for comp, _ in H.blocks:
+    for comp in op.components:
         if np.any(np.delete(B[:, comp], comp, axis=2)):
             raise ValueError("fiber blocks of P couple two blocks of H: P is not a spectral projection of H_e")
         P = B[:, comp[:, None], comp]
@@ -582,8 +566,9 @@ def assemble_bo(
     propagator matrix-free (`propagation.ChebyshevPropagator`); this dense
     form is the tests' oracle of it.
     """
-    ((_, H),) = bo_operator(band, include_a_geo, berry).blocks(eps).blocks
-    return H
+    op = bo_operator(band, include_a_geo, berry)
+    (comp,) = op.components
+    return op.block(eps, comp)
 
 
 def full_projection(band: BandData) -> np.ndarray:

@@ -545,13 +545,13 @@ class PropagatorCache:
       fiber stack H_e(X_i)), once per model and grid;
     - the dense decoupling pair of an eps, `"pair"`, the one build that
       costs: `diag` builds it (`propagation.diagonalize_pair`) from the
-      dense blocks of H derived from the parts, formed and dropped within
-      the build.  The entry keeps, per split block of H, H_diag's
-      eigenbasis in P's frame, both sets of eigenvalues and the full
-      block's eigenvectors as coordinates in that basis, M; a shared block
-      of H is solved into it only when an energy cutoff asks.  H_diag reads
-      neither the band's gauge nor its margin, so bands that differ only in
-      those share an entry.
+      dense blocks of H that P splits, each derived from the parts
+      (`FiberedOperator.block`) and dropped once solved.  The entry keeps,
+      per split block of H, H_diag's eigenbasis in P's frame, both sets of
+      eigenvalues and the full block's eigenvectors as coordinates in that
+      basis, M; a shared block of H is built and solved into it only when
+      an energy cutoff asks.  H_diag reads neither the band's gauge nor its
+      margin, so bands that differ only in those share an entry.
 
     `full` and `bo` keep nothing: each returns a new `ChebyshevPropagator`
     (the full one on the kept parts), cheap to build next to the dense

@@ -26,10 +26,11 @@ Registry tags
     ~1.75) while containing a genuine band crossing.  The -X level couples
     to neither other component, which is what lets it cross +X, so the
     fibers, the band projection of the pair and the molecular H all split
-    into exactly decoupled blocks: `hamiltonians.FiberedOperator.blocks`
-    builds H as one of 2n and one of n from the fibers' pattern.  The pair's
-    P is 1 on the -X block at every point, so there the band-preserving H
-    equals H and the decoupling pair does not solve it, and the 2n block
+    into exactly decoupled blocks: the fibers' pattern has two components,
+    {0, 2} and {1} (`hamiltonians.FiberedOperator.components`), whose
+    blocks of H (`FiberedOperator.block`) are 2n and n.  The pair's P is 1
+    on the -X block at every point, so there the band-preserving H equals H
+    and the decoupling pair neither builds nor solves it, and the 2n block
     of H_diag is solved as its ran P and ran Q parts of n each; a window
     makes P 0 outside it, and then both blocks are split.
 ``rotated_pair``

@@ -35,14 +35,16 @@ blocks' eigenvalues.
 
 The decoupling pair (`diagonalize_pair`, a `DecouplingPair`) holds
 e^{-iHt/eps} and e^{-iH_diag t/eps}, H_diag = P H P + Q H Q, of the
-block-stored molecular H.  H_diag has the blocks of H.  Where P is 0 or 1
-on a whole block of H, H_diag equals H there, the two evolutions are the
-same on its rows, and their difference is exactly zero: such a shared
-block is solved only when an energy cutoff needs its eigenvalues, and
-then once per pair.  Every other block of H_diag commutes with P, so in
-the frame W of P's fiber blocks on it, it is its ran P part plus its ran
-Q part (`hamiltonians._split_block`).  Each part is solved on
-its own frame indices, and the parts give the block's eigenbasis of
+molecular H, one fiber component at a time
+(`hamiltonians.FiberedOperator.block`).  H_diag has the blocks of H.
+Where P is 0 or 1 on a whole block of H, H_diag equals H there, the two
+evolutions are the same on its rows, and their difference is exactly
+zero: such a shared block is built and solved only when an energy cutoff
+needs its eigenvalues, and then once per pair.  Every other block of
+H_diag commutes with P, so in the frame W of P's fiber blocks on it, it
+is its ran P part plus its ran Q part (`hamiltonians._split_block`).
+Each part is solved on its own frame indices, and the parts give the
+block's eigenbasis of
 H_diag, W blockdiag(V_P, V_Q), with the eigenvalues w_d; no b x b
 eigenvector matrix of H_diag is formed.  The full block of H is solved as
 well, and its eigenvectors V_f are kept only as their coordinates in
@@ -50,8 +52,8 @@ that basis, the unitary M = blockdiag(V_P, V_Q)^dag W^dag V_f, formed
 when the pair is built and written over V_f.  `crossing_trio`'s full H
 splits into blocks of 2n and n.  For bands (0, 1), P is 1 on the n block
 at every point, so the pair keeps the 2n block as two parts of n with
-its M, and does not solve the n block; with a window, P is 1 inside and
-0 outside, and both blocks are split.
+its M, and neither builds nor solves the n block; with a window, P is 1
+inside and 0 outside, and both blocks are split.
 
 `decoupling_error` measures the pair in those coordinates.  With
 c_d = V_d^dag W^dag psi a state's coordinates and c_f = M^dag c_d its
@@ -333,7 +335,7 @@ def _frame_coordinates(W: np.ndarray, parts: tuple, block: np.ndarray, overwrite
 
 @dataclass(frozen=True)
 class DecouplingPair:
-    """e^{-iHt/eps} and e^{-iH_diag t/eps} of a block-stored molecular H, kept in H_diag's eigenbasis.
+    """e^{-iHt/eps} and e^{-iH_diag t/eps} of the molecular H, block by block, kept in H_diag's eigenbasis.
 
     `split` holds one (rows, W, parts, w_d, w_f, M) per block of H that P
     splits, in H's order: the block's ascending molecular rows, its frame W
@@ -342,10 +344,10 @@ class DecouplingPair:
     eigenvectors on them, the parts' eigenvalues w_d in that order, the
     full block's ascending eigenvalues w_f, and the unitary
     M = blockdiag(V_P, V_Q)^dag W^dag V_f (b x b).  `shared` holds the
-    indices of the blocks of H on which P is 0 or 1 at every point, where
-    H_diag equals H.  `operator` gives the blocks of H again, for
-    `shared_solves`.  Arrays are float64 when H and the frames are real,
-    complex128 otherwise.
+    indices into `operator.components` of the blocks of H on which P is 0
+    or 1 at every point, where H_diag equals H.  `operator` builds those
+    blocks, for `shared_solves`.  Arrays are float64 when H and the frames
+    are real, complex128 otherwise.
     """
 
     operator: FiberedOperator = field(repr=False)
@@ -359,44 +361,44 @@ class DecouplingPair:
 
     @functools.cached_property
     def shared_solves(self) -> tuple:
-        """(rows, w, V) of each shared block, solved by `diagonalize` on the first call and kept.
+        """(rows, w, V) of each shared block, built and solved by `diagonalize` on the first call and kept.
 
         Only an energy cutoff reads them: the two evolutions are the same on
-        a shared block's rows, and only its kept mass enters the norm.
+        a shared block's rows, and only its kept mass enters the norm.  Only
+        the shared blocks are built, one at a time.
         """
-        if not self.shared:
-            return ()
-        H = self.operator.blocks(self.eps)
-        solved = [(H.rows(H.blocks[k][0]), diagonalize(H.blocks[k][1])) for k in self.shared]
+        op = self.operator
+        comps = [op.components[k] for k in self.shared]
+        solved = [(op.rows(comp), diagonalize(op.block(self.eps, comp))) for comp in comps]
         return tuple((rows, s.w, s.V) for rows, s in solved)
 
 
 def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> DecouplingPair:
     """The decoupling pair of the molecular H (`operator` at eps) and the band's P.
 
-    The blocks of H are formed once, and P's fiber blocks on each
-    (`_band_fibers`) read once.  Each block that P splits is solved whole by
-    `diagonalize` first, b^3 for a block of dimension b; `_split_block`
-    (which refuses a P that is not a spectral projection of H_e) then gives
-    its ran P and ran Q parts, each solved by `diagonalize`,
-    r^3 + (b - r)^3, and the full block's eigenvectors V_f go into the
-    parts' eigenbasis as M, written over V_f.  Each block is finished
-    before the next is solved; the pair keeps W, the parts' eigenvectors,
-    the eigenvalues and M.  A shared block is not solved here
-    (`DecouplingPair.shared_solves`).
+    P's fiber blocks on each component of H (`_band_fibers`) are read
+    once.  Each block of H that P splits is built (`FiberedOperator.block`)
+    when it is solved, and solved whole by `diagonalize` first, b^3 for a
+    block of dimension b; `_split_block` (which refuses a P that is not a
+    spectral projection of H_e) then gives its ran P and ran Q parts, each
+    solved by `diagonalize`, r^3 + (b - r)^3, and the full block's
+    eigenvectors V_f go into the parts' eigenbasis as M, written over V_f.
+    Each block is finished before the next is built; the pair keeps W, the
+    parts' eigenvectors, the eigenvalues and M.  A shared block is neither
+    built nor solved here (`DecouplingPair.shared_solves`).
     """
-    H = operator.blocks(eps)
     split, shared = [], []
-    for k, ((comp, block), P) in enumerate(zip(H.blocks, _band_fibers(H, band))):
+    for k, (comp, P) in enumerate(zip(operator.components, _band_fibers(operator, band))):
         if P is None:
             shared.append(k)
             continue
+        block = operator.block(eps, comp)
         full = diagonalize(block)
         W, parts = _split_block(block, P)
         solved = [(idx, diagonalize(G)) for idx, G in parts]
         parts = tuple((idx, s.V) for idx, s in solved)
         M = _frame_coordinates(W, parts, full.V, overwrite=True)
-        split.append((H.rows(comp), W, parts, np.concatenate([s.w for _, s in solved]), full.w, M))
+        split.append((operator.rows(comp), W, parts, np.concatenate([s.w for _, s in solved]), full.w, M))
     return DecouplingPair(operator=operator, eps=eps, split=tuple(split), shared=tuple(shared))
 
 

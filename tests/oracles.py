@@ -15,28 +15,29 @@ def fourier_matrix(grid) -> np.ndarray:
     return np.exp(-1j * np.outer(grid.k, grid.x)) / np.sqrt(grid.n_points)
 
 
-def diagonalize_blocks(H):
-    """A block-stored H solved block by block, each by `propagation.diagonalize`: the dense oracle of the full H.
+def diagonalize_blocks(op, eps):
+    """The molecular H `op` at eps solved block by block, each by `propagation.diagonalize`: the dense oracle of the full H.
 
-    The blocks' eigenpairs are scattered into one dense SpectralPropagator:
-    each block's eigenvectors go into its rows, zero elsewhere, and the
+    Each fiber component's block (`FiberedOperator.block`) is solved, and
+    the eigenpairs are scattered into one dense SpectralPropagator: each
+    block's eigenvectors go into its rows, zero elsewhere, and the
     eigenvalues are sorted ascending by a stable sort, the order
-    `np.linalg.eigh` of the dense operator gives.  With one block it is
+    `np.linalg.eigh` of the dense operator gives.  With one component it is
     `diagonalize` of that block itself.
     """
     from adiband.propagation import SpectralPropagator, diagonalize
 
-    if len(H.blocks) == 1:
-        return diagonalize(H.blocks[0][1])
-    solved = [(H.rows(comp), diagonalize(block)) for comp, block in H.blocks]
+    if len(op.components) == 1:
+        return diagonalize(op.block(eps, op.components[0]))
+    solved = [(op.rows(comp), diagonalize(op.block(eps, comp))) for comp in op.components]
     w = np.concatenate([s.w for _, s in solved])
-    V = np.zeros((H.dim, H.dim), dtype=np.result_type(*(s.V for _, s in solved)))
+    V = np.zeros((op.dim, op.dim), dtype=np.result_type(*(s.V for _, s in solved)))
     start = 0
     for rows, s in solved:
         V[rows, start : start + s.dim] = s.V
         start += s.dim
     order = np.argsort(w, kind="stable")
-    return SpectralPropagator(w=w[order], V=V[:, order], eps=H.eps)
+    return SpectralPropagator(w=w[order], V=V[:, order], eps=eps)
 
 
 def unitary(prop, t: float) -> np.ndarray:

@@ -4,8 +4,9 @@ Only the decoupling pair is dense in the scans: the Born-Oppenheimer
 propagator is a `ChebyshevPropagator` on `bo_operator`'s parts, and the
 full molecular one (`PropagatorCache.full`) on `molecular_operator`'s.
 Their oracles here are the dense solves, `diagonalize(assemble_bo(...))`
-and `diagonalize_blocks(molecular_operator(...).blocks(eps))`.  The gate of the switch is
-the scans of the `effective`, `berry` (A_geo on and off) and `state_rates`
+and `diagonalize_blocks(molecular_operator(...), eps)`, which solves the
+dense block of each fiber component.  The gate of the switch is the
+scans of the `effective`, `berry` (A_geo on and off) and `state_rates`
 configs on both backends: every point agrees with the dense one to 1e-10
 relative, and each config's criterion gives the same verdict.  Measured
 at two BLAS threads: at most 4.6e-11 (effective, eps = 0.025), 3.2e-13
@@ -97,7 +98,8 @@ def test_action_and_bounds_match_the_dense_blocks(kind):
     band = _band(kind)
     rng_block = _block(2 * band.grid.n_points, 3, 1)
     for op in (molecular_operator(band.model, band.grid), bo_operator(band)):
-        ((_, H),) = op.blocks(0.1).blocks
+        (comp,) = op.components
+        H = op.block(0.1, comp)
         x = rng_block[: op.dim]
         n, m = op.grid.n_points, op.fiber_dim
         # the step runs on the grid-last layout (m, k, n) of the molecular block (n m, k)
@@ -221,7 +223,7 @@ def test_full_chebyshev_matches_the_dense_block_solve():
     # crossing_trio: H of two blocks, solved dense, against the scans' matrix-free full propagator
     grid = make_grid(-8, 8, 128)
     model = get_model("crossing_trio")
-    dense = diagonalize_blocks(molecular_operator(model, grid).blocks(0.1))
+    dense = diagonalize_blocks(molecular_operator(model, grid), 0.1)
     prop = PropagatorCache().full(None, model, grid, 0.1)
     block = _block(prop.dim, 2, 5)
     times = np.array([0.5, 2.0])
@@ -248,7 +250,7 @@ class DenseFullCache(PropagatorCache):
 
     def full(self, cfg, model, grid, eps):
         key = ("dense full", self._system_key(model, grid), eps)
-        return self.get(key, lambda: diagonalize_blocks(molecular_operator(model, grid).blocks(eps)))
+        return self.get(key, lambda: diagonalize_blocks(molecular_operator(model, grid), eps))
 
 
 def test_oracle_caches_substitute_through_full_and_bo(monkeypatch):

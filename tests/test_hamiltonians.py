@@ -74,8 +74,9 @@ def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
     # the parts check writes the Hermitian part the full-matrix check stores, entry for entry
     grid = make_grid(-6.4, 6.4, 128)
     model = get_model(tag)
+    op = molecular_operator(model, grid)
     for eps in (0.2, 0.025):
-        got, want = molecular_operator(model, grid).blocks(eps).blocks, assembled_blocks(model, grid, eps)
+        got, want = [(c, op.block(eps, c)) for c in op.components], assembled_blocks(model, grid, eps)
         assert [list(c) for c, _ in got] == [list(c) for c, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
@@ -90,7 +91,8 @@ def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
 @pytest.mark.parametrize("shape", ["pair", "trio", "complex-diagonal"])
 def test_parts_check_refuses_as_the_full_check_does(skew, shape):
     # near the 1e-12 relative bound, on either side of it: the same refusals, with the same
-    # residual in the message, or the same matrices; a block's scale is its own (trio: {0, 2} and {1})
+    # residual in the message, or the same matrices; a block's scale is its own (trio: {0, 2} and {1}),
+    # and the first block built, in component order, that the assembly refuses is refused
     fiber = {
         "pair": np.array([[0.0, skew], [0.0, 1.0]]),
         "trio": np.array([[10.0, 0.0, skew], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]),
@@ -99,16 +101,17 @@ def test_parts_check_refuses_as_the_full_check_does(skew, shape):
     model = ElectronicModel(tag="x", fiber_dim=len(fiber), params={},
                             _h=lambda xs: fiber * (1 + 0.1 * np.sin(xs))[:, None, None], _dh=lambda X: 0 * fiber)
     grid = make_grid(-4, 4, 32)
+    op = molecular_operator(model, grid)
     for eps in (0.1, 30.0):
         try:
             want = assembled_blocks(model, grid, eps)
         except AssertionError as exc:
             with pytest.raises(AssertionError) as got:
-                molecular_operator(model, grid).blocks(eps)
+                [op.block(eps, c) for c in op.components]
             assert str(got.value) == str(exc)
         else:
-            for (_, a), (_, b) in zip(molecular_operator(model, grid).blocks(eps).blocks, want, strict=True):
-                assert np.array_equal(a.matrix, b.matrix)
+            for c, (_, b) in zip(op.components, want, strict=True):
+                assert np.array_equal(op.block(eps, c).matrix, b.matrix)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -150,7 +153,7 @@ def test_diag_trivial_projections(ac_setup):
 def test_diag_rejects_band_of_other_dimension(ac_setup):
     grid, model, band, H, P = ac_setup
     coarse = band_decompose(model, make_grid(-8, 8, 64), 0)
-    for build, op in ((assemble_diag, H), (_band_fibers, molecular_operator(model, grid).blocks(0.1))):
+    for build, op in ((assemble_diag, H), (_band_fibers, molecular_operator(model, grid))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             build(op, coarse)
 
@@ -203,14 +206,17 @@ def test_blocks_are_the_components_of_the_dense_h(tag):
     # exact-zero pattern of the dense N x N H, and hold its entries on their rows
     grid = make_grid(-4, 4, 32)
     model = get_model(tag)
-    H = molecular_operator(model, grid).blocks(0.2)
+    op = molecular_operator(model, grid)
     dense = assemble_full(model, grid, eps=0.2).matrix
-    rows = [H.rows(comp) for comp, _ in H.blocks]
+    rows = [op.rows(comp) for comp in op.components]
     assert [list(r) for r in rows] == [list(c) for c in _coupled_components(dense != 0)]
-    for r, (comp, block) in zip(rows, H.blocks):
+    for r, comp in zip(rows, op.components):
+        block = op.block(0.2, comp)
         assert block.fiber_dim == len(comp) and block.matrix.dtype == dense.dtype
         assert np.array_equal(block.matrix, dense[np.ix_(r, r)])
-    assert len(H.blocks) == {"crossing_trio": 2, "constant_fiber": 2}.get(tag, 1)
+    assert len(op.components) == {"crossing_trio": 2, "constant_fiber": 2}.get(tag, 1)
+    # read once per operator
+    assert op.components is op.components
 
 
 BAND_SUBSETS = [
@@ -230,7 +236,7 @@ def test_band_projection_couples_no_two_blocks(tag, bands, window):
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge="component" if len(bands) == 1 else None)
     owner = np.empty(model.fiber_dim, dtype=int)
-    for k, (comp, _) in enumerate(molecular_operator(model, grid).blocks(0.2).blocks):
+    for k, comp in enumerate(molecular_operator(model, grid).components):
         owner[comp] = k
     coupled = (band.proj != 0).any(axis=0)
     assert not np.any(coupled[owner[:, None] != owner[None, :]])

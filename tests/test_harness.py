@@ -491,19 +491,19 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
 
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
-    # the decoupling pair of an eps is built from one block-stored H (crossing_trio's
-    # -X level is uncoupled: blocks of 256 and 128), and no N x N operator is formed;
-    # diagonalize solves the {0, 2} block of H, then the ran P and ran Q parts (128
-    # each) of that block of H_diag in the fiber frame; the -X block, where H_diag
-    # equals H, is formed with H but not solved, since no cutoff is set.  Blocks are
-    # found only on m x m fiber patterns, never by an N x N exact-zero scan.  The
-    # parts of H (its fiber stack) are built once for the scan, and each eps's
-    # blocks derive from them
+    # the decoupling pair of an eps is built from the blocks of H it solves (crossing_trio's
+    # -X level is uncoupled: components {0, 2} and {1}, blocks of 256 and 128), and no
+    # N x N operator is formed; diagonalize solves the {0, 2} block of H, then the ran P
+    # and ran Q parts (128 each) of that block of H_diag in the fiber frame; the -X
+    # block, where H_diag equals H, is neither built nor solved, since no cutoff is set.
+    # Components are found only on m x m fiber patterns, never by an N x N exact-zero
+    # scan, and once for the scan: the parts of H (its fiber stack) are built once, and
+    # each eps's block derives from them
     from adiband import electronic, hamiltonians, harness, propagation
 
     cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
-    calls = {"molecular_operator": 0, "blocks": 0, "assemble_full": 0, "assemble_diag": 0}
+    calls = {"molecular_operator": 0, "block": 0, "assemble_full": 0, "assemble_diag": 0}
     dims, formed, blocks, patterns, real_eigh = [], [], [], [], np.linalg.eigh
 
     def components(pattern):
@@ -540,7 +540,7 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     monkeypatch.setattr(electronic, "_coupled_components", components)
     monkeypatch.setattr(hamiltonians, "_coupled_components", components)
     monkeypatch.setattr(harness, "molecular_operator", counted("molecular_operator", harness.molecular_operator))
-    monkeypatch.setattr(hamiltonians.FiberedOperator, "blocks", counted("blocks", hamiltonians.FiberedOperator.blocks))
+    monkeypatch.setattr(hamiltonians.FiberedOperator, "block", counted("block", hamiltonians.FiberedOperator.block))
     monkeypatch.setattr(harness, "assemble_full", counted("assemble_full", harness.assemble_full))
     monkeypatch.setattr(hamiltonians, "assemble_full", counted("assemble_full", hamiltonians.assemble_full))
     monkeypatch.setattr(hamiltonians, "assemble_diag", counted("assemble_diag", hamiltonians.assemble_diag))
@@ -551,13 +551,15 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     res = eps_scan(cfg, PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
-    assert calls == {"molecular_operator": 1, "blocks": 3, "assemble_full": 0, "assemble_diag": 0}
-    # every operator formed is one block: H's two, then the two parts of H_diag's {0, 2} block;
+    assert calls == {"molecular_operator": 1, "block": 3, "assemble_full": 0, "assemble_diag": 0}
+    # every operator formed is one block: H's {0, 2} block, then the two parts of H_diag's;
     # H's {0, 2} block is solved, then the parts
-    assert formed == [256, 128, 128, 128] * 3
+    assert formed == [256, 128, 128] * 3
     assert dims == [256, 128, 128] * 3
     assert blocks == [256, 128, 128] * 3
-    assert patterns and set(patterns) == {(3, 3)}
+    # m x m patterns only: the two band sets' fiber stacks (the pair's and the lift band's), and
+    # the operator's components, read once for the three eps
+    assert patterns == [(3, 3)] * 3
 
 
 @pytest.mark.parametrize("energy_cutoff", [None, 2.0])

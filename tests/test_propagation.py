@@ -433,8 +433,8 @@ def _split_setup(tag, bands, window, gauge, n=128):
     grid = make_grid(-8, 8, n)
     model = get_model(tag)
     band = band_decompose(model, grid, bands, window=window, gauge=gauge)
-    H = molecular_operator(model, grid).blocks(0.1)
-    return grid, band, H, diagonalize_blocks(H)
+    op = molecular_operator(model, grid)
+    return grid, band, op, diagonalize_blocks(op, 0.1)
 
 
 def _case_pair(case, n=128, eps=0.1):
@@ -461,24 +461,25 @@ def _ran_p(band, comp, W):
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_band_preserving_split_matches_dense_oracle(case):
     tag, bands, window, gauge, dtype, shared = SPLIT_CASES[case]
-    grid, band, H, full = _split_setup(tag, bands, window, gauge)
-    got = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    grid, band, op, full = _split_setup(tag, bands, window, gauge)
+    got = diagonalize_pair(op, band, 0.1)
     dense = assemble_full(band.model, grid, eps=0.1)
     dense_diag = assemble_diag(dense, band)
     want = diagonalize(dense_diag)
-    assert want.w.shape == (H.dim,) and want.V.shape == (H.dim, H.dim)
+    assert want.w.shape == (op.dim,) and want.V.shape == (op.dim, op.dim)
     assert 0 < band.mask.sum() < grid.n_points if window else band.mask.all()
-    # P's fiber blocks on each block of H: None where H_diag equals H; every other block splits
+    # P's fiber blocks on each component of H: None where H_diag equals H; every other block splits
     # into the block's frame of P and its ran P part, then its ran Q part, which together cover
     # the block's rows once
-    fibers = _band_fibers(H, band)
-    assert len(fibers) == len(H.blocks)
+    fibers = _band_fibers(op, band)
+    assert len(fibers) == len(op.components)
     assert tuple(k for k, P in enumerate(fibers) if P is None) == shared == got.shared
-    rank = sum(block.dim for k, (comp, block) in enumerate(H.blocks) if k in shared and _fibers(band, comp).any())
+    rank = sum(len(op.rows(comp)) for k, comp in enumerate(op.components) if k in shared and _fibers(band, comp).any())
     entries = []
-    for (comp, block), P in zip(H.blocks, fibers):
+    for comp, P in zip(op.components, fibers):
         if P is None:
             continue
+        block = op.block(0.1, comp)
         W, parts = _split_block(block, P)
         entries.append((W, parts))
         d = len(comp)
@@ -493,7 +494,7 @@ def test_band_preserving_split_matches_dense_oracle(case):
     # ran P has the fiber rank summed over the grid: len(bands) in the window, 0 outside
     assert rank == len(bands) * int(band.mask.sum())
 
-    assert got.dim == H.dim and got.eps == 0.1
+    assert got.dim == op.dim and got.eps == 0.1
     # eigenvalues ascend within each part (a split block lists its ran P part's, then its ran Q
     # part's) and within the full block
     for (_, _, parts, w_d, w_f, M), entry in zip(got.split, entries, strict=True):
@@ -502,7 +503,7 @@ def test_band_preserving_split_matches_dense_oracle(case):
         assert np.all(np.diff(w_f) >= 0)
         assert M.dtype == dtype and all(V.dtype == dtype for _, V in parts)
     # the spectra of H_diag and H: the split blocks' and, on a shared block, H's own
-    shared_w = [diagonalize(H.blocks[k][1]).w for k in shared]
+    shared_w = [diagonalize(op.block(0.1, op.components[k])).w for k in shared]
     scale = np.abs(dense.matrix).max()
     for w_split, oracle in ((3, dense_diag), (4, dense)):
         w = np.sort(np.concatenate([entry[w_split] for entry in got.split] + shared_w))
@@ -520,7 +521,7 @@ def test_band_preserving_split_matches_dense_oracle(case):
     for energy_cutoff in (None, cutoff):
         a = decoupling_error(got, states, [0.7, 3.0], energy_cutoff=energy_cutoff)
         b = dense_decoupling_error(band, 0.1, states, [0.7, 3.0], energy_cutoff)
-        if len(shared) == len(H.blocks):
+        if len(shared) == len(op.components):
             # H_diag = H: the pair shares every block, so the decoupling error is exactly zero
             assert np.all(a == 0.0) and np.abs(b).max() <= 1e-12
         else:
@@ -533,16 +534,16 @@ def test_full_and_band_preserving_propagators_share_the_blocks_of_h(case):
     # index of every other block of H in `shared`; the rows of the split and shared blocks cover
     # every row exactly once
     tag, bands, window, gauge, _, shared = SPLIT_CASES[case]
-    grid, band, H, full = _split_setup(tag, bands, window, gauge)
-    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
-    every = np.arange(H.dim)
-    assert pair.shared == shared and len(pair.split) + len(shared) == len(H.blocks)
-    split_blocks = [block for k, block in enumerate(H.blocks) if k not in shared]
-    covered = [rows for rows, *_ in pair.split] + [H.rows(H.blocks[k][0]) for k in shared]
+    grid, band, op, full = _split_setup(tag, bands, window, gauge)
+    pair = diagonalize_pair(op, band, 0.1)
+    every = np.arange(op.dim)
+    assert pair.shared == shared and len(pair.split) + len(shared) == len(op.components)
+    split_comps = [comp for k, comp in enumerate(op.components) if k not in shared]
+    covered = [rows for rows, *_ in pair.split] + [op.rows(op.components[k]) for k in shared]
     assert np.array_equal(np.sort(np.concatenate(covered)), every)
-    for (comp, block), (rows, W, parts, w_d, w_f, M) in zip(split_blocks, pair.split):
-        b = block.dim
-        assert np.array_equal(rows, H.rows(comp))
+    for comp, (rows, W, parts, w_d, w_f, M) in zip(split_comps, pair.split, strict=True):
+        b = grid.n_points * len(comp)
+        assert np.array_equal(rows, op.rows(comp))
         # the block's frame of P, each part's square eigenvectors on its frame indices, ran P then
         # ran Q, which cover the block's frame basis once, and the full block's b eigenvalues and M
         assert W.shape == (grid.n_points, len(comp), len(comp))
@@ -558,8 +559,8 @@ def test_block_pair_decoupling_error_matches_per_state_formula(case):
     # the pair, shared blocks dropped and split blocks measured in H_diag's eigenbasis, against
     # one state at a time through the same pair, and against the dense grid-space oracle
     tag, bands, window, gauge, _, shared = SPLIT_CASES[case]
-    grid, band, H, full = _split_setup(tag, bands, window, gauge)
-    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    grid, band, op, full = _split_setup(tag, bands, window, gauge)
+    pair = diagonalize_pair(op, band, 0.1)
     states = _random_states(grid, band.fiber_dim, 3, seed=5)
     times = (0.5, 0.7, 3.0)
     cutoff = float(np.median(full.w))
@@ -570,7 +571,7 @@ def test_block_pair_decoupling_error_matches_per_state_formula(case):
         want = dense_decoupling_error(band, 0.1, states, times, energy_cutoff)
         assert got.shape == (len(times), len(states))
         # H_diag = H on every block of constant_fiber: the pair's error is exactly zero there
-        if len(shared) == len(H.blocks):
+        if len(shared) == len(op.components):
             assert np.all(got == 0.0) and np.all(alone == 0.0) and np.abs(want).max() <= 1e-12
             continue
         assert np.all(want > 1e-5)
@@ -640,10 +641,10 @@ def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
     # the denominator, as the norm of the kept coefficients: one analysis product reads it
     from adiband import propagation
 
-    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
-    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    grid, band, op, full = _split_setup("crossing_trio", (0, 1), None, None)
+    pair = diagonalize_pair(op, band, 0.1)
     assert pair.shared == (1,)
-    minus_x = diagonalize(H.blocks[1][1])
+    minus_x = diagonalize(op.block(0.1, op.components[1]))
     products = []
     real_times = propagation._times
 
@@ -662,7 +663,7 @@ def test_decoupling_error_makes_no_product_on_shared_triples(monkeypatch):
     cutoff = float(np.median(minus_x.w))
     decoupling_error(pair, states, [0.5, 1.0], energy_cutoff=cutoff)
     ((rows, w, V),) = pair.shared_solves
-    assert np.array_equal(rows, H.rows(H.blocks[1][0])) and np.array_equal(w, minus_x.w)
+    assert np.array_equal(rows, op.rows(op.components[1])) and np.array_equal(w, minus_x.w)
     assert sum(A.base is V for A in products) == 1
     # and with the cutoff, c_d = M c_f once more
     assert len(products) == 5 + 1 + 1
@@ -699,10 +700,10 @@ def test_band_preserving_split_refuses_a_p_that_couples_blocks():
     band = band_decompose(get_model("constant_fiber"), grid, 0)
     v = np.array([np.cos(0.4), np.sin(0.4)])
     mixed = dataclasses.replace(band, proj=np.tile(np.outer(v, v), (grid.n_points, 1, 1)).astype(complex))
-    H = molecular_operator(band.model, grid).blocks(0.1)
-    assert len(H.blocks) == 2
+    op = molecular_operator(band.model, grid)
+    assert len(op.components) == 2
     with pytest.raises(ValueError, match="couple two blocks of H"):
-        _band_fibers(H, mixed)
+        _band_fibers(op, mixed)
     with pytest.raises(ValueError, match="couple two blocks of H"):
         diagonalize_pair(molecular_operator(band.model, grid), mixed, 0.1)
 
@@ -742,11 +743,11 @@ def test_block_apply_matches_the_dense_oracle():
     # block, lifted from H_diag's eigenbasis to the grid, against the dense H_diag and H on its rows:
     # e^{-iH_diag t/eps} = E_d e^{-i w_d t/eps} E_d^dag, e^{-iHt/eps} = E_f e^{-i w_f t/eps} E_f^dag,
     # and the energy cutoff E_f chi(w_f <= E) E_f^dag with E_f = E_d M
-    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    grid, band, op, full = _split_setup("crossing_trio", (0, 1), None, None)
     rng = np.random.default_rng(9)
-    block = rng.standard_normal((H.dim, 3)) + 1j * rng.standard_normal((H.dim, 3))
+    block = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
     times = np.array([0.0, 0.7, 3.0])
-    assert len(H.blocks) > 1 and full.dim == H.dim
+    assert len(op.components) > 1 and full.dim == op.dim
     for vec in (block[:, 0], block):
         pairs = [(full.apply(vec, 0.7), unitary(full, 0.7) @ vec),
                  (full.apply(vec, times), np.stack([unitary(full, t) @ vec for t in times]))]
@@ -774,9 +775,9 @@ def test_crossing_trio_pair_stores_only_its_blocks():
     # The pair keeps its split 2n block as ran P and ran Q eigenvectors of n each, the (n, 2, 2)
     # frame and the 2n x 2n M: 6 n^2 + 4 n entries; its shared n block is not stored at all
     n = 128
-    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
-    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
-    solved = [diagonalize(block) for _, block in H.blocks]
+    grid, band, op, full = _split_setup("crossing_trio", (0, 1), None, None)
+    pair = diagonalize_pair(op, band, 0.1)
+    solved = [diagonalize(op.block(0.1, comp)) for comp in op.components]
     assert [s.V.shape for s in solved] == [(2 * n, 2 * n), (n, n)]
     assert all(s.V.dtype == np.float64 for s in solved)
     assert sum(s.V.nbytes for s in solved) == 8 * 5 * n * n
@@ -790,10 +791,10 @@ def test_crossing_trio_pair_stores_only_its_blocks():
 def test_validate_checks_each_block(monkeypatch):
     # diagonalize solves what it is given as one block: the dense H of crossing_trio, whose
     # entries form blocks of 2n and n, and each ran P / ran Q part of H_diag's split block
-    grid, band, H, full = _split_setup("crossing_trio", (0, 1), None, None)
+    grid, band, op, full = _split_setup("crossing_trio", (0, 1), None, None)
     dense = assemble_full(band.model, grid, eps=0.1)
-    parts = [G for (_, block), P in zip(H.blocks, _band_fibers(H, band)) if P is not None
-             for _, G in _split_block(block, P)[1]]
+    parts = [G for comp, P in zip(op.components, _band_fibers(op, band)) if P is not None
+             for _, G in _split_block(op.block(0.1, comp), P)[1]]
     for op in [dense] + parts:
         solved = diagonalize(op, validate=True)
         assert solved.w.shape == (op.dim,) and solved.V.shape == (op.dim, op.dim)
@@ -817,9 +818,9 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
     from adiband import propagation
 
     n = 128
-    grid, band, H, _ = _split_setup("crossing_trio", (0, 1), None, None)
-    assert [(list(comp), block.dim) for comp, block in H.blocks] == [([0, 2], 2 * n), ([1], n)]
-    minus_x = diagonalize(H.blocks[1][1])
+    grid, band, op, _ = _split_setup("crossing_trio", (0, 1), None, None)
+    assert [(list(comp), op.block(0.1, comp).dim) for comp in op.components] == [([0, 2], 2 * n), ([1], n)]
+    minus_x = diagonalize(op.block(0.1, op.components[1]))
     sizes, real_eigh = [], np.linalg.eigh
 
     def eigh(M):
@@ -828,7 +829,7 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
         return real_eigh(M)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    prop = diagonalize_blocks(H)
+    prop = diagonalize_blocks(op, 0.1)
     assert sizes == [2 * n, n]
     sizes.clear()
     calls, real_diagonalize = [], propagation.diagonalize
@@ -838,7 +839,7 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
         return real_diagonalize(op, *args, **kwargs)
 
     monkeypatch.setattr(propagation, "diagonalize", diagonalize_counted)
-    pair = diagonalize_pair(molecular_operator(band.model, grid), band, 0.1)
+    pair = diagonalize_pair(op, band, 0.1)
     assert sizes == calls == [2 * n, n, n]
     states = _random_states(grid, 3, 2, seed=8)
     decoupling_error(pair, states, [1.0])
@@ -848,7 +849,7 @@ def test_crossing_trio_operators_are_solved_by_blocks(monkeypatch):
         decoupling_error(pair, states, [1.0], energy_cutoff=float(np.median(minus_x.w)))
     assert calls == [2 * n, n, n, n]
     ((rows, w, V),) = pair.shared_solves
-    assert np.array_equal(rows, 3 * np.arange(n) + 1) and np.array_equal(rows, H.rows(H.blocks[1][0]))
+    assert np.array_equal(rows, 3 * np.arange(n) + 1) and np.array_equal(rows, op.rows(op.components[1]))
     assert np.array_equal(w, minus_x.w) and np.array_equal(V, minus_x.V)
     monkeypatch.undo()
     # the oracles: the dense solve of H and of the dense H_diag
