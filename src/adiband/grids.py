@@ -151,22 +151,27 @@ def norm(w: NuclearWave | MolecularWave) -> float:
     return l2_norm(w.values, w.grid.dx)
 
 
-def _momentum_weights(w, order: int) -> float:
-    """|| (eps k)^order phi ||, derivatives taken spectrally along X."""
-    vals = w.values if w.values.ndim == 2 else w.values[:, None]
-    ft = np.fft.fft(vals, axis=0) / np.sqrt(w.grid.n_points)
-    weight = (w.eps * np.abs(w.grid.k)) ** order
-    return l2_norm(weight[:, None] * np.abs(ft), w.grid.dx)
+def _sobolev_norms(vals: np.ndarray, grid: Grid1D, eps: float, order: int) -> np.ndarray:
+    """``||(eps d/dX)^order w|| + ||w||`` of each of the k waves of an (n, m, k) sample stack, shape (k,).
+
+    The derivative is taken spectrally along X, by one FFT of the stack,
+    as the multiplier |eps k|^order.
+    """
+    ft = np.fft.fft(vals, axis=0) / np.sqrt(grid.n_points)
+    weight = (eps * np.abs(grid.k)) ** order
+    return l2_norm(weight[:, None, None] * np.abs(ft), grid.dx, axis=(0, 1)) + l2_norm(vals, grid.dx, axis=(0, 1))
 
 
 def sobolev_norm(w: NuclearWave | MolecularWave, order: int) -> float:
     """Scaled Sobolev norm: ``||(eps d/dX)^order w|| + ||w||``, order 1 or 2.
 
-    Order 1 uses eps*|d/dX|, order 2 uses eps^2*Laplacian, both spectral.
+    Order 1 uses eps*|d/dX|, order 2 uses eps^2*Laplacian, both spectral:
+    the one-wave case of `_sobolev_norms`.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return _momentum_weights(w, order) + norm(w)
+    vals = w.values.reshape(w.grid.n_points, -1, 1)
+    return float(_sobolev_norms(vals, w.grid, w.eps, order)[0])
 
 
 def fourier_multiplier_matrix(symbol: np.ndarray) -> np.ndarray:

@@ -60,8 +60,8 @@ from .semiclassics import (
     wigner_marginal,
 )
 from .states import (
-    _check_coherent_center, _coherent_values, _wkb_normalized, coherent_state, envelope, lift_to_band,
-    sharp_momentum_state, wkb_state,
+    _check_coherent_center, _check_sharp_momentum, _check_wkb_phase, _coherent_values, _wkb_normalized,
+    coherent_state, envelope, lift_to_band, sharp_momentum_state, wkb_state,
 )
 
 __all__ = [
@@ -253,7 +253,7 @@ class ExperimentConfig:
                 raise ValueError(f"window must be null or a list of two finite real numbers, got {window!r}")
             # every functional's bands take the window: one with no grid point fails every row
             _window_mask(self.build_grid(), window)
-        self._check_coherent_centers()
+        self._check_states()
         if self.functional in ("effective_dynamics", "boundary_leakage"):
             missing = [name for name in ("window", "region") if getattr(self, name) is None]
             if missing:
@@ -328,34 +328,43 @@ class ExperimentConfig:
         if self.functional == "decoupling" and self.state["family"] != "coherent":
             raise ValueError(f"decoupling needs the coherent state family, got {self.state['family']!r}")
 
-    def _check_coherent_centers(self):
-        """Refuse a coherent center that `coherent_state` refuses at every eps of the ladder.
+    def _check_states(self):
+        """Refuse a state that its constructor refuses at every eps of the ladder.
 
-        Its halo 5 sqrt(eps) and its momentum window shrink with eps at
-        different rates, so each eps is tried with the states' own checks
-        (`states._check_coherent_center`); a center that fits at one eps
-        loads, and its other rows report their refusal.
+        A coherent center's halo 5 sqrt(eps) and its momentum window, the
+        sharp-momentum bound 0.8 eps max |k| and the seam's winding 2 pi eps
+        change with eps, so each eps is tried with the states' own checks
+        (`states._check_coherent_center`, `_check_sharp_momentum` and
+        `_check_wkb_phase`); a state that fits at one eps loads, and its
+        other rows report their refusal.  The coherent centers are tried
+        first, then the decoupling family's WKB phase.
         """
-        params = self.state.get("params", {})
+        params, family = self.state.get("params", {}), self.state.get("family")
         if self.functional == "decoupling":
             fam = self.state["family_params"]
-            where, centers = "state.family_params", [(q, p) for q in fam["q_centers"] for p in fam["p_centers"]]
+            tries = [(f"state.family_params center ({q0}, {p0})", _check_coherent_center, (q0, p0))
+                     for q0 in fam["q_centers"] for p0 in fam["p_centers"]]
+            tries.append(("state.family_params['wkb'] phase", _check_wkb_phase, (_wkb_functions(*fam["wkb"])[1],)))
         elif self.functional == "observable_pairing":
-            where, centers = "state.params['centers']", params["centers"]
-        elif self.state["family"] == "coherent":
-            where, centers = "state.params", [(params["q0"], params["p0"])]
+            tries = [(f"state.params['centers'] center ({q0}, {p0})", _check_coherent_center, (q0, p0))
+                     for q0, p0 in params["centers"]]
+        elif family == "coherent":
+            tries = [(f"state.params center ({params['q0']}, {params['p0']})", _check_coherent_center,
+                      (params["q0"], params["p0"]))]
+        elif family == "sharp_momentum":
+            tries = [(f"state.params momentum {params['p0']}", _check_sharp_momentum, (params["p0"],))]
         else:
-            return
+            tries = [("state.params phase", _check_wkb_phase, (_wkb_functions(**params)[1],))]
         grid = self.build_grid()
-        for q0, p0 in centers:
+        for what, check, args in tries:
             for eps in self.eps_ladder:
                 try:
-                    _check_coherent_center(grid, eps, q0, p0)
+                    check(grid, eps, *args)
                     break
                 except ValueError as exc:
                     refusal = exc
             else:
-                raise ValueError(f"{where} center ({q0}, {p0}) fits no eps of the ladder; at eps {eps}: {refusal}")
+                raise ValueError(f"{what} fits no eps of the ladder; at eps {eps}: {refusal}")
 
     # -- builders ---------------------------------------------------------
 

@@ -91,7 +91,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .electronic import BandData
-from .grids import MolecularWave, NuclearWave, l2_norm, norm
+from .grids import MolecularWave, NuclearWave, _sobolev_norms, l2_norm, norm
 from .hamiltonians import DenseHamiltonian, FiberedOperator, _band_fibers, _split_block, u_map
 
 __all__ = [
@@ -419,15 +419,6 @@ def _time_row(times) -> np.ndarray:
     return row
 
 
-def _sobolev_norms(states: list) -> np.ndarray:
-    """`grids.sobolev_norm(w, 2)` of each of k molecular waves on one grid and eps, by one FFT of the (n, m, k) stack."""
-    grid, eps = states[0].grid, states[0].eps
-    vals = np.stack([w.values for w in states], axis=-1)
-    ft = np.fft.fft(vals, axis=0) / np.sqrt(grid.n_points)
-    weight = (eps * np.abs(grid.k)) ** 2
-    return l2_norm(weight[:, None, None] * np.abs(ft), grid.dx, axis=(0, 1)) + l2_norm(vals, grid.dx, axis=(0, 1))
-
-
 def decoupling_error(pair: DecouplingPair, states: list, times, energy_cutoff: float | None = None) -> np.ndarray:
     """Distance between the full and the band-preserving evolution of the pair, per time and state.
 
@@ -471,7 +462,7 @@ def decoupling_error(pair: DecouplingPair, states: list, times, energy_cutoff: f
         if np.any(denom == 0.0):
             raise ValueError("energy cutoff annihilated the state")
     else:
-        denom = _sobolev_norms(states)
+        denom = _sobolev_norms(np.stack([w.values for w in states], axis=-1), states[0].grid, states[0].eps, 2)
     squared = np.zeros(len(times) * vecs.shape[1])
     for (_, _, _, w_d, w_f, M), (c_d, c_f) in zip(pair.split, coords):
         D = _times(M, _phased(w_f, c_f, times, pair.eps))

@@ -78,6 +78,32 @@ def _check_coherent_center(grid: Grid1D, eps: float, q0: float, p0: float):
         raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
 
 
+def _check_sharp_momentum(grid: Grid1D, eps: float, p0: float):
+    """Refuse a momentum p0 past 0.8 of the lattice edge eps max |k|.
+
+    The refusal of `sharp_momentum_state`, shared with the config load,
+    which refuses a momentum that no eps of its ladder can hold.
+    """
+    p_max = eps * np.abs(grid.k).max()
+    if abs(p0) > 0.8 * p_max:
+        raise ValueError(f"momentum {p0} too close to the lattice edge {p_max:.3f}")
+
+
+def _check_wkb_phase(grid: Grid1D, eps: float, S):
+    """Refuse a phase function S that does not wind by a multiple of 2*pi*eps across the periodic seam.
+
+    The refusal of `wkb_state`, shared with the config load, which refuses
+    a phase that no eps of its ladder can hold.
+    """
+    jump = abs(float(S(grid.x_max)) - float(S(grid.x_min)))
+    winding = 2 * np.pi * eps
+    if min(jump % winding, winding - (jump % winding)) > 1e-9 and jump > 1e-9:
+        raise ValueError(
+            f"phase function jumps by {jump:.3e} across the seam; "
+            "not a multiple of 2*pi*eps"
+        )
+
+
 def _coherent_values(grid: Grid1D, eps: float, q0, p0, profile="gaussian") -> np.ndarray:
     """The normalized samples of `coherent_state`, without its checks.
 
@@ -123,9 +149,7 @@ def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, cent
         g = np.exp(1j * boost * grid.x) * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
     else:
         g = np.asarray(profile(grid.x), dtype=complex)
-    p_max = eps * np.abs(grid.k).max()
-    if abs(p0) > 0.8 * p_max:
-        raise ValueError(f"momentum {p0} too close to the lattice edge {p_max:.3f}")
+    _check_sharp_momentum(grid, eps, p0)
     vals = np.exp(1j * p0 * grid.x / eps) * g
     wave = _normalized(grid, vals, eps)
     dens = np.abs(wave.values) ** 2 * grid.dx
@@ -136,16 +160,10 @@ def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, cent
 
 def _wkb_normalized(grid: Grid1D, eps: float, f, S) -> NuclearWave:
     """The normalized wave f(X) e^{i S(X)/eps} of `wkb_state`, without its density; a phase that does
-    not wind by a multiple of 2*pi*eps across the seam is refused."""
+    not wind by a multiple of 2*pi*eps across the seam is refused (`_check_wkb_phase`)."""
     fv = np.asarray(f(grid.x), dtype=float)
     Sv = np.asarray(S(grid.x), dtype=float)
-    jump = abs(float(S(grid.x_max)) - float(S(grid.x_min)))
-    winding = 2 * np.pi * eps
-    if min(jump % winding, winding - (jump % winding)) > 1e-9 and jump > 1e-9:
-        raise ValueError(
-            f"phase function jumps by {jump:.3e} across the seam; "
-            "not a multiple of 2*pi*eps"
-        )
+    _check_wkb_phase(grid, eps, S)
     return _normalized(grid, fv * np.exp(1j * Sv / eps), eps)
 
 

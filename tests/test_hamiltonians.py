@@ -408,6 +408,26 @@ def test_u_maps_isometry_and_projection(ac_setup):
         assert np.abs(back.values - phi.values).max() <= 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), tag=st.sampled_from(MODEL_TAGS),
+       window=st.one_of(st.none(), st.tuples(st.floats(-3.0, -1.0), st.floats(1.0, 3.0))),
+       delta=st.floats(0.1, 0.8), gauge=st.sampled_from(["component", "transport"]), twist=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_u_u_star_is_the_identity(data, tag, window, delta, gauge, twist, seed):
+    # U U* = 1 on a random single band: its window (or none), its margin delta, its gauge and a
+    # periodic gauge shift; U* keeps the norm of a random nuclear state and U maps it back
+    grid = make_grid(-6.4, 6.4, 64)
+    model = get_model(tag)
+    band = band_decompose(model, grid, data.draw(st.integers(0, model.fiber_dim - 1)), window=window,
+                          gauge=gauge, delta=delta)
+    band = band.with_gauge_shift(twist * np.sin(2 * np.pi * grid.x / grid.length))
+    rng = np.random.default_rng(seed)
+    phi = NuclearWave(grid, rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points), eps=0.1)
+    lifted = u_star_map(phi, band)
+    assert abs(norm(lifted) / norm(phi) - 1) <= 1e-12
+    assert np.abs(u_map(lifted, band).values - phi.values).max() <= 1e-12 * np.abs(phi.values).max()
+
+
 def test_u_star_u_is_band_projection(ac_setup):
     grid, model, band, H, P = ac_setup
     U = u_matrix(band)

@@ -313,6 +313,16 @@ def test_from_json_names_unknown_fields():
         ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, 7.9], "p_centers": [0.2],
                                                            "wkb": [-0.9, 0.6, 0.3, 0.4]}},
          r"state.family_params center \(7.9, 0.2\) fits no eps of the ladder; .* to the box edge"),
+        # a sharp momentum past 0.8 of the lattice edge at every eps, and a WKB phase that winds by no
+        # multiple of 2 pi eps across the seam, fail every row; so does the decoupling family's WKB
+        # state, whose centers fit (on the box [-4, 4] of the benchmark it jumps by 4.541e-01)
+        ("state", {"family": "sharp_momentum", "params": {"p0": 20.0}},
+         r"state.params momentum 20.0 fits no eps of the ladder; at eps 0.05: .* lattice edge 3.142"),
+        ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4, "k": 1.0}},
+         r"state.params phase fits no eps of the ladder; at eps 0.05: phase function jumps by 9.324e-02"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4], "p_centers": [-0.6, 0.2, 0.8],
+                                                           "wkb": [-0.9, 0.6, 0.3, 1.0]}},
+         r"state.family_params\['wkb'\] phase fits no eps of the ladder; at eps 0.025: .* jumps by 5.936e-01"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -321,12 +331,17 @@ def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, mes
     # the region and the fields of the hitting-time flow are read by the effective-dynamics config,
     # the energy cutoff by the decoupling one, the other fields by the small one; a state with a
     # family goes to the config that reads its keys.  A grid goes to the decoupling config, which
-    # has no window that a grid of non-finite points would miss first
+    # has no window that a grid of non-finite points would miss first.  A sharp-momentum or WKB
+    # state goes to the state-rates config at n = 256 on eps 0.2 ... 0.05
     readers = {"region": "effective", "alpha": "effective", "flow_dt": "effective", "include_a_geo": "effective",
                "energy_cutoff": "decoupling", "grid": "decoupling"}
+    overrides = {}
     if key == "state" and "family" in value:
         readers["state"] = "decoupling" if "family_params" in value else "effective"
-    data = json.loads((_config(readers[key]) if key in readers else small_config()).to_json())
+        if value["family"] in ("sharp_momentum", "wkb") and "params" in value:
+            readers["state"] = "state_rates"
+            overrides = {"grid": {"x_min": -6.4, "x_max": 6.4, "n_points": 256}, "eps_ladder": [0.2, 0.1, 0.05]}
+    data = json.loads((_config(readers[key], **overrides) if key in readers else small_config()).to_json())
     data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
@@ -712,17 +727,18 @@ def test_scan_points_sorted_and_ok(scan_result):
 
 
 def test_scan_synthetic_error_recorded():
-    # an impossible state fails per point without aborting the scan: a sharp-momentum state past
-    # the lattice edge at every eps (a coherent center that no eps can hold is refused at load)
-    cfg = small_config(
-        functional="state_observables",
-        window=[-5.0, 5.0],
-        state={"family": "sharp_momentum", "params": {"p0": 20.0}},
-    )
-    res = eps_scan(cfg, PropagatorCache())
-    assert all(p["status"] == "error" for p in res.points)
-    assert all("message" in p for p in res.points)
+    # a state that some rows cannot hold fails per point without aborting the scan: the sharp
+    # momentum 6.0 lies within 0.8 of the lattice edge (10.05, 5.03, 2.51) at eps 0.2 only.  One
+    # past it at every eps, 20.0, is refused at load
+    def config(p0):
+        return small_config(functional="state_observables", state={"family": "sharp_momentum", "params": {"p0": p0}})
+
+    res = eps_scan(config(6.0), PropagatorCache())
+    assert [p["status"] for p in res.points] == ["ok", "error", "error"]
+    assert all("momentum 6.0 too close to the lattice edge" in p["message"] for p in res.points[1:])
     assert res.slope is None
+    with pytest.raises(ValueError, match="state.params momentum 20.0 fits no eps of the ladder"):
+        config(20.0)
 
 
 def _berry_config(**over):

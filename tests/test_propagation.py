@@ -788,6 +788,36 @@ def test_crossing_trio_pair_stores_only_its_blocks():
     assert pair.shared == (1,) and "shared_solves" not in vars(pair)
 
 
+@pytest.mark.parametrize("window", [None, (-2, 2)])
+def test_pair_builds_only_the_blocks_it_solves(monkeypatch, window):
+    # crossing_trio's bands (0, 1): without a window P is 1 on the -X component {1} at every point,
+    # so the pair builds the {0, 2} block once per eps and never {1}, until an energy cutoff builds
+    # {1} once, at the first decoupling_error; with a window P splits both, each built once per eps
+    from adiband.hamiltonians import FiberedOperator
+
+    grid = make_grid(-8, 8, 64)
+    band = band_decompose(get_model("crossing_trio"), grid, (0, 1), window=window, gauge=None)
+    op = molecular_operator(band.model, grid)
+    built, real_block = [], FiberedOperator.block
+
+    def block(self, eps, comp):
+        built.append((eps, list(comp)))
+        return real_block(self, eps, comp)
+
+    monkeypatch.setattr(FiberedOperator, "block", block)
+    states = _random_states(grid, 3, 2, seed=6)
+    for eps in (0.2, 0.1):
+        pair = diagonalize_pair(op, band, eps)
+        assert built == [(eps, [0, 2])] + ([(eps, [1])] if window else [])
+        built.clear()
+        decoupling_error(pair, states, [1.0])
+        assert built == []
+        for _ in range(2):
+            decoupling_error(pair, states, [1.0], energy_cutoff=2.0)
+        assert built == ([] if window else [(eps, [1])])
+        built.clear()
+
+
 def test_validate_checks_each_block(monkeypatch):
     # diagonalize solves what it is given as one block: the dense H of crossing_trio, whose
     # entries form blocks of 2n and n, and each ran P / ran Q part of H_diag's split block
