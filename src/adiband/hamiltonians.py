@@ -263,13 +263,14 @@ class FiberedOperator:
 
     @functools.cached_property
     def components(self) -> tuple:
-        """The fiber components: the connected components of the m x m union over the grid of the fibers' exact-zero pattern.
+        """The fiber components: the connected components of the fibers' exact-zero pattern.
 
-        Each is the ascending array of its fiber indices, in order of its
-        smallest index (`crossing_trio`: {0, 2} and {1}).  The kinetic term
-        couples every grid point of a fiber index, so H restricted to a
-        component's rows (`rows`) is one connected block, and H has no entry
-        between two components.  Read once per operator.
+        The pattern is the m x m union over the grid.  Each component is the
+        ascending array of its fiber indices, in order of its smallest index
+        (`crossing_trio`: {0, 2} and {1}).  The kinetic term couples every
+        grid point of a fiber index, so H restricted to a component's rows
+        (`rows`) is one connected block, and H has no entry between two
+        components.  Read once per operator.
         """
         return tuple(_coupled_components((self.fibers != 0).any(axis=0)))
 
@@ -421,7 +422,7 @@ def _check_dims(H: DenseHamiltonian | FiberedOperator, band: BandData):
 
 
 def _band_fibers(op: FiberedOperator, band: BandData) -> list:
-    """P's fiber blocks on each component of the molecular H `op`, (n, d, d), in order; None where H_diag equals H there.
+    """P's fiber blocks on each component of the molecular H `op`, (n, d, d); None where H_diag equals H there.
 
     That is where P is 0 at every grid point, or 1 at every grid point.  A
     P whose fiber blocks (`_fiber_blocks`) couple two blocks of H is not a

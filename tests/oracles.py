@@ -16,7 +16,7 @@ def fourier_matrix(grid) -> np.ndarray:
 
 
 def diagonalize_blocks(op, eps):
-    """The molecular H `op` at eps solved block by block, each by `propagation.diagonalize`: the dense oracle of the full H.
+    """The molecular H `op` at eps solved block by block by `propagation.diagonalize`: the full H's dense oracle.
 
     Each fiber component's block (`FiberedOperator.block`) is solved, and
     the eigenpairs are scattered into one dense SpectralPropagator: each

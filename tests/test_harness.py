@@ -320,7 +320,8 @@ def test_from_json_names_unknown_fields():
          r"state.params momentum 20.0 fits no eps of the ladder; at eps 0.05: .* lattice edge 3.142"),
         ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4, "k": 1.0}},
          r"state.params phase fits no eps of the ladder; at eps 0.05: phase function jumps by 9.324e-02"),
-        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4], "p_centers": [-0.6, 0.2, 0.8],
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4],
+                                                           "p_centers": [-0.6, 0.2, 0.8],
                                                            "wkb": [-0.9, 0.6, 0.3, 1.0]}},
          r"state.family_params\['wkb'\] phase fits no eps of the ladder; at eps 0.025: .* jumps by 5.936e-01"),
     ],
