@@ -101,8 +101,10 @@ def _two_band_complex(g_re=0.5, g_im=0.2):
     def h(xs):
         f = np.tanh(xs)
         # g_im / cosh X as a real quotient: a complex array divided by a real one is scaled by its
-        # reciprocal, which would not give the bits of the per-point formula's complex scalar division
-        g = g_re + 1j * (g_im / np.cosh(xs))
+        # reciprocal, which would not give the bits of the per-point formula's complex scalar division.
+        # That division turns a -0.0 g_im into a +0.0 real part, which `+ 0.0` does here (with
+        # g_re = -0.0 the real part of g is then +0.0, as there)
+        g = g_re + 1j * ((g_im + 0.0) / np.cosh(xs))
         return _fill(len(xs), 2, {(0, 0): f, (0, 1): g, (1, 0): np.conj(g), (1, 1): -f}, complex)
 
     def dh(X):
