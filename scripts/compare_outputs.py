@@ -28,6 +28,7 @@ differs or fails on either side.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -120,6 +121,15 @@ def _number_gap(a: str, b: str):
                 for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if float(x) != float(y)), default=0.0)
 
 
+@contextlib.contextmanager
+def exported(ref: str):
+    """The committed files of the git revision `ref`, exported by `git archive` to a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        yield Path(tmp)
+
+
 def _outcome(fn):
     try:
         return fn(), None
@@ -133,10 +143,7 @@ def main(argv=None) -> int:
         print("usage: compare_outputs.py REF", file=sys.stderr)
         return 2
     ref = args[0]
-    with tempfile.TemporaryDirectory() as tmp:
-        ref_tree = Path(tmp)
-        archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
+    with exported(ref) as ref_tree:
         ours, theirs = _items(ROOT, _names(ROOT)), _items(ref_tree, _names(ref_tree))
         differs = 0
         for label in sorted(set(ours) | set(theirs)):

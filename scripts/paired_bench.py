@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Run the benchmark on a git revision and on this checkout in alternating pairs.
 
-    python3 scripts/paired_bench.py REF [--workload W] [--pairs N]
+    python3 scripts/paired_bench.py REF
 
 REF is any git revision (a sha, a branch, HEAD~1).  Its committed files are
-exported to a temporary directory with `git archive`, as
-`compare_outputs.py` does; the checkout side is the working tree as it
-stands, uncommitted edits included.  For each workload of BENCHMARK.json,
-or only W, N pairs (default 10) run
+exported to a temporary directory (`compare_outputs.exported`, `git
+archive`); the checkout side is the working tree as it stands, uncommitted
+edits included.  For each workload of BENCHMARK.json, 10 pairs run
 
     python3 perfbench/run.py --workload W --seed 0 --trace 0 --seconds S
 
@@ -16,28 +15,30 @@ BENCHMARK.json.  Each run is a fresh process with bytecode writing off, and
 the side that runs first alternates from pair to pair (REF first in pair 1).
 
 It prints every pair's end-to-end metrics, then for each metric of
-BENCHMARK.json's `end_to_end`: the median of each side, the interquartile
-range of REF's runs, the pairs the checkout wins by the metric's `better`,
+BENCHMARK.json's `end_to_end`: each side's median and quartiles, the pairs
+the checkout wins by the metric's `better` (ties count for neither side),
 and the checkout's median move relative to REF's median.  A move worse than
-the metric's `bound` (a fraction of REF's median) is marked "PAST BOUND";
-a metric whose REF runs spread wider than its bound (interquartile range
-over median) is marked "unresolved".  It reads BENCHMARK.json only, and
-exits 1 when a run fails.
+the metric's `bound` (a fraction of REF's median) is marked "PAST BOUND".
+A metric whose REF runs spread wider than its bound (interquartile range
+over median) is marked "unresolved", unless every checkout run is better
+than every REF run.  It reads BENCHMARK.json only.  The exit status is 1
+when a run fails or a median is PAST BOUND, 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
+from compare_outputs import exported
+
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def _run(tree: Path, workload: str, seconds) -> dict:
@@ -59,40 +60,38 @@ def _worse(metric: dict, ref: float, new: float) -> float:
     return gap / abs(ref)
 
 
-def _summary(metric: dict, pairs: list) -> str:
+def _summary(metric: dict, pairs: list) -> tuple:
+    """(the metric's summary line, whether its median is past its bound)."""
     name = metric["name"]
     ref = [r[name] for r, _ in pairs]
     new = [c[name] for _, c in pairs]
-    ref_med, new_med = statistics.median(ref), statistics.median(new)
-    q1, _, q3 = statistics.quantiles(ref, n=4, method="inclusive") if len(ref) > 1 else (ref[0],) * 3
+    (r1, ref_med, r3), (c1, new_med, c3) = (statistics.quantiles(v, n=4, method="inclusive") for v in (ref, new))
     wins = sum(_worse(metric, r, c) < 0 for r, c in zip(ref, new))
     move = _worse(metric, ref_med, new_med)
-    spread = (q3 - q1) / abs(ref_med) if ref_med else 0.0
-    flags = (["PAST BOUND"] if move > metric["bound"] else []) + (["unresolved"] if spread > metric["bound"] else [])
-    return (f"  {name} [{metric['unit']}, {metric['better']} is better, bound {metric['bound']}]: "
-            f"ref median {ref_med:.6g} (IQR {q3 - q1:.3g}), checkout median {new_med:.6g}, "
+    spread = (r3 - r1) / abs(ref_med) if ref_med else 0.0
+    all_better = all(_worse(metric, r, c) < 0 for r in ref for c in new)
+    past = move > metric["bound"]
+    flags = (["PAST BOUND"] if past else []) + (["unresolved"] if spread > metric["bound"] and not all_better else [])
+    line = (f"  {name} [{metric['unit']}, {metric['better']} is better, bound {metric['bound']}]: "
+            f"ref median {ref_med:.6g} (quartiles {r1:.6g}, {r3:.6g}), "
+            f"checkout median {new_med:.6g} (quartiles {c1:.6g}, {c3:.6g}), "
             f"checkout wins {wins}/{len(pairs)}, median worse by {move:+.2%}" + "".join(f"  {f}" for f in flags))
+    return line, past
 
 
 def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: paired_bench.py REF", file=sys.stderr)
+        return 2
+    ref = args[0]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("ref", help="the git revision to compare the checkout against")
-    ap.add_argument("--workload", choices=names, help="one workload (default: every workload)")
-    ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload (default 10)")
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    with tempfile.TemporaryDirectory() as tmp:
-        ref_tree = Path(tmp)
-        archive = subprocess.run(["git", "archive", "--format=tar", args.ref], cwd=ROOT, capture_output=True,
-                                 check=True)
-        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
+    past_bound = False
+    with exported(ref) as ref_tree:
         try:
-            for workload in [args.workload] if args.workload else names:
+            for workload in [w["name"] for w in spec["workloads"]]:
                 pairs = []
-                for k in range(args.pairs):
+                for k in range(PAIRS):
                     order = [(0, ref_tree), (1, ROOT)] if k % 2 == 0 else [(1, ROOT), (0, ref_tree)]
                     runs = {}
                     for side, tree in order:
@@ -101,14 +100,16 @@ def main(argv=None) -> int:
                     shown = ", ".join(f"{m['name']} {runs[0][m['name']]:.6g} -> {runs[1][m['name']]:.6g}"
                                       for m in spec["end_to_end"] if m["name"] in runs[0])
                     print(f"{workload} pair {k + 1} ({'ref' if k % 2 == 0 else 'checkout'} first): {shown}", flush=True)
-                print(f"{workload}: {args.ref} against the checkout, {len(pairs)} pairs")
+                print(f"{workload}: {ref} against the checkout, {len(pairs)} pairs")
                 for metric in spec["end_to_end"]:
                     if metric["name"] in pairs[0][0]:
-                        print(_summary(metric, pairs), flush=True)
+                        line, past = _summary(metric, pairs)
+                        past_bound |= past
+                        print(line, flush=True)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    return 0
+    return 1 if past_bound else 0
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Grid1D",
@@ -179,11 +180,12 @@ def fourier_multiplier_matrix(symbol: np.ndarray) -> np.ndarray:
 
     `symbol` holds s(k) on a grid's momentum lattice in FFT ordering.
     Entry (i, j) is sum_k s(k) e^{i k (X_i - X_j)} / n = ifft(s)[(i - j) mod n],
-    so the matrix is the circulant with first column ifft(s), gathered by index.
+    so the matrix is the circulant with first column c = ifft(s).  Row i is
+    the window of length n at n - 1 - i of c reversed and repeated twice,
+    copied by strides, not gathered by an n x n index.
     """
-    c = np.fft.ifft(symbol)
-    j = np.arange(c.size)
-    return c[(j[:, None] - j[None, :]) % c.size]
+    c = np.fft.ifft(symbol)[::-1]
+    return sliding_window_view(np.concatenate([c, c]), c.size)[c.size - 1 :: -1].copy()
 
 
 def spectral_derivative_matrix(grid: Grid1D) -> np.ndarray:

@@ -278,20 +278,13 @@ class FiberedOperator:
         """The ascending molecular rows i m + a of the fiber indices a in the component `comp`."""
         return (np.arange(self.grid.n_points)[:, None] * self.fiber_dim + comp).ravel()
 
-    def block(self, eps: float, comp: np.ndarray) -> DenseHamiltonian:
-        """The dense block of H at eps on the rows of one component, checked and made Hermitian on the parts.
+    def _parts(self, eps: float, comp: np.ndarray) -> tuple:
+        """(T, V, D) of one component's block at eps, checked as `block` says: unsymmetrized, each its own copy.
 
-        With T the n x n kinetic matrix and d = len(comp), the block holds
-        T_ij at (i a, j a) for i != j, V_i,ab at (i a, i b) for a != b, the
-        sums T_ii + V_i,aa on its diagonal and zeros elsewhere, its rows in
-        the order of `rows(comp)`.  So `DenseHamiltonian`'s check (the
-        residual M - M^dag within 1e-12 of max |M|, non-finite entries
-        refused, with the same values and messages) runs on T off its
-        diagonal, the component's (n, d, d) stack off its fiber diagonal and
-        the (n, d) diagonal sums, and the Hermitian parts of the three are
-        written into the block: the same matrix, without the residual and
-        symmetrization passes over the whole block.  The block is real when
-        T and V are; its fiber dimension is d.
+        T is the n x n kinetic matrix off its diagonal, V the component's
+        (n, d, d) fiber stack off its fiber diagonal and D the (n, d)
+        diagonal sums.  A block the check refuses is refused here, without
+        being built.
         """
         n, d = self.grid.n_points, len(comp)
         T = _kinetic(_symbol(self.grid, eps, self.a_bar), self.phase)
@@ -307,6 +300,26 @@ class FiberedOperator:
             # np.max, not max: it keeps a nan wherever it is
             herm = np.max([_absmax(T - T.conj().T), _absmax(V - V.conj().transpose(0, 2, 1)), _absmax(D - D.conj())])
         _refuse_non_hermitian(self.tag, herm, lambda: np.max([_absmax(T), np.abs(V).max(), _absmax(D)]))
+        return T, V, D
+
+    def block(self, eps: float, comp: np.ndarray) -> DenseHamiltonian:
+        """The dense block of H at eps on the rows of one component, checked and made Hermitian on the parts.
+
+        With T the n x n kinetic matrix and d = len(comp), the block holds
+        T_ij at (i a, j a) for i != j, V_i,ab at (i a, i b) for a != b, the
+        sums T_ii + V_i,aa on its diagonal and zeros elsewhere, its rows in
+        the order of `rows(comp)`.  So `DenseHamiltonian`'s check (the
+        residual M - M^dag within 1e-12 of max |M|, non-finite entries
+        refused, with the same values and messages) runs on T off its
+        diagonal, the component's (n, d, d) stack off its fiber diagonal and
+        the (n, d) diagonal sums (`_parts`), and the Hermitian parts of the
+        three are written into the block: the same matrix, without the
+        residual and symmetrization passes over the whole block.  The block
+        is real when T and V are; its fiber dimension is d.
+        """
+        T, V, D = self._parts(eps, comp)
+        n, d = self.grid.n_points, len(comp)
+        i, a = np.arange(n), np.arange(d)
         dtype = np.result_type(T, V)
         T = T + T.conj().T
         T *= 0.5

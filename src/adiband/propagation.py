@@ -385,12 +385,17 @@ def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> D
     eigenvectors V_f go into the parts' eigenbasis as M, written over V_f.
     Each block is finished before the next is built; the pair keeps W, the
     parts' eigenvectors, the eigenvalues and M.  A shared block is neither
-    built nor solved here (`DecouplingPair.shared_solves`).
+    built nor solved here (`DecouplingPair.shared_solves`), but its parts
+    take the block's check first (`FiberedOperator._parts`), so a shared
+    block that the check refuses is refused before anything is solved.
     """
-    split, shared = [], []
-    for k, (comp, P) in enumerate(zip(operator.components, _band_fibers(operator, band))):
+    fibers = _band_fibers(operator, band)
+    shared = tuple(k for k, P in enumerate(fibers) if P is None)
+    for k in shared:
+        operator._parts(eps, operator.components[k])
+    split = []
+    for comp, P in zip(operator.components, fibers):
         if P is None:
-            shared.append(k)
             continue
         block = operator.block(eps, comp)
         full = diagonalize(block)
@@ -399,7 +404,7 @@ def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> D
         parts = tuple((idx, s.V) for idx, s in solved)
         M = _frame_coordinates(W, parts, full.V, overwrite=True)
         split.append((operator.rows(comp), W, parts, np.concatenate([s.w for _, s in solved]), full.w, M))
-    return DecouplingPair(operator=operator, eps=eps, split=tuple(split), shared=tuple(shared))
+    return DecouplingPair(operator=operator, eps=eps, split=tuple(split), shared=shared)
 
 
 def evolve(prop: SpectralPropagator | ChebyshevPropagator, wave: NuclearWave | MolecularWave, t: float):

@@ -818,6 +818,33 @@ def test_pair_builds_only_the_blocks_it_solves(monkeypatch, window):
         built.clear()
 
 
+@pytest.mark.parametrize("imag", [1e-3, np.nan])
+def test_pair_refuses_a_shared_block_the_check_refuses(monkeypatch, imag):
+    # crossing_trio with an imaginary (or nan) part on the -X level {1}: eigh reads one triangle
+    # and no imaginary diagonal, so P is 1 on {1} and that block is shared.  The pair still runs
+    # the block's check on it, as the dense assembly does, and refuses it before solving anything
+    from adiband.models import ElectronicModel
+
+    trio = get_model("crossing_trio")
+
+    def h(xs):
+        fibers = trio._h(xs).astype(complex)
+        fibers[:, 1, 1] += 1j * imag
+        return fibers
+
+    model = ElectronicModel(tag="trio", fiber_dim=3, params={}, _h=h, _dh=trio._dh)
+    grid = make_grid(-8, 8, 64)
+    band = band_decompose(model, grid, (0, 1), gauge=None)
+    op = molecular_operator(model, grid)
+    assert [list(c) for c, P in zip(op.components, _band_fibers(op, band)) if P is None] == [[1]]
+    message = "non-Hermitian" if np.isfinite(imag) else "non-finite entries"
+    with pytest.raises(AssertionError, match=message):
+        assemble_full(model, grid, eps=0.1)
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: pytest.fail("a block was solved"))
+    with pytest.raises(AssertionError, match=message):
+        diagonalize_pair(op, band, 0.1)
+
+
 def test_validate_checks_each_block(monkeypatch):
     # diagonalize solves what it is given as one block: the dense H of crossing_trio, whose
     # entries form blocks of 2n and n, and each ran P / ran Q part of H_diag's split block
