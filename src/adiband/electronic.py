@@ -342,7 +342,8 @@ def band_decompose(
         raise ValueError(f"band indices {band_indices} must be strictly ascending integers in [0, {m})")
     band_indices = tuple(int(b) for b in band_indices)
 
-    # h_batch returns real fibers as a real stack: the real solver gives frames with zero imaginary part
+    # h_batch refuses non-finite or non-Hermitian fibers (eigh would read one triangle of them), and returns
+    # real fibers as a real stack: the real solver gives frames with zero imaginary part
     evals, evecs = eigh_by_blocks(model.h_batch(grid.x))
     evecs = evecs.astype(complex, copy=False)
 

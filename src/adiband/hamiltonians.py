@@ -14,12 +14,15 @@ connection and V = its clamped band energy.  The dense blocks and the
 O(N log n) matvec both derive from the parts.  The decoupling pair
 solves the molecular H from its dense blocks; every H applied on its own,
 molecular or BO, goes by its matvec (`propagation.ChebyshevPropagator`),
-by the rule `propagation` states.  A dense block is checked for
-Hermiticity and finiteness on the parts, the n x n kinetic matrix and the
-(n, d, d) fiber stack, and written as its Hermitian part directly: the
-same matrix, and the same refusals, as the check of the assembled
-matrix that `DenseHamiltonian` makes.  Both checks refuse through one
-helper, `_refuse_non_hermitian`.
+by the rule `propagation` states.  The parts are checked where they are
+made, once and independently of eps: the fiber stack by
+`models.ElectronicModel.h_batch` (non-finite or non-Hermitian fibers are
+refused there, through `models._refuse_non_hermitian`), and the gauge
+phase by `_gauge` (a non-finite vector potential is refused).  So every
+`FiberedOperator` holds checked parts, and its dense blocks, its matvec
+and its spectral bounds trust them.  A dense block is written from the
+Hermitian parts of the kinetic matrix and of the stack: bit for bit the
+matrix `DenseHamiltonian` stores for their assembly.
 
 The fiber component is the unit of the molecular Hamiltonian.  The
 kinetic term couples every grid point of one fiber index, and H_e(X_i)
@@ -106,7 +109,7 @@ import numpy as np
 from .electronic import BandData, _coupled_components, berry_connection, fd_derivative
 from .grids import Grid1D, MolecularWave, NuclearWave, fourier_multiplier_matrix
 from .indicators import ramp_to_constant, smooth_step
-from .models import ElectronicModel
+from .models import ElectronicModel, _absmax, _refuse_non_hermitian
 
 __all__ = [
     "DenseHamiltonian",
@@ -135,8 +138,10 @@ class DenseHamiltonian:
     A non-finite entry makes its entry of M - M^dag non-finite (inf - inf
     is nan), so the residual refuses it too.  The residual and then the
     Hermitian part are formed in one buffer of M's size.  The blocks of a
-    `FiberedOperator` (`FiberedOperator.block`) take the same check on their
-    parts, and are built by `_checked`.
+    `FiberedOperator` (`FiberedOperator.block`) are made from parts checked
+    where they were made (the fibers in `models.ElectronicModel.h_batch`,
+    the gauge phase in `_gauge`), already Hermitian, and are built by
+    `_checked`, which skips this check.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -158,7 +163,7 @@ class DenseHamiltonian:
 
     @classmethod
     def _checked(cls, matrix: np.ndarray, **meta) -> DenseHamiltonian:
-        """A DenseHamiltonian of a matrix already given this check on its parts and written as its Hermitian part."""
+        """A DenseHamiltonian of a matrix written as its Hermitian part from checked parts, taken as it is."""
         H = object.__new__(cls)
         for name, value in dict(matrix=matrix, **meta).items():
             object.__setattr__(H, name, value)
@@ -169,31 +174,14 @@ class DenseHamiltonian:
         return self.matrix.shape[0]
 
 
-def _absmax(A: np.ndarray) -> float:
-    """The largest modulus of A's entries (nan if one is nan), without an |A| temporary for real data."""
-    return np.abs(A).max() if np.iscomplexobj(A) else max(A.max(), -A.min())
-
-
-def _refuse_non_hermitian(tag: str, herm: float, scale) -> None:
-    """Refuse an assembly by its Hermiticity residual herm = max |M - M^dag|.
-
-    A non-finite residual (from a non-finite entry: inf - inf is nan) is
-    refused, and so is a residual above 1e-12 that is also above 1e-12 of
-    the assembly's largest modulus, `scale()`.  `scale` is called only when
-    the residual exceeds 1e-12: a smaller one passes at any scale.
-    """
-    if not np.isfinite(herm):
-        raise AssertionError(f"{tag}: non-finite entries")
-    if herm > 1e-12 and herm > 1e-12 * scale():
-        raise AssertionError(f"{tag}: non-Hermitian assembly ({herm:.2e})")
-
-
 def _gauge(grid: Grid1D, a_vals: np.ndarray | None) -> tuple:
     """(Phi, a_bar) of a vector potential sampled on the grid: Phi = exp(i Theta), Theta' = A - a_bar.
 
     a_bar is the mean of A.  At zero field (None, or all zeros) Phi is None
-    and a_bar 0.0.  The phase-dressed derivative M = Phi^* D Phi + a_bar
-    equals -i d/dX + A(X) to spectral accuracy on resolved states, and a
+    and a_bar 0.0.  A non-finite A is refused ("non-finite entries", as the
+    dense assembly words it), so Phi and a_bar are finite.  The
+    phase-dressed derivative M = Phi^* D Phi + a_bar equals -i d/dX + A(X)
+    to spectral accuracy on resolved states, and a
     periodic gauge shift theta conjugates it exactly (the antiderivative
     map is linear and lattice-exact on band-limited fields).  Since
     |Phi| = 1, M^2 = Phi^* (D + a_bar)^2 Phi, so the covariant kinetic
@@ -202,6 +190,8 @@ def _gauge(grid: Grid1D, a_vals: np.ndarray | None) -> tuple:
     """
     if a_vals is None or not np.any(a_vals):
         return None, 0.0
+    if not np.isfinite(a_vals).all():
+        raise AssertionError("vector potential: non-finite entries")
     a_bar = float(a_vals.mean())
     ft = np.fft.fft(a_vals - a_bar)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,8 +226,11 @@ class FiberedOperator:
     have this form.  The parts do not depend on eps: the gauge phase Phi
     (None at zero field, with a_bar 0.0) and the (n, m, m) fiber stack V,
     float64 when real; the scans build the molecular H's once per model
-    and grid (`harness.PropagatorCache`).  At each eps the kinetic term is
-    the Fourier multiplier of the symbol s(k) = (eps (k + a_bar))^2 / 2
+    and grid (`harness.PropagatorCache`).  The parts are checked where they
+    are made (V in `models.ElectronicModel.h_batch`, Phi in `_gauge`), and
+    `block`, `action` and `spectral_bounds` take them as checked.  At each
+    eps the kinetic term is the Fourier multiplier of the symbol
+    s(k) = (eps (k + a_bar))^2 / 2
     dressed by Phi, the same on every fiber component.  Both forms of the
     operator derive from these parts: `block` gives the dense block of one
     fiber component (`components`), for the dense solve, and `action` its
@@ -278,59 +271,31 @@ class FiberedOperator:
         """The ascending molecular rows i m + a of the fiber indices a in the component `comp`."""
         return (np.arange(self.grid.n_points)[:, None] * self.fiber_dim + comp).ravel()
 
-    def _parts(self, eps: float, comp: np.ndarray) -> tuple:
-        """(T, V, D) of one component's block at eps, checked as `block` says: unsymmetrized, each its own copy.
+    def block(self, eps: float, comp: np.ndarray) -> DenseHamiltonian:
+        """The dense block of H at eps on the rows of one component, in the order of `rows(comp)`.
 
-        T is the n x n kinetic matrix off its diagonal, V the component's
-        (n, d, d) fiber stack off its fiber diagonal and D the (n, d)
-        diagonal sums.  A block the check refuses is refused here, without
-        being built.
+        With T the n x n kinetic matrix and V the component's (n, d, d)
+        fiber stack, d = len(comp), the block holds the Hermitian part
+        (T + T^dag)/2 on every fiber index, and the Hermitian parts of the
+        V_i added onto its grid diagonal: bit for bit the Hermitian part of
+        the assembly of T and V into zeros that `DenseHamiltonian` stores,
+        without that check's passes over the whole block.  The parts need
+        no check of their own: the fibers were checked where their stack was
+        made (`models.ElectronicModel.h_batch`), and the gauge phase is
+        finite (`_gauge`).  The block is real when T and V are; its fiber
+        dimension is d.
         """
         n, d = self.grid.n_points, len(comp)
         T = _kinetic(_symbol(self.grid, eps, self.a_bar), self.phase)
-        i, a = np.arange(n), np.arange(d)
-        fibers = self.fibers[:, comp[:, None], comp]
-        with np.errstate(invalid="ignore"):
-            # the block's diagonal; T and V are then taken off their diagonals
-            D = T[i, i][:, None] + fibers[:, a, a]
-            T[i, i] = 0
-            # V + 0.0 rounds -0.0 to 0.0, as adding V into a zero matrix does
-            V = fibers + 0.0
-            V[:, a, a] = 0
-            # np.max, not max: it keeps a nan wherever it is
-            herm = np.max([_absmax(T - T.conj().T), _absmax(V - V.conj().transpose(0, 2, 1)), _absmax(D - D.conj())])
-        _refuse_non_hermitian(self.tag, herm, lambda: np.max([_absmax(T), np.abs(V).max(), _absmax(D)]))
-        return T, V, D
-
-    def block(self, eps: float, comp: np.ndarray) -> DenseHamiltonian:
-        """The dense block of H at eps on the rows of one component, checked and made Hermitian on the parts.
-
-        With T the n x n kinetic matrix and d = len(comp), the block holds
-        T_ij at (i a, j a) for i != j, V_i,ab at (i a, i b) for a != b, the
-        sums T_ii + V_i,aa on its diagonal and zeros elsewhere, its rows in
-        the order of `rows(comp)`.  So `DenseHamiltonian`'s check (the
-        residual M - M^dag within 1e-12 of max |M|, non-finite entries
-        refused, with the same values and messages) runs on T off its
-        diagonal, the component's (n, d, d) stack off its fiber diagonal and
-        the (n, d) diagonal sums (`_parts`), and the Hermitian parts of the
-        three are written into the block: the same matrix, without the
-        residual and symmetrization passes over the whole block.  The block
-        is real when T and V are; its fiber dimension is d.
-        """
-        T, V, D = self._parts(eps, comp)
-        n, d = self.grid.n_points, len(comp)
-        i, a = np.arange(n), np.arange(d)
-        dtype = np.result_type(T, V)
-        T = T + T.conj().T
-        T *= 0.5
-        V = (V + V.conj().transpose(0, 2, 1)).astype(dtype, copy=False)
-        V *= 0.5
-        V[:, a, a] = (D + D.conj()) * 0.5
-        H = np.zeros((n * d, n * d), dtype=dtype)
+        T = (T + T.conj().T) * 0.5
+        V = self.fibers[:, comp[:, None], comp]
+        V = (V + V.conj().transpose(0, 2, 1)) * 0.5
+        H = np.zeros((n * d, n * d), dtype=np.result_type(T, V))
         view = H.reshape(n, d, n, d)
         for b in range(d):
             view[:, b, :, b] = T
-        view[i, :, i, :] = V
+        i = np.arange(n)
+        view[i, :, i, :] += V
         return DenseHamiltonian._checked(H, eps=eps, tag=self.tag, grid=self.grid, fiber_dim=d)
 
     def action(self, eps: float, shift: float = 0.0, scale: float = 1.0):
@@ -389,7 +354,7 @@ class FiberedOperator:
 
 
 def molecular_operator(model: ElectronicModel, grid: Grid1D) -> FiberedOperator:
-    """The molecular H as its parts: no field, and V the fiber stack `model.h_batch(grid.x)`, real when it is."""
+    """The molecular H as its parts: no field, and V the fiber stack `model.h_batch(grid.x)`, checked there, real when it is."""
     return FiberedOperator(grid=grid, fibers=model.h_batch(grid.x), tag="full")
 
 

@@ -247,6 +247,16 @@ class ExperimentConfig:
             raise ValueError(f"band_indices must be strictly ascending integers in [0, {m}), got {self.band_indices!r}")
         if self.lift_band_index is not None and not _band_indices_ok([self.lift_band_index], m):
             raise ValueError(f"lift_band_index must be null or an integer in [0, {m}), got {self.lift_band_index!r}")
+        # every functional lifts its states onto, or evolves on, one band: the lift band
+        if self.lift_band_index is None and len(self.band_indices) != 1:
+            raise ValueError(f"the lift band must be one band: set lift_band_index, or give band_indices one index; "
+                             f"got band_indices {self.band_indices!r} and lift_band_index null")
+        if self.energy_cutoff is not None:
+            # H >= min s + min spec H_e(X_i) by Weyl's inequality, and the symbol's minimum is 0 at every eps
+            floor = molecular_operator(self.build_model(), self.build_grid()).spectral_bounds(eps[0])[0]
+            if self.energy_cutoff < floor:
+                raise ValueError(f"energy_cutoff {self.energy_cutoff} lies below the spectrum of H, which is "
+                                 f">= {floor:.6g} (the least fiber eigenvalue): it annihilates every state")
         if self.window is not None:
             window = self.window
             if not (_finite_numbers(window) and len(window) == 2):

@@ -3,11 +3,12 @@
 Each model provides the matrix H_e(X) as one closed form on an array of
 positions, and its closed-form derivative dH_e/dX at one position.  The
 closed form is evaluated once on the whole grid (`ElectronicModel.h_batch`,
-the fiber stack of the band decomposition and the molecular operator) and
-on a one-point array for `h(X)`.  It is written entry by entry with the
-operations of the formula at one point, a square as numpy's correctly
-rounded `xs**2`, so each entry of the stack is the same bits as that
-formula evaluated at its point alone.  The analytic derivative backs the
+the fiber stack of the band decomposition and the molecular operator, and
+the one place the package checks the fibers for finiteness and
+Hermiticity) and on a one-point array for `h(X)`.  It is written entry by
+entry with the operations of the formula at one point, a square as
+numpy's correctly rounded `xs**2`, so each entry of the stack is the same
+bits as that formula evaluated at its point alone.  The analytic derivative backs the
 high-precision identity checks (gradients of projections, eigenvector
 perturbation formulas) where grid-based differentiation of non-periodic
 entries would limit accuracy.
@@ -81,12 +82,44 @@ class ElectronicModel:
 
         The stack is real (a contiguous float64 array) when every H_e(X)
         has exactly zero imaginary part, and complex otherwise.  This is the
-        one place that decides the storage type of the fibers: the band
-        decomposition and the molecular operator take it as given, so real
-        fibers reach the real-symmetric solvers.
+        one place that decides the storage type of the fibers, and the one
+        place that checks them: a stack with a non-finite entry, or whose
+        residual max |V_i - V_i^dag| exceeds 1e-12 and 1e-12 of its largest
+        modulus, is refused (`_refuse_non_hermitian`, tagged with the
+        model's tag).  The rule does not depend on eps.  The band
+        decomposition and the molecular operator take the stack as given, so
+        real fibers reach the real-symmetric solvers, and every form of the
+        molecular H (`hamiltonians.FiberedOperator`) is made from checked
+        fibers.
         """
         stack = np.ascontiguousarray(self._h(np.asarray(xs, dtype=float)))
-        return stack if np.any(stack.imag) else np.ascontiguousarray(stack.real, dtype=float)
+        if not np.any(stack.imag):
+            stack = np.ascontiguousarray(stack.real, dtype=float)
+        # inf - inf is nan, which the refusal reads as a non-finite entry
+        with np.errstate(invalid="ignore"):
+            _refuse_non_hermitian(self.tag, _absmax(stack - stack.conj().transpose(0, 2, 1)), lambda: _absmax(stack))
+        return stack
+
+
+def _absmax(A: np.ndarray) -> float:
+    """The largest modulus of A's entries (nan if one is nan), without an |A| temporary for real data."""
+    return np.abs(A).max() if np.iscomplexobj(A) else max(A.max(), -A.min())
+
+
+def _refuse_non_hermitian(tag: str, herm: float, scale) -> None:
+    """Refuse an assembly by its Hermiticity residual herm = max |M - M^dag|.
+
+    A non-finite residual (from a non-finite entry: inf - inf is nan) is
+    refused, and so is a residual above 1e-12 that is also above 1e-12 of
+    the assembly's largest modulus, `scale()`.  `scale` is called only when
+    the residual exceeds 1e-12: a smaller one passes at any scale.  The
+    fiber stack (`ElectronicModel.h_batch`) and the dense assembly
+    (`hamiltonians.DenseHamiltonian`) refuse through it.
+    """
+    if not np.isfinite(herm):
+        raise AssertionError(f"{tag}: non-finite entries")
+    if herm > 1e-12 and herm > 1e-12 * scale():
+        raise AssertionError(f"{tag}: non-Hermitian assembly ({herm:.2e})")
 
 
 def _fill(n: int, m: int, entries: dict, dtype=float) -> np.ndarray:

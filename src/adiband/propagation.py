@@ -385,14 +385,13 @@ def diagonalize_pair(operator: FiberedOperator, band: BandData, eps: float) -> D
     eigenvectors V_f go into the parts' eigenbasis as M, written over V_f.
     Each block is finished before the next is built; the pair keeps W, the
     parts' eigenvectors, the eigenvalues and M.  A shared block is neither
-    built nor solved here (`DecouplingPair.shared_solves`), but its parts
-    take the block's check first (`FiberedOperator._parts`), so a shared
-    block that the check refuses is refused before anything is solved.
+    built nor solved here (`DecouplingPair.shared_solves`).  Nothing is
+    checked here: the operator's fibers were checked where their stack was
+    made (`models.ElectronicModel.h_batch`), so every block, built or not,
+    is made from checked parts.
     """
     fibers = _band_fibers(operator, band)
     shared = tuple(k for k, P in enumerate(fibers) if P is None)
-    for k in shared:
-        operator._parts(eps, operator.components[k])
     split = []
     for comp, P in zip(operator.components, fibers):
         if P is None:

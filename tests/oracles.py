@@ -161,12 +161,16 @@ def assembled_blocks(model, grid, eps) -> list:
     the grid diagonal, and `DenseHamiltonian` checks it and stores its
     Hermitian part (M + M^dag) / 2, on the full matrix.
     """
+    return assembled_stack_blocks(model.h_batch(grid.x), grid, eps)
+
+
+def assembled_stack_blocks(fibers, grid, eps) -> list:
+    """`assembled_blocks` of a given (n, m, m) fiber stack, which only the dense check of each block sees."""
     from adiband.electronic import _coupled_components
     from adiband.hamiltonians import DenseHamiltonian
 
     n = grid.n_points
     T = kinetic_matrix(grid, eps)
-    fibers = model.h_batch(grid.x)
     blocks = []
     for comp in _coupled_components((fibers != 0).any(axis=0)):
         d = len(comp)

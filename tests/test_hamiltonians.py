@@ -13,6 +13,7 @@ from adiband.hamiltonians import (
     assemble_bo,
     assemble_diag,
     assemble_full,
+    bo_operator,
     clamp_field,
     full_projection,
     molecular_operator,
@@ -22,7 +23,14 @@ from adiband.hamiltonians import (
 )
 from adiband.models import MODEL_TAGS, ElectronicModel, get_model
 from adiband.propagation import diagonalize
-from oracles import assembled_blocks, assembled_bo, fourier_matrix, kinetic_matrix, kron_hamiltonian
+from oracles import (
+    assembled_blocks,
+    assembled_bo,
+    assembled_stack_blocks,
+    fourier_matrix,
+    kinetic_matrix,
+    kron_hamiltonian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +78,8 @@ def test_non_finite_fiber_refused(entries):
 
 
 @pytest.mark.parametrize("tag", ["rotated_pair", "crossing_trio", "two_band_complex"])
-def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
-    # the parts check writes the Hermitian part the full-matrix check stores, entry for entry
+def test_blocks_equal_the_checked_assembly(tag):
+    # a block is the Hermitian parts of T and of the fibers, which the full-matrix check stores, entry for entry
     grid = make_grid(-6.4, 6.4, 128)
     model = get_model(tag)
     op = molecular_operator(model, grid)
@@ -87,12 +95,21 @@ def test_blocks_checked_by_parts_equal_the_checked_assembly(tag):
             assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
 
 
-@pytest.mark.parametrize("skew", [1e-6, 3e-11, 1e-11, 2e-12])
+# the stacks near the 1e-12 relative bound that the stack check refuses: each a shape and its skews
+_STACK_REFUSED = {"pair": (1e-6, 3e-11, 1e-11, 2e-12), "trio": (1e-6, 3e-11),
+                  "complex-diagonal": (1e-6, 3e-11, 1e-11, 2e-12)}
+# of those, the ones that the dense check of the assembled blocks passes at eps 30, where the
+# kinetic term inflates a block's scale
+_BLOCK_PASSED_AT_EPS_30 = {"pair": (3e-11, 1e-11, 2e-12), "trio": (3e-11,), "complex-diagonal": (3e-11, 1e-11, 2e-12)}
+
+
+@pytest.mark.parametrize("skew", [1e-6, 3e-11, 1e-11, 2e-12, 5e-13])
 @pytest.mark.parametrize("shape", ["pair", "trio", "complex-diagonal"])
-def test_parts_check_refuses_as_the_full_check_does(skew, shape):
-    # near the 1e-12 relative bound, on either side of it: the same refusals, with the same
-    # residual in the message, or the same matrices; a block's scale is its own (trio: {0, 2} and {1}),
-    # and the first block built, in component order, that the assembly refuses is refused
+def test_stack_check_refuses_what_the_block_check_refuses(skew, shape):
+    # near the 1e-12 relative bound, on either side of it.  The stack is checked once, at its own
+    # scale (trio: 10, whose {0, 2} block holds the skew): it refuses every stack that the dense
+    # check of an assembled block refuses, at eps 0.1 exactly those, and at eps 30 more; a stack it
+    # passes gives the assembled blocks, bit for bit
     fiber = {
         "pair": np.array([[0.0, skew], [0.0, 1.0]]),
         "trio": np.array([[10.0, 0.0, skew], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]),
@@ -101,17 +118,77 @@ def test_parts_check_refuses_as_the_full_check_does(skew, shape):
     model = ElectronicModel(tag="x", fiber_dim=len(fiber), params={},
                             _h=lambda xs: fiber * (1 + 0.1 * np.sin(xs))[:, None, None], _dh=lambda X: 0 * fiber)
     grid = make_grid(-4, 4, 32)
-    op = molecular_operator(model, grid)
-    for eps in (0.1, 30.0):
+
+    def refusal(build):
         try:
-            want = assembled_blocks(model, grid, eps)
+            build()
         except AssertionError as exc:
-            with pytest.raises(AssertionError) as got:
-                [op.block(eps, c) for c in op.components]
-            assert str(got.value) == str(exc)
-        else:
-            for c, (_, b) in zip(op.components, want, strict=True):
+            return str(exc)
+        return None
+
+    stack = refusal(lambda: model.h_batch(grid.x))
+    assert (stack is not None) == (skew in _STACK_REFUSED[shape])
+    assert stack is None or stack.startswith("x: non-Hermitian assembly")
+    for eps in (0.1, 30.0):
+        block = refusal(lambda: assembled_stack_blocks(model._h(grid.x), grid, eps))
+        assert block is None or (stack is not None and "non-Hermitian" in block)
+        passed_here = skew in _BLOCK_PASSED_AT_EPS_30[shape] and eps == 30.0
+        assert (block is None) == (stack is None or passed_here)
+        if stack is None:
+            op = molecular_operator(model, grid)
+            for c, (_, b) in zip(op.components, assembled_blocks(model, grid, eps), strict=True):
                 assert np.array_equal(op.block(eps, c).matrix, b.matrix)
+    for build in (molecular_operator, lambda model, grid: band_decompose(model, grid, 0)):
+        assert refusal(lambda: build(model, grid)) == stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3), complex_stack=st.booleans(), eps=st.floats(0.01, 5.0),
+       skew=st.floats(1e-10, 1.0))
+def test_blocks_of_random_hermitian_stacks_are_the_assembled_blocks(data, m, complex_stack, eps, skew):
+    # a random Hermitian stack with random exact zeros, -0.0 among them: an m x m pattern of zero
+    # pairs, so the component count varies, and zero pairs at random points.  Every block is the
+    # assembled block bit for bit; the same stack plus an anti-Hermitian part above the bound is refused
+    n = 16
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.standard_normal((n, m, m))
+    if complex_stack:
+        A = A + 1j * rng.standard_normal((n, m, m))
+    V = (A + A.conj().transpose(0, 2, 1)) / 2
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    for a, b in data.draw(st.lists(st.sampled_from(pairs), unique=True), label="zero pairs") if pairs else []:
+        V[:, a, b] = V[:, b, a] = 0.0
+    for i, a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                                                st.integers(0, m - 1))), label="zero points"):
+        V[i, a, b] = V[i, b, a] = -0.0
+    grid = make_grid(-4, 4, n)
+
+    def model(stack):
+        return ElectronicModel(tag="random", fiber_dim=m, params={}, _h=lambda xs: stack.copy(), _dh=lambda X: None)
+
+    op = molecular_operator(model(V), grid)
+    want = assembled_blocks(model(V), grid, eps)
+    assert [list(c) for c in op.components] == [list(c) for c, _ in want]
+    for c, (_, b) in zip(op.components, want):
+        got = op.block(eps, c).matrix
+        assert got.dtype == b.matrix.dtype and got.tobytes() == b.matrix.tobytes()
+    # the residual of K = i skew max(1, max |V|) 1 is twice its modulus, above 1e-12 and 1e-12 of V + K's scale
+    K = 1j * skew * max(1.0, np.abs(V).max()) * np.eye(m)
+    with pytest.raises(AssertionError, match="random: non-Hermitian assembly"):
+        model(V + K).h_batch(grid.x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bo_refuses_a_non_finite_connection(bad):
+    # the gauge phase of a non-finite A_geo is refused where it is made, for the dense BO operator
+    # and for the matrix-free one, which would otherwise reach its Chebyshev sizing with a nan width
+    grid = make_grid(-8, 8, 64)
+    band = band_decompose(get_model("two_band_complex"), grid, 0)
+    berry = berry_connection(band).copy()
+    berry[10] = bad
+    for build in (lambda: bo_operator(band, berry=berry), lambda: assemble_bo(band, 0.1, berry=berry)):
+        with pytest.raises(AssertionError, match="vector potential: non-finite entries"):
+            build()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

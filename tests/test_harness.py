@@ -245,6 +245,10 @@ def test_from_json_names_unknown_fields():
         ("band_indices", [0, 7], r"band_indices .* in \[0, 2\), got \[0, 7\]"),
         ("lift_band_index", -1, r"lift_band_index must be null or an integer in \[0, 2\), got -1"),
         ("lift_band_index", 5, r"lift_band_index must be null or an integer in \[0, 2\), got 5"),
+        # a band group as the lift band: the decoupling family and the state-rates observables lift their
+        # states onto one band, and every row would fail with no gauged eigenvector field
+        ("lift_band_index", None, r"the lift band must be one band: .* got band_indices \[0, 1\]"),
+        ("band_indices", [0, 1], r"the lift band must be one band: .* got band_indices \[0, 1\]"),
         # a region bound that is not finite would load and then crash the hitting-time flow
         # (sample_cloud's lattice size overflows; a NaN position cannot be located on the grid)
         ("region", [[-0.9, 1.5, float("-inf"), 0.45]], "malformed rectangle"),
@@ -256,6 +260,8 @@ def test_from_json_names_unknown_fields():
         ("energy_cutoff", float("nan"), "energy_cutoff must be null or a finite real number"),
         ("energy_cutoff", "2.0", "energy_cutoff must be null or a finite real number"),
         ("energy_cutoff", True, "energy_cutoff must be null or a finite real number"),
+        # a cutoff below H's least fiber eigenvalue annihilates every state at every row
+        ("energy_cutoff", -100.0, r"energy_cutoff -100.0 lies below the spectrum of H, which is >= -8 "),
         # a zero time step never ends the hitting-time flow, so the load would not return; a negative
         # one reverses the hitting window, and True would be read as a step of 1
         ("flow_dt", 0.0, "flow_dt must be a positive finite real number"),
@@ -342,10 +348,21 @@ def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, mes
         if value["family"] in ("sharp_momentum", "wkb") and "params" in value:
             readers["state"] = "state_rates"
             overrides = {"grid": {"x_min": -6.4, "x_max": 6.4, "n_points": 256}, "eps_ladder": [0.2, 0.1, 0.05]}
+    # the band group (0, 1) as the lift band: the decoupling config without its lift index, and the
+    # state-rates config with both bands
+    if (key, value) in (("lift_band_index", None), ("band_indices", [0, 1])):
+        readers[key] = "decoupling" if value is None else "state_rates"
     data = json.loads((_config(readers[key], **overrides) if key in readers else small_config()).to_json())
     data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
+
+
+def test_config_load_keeps_the_acceptance_cutoff():
+    # the cutoff 2.0 of decoupling-rate-with-cutoff lies above crossing_trio's least fiber eigenvalue
+    from adiband.harness import _config
+
+    assert _config("decoupling", energy_cutoff=2.0).energy_cutoff == 2.0
 
 
 def test_config_load_keeps_a_center_that_fits_some_eps():
@@ -612,12 +629,18 @@ def test_decoupling_scan_evaluates_each_eps_as_one_row(monkeypatch, energy_cutof
         assert p["error"] == pytest.approx(float(one.max()), rel=1e-14)
 
 
-def test_decoupling_cutoff_below_the_spectrum_is_a_row_error():
-    # a finite cutoff loads; below the whole spectrum it annihilates every state, which each row records
+def test_decoupling_cutoff_at_the_spectral_bound_is_a_row_error():
+    # a cutoff below the Weyl bound of H's spectrum is refused at load (-100: see the load refusals);
+    # one at the bound itself, the least fiber eigenvalue, loads.  The kinetic term lifts every
+    # eigenvalue of H above it, so it annihilates every state, which each row records
     from adiband import harness
+    from adiband.grids import make_grid
+    from adiband.hamiltonians import molecular_operator
+    from adiband.models import get_model
 
-    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1], energy_cutoff=-100.0,
-                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    grid = {"x_min": -8.0, "x_max": 8.0, "n_points": 128}
+    floor = molecular_operator(get_model("crossing_trio"), make_grid(**grid)).spectral_bounds(0.4)[0]
+    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1], energy_cutoff=floor, grid=grid)
     res = eps_scan(cfg, PropagatorCache())
     assert {(p["status"], p["message"]) for p in res.points} == {
         ("error", "ValueError: energy cutoff annihilated the state")}

@@ -819,11 +819,12 @@ def test_pair_builds_only_the_blocks_it_solves(monkeypatch, window):
 
 
 @pytest.mark.parametrize("imag", [1e-3, np.nan])
-def test_pair_refuses_a_shared_block_the_check_refuses(monkeypatch, imag):
-    # crossing_trio with an imaginary (or nan) part on the -X level {1}: eigh reads one triangle
-    # and no imaginary diagonal, so P is 1 on {1} and that block is shared.  The pair still runs
-    # the block's check on it, as the dense assembly does, and refuses it before solving anything
+def test_every_entry_point_refuses_a_non_hermitian_stack(monkeypatch, imag):
+    # crossing_trio with an imaginary (or nan) part on the -X level {1}, where the pair's P would be
+    # 1 at every point, so the pair would build no block there.  The stack is refused where it is
+    # made: no entry point decomposes, assembles, solves or evolves it
     from adiband.models import ElectronicModel
+    from adiband.propagation import ChebyshevPropagator
 
     trio = get_model("crossing_trio")
 
@@ -834,15 +835,20 @@ def test_pair_refuses_a_shared_block_the_check_refuses(monkeypatch, imag):
 
     model = ElectronicModel(tag="trio", fiber_dim=3, params={}, _h=h, _dh=trio._dh)
     grid = make_grid(-8, 8, 64)
-    band = band_decompose(model, grid, (0, 1), gauge=None)
-    op = molecular_operator(model, grid)
-    assert [list(c) for c, P in zip(op.components, _band_fibers(op, band)) if P is None] == [[1]]
-    message = "non-Hermitian" if np.isfinite(imag) else "non-finite entries"
-    with pytest.raises(AssertionError, match=message):
-        assemble_full(model, grid, eps=0.1)
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: pytest.fail("a block was solved"))
-    with pytest.raises(AssertionError, match=message):
-        diagonalize_pair(op, band, 0.1)
+    vec = np.random.default_rng(3).standard_normal(3 * grid.n_points).astype(complex)
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: pytest.fail("a matrix was solved"))
+    entry_points = [
+        lambda: model.h_batch(grid.x),
+        lambda: molecular_operator(model, grid),
+        lambda: band_decompose(model, grid, (0, 1), gauge=None),
+        lambda: assemble_full(model, grid, eps=0.1),
+        lambda: diagonalize_pair(molecular_operator(model, grid), band_decompose(model, grid, (0, 1), gauge=None), 0.1),
+        lambda: ChebyshevPropagator(molecular_operator(model, grid), 0.1).apply(vec, [1.0, 5.0]),
+    ]
+    message = "trio: non-Hermitian assembly" if np.isfinite(imag) else "trio: non-finite entries"
+    for call in entry_points:
+        with pytest.raises(AssertionError, match=message):
+            call()
 
 
 def test_validate_checks_each_block(monkeypatch):
