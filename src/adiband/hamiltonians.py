@@ -287,7 +287,9 @@ class FiberedOperator:
         """
         n, d = self.grid.n_points, len(comp)
         T = _kinetic(_symbol(self.grid, eps, self.a_bar), self.phase)
-        T = (T + T.conj().T) * 0.5
+        # halved in place: one more n x n temporary raises a decoupling scan's peak RSS by 0.5 MB at n = 256
+        T = T + T.conj().T
+        T *= 0.5
         V = self.fibers[:, comp[:, None], comp]
         V = (V + V.conj().transpose(0, 2, 1)) * 0.5
         H = np.zeros((n * d, n * d), dtype=np.result_type(T, V))
