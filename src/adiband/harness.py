@@ -21,6 +21,7 @@ out of the canonical payload.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import sys
@@ -60,7 +61,7 @@ from .semiclassics import (
     wigner_marginal,
 )
 from .states import (
-    _check_coherent_center, _check_sharp_momentum, _check_wkb_phase, _coherent_values, _wkb_normalized,
+    _check_coherent_center, _coherent_values, _wkb_normalized,
     coherent_state, envelope, lift_to_band, sharp_momentum_state, wkb_state,
 )
 
@@ -341,35 +342,37 @@ class ExperimentConfig:
     def _check_states(self):
         """Refuse a state that its constructor refuses at every eps of the ladder.
 
-        A coherent center's halo 5 sqrt(eps) and its momentum window, the
-        sharp-momentum bound 0.8 eps max |k| and the seam's winding 2 pi eps
-        change with eps, so each eps is tried with the states' own checks
-        (`states._check_coherent_center`, `_check_sharp_momentum` and
-        `_check_wkb_phase`); a state that fits at one eps loads, and its
-        other rows report their refusal.  The coherent centers are tried
-        first, then the decoupling family's WKB phase.
+        At each eps, from the largest, the state is built until one eps
+        holds it: a single-state functional's state by its family
+        constructor, the decoupling family's WKB row by
+        `states._wkb_normalized`, and each center of a coherent lattice (the
+        decoupling family's and the observable-pairing centers) by
+        `states._check_coherent_center`, the check `standard_state_family`
+        runs.  A coherent center's halo 5 sqrt(eps) and its momentum window,
+        the sharp-momentum bound 0.8 eps max |k| and the seam's winding
+        2 pi eps change with eps, so a state that fits at one eps loads, and
+        its other rows report their refusal.  The centers are tried first,
+        then the decoupling family's WKB row.
         """
-        params, family = self.state.get("params", {}), self.state.get("family")
+        grid, params = self.build_grid(), self.state.get("params", {})
+        center = functools.partial(_check_coherent_center, grid)
         if self.functional == "decoupling":
             fam = self.state["family_params"]
-            tries = [(f"state.family_params center ({q0}, {p0})", _check_coherent_center, (q0, p0))
+            f, S, _ = _wkb_functions(*fam["wkb"])
+            tries = [(f"state.family_params center ({q0}, {p0})", functools.partial(center, q0=q0, p0=p0))
                      for q0 in fam["q_centers"] for p0 in fam["p_centers"]]
-            tries.append(("state.family_params['wkb'] phase", _check_wkb_phase, (_wkb_functions(*fam["wkb"])[1],)))
+            tries.append(("state.family_params['wkb'] phase", functools.partial(_wkb_normalized, grid, f=f, S=S)))
         elif self.functional == "observable_pairing":
-            tries = [(f"state.params['centers'] center ({q0}, {p0})", _check_coherent_center, (q0, p0))
+            tries = [(f"state.params['centers'] center ({q0}, {p0})", functools.partial(center, q0=q0, p0=p0))
                      for q0, p0 in params["centers"]]
-        elif family == "coherent":
-            tries = [(f"state.params center ({params['q0']}, {params['p0']})", _check_coherent_center,
-                      (params["q0"], params["p0"]))]
-        elif family == "sharp_momentum":
-            tries = [(f"state.params momentum {params['p0']}", _check_sharp_momentum, (params["p0"],))]
         else:
-            tries = [("state.params phase", _check_wkb_phase, (_wkb_functions(**params)[1],))]
-        grid = self.build_grid()
-        for what, check, args in tries:
+            family = self.state["family"]
+            what = {"coherent": "center ({q0}, {p0})", "sharp_momentum": "momentum {p0}", "wkb": "phase"}[family]
+            tries = [(f"state.params {what.format(**params)}", functools.partial(_STATE_FAMILIES[family], grid, **params))]
+        for what, build in tries:
             for eps in self.eps_ladder:
                 try:
-                    check(grid, eps, *args)
+                    build(eps)
                     break
                 except ValueError as exc:
                     refusal = exc

@@ -68,40 +68,14 @@ def _check_position_clearance(grid, q0, clearance):
 def _check_coherent_center(grid: Grid1D, eps: float, q0: float, p0: float):
     """Refuse a packet center whose 5*sqrt(eps) halo does not fit in the position or momentum window.
 
-    The refusals of `coherent_state`, shared by the state family and the
-    config load, which refuses a center that no eps of its ladder can hold.
+    The refusals of `coherent_state`, shared by `harness.standard_state_family`
+    and the config load, which check each center of a coherent lattice.
     """
     halo = 5 * np.sqrt(eps)
     _check_position_clearance(grid, q0, halo)
     p_max = eps * np.abs(grid.k).max()
     if abs(p0) + halo > p_max:
         raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
-
-
-def _check_sharp_momentum(grid: Grid1D, eps: float, p0: float):
-    """Refuse a momentum p0 past 0.8 of the lattice edge eps max |k|.
-
-    The refusal of `sharp_momentum_state`, shared with the config load,
-    which refuses a momentum that no eps of its ladder can hold.
-    """
-    p_max = eps * np.abs(grid.k).max()
-    if abs(p0) > 0.8 * p_max:
-        raise ValueError(f"momentum {p0} too close to the lattice edge {p_max:.3f}")
-
-
-def _check_wkb_phase(grid: Grid1D, eps: float, S):
-    """Refuse a phase function S that does not wind by a multiple of 2*pi*eps across the periodic seam.
-
-    The refusal of `wkb_state`, shared with the config load, which refuses
-    a phase that no eps of its ladder can hold.
-    """
-    jump = abs(float(S(grid.x_max)) - float(S(grid.x_min)))
-    winding = 2 * np.pi * eps
-    if min(jump % winding, winding - (jump % winding)) > 1e-9 and jump > 1e-9:
-        raise ValueError(
-            f"phase function jumps by {jump:.3e} across the seam; "
-            "not a multiple of 2*pi*eps"
-        )
 
 
 def _coherent_values(grid: Grid1D, eps: float, q0, p0, profile="gaussian") -> np.ndarray:
@@ -112,9 +86,8 @@ def _coherent_values(grid: Grid1D, eps: float, q0, p0, profile="gaussian") -> np
     each row normalized over its own contiguous samples, so every row is
     the same bits as the vector of its center.
     """
-    prof = envelope(profile) if isinstance(profile, str) else profile
     u = (grid.x - q0) / np.sqrt(eps)
-    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
+    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(envelope(profile)(u), dtype=complex)
     nrm = l2_norm(vals, grid.dx, axis=-1)
     if np.any(nrm == 0):
         raise ValueError("zero state")
@@ -125,10 +98,10 @@ def coherent_state(grid: Grid1D, eps: float, q0: float, p0: float, profile="gaus
     """Wave packet tracking the classical point (q0, p0).
 
     phi(X) = eps^{-1/4} e^{i p0 (X-q0)/eps} profile((X-q0)/sqrt(eps)),
-    normalized, with `profile` an `envelope` name or a callable of u.  The
-    matched classical density is the point mass at (q0, p0).  Raises if the
-    packet (5*sqrt(eps) halo) does not fit in the position or momentum
-    window (`_check_coherent_center`).
+    normalized, with `profile` an `envelope` name.  The matched classical
+    density is the point mass at (q0, p0).  Raises if the packet
+    (5*sqrt(eps) halo) does not fit in the position or momentum window
+    (`_check_coherent_center`).
     """
     _check_coherent_center(grid, eps, q0, p0)
     wave = NuclearWave(grid, _coherent_values(grid, eps, q0, p0, profile), eps=eps)
@@ -136,20 +109,20 @@ def coherent_state(grid: Grid1D, eps: float, q0: float, p0: float, profile="gaus
     return wave, rho
 
 
-def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, center=0.0, width=1.0, boost=0.0):
+def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, center=0.0, width=1.0, boost=0.0):
     """Plane-wave-modulated envelope: sharp momentum, eps-independent density.
 
-    phi(X) = e^{i p0 X / eps} g(X), classical density
+    phi(X) = e^{i p0 X / eps} g(X) with g(X) = e^{i boost X}
+    exp(-(X - center)^2 / (2 width^2)), classical density
     delta(p - p0) |g(q)|^2 dq dp.  The modulus of the state does not depend
-    on eps; the scaled momentum concentrates at p0 at rate eps.  Without a
-    `profile` callable, g(X) = e^{i boost X} exp(-(X - center)^2 / (2 width^2));
-    a nonzero boost (frame momentum) makes the first-order term visible.
+    on eps; the scaled momentum concentrates at p0 at rate eps, and a
+    nonzero boost (frame momentum) makes the first-order term visible.
+    Raises for a momentum p0 past 0.8 of the lattice edge eps max |k|.
     """
-    if profile is None:
-        g = np.exp(1j * boost * grid.x) * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
-    else:
-        g = np.asarray(profile(grid.x), dtype=complex)
-    _check_sharp_momentum(grid, eps, p0)
+    g = np.exp(1j * boost * grid.x) * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
+    p_max = eps * np.abs(grid.k).max()
+    if abs(p0) > 0.8 * p_max:
+        raise ValueError(f"momentum {p0} too close to the lattice edge {p_max:.3f}")
     vals = np.exp(1j * p0 * grid.x / eps) * g
     wave = _normalized(grid, vals, eps)
     dens = np.abs(wave.values) ** 2 * grid.dx
@@ -159,28 +132,34 @@ def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, profile=None, cent
 
 
 def _wkb_normalized(grid: Grid1D, eps: float, f, S) -> NuclearWave:
-    """The normalized wave f(X) e^{i S(X)/eps} of `wkb_state`, without its density; a phase that does
-    not wind by a multiple of 2*pi*eps across the seam is refused (`_check_wkb_phase`)."""
+    """The normalized wave f(X) e^{i S(X)/eps} of `wkb_state`, without its density.
+
+    A phase function S that does not wind by a multiple of 2*pi*eps across
+    the periodic seam is refused.
+    """
     fv = np.asarray(f(grid.x), dtype=float)
     Sv = np.asarray(S(grid.x), dtype=float)
-    _check_wkb_phase(grid, eps, S)
+    jump = abs(float(S(grid.x_max)) - float(S(grid.x_min)))
+    winding = 2 * np.pi * eps
+    if min(jump % winding, winding - (jump % winding)) > 1e-9 and jump > 1e-9:
+        raise ValueError(
+            f"phase function jumps by {jump:.3e} across the seam; "
+            "not a multiple of 2*pi*eps"
+        )
     return _normalized(grid, fv * np.exp(1j * Sv / eps), eps)
 
 
-def wkb_state(grid: Grid1D, eps: float, f, S, dS=None):
+def wkb_state(grid: Grid1D, eps: float, f, S, dS):
     """Oscillatory state f(X) e^{i S(X)/eps} on the Lagrangian graph p = S'(q).
 
     f and S must be real and periodic on the box (the phase may also wind
-    by multiples of 2*pi*eps).  The classical density is the graph cloud
-    {(X_i, S'(X_i))} weighted by the normalized f^2 dX.
+    by multiples of 2*pi*eps), and dS is the derivative S'.  The classical
+    density is the graph cloud {(X_i, S'(X_i))} weighted by the normalized
+    f^2 dX.
     """
     wave = _wkb_normalized(grid, eps, f, S)
-    if dS is not None:
-        slope = np.asarray(dS(grid.x), dtype=float)
-    else:
-        slope = np.fft.ifft(1j * grid.k * np.fft.fft(np.asarray(S(grid.x), dtype=float))).real
     dens = np.abs(wave.values) ** 2 * grid.dx
-    rho = ClassicalDensity(np.column_stack([grid.x, slope]), dens)
+    rho = ClassicalDensity(np.column_stack([grid.x, np.asarray(dS(grid.x), dtype=float)]), dens)
     return wave, rho
 
 

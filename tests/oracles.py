@@ -375,9 +375,8 @@ def coherent_wave(grid, eps, q0, p0, profile="gaussian"):
     p_max = eps * np.abs(grid.k).max()
     if abs(p0) + halo > p_max:
         raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
-    prof = envelope(profile) if isinstance(profile, str) else profile
     u = (grid.x - q0) / np.sqrt(eps)
-    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(prof(u), dtype=complex)
+    vals = eps**-0.25 * np.exp(1j * p0 * (grid.x - q0) / eps) * np.asarray(envelope(profile)(u), dtype=complex)
     nrm = l2_norm(vals, grid.dx)
     if nrm == 0:
         raise ValueError("zero state")

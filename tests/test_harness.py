@@ -402,7 +402,7 @@ def test_config_rejects_unread_state_keys(functional, state, message):
 @pytest.mark.parametrize(
     "state, key",
     [
-        # a JSON string cannot be the sharp-momentum envelope callable
+        # the sharp-momentum constructor takes no profile: its envelope is center, width and boost
         ({"family": "sharp_momentum", "params": {"p0": 0.45, "profile": "gaussian"}}, "profile"),
         ({"family": "coherent", "params": {"q0": 0.3, "p0": 0.4, "profile": "lorentzian"}}, "profile"),
         ({"family": "coherent", "params": {"q0": "0.3", "p0": 0.4}}, "q0"),
@@ -412,7 +412,10 @@ def test_config_rejects_unread_state_keys(functional, state, message):
 def test_config_refuses_state_params_of_the_wrong_type(state, key):
     from adiband.harness import _config
 
-    with pytest.raises(ValueError, match=rf"state.params\['{key}'\]"):
+    message = rf"state.params\['{key}'\]"
+    if state["family"] == "sharp_momentum":
+        message = r"state.params do not fit the sharp_momentum constructor: .*'profile'"
+    with pytest.raises(ValueError, match=message):
         _config("state_rates", state=state)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiband.electronic import band_decompose
-from adiband.grids import make_grid, norm
+from adiband.grids import l2_norm, make_grid, norm
 from adiband.hamiltonians import full_projection, u_map
 from adiband.models import get_model
 from adiband.semiclassics import Symbol, weyl_quantize
@@ -74,20 +74,19 @@ def test_coherent_clearance_errors(grid):
 
 @settings(max_examples=150, deadline=None)
 @given(eps=st.floats(0.01, 0.5), q0=st.floats(-9, 9), p0=st.floats(-20, 20),
-       profile=st.sampled_from(["gaussian", "gaussian_skew", "callable"]))
+       profile=st.sampled_from(["gaussian", "gaussian_skew"]))
 def test_coherent_state_is_its_formula(eps, q0, p0, profile):
     # the values of coherent_state are the oracle's one-state formula bit for bit, and a center
     # the oracle refuses is refused with the same message
     grid = make_grid(-8, 8, 128)
-    prof = (lambda u: np.exp(-(u**4) / 4)) if profile == "callable" else profile
     try:
-        want = coherent_wave(grid, eps, q0, p0, prof)
+        want = coherent_wave(grid, eps, q0, p0, profile)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            coherent_state(grid, eps, q0, p0, prof)
+            coherent_state(grid, eps, q0, p0, profile)
         assert str(got.value) == str(exc)
         return
-    assert coherent_state(grid, eps, q0, p0, prof)[0].values.tobytes() == want.tobytes()
+    assert coherent_state(grid, eps, q0, p0, profile)[0].values.tobytes() == want.tobytes()
 
 
 def test_coherent_density_is_point_mass(grid):
@@ -118,7 +117,8 @@ def test_sharp_momentum_density_projects_exactly(grid):
 
 
 def test_wkb_zero_phase_real_state(grid):
-    w, rho = wkb_state(grid, 0.1, lambda X: np.exp(-(X**2) / 2), lambda X: 0.0 * np.asarray(X))
+    zero = lambda X: 0.0 * np.asarray(X)  # noqa: E731
+    w, rho = wkb_state(grid, 0.1, lambda X: np.exp(-(X**2) / 2), zero, dS=zero)
     assert np.abs(w.values.imag).max() == 0.0
     assert np.abs(rho.points[:, 1]).max() <= 1e-12  # supported on p = 0
 
@@ -129,14 +129,15 @@ def test_wkb_linear_phase_matches_sharp_momentum(grid):
     p0 = eps * k13  # lattice-commensurate momentum, periodic phase
     f = lambda X: np.exp(-(X**2) / 2)  # noqa: E731
     w, _ = wkb_state(grid, eps, f, lambda X: p0 * np.asarray(X), dS=lambda X: p0 + 0 * np.asarray(X))
-    ws, _ = sharp_momentum_state(grid, eps, p0, profile=f)
+    ws, _ = sharp_momentum_state(grid, eps, p0)  # the envelope f: center 0, width 1
     phase = w.values[128] / ws.values[128]
     assert np.abs(w.values - phase * ws.values).max() <= 1e-10
 
 
 def test_wkb_nonperiodic_phase_rejected(grid):
     with pytest.raises(ValueError):
-        wkb_state(grid, 0.1, lambda X: np.exp(-(X**2)), lambda X: 0.123 * np.asarray(X))
+        wkb_state(grid, 0.1, lambda X: np.exp(-(X**2)), lambda X: 0.123 * np.asarray(X),
+                  dS=lambda X: 0.123 + 0 * np.asarray(X))
 
 
 def test_wkb_quadrature_oracle(grid):
@@ -177,10 +178,7 @@ def test_static_observable_rates(grid, family, expected_rate):
         if family == "coherent_skew":
             w, rho = coherent_state(grid, eps, 0.4, 0.3, profile="gaussian_skew")
         else:
-            w, rho = sharp_momentum_state(
-                grid, eps, 0.5,
-                profile=lambda X: np.exp(1j * X) * np.exp(-((X - 0.4) ** 2) / 2),
-            )
+            w, rho = sharp_momentum_state(grid, eps, 0.5, center=0.4, boost=1.0)
         worst = 0.0
         for sym in (
             Symbol(lambda q, p: np.ones_like(q + p), "1"),
@@ -202,9 +200,7 @@ def test_sharp_momentum_boosted_rate(grid):
     ladder = (0.2, 0.1, 0.05)
     errs = []
     for eps in ladder:
-        w, rho = sharp_momentum_state(
-            grid, eps, 0.5, profile=lambda X: np.exp(1j * X) * np.exp(-(X**2) / 2)
-        )
+        w, rho = sharp_momentum_state(grid, eps, 0.5, boost=1.0)
         pm, _ = momentum_moments(w)
         errs.append(abs(pm - 0.5))
     slope = np.polyfit(np.log(ladder), np.log(errs), 1)[0]
@@ -212,10 +208,12 @@ def test_sharp_momentum_boosted_rate(grid):
 
 
 def test_sharp_momentum_boost_is_the_boosted_gaussian_profile(grid):
-    eps, center, width = 0.1, 0.2, 0.8
-    w1, r1 = sharp_momentum_state(grid, eps, 0.45, center=center, width=width, boost=1.0)
-    w2, r2 = sharp_momentum_state(
-        grid, eps, 0.45, profile=lambda X: np.exp(1j * X) * np.exp(-((X - center) ** 2) / (2 * width**2))
-    )
-    assert np.array_equal(w1.values, w2.values)
-    assert np.array_equal(r1.points, r2.points) and np.array_equal(r1.weights, r2.weights)
+    # the state is e^{i p0 X/eps} e^{i boost X} exp(-(X - center)^2 / (2 width^2)), normalized, bit
+    # for bit, and its density is |phi|^2 dX on the line p = p0
+    eps, p0, center, width = 0.1, 0.45, 0.2, 0.8
+    w, rho = sharp_momentum_state(grid, eps, p0, center=center, width=width, boost=1.0)
+    x = grid.x
+    vals = np.exp(1j * p0 * x / eps) * (np.exp(1j * x) * np.exp(-((x - center) ** 2) / (2 * width**2)))
+    assert np.array_equal(w.values, vals / l2_norm(vals, grid.dx))
+    assert np.array_equal(rho.points, np.column_stack([x, np.full(grid.n_points, p0)]))
+    assert np.array_equal(rho.weights, np.abs(w.values) ** 2 * grid.dx)
