@@ -61,7 +61,7 @@ from .semiclassics import (
     wigner_marginal,
 )
 from .states import (
-    _check_coherent_center, _coherent_values, _wkb_normalized,
+    _check_coherent_center, _coherent_values, _gaussian, _wkb_normalized,
     coherent_state, envelope, lift_to_band, sharp_momentum_state, wkb_state,
 )
 
@@ -94,7 +94,7 @@ def _pop_schema_version(data: dict) -> None:
 def _wkb_functions(center, width, amp, k):
     """(f, S, dS) of the WKB packet with Gaussian amplitude (center, width) and phase amp*sin(k X)."""
     return (
-        lambda X: np.exp(-((X - center) ** 2) / (2 * width**2)),
+        lambda X: _gaussian(X, center, width),
         lambda X: amp * np.sin(k * np.asarray(X)),
         lambda X: amp * k * np.cos(k * np.asarray(X)),
     )
@@ -331,8 +331,8 @@ class ExperimentConfig:
                 ("q_centers", "a list of finite real numbers", _finite_numbers),
                 ("p_centers", "a list of finite real numbers", _finite_numbers),
                 ("wkb", "4 finite real numbers (center, width, amp, k)", lambda v: _finite_numbers(v) and len(v) == 4),
-                ("centers", "a list of [q0, p0] pairs of finite real numbers",
-                 lambda v: isinstance(v, (list, tuple)) and all(_finite_numbers(c) and len(c) == 2 for c in v)),
+                ("centers", "a list of [q0, p0] pairs of finite real numbers, not empty",
+                 lambda v: isinstance(v, (list, tuple)) and v and all(_finite_numbers(c) and len(c) == 2 for c in v)),
             ):
                 if key in nested and not ok(nested[key]):
                     raise ValueError(f"state.{keys[-1]}[{key!r}] must be {form}, got {nested[key]!r}")

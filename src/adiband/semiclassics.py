@@ -587,8 +587,11 @@ def reduced_observable_residual(
     """Worst-case defect of moving an observable through the band identification.
 
     max over states of ||(a^W x 1 - U* a^W U) 1_{window-delta} P psi|| / ||psi||.
-    Symbols failing the p-smoothness estimate are rejected.
+    Symbols failing the p-smoothness estimate are rejected, and so is an
+    empty state list, whose maximum would read as an exact 0.
     """
+    if not states:
+        raise ValueError("no states: the residual is a maximum over at least one state")
     grid = band.grid
     rep = symbol.f2_estimate(grid, eps)
     if not rep.ok:

@@ -78,6 +78,22 @@ def _check_coherent_center(grid: Grid1D, eps: float, q0: float, p0: float):
         raise ValueError(f"momentum center {p0} too close to the lattice edge {p_max:.3f}")
 
 
+def _gaussian(x, center, width):
+    """exp(-(x - center)^2 / (2 width^2)) at the points x: the sharp-momentum and WKB envelope.
+
+    An envelope whose largest value squares to 0 would leave the state zero
+    on the grid, and is refused by its center and width, without a
+    floating-point warning: a width of 0, or one whose square underflows,
+    leaves only 0 and nan (at a point on the center), which is refused; a
+    width whose square overflows gives the flat envelope 1.
+    """
+    with np.errstate(all="ignore"):
+        g = np.exp(-((x - center) ** 2) / (2 * np.float64(width) ** 2))
+    if not np.max(g) ** 2 > 0:
+        raise ValueError(f"envelope of center {center} and width {width} leaves the state zero on the grid")
+    return g
+
+
 def _coherent_values(grid: Grid1D, eps: float, q0, p0, profile="gaussian") -> np.ndarray:
     """The normalized samples of `coherent_state`, without its checks.
 
@@ -117,9 +133,10 @@ def sharp_momentum_state(grid: Grid1D, eps: float, p0: float, center=0.0, width=
     delta(p - p0) |g(q)|^2 dq dp.  The modulus of the state does not depend
     on eps; the scaled momentum concentrates at p0 at rate eps, and a
     nonzero boost (frame momentum) makes the first-order term visible.
-    Raises for a momentum p0 past 0.8 of the lattice edge eps max |k|.
+    Raises for a momentum p0 past 0.8 of the lattice edge eps max |k|, and
+    for an envelope that is zero on the grid.
     """
-    g = np.exp(1j * boost * grid.x) * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
+    g = np.exp(1j * boost * grid.x) * _gaussian(grid.x, center, width)
     p_max = eps * np.abs(grid.k).max()
     if abs(p0) > 0.8 * p_max:
         raise ValueError(f"momentum {p0} too close to the lattice edge {p_max:.3f}")

@@ -330,6 +330,25 @@ def test_from_json_names_unknown_fields():
                                                            "p_centers": [-0.6, 0.2, 0.8],
                                                            "wkb": [-0.9, 0.6, 0.3, 1.0]}},
          r"state.family_params\['wkb'\] phase fits no eps of the ladder; at eps 0.025: .* jumps by 5.936e-01"),
+        # a number cannot be an envelope callable, and the sharp-momentum constructor takes none
+        ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "profile": 1.0}},
+         r"state.params do not fit the sharp_momentum constructor: .*'profile'"),
+        # an envelope width that leaves the state zero (or nan on its center) at every grid point fails
+        # every row; the load refuses it without a floating-point warning
+        ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "width": 0.0}},
+         r"state.params momentum 0.45 fits no eps of the ladder; .* width 0.0 leaves the state zero on the grid"),
+        ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "width": 1e-200}},
+         r"state.params momentum 0.45 fits no eps of the ladder; .* width 1e-200 leaves the state zero on the grid"),
+        ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.0, "amp": 0.4, "k": np.pi / 6.4}},
+         r"state.params phase fits no eps of the ladder; .* width 0.0 leaves the state zero on the grid"),
+        ("state", {"family": "wkb", "params": {"center": 0.2, "width": 1e-200, "amp": 0.4, "k": np.pi / 6.4}},
+         r"state.params phase fits no eps of the ladder; .* width 1e-200 leaves the state zero on the grid"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4],
+                                                           "p_centers": [-0.6, 0.2, 0.8],
+                                                           "wkb": [-0.9, 0.0, 0.3, np.pi / 8]}},
+         r"state.family_params\['wkb'\] phase fits no eps of the ladder; .* width 0.0 leaves the state zero"),
+        # no centers: the maximum over an empty family reads an exact 0.0 at every point
+        ("state", {"params": {"centers": []}}, r"state.params\['centers'\] must be a list of .*, not empty"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -417,6 +436,14 @@ def test_config_refuses_state_params_of_the_wrong_type(state, key):
         message = r"state.params do not fit the sharp_momentum constructor: .*'profile'"
     with pytest.raises(ValueError, match=message):
         _config("state_rates", state=state)
+
+
+def test_a_width_whose_square_overflows_is_the_flat_envelope():
+    from adiband.harness import _config
+
+    cfg = _config("state_rates", state={"family": "sharp_momentum", "params": {"p0": 0.45, "width": 1e200}})
+    _, phi, _ = cfg.make_state(cfg.lift_band(), 0.1)
+    assert np.ptp(np.abs(phi.values)) <= 1e-15
 
 
 def test_leakage_window_reads_flow_dt():

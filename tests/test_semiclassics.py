@@ -655,6 +655,14 @@ def test_phase_space_projection_region_must_fit():
         phase_space_projection(band, region, alpha=0.3, eps=0.1)
 
 
+def test_reduced_observable_residual_refuses_no_states():
+    # the maximum over no states is not an exact 0
+    grid = make_grid(-6.4, 6.4, 128)
+    band = band_decompose(get_model("rotated_pair"), grid, 0, window=(-2, 2), delta=0.4)
+    with pytest.raises(ValueError, match="no states"):
+        reduced_observable_residual(Symbol(lambda q, p: p + 0 * q, "p"), band, 0.1, [])
+
+
 @pytest.mark.parametrize("tag, window", [("rotated_pair", (-2, 2)), ("two_band_complex", (-5, 5))])
 def test_reduced_observable_residual_equals_dense_formula(tag, window):
     from adiband.hamiltonians import full_projection, u_matrix
