@@ -352,7 +352,9 @@ class ExperimentConfig:
         the sharp-momentum bound 0.8 eps max |k| and the seam's winding
         2 pi eps change with eps, so a state that fits at one eps loads, and
         its other rows report their refusal.  The centers are tried first,
-        then the decoupling family's WKB row.
+        then the decoupling family's WKB row.  A finite parameter that
+        overflows a constructor (a boost or k of 1e308) is refused by the
+        non-finite state it leaves, not by a floating-point warning.
         """
         grid, params = self.build_grid(), self.state.get("params", {})
         center = functools.partial(_check_coherent_center, grid)
@@ -372,7 +374,8 @@ class ExperimentConfig:
         for what, build in tries:
             for eps in self.eps_ladder:
                 try:
-                    build(eps)
+                    with np.errstate(all="ignore"):
+                        build(eps)
                     break
                 except ValueError as exc:
                     refusal = exc

@@ -349,6 +349,16 @@ def test_from_json_names_unknown_fields():
          r"state.family_params\['wkb'\] phase fits no eps of the ladder; .* width 0.0 leaves the state zero"),
         # no centers: the maximum over an empty family reads an exact 0.0 at every point
         ("state", {"params": {"centers": []}}, r"state.params\['centers'\] must be a list of .*, not empty"),
+        # a finite parameter that overflows the constructor leaves a non-finite state at every eps; the
+        # load refuses it without a floating-point warning
+        ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "boost": 1e308}},
+         r"state.params momentum 0.45 fits no eps of the ladder; .* non-finite wavefunction values"),
+        ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4, "k": 1e308}},
+         r"state.params phase fits no eps of the ladder; .* non-finite wavefunction values"),
+        ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4],
+                                                           "p_centers": [-0.6, 0.2, 0.8],
+                                                           "wkb": [-0.9, 0.6, 0.3, 1e308]}},
+         r"state.family_params\['wkb'\] phase fits no eps of the ladder; .* non-finite wavefunction values"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
