@@ -26,8 +26,20 @@ from .harness import (
 from .models import list_models
 
 
+def _load(load, path):
+    """load(path); an input the load refuses exits 2 with the refusal on one line of stderr.
+
+    Only the load's ValueError is caught: an error inside a scan keeps its traceback.
+    """
+    try:
+        return load(path)
+    except ValueError as exc:
+        print(f"adiband: cannot load {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_run(args):
-    cfg = ExperimentConfig.from_file(args.config)
+    cfg = _load(ExperimentConfig.from_file, args.config)
     result = eps_scan(cfg)
     out = args.output or f"scan_result.{args.format}"
     emit_report(result, out, fmt=args.format, include_timing=args.timing)
@@ -63,7 +75,7 @@ def _cmd_list_models(args):
 
 
 def _cmd_hitting_times(args):
-    cfg = ExperimentConfig.from_file(args.config)
+    cfg = _load(ExperimentConfig.from_file, args.config)
     if cfg.window is None or cfg.region is None:
         print("configuration has no window/region; nothing to compute", file=sys.stderr)
         return 2
@@ -78,7 +90,7 @@ def _cmd_report(args):
     if Path(out).resolve() == Path(args.result).resolve():
         print(f"output {out} is the input result; pass another --output", file=sys.stderr)
         return 2
-    result = load_result(args.result)
+    result = _load(load_result, args.result)
     emit_report(result, out, fmt=args.format)
     print(f"report written to {out}")
     return 0

@@ -21,7 +21,6 @@ out of the canonical payload.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import json
 import sys
@@ -81,7 +80,12 @@ SCHEMA_VERSION = 1
 
 
 def _pop_schema_version(data: dict) -> None:
-    """Drop `schema_version` from a loaded document; refuse one other than SCHEMA_VERSION (absent is current)."""
+    """Drop `schema_version` from a loaded document; refuse one other than SCHEMA_VERSION (absent is current).
+
+    A document that is not a JSON object (an array, a number, null) is refused first.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"the document must be a JSON object, got {data!r:.40}")
     version = data.pop("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
@@ -213,7 +217,13 @@ class ExperimentConfig:
         return self
 
     def _check(self):
-        """Refuse a configuration that a scan would misread, ignore or fail on at every point."""
+        """Refuse a configuration that a scan would misread, ignore or fail on at every point.
+
+        The fields are checked by kind first.  Then what a row builds is
+        built, with the row's own builders, so a config that loads has a
+        system every row can build (`_check_system`) and a state set some
+        row can build (`_check_states`), and the rows trust both.
+        """
         eps = self.eps_ladder
         if not isinstance(eps, (list, tuple)) or not all(_is_number(e) for e in eps):
             raise ValueError(f"eps_ladder must be a list of real numbers, got {eps!r}")
@@ -282,23 +292,28 @@ class ExperimentConfig:
     def _check_system(self):
         """Refuse a `grid` or `model` key that no builder reads, and a grid or model that cannot be built.
 
-        The model is evaluated, h and dh, at one point, the grid's first, so
-        a parameter of the wrong type, or one that makes H_e non-finite, is
-        refused here and not by every scan row.
+        Each model parameter must be a finite real number or a list of them,
+        as `state.params` are.  The model is then built and its fiber stack
+        H_e(X_i) formed on the whole grid (`ElectronicModel.h_batch`), the
+        stack every row's band decomposition and molecular operator read, so
+        a model that is not finite and Hermitian at some grid point is
+        refused here and not by every scan row.  No row reads dH_e/dX.
         """
-        def build_model_at_one_point():
-            model, x = self.build_model(), self.grid["x_min"]
-            for name, value in (("h", model.h(x)), ("dh", model.dh(x))):
-                if not np.isfinite(value).all():
-                    raise ValueError(f"{name}({x}) is not finite")
+        def build_fibers():
+            for key, value in dict(self.model.get("params", {})).items():
+                if not (_finite_numbers([value]) or _finite_numbers(value)):
+                    raise ValueError(f"params[{key!r}] must be a finite real number or a list of them, got {value!r}")
+            self.build_model().h_batch(self.build_grid().x)
 
-        for name, build in (("grid", self.build_grid), ("model", build_model_at_one_point)):
+        for name, build in (("grid", self.build_grid), ("model", build_fibers)):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
             unknown = sorted(set(getattr(self, name)) - _SYSTEM_KEYS[name])
             if unknown:
                 raise ValueError(f"unknown {name} keys {unknown}; {name} reads {sorted(_SYSTEM_KEYS[name])}")
             try:
                 build()
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AssertionError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"cannot build the {name} {getattr(self, name)}: {exc}") from None
 
     def _check_reads(self):
@@ -340,47 +355,37 @@ class ExperimentConfig:
             raise ValueError(f"decoupling needs the coherent state family, got {self.state['family']!r}")
 
     def _check_states(self):
-        """Refuse a state that its constructor refuses at every eps of the ladder.
+        """Refuse a state set that the row's own builder refuses at every eps of the ladder.
 
-        At each eps, from the largest, the state is built until one eps
-        holds it: a single-state functional's state by its family
-        constructor, the decoupling family's WKB row by
-        `states._wkb_normalized`, and each center of a coherent lattice (the
-        decoupling family's and the observable-pairing centers) by
-        `states._check_coherent_center`, the check `standard_state_family`
-        runs.  A coherent center's halo 5 sqrt(eps) and its momentum window,
-        the sharp-momentum bound 0.8 eps max |k| and the seam's winding
-        2 pi eps change with eps, so a state that fits at one eps loads, and
-        its other rows report their refusal.  The centers are tried first,
-        then the decoupling family's WKB row.  A finite parameter that
-        overflows a constructor (a boost or k of 1e308) is refused by the
-        non-finite state it leaves, not by a floating-point warning.
+        At each eps, from the largest, the row's whole state set is built
+        until one eps holds it: the decoupling family's lattice and WKB row
+        (`_lattice_block`, the block `standard_state_family` lifts), the
+        observable-pairing centers (`_lattice_block`, the block that row
+        lifts), or a single-state functional's state by its family
+        constructor.  A coherent center's halo 5 sqrt(eps) and its momentum
+        window, the sharp-momentum bound 0.8 eps max |k| and the seam's
+        winding 2 pi eps change with eps, so a set that fits at one eps
+        loads, and its other rows report their refusal; a set that fits at
+        none is refused with the refusal at each eps.  A finite parameter
+        that overflows a constructor (a boost or k of 1e308) is refused by
+        the non-finite state it leaves, not by a floating-point warning.
         """
-        grid, params = self.build_grid(), self.state.get("params", {})
-        center = functools.partial(_check_coherent_center, grid)
-        if self.functional == "decoupling":
-            fam = self.state["family_params"]
-            f, S, _ = _wkb_functions(*fam["wkb"])
-            tries = [(f"state.family_params center ({q0}, {p0})", functools.partial(center, q0=q0, p0=p0))
-                     for q0 in fam["q_centers"] for p0 in fam["p_centers"]]
-            tries.append(("state.family_params['wkb'] phase", functools.partial(_wkb_normalized, grid, f=f, S=S)))
-        elif self.functional == "observable_pairing":
-            tries = [(f"state.params['centers'] center ({q0}, {p0})", functools.partial(center, q0=q0, p0=p0))
-                     for q0, p0 in params["centers"]]
-        else:
-            family = self.state["family"]
-            what = {"coherent": "center ({q0}, {p0})", "sharp_momentum": "momentum {p0}", "wkb": "phase"}[family]
-            tries = [(f"state.params {what.format(**params)}", functools.partial(_STATE_FAMILIES[family], grid, **params))]
-        for what, build in tries:
-            for eps in self.eps_ladder:
-                try:
-                    with np.errstate(all="ignore"):
-                        build(eps)
-                    break
-                except ValueError as exc:
-                    refusal = exc
-            else:
-                raise ValueError(f"{what} fits no eps of the ladder; at eps {eps}: {refusal}")
+        key = "family_params" if self.functional == "decoupling" else "params"
+        params, grid, refusals = self.state[key], self.build_grid(), []
+        for eps in self.eps_ladder:
+            try:
+                with np.errstate(all="ignore"):
+                    if self.functional == "decoupling":
+                        centers = [(q0, p0) for q0 in params["q_centers"] for p0 in params["p_centers"]]
+                        _lattice_block(grid, eps, centers, params["wkb"])
+                    elif self.functional == "observable_pairing":
+                        _lattice_block(grid, eps, params["centers"])
+                    else:
+                        _STATE_FAMILIES[self.state["family"]](grid, eps, **params)
+                return
+            except ValueError as exc:
+                refusals.append(f"at eps {eps}: {exc}")
+        raise ValueError(f"state.{key} fits no eps of the ladder; {'; '.join(refusals)}")
 
     # -- builders ---------------------------------------------------------
 
@@ -628,10 +633,25 @@ _SYMBOLS["windowed_p^2"] = Symbol(
 )
 
 
-def _named_symbol(name: str) -> Symbol:
-    if name not in _SYMBOLS:
-        raise ValueError(f"unknown symbol {name!r}; available: {sorted(_SYMBOLS)}")
-    return _SYMBOLS[name]
+def _lattice_block(grid, eps, centers, wkb=None):
+    """The nuclear values of a coherent lattice, one packet per row, with the WKB row last when `wkb` is given.
+
+    Each center (q0, p0) is checked as `coherent_state` checks it, in
+    order, and the packets are the rows of one `_coherent_values` block, so
+    each row is the same bits as its own center's vector.  `wkb` is the
+    (center, width, amp, k) of a `_wkb_wave`, whose normalized values
+    (refused by the seam check as `wkb_state` refuses them) form the last
+    row.  The config load builds this block to check the state sets of the
+    decoupling and observable-pairing rows, and the rows lift it.
+    """
+    for q0, p0 in centers:
+        _check_coherent_center(grid, eps, q0, p0)
+    q0, p0 = np.array(centers, dtype=float).reshape(-1, 2).T[:, :, None]
+    rows = [_coherent_values(grid, eps, q0, p0)]
+    if wkb is not None:
+        f, S, _ = _wkb_functions(*wkb)
+        rows.append(_wkb_normalized(grid, eps, f, S).values)
+    return np.vstack(rows)
 
 
 def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
@@ -640,20 +660,13 @@ def standard_state_family(band, eps, q_centers, p_centers, wkb_params):
     Returned as molecular waves on the band frame, on the band's grid, not
     normalized: `decoupling_error` divides each state's error by a norm of
     that state, with or without an energy cutoff, so a rescaled state has the
-    same error.  The family is built as one block: each center is checked as
-    `coherent_state` checks it, in lattice order, the lattice's packets are
-    the rows of one `_coherent_values` block, the WKB wave is the last row,
-    and the ten rows are lifted with one `chi_clamped()`.  Each state is the
-    same bits as `lift_to_band` of its own constructor's wave.
+    same error.  The family is the lift of one `_lattice_block`, the lattice
+    in lattice order and the WKB wave last, with one `chi_clamped()`.  Each
+    state is the same bits as `lift_to_band` of its own constructor's wave.
     """
-    grid = band.grid
     centers = [(q0, p0) for q0 in q_centers for p0 in p_centers]
-    for q0, p0 in centers:
-        _check_coherent_center(grid, eps, q0, p0)
-    q0, p0 = np.array(centers, dtype=float).reshape(-1, 2).T[:, :, None]
-    f, S, _ = _wkb_functions(*wkb_params)
-    block = np.vstack([_coherent_values(grid, eps, q0, p0), _wkb_normalized(grid, eps, f, S).values])
-    return [MolecularWave(grid, values, eps) for values in block[:, :, None] * band.chi_clamped()]
+    block = _lattice_block(band.grid, eps, centers, wkb_params)
+    return [MolecularWave(band.grid, values, eps) for values in block[:, :, None] * band.chi_clamped()]
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +707,9 @@ def _scan_leakage(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, tim
 def _scan_observable_pairing(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     """The reduced-observable residual at eps; it does not depend on t."""
     band = cfg.lift_band()
-    sym = _named_symbol(cfg.symbol or "p")
-    states = [lift_to_band(coherent_state(band.grid, eps, q0, p0)[0], band)
-              for q0, p0 in cfg.state["params"]["centers"]]
-    return [reduced_observable_residual(sym, band, eps, states)] * len(times)
+    block = _lattice_block(band.grid, eps, cfg.state["params"]["centers"])
+    states = [MolecularWave(band.grid, values, eps) for values in block[:, :, None] * band.chi_clamped()]
+    return [reduced_observable_residual(_SYMBOLS[cfg.symbol or "p"], band, eps, states)] * len(times)
 
 
 def _scan_state_observables(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
@@ -713,8 +725,7 @@ def _scan_egorov(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, time
     pb = cache.bo(cfg, band, eps)
     _, phi0, rho = cfg.make_state(band, eps)
     _, dE = band_energy_interpolant(band)
-    sym = _named_symbol(cfg.symbol or "q")
-    return egorov_residual(pb, [sym], phi0, rho, times, dE, dt=cfg.flow_dt)
+    return egorov_residual(pb, [_SYMBOLS[cfg.symbol or "q"]], phi0, rho, times, dE, dt=cfg.flow_dt)
 
 
 FUNCTIONALS = {

@@ -86,17 +86,19 @@ class ElectronicModel:
         place that checks them: a stack with a non-finite entry, or whose
         residual max |V_i - V_i^dag| exceeds 1e-12 and 1e-12 of its largest
         modulus, is refused (`_refuse_non_hermitian`, tagged with the
-        model's tag).  The rule does not depend on eps.  The band
+        model's tag), without a floating-point warning from the closed
+        form.  The rule does not depend on eps.  The band
         decomposition and the molecular operator take the stack as given, so
         real fibers reach the real-symmetric solvers, and every form of the
         molecular H (`hamiltonians.FiberedOperator`) is made from checked
         fibers.
         """
-        stack = np.ascontiguousarray(self._h(np.asarray(xs, dtype=float)))
-        if not np.any(stack.imag):
-            stack = np.ascontiguousarray(stack.real, dtype=float)
-        # inf - inf is nan, which the refusal reads as a non-finite entry
-        with np.errstate(invalid="ignore"):
+        # a closed form that overflows leaves inf or nan, and inf - inf is nan: the refusal reads
+        # either as a non-finite entry, with no floating-point warning
+        with np.errstate(all="ignore"):
+            stack = np.ascontiguousarray(self._h(np.asarray(xs, dtype=float)))
+            if not np.any(stack.imag):
+                stack = np.ascontiguousarray(stack.real, dtype=float)
             _refuse_non_hermitian(self.tag, _absmax(stack - stack.conj().transpose(0, 2, 1)), lambda: _absmax(stack))
         return stack
 

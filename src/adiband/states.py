@@ -68,8 +68,8 @@ def _check_position_clearance(grid, q0, clearance):
 def _check_coherent_center(grid: Grid1D, eps: float, q0: float, p0: float):
     """Refuse a packet center whose 5*sqrt(eps) halo does not fit in the position or momentum window.
 
-    The refusals of `coherent_state`, shared by `harness.standard_state_family`
-    and the config load, which check each center of a coherent lattice.
+    The refusals of `coherent_state`, shared by `harness._lattice_block`,
+    which checks each center of a coherent lattice.
     """
     halo = 5 * np.sqrt(eps)
     _check_position_clearance(grid, q0, halo)

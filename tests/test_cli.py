@@ -149,3 +149,57 @@ def test_import_loads_numpy_but_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _refused_config(tmp_path):
+    # the acceptance config of the effective rate with a time past its hitting-time window
+    root = Path(__file__).resolve().parents[1]
+    data = json.loads((root / "src/adiband/configs/effective.json").read_text())
+    data["times"] = [50.0]
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("verb", ["run", "hitting-times"])
+def test_a_refused_config_exits_2_with_one_line(tmp_path, capsys, verb):
+    path = _refused_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"adiband: cannot load {path}: times [50.0] outside the hitting-time window")
+    assert err.count("\n") == 1
+
+
+def test_a_refused_result_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"schema_version": 7}))
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path), "--output", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"adiband: cannot load {path}: schema_version 7 is not 1\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_refused_config_prints_no_traceback(tmp_path):
+    # the installed entry point's process: exit status 2 and the one line, no traceback
+    path = _refused_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "adiband.cli", "run", str(path)], env=env, capture_output=True,
+                          text=True, cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("adiband: cannot load") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_an_error_after_the_load_keeps_its_traceback(config_file, monkeypatch):
+    # only the load's refusal is caught: a ValueError raised inside the scan reaches the caller
+    from adiband import cli
+
+    def failing(cfg):
+        raise ValueError("inside the scan")
+
+    monkeypatch.setattr(cli, "eps_scan", failing)
+    with pytest.raises(ValueError, match="inside the scan"):
+        main(["run", str(config_file)])

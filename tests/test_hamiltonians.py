@@ -77,6 +77,18 @@ def test_non_finite_fiber_refused(entries):
         assemble_full(model, make_grid(-4, 4, 32), eps=0.1)
 
 
+def test_fibers_that_overflow_are_refused_without_a_warning():
+    # curvature * X**2 of crossing_trio overflows past X = sqrt(10): the closed form leaves inf at the
+    # grid's right end, finite at its first point.  Under warnings-as-errors the refusal, not the
+    # overflow warning, reaches the caller
+    model, grid = get_model("crossing_trio", curvature=1e307), make_grid(-1.0, 15.0, 512)
+    assert np.isfinite(model.h(grid.x[0])).all()
+    with pytest.raises(AssertionError, match="crossing_trio: non-finite entries"):
+        band_decompose(model, grid, (0, 1))
+    with pytest.raises(AssertionError, match="crossing_trio: non-finite entries"):
+        molecular_operator(model, grid)
+
+
 @pytest.mark.parametrize("tag", ["rotated_pair", "crossing_trio", "two_band_complex"])
 def test_blocks_equal_the_checked_assembly(tag):
     # a block is the Hermitian parts of T and of the fibers, which the full-matrix check stores, entry for entry

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiband.harness import (
@@ -20,10 +20,16 @@ from adiband.harness import (
     standard_state_family,
 )
 from adiband.propagation import decoupling_error
+from adiband.states import coherent_state
 from oracles import per_state_family, split_eigenbases
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _config_file(path, **overrides):
+    """The config file at `path` (from the repository root) as a dict, with fields overridden."""
+    return {**json.loads((ROOT / path).read_text()), **overrides}
 
 
 def small_config(**over):
@@ -211,11 +217,16 @@ def test_from_json_names_unknown_fields():
         ("model", {"tag": "three_band", "params": {}}, "three_band"),
         ("grid", {"x_min": -8.0, "x_max": 8.0, "n_points": 100}, "power of two"),
         ("schema_version", 7, "schema_version 7 is not 1"),
-        # a model parameter of the wrong type builds, and fails at the first fiber the model evaluates
-        ("model", {"tag": "two_band_complex", "params": {"g_re": "0.5"}}, "cannot build the model"),
-        # a parameter that makes H_e non-finite would fail every row (no band can be tracked)
-        ("model", {"tag": "rotated_pair", "params": {"theta0": float("nan")}}, r"h\(-8.0\) is not finite"),
-        ("model", {"tag": "two_band_complex", "params": {"g_re": float("inf")}}, r"h\(-8.0\) is not finite"),
+        # a model parameter of the wrong type would build, and fail at the first fiber the model evaluates;
+        # each parameter must be a finite real number or a list of them, as state.params are
+        ("model", {"tag": "two_band_complex", "params": {"g_re": "0.5"}},
+         r"cannot build the model .*: params\['g_re'\] must be a finite real number or a list of them, got '0.5'"),
+        # a parameter that makes H_e non-finite would fail every row (no band can be tracked); a
+        # non-finite one is refused by name before the fibers are formed
+        ("model", {"tag": "rotated_pair", "params": {"theta0": float("nan")}},
+         r"cannot build the model .*: params\['theta0'\] must be a finite real number or a list of them, got nan"),
+        ("model", {"tag": "two_band_complex", "params": {"g_re": float("inf")}},
+         r"cannot build the model .*: params\['g_re'\] must be a finite real number or a list of them, got inf"),
         # no time: the observables scan would crash and the others report no point;
         # a non-finite time would be recorded "ok" with a NaN error, and 10**400 has no float;
         # a string or a bool would be reported as the time; a bare number or a mixed list
@@ -311,54 +322,83 @@ def test_from_json_names_unknown_fields():
         # a coherent center closer to the box edge than its halo at the smallest eps, or too close to
         # the lattice edge in momentum at every eps, fails every row
         ("state", {"family": "coherent", "params": {"q0": 6.35, "p0": -0.35}},
-         r"state.params center \(6.35, -0.35\) fits no eps of the ladder; at eps 0.025: .* to the box edge"),
+         r"state.params fits no eps of the ladder; .*at eps 0.025: center 6.35 closer than 0.791 to the box edge"),
         ("state", {"family": "coherent", "params": {"q0": 0.3, "p0": 30.0}},
-         r"state.params center \(0.3, 30.0\) fits no eps of the ladder; at eps 0.025: .* lattice edge"),
+         r"state.params fits no eps of the ladder; .*at eps 0.025: momentum center 30.0 too close to the lattice edge"),
         ("state", {"params": {"centers": [[-0.5, 0.4], [-7.99, -0.3]]}},
-         r"state.params\['centers'\] center \(-7.99, -0.3\) fits no eps of the ladder; .* to the box edge"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: center -7.99 closer than 1.118 to the box edge"),
         ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, 7.9], "p_centers": [0.2],
                                                            "wkb": [-0.9, 0.6, 0.3, 0.4]}},
-         r"state.family_params center \(7.9, 0.2\) fits no eps of the ladder; .* to the box edge"),
+         r"state.family_params fits no eps of the ladder; .*at eps 0.025: center 7.9 closer than 0.791 to the "
+         r"box edge"),
         # a sharp momentum past 0.8 of the lattice edge at every eps, and a WKB phase that winds by no
         # multiple of 2 pi eps across the seam, fail every row; so does the decoupling family's WKB
         # state, whose centers fit (on the box [-4, 4] of the benchmark it jumps by 4.541e-01)
         ("state", {"family": "sharp_momentum", "params": {"p0": 20.0}},
-         r"state.params momentum 20.0 fits no eps of the ladder; at eps 0.05: .* lattice edge 3.142"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: momentum 20.0 too close to the lattice edge 3.142"),
         ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4, "k": 1.0}},
-         r"state.params phase fits no eps of the ladder; at eps 0.05: phase function jumps by 9.324e-02"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: phase function jumps by 9.324e-02"),
         ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4],
                                                            "p_centers": [-0.6, 0.2, 0.8],
                                                            "wkb": [-0.9, 0.6, 0.3, 1.0]}},
-         r"state.family_params\['wkb'\] phase fits no eps of the ladder; at eps 0.025: .* jumps by 5.936e-01"),
+         r"state.family_params fits no eps of the ladder; .*at eps 0.025: phase function jumps by 5.936e-01"),
         # a number cannot be an envelope callable, and the sharp-momentum constructor takes none
         ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "profile": 1.0}},
          r"state.params do not fit the sharp_momentum constructor: .*'profile'"),
         # an envelope width that leaves the state zero (or nan on its center) at every grid point fails
         # every row; the load refuses it without a floating-point warning
         ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "width": 0.0}},
-         r"state.params momentum 0.45 fits no eps of the ladder; .* width 0.0 leaves the state zero on the grid"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: envelope of center 0.0 and width 0.0 leaves the "
+         r"state zero on the grid"),
         ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "width": 1e-200}},
-         r"state.params momentum 0.45 fits no eps of the ladder; .* width 1e-200 leaves the state zero on the grid"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: envelope of center 0.0 and width 1e-200 leaves the "
+         r"state zero on the grid"),
         ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.0, "amp": 0.4, "k": np.pi / 6.4}},
-         r"state.params phase fits no eps of the ladder; .* width 0.0 leaves the state zero on the grid"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: envelope of center 0.2 and width 0.0 leaves the "
+         r"state zero on the grid"),
         ("state", {"family": "wkb", "params": {"center": 0.2, "width": 1e-200, "amp": 0.4, "k": np.pi / 6.4}},
-         r"state.params phase fits no eps of the ladder; .* width 1e-200 leaves the state zero on the grid"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: envelope of center 0.2 and width 1e-200 leaves the "
+         r"state zero on the grid"),
         ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4],
                                                            "p_centers": [-0.6, 0.2, 0.8],
                                                            "wkb": [-0.9, 0.0, 0.3, np.pi / 8]}},
-         r"state.family_params\['wkb'\] phase fits no eps of the ladder; .* width 0.0 leaves the state zero"),
+         r"state.family_params fits no eps of the ladder; .*at eps 0.025: envelope of center -0.9 and width 0.0 "
+         r"leaves the state zero"),
         # no centers: the maximum over an empty family reads an exact 0.0 at every point
         ("state", {"params": {"centers": []}}, r"state.params\['centers'\] must be a list of .*, not empty"),
         # a finite parameter that overflows the constructor leaves a non-finite state at every eps; the
         # load refuses it without a floating-point warning
         ("state", {"family": "sharp_momentum", "params": {"p0": 0.45, "boost": 1e308}},
-         r"state.params momentum 0.45 fits no eps of the ladder; .* non-finite wavefunction values"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: non-finite wavefunction values"),
         ("state", {"family": "wkb", "params": {"center": 0.2, "width": 0.7, "amp": 0.4, "k": 1e308}},
-         r"state.params phase fits no eps of the ladder; .* non-finite wavefunction values"),
+         r"state.params fits no eps of the ladder; .*at eps 0.05: non-finite wavefunction values"),
         ("state", {"family": "coherent", "family_params": {"q_centers": [-1.4, -0.9, -0.4],
                                                            "p_centers": [-0.6, 0.2, 0.8],
                                                            "wkb": [-0.9, 0.6, 0.3, 1e308]}},
-         r"state.family_params\['wkb'\] phase fits no eps of the ladder; .* non-finite wavefunction values"),
+         r"state.family_params fits no eps of the ladder; .*at eps 0.025: non-finite wavefunction values"),
+        # a model parameter that is not a finite real number: 10**400 has no float, and True would be read as 1
+        ("model", {"tag": "crossing_trio", "params": {"g0": 10**400}},
+         r"cannot build the model .*: params\['g0'\] must be a finite real number or a list of them, got 1000"),
+        ("model", {"tag": "crossing_trio", "params": {"g0": True}},
+         r"cannot build the model .*: params\['g0'\] must be a finite real number or a list of them, got True"),
+        # whole configs (key None) that fail every row.  The decoupling lattice's one center fits eps
+        # 0.2-0.05 only, and its WKB phase jumps by pi/20 = 2 pi 0.025 across the seam, so it fits 0.025 only
+        (None, _config_file("perfbench/configs/decoupling.json", state={"family": "coherent", "family_params": {
+            "q_centers": [0.0], "p_centers": [2.0], "wkb": [0.0, 0.6, np.pi / 40, np.pi / 8]}}),
+         r"state.family_params fits no eps of the ladder; at eps 0.2: phase function jumps by 1.571e-01 .*"
+         r"at eps 0.025: momentum center 2.0 too close to the lattice edge 2.513"),
+        # one observable center too close to the box edge at eps 0.2, the other to the lattice edge below it
+        (None, _config_file("src/adiband/configs/observables.json",
+                            state={"params": {"centers": [[0.0, 4.5], [7.2, 0.0]]}}),
+         r"state.params fits no eps of the ladder; at eps 0.2: center 7.2 closer than 2.236 to the box edge.*"
+         r"at eps 0.1: momentum center 4.5 too close to the lattice edge 5.027"),
+        # fibers finite at the grid's first point that overflow at its right end, without a floating-point warning
+        (None, _config_file("src/adiband/configs/state_rates.json", window=None,
+                            model={"tag": "crossing_trio", "params": {"curvature": 1e307}},
+                            grid={"x_min": -1.0, "x_max": 15.0, "n_points": 512}),
+         r"cannot build the model .*: crossing_trio: non-finite entries"),
+        # a model that is not a JSON object has no parameters to check
+        ("model", ["tag", "params"], r"model must be a JSON object, got \['tag', 'params'\]"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -381,8 +421,11 @@ def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, mes
     # state-rates config with both bands
     if (key, value) in (("lift_band_index", None), ("band_indices", [0, 1])):
         readers[key] = "decoupling" if value is None else "state_rates"
-    data = json.loads((_config(readers[key], **overrides) if key in readers else small_config()).to_json())
-    data[key] = value
+    if key is None:
+        data = value
+    else:
+        data = json.loads((_config(readers[key], **overrides) if key in readers else small_config()).to_json())
+        data[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(json.dumps(data))
 
@@ -400,6 +443,74 @@ def test_config_load_keeps_a_center_that_fits_some_eps():
     cfg = small_config(state={"params": {"centers": [[-0.5, 0.4], [-6.7, -0.3]]}})
     statuses = [p["status"] for p in eps_scan(cfg).points]
     assert statuses == ["error", "error", "ok"]
+    # so does a decoupling family whose one center, -2.7 on [-4, 4], fits only at eps 0.05, and whose
+    # WKB phase does not jump across the seam, so its WKB row fits at every eps
+    cfg = ExperimentConfig(**_small_row_config("decoupling", {"family": "coherent", "family_params": {
+        "q_centers": [-2.7], "p_centers": [0.2], "wkb": [-0.9, 0.6, 0.3, np.pi / 4]}})).validate()
+    statuses = [p["status"] for p in eps_scan(cfg).points]
+    assert statuses == ["error", "error", "ok"]
+
+
+def _small_row_config(functional, state):
+    """The fields of a decoupling or observable-pairing config on [-4, 4] at n = 128, on eps 0.2, 0.1, 0.05.
+
+    The lattice edge eps max |k| is 10.05, 5.03 and 2.51 there, and the halo 5 sqrt(eps) of a coherent
+    center 2.24, 1.58 and 1.12.
+    """
+    common = dict(grid={"x_min": -4.0, "x_max": 4.0, "n_points": 128}, eps_ladder=[0.2, 0.1, 0.05], times=[0.5],
+                  functional=functional, state=state)
+    if functional == "decoupling":
+        return dict(common, model={"tag": "crossing_trio", "params": {}}, band_indices=[0, 1], lift_band_index=0)
+    return dict(common, model={"tag": "two_band_complex", "params": {}}, symbol="p")
+
+
+_ROW_CACHE = PropagatorCache()
+
+
+def _loads_iff_some_row_builds(functional, state, build):
+    """The whole-row rule on one state set: if the config loads, some row of its scan is ok; if the load
+    refuses the set as fitting no eps, the row's own builder `build(eps)` raises at every eps."""
+    data = _small_row_config(functional, state)
+    try:
+        cfg = ExperimentConfig(**data).validate()
+    except ValueError as exc:
+        assert "fits no eps of the ladder" in str(exc)
+        for eps in data["eps_ladder"]:
+            with pytest.raises(ValueError):
+                build(eps)
+        return
+    assert "ok" in [p["status"] for p in eps_scan(cfg, _ROW_CACHE).points]
+
+
+# centers near and past the box edge (a halo from 2.24 to 1.12) and the lattice edge (10.05 to 2.51)
+_Q = st.floats(-4, 4)
+_P = st.floats(-9, 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(centers=st.lists(st.tuples(_Q, _P), min_size=1, max_size=3))
+@example(centers=[(0.0, 4.5), (2.2, 0.0)])  # the first fits eps 0.2 only, the second 0.1 and 0.05 only
+def test_observable_centers_load_only_when_a_row_builds_them(centers):
+    grid = _family_band().grid
+    _loads_iff_some_row_builds("observable_pairing", {"params": {"centers": [list(c) for c in centers]}},
+                               lambda eps: [coherent_state(grid, eps, q0, p0) for q0, p0 in centers])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q_centers=st.lists(_Q, max_size=2),
+    p_centers=st.lists(_P, max_size=2),
+    # the phase amp sin(k X) jumps by 2 amp sin(4 k) across the seam: by 2 pi 0.05 (amp pi/20), 2 pi 0.1
+    # (amp pi/10) or 0.6 (amp 0.3), a whole winding at eps 0.05, at 0.1 and 0.05, or at none, for
+    # k = pi/8, and by 0 for k = pi/4
+    wkb=st.tuples(st.floats(-2, 2), st.floats(0.3, 1.0), st.sampled_from([0.0, np.pi / 20, np.pi / 10, 0.3]),
+                  st.sampled_from([np.pi / 8, np.pi / 4])),
+)
+@example(q_centers=[0.0], p_centers=[2.0], wkb=(0.0, 0.6, np.pi / 20, np.pi / 8))  # center: 0.2, 0.1; WKB: 0.05
+def test_decoupling_family_loads_only_when_a_row_builds_it(q_centers, p_centers, wkb):
+    state = {"family": "coherent", "family_params": {"q_centers": q_centers, "p_centers": p_centers, "wkb": list(wkb)}}
+    _loads_iff_some_row_builds("decoupling", state,
+                               lambda eps: standard_state_family(_family_band(), eps, q_centers, p_centers, wkb))
 
 
 @pytest.mark.parametrize(
@@ -801,7 +912,7 @@ def test_scan_synthetic_error_recorded():
     assert [p["status"] for p in res.points] == ["ok", "error", "error"]
     assert all("momentum 6.0 too close to the lattice edge" in p["message"] for p in res.points[1:])
     assert res.slope is None
-    with pytest.raises(ValueError, match="state.params momentum 20.0 fits no eps of the ladder"):
+    with pytest.raises(ValueError, match="state.params fits no eps of the ladder; .*at eps 0.05: momentum 20.0 too "):
         config(20.0)
 
 
@@ -994,6 +1105,16 @@ def test_load_result_refuses_another_schema_version(tmp_path, scan_result):
         load_result(path)
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"config"'])
+def test_a_document_that_is_not_an_object_is_refused(tmp_path, text):
+    # neither a config nor a result: refused by the schema check, not by a TypeError or AttributeError
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for load in (lambda: ExperimentConfig.from_json(text), lambda: load_result(path)):
+        with pytest.raises(ValueError, match=r"^the document must be a JSON object, got "):
+            load()
+
+
 def test_emit_json_byte_identical(tmp_path):
     cfg = small_config()
     r1 = eps_scan(cfg, PropagatorCache())
@@ -1161,9 +1282,10 @@ def test_acceptance_configs_are_canonical():
 
 
 def test_named_symbols_are_built_once():
-    from adiband.harness import _OBSERVABLE_SET, _named_symbol
+    # the rows read each symbol from one table built at import, keyed by its name; the load refuses
+    # a name outside it (the ("symbol", "q^3") case of the load test)
+    from adiband.harness import _OBSERVABLE_SET, _SYMBOLS
 
-    assert [_named_symbol(s.name) for s in _OBSERVABLE_SET] == list(_OBSERVABLE_SET)
-    assert _named_symbol("windowed_p^2") is _named_symbol("windowed_p^2")
-    with pytest.raises(ValueError, match="available"):
-        _named_symbol("p^3")
+    assert all(_SYMBOLS[s.name] is s for s in _OBSERVABLE_SET)
+    assert sorted(_SYMBOLS) == sorted([s.name for s in _OBSERVABLE_SET] + ["windowed_p^2"])
+    assert all(sym.name == name for name, sym in _SYMBOLS.items())
