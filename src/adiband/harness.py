@@ -25,18 +25,17 @@ import inspect
 import json
 import sys
 import time
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .electronic import (
-    BandData, _band_indices_ok, _window_mask, band_decompose, berry_connection, grad_projection, riesz_projection,
-)
+from .electronic import BandData, band_decompose, berry_connection, grad_projection, riesz_projection
 from .grids import Grid1D, MolecularWave, NuclearWave, make_grid, norm, spectral_derivative_matrix
 from .hamiltonians import assemble_bo, assemble_full, bo_operator, molecular_operator, u_map, u_star_map
 from .identities import commutator_inverse, commutator_inverse_residual
-from .indicators import PhaseSpaceRegion
+from .indicators import PhaseSpaceRegion, smooth_indicator
 from .models import ElectronicModel, get_model
 from .propagation import (
     ChebyshevPropagator,
@@ -79,16 +78,24 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _pop_schema_version(data: dict) -> None:
-    """Drop `schema_version` from a loaded document; refuse one other than SCHEMA_VERSION (absent is current).
+def _document_fields(data, cls, what: str) -> dict:
+    """The fields of a loaded document for the dataclass `cls`, without `schema_version`.
 
-    A document that is not a JSON object (an array, a number, null) is refused first.
+    Refused, in order: a document that is not a JSON object (an array, a
+    number, null), a `schema_version` other than SCHEMA_VERSION (absent is
+    current), a field `cls` does not have, and a required field the
+    document lacks; `what` names the document in the refusal.
     """
     if not isinstance(data, dict):
         raise ValueError(f"the document must be a JSON object, got {data!r:.40}")
     version = data.pop("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.name not in data and f.default is f.default_factory is MISSING]
+    if unknown or missing:
+        raise ValueError(f"unknown {what} fields {unknown}" if unknown else f"missing {what} fields {missing}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +146,20 @@ def _param_kind_error(family, key, value):
     return None
 
 
+def _built(name, build, errors=(RuntimeError, ValueError)):
+    """build(); one of `errors` is refused by a ValueError that names `name` and quotes the builder's message."""
+    try:
+        return build()
+    except errors as exc:
+        raise ValueError(f"cannot build the {name}: {exc}") from None
+
+
 # the keys of the `grid` and `model` dicts, which build_grid and build_model read
 _SYSTEM_KEYS = {"grid": {"x_min", "x_max", "n_points"}, "model": {"tag", "params"}}
 
 # the config fields every scan reads
 _READ_BY_ALL = {"model", "grid", "eps_ladder", "functional", "times", "band_indices", "lift_band_index",
                 "window", "delta", "fit_residual_threshold", "state"}
-
-# what each functional reads: the other config fields, the `state` keys, and the
-# keys of the last state key's dict (None: the family constructor's keyword arguments)
-_READS = {
-    "decoupling": ({"energy_cutoff"}, ("family", "family_params"), {"q_centers", "p_centers", "wkb"}),
-    "effective_dynamics": ({"region", "alpha", "include_a_geo", "flow_dt"}, ("family", "params"), None),
-    "boundary_leakage": ({"region", "alpha", "include_a_geo", "flow_dt"}, ("family", "params"), None),
-    "observable_pairing": ({"symbol"}, ("params",), {"centers"}),
-    "state_observables": ({"flow_dt"}, ("family", "params"), None),
-    "egorov": ({"symbol", "include_a_geo", "flow_dt"}, ("family", "params"), None),
-}
 
 
 @dataclass
@@ -221,8 +225,18 @@ class ExperimentConfig:
 
         The fields are checked by kind first.  Then what a row builds is
         built, with the row's own builders, so a config that loads has a
-        system every row can build (`_check_system`) and a state set some
-        row can build (`_check_states`), and the rows trust both.
+        system every row can build (`_check_system`), every input a row
+        builds that does not depend on eps, and a state set some row can
+        build (`_check_states`), and the rows trust them.  The inputs that
+        do not depend on eps are chosen by what the functional reads
+        (`FUNCTIONALS`): the band set and the lift band (`build_band`, kept
+        for the rows), which must be one band; on it the BO operator when
+        the functional reads `include_a_geo`, and the band-energy
+        interpolant when it reads `flow_dt` (kept, and read by the hitting
+        window and the rows); and the region's smooth indicator when it
+        reads `region`.  A build that fails is refused with its builder's
+        message, so `band_decompose` alone rules which band indices and
+        which window a band takes.
         """
         eps = self.eps_ladder
         if not isinstance(eps, (list, tuple)) or not all(_is_number(e) for e in eps):
@@ -252,34 +266,35 @@ class ExperimentConfig:
             )
         self._check_system()
         self._check_reads()
-        # the bands a scan decomposes, checked without decomposing one
-        m = self.build_model().fiber_dim
-        if not _band_indices_ok(self.band_indices, m):
-            raise ValueError(f"band_indices must be strictly ascending integers in [0, {m}), got {self.band_indices!r}")
-        if self.lift_band_index is not None and not _band_indices_ok([self.lift_band_index], m):
-            raise ValueError(f"lift_band_index must be null or an integer in [0, {m}), got {self.lift_band_index!r}")
-        # every functional lifts its states onto, or evolves on, one band: the lift band
-        if self.lift_band_index is None and len(self.band_indices) != 1:
-            raise ValueError(f"the lift band must be one band: set lift_band_index, or give band_indices one index; "
-                             f"got band_indices {self.band_indices!r} and lift_band_index null")
+        reads = FUNCTIONALS[self.functional].reads
+        # band_decompose takes a bare index as a band set of one
+        if not isinstance(self.band_indices, (list, tuple)):
+            raise ValueError(f"band_indices must be a list of band indices, got {self.band_indices!r}")
         if self.energy_cutoff is not None:
             # H >= min s + min spec H_e(X_i) by Weyl's inequality, and the symbol's minimum is 0 at every eps
             floor = molecular_operator(self.build_model(), self.build_grid()).spectral_bounds(eps[0])[0]
             if self.energy_cutoff < floor:
                 raise ValueError(f"energy_cutoff {self.energy_cutoff} lies below the spectrum of H, which is "
                                  f">= {floor:.6g} (the least fiber eigenvalue): it annihilates every state")
-        if self.window is not None:
-            window = self.window
-            if not (_finite_numbers(window) and len(window) == 2):
-                raise ValueError(f"window must be null or a list of two finite real numbers, got {window!r}")
-            # every functional's bands take the window: one with no grid point fails every row
-            _window_mask(self.build_grid(), window)
+        if self.window is not None and not (_finite_numbers(self.window) and len(self.window) == 2):
+            raise ValueError(f"window must be null or a list of two finite real numbers, got {self.window!r}")
+        _built("band set", self.build_band)
+        # every functional lifts its states onto, or evolves on, one band: the lift band
+        lift = _built("lift band", self.lift_band)
+        if lift.chi is None:
+            raise ValueError(f"the lift band must be one band: set lift_band_index, or give band_indices one index; "
+                             f"got band_indices {self.band_indices!r} and lift_band_index null")
+        if "include_a_geo" in reads:
+            _built("BO operator", lambda: bo_operator(lift, include_a_geo=self.include_a_geo))
+        if "flow_dt" in reads:
+            _built("band-energy interpolant", self._dE)
         self._check_states()
-        if self.functional in ("effective_dynamics", "boundary_leakage"):
+        if "region" in reads:
             missing = [name for name in ("window", "region") if getattr(self, name) is None]
             if missing:
                 raise ValueError(f"{self.functional} needs {missing}; got null")
             PhaseSpaceRegion(self.region).check_inside(self.window, self.delta)
+            _built("region's smooth indicator", lambda: smooth_indicator(self.build_region(), self.alpha))
         if self.functional == "effective_dynamics":
             t_minus, t_plus = self.hitting_window()
             bad = [t for t in self.times if not (t_minus <= t <= t_plus)]
@@ -311,14 +326,11 @@ class ExperimentConfig:
             unknown = sorted(set(getattr(self, name)) - _SYSTEM_KEYS[name])
             if unknown:
                 raise ValueError(f"unknown {name} keys {unknown}; {name} reads {sorted(_SYSTEM_KEYS[name])}")
-            try:
-                build()
-            except (AssertionError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"cannot build the {name} {getattr(self, name)}: {exc}") from None
+            _built(f"{name} {getattr(self, name)}", build, (AssertionError, KeyError, TypeError, ValueError))
 
     def _check_reads(self):
         """Refuse a field off its default, a state key or a state parameter the functional does not read."""
-        reads, keys, sub = _READS[self.functional]
+        _, reads, keys, sub = FUNCTIONALS[self.functional]
         defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(self)}
         unread = [name for name, d in defaults.items() if name not in _READ_BY_ALL | reads and getattr(self, name) != d]
         if unread:
@@ -370,22 +382,21 @@ class ExperimentConfig:
         that overflows a constructor (a boost or k of 1e308) is refused by
         the non-finite state it leaves, not by a floating-point warning.
         """
-        key = "family_params" if self.functional == "decoupling" else "params"
-        params, grid, refusals = self.state[key], self.build_grid(), []
+        _, _, keys, sub = FUNCTIONALS[self.functional]
+        params, grid, refusals = self.state[keys[-1]], self.build_grid(), []
         for eps in self.eps_ladder:
             try:
                 with np.errstate(all="ignore"):
-                    if self.functional == "decoupling":
-                        centers = [(q0, p0) for q0 in params["q_centers"] for p0 in params["p_centers"]]
-                        _lattice_block(grid, eps, centers, params["wkb"])
-                    elif self.functional == "observable_pairing":
-                        _lattice_block(grid, eps, params["centers"])
-                    else:
+                    if sub is None:
                         _STATE_FAMILIES[self.state["family"]](grid, eps, **params)
+                    else:  # the observable-pairing centers, or the decoupling lattice and its WKB row
+                        centers = params.get("centers") or [
+                            (q0, p0) for q0 in params["q_centers"] for p0 in params["p_centers"]]
+                        _lattice_block(grid, eps, centers, params.get("wkb"))
                 return
             except ValueError as exc:
                 refusals.append(f"at eps {eps}: {exc}")
-        raise ValueError(f"state.{key} fits no eps of the ladder; {'; '.join(refusals)}")
+        raise ValueError(f"state.{keys[-1]} fits no eps of the ladder; {'; '.join(refusals)}")
 
     # -- builders ---------------------------------------------------------
 
@@ -396,17 +407,18 @@ class ExperimentConfig:
         return get_model(self.model["tag"], **self.model.get("params", {}))
 
     def build_band(self, indices=None) -> BandData:
-        """The band set `indices` (default `band_indices`), decomposed once per content.
+        """The band set `indices` (default `band_indices`), a list of band indices, decomposed once per content.
 
-        Each band set is kept in the config's store (`_kept`), so validation
-        (the hitting window) and every scan of an unchanged config share its
+        The indices go to `band_decompose` as given, so its rule alone says
+        which band sets there are: 0.5 or true is no band index.  Each band
+        set is kept in the config's store (`_kept`) under the indices' JSON
+        text, so validation and every scan of an unchanged config share its
         bands, and a config changed since gets new ones.
         """
-        idx = tuple(int(b) for b in np.atleast_1d(self.band_indices if indices is None else indices))
+        indices = self.band_indices if indices is None else indices
         window = tuple(self.window) if self.window is not None else None
-        gauge = "component" if len(idx) == 1 else None
-        return self._kept(("band", idx), lambda: band_decompose(self.build_model(), self.build_grid(), idx,
-                                                                window=window, gauge=gauge, delta=self.delta))
+        return self._kept(("band", json.dumps(indices)), lambda: band_decompose(
+            self.build_model(), self.build_grid(), indices, window=window, delta=self.delta))
 
     def build_region(self) -> PhaseSpaceRegion:
         if self.region is None:
@@ -422,14 +434,18 @@ class ExperimentConfig:
         """
         def compute():
             band = self.lift_band()
-            _, dE = band_energy_interpolant(band)
-            return hitting_times(self.build_region(), band.window, band.delta, dE, alpha=self.alpha, dt=self.flow_dt)
+            return hitting_times(self.build_region(), band.window, band.delta, self._dE(), alpha=self.alpha,
+                                 dt=self.flow_dt)
 
         return self._kept("window", compute)
 
+    def _dE(self):
+        """The derivative dE of the lift band's `band_energy_interpolant`, kept in the config's store (`_kept`)."""
+        return self._kept("dE", lambda: band_energy_interpolant(self.lift_band())[1])
+
     def lift_band(self) -> BandData:
-        """The band states are lifted to: `lift_band_index`, or else `band_indices`."""
-        return self.build_band(self.band_indices if self.lift_band_index is None else self.lift_band_index)
+        """The band states are lifted to: `[lift_band_index]`, or else `band_indices`."""
+        return self.build_band(self.band_indices if self.lift_band_index is None else [self.lift_band_index])
 
     def make_state(self, band, eps):
         """(lifted molecular wave, nuclear wave, classical density) of the configured family, on the band's grid."""
@@ -448,12 +464,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        _pop_schema_version(data)
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config fields {unknown}")
-        return cls(**data).validate()
+        return cls(**_document_fields(json.loads(text), cls, "config")).validate()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -554,10 +565,7 @@ def emit_report(result: ScanResult, path, fmt: str = "json", include_timing: boo
 
 def load_result(path) -> ScanResult:
     with open(path) as fh:
-        data = json.load(fh)
-    _pop_schema_version(data)
-    data.setdefault("wall_clock", [])
-    return ScanResult(**data)
+        return ScanResult(**_document_fields(json.load(fh), ScanResult, "result"))
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +575,11 @@ def load_result(path) -> ScanResult:
 class PropagatorCache:
     """Keeps what a scan would otherwise build again and pays for: one dict, filled only through `get`.
 
-    It holds two kinds of entry, each keyed by what its builder reads from
-    the objects it is given (the model's tag and parameters, the grid's
-    bounds and size, eps, and for the pair the band's indices and window),
-    so two models or grids never share one:
+    It holds three kinds of entry, each keyed by what its builder reads
+    from the objects it is given (the model's tag and parameters, the
+    grid's bounds and size, eps, and for the pair the band's indices and
+    window; a config's JSON text), so two models or grids never share one:
+    - an acceptance suite's loaded config (`_config`), once per JSON text;
     - the parts of the molecular H (`hamiltonians.molecular_operator`, its
       fiber stack H_e(X_i)), once per model and grid;
     - the dense decoupling pair of an eps, `"pair"`, the one build that
@@ -716,25 +725,31 @@ def _scan_state_observables(cfg: ExperimentConfig, cache: PropagatorCache, eps: 
     band = cfg.lift_band()
     pf = cache.full(cfg, band.model, band.grid, eps)
     psi0, _, rho = cfg.make_state(band, eps)
-    _, dE = band_energy_interpolant(band)
-    return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, times, dE, dt=cfg.flow_dt)
+    return egorov_residual(pf, _OBSERVABLE_SET, psi0, rho, times, cfg._dE(), dt=cfg.flow_dt)
 
 
 def _scan_egorov(cfg: ExperimentConfig, cache: PropagatorCache, eps: float, times):
     band = cfg.lift_band()
     pb = cache.bo(cfg, band, eps)
     _, phi0, rho = cfg.make_state(band, eps)
-    _, dE = band_energy_interpolant(band)
-    return egorov_residual(pb, [_SYMBOLS[cfg.symbol or "q"]], phi0, rho, times, dE, dt=cfg.flow_dt)
+    return egorov_residual(pb, [_SYMBOLS[cfg.symbol or "q"]], phi0, rho, times, cfg._dE(), dt=cfg.flow_dt)
 
+
+# A functional's one entry: its scan row, and what its config reads besides `_READ_BY_ALL`.  `reads`
+# are the other config fields, `state_keys` the `state` keys, and `params` the keys of the last state
+# key's dict (None, with the default state keys: the family constructor's keyword arguments).  The load
+# refuses what the functional does not read, and builds the row's inputs that do not depend on eps by
+# what it reads (`ExperimentConfig._check`).
+_Functional = namedtuple("_Functional", "row reads state_keys params", defaults=(("family", "params"), None))
 
 FUNCTIONALS = {
-    "decoupling": _scan_decoupling,
-    "effective_dynamics": _scan_effective,
-    "boundary_leakage": _scan_leakage,
-    "observable_pairing": _scan_observable_pairing,
-    "state_observables": _scan_state_observables,
-    "egorov": _scan_egorov,
+    "decoupling": _Functional(_scan_decoupling, {"energy_cutoff"}, ("family", "family_params"),
+                              {"q_centers", "p_centers", "wkb"}),
+    "effective_dynamics": _Functional(_scan_effective, {"region", "alpha", "include_a_geo", "flow_dt"}),
+    "boundary_leakage": _Functional(_scan_leakage, {"region", "alpha", "include_a_geo", "flow_dt"}),
+    "observable_pairing": _Functional(_scan_observable_pairing, {"symbol"}, ("params",), {"centers"}),
+    "state_observables": _Functional(_scan_state_observables, {"flow_dt"}),
+    "egorov": _Functional(_scan_egorov, {"symbol", "include_a_geo", "flow_dt"}),
 }
 
 
@@ -750,7 +765,7 @@ def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> Sca
     to the largest error of each row that did not raise.
     """
     cfg.validate()
-    fn = FUNCTIONALS[cfg.functional]
+    fn = FUNCTIONALS[cfg.functional].row
     cache = PropagatorCache() if cache is None else cache
     times = sorted(cfg.times)
     points, clocks, largest = [], [], {}
@@ -785,11 +800,18 @@ def eps_scan(cfg: ExperimentConfig, cache: PropagatorCache | None = None) -> Sca
 _CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 
-def _config(name, **overrides) -> ExperimentConfig:
-    """The acceptance configuration `configs/<name>.json` with fields overridden."""
+def _config(name, cache: PropagatorCache | None = None, **overrides) -> ExperimentConfig:
+    """The acceptance configuration `configs/<name>.json` with fields overridden.
+
+    With a suite's `cache`, the config is loaded once per JSON text and kept
+    there, so the criteria of one run that read one content share its
+    validation, bands and hitting window.  Without one it is a new config,
+    which a caller may change.
+    """
     data = json.loads((_CONFIG_DIR / f"{name}.json").read_text())
     data.update(overrides)
-    return ExperimentConfig.from_json(json.dumps(data))
+    text = json.dumps(data)
+    return (cache or PropagatorCache()).get(("config", text), lambda: ExperimentConfig.from_json(text))
 
 
 @dataclass
@@ -844,42 +866,42 @@ def _rate_crit(cid, res, lo, hi=None, **extra):
 
 def _rate(cid, config, lo, hi=None, **overrides):
     """The rate criterion `cid`: the fitted slope of the scan of `_config(config, **overrides)` in [lo, hi]."""
-    return lambda seed, cache: [_rate_crit(cid, eps_scan(_config(config, **overrides), cache), lo, hi)]
+    return lambda seed, cache: [_rate_crit(cid, eps_scan(_config(config, cache, **overrides), cache), lo, hi)]
 
 
 def _decoupling_time_growth(seed, cache):
-    e1, e2 = _scan_decoupling(_config("decoupling", energy_cutoff=2.0), cache, 0.05, (1.0, 2.0))
+    e1, e2 = _scan_decoupling(_config("decoupling", cache, energy_cutoff=2.0), cache, 0.05, (1.0, 2.0))
     return [_crit("decoupling-time-growth", e2 / e1 <= 3.0, ratio=e2 / e1, e_t1=e1, e_t2=e2)]
 
 
 def _effective_hitting_window(seed, cache):
-    t_minus, t_plus = _config("effective").hitting_window()
+    t_minus, t_plus = _config("effective", cache).hitting_window()
     return [_crit("effective-hitting-window", t_plus >= 1.5, t_plus=t_plus, t_minus=t_minus)]
 
 
 def _effective_beyond_window_logged(seed, cache):
     # beyond the window the bound is not asserted; the value is only logged
-    cfg = _config("effective")
+    cfg = _config("effective", cache)
     t_out = 1.2 * cfg.hitting_window()[1]
     (logged,) = _scan_effective(cfg, cache, 0.05, [t_out])
     return [_crit("effective-beyond-window-logged", True, t=t_out, error_logged=logged)]
 
 
 def _berry_off_floor(seed, cache):
-    cfg = _config("berry", include_a_geo=False)
+    cfg = _config("berry", cache, include_a_geo=False)
     errs = [_scan_effective(cfg, cache, eps, cfg.times[:1])[0] for eps in cfg.eps_ladder]
     return [_crit("berry-off-floor", min(errs) >= 0.05, infimum=min(errs), errors=errs)]
 
 
 def _leakage_rate(seed, cache):
     """The leakage rate at 0.8 t_+, with t_+ the hitting time of the configured region."""
-    t_plus = _config("leakage").hitting_window()[1]
-    cfg = _config("leakage", times=[round(0.8 * t_plus, 6)])
+    t_plus = _config("leakage", cache).hitting_window()[1]
+    cfg = _config("leakage", cache, times=[round(0.8 * t_plus, 6)])
     return [_rate_crit("leakage-rate", eps_scan(cfg, cache), 0.75, t=cfg.times[0], t_plus=t_plus)]
 
 
 def _observable_q_exact(seed, cache):
-    errs = [p["error"] for p in eps_scan(_config("observables", symbol="q"), cache).points]
+    errs = [p["error"] for p in eps_scan(_config("observables", cache, symbol="q"), cache).points]
     return [_crit("observable-q-exact", max(errs) <= 1e-9, worst=max(errs))]
 
 

@@ -29,9 +29,10 @@ CRITERIA = {
 
 
 # the hitting_times calls of each suite that makes any: a config computes its window once,
-# and each criterion loads its own config (effective: three loads of an effective_dynamics
-# config; berry: two; leakage: one window for its time; semiclassics: the free fixture)
-HITTING_TIMES = {"effective": 3, "berry": 2, "leakage": 1, "semiclassics": 1}
+# and the criteria of one run share the config of each content (effective: one content for
+# its three criteria; berry: two, with and without the connection; leakage: one window for
+# its time; semiclassics: the free fixture)
+HITTING_TIMES = {"effective": 1, "berry": 2, "leakage": 1, "semiclassics": 1}
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,54 @@ def test_a_refused_config_exits_2_with_one_line(tmp_path, capsys, verb):
     err = capsys.readouterr().err
     assert err.startswith(f"adiband: cannot load {path}: times [50.0] outside the hitting-time window")
     assert err.count("\n") == 1
+
+
+def _acceptance_config(tmp_path, name, **overrides):
+    """The acceptance config `name` with fields overridden, as a file; a field overridden by None is left out."""
+    root = Path(__file__).resolve().parents[1]
+    data = {**json.loads((root / f"src/adiband/configs/{name}.json").read_text()), **overrides}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({key: value for key, value in data.items() if overrides.get(key, 0) is not None}))
+    return path
+
+
+# rotated_pair at theta0 2.0: the lower band's frame component 0 vanishes at X = 1.06, inside the window
+_THETA0_2 = {"tag": "rotated_pair", "params": {"theta0": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "verb, name, overrides, message",
+    [
+        # the load refuses what every row would fail on, so no all-error report is written
+        ("run", "state_rates", {"window": [-0.1, 0.1]}, "cannot build the band-energy interpolant: window"),
+        # the gauge refusal of band_decompose was a RuntimeError that escaped the load with a traceback
+        ("run", "effective", {"model": _THETA0_2}, "cannot build the band set: reference component 0 vanishes"),
+        ("hitting-times", "leakage", {"model": _THETA0_2}, "cannot build the band set: reference component 0"),
+        # a config without a required field, which the constructor refused with a TypeError
+        ("run", "effective", {"functional": None}, r"missing config fields \['functional'\]"),
+    ],
+)
+def test_a_config_no_row_can_build_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, name, overrides,
+                                                          message):
+    path = _acceptance_config(tmp_path, name, **overrides)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"adiband: cannot load {path}: ") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert not list(tmp_path.glob("scan_result.*"))
+
+
+def test_a_result_with_an_unknown_field_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"functional": "x", "points": [], "bogus": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path), "--output", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"adiband: cannot load {path}: unknown result fields ['bogus']\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_a_refused_result_exits_2_with_one_line(tmp_path, capsys):

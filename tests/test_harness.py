@@ -32,6 +32,10 @@ def _config_file(path, **overrides):
     return {**json.loads((ROOT / path).read_text()), **overrides}
 
 
+# rotated_pair with the frame's component 0, cos(2 tanh X), vanishing at X = 1.06
+_THETA0_2 = {"tag": "rotated_pair", "params": {"theta0": 2.0}}
+
+
 def small_config(**over):
     base = dict(
         model={"tag": "two_band_complex", "params": {}},
@@ -124,10 +128,10 @@ def test_config_refuses_effective_and_leakage_without_window_or_region(name, mis
 @pytest.mark.parametrize("name", ["berry", "decoupling", "effective", "leakage", "observables", "state_rates"])
 def test_config_refuses_a_window_with_no_grid_point(name):
     # every functional's bands take the window, so every functional refuses it at load,
-    # by band_decompose's own predicate, and not in every row of its scans
+    # by band_decompose's own refusal as the load builds the band set, and not in every row of its scans
     from adiband.harness import _config
 
-    with pytest.raises(ValueError, match=r"window \[9.0, 10.0\] contains no grid points"):
+    with pytest.raises(ValueError, match=r"cannot build the band set: window \(9.0, 10.0\) contains no grid points"):
         _config(name, window=[9.0, 10.0])
 
 
@@ -247,15 +251,21 @@ def test_from_json_names_unknown_fields():
         ("window", [-2.0, 0.0, 2.0], "window must be null or a list of two finite real numbers"),
         ("window", 2.0, "window must be null or a list of two finite real numbers"),
         # band indices the scan would misread: -1 wraps to the top band, 0.5 truncates to band 0,
-        # True is band 1; the others give an error row at every eps
-        ("band_indices", [-1], "band_indices must be strictly ascending integers"),
-        ("band_indices", [0.5], "band_indices must be strictly ascending integers"),
-        ("band_indices", [True], "band_indices must be strictly ascending integers"),
-        ("band_indices", [], "band_indices must be strictly ascending integers"),
-        ("band_indices", [0, 0], "band_indices must be strictly ascending integers"),
-        ("band_indices", [0, 7], r"band_indices .* in \[0, 2\), got \[0, 7\]"),
-        ("lift_band_index", -1, r"lift_band_index must be null or an integer in \[0, 2\), got -1"),
-        ("lift_band_index", 5, r"lift_band_index must be null or an integer in \[0, 2\), got 5"),
+        # True is band 1; the others give an error row at every eps.  The load builds the band set
+        # and refuses them with band_decompose's own rule
+        ("band_indices", [-1], r"cannot build the band set: band indices \[-1\] must be strictly ascending integers"),
+        ("band_indices", [0.5], r"cannot build the band set: band indices \[0.5\] must be strictly ascending integers"),
+        ("band_indices", [True], r"cannot build the band set: band indices \[True\] must be strictly ascending "
+                                 r"integers"),
+        ("band_indices", [], r"cannot build the band set: band indices \[\] must be strictly ascending integers"),
+        ("band_indices", [0, 0], r"cannot build the band set: band indices \[0, 0\] must be strictly ascending "
+                                 r"integers"),
+        ("band_indices", [0, 7], r"cannot build the band set: band indices \[0, 7\] must be strictly ascending "
+                                 r"integers in \[0, 2\)"),
+        ("lift_band_index", -1, r"cannot build the lift band: band indices \[-1\] must be strictly ascending "
+                                r"integers in \[0, 2\)"),
+        ("lift_band_index", 5, r"cannot build the lift band: band indices \[5\] must be strictly ascending "
+                               r"integers in \[0, 2\)"),
         # a band group as the lift band: the decoupling family and the state-rates observables lift their
         # states onto one band, and every row would fail with no gauged eigenvector field
         ("lift_band_index", None, r"the lift band must be one band: .* got band_indices \[0, 1\]"),
@@ -399,6 +409,29 @@ def test_from_json_names_unknown_fields():
          r"cannot build the model .*: crossing_trio: non-finite entries"),
         # a model that is not a JSON object has no parameters to check
         ("model", ["tag", "params"], r"model must be a JSON object, got \['tag', 'params'\]"),
+        # inputs of every row that do not depend on eps, built at load.  A window too narrow for the band
+        # energy's clamp fails every state-rates row
+        (None, _config_file("src/adiband/configs/state_rates.json", window=[-0.1, 0.1]),
+         r"cannot build the band-energy interpolant: window \(-0.1, 0.1\) shrunk by 0.08 is empty"),
+        # rotated_pair at theta0 2.0: the frame's component 0, cos(2 tanh X), vanishes at X = 1.06, inside
+        # the window, so the gauged band fails every row (and escaped the effective load as a RuntimeError)
+        (None, _config_file("src/adiband/configs/state_rates.json", model=_THETA0_2),
+         r"cannot build the band set: reference component 0 vanishes inside the window"),
+        (None, _config_file("src/adiband/configs/observables.json", model=_THETA0_2, window=[-2.0, 2.0],
+                            state={"params": {"centers": [[-0.5, 0.4], [0.6, -0.3]]}}),
+         r"cannot build the band set: reference component 0 vanishes inside the window"),
+        (None, _config_file("src/adiband/configs/effective.json", model=_THETA0_2),
+         r"cannot build the band set: reference component 0 vanishes inside the window"),
+        (None, _config_file("src/adiband/configs/leakage.json", model=_THETA0_2),
+         r"cannot build the band set: reference component 0 vanishes inside the window"),
+        # a margin that erodes the region to nothing fails every effective-dynamics and leakage row
+        (None, _config_file("src/adiband/configs/effective.json", alpha=0.8),
+         r"cannot build the region's smooth indicator: region erodes to nothing at margin 0.8"),
+        (None, _config_file("src/adiband/configs/leakage.json", alpha=0.8),
+         r"cannot build the region's smooth indicator: region erodes to nothing at margin 0.8"),
+        # band_decompose reads a bare index as a band set of one, and the lift band is one index
+        ("band_indices", 0, r"band_indices must be a list of band indices, got 0"),
+        ("lift_band_index", [0], r"cannot build the lift band: band indices \[\[0\]\] must be strictly ascending"),
     ],
 )
 def test_config_load_refuses_what_a_scan_would_ignore_or_fail_on(key, value, message):
@@ -511,6 +544,43 @@ def test_decoupling_family_loads_only_when_a_row_builds_it(q_centers, p_centers,
     state = {"family": "coherent", "family_params": {"q_centers": q_centers, "p_centers": p_centers, "wkb": list(wkb)}}
     _loads_iff_some_row_builds("decoupling", state,
                                lambda eps: standard_state_family(_family_band(), eps, q_centers, p_centers, wkb))
+
+
+# three functionals on rotated_pair at n = 64, each with what it reads besides the model, the window and alpha
+_EPS_FREE_ROWS = {
+    "observable_pairing": dict(symbol="p", state={"params": {"centers": [[-0.5, 0.4], [0.6, -0.3]]}}),
+    "state_observables": dict(flow_dt=0.01, state={"family": "coherent", "params": {"q0": 0.0, "p0": 0.3}}),
+    "boundary_leakage": dict(flow_dt=0.01, region=[[-0.5, 0.5, -0.6, 0.6]],
+                             state={"family": "coherent", "params": {"q0": 0.0, "p0": 0.3}}),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    functional=st.sampled_from(sorted(_EPS_FREE_ROWS)),
+    # the frame's component 0, cos(theta0 tanh X), vanishes at X = artanh(pi / (2 theta0)) once theta0 > pi/2
+    theta0=st.floats(0.0, 2.5),
+    half_width=st.floats(0.05, 3.0),
+    alpha=st.floats(0.05, 1.0),
+)
+# a window too narrow for the band energy's clamp; a component that vanishes in the window; a region that
+# erodes to nothing
+@example(functional="state_observables", theta0=0.3, half_width=0.1, alpha=0.3)
+@example(functional="state_observables", theta0=2.0, half_width=2.0, alpha=0.3)
+@example(functional="boundary_leakage", theta0=0.3, half_width=2.0, alpha=0.8)
+def test_a_config_that_loads_has_a_row_whose_eps_free_inputs_build(functional, theta0, half_width, alpha):
+    # the band, its energy and connection, and the region's indicator do not depend on eps: a config
+    # whose rows would all fail on one of them is refused at load
+    fields = dict(_EPS_FREE_ROWS[functional], functional=functional, eps_ladder=[0.2, 0.1, 0.05], times=[0.5],
+                  model={"tag": "rotated_pair", "params": {"theta0": theta0}}, delta=0.4,
+                  grid={"x_min": -6.4, "x_max": 6.4, "n_points": 64}, window=[-half_width, half_width])
+    if functional == "boundary_leakage":
+        fields["alpha"] = alpha
+    try:
+        cfg = ExperimentConfig(**fields).validate()
+    except ValueError:
+        return
+    assert "ok" in [p["status"] for p in eps_scan(cfg, _ROW_CACHE).points]
 
 
 @pytest.mark.parametrize(
@@ -637,8 +707,8 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
     # changed since gets both band sets anew, built for its new content
     from adiband import harness
 
-    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
-                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    text = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
+                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128}).to_json()
     built, real = [], harness.band_decompose
 
     def counted(model, grid, indices, **kwargs):
@@ -646,6 +716,8 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
         return real(model, grid, indices, **kwargs)
 
     monkeypatch.setattr(harness, "band_decompose", counted)
+    # the load builds both band sets, and the scan reuses them
+    cfg = ExperimentConfig.from_json(text)
     cache = PropagatorCache()
     first = eps_scan(cfg, cache)
     assert sorted(built) == [(128, (0,), None), (128, (0, 1), None)]
@@ -661,7 +733,7 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
         n, window = want
         assert sorted(built) == [(n, (0,), window), (n, (0, 1), window)]
         assert all(b.grid.n_points == n and b.window == window for b in (cfg.build_band(), cfg.lift_band()))
-    # a build that raises is not kept: each row tries it again, and fails
+    # a build that raises refuses the load, and is not kept: each load tries it again, and refuses
     def failing(model, grid, indices, **kwargs):
         built.append((grid.n_points, tuple(indices), kwargs["window"]))
         raise ValueError("no band here")
@@ -669,9 +741,10 @@ def test_decoupling_config_keeps_its_bands_across_scans(monkeypatch):
     monkeypatch.setattr(harness, "band_decompose", failing)
     cfg.window = [-5.0, 5.0]
     built.clear()
-    res = eps_scan(cfg, cache)
-    assert all(p["status"] == "error" and "no band here" in p["message"] for p in res.points)
-    assert len(built) == len(cfg.eps_ladder)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot build the band set: no band here"):
+            eps_scan(cfg, cache)
+    assert built == [(256, (0, 1), (-5.0, 5.0))] * 2
 
 
 def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
@@ -685,8 +758,8 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     # each eps's block derives from them
     from adiband import electronic, hamiltonians, harness, propagation
 
-    cfg = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
-                          grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128})
+    text = harness._config("decoupling", eps_ladder=[0.4, 0.2, 0.1],
+                           grid={"x_min": -8.0, "x_max": 8.0, "n_points": 128}).to_json()
     calls = {"molecular_operator": 0, "block": 0, "assemble_full": 0, "assemble_diag": 0}
     dims, formed, blocks, patterns, real_eigh = [], [], [], [], np.linalg.eigh
 
@@ -733,7 +806,8 @@ def test_decoupling_scan_assembles_one_full_h_per_eps(monkeypatch):
     monkeypatch.setattr(hamiltonians.DenseHamiltonian, "__post_init__", checked)
     monkeypatch.setattr(hamiltonians.DenseHamiltonian, "_checked", checked_by_parts)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    res = eps_scan(cfg, PropagatorCache())
+    # counted from the load, which decomposes both band sets
+    res = eps_scan(ExperimentConfig.from_json(text), PropagatorCache())
     assert all(p["status"] == "ok" for p in res.points)
     assert calls == {"molecular_operator": 1, "block": 3, "assemble_full": 0, "assemble_diag": 0}
     # every operator formed is one block: H's {0, 2} block, then the two parts of H_diag's;
@@ -963,7 +1037,7 @@ def test_semiclassical_rows_quantize_once_per_row(monkeypatch, functional, overr
 
     cfg = _berry_config(functional=functional, times=[0.3, 0.55, 0.8], **overrides)
     cache = PropagatorCache()
-    fn = harness.FUNCTIONALS[functional]
+    fn = harness.FUNCTIONALS[functional].row
     # the region indicator's table is formed once, a block of rows at a time, and applied to
     # one state by `_weyl_matvec`, without its matrix
     quantize = "_weyl_table" if functional == "boundary_leakage" else "weyl_quantize"
@@ -1102,6 +1176,31 @@ def test_load_result_refuses_another_schema_version(tmp_path, scan_result):
     data["schema_version"] = 7
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="schema_version 7 is not 1"):
+        load_result(path)
+
+
+def test_from_json_names_missing_fields():
+    # a field without a default is named, not left to the constructor's TypeError
+    data = json.loads(small_config().to_json())
+    del data["functional"], data["grid"]
+    with pytest.raises(ValueError, match=r"^missing config fields \['grid', 'functional'\]$"):
+        ExperimentConfig.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"bogus": 1}, r"^unknown result fields \['bogus'\]$"),
+        ({"slope": None}, r"^missing result fields \['intercept', 'fit_residual', 'dropped_largest_eps', 'config'\]$"),
+    ],
+)
+def test_load_result_names_unknown_and_missing_fields(tmp_path, scan_result, change, message):
+    path = emit_report(scan_result, tmp_path / "out.json")
+    data = json.loads(path.read_text())
+    if "bogus" not in change:
+        data = {key: data[key] for key in ("schema_version", "functional", "points")}
+    path.write_text(json.dumps({**data, **change}))
+    with pytest.raises(ValueError, match=message):
         load_result(path)
 
 
